@@ -136,8 +136,8 @@ impl FlowConfig {
 /// timeouts toward one peer (on any rail) walk that peer
 /// `Up → Suspect → Dead`; a `Dead` verdict triggers the drain protocol —
 /// in-flight rendezvous with the peer are aborted through the protocol
-/// table (`Event::PeerDead` rows), its eager credits released, and every
-/// lazily-populated per-peer map entry reclaimed. Liveness is credited
+/// table (`Event::PeerDead` rows), its eager credits released, and the
+/// peer's gate record dropped from the core. Liveness is credited
 /// only by intact inbound arrivals, and a `Dead` verdict additionally
 /// requires `min_silence` of inbound silence, so a merely slow or briefly
 /// hung node is never declared dead. `None` (the default) keeps the

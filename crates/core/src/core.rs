@@ -34,7 +34,7 @@
 //! This is what makes communication/computation overlap an explicit
 //! property of *who drives progress* — the subject of Fig. 7.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -46,6 +46,7 @@ use simnet::{
 
 use crate::config::{NmConfig, RetryConfig};
 use crate::credit::CreditBank;
+use crate::gate::{EnvRetx, Envelope, Gate, RdvIn, RdvOut};
 use crate::keys;
 use crate::matching::{GateId, Unexpected};
 use crate::sharded::ShardedMatchEngine;
@@ -153,8 +154,9 @@ pub struct NmStats {
     /// Membership: receive requests completed *with an error* (posted
     /// against a peer that died, or fail-fast toward a known-dead peer).
     pub membership_aborted_recvs: u64,
-    /// Membership: per-peer state entries reclaimed by drains (map
-    /// entries, rendezvous records, queued wrappers, parked envelopes).
+    /// Membership: per-peer records reclaimed by drains (the dead peer's
+    /// gate, flows, rendezvous and tombstones — the same unit as
+    /// `peer_entries`).
     pub membership_drained_entries: u64,
     /// Membership: frames from an already-drained peer dropped at
     /// acceptance instead of reviving per-peer state.
@@ -175,11 +177,11 @@ pub struct NmStats {
     /// Requests completed *with a revoked-epoch error* by a quiesce
     /// (sends and receives of the poisoned epoch).
     pub revoked_ops: u64,
-    /// Live per-peer state entries across every lazily-populated map in
-    /// this core (gates, seq/dedup windows, credit pools, rail affinity,
-    /// retry bookkeeping) at snapshot time. The O(active-flows) claim made
-    /// measurable: an idle core reports 0 no matter how many ranks the job
-    /// has, and a core that only ever talked to k peers reports O(k).
+    /// Live per-peer records in this core at snapshot time: one per gate
+    /// plus one per flow, in-flight rendezvous and tombstone it holds.
+    /// The O(active-flows) claim made measurable: an idle core reports 0
+    /// no matter how many ranks the job has, and a core that only ever
+    /// talked to k peers reports O(k).
     pub peer_entries: u64,
     /// Copy accounting for the whole stack this core belongs to (memcpys,
     /// allocations, zero-copy shares) — the measured side of the Fig. 2
@@ -214,75 +216,15 @@ struct RecvReq {
     seq: u64,
 }
 
-struct RdvOut {
-    send_req: SendReqId,
-    data: NmBuf,
-    /// Bytes not yet handed to a rail.
-    bytes_remaining: usize,
-    /// Chunks handed to a rail whose send-completion hasn't fired.
-    chunks_in_flight: usize,
-    /// Protocol-table state of this outbound rendezvous. Every decision
-    /// about an arriving frame or firing timer is a [`protocol::step`]
-    /// lookup against this; the handlers only execute the emitted
-    /// actions. (Inbound rendezvous state is derived: a live `rdv_in`
-    /// entry is `RWaitData`, a `rdv_done` tombstone is `RDone`, anything
-    /// else is `Gone`.)
-    state: protocol::State,
-    /// Bitmask of local rail indices the outstanding RTS/DATA packets of
-    /// this rendezvous last went out on — the set of rails a timeout is
-    /// attributed to, and the set a reroute moves away from.
-    last_rails: u64,
-    /// Matching envelope identity, kept for RTS retransmission.
-    tag: u64,
-    seq: u64,
-    /// Retry mode: armed retransmission timer. `None` while nothing is
-    /// outstanding on the wire (RTS not yet committed, or DATA chunks in
-    /// flight on the local NIC).
-    deadline: Option<SimTime>,
-    timeout: SimDuration,
-    attempts: u32,
-}
-
-struct RdvIn {
-    recv_req: RecvReqId,
-    gate: usize,
-    tag: u64,
-    /// Envelope sequence of the matched RTS (lifecycle-span identity).
-    seq: u64,
-    buf: Vec<u8>,
-    received: usize,
-    /// Retry mode: disjoint, sorted byte ranges already landed — makes
-    /// replayed DATA idempotent.
-    ranges: Vec<(usize, usize)>,
-    /// Retry mode: CTS retransmission timer, re-armed on DATA progress.
-    deadline: Option<SimTime>,
-    timeout: SimDuration,
-    attempts: u32,
-}
-
-/// Retry mode: one unacked eager envelope awaiting a cumulative ack.
-struct EnvRetx {
-    payload: WirePayload,
-    deadline: SimTime,
-    timeout: SimDuration,
-    attempts: u32,
-    /// Local rail index the envelope last went out on (health attribution
-    /// and reroute target).
-    rail: usize,
-}
-
-/// An envelope (matchable) message after transport reordering.
-enum Envelope {
-    Eager(NmBuf),
-    Rts { rdv_id: u64, len: usize },
-}
-
 struct Inner {
     cfg: NmConfig,
     strategy: Box<dyn Strategy>,
-    /// Submission windows, keyed by destination rank. BTreeMap for
-    /// deterministic iteration.
-    gates: BTreeMap<usize, VecDeque<PacketWrapper>>,
+    /// Everything held about each peer — submission window, sequencing,
+    /// rendezvous, retransmit queue, credits to return — one record per
+    /// rank this core has exchanged traffic with ([`crate::gate`]).
+    /// BTreeMap for deterministic iteration; boxed so a tree node holds
+    /// eleven pointers, not eleven 200-byte records.
+    peers: BTreeMap<usize, Box<Gate>>,
     /// Tag matching, sharded per source gate so injector threads and the
     /// progress engine match traffic from different peers concurrently
     /// (the single-queue `MatchEngine` remains as the differential
@@ -290,26 +232,9 @@ struct Inner {
     matching: ShardedMatchEngine,
     send_reqs: Vec<SendReq>,
     recv_reqs: Vec<RecvReq>,
-    rdv_out: HashMap<u64, RdvOut>,
-    /// Destination rank of each outbound rendezvous (kept separate so the
-    /// hot chunk-accounting path borrows `rdv_out` alone).
-    rdv_dst: HashMap<u64, usize>,
-    rdv_in: HashMap<(usize, u64), RdvIn>,
-    /// Sender-side per-(dst, tag) sequence numbers.
-    send_seq: HashMap<(usize, u64), u64>,
-    /// Receiver-side next expected sequence per (src, tag).
-    recv_expected: HashMap<(usize, u64), u64>,
-    /// Early (out-of-order) envelope arrivals, parked until their turn.
-    parked: HashMap<(usize, u64), BTreeMap<u64, Envelope>>,
     /// Packets accepted from the fabric, pending processing.
     inbound: VecDeque<NmWire>,
     completions: VecDeque<NmCompletion>,
-    /// Retry mode: unacked eager envelopes per (dst, tag), keyed by seq.
-    /// BTreeMap so retransmission sweeps are deterministic.
-    env_unacked: BTreeMap<(usize, u64), BTreeMap<u64, EnvRetx>>,
-    /// Retry mode: receiver-side tombstones of finished rendezvous — a
-    /// replayed RTS/DATA for one of these gets a FIN, not a new transfer.
-    rdv_done: HashSet<(usize, u64)>,
     /// Retry mode: acks/FINs/probe replies to put on the wire after the
     /// current inbound batch (sent outside the inner lock). The third
     /// element pins the packet to a specific local rail; `None` lets
@@ -318,10 +243,6 @@ struct Inner {
     /// Retry mode: per-rail health state machine (`None` without retry —
     /// the happy path has no failure signals to drive it).
     health: Option<RailHealthTable>,
-    /// Rail each peer's most recent inbound packet arrived on — control
-    /// replies are routed back the same way, so an ack never chases a
-    /// peer into a rail that just died.
-    last_in_rail: HashMap<usize, usize>,
     /// Flow control, sender side: remaining eager credits per destination
     /// gate (lazily seeded from `FlowConfig::eager_credits`). Lock-free
     /// pools shared by `Arc` so real-thread injectors can admit eager
@@ -330,12 +251,6 @@ struct Inner {
     /// Bytes of unexpected eager payload currently buffered (receiver
     /// side; always tracked — it feeds `fc_peak_unex_bytes`).
     unex_eager_bytes: usize,
-    /// Flow control, receiver side: credits earned per gate (an eager
-    /// message was consumed) awaiting return on the next ctrl flush.
-    credit_owed: BTreeMap<usize, u32>,
-    /// Flow control, receiver side: credits whose return the high-water
-    /// hysteresis is withholding until the unexpected queue drains.
-    credit_withheld: BTreeMap<usize, u32>,
     /// Hysteresis latch: set when `unex_eager_bytes` climbs past
     /// `high_water`, cleared when it falls back to `low_water`.
     fc_throttled: bool,
@@ -347,12 +262,8 @@ struct Inner {
     meter: Arc<CopyMeter>,
     /// Lifecycle-span recording handle, stamped with this core's rank.
     /// Lives inside `Inner` so the lock-free static helpers
-    /// (`complete_send`, `handle_data`, …) can record through it.
+    /// (`finish_send`, `handle_data`, …) can record through it.
     rec: obs::RankRec,
-    /// Receiver-side posted-receive counter per (src, tag): the sequence a
-    /// newly posted receive will match under in-order delivery, used to
-    /// key its `recv_posted` span event.
-    recv_posted: HashMap<(usize, u64), u64>,
     /// Per-peer liveness supervisor (`None` without
     /// [`crate::config::MembershipConfig`] — node death then keeps the
     /// PR-3 link-presumed-dead panic).
@@ -390,7 +301,7 @@ const MEMBER_PROBE_BIT: u64 = 1 << 63;
 
 /// Span-key sequence space for fail-fast requests toward a dead peer:
 /// they never claim a wire sequence number (nothing will carry them) and
-/// must not create per-peer map entries, so their lifecycle spans draw a
+/// must not open a gate or flow record, so their lifecycle spans draw a
 /// unique key from the request id in this disjoint high-bit space.
 const DEAD_LETTER_SEQ: u64 = 1 << 62;
 
@@ -482,6 +393,15 @@ pub struct NmCore {
     hook: Mutex<Option<EventHook>>,
 }
 
+/// How a request ends: with its result (`()` for a send, the payload for
+/// a receive), or with an error because its peer was declared dead or
+/// its communicator epoch was revoked (the peer may be perfectly alive).
+enum Outcome<T> {
+    Done(T),
+    PeerDead,
+    Revoked,
+}
+
 /// Everything needed to put one packet on the wire, extracted under the
 /// inner lock and executed outside it.
 struct Outgoing {
@@ -490,29 +410,20 @@ struct Outgoing {
     wire: NmWire,
     bytes: usize,
     eager_reqs: Vec<SendReqId>,
-    data_chunk_rdv: Option<u64>,
+    /// `(dst, rdv_id)` when the packet is a rendezvous DATA chunk.
+    data_chunk_rdv: Option<(usize, u64)>,
 }
 
 impl NmCore {
     pub fn new(cfg: NmConfig, rank: usize, net: NmNet) -> Arc<NmCore> {
-        Self::with_meter(cfg, rank, net, CopyMeter::new())
+        Self::with_instruments(cfg, rank, net, CopyMeter::new(), None)
     }
 
     /// Like [`NmCore::new`] but sharing a caller-provided [`CopyMeter`] —
     /// the MPI stack builder passes one job-wide meter so MPI-ingress,
-    /// Nemesis and nmad copies all land in the same tally.
-    pub fn with_meter(
-        cfg: NmConfig,
-        rank: usize,
-        net: NmNet,
-        meter: Arc<CopyMeter>,
-    ) -> Arc<NmCore> {
-        Self::with_instruments(cfg, rank, net, meter, None)
-    }
-
-    /// Like [`NmCore::with_meter`], additionally recording typed lifecycle
-    /// span events (message phases, retries, credit movements) through
-    /// `recorder`.
+    /// Nemesis and nmad copies all land in the same tally — and recording
+    /// typed lifecycle span events (message phases, retries, credit
+    /// movements) through `recorder` when one is given.
     pub fn with_instruments(
         cfg: NmConfig,
         rank: usize,
@@ -555,34 +466,22 @@ impl NmCore {
             inner: Mutex::new(Inner {
                 strategy: strategy::make(cfg.strategy),
                 cfg,
-                gates: BTreeMap::new(),
+                peers: BTreeMap::new(),
                 matching: ShardedMatchEngine::new(),
                 send_reqs: Vec::new(),
                 recv_reqs: Vec::new(),
-                rdv_out: HashMap::new(),
-                rdv_dst: HashMap::new(),
-                rdv_in: HashMap::new(),
-                send_seq: HashMap::new(),
-                recv_expected: HashMap::new(),
-                parked: HashMap::new(),
                 inbound: VecDeque::new(),
                 completions: VecDeque::new(),
-                env_unacked: BTreeMap::new(),
-                rdv_done: HashSet::new(),
                 ctrl_out: VecDeque::new(),
                 health,
-                last_in_rail: HashMap::new(),
                 send_credits,
                 unex_eager_bytes: 0,
-                credit_owed: BTreeMap::new(),
-                credit_withheld: BTreeMap::new(),
                 fc_throttled: false,
                 next_pw: 0,
                 next_rdv: 0,
                 stats: StatsCells::new(),
                 meter,
                 rec: obs::RankRec::new(recorder, rank as u32),
-                recv_posted: HashMap::new(),
                 membership,
                 dead_events: VecDeque::new(),
                 member_probe_seq: 0,
@@ -647,75 +546,23 @@ impl NmCore {
         cookie: u64,
     ) -> SendReqId {
         assert_ne!(dst, self.rank, "nmad is inter-node only; intra-node goes via Nemesis");
-        let mut inner = self.inner.lock();
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
         // Attach the stack meter unless the buffer already carries one
         // (i.e. it was metered at a higher layer, MPI ingress or CH3).
         let mut data = data.into();
         if data.meter().is_none() {
             data = data.with_meter(&inner.meter);
         }
-        let req = SendReqId(inner.send_reqs.len() as u32);
         let now = sched.now();
-        // Fail fast toward a known-dead peer: the request still completes
-        // (no-cancel rule) — with an error, immediately, instead of
-        // burning a full retransmission ladder against a corpse. It
-        // claims no wire sequence number and no per-peer map entry (a
-        // drained peer keeps exactly zero).
-        if inner.membership.as_ref().is_some_and(|m| m.is_dead(dst)) {
-            let seq = DEAD_LETTER_SEQ | req.0 as u64;
-            inner.send_reqs.push(SendReq {
-                cookie,
-                done: false,
-                dst,
-                tag,
-                seq,
-            });
-            inner.rec.phase(
-                now.0,
-                mkey(self.rank, dst, tag, seq),
-                obs::Phase::SendPosted {
-                    len: data.len() as u64,
-                },
-            );
-            inner.rec.inc("nmad.isend", 1);
-            inner.rec.observe("nmad.send.bytes", data.len() as u64);
-            Self::complete_send_failed(&mut inner, now.0, req, dst);
-            drop(inner);
+        if let Some(req) = Self::refuse_send(inner, now, dst, tag, data.len(), cookie) {
+            drop(guard);
             self.fire_hook(sched);
             return req;
         }
-        // Fail fast on a revoked/superseded epoch: the receiver would
-        // ack-and-drop every frame of this key, so a rendezvous here
-        // would retransmit its RTS forever against a receiver that will
-        // never answer — and eventually indict a perfectly live peer.
-        if Self::tag_is_stale(&inner, tag) {
-            let seq = DEAD_LETTER_SEQ | req.0 as u64;
-            inner.send_reqs.push(SendReq {
-                cookie,
-                done: false,
-                dst,
-                tag,
-                seq,
-            });
-            inner.rec.phase(
-                now.0,
-                mkey(self.rank, dst, tag, seq),
-                obs::Phase::SendPosted {
-                    len: data.len() as u64,
-                },
-            );
-            inner.rec.inc("nmad.isend", 1);
-            Self::complete_send_revoked(&mut inner, now.0, req, dst, keys::epoch_of(tag));
-            drop(inner);
-            self.fire_hook(sched);
-            return req;
-        }
-        let seq = {
-            let c = inner.send_seq.entry((dst, tag)).or_insert(0);
-            let v = *c;
-            *c += 1;
-            v
-        };
+        let req = SendReqId(inner.send_reqs.len() as u32);
+        let gate = inner.peers.entry(dst).or_default();
+        let seq = gate.flow(tag).next_send_seq();
         inner.send_reqs.push(SendReq {
             cookie,
             done: false,
@@ -760,20 +607,14 @@ impl NmCore {
                 }
                 _ => true,
             };
-        if eager {
+        let (body, data) = if eager {
             inner.stats.add(stat::eager_sends, 1);
-            let pw = PacketWrapper {
-                id: pw_id,
-                dst,
-                body: PwBody::Eager {
-                    tag,
-                    seq,
-                    send_req: req,
-                },
-                data,
-                enqueued_at: now,
+            let body = PwBody::Eager {
+                tag,
+                seq,
+                send_req: req,
             };
-            inner.gates.entry(dst).or_default().push_back(pw);
+            (body, data)
         } else {
             // Rendezvous entry: `entry/size` (payload above the eager
             // threshold) or `entry/credit-fallback` (eager-sized send
@@ -800,13 +641,12 @@ impl NmCore {
                 .retry
                 .map(|rc| rc.timeout)
                 .unwrap_or(SimDuration::ZERO);
-            inner.rdv_dst.insert(rdv_id, dst);
             // `ArmRtsTimer` is realized lazily: the deadline is armed in
             // `build_outgoing` when the RTS actually leaves the node (a
             // queued-but-uncommitted RTS cannot time out).
-            inner.rdv_out.insert(
+            gate.rdv_out.insert(
                 rdv_id,
-                RdvOut {
+                Box::new(RdvOut {
                     send_req: req,
                     data,
                     bytes_remaining: len,
@@ -818,23 +658,101 @@ impl NmCore {
                     deadline: None,
                     timeout,
                     attempts: 0,
-                },
+                }),
             );
-            let pw = PacketWrapper {
-                id: pw_id,
-                dst,
-                body: PwBody::Rts {
-                    tag,
-                    seq,
-                    rdv_id,
-                    len,
-                },
-                data: NmBuf::default(),
-                enqueued_at: now,
+            let body = PwBody::Rts {
+                tag,
+                seq,
+                rdv_id,
+                len,
             };
-            inner.gates.entry(dst).or_default().push_back(pw);
-        }
+            (body, NmBuf::default())
+        };
+        gate.window.push_back(PacketWrapper {
+            id: pw_id,
+            dst,
+            body,
+            data,
+            enqueued_at: now,
+        });
         req
+    }
+
+    /// Fail-fast verdict for a new request toward `peer` under `tag`.
+    /// A known-dead peer: the request still completes (no-cancel rule) —
+    /// with an error, immediately, instead of burning a full
+    /// retransmission ladder against a corpse. A revoked/superseded
+    /// epoch: every frame of the key is acked-and-dropped at delivery,
+    /// so a send would retransmit its RTS forever (and eventually indict
+    /// a perfectly live peer) and a receive could never match.
+    fn refusal<T>(inner: &Inner, peer: usize, tag: u64) -> Option<Outcome<T>> {
+        if inner.membership.as_ref().is_some_and(|m| m.is_dead(peer)) {
+            Some(Outcome::PeerDead)
+        } else if Self::tag_is_stale(inner, tag) {
+            Some(Outcome::Revoked)
+        } else {
+            None
+        }
+    }
+
+    /// Complete a send that [`Self::refusal`] turns away, on the spot. It
+    /// claims no wire sequence number and opens no gate or flow record (a
+    /// drained peer keeps exactly zero).
+    fn refuse_send(
+        inner: &mut Inner,
+        now: SimTime,
+        dst: usize,
+        tag: u64,
+        len: usize,
+        cookie: u64,
+    ) -> Option<SendReqId> {
+        let outcome = Self::refusal(inner, dst, tag)?;
+        let req = SendReqId(inner.send_reqs.len() as u32);
+        let seq = DEAD_LETTER_SEQ | req.0 as u64;
+        inner.send_reqs.push(SendReq {
+            cookie,
+            done: false,
+            dst,
+            tag,
+            seq,
+        });
+        let key = mkey(inner.rec.rank() as usize, dst, tag, seq);
+        inner
+            .rec
+            .phase(now.0, key, obs::Phase::SendPosted { len: len as u64 });
+        inner.rec.inc("nmad.isend", 1);
+        if matches!(outcome, Outcome::PeerDead) {
+            inner.rec.observe("nmad.send.bytes", len as u64);
+        }
+        Self::finish_send(inner, now.0, req, outcome);
+        Some(req)
+    }
+
+    /// Receive-side twin of [`Self::refuse_send`]: a receive against a
+    /// drained peer (its unexpected queue was purged, its frames are
+    /// strays) or a dead epoch can never match.
+    fn refuse_recv(
+        inner: &mut Inner,
+        now: SimTime,
+        src: usize,
+        tag: u64,
+        cookie: u64,
+    ) -> Option<RecvReqId> {
+        let outcome = Self::refusal(inner, src, tag)?;
+        let req = RecvReqId(inner.recv_reqs.len() as u32);
+        let seq = DEAD_LETTER_SEQ | req.0 as u64;
+        inner.recv_reqs.push(RecvReq {
+            cookie,
+            done: false,
+            src,
+            tag,
+            seq,
+        });
+        let key = mkey(src, inner.rec.rank() as usize, tag, seq);
+        inner.rec.phase(now.0, key, obs::Phase::RecvPosted);
+        inner.rec.inc("nmad.irecv", 1);
+        Self::finish_recv(inner, now.0, req, outcome);
+        Some(req)
     }
 
     /// `nm_sr_irecv`: post a receive for `(src, tag)`. If a matching
@@ -849,57 +767,18 @@ impl NmCore {
         cookie: u64,
     ) -> RecvReqId {
         assert_ne!(src, self.rank, "nmad is inter-node only");
-        let mut inner = self.inner.lock();
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
         let now = sched.now();
-        let req = RecvReqId(inner.recv_reqs.len() as u32);
         let my_rank = self.rank;
-        // Fail fast: a receive posted against a drained peer can never
-        // match (its unexpected queue was purged, its frames are strays).
-        // Like the send side, it claims no per-peer map entry.
-        if inner.membership.as_ref().is_some_and(|m| m.is_dead(src)) {
-            let seq = DEAD_LETTER_SEQ | req.0 as u64;
-            inner.recv_reqs.push(RecvReq {
-                cookie,
-                done: false,
-                src,
-                tag,
-                seq,
-            });
-            inner
-                .rec
-                .phase(now.0, mkey(src, my_rank, tag, seq), obs::Phase::RecvPosted);
-            inner.rec.inc("nmad.irecv", 1);
-            Self::complete_recv_failed(&mut inner, now.0, req, src);
-            drop(inner);
+        if let Some(req) = Self::refuse_recv(inner, now, src, tag, cookie) {
+            drop(guard);
             self.fire_hook(sched);
             return req;
         }
-        // Fail fast on a revoked/superseded epoch: every frame of this
-        // key is dropped at delivery, so the receive could never match.
-        if Self::tag_is_stale(&inner, tag) {
-            let seq = DEAD_LETTER_SEQ | req.0 as u64;
-            inner.recv_reqs.push(RecvReq {
-                cookie,
-                done: false,
-                src,
-                tag,
-                seq,
-            });
-            inner
-                .rec
-                .phase(now.0, mkey(src, my_rank, tag, seq), obs::Phase::RecvPosted);
-            inner.rec.inc("nmad.irecv", 1);
-            Self::complete_recv_revoked(&mut inner, now.0, req, src, keys::epoch_of(tag));
-            drop(inner);
-            self.fire_hook(sched);
-            return req;
-        }
-        let posted_seq = {
-            let c = inner.recv_posted.entry((src, tag)).or_insert(0);
-            let v = *c;
-            *c += 1;
-            v
-        };
+        let req = RecvReqId(inner.recv_reqs.len() as u32);
+        let flow = inner.peers.entry(src).or_default().flow(tag);
+        let posted_seq = flow.next_posted_seq();
         inner.recv_reqs.push(RecvReq {
             cookie,
             done: false,
@@ -914,30 +793,26 @@ impl NmCore {
         );
         inner.rec.inc("nmad.irecv", 1);
         let gate = GateId(src);
-        match inner.matching.post_recv(gate, tag, req) {
-            None => {}
-            Some(Unexpected::Eager { seq, data }) => {
-                inner.recv_reqs[req.0 as usize].seq = seq;
-                inner.rec.phase(
-                    now.0,
-                    mkey(src, my_rank, tag, seq),
-                    obs::Phase::Matched { unexpected: true },
-                );
-                Self::consume_unexpected_eager(&mut inner, src, data.len());
-                Self::complete_recv(&mut inner, now.0, req, data, gate, tag);
-            }
-            Some(Unexpected::Rts { seq, rdv_id, len }) => {
-                inner.recv_reqs[req.0 as usize].seq = seq;
-                inner.rec.phase(
-                    now.0,
-                    mkey(src, my_rank, tag, seq),
-                    obs::Phase::Matched { unexpected: true },
-                );
-                Self::start_rdv_in(&mut inner, sched, req, src, tag, seq, rdv_id, len);
+        if let Some(unex) = inner.matching.post_recv(gate, tag, req) {
+            let (Unexpected::Eager { seq, .. } | Unexpected::Rts { seq, .. }) = unex;
+            inner.recv_reqs[req.0 as usize].seq = seq;
+            inner.rec.phase(
+                now.0,
+                mkey(src, my_rank, tag, seq),
+                obs::Phase::Matched { unexpected: true },
+            );
+            match unex {
+                Unexpected::Eager { data, .. } => {
+                    Self::consume_unexpected_eager(inner, src, data.len());
+                    Self::finish_recv(inner, now.0, req, Outcome::Done(data));
+                }
+                Unexpected::Rts { rdv_id, len, .. } => {
+                    Self::start_rdv_in(inner, sched, req, src, tag, seq, rdv_id, len);
+                }
             }
         }
         let had_completion = !inner.completions.is_empty();
-        drop(inner);
+        drop(guard);
         if had_completion {
             self.fire_hook(sched);
         }
@@ -997,7 +872,7 @@ impl NmCore {
                 m.record_inbound(wire.src_rank, sched.now());
             }
             Self::emit_member_events(&mut inner, sched.now());
-            inner.last_in_rail.insert(wire.src_rank, rail);
+            inner.peers.entry(wire.src_rank).or_default().last_in_rail = Some(rail);
             // An intact arrival is live proof of this rail: inbound credit
             // is the only success signal that cannot be fooled by a
             // multi-rail attempt mask (a rendezvous whose dead-rail chunks
@@ -1041,13 +916,9 @@ impl NmCore {
     pub fn halt(&self) {
         let mut inner = self.inner.lock();
         inner.halted = true;
-        inner.gates.clear();
+        inner.peers.clear();
         inner.inbound.clear();
         inner.completions.clear();
-        inner.rdv_out.clear();
-        inner.rdv_dst.clear();
-        inner.rdv_in.clear();
-        inner.env_unacked.clear();
         inner.ctrl_out.clear();
         inner.rec.inc("nmad.halt", 1);
     }
@@ -1102,18 +973,16 @@ impl NmCore {
     /// Packet wrappers sitting in the submission windows — the library's
     /// "outbox" depth (diagnostics).
     pub fn window_depth(&self) -> usize {
-        self.inner.lock().gates.values().map(|g| g.len()).sum()
+        let inner = self.inner.lock();
+        inner.peers.values().map(|g| g.window.len()).sum()
     }
 
     /// Nothing in flight, nothing pending?
     pub fn quiescent(&self) -> bool {
         let inner = self.inner.lock();
         inner.inbound.is_empty()
-            && inner.gates.values().all(|g| g.is_empty())
-            && inner.rdv_out.is_empty()
-            && inner.rdv_in.is_empty()
+            && inner.peers.values().all(|g| g.quiescent())
             && inner.completions.is_empty()
-            && inner.env_unacked.is_empty()
             && inner.ctrl_out.is_empty()
     }
 
@@ -1123,17 +992,7 @@ impl NmCore {
         let inner = self.inner.lock();
         let mut s = inner.stats.snapshot();
         s.copy = inner.meter.snapshot();
-        s.peer_entries = (inner.gates.len()
-            + inner.send_seq.len()
-            + inner.recv_expected.len()
-            + inner.parked.len()
-            + inner.env_unacked.len()
-            + inner.rdv_done.len()
-            + inner.last_in_rail.len()
-            + inner.send_credits.len()
-            + inner.credit_owed.len()
-            + inner.credit_withheld.len()
-            + inner.recv_posted.len()) as u64;
+        s.peer_entries = inner.peers.values().map(|g| g.records() as u64).sum();
         if let Some(h) = inner.health.as_ref() {
             s.rail_transitions = h.transitions();
             s.degraded_nanos = h.degraded_nanos();
@@ -1333,26 +1192,12 @@ impl NmCore {
             .unwrap_or_default()
     }
 
-    /// Per-peer state entries still held for `peer` across every
-    /// lazily-populated map. The drain's acceptance gate: 0 for a dead
-    /// peer once `drain_peer` has run.
+    /// Records still held for `peer` — its gate plus one per flow,
+    /// in-flight rendezvous and tombstone, the unit `peer_entries` sums —
+    /// so 0 exactly when the core holds no record for it at all: the
+    /// drain's acceptance gate once `drain_peer` has run.
     pub fn peer_entry_count(&self, peer: usize) -> usize {
-        let inner = self.inner.lock();
-        let mut n = 0usize;
-        n += usize::from(inner.gates.contains_key(&peer));
-        n += inner.send_seq.keys().filter(|k| k.0 == peer).count();
-        n += inner.recv_expected.keys().filter(|k| k.0 == peer).count();
-        n += inner.parked.keys().filter(|k| k.0 == peer).count();
-        n += inner.env_unacked.keys().filter(|k| k.0 == peer).count();
-        n += inner.rdv_done.iter().filter(|k| k.0 == peer).count();
-        n += usize::from(inner.last_in_rail.contains_key(&peer));
-        n += usize::from(inner.send_credits.contains(peer));
-        n += usize::from(inner.credit_owed.contains_key(&peer));
-        n += usize::from(inner.credit_withheld.contains_key(&peer));
-        n += inner.recv_posted.keys().filter(|k| k.0 == peer).count();
-        n += inner.rdv_dst.values().filter(|&&d| d == peer).count();
-        n += inner.rdv_in.keys().filter(|k| k.0 == peer).count();
-        n
+        self.inner.lock().peers.get(&peer).map_or(0, |g| g.records())
     }
 
     /// One-line membership summary for transport `debug_state` strings,
@@ -1463,7 +1308,7 @@ impl NmCore {
                     // dead rail every time its rerouted rendezvous completes.
                     // Arrival credit in `accept_delivery` covers the rail the
                     // CTS actually used.
-                    Self::handle_cts(inner, sched, rdv_id);
+                    Self::handle_cts(inner, sched, src, rdv_id);
                 }
                 WirePayload::Data {
                     rdv_id,
@@ -1477,22 +1322,9 @@ impl NmCore {
                 }
                 WirePayload::Ack { tag, next, credits } => {
                     Self::apply_credits(inner, now.0, src, credits);
-                    let mut credited: Vec<usize> = Vec::new();
-                    if let Some(map) = inner.env_unacked.get_mut(&(src, tag)) {
-                        map.retain(|&seq, rx| {
-                            if seq >= next {
-                                true
-                            } else {
-                                credited.push(rx.rail);
-                                false
-                            }
-                        });
-                        if map.is_empty() {
-                            inner.env_unacked.remove(&(src, tag));
-                        }
-                    }
+                    let credited = inner.peers.get_mut(&src).map(|g| g.ack(tag, next));
                     if let Some(h) = inner.health.as_mut() {
-                        for rail in credited {
+                        for rail in credited.unwrap_or_default() {
                             h.record_success(rail, now);
                         }
                     }
@@ -1500,43 +1332,35 @@ impl NmCore {
                 WirePayload::RdvFin { rdv_id } => {
                     // Receiver finished: `fin/early` (chunks still on the
                     // local NIC) or `fin/confirmed` (FIN-wait) release the
-                    // payload and complete the send; a replayed FIN finds
-                    // `Gone` and is a declared ignore. Without retry no
-                    // FIN is ever legal — a protocol error, not a panic.
+                    // payload and complete the send; a replayed FIN — or
+                    // one naming a rendezvous addressed to another peer —
+                    // finds `Gone` and is a declared ignore. Without retry
+                    // no FIN is ever legal: a protocol error, not a panic.
                     let retry = inner.cfg.retry.is_some();
-                    let state = inner
-                        .rdv_out
-                        .get(&rdv_id)
-                        .map_or(protocol::State::Gone, |r| r.state);
+                    let gate = inner.peers.entry(src).or_default();
                     match protocol::step(
-                        state,
+                        gate.sender_state(rdv_id),
                         protocol::Event::FinRx,
                         pctx(retry, false, false, false),
                     ) {
                         Verdict::Step { actions, .. } => {
-                            let rdv = inner.rdv_out.remove(&rdv_id).unwrap();
-                            let dst = inner.rdv_dst.remove(&rdv_id).unwrap_or(src);
+                            let rdv = gate.rdv_out.remove(&rdv_id).expect("live state");
                             inner.rec.phase(
                                 now.0,
-                                mkey(inner.rec.rank() as usize, dst, rdv.tag, rdv.seq),
+                                mkey(inner.rec.rank() as usize, src, rdv.tag, rdv.seq),
                                 obs::Phase::FinRx,
                             );
-                            if actions.contains(&Action::CompleteSend) {
-                                Self::complete_send(inner, now.0, rdv.send_req);
+                            let outcome = if actions.contains(&Action::CompleteSend) {
+                                Outcome::Done(())
                             } else {
                                 // `fin/tombstone`: the FIN came from a
                                 // revoke-tombstoned receiver before our own
                                 // copy of the revoke arrived — no data ever
                                 // moved, so the send fails, not completes.
                                 debug_assert!(actions.contains(&Action::AbortSend));
-                                Self::complete_send_revoked(
-                                    inner,
-                                    now.0,
-                                    rdv.send_req,
-                                    dst,
-                                    keys::epoch_of(rdv.tag),
-                                );
-                            }
+                                Outcome::Revoked
+                            };
+                            Self::finish_send(inner, now.0, rdv.send_req, outcome);
                         }
                         Verdict::Ignore { .. } => {}
                         Verdict::Error => {
@@ -1572,11 +1396,14 @@ impl NmCore {
             }
         }
         for (src, tag) in touched {
-            let next = *inner.recv_expected.get(&(src, tag)).unwrap_or(&0);
+            let gate = inner.peers.get(&src);
+            let next = gate
+                .and_then(|g| g.flows.get(&tag))
+                .map_or(0, |f| f.recv_expected);
             inner.stats.add(stat::acks_sent, 1);
             // Route the ack back the way the peer's traffic came in — never
             // into a rail the peer may have already abandoned.
-            let via = inner.last_in_rail.get(&src).copied();
+            let via = gate.and_then(|g| g.last_in_rail);
             inner
                 .ctrl_out
                 .push_back((src, WirePayload::Ack { tag, next, credits: 0 }, via));
@@ -1699,7 +1526,8 @@ impl NmCore {
                 .into_iter()
                 .map(|g| g.0)
                 .collect();
-            expected.extend(inner.rdv_in.keys().map(|&(src, _)| src));
+            let receiving = inner.peers.iter().filter(|(_, g)| !g.rdv_in.is_empty());
+            expected.extend(receiving.map(|(&src, _)| src));
             expected.sort_unstable();
             expected.dedup();
             let (probes, dead) = inner
@@ -1729,168 +1557,90 @@ impl NmCore {
         }
     }
 
-    /// The drain protocol: `peer` was declared `Dead` — cancel every
-    /// in-flight rendezvous with it through the protocol table's
-    /// `Event::PeerDead` rows (table entries, not ad-hoc surgery), fail
-    /// its posted receives, release its eager credits, and reclaim every
-    /// lazily-populated per-peer map entry, so `peer_entry_count(peer)`
-    /// ends at exactly 0 and not one surviving-pair byte is disturbed.
+    /// What the protocol table prescribes for a rendezvous record in
+    /// `state` whose peer just died (membership implies retry).
+    fn peer_dead_actions(inner: &mut Inner, state: protocol::State) -> &'static [Action] {
+        let ctx = pctx(true, false, false, false);
+        match protocol::step(state, protocol::Event::PeerDead, ctx) {
+            Verdict::Step { actions, .. } => actions,
+            Verdict::Ignore { .. } => &[],
+            Verdict::Error => {
+                Self::protocol_error(inner, "nmad.protocol_errors.dead");
+                &[]
+            }
+        }
+    }
+
+    /// The drain protocol: `peer` was declared `Dead`. Its gate leaves the
+    /// container — so `peer_entry_count(peer)` is 0 by construction — and
+    /// one walk of that record cancels every in-flight rendezvous through
+    /// the protocol table's `Event::PeerDead` rows (table entries, not
+    /// ad-hoc surgery), fails its queued sends and posted receives, and
+    /// releases its eager credits. Not one surviving-pair byte is
+    /// disturbed.
     fn drain_peer(inner: &mut Inner, now: SimTime, peer: usize) {
         let t_ns = now.0;
-        let mut entries: u64 = 0;
         inner.stats.add(stat::membership_dead_peers, 1);
         inner.dead_events.push_back(peer);
-        let ctx = pctx(true, false, false, false);
-        // Outbound rendezvous toward the peer: `dead/swaitcts`,
-        // `dead/sstreaming`, `dead/swaitfin` — DisarmTimer + AbortSend.
-        let mut out_ids: Vec<u64> = inner
-            .rdv_dst
-            .iter()
-            .filter(|&(_, &dst)| dst == peer)
-            .map(|(&id, _)| id)
-            .collect();
-        out_ids.sort_unstable();
-        for rdv_id in out_ids {
-            let state = inner.rdv_out[&rdv_id].state;
-            match protocol::step(state, protocol::Event::PeerDead, ctx) {
-                Verdict::Step { actions, .. } => {
-                    let rdv = inner.rdv_out.remove(&rdv_id).unwrap();
-                    inner.rdv_dst.remove(&rdv_id);
-                    entries += 2;
-                    // `DisarmTimer` is realized by dropping the entry
-                    // (its deadline dies with it).
-                    if actions.contains(&Action::AbortSend) {
-                        Self::complete_send_failed(inner, t_ns, rdv.send_req, peer);
-                    }
-                }
-                Verdict::Ignore { .. } => {}
-                Verdict::Error => Self::protocol_error(inner, "nmad.protocol_errors.dead"),
+        let gate = inner.peers.remove(&peer);
+        let entries = gate.as_ref().map_or(0, |g| g.records()) as u64;
+        let gate = *gate.unwrap_or_default();
+        let dead = Self::peer_dead_actions;
+        // Outbound rendezvous toward the peer, in ascending id:
+        // `dead/swaitcts`, `dead/sstreaming`, `dead/swaitfin` — DisarmTimer
+        // (the deadline dies with the record) + AbortSend.
+        for rdv in gate.rdv_out.into_values() {
+            if dead(inner, rdv.state).contains(&Action::AbortSend) {
+                Self::finish_send(inner, t_ns, rdv.send_req, Outcome::PeerDead);
             }
         }
         // Inbound rendezvous from the peer: `dead/rwaitdata` — AbortRecv.
-        let mut in_ids: Vec<(usize, u64)> = inner
-            .rdv_in
-            .keys()
-            .filter(|&&(src, _)| src == peer)
-            .copied()
-            .collect();
-        in_ids.sort_unstable();
-        for key in in_ids {
-            match protocol::step(protocol::State::RWaitData, protocol::Event::PeerDead, ctx) {
-                Verdict::Step { actions, .. } => {
-                    let rdv = inner.rdv_in.remove(&key).unwrap();
-                    entries += 1;
-                    if actions.contains(&Action::AbortRecv) {
-                        Self::complete_recv_failed(inner, t_ns, rdv.recv_req, peer);
-                    }
-                }
-                Verdict::Ignore { .. } => {}
-                Verdict::Error => Self::protocol_error(inner, "nmad.protocol_errors.dead"),
+        for rdv in gate.rdv_in.into_values() {
+            if dead(inner, protocol::State::RWaitData).contains(&Action::AbortRecv) {
+                Self::finish_recv(inner, t_ns, rdv.recv_req, Outcome::PeerDead);
             }
         }
         // Finished-rendezvous tombstones: `dead/rdone` drops them with no
         // further action (nobody is left to replay the FIN for).
-        let mut tombs: Vec<(usize, u64)> = inner
-            .rdv_done
-            .iter()
-            .filter(|&&(src, _)| src == peer)
-            .copied()
-            .collect();
-        tombs.sort_unstable();
-        for key in tombs {
-            match protocol::step(protocol::State::RDone, protocol::Event::PeerDead, ctx) {
-                Verdict::Step { actions, .. } => {
-                    debug_assert!(actions.is_empty(), "tombstone drain emits no action");
-                    inner.rdv_done.remove(&key);
-                    entries += 1;
-                }
-                Verdict::Ignore { .. } => {}
-                Verdict::Error => Self::protocol_error(inner, "nmad.protocol_errors.dead"),
-            }
+        for _ in &gate.rdv_done {
+            let actions = dead(inner, protocol::State::RDone);
+            debug_assert!(actions.is_empty(), "tombstone drain emits no action");
         }
         // Queued-but-uncommitted wrappers toward the peer. Eager bodies
         // still own live send requests (rendezvous ones were aborted
         // above); fail them — their payload will never leave this node.
-        if let Some(queue) = inner.gates.remove(&peer) {
-            entries += 1 + queue.len() as u64;
-            for pw in queue {
-                if let PwBody::Eager { send_req, .. } = pw.body {
-                    if !inner.send_reqs[send_req.0 as usize].done {
-                        Self::complete_send_failed(inner, t_ns, send_req, peer);
-                    }
+        // Unacked envelopes just go: their sends completed locally long
+        // ago, and nothing retransmits into the void any more.
+        for pw in gate.window {
+            if let PwBody::Eager { send_req, .. } = pw.body {
+                if !inner.send_reqs[send_req.0 as usize].done {
+                    Self::finish_send(inner, t_ns, send_req, Outcome::PeerDead);
                 }
             }
-        }
-        // Unacked eager envelopes toward the peer: their sends completed
-        // locally long ago — stop retransmitting into the void.
-        let env_keys: Vec<(usize, u64)> = inner
-            .env_unacked
-            .keys()
-            .filter(|&&(dst, _)| dst == peer)
-            .copied()
-            .collect();
-        for key in env_keys {
-            let flow = inner.env_unacked.remove(&key).unwrap();
-            entries += 1 + flow.len() as u64;
         }
         // Posted receives against the peer fail cleanly; its buffered
         // unexpected messages are dropped (no credit is owed to a corpse).
         let (orphans, dropped_bytes) = inner.matching.purge_gate(GateId(peer));
-        entries += orphans.len() as u64;
         debug_assert!(inner.unex_eager_bytes >= dropped_bytes);
         inner.unex_eager_bytes -= dropped_bytes;
         for (req, _tag) in orphans {
             if !inner.recv_reqs[req.0 as usize].done {
-                Self::complete_recv_failed(inner, t_ns, req, peer);
+                Self::finish_recv(inner, t_ns, req, Outcome::PeerDead);
             }
         }
         // Release the peer's eager credits: in-flight ones it will never
         // ack, owed/withheld ones it will never collect.
-        let mut released: u64 = 0;
-        if let Some(fc) = inner.cfg.flow {
-            if let Some(pool) = inner.send_credits.remove(peer) {
-                entries += 1;
-                released += (fc.eager_credits - pool) as u64;
-            }
-        }
-        if let Some(owed) = inner.credit_owed.remove(&peer) {
-            entries += 1;
-            released += owed as u64;
-        }
-        if let Some(withheld) = inner.credit_withheld.remove(&peer) {
-            entries += 1;
-            released += withheld as u64;
-        }
-        inner.stats.add(stat::membership_credits_released, released);
-        // Remaining per-(peer, tag) bookkeeping maps.
-        let mut retain_count = |removed: usize| entries += removed as u64;
-        let before = inner.send_seq.len();
-        inner.send_seq.retain(|&(dst, _), _| dst != peer);
-        retain_count(before - inner.send_seq.len());
-        let before = inner.recv_expected.len();
-        inner.recv_expected.retain(|&(src, _), _| src != peer);
-        retain_count(before - inner.recv_expected.len());
-        let before = inner.recv_posted.len();
-        inner.recv_posted.retain(|&(src, _), _| src != peer);
-        retain_count(before - inner.recv_posted.len());
-        let parked_keys: Vec<(usize, u64)> = inner
-            .parked
-            .keys()
-            .filter(|&&(src, _)| src == peer)
-            .copied()
-            .collect();
-        for key in parked_keys {
-            let map = inner.parked.remove(&key).unwrap();
-            entries += 1 + map.len() as u64;
-        }
-        if inner.last_in_rail.remove(&peer).is_some() {
-            entries += 1;
-        }
+        let in_flight = inner.cfg.flow.and_then(|fc| {
+            let pool = inner.send_credits.remove(peer)?;
+            Some(fc.eager_credits - pool)
+        });
+        let released = in_flight.unwrap_or(0) + gate.credit_owed + gate.credit_withheld;
+        inner
+            .stats
+            .add(stat::membership_credits_released, released as u64);
         // Control frames queued toward the peer, and inbound frames from
         // it that arrived before the verdict: both are dead letters.
-        let before = inner.ctrl_out.len();
         inner.ctrl_out.retain(|&(dst, _, _)| dst != peer);
-        entries += (before - inner.ctrl_out.len()) as u64;
         let before = inner.inbound.len();
         inner.inbound.retain(|w| w.src_rank != peer);
         let strays = (before - inner.inbound.len()) as u64;
@@ -1957,119 +1707,95 @@ impl NmCore {
     /// `Event::Revoked` rows, posted receives and buffered unexpected
     /// frames through the matching purge, queued and unacked eager sends
     /// directly. The peers stay alive; only the keys die, so unlike
-    /// [`NmCore::drain_peer`] no per-peer map (sequence windows, credits,
-    /// rail affinity) is touched — their stale frames are counted and
-    /// acked at delivery instead.
+    /// [`NmCore::drain_peer`] every gate stays in place with its sequence
+    /// windows, credits and rail affinity — stale frames of the dead keys
+    /// are counted and acked at delivery instead.
     fn quiesce_keys<F: Fn(u64) -> bool>(inner: &mut Inner, now: SimTime, pred: F) {
         let t_ns = now.0;
         let ctx = pctx(inner.cfg.retry.is_some(), false, false, false);
-        // Outbound rendezvous on poisoned keys: `revoked/swaitcts`,
-        // `revoked/sstreaming`, `revoked/swaitfin` — DisarmTimer +
-        // AbortSend (the deadline dies with the entry).
-        let mut out_ids: Vec<u64> = inner
-            .rdv_out
-            .iter()
-            .filter(|(_, r)| pred(r.tag))
-            .map(|(&id, _)| id)
-            .collect();
+        // Outbound rendezvous on poisoned keys, in ascending id across
+        // gates: `revoked/swaitcts`, `revoked/sstreaming`,
+        // `revoked/swaitfin` — DisarmTimer + AbortSend (the deadline dies
+        // with the record).
+        let mut out_ids: Vec<(u64, usize)> = Vec::new();
+        let mut in_ids: Vec<(usize, u64)> = Vec::new();
+        for (&peer, gate) in &inner.peers {
+            let doomed_out = gate.rdv_out.iter().filter(|(_, r)| pred(r.tag));
+            out_ids.extend(doomed_out.map(|(&id, _)| (id, peer)));
+            let doomed_in = gate.rdv_in.iter().filter(|(_, r)| pred(r.tag));
+            in_ids.extend(doomed_in.map(|(&id, _)| (peer, id)));
+        }
         out_ids.sort_unstable();
-        for rdv_id in &out_ids {
-            let state = inner.rdv_out[rdv_id].state;
-            match protocol::step(state, protocol::Event::Revoked, ctx) {
+        for &(rdv_id, dst) in &out_ids {
+            let gate = inner.peers.get_mut(&dst).expect("collected above");
+            match protocol::step(gate.sender_state(rdv_id), protocol::Event::Revoked, ctx) {
                 Verdict::Step { actions, .. } => {
-                    let rdv = inner.rdv_out.remove(rdv_id).unwrap();
-                    let dst = inner
-                        .rdv_dst
-                        .remove(rdv_id)
-                        .expect("rendezvous destination missing");
+                    let rdv = gate.rdv_out.remove(&rdv_id).expect("collected above");
                     if actions.contains(&Action::AbortSend) {
-                        Self::complete_send_revoked(
-                            inner,
-                            t_ns,
-                            rdv.send_req,
-                            dst,
-                            keys::epoch_of(rdv.tag),
-                        );
+                        Self::finish_send(inner, t_ns, rdv.send_req, Outcome::Revoked);
                     }
                 }
                 Verdict::Ignore { .. } => {}
                 Verdict::Error => Self::protocol_error(inner, "nmad.protocol_errors.revoked"),
             }
         }
-        let removed_out: HashSet<u64> = out_ids.into_iter().collect();
-        // Inbound rendezvous on poisoned keys: `revoked/rwaitdata` —
-        // DisarmTimer + AbortRecv + Tombstone → RDone. The tombstone (not
-        // plain removal) keeps a straggling DATA chunk on the FIN-replay
-        // path instead of tripping the defensive data-before-reentry
-        // ignore; peer death reclaims it like any finished rendezvous.
-        let mut in_ids: Vec<(usize, u64)> = inner
-            .rdv_in
-            .iter()
-            .filter(|(_, r)| pred(r.tag))
-            .map(|(&k, _)| k)
-            .collect();
-        in_ids.sort_unstable();
-        for key in &in_ids {
+        // Inbound rendezvous on poisoned keys, in `(src, id)` order:
+        // `revoked/rwaitdata` — DisarmTimer + AbortRecv + Tombstone →
+        // RDone. The tombstone (not plain removal) keeps a straggling DATA
+        // chunk on the FIN-replay path instead of tripping the defensive
+        // data-before-reentry ignore; peer death reclaims it like any
+        // finished rendezvous.
+        for &(src, rdv_id) in &in_ids {
             match protocol::step(protocol::State::RWaitData, protocol::Event::Revoked, ctx) {
                 Verdict::Step { actions, next, .. } => {
-                    let rdv = inner.rdv_in.remove(key).unwrap();
+                    let gate = inner.peers.get_mut(&src).expect("collected above");
+                    let rdv = gate.rdv_in.remove(&rdv_id).expect("collected above");
                     debug_assert_eq!(next, protocol::State::RDone);
                     if actions.contains(&Action::Tombstone) {
-                        inner.rdv_done.insert(*key);
+                        gate.rdv_done.insert(rdv_id);
                     }
                     if actions.contains(&Action::AbortRecv) {
-                        Self::complete_recv_revoked(
-                            inner,
-                            t_ns,
-                            rdv.recv_req,
-                            key.0,
-                            keys::epoch_of(rdv.tag),
-                        );
+                        Self::finish_recv(inner, t_ns, rdv.recv_req, Outcome::Revoked);
                     }
                 }
                 Verdict::Ignore { .. } => {}
                 Verdict::Error => Self::protocol_error(inner, "nmad.protocol_errors.revoked"),
             }
         }
-        let removed_in: HashSet<(usize, u64)> = in_ids.into_iter().collect();
-        // Unacked eager envelopes on poisoned keys: their sends completed
-        // locally long ago — stop retransmitting into a dead epoch (the
-        // receivers ack-and-drop stale frames, but why keep sending).
-        let env_keys: Vec<(usize, u64)> = inner
-            .env_unacked
-            .keys()
-            .filter(|&&(_, tag)| pred(tag))
-            .copied()
-            .collect();
-        for key in env_keys {
-            inner.env_unacked.remove(&key);
-        }
-        // Queued-but-uncommitted wrappers on poisoned keys, plus DATA/CTS
-        // wrappers of the rendezvous cancelled above — committing one of
-        // those would index a removed entry.
-        let mut failed_eager: Vec<(SendReqId, usize, u8)> = Vec::new();
-        let gate_keys: Vec<usize> = inner.gates.keys().copied().collect();
-        for dst in gate_keys {
-            let queue = inner.gates.get_mut(&dst).unwrap();
-            let mut kept: VecDeque<PacketWrapper> = VecDeque::with_capacity(queue.len());
-            for pw in queue.drain(..) {
-                match &pw.body {
-                    PwBody::Eager { tag, send_req, .. } if pred(*tag) => {
-                        failed_eager.push((*send_req, dst, keys::epoch_of(*tag)));
-                    }
-                    // The RTS's send request already failed with its
-                    // rendezvous entry above.
-                    PwBody::Rts { tag, .. } if pred(*tag) => {}
-                    PwBody::Cts { rdv_id } if removed_in.contains(&(dst, *rdv_id)) => {}
-                    PwBody::Data { rdv_id, .. } if removed_out.contains(rdv_id) => {}
-                    _ => kept.push_back(pw),
-                }
+        // Per gate: unacked eager envelopes on poisoned keys (their sends
+        // completed locally long ago — stop retransmitting into a dead
+        // epoch), parked early arrivals (the predecessor that would let
+        // them deliver may never be retransmitted — the sender quiesced
+        // too — so drop and count them now rather than leak), and
+        // queued-but-uncommitted wrappers on poisoned keys plus the
+        // DATA/CTS wrappers of the rendezvous cancelled above (committing
+        // one of those would index a removed record).
+        let mut failed_eager: Vec<SendReqId> = Vec::new();
+        let mut stale_parked = 0;
+        for (&peer, gate) in inner.peers.iter_mut() {
+            let doomed: Vec<(u64, u64)> =
+                gate.unacked.keys().filter(|k| pred(k.0)).copied().collect();
+            for key in doomed {
+                gate.unacked.remove(&key);
             }
-            *queue = kept;
+            for (_, flow) in gate.flows.iter_mut().filter(|(&tag, _)| pred(tag)) {
+                stale_parked += std::mem::take(&mut flow.parked).len();
+            }
+            let gone = gate.purge_window(|pw| match pw.body {
+                // An RTS's send request already failed with its
+                // rendezvous record above.
+                PwBody::Eager { tag, .. } | PwBody::Rts { tag, .. } => pred(tag),
+                PwBody::Cts { rdv_id } => in_ids.contains(&(peer, rdv_id)),
+                PwBody::Data { rdv_id, .. } => out_ids.contains(&(rdv_id, peer)),
+            });
+            failed_eager.extend(gone.iter().filter_map(|pw| match pw.body {
+                PwBody::Eager { send_req, .. } => Some(send_req),
+                _ => None,
+            }));
         }
-        for (req, dst, epoch) in failed_eager {
+        for req in failed_eager {
             if !inner.send_reqs[req.0 as usize].done {
-                Self::complete_send_revoked(inner, t_ns, req, dst, epoch);
+                Self::finish_send(inner, t_ns, req, Outcome::Revoked);
             }
         }
         // Posted receives fail; buffered unexpected frames of the epoch
@@ -2077,24 +1803,11 @@ impl NmCore {
         let (orphans, dropped_unex, dropped_bytes) = inner.matching.purge_keys(&pred);
         debug_assert!(inner.unex_eager_bytes >= dropped_bytes);
         inner.unex_eager_bytes -= dropped_bytes;
-        Self::count_stale_epoch(inner, dropped_unex as u64);
-        for (req, gate, tag) in orphans {
+        Self::count_stale_epoch(inner, (dropped_unex + stale_parked) as u64);
+        for (req, _gate, _tag) in orphans {
             if !inner.recv_reqs[req.0 as usize].done {
-                Self::complete_recv_revoked(inner, t_ns, req, gate.0, keys::epoch_of(tag));
+                Self::finish_recv(inner, t_ns, req, Outcome::Revoked);
             }
-        }
-        // Parked early arrivals on poisoned keys: the predecessor that
-        // would let them deliver may never be retransmitted (the sender
-        // quiesced too) — drop and count them now rather than leak.
-        let parked_keys: Vec<(usize, u64)> = inner
-            .parked
-            .keys()
-            .filter(|&&(_, tag)| pred(tag))
-            .copied()
-            .collect();
-        for key in parked_keys {
-            let map = inner.parked.remove(&key).unwrap();
-            Self::count_stale_epoch(inner, map.len() as u64);
         }
     }
 
@@ -2108,8 +1821,10 @@ impl NmCore {
         seq: u64,
         env: Envelope,
     ) {
-        let expected = *inner.recv_expected.get(&(src, tag)).unwrap_or(&0);
-        if seq < expected {
+        let gate = inner.peers.entry(src).or_default();
+        let via = gate.last_in_rail;
+        let flow = gate.flow(tag);
+        if seq < flow.recv_expected {
             // Already delivered: a retransmission or a wire duplicate. A
             // duplicated eager envelope is plain transport bookkeeping; a
             // duplicated RTS is a protocol event — the handshake reply
@@ -2127,16 +1842,8 @@ impl NmCore {
                 }
                 return;
             };
-            let key = (src, rdv_id);
-            let state = if inner.rdv_done.contains(&key) {
-                protocol::State::RDone
-            } else if inner.rdv_in.contains_key(&key) {
-                protocol::State::RWaitData
-            } else {
-                protocol::State::Gone
-            };
             let actions = match protocol::step(
-                state,
+                gate.receiver_state(rdv_id),
                 protocol::Event::DupRts,
                 pctx(retry, false, false, false),
             ) {
@@ -2147,7 +1854,6 @@ impl NmCore {
                     return;
                 }
             };
-            let via = inner.last_in_rail.get(&src).copied();
             let mk = mkey(src, inner.rec.rank() as usize, tag, seq);
             for &action in actions {
                 match action {
@@ -2184,28 +1890,30 @@ impl NmCore {
             }
             return;
         }
-        if seq != expected {
-            let map = inner.parked.entry((src, tag)).or_default();
-            if map.insert(seq, env).is_some() {
+        if seq != flow.recv_expected {
+            if flow.parked.insert(seq, env).is_some() {
                 inner.stats.add(stat::dup_envelopes, 1);
             }
             return;
         }
+        // In order: advance the sequence first, so the cumulative ack
+        // covers the envelope whatever `deliver_now` decides about it.
+        flow.recv_expected = seq + 1;
+        let successors_parked = !flow.parked.is_empty();
         Self::deliver_now(inner, sched, src, tag, seq, env);
-        let mut next = seq + 1;
+        if !successors_parked {
+            return;
+        }
         // Drain any parked successors that are now in order.
-        while let Some(env) = inner
-            .parked
-            .get_mut(&(src, tag))
-            .and_then(|map| map.remove(&next))
-        {
+        let mut next = seq + 1;
+        while let Some(env) = inner.peers.get_mut(&src).and_then(|g| {
+            let flow = g.flows.get_mut(&tag)?;
+            let env = flow.parked.remove(&next)?;
+            flow.recv_expected = next + 1;
+            Some(env)
+        }) {
             Self::deliver_now(inner, sched, src, tag, next, env);
             next += 1;
-        }
-        if let Some(map) = inner.parked.get(&(src, tag)) {
-            if map.is_empty() {
-                inner.parked.remove(&(src, tag));
-            }
         }
     }
 
@@ -2217,10 +1925,9 @@ impl NmCore {
         seq: u64,
         env: Envelope,
     ) {
-        inner.recv_expected.insert((src, tag), seq + 1);
         // Epoch hygiene: a collective frame of a revoked or superseded
         // epoch (or a retired agreement instance) is dropped here — after
-        // the sequence advance, so the cumulative ack still covers it and
+        // the caller's sequence advance, so the cumulative ack covers it and
         // the sender stops retransmitting (a live peer must never be
         // indicted over a dead epoch), but before any receiver-machine
         // span or matching state records it.
@@ -2259,7 +1966,7 @@ impl NmCore {
                         // Matched on arrival: the credit cycle completes without
                         // the message ever occupying the unexpected queue.
                         Self::owe_credit(inner, src, data.len());
-                        Self::complete_recv(inner, now.0, req, data, gate, tag)
+                        Self::finish_recv(inner, now.0, req, Outcome::Done(data))
                     }
                     Envelope::Rts { rdv_id, len } => {
                         Self::start_rdv_in(inner, sched, req, src, tag, seq, rdv_id, len)
@@ -2295,7 +2002,7 @@ impl NmCore {
     /// consumed a credit (see `isend`), so none is owed.
     fn owe_credit(inner: &mut Inner, src: usize, len: usize) {
         if inner.cfg.flow.is_some() && len > 0 {
-            *inner.credit_owed.entry(src).or_insert(0) += 1;
+            inner.peers.entry(src).or_default().credit_owed += 1;
         }
     }
 
@@ -2316,20 +2023,19 @@ impl NmCore {
         } else if inner.unex_eager_bytes > fc.high_water {
             inner.fc_throttled = true;
         }
-        if inner.fc_throttled {
-            // Defer every owed credit; each is counted once, as it moves
-            // into the withheld pool.
-            while let Some((src, n)) = inner.credit_owed.pop_first() {
-                inner.stats.add(stat::fc_credits_withheld, n as u64);
-                *inner.credit_withheld.entry(src).or_insert(0) += n;
+        for (&src, gate) in inner.peers.iter_mut() {
+            let owed = std::mem::take(&mut gate.credit_owed);
+            if inner.fc_throttled {
+                // Defer every owed credit; each is counted once, as it
+                // moves into the withheld pool.
+                inner.stats.add(stat::fc_credits_withheld, owed as u64);
+                gate.credit_withheld += owed;
+                continue;
             }
-            return;
-        }
-        while let Some((src, mut n)) = inner.credit_withheld.pop_first() {
-            n += inner.credit_owed.remove(&src).unwrap_or(0);
-            inner.credit_owed.insert(src, n);
-        }
-        while let Some((src, n)) = inner.credit_owed.pop_first() {
+            let n = owed + std::mem::take(&mut gate.credit_withheld);
+            if n == 0 {
+                continue;
+            }
             inner.stats.add(stat::fc_credits_returned, n as u64);
             let piggyback = inner.ctrl_out.iter_mut().find_map(|(dst, p, _)| {
                 match p {
@@ -2339,48 +2045,13 @@ impl NmCore {
             });
             match piggyback {
                 Some(credits) => *credits += n,
-                None => {
-                    let via = inner.last_in_rail.get(&src).copied();
-                    inner
-                        .ctrl_out
-                        .push_back((src, WirePayload::Credit { credits: n }, via));
-                }
+                None => inner.ctrl_out.push_back((
+                    src,
+                    WirePayload::Credit { credits: n },
+                    gate.last_in_rail,
+                )),
             }
         }
-    }
-
-    fn complete_recv(
-        inner: &mut Inner,
-        t_ns: u64,
-        req: RecvReqId,
-        data: NmBuf,
-        gate: GateId,
-        tag: u64,
-    ) {
-        let r = &mut inner.recv_reqs[req.0 as usize];
-        debug_assert!(!r.done, "double completion of recv request");
-        r.done = true;
-        inner.stats.add(stat::recv_completions, 1);
-        let cookie = r.cookie;
-        let key = mkey(r.src, inner.rec.rank() as usize, r.tag, r.seq);
-        inner.rec.phase(
-            t_ns,
-            key,
-            obs::Phase::Completed {
-                side: obs::Side::Recv,
-            },
-        );
-        inner.rec.inc("nmad.recv_completions", 1);
-        inner.completions.push_back(NmCompletion {
-            cookie,
-            // Lineage ends at the user-facing completion: surrender the
-            // underlying Bytes view (zero-copy, storage still aliased).
-            kind: CompletionKind::Recv {
-                data: data.into_bytes(),
-                gate,
-                tag,
-            },
-        });
     }
 
     /// The protocol table classified a frame as malformed or stale
@@ -2392,125 +2063,90 @@ impl NmCore {
         inner.rec.inc(counter, 1);
     }
 
-    fn complete_send(inner: &mut Inner, t_ns: u64, req: SendReqId) {
+    /// Surface the completion of a send request. The no-cancel rule
+    /// (§2.2.1) is honoured on every path: a request whose peer died or
+    /// whose epoch was revoked does complete — the error is the result.
+    fn finish_send(inner: &mut Inner, t_ns: u64, req: SendReqId, outcome: Outcome<()>) {
         let r = &mut inner.send_reqs[req.0 as usize];
         debug_assert!(!r.done, "double completion of send request");
         r.done = true;
-        inner.stats.add(stat::send_completions, 1);
-        let cookie = r.cookie;
+        let (peer, side) = (r.dst, obs::Side::Send);
+        let (counter, phase, metric, kind) = match outcome {
+            Outcome::Done(()) => (
+                stat::send_completions,
+                obs::Phase::Completed { side },
+                "nmad.send_completions",
+                CompletionKind::Send,
+            ),
+            Outcome::PeerDead => (
+                stat::membership_aborted_sends,
+                obs::Phase::Aborted { side },
+                "nmad.membership.aborted_sends",
+                CompletionKind::SendFailed { peer },
+            ),
+            Outcome::Revoked => (
+                stat::revoked_ops,
+                obs::Phase::Revoked { side },
+                "nmad.revoked_sends",
+                CompletionKind::SendRevoked {
+                    peer,
+                    epoch: keys::epoch_of(r.tag),
+                },
+            ),
+        };
+        inner.stats.add(counter, 1);
         let key = mkey(inner.rec.rank() as usize, r.dst, r.tag, r.seq);
-        inner.rec.phase(
-            t_ns,
-            key,
-            obs::Phase::Completed {
-                side: obs::Side::Send,
-            },
-        );
-        inner.rec.inc("nmad.send_completions", 1);
+        inner.rec.phase(t_ns, key, phase);
+        inner.rec.inc(metric, 1);
         inner.completions.push_back(NmCompletion {
-            cookie,
-            kind: CompletionKind::Send,
+            cookie: r.cookie,
+            kind,
         });
     }
 
-    /// Complete a send request *with an error* (its peer is dead). The
-    /// no-cancel rule (§2.2.1) is honoured: the request does complete —
-    /// the abort is the completion.
-    fn complete_send_failed(inner: &mut Inner, t_ns: u64, req: SendReqId, peer: usize) {
-        let r = &mut inner.send_reqs[req.0 as usize];
-        debug_assert!(!r.done, "double completion of send request");
-        r.done = true;
-        inner.stats.add(stat::membership_aborted_sends, 1);
-        let cookie = r.cookie;
-        let key = mkey(inner.rec.rank() as usize, r.dst, r.tag, r.seq);
-        inner.rec.phase(
-            t_ns,
-            key,
-            obs::Phase::Aborted {
-                side: obs::Side::Send,
-            },
-        );
-        inner.rec.inc("nmad.membership.aborted_sends", 1);
-        inner.completions.push_back(NmCompletion {
-            cookie,
-            kind: CompletionKind::SendFailed { peer },
-        });
-    }
-
-    /// Complete a receive request *with an error* (its gate is dead).
-    fn complete_recv_failed(inner: &mut Inner, t_ns: u64, req: RecvReqId, peer: usize) {
+    /// Receive-side twin of [`Self::finish_send`].
+    fn finish_recv(inner: &mut Inner, t_ns: u64, req: RecvReqId, outcome: Outcome<NmBuf>) {
         let r = &mut inner.recv_reqs[req.0 as usize];
         debug_assert!(!r.done, "double completion of recv request");
         r.done = true;
-        inner.stats.add(stat::membership_aborted_recvs, 1);
-        let cookie = r.cookie;
-        let tag = r.tag;
+        let (gate, tag, side) = (GateId(r.src), r.tag, obs::Side::Recv);
+        let (counter, phase, metric, kind) = match outcome {
+            Outcome::Done(data) => (
+                stat::recv_completions,
+                obs::Phase::Completed { side },
+                "nmad.recv_completions",
+                // Lineage ends at the user-facing completion: surrender the
+                // underlying Bytes view (zero-copy, storage still aliased).
+                CompletionKind::Recv {
+                    data: data.into_bytes(),
+                    gate,
+                    tag,
+                },
+            ),
+            Outcome::PeerDead => (
+                stat::membership_aborted_recvs,
+                obs::Phase::Aborted { side },
+                "nmad.membership.aborted_recvs",
+                CompletionKind::RecvFailed { gate, tag },
+            ),
+            Outcome::Revoked => (
+                stat::revoked_ops,
+                obs::Phase::Revoked { side },
+                "nmad.revoked_recvs",
+                CompletionKind::RecvRevoked {
+                    gate,
+                    tag,
+                    epoch: keys::epoch_of(tag),
+                },
+            ),
+        };
+        inner.stats.add(counter, 1);
         let key = mkey(r.src, inner.rec.rank() as usize, r.tag, r.seq);
-        inner.rec.phase(
-            t_ns,
-            key,
-            obs::Phase::Aborted {
-                side: obs::Side::Recv,
-            },
-        );
-        inner.rec.inc("nmad.membership.aborted_recvs", 1);
+        inner.rec.phase(t_ns, key, phase);
+        inner.rec.inc(metric, 1);
         inner.completions.push_back(NmCompletion {
-            cookie,
-            kind: CompletionKind::RecvFailed {
-                gate: GateId(peer),
-                tag,
-            },
-        });
-    }
-
-    /// Complete a send request *with an error*: its communicator epoch
-    /// was revoked while it was pending. The peer may be perfectly alive.
-    fn complete_send_revoked(inner: &mut Inner, t_ns: u64, req: SendReqId, peer: usize, epoch: u8) {
-        let r = &mut inner.send_reqs[req.0 as usize];
-        debug_assert!(!r.done, "double completion of send request");
-        r.done = true;
-        inner.stats.add(stat::revoked_ops, 1);
-        let cookie = r.cookie;
-        let key = mkey(inner.rec.rank() as usize, r.dst, r.tag, r.seq);
-        inner.rec.phase(
-            t_ns,
-            key,
-            obs::Phase::Revoked {
-                side: obs::Side::Send,
-            },
-        );
-        inner.rec.inc("nmad.revoked_sends", 1);
-        inner.completions.push_back(NmCompletion {
-            cookie,
-            kind: CompletionKind::SendRevoked { peer, epoch },
-        });
-    }
-
-    /// Complete a receive request *with an error*: its communicator epoch
-    /// was revoked, so no frame of that epoch will ever match it.
-    fn complete_recv_revoked(inner: &mut Inner, t_ns: u64, req: RecvReqId, peer: usize, epoch: u8) {
-        let r = &mut inner.recv_reqs[req.0 as usize];
-        debug_assert!(!r.done, "double completion of recv request");
-        r.done = true;
-        inner.stats.add(stat::revoked_ops, 1);
-        let cookie = r.cookie;
-        let tag = r.tag;
-        let key = mkey(r.src, inner.rec.rank() as usize, r.tag, r.seq);
-        inner.rec.phase(
-            t_ns,
-            key,
-            obs::Phase::Revoked {
-                side: obs::Side::Recv,
-            },
-        );
-        inner.rec.inc("nmad.revoked_recvs", 1);
-        inner.completions.push_back(NmCompletion {
-            cookie,
-            kind: CompletionKind::RecvRevoked {
-                gate: GateId(peer),
-                tag,
-                epoch,
-            },
+            cookie: r.cookie,
+            kind,
         });
     }
 
@@ -2575,11 +2211,11 @@ impl NmCore {
         // The rendezvous landing buffer is a fresh payload allocation; the
         // chunk memcpys into it are charged as each DATA lands.
         inner.meter.record_alloc();
-        let prev = inner.rdv_in.insert(
-            (src, rdv_id),
-            RdvIn {
+        let gate = inner.peers.entry(src).or_default();
+        let prev = gate.rdv_in.insert(
+            rdv_id,
+            Box::new(RdvIn {
                 recv_req: req,
-                gate: src,
                 tag,
                 seq,
                 buf: vec![0u8; len],
@@ -2588,51 +2224,46 @@ impl NmCore {
                 deadline,
                 timeout,
                 attempts: 0,
-            },
+            }),
         );
         debug_assert!(prev.is_none(), "duplicate rendezvous id from rank {src}");
-        let pw_id = PwId(inner.next_pw);
-        inner.next_pw += 1;
-        let pw = PacketWrapper {
-            id: pw_id,
+        gate.window.push_back(PacketWrapper {
+            id: PwId(inner.next_pw),
             dst: src,
             body: PwBody::Cts { rdv_id },
             data: NmBuf::default(),
             enqueued_at: sched.now(),
-        };
-        inner.gates.entry(src).or_default().push_back(pw);
+        });
+        inner.next_pw += 1;
     }
 
-    /// The sender got clear-to-send. Table lookup: `cts/pipelined` queues
-    /// the payload as splittable DATA; a duplicated or straggling CTS in
-    /// retry mode is a declared ignore; a CTS the table cannot place
-    /// (unknown rendezvous without retry) is a counted protocol error —
-    /// never a panic.
-    fn handle_cts(inner: &mut Inner, sched: &Scheduler, rdv_id: u64) {
+    /// The sender got clear-to-send from `src`. Table lookup against
+    /// `src`'s own gate: `cts/pipelined` queues the payload as splittable
+    /// DATA; a duplicated or straggling CTS in retry mode is a declared
+    /// ignore; a CTS the table cannot place (a rendezvous unknown *to that
+    /// peer's gate*, without retry) is a counted protocol error — never a
+    /// panic, and never a payload streamed to a rank that did not ask.
+    fn handle_cts(inner: &mut Inner, sched: &Scheduler, src: usize, rdv_id: u64) {
         let retry = inner.cfg.retry.is_some();
-        let my_rank = inner.rec.rank() as usize;
-        let state = inner
-            .rdv_out
-            .get(&rdv_id)
-            .map_or(protocol::State::Gone, |r| r.state);
-        let (actions, next) =
-            match protocol::step(state, protocol::Event::CtsRx, pctx(retry, false, false, false)) {
-                Verdict::Step { actions, next, .. } => (actions, next),
-                Verdict::Ignore { .. } => return,
-                Verdict::Error => {
-                    Self::protocol_error(inner, "nmad.protocol_errors.cts");
-                    return;
-                }
-            };
-        let rdv = inner.rdv_out.get_mut(&rdv_id).unwrap();
+        let gate = inner.peers.entry(src).or_default();
+        let verdict = protocol::step(
+            gate.sender_state(rdv_id),
+            protocol::Event::CtsRx,
+            pctx(retry, false, false, false),
+        );
+        let (actions, next) = match verdict {
+            Verdict::Step { actions, next, .. } => (actions, next),
+            Verdict::Ignore { .. } => return,
+            Verdict::Error => {
+                Self::protocol_error(inner, "nmad.protocol_errors.cts");
+                return;
+            }
+        };
+        let rdv = gate.rdv_out.get_mut(&rdv_id).expect("live state");
         rdv.state = next;
-        let dst = *inner
-            .rdv_dst
-            .get(&rdv_id)
-            .expect("rendezvous destination missing");
         inner.rec.phase(
             sched.now().0,
-            mkey(my_rank, dst, inner.rdv_out[&rdv_id].tag, inner.rdv_out[&rdv_id].seq),
+            mkey(inner.rec.rank() as usize, src, rdv.tag, rdv.seq),
             obs::Phase::CtsRx,
         );
         for &action in actions {
@@ -2640,22 +2271,19 @@ impl NmCore {
                 Action::DisarmTimer => {
                     // The RTS timer re-arms as a FIN timer once every DATA
                     // chunk has left the local NIC (`sent/await-fin`).
-                    inner.rdv_out.get_mut(&rdv_id).unwrap().deadline = None;
+                    rdv.deadline = None;
                 }
                 Action::QueueData => {
-                    // Zero-copy: the DATA wrapper shares the sender's
-                    // payload storage.
-                    let data = inner.rdv_out[&rdv_id].data.share();
-                    let pw_id = PwId(inner.next_pw);
-                    inner.next_pw += 1;
-                    let pw = PacketWrapper {
-                        id: pw_id,
-                        dst,
+                    gate.window.push_back(PacketWrapper {
+                        id: PwId(inner.next_pw),
+                        dst: src,
                         body: PwBody::Data { rdv_id, offset: 0 },
-                        data,
+                        // Zero-copy: the DATA wrapper shares the sender's
+                        // payload storage.
+                        data: rdv.data.share(),
                         enqueued_at: sched.now(),
-                    };
-                    inner.gates.entry(dst).or_default().push_back(pw);
+                    });
+                    inner.next_pw += 1;
                 }
                 _ => unreachable!("cts/pipelined emits no other action"),
             }
@@ -2679,20 +2307,14 @@ impl NmCore {
         offset: usize,
         data: NmBuf,
     ) {
-        let key = (src, rdv_id);
         let retry = inner.cfg.retry.is_some();
-        let state = if inner.rdv_done.contains(&key) {
-            protocol::State::RDone
-        } else if inner.rdv_in.contains_key(&key) {
-            protocol::State::RWaitData
-        } else {
-            protocol::State::Gone
-        };
+        let gate = inner.peers.entry(src).or_default();
+        let state = gate.receiver_state(rdv_id);
         // Answer the `InRange` / `Last` guards before anything mutates:
         // the chunk must lie inside the landing buffer, and `last` means
         // it completes the payload (under retry, counting only bytes not
         // already covered by a replay).
-        let (in_range, last) = match inner.rdv_in.get(&key) {
+        let (in_range, last) = match gate.rdv_in.get(&rdv_id) {
             Some(rdv) => {
                 let end = offset.checked_add(data.len());
                 let in_range = end.is_some_and(|e| e <= rdv.buf.len());
@@ -2724,11 +2346,12 @@ impl NmCore {
             }
         };
         let my_rank = inner.rec.rank() as usize;
+        let via = gate.last_in_rail;
         let mut done = false;
         for &action in actions {
             match action {
                 Action::CopyChunk => {
-                    let rdv = inner.rdv_in.get_mut(&key).unwrap();
+                    let rdv = gate.rdv_in.get_mut(&rdv_id).expect("live state");
                     inner.rec.phase(
                         now.0,
                         mkey(src, my_rank, rdv.tag, rdv.seq),
@@ -2758,24 +2381,23 @@ impl NmCore {
                 Action::BumpRecvTimer => {
                     // Progress arrived: push the CTS retransmission timer
                     // out (a no-op without retry, where no timer is armed).
-                    let rdv = inner.rdv_in.get_mut(&key).unwrap();
+                    let rdv = gate.rdv_in.get_mut(&rdv_id).expect("live state");
                     let timeout = rdv.timeout;
                     if let Some(dl) = rdv.deadline.as_mut() {
                         *dl = now + timeout;
                     }
                 }
                 Action::Tombstone => {
-                    inner.rdv_done.insert(key);
+                    gate.rdv_done.insert(rdv_id);
                 }
                 Action::SendFin => {
-                    let rdv = &inner.rdv_in[&key];
+                    let rdv = &gate.rdv_in[&rdv_id];
                     inner.stats.add(stat::fins_sent, 1);
                     inner.rec.phase(
                         now.0,
                         mkey(src, my_rank, rdv.tag, rdv.seq),
                         obs::Phase::FinTx,
                     );
-                    let via = inner.last_in_rail.get(&src).copied();
                     inner
                         .ctrl_out
                         .push_back((src, WirePayload::RdvFin { rdv_id }, via));
@@ -2790,7 +2412,6 @@ impl NmCore {
                 }
                 Action::ReplayFin => {
                     inner.stats.add(stat::fins_sent, 1);
-                    let via = inner.last_in_rail.get(&src).copied();
                     inner
                         .ctrl_out
                         .push_back((src, WirePayload::RdvFin { rdv_id }, via));
@@ -2799,12 +2420,12 @@ impl NmCore {
             }
         }
         if done {
-            let rdv = inner.rdv_in.remove(&key).unwrap();
+            let rdv = gate.rdv_in.remove(&rdv_id).expect("live state");
             debug_assert_eq!(rdv.received, rdv.buf.len());
             // Freeze the landing buffer without a copy (the allocation was
             // charged in start_rdv_in, the fills as each chunk landed).
             let buf = NmBuf::adopt(Bytes::from(rdv.buf), BufOrigin::Nmad, &inner.meter);
-            Self::complete_recv(inner, now.0, rdv.recv_req, buf, GateId(rdv.gate), rdv.tag);
+            Self::finish_recv(inner, now.0, rdv.recv_req, Outcome::Done(buf));
         }
     }
 
@@ -2849,8 +2470,11 @@ impl NmCore {
                     .min(rc.max_timeout.as_nanos());
                 *timeout = SimDuration::nanos(t);
             };
-            for (&(dst, tag), flow) in inner.env_unacked.iter_mut() {
-                for (&seq, rx) in flow.iter_mut() {
+            // Eager replays go out in `(dst, tag, seq)` order — the order
+            // the two nested BTreeMaps iterate in — and every resend below
+            // keeps a fixed order too: it feeds the fault RNG stream.
+            for (&dst, gate) in inner.peers.iter_mut() {
+                for (&(tag, seq), rx) in gate.unacked.iter_mut() {
                     if now < rx.deadline {
                         continue;
                     }
@@ -2898,43 +2522,42 @@ impl NmCore {
                     resend.push((dst, rx.payload.share(), Some(rx.rail)));
                 }
             }
-            // rdv_out / rdv_in are HashMaps: collect + sort so the replay
-            // order (and thus the fault RNG stream) stays deterministic.
-            let mut out_ids: Vec<u64> = inner
-                .rdv_out
-                .iter()
-                .filter(|(_, r)| r.deadline.is_some_and(|dl| now >= dl))
-                .map(|(&id, _)| id)
-                .collect();
+            // Outbound rendezvous replay in ascending id *across* gates.
+            let mut out_ids: Vec<(u64, usize)> = Vec::new();
+            let due = |deadline: Option<SimTime>| deadline.is_some_and(|dl| now >= dl);
+            for (&dst, gate) in &inner.peers {
+                let fired = gate.rdv_out.iter().filter(|(_, r)| due(r.deadline));
+                out_ids.extend(fired.map(|(&id, _)| (id, dst)));
+            }
             out_ids.sort_unstable();
-            for rdv_id in out_ids {
-                let dst = inner.rdv_dst[&rdv_id];
+            for (rdv_id, dst) in out_ids {
+                let rdv = inner
+                    .peers
+                    .get_mut(&dst)
+                    .and_then(|g| g.rdv_out.get_mut(&rdv_id))
+                    .expect("collected above");
                 // Table lookup: `timer/rts` (waiting for the CTS — replay
                 // the RTS) or `timer/data` (waiting for the FIN — replay
                 // the payload). The timer is only armed in those two
                 // states, so anything else is a protocol error: disarm
                 // and count rather than replaying garbage.
-                let state = inner.rdv_out[&rdv_id].state;
                 let verdict = protocol::step(
-                    state,
+                    rdv.state,
                     protocol::Event::SendTimeout,
                     pctx(true, false, false, false),
                 );
                 let Verdict::Step { actions, .. } = verdict else {
+                    rdv.deadline = None;
                     Self::protocol_error(inner, "nmad.protocol_errors.timer");
-                    inner.rdv_out.get_mut(&rdv_id).unwrap().deadline = None;
                     continue;
                 };
                 // `Backoff`: bump the attempt count and re-arm with the
                 // backed-off timeout.
                 debug_assert!(actions.contains(&Action::Backoff));
-                let (mask, armed_at) = {
-                    let rdv = inner.rdv_out.get_mut(&rdv_id).unwrap();
-                    let armed_at = arm_time(rdv.deadline.expect("fired timer"), rdv.timeout);
-                    bump(&mut rdv.timeout, &mut rdv.attempts, "rendezvous (sender)");
-                    rdv.deadline = Some(now + rdv.timeout);
-                    (rdv.last_rails, armed_at)
-                };
+                let armed_at = arm_time(rdv.deadline.expect("fired timer"), rdv.timeout);
+                bump(&mut rdv.timeout, &mut rdv.attempts, "rendezvous (sender)");
+                rdv.deadline = Some(now + rdv.timeout);
+                let mask = rdv.last_rails;
                 if armed {
                     failed_peers.push((dst, armed_at));
                 }
@@ -2954,7 +2577,6 @@ impl NmCore {
                 // {0} moved the dead rail's share even though rail 0 was
                 // already in the mask.
                 let rerouted = mask != 0 && mask != 1 << new_rail;
-                let rdv = inner.rdv_out.get_mut(&rdv_id).unwrap();
                 rdv.last_rails = 1 << new_rail;
                 let key = mkey(self.rank, dst, rdv.tag, rdv.seq);
                 if actions.contains(&Action::ReplayRts) {
@@ -3042,55 +2664,50 @@ impl NmCore {
                     ));
                 }
             }
-            let mut in_ids: Vec<(usize, u64)> = inner
-                .rdv_in
-                .iter()
-                .filter(|(_, r)| r.deadline.is_some_and(|dl| now >= dl))
-                .map(|(&k, _)| k)
-                .collect();
-            in_ids.sort_unstable();
-            for key in in_ids {
-                // A live inbound entry is `RWaitData` by construction;
-                // `timer/cts` backs off and replays the CTS.
-                let verdict = protocol::step(
-                    protocol::State::RWaitData,
-                    protocol::Event::RecvTimeout,
-                    pctx(true, false, false, false),
-                );
-                let Verdict::Step { actions, .. } = verdict else {
-                    unreachable!("timer/cts must be a table row");
-                };
-                debug_assert!(actions.contains(&Action::Backoff));
-                debug_assert!(actions.contains(&Action::ReplayCts));
-                let rdv = inner.rdv_in.get_mut(&key).unwrap();
-                let armed_at = arm_time(rdv.deadline.expect("fired timer"), rdv.timeout);
-                bump(&mut rdv.timeout, &mut rdv.attempts, "rendezvous (receiver)");
-                if armed {
-                    failed_peers.push((key.0, armed_at));
-                }
-                rdv.deadline = Some(now + rdv.timeout);
-                inner.stats.add(stat::cts_retries, 1);
-                let mk = mkey(key.0, self.rank, rdv.tag, rdv.seq);
-                inner.rec.phase(
-                    now.0,
-                    mk,
-                    obs::Phase::Retry {
-                        kind: obs::RetryKind::Cts,
-                    },
-                );
+            // Inbound rendezvous replay in `(src, id)` order. A live
+            // inbound record is `RWaitData` by construction; `timer/cts`
+            // backs off and replays the CTS.
+            let verdict = protocol::step(
+                protocol::State::RWaitData,
+                protocol::Event::RecvTimeout,
+                pctx(true, false, false, false),
+            );
+            let Verdict::Step { actions, .. } = verdict else {
+                unreachable!("timer/cts must be a table row");
+            };
+            debug_assert!(actions.contains(&Action::Backoff));
+            debug_assert!(actions.contains(&Action::ReplayCts));
+            for (&src, gate) in inner.peers.iter_mut() {
                 // Receiver-side timeout: could be the lost CTS or the
                 // sender going quiet — no rail to indict. Route the replay
                 // along the sender's last inbound rail.
-                let via = inner.last_in_rail.get(&key.0).copied();
-                // Replayed wire event (bypasses build_outgoing).
-                inner.rec.phase(
-                    now.0,
-                    mk,
-                    obs::Phase::CtsTx {
-                        rail: via.unwrap_or(0) as u8,
-                    },
-                );
-                resend.push((key.0, WirePayload::Cts { rdv_id: key.1 }, via));
+                let via = gate.last_in_rail;
+                for (&rdv_id, rdv) in gate.rdv_in.iter_mut().filter(|(_, r)| due(r.deadline)) {
+                    let armed_at = arm_time(rdv.deadline.expect("fired timer"), rdv.timeout);
+                    bump(&mut rdv.timeout, &mut rdv.attempts, "rendezvous (receiver)");
+                    if armed {
+                        failed_peers.push((src, armed_at));
+                    }
+                    rdv.deadline = Some(now + rdv.timeout);
+                    inner.stats.add(stat::cts_retries, 1);
+                    let mk = mkey(src, self.rank, rdv.tag, rdv.seq);
+                    inner.rec.phase(
+                        now.0,
+                        mk,
+                        obs::Phase::Retry {
+                            kind: obs::RetryKind::Cts,
+                        },
+                    );
+                    // Replayed wire event (bypasses build_outgoing).
+                    inner.rec.phase(
+                        now.0,
+                        mk,
+                        obs::Phase::CtsTx {
+                            rail: via.unwrap_or(0) as u8,
+                        },
+                    );
+                    resend.push((src, WirePayload::Cts { rdv_id }, via));
+                }
             }
             // Promote this sweep's timeouts into per-peer liveness
             // verdicts; a fresh `Dead` runs the drain before the lock
@@ -3151,21 +2768,19 @@ impl NmCore {
                         .unwrap_or(1.0),
                 })
                 .collect();
-            for (&dst, pending) in inner.gates.iter_mut() {
-                if pending.is_empty() {
+            for (&dst, gate) in inner.peers.iter_mut() {
+                if gate.window.is_empty() {
                     continue;
                 }
                 let subs = inner
                     .strategy
-                    .try_and_commit(&inner.cfg, pending, &mut rails);
+                    .try_and_commit(&inner.cfg, &mut gate.window, &mut rails);
                 for sub in subs {
                     outgoing.push(Self::build_outgoing(
                         self.rank,
                         &self.net,
                         &inner.stats,
-                        &mut inner.rdv_out,
-                        &inner.rdv_in,
-                        &mut inner.env_unacked,
+                        gate,
                         &inner.rec,
                         inner.cfg.retry,
                         now,
@@ -3229,9 +2844,7 @@ impl NmCore {
         my_rank: usize,
         net: &NmNet,
         stats: &StatsCells,
-        rdv_out: &mut HashMap<u64, RdvOut>,
-        rdv_in: &HashMap<(usize, u64), RdvIn>,
-        env_unacked: &mut BTreeMap<(usize, u64), BTreeMap<u64, EnvRetx>>,
+        gate: &mut Gate,
         rec: &obs::RankRec,
         retry: Option<RetryConfig>,
         now: SimTime,
@@ -3246,13 +2859,11 @@ impl NmCore {
         let mut data_chunk_rdv = None;
         // Retry mode: an eager envelope going on the wire starts its ack
         // timer and keeps a copy for retransmission.
-        let track_eager = |env_unacked: &mut BTreeMap<(usize, u64), BTreeMap<u64, EnvRetx>>,
-                               tag: u64,
-                               seq: u64,
-                               data: &NmBuf| {
+        let unacked = &mut gate.unacked;
+        let mut track_eager = |tag: u64, seq: u64, data: &NmBuf| {
             if let Some(rc) = retry {
-                env_unacked.entry((dst, tag)).or_default().insert(
-                    seq,
+                unacked.insert(
+                    (tag, seq),
                     EnvRetx {
                         payload: WirePayload::Eager {
                             tag,
@@ -3282,7 +2893,7 @@ impl NmCore {
                         send_req,
                     } => {
                         eager_reqs.push(send_req);
-                        track_eager(env_unacked, tag, seq, &pw.data);
+                        track_eager(tag, seq, &pw.data);
                         rec.phase(
                             now.0,
                             mkey(my_rank, dst, tag, seq),
@@ -3309,7 +2920,7 @@ impl NmCore {
                     send_req,
                 } => {
                     eager_reqs.push(send_req);
-                    track_eager(env_unacked, tag, seq, &pw.data);
+                    track_eager(tag, seq, &pw.data);
                     rec.phase(
                         now.0,
                         mkey(my_rank, dst, tag, seq),
@@ -3332,7 +2943,8 @@ impl NmCore {
                     // Retry mode: arm the RTS→CTS timer now that the RTS is
                     // actually leaving the node.
                     if let Some(rc) = retry {
-                        let rdv = rdv_out
+                        let rdv = gate
+                            .rdv_out
                             .get_mut(&rdv_id)
                             .expect("RTS for unknown rendezvous");
                         rdv.deadline = Some(now + rc.timeout);
@@ -3358,7 +2970,7 @@ impl NmCore {
                     // The CTS answers `dst`'s rendezvous: the span key is
                     // the *sender's* message identity, looked up in the
                     // inbound rendezvous table.
-                    if let Some(rdv) = rdv_in.get(&(dst, rdv_id)) {
+                    if let Some(rdv) = gate.rdv_in.get(&rdv_id) {
                         rec.phase(
                             now.0,
                             mkey(dst, my_rank, rdv.tag, rdv.seq),
@@ -3371,7 +2983,8 @@ impl NmCore {
                 }
                 PwBody::Data { rdv_id, offset } => {
                     stats.add(stat::data_chunks_sent, 1);
-                    let rdv = rdv_out
+                    let rdv = gate
+                        .rdv_out
                         .get_mut(&rdv_id)
                         .expect("DATA chunk for unknown rendezvous");
                     rdv.bytes_remaining = rdv
@@ -3380,7 +2993,7 @@ impl NmCore {
                         .expect("chunk exceeds remaining bytes");
                     rdv.chunks_in_flight += 1;
                     rdv.last_rails |= 1 << rail_idx;
-                    data_chunk_rdv = Some(rdv_id);
+                    data_chunk_rdv = Some((dst, rdv_id));
                     rec.phase(
                         now.0,
                         mkey(my_rank, dst, rdv.tag, rdv.seq),
@@ -3418,71 +3031,17 @@ impl NmCore {
         self: &Arc<Self>,
         sched: &Scheduler,
         eager_reqs: &[SendReqId],
-        data_chunk_rdv: Option<u64>,
+        data_chunk_rdv: Option<(usize, u64)>,
     ) {
-        let mut fired = false;
-        let t_ns = sched.now().0;
+        let mut fired = !eager_reqs.is_empty();
         {
-            let mut inner = self.inner.lock();
+            let mut guard = self.inner.lock();
+            let inner = &mut *guard;
             for &req in eager_reqs {
-                Self::complete_send(&mut inner, t_ns, req);
-                fired = true;
+                Self::finish_send(inner, sched.now().0, req, Outcome::Done(()));
             }
-            if let Some(rdv_id) = data_chunk_rdv {
-                let retry = inner.cfg.retry;
-                let finished = match inner.rdv_out.get_mut(&rdv_id) {
-                    Some(rdv) => {
-                        rdv.chunks_in_flight -= 1;
-                        rdv.chunks_in_flight == 0 && rdv.bytes_remaining == 0
-                    }
-                    None => false,
-                };
-                if finished {
-                    // The final DATA chunk cleared the local NIC — the
-                    // `LastChunkSent` event: `sent/await-fin` (retry mode
-                    // arms the FIN timer and holds the payload — local
-                    // completion isn't delivery) or `sent/complete`.
-                    let state = inner.rdv_out[&rdv_id].state;
-                    match protocol::step(
-                        state,
-                        protocol::Event::LastChunkSent,
-                        pctx(retry.is_some(), false, false, false),
-                    ) {
-                        Verdict::Step { actions, next, .. } => {
-                            if actions.contains(&Action::ArmFinTimer) {
-                                let rc = retry.expect("FIN timer implies retry");
-                                let rdv = inner.rdv_out.get_mut(&rdv_id).unwrap();
-                                rdv.state = next;
-                                rdv.attempts = 0;
-                                rdv.timeout = rc.timeout;
-                                rdv.deadline = Some(sched.now() + rc.timeout);
-                            } else {
-                                debug_assert!(actions.contains(&Action::CompleteSend));
-                                let rdv = inner.rdv_out.remove(&rdv_id).unwrap();
-                                inner.rdv_dst.remove(&rdv_id);
-                                Self::complete_send(&mut inner, t_ns, rdv.send_req);
-                                fired = true;
-                            }
-                        }
-                        Verdict::Ignore { .. } => {}
-                        Verdict::Error => {
-                            Self::protocol_error(&mut inner, "nmad.protocol_errors.sent");
-                        }
-                    }
-                } else if !inner.rdv_out.contains_key(&rdv_id) {
-                    // The entry is gone: in retry mode the receiver's FIN
-                    // (driven by a retransmitted chunk) legally beat this
-                    // NIC completion (`ignore/fin-beat-nic-completion`);
-                    // otherwise it is a protocol error.
-                    match protocol::step(
-                        protocol::State::Gone,
-                        protocol::Event::LastChunkSent,
-                        pctx(retry.is_some(), false, false, false),
-                    ) {
-                        Verdict::Ignore { .. } => {}
-                        _ => Self::protocol_error(&mut inner, "nmad.protocol_errors.sent"),
-                    }
-                }
+            if let Some((dst, rdv_id)) = data_chunk_rdv {
+                fired |= Self::chunk_sent(inner, sched.now(), dst, rdv_id);
             }
         }
         // Continue the committed pipeline (e.g. remaining window packets).
@@ -3490,5 +3049,54 @@ impl NmCore {
         if fired {
             self.fire_hook(sched);
         }
+    }
+
+    /// One DATA chunk of rendezvous `rdv_id` toward `dst` cleared the
+    /// local NIC. Returns whether that completed the send.
+    fn chunk_sent(inner: &mut Inner, now: SimTime, dst: usize, rdv_id: u64) -> bool {
+        let retry = inner.cfg.retry;
+        let ctx = pctx(retry.is_some(), false, false, false);
+        let gate = inner.peers.get_mut(&dst);
+        let Some(rdv) = gate.and_then(|g| g.rdv_out.get_mut(&rdv_id)) else {
+            // The record is gone: in retry mode the receiver's FIN (driven
+            // by a retransmitted chunk) legally beat this NIC completion
+            // (`ignore/fin-beat-nic-completion`); otherwise it is a
+            // protocol error.
+            let gone = protocol::State::Gone;
+            if !matches!(
+                protocol::step(gone, protocol::Event::LastChunkSent, ctx),
+                Verdict::Ignore { .. }
+            ) {
+                Self::protocol_error(inner, "nmad.protocol_errors.sent");
+            }
+            return false;
+        };
+        rdv.chunks_in_flight -= 1;
+        if rdv.chunks_in_flight != 0 || rdv.bytes_remaining != 0 {
+            return false;
+        }
+        // The final DATA chunk cleared the local NIC — the `LastChunkSent`
+        // event: `sent/await-fin` (retry mode arms the FIN timer and holds
+        // the payload — local completion isn't delivery) or
+        // `sent/complete`.
+        match protocol::step(rdv.state, protocol::Event::LastChunkSent, ctx) {
+            Verdict::Step { actions, next, .. } if actions.contains(&Action::ArmFinTimer) => {
+                let rc = retry.expect("FIN timer implies retry");
+                rdv.state = next;
+                rdv.attempts = 0;
+                rdv.timeout = rc.timeout;
+                rdv.deadline = Some(now + rc.timeout);
+            }
+            Verdict::Step { actions, .. } => {
+                debug_assert!(actions.contains(&Action::CompleteSend));
+                let req = rdv.send_req;
+                inner.peers.entry(dst).or_default().rdv_out.remove(&rdv_id);
+                Self::finish_send(inner, now.0, req, Outcome::Done(()));
+                return true;
+            }
+            Verdict::Ignore { .. } => {}
+            Verdict::Error => Self::protocol_error(inner, "nmad.protocol_errors.sent"),
+        }
+        false
     }
 }

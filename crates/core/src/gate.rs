@@ -1,0 +1,295 @@
+//! One record per peer: the *gate*.
+//!
+//! Everything this core holds about one remote rank lives in one
+//! [`Gate`], and [`crate::core`] keeps exactly one `BTreeMap<rank, Gate>`:
+//!
+//! ```text
+//!   Gate (peer p)
+//!   ├─ window           packet wrappers queued toward p, not yet committed
+//!   ├─ flows[tag]       send_seq · recv_expected · recv_posted · parked
+//!   ├─ unacked[tag,seq] eager envelopes on the wire awaiting p's ack
+//!   ├─ rdv_out[rdv_id]  rendezvous this rank is sending to p
+//!   ├─ rdv_in[rdv_id]   rendezvous p is sending to this rank
+//!   ├─ rdv_done         tombstones of finished inbound rendezvous
+//!   ├─ last_in_rail     rail p's latest frame arrived on
+//!   └─ credit_owed / credit_withheld   eager credits to hand back to p
+//! ```
+//!
+//! Records are created lazily, by the first operation that has something
+//! to store, and a question *about a peer* — how much is held for it, is
+//! anything in flight toward it, what must fail when it dies — is a read
+//! or a `remove` of that peer's record, never a scan of the whole core.
+//! Rendezvous ids are looked up inside the gate of the rank that sent the
+//! frame, so a frame can only ever touch its own sender's records.
+//!
+//! Plain data with `&mut self` methods: no lock and no network handle.
+//! The protocol decisions stay in `core.rs`, which is the adapter
+//! between these records and the transition table.
+
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+
+use simnet::{NmBuf, SimDuration, SimTime};
+
+use crate::pack::PacketWrapper;
+use crate::protocol::State;
+use crate::sr::{RecvReqId, SendReqId};
+use crate::wire::WirePayload;
+
+/// An outbound rendezvous (this rank is the sender).
+pub(crate) struct RdvOut {
+    pub send_req: SendReqId,
+    pub data: NmBuf,
+    /// Bytes not yet handed to a rail.
+    pub bytes_remaining: usize,
+    /// Chunks handed to a rail whose send-completion hasn't fired.
+    pub chunks_in_flight: usize,
+    /// Protocol-table state of this outbound rendezvous. Every decision
+    /// about an arriving frame or firing timer is a `protocol::step`
+    /// lookup against this; the handlers only execute the emitted
+    /// actions. (Inbound state is derived, see [`Gate::receiver_state`].)
+    pub state: State,
+    /// Bitmask of local rail indices the outstanding RTS/DATA packets of
+    /// this rendezvous last went out on — the set of rails a timeout is
+    /// attributed to, and the set a reroute moves away from.
+    pub last_rails: u64,
+    /// Matching envelope identity, kept for RTS retransmission.
+    pub tag: u64,
+    pub seq: u64,
+    /// Retry mode: armed retransmission timer. `None` while nothing is
+    /// outstanding on the wire (RTS not yet committed, or DATA chunks in
+    /// flight on the local NIC).
+    pub deadline: Option<SimTime>,
+    pub timeout: SimDuration,
+    pub attempts: u32,
+}
+
+/// An inbound rendezvous (this rank is the receiver).
+pub(crate) struct RdvIn {
+    pub recv_req: RecvReqId,
+    pub tag: u64,
+    /// Envelope sequence of the matched RTS (lifecycle-span identity).
+    pub seq: u64,
+    pub buf: Vec<u8>,
+    pub received: usize,
+    /// Retry mode: disjoint, sorted byte ranges already landed — makes
+    /// replayed DATA idempotent.
+    pub ranges: Vec<(usize, usize)>,
+    /// Retry mode: CTS retransmission timer, re-armed on DATA progress.
+    pub deadline: Option<SimTime>,
+    pub timeout: SimDuration,
+    pub attempts: u32,
+}
+
+/// Retry mode: one unacked eager envelope awaiting a cumulative ack.
+pub(crate) struct EnvRetx {
+    pub payload: WirePayload,
+    pub deadline: SimTime,
+    pub timeout: SimDuration,
+    pub attempts: u32,
+    /// Local rail index the envelope last went out on (health attribution
+    /// and reroute target).
+    pub rail: usize,
+}
+
+/// An envelope (matchable) message after transport reordering.
+pub(crate) enum Envelope {
+    Eager(NmBuf),
+    Rts { rdv_id: u64, len: usize },
+}
+
+/// Sequencing state of one `(peer, tag)` message stream.
+#[derive(Default)]
+pub(crate) struct Flow {
+    /// Sender side: sequence the next envelope toward the peer carries.
+    send_seq: u64,
+    /// Receiver side: next envelope sequence due for delivery.
+    pub recv_expected: u64,
+    /// Receiver side: sequence a newly posted receive will match under
+    /// in-order delivery (keys its `recv_posted` span event).
+    recv_posted: u64,
+    /// Early (out-of-order) envelope arrivals, parked until their turn.
+    pub parked: BTreeMap<u64, Envelope>,
+}
+
+fn post_inc(counter: &mut u64) -> u64 {
+    let v = *counter;
+    *counter += 1;
+    v
+}
+
+impl Flow {
+    pub fn next_send_seq(&mut self) -> u64 {
+        post_inc(&mut self.send_seq)
+    }
+
+    pub fn next_posted_seq(&mut self) -> u64 {
+        post_inc(&mut self.recv_posted)
+    }
+}
+
+/// Everything held about one peer. See the module docs for the layout.
+#[derive(Default)]
+pub(crate) struct Gate {
+    /// Submission window toward the peer.
+    pub window: VecDeque<PacketWrapper>,
+    /// Keyed by tag. A hash map because nothing depends on the order
+    /// flows are visited in (the retransmit queue below carries the replay
+    /// order) and most gates hold one or two flows: a B-tree pins a
+    /// 632-byte node per gate however few it holds, which at 1024 ranks
+    /// (~13 gates per core) showed up as +5 % peak heap.
+    pub flows: HashMap<u64, Flow>,
+    /// Retry mode: eager envelopes awaiting the peer's cumulative ack,
+    /// keyed `(tag, seq)`. On the gate rather than in each [`Flow`] so a
+    /// retransmission sweep costs O(unacked), not O(flows ever opened);
+    /// the key order is the `(tag, seq)` replay order either way.
+    pub unacked: BTreeMap<(u64, u64), EnvRetx>,
+    /// Rendezvous records are boxed: a B-tree allocates its nodes eleven
+    /// slots at a time and a gate rarely has more than one rendezvous in
+    /// flight per direction, so inline records would pin ~3 KiB of mostly
+    /// empty node per gate that ever ran one each way.
+    pub rdv_out: BTreeMap<u64, Box<RdvOut>>,
+    pub rdv_in: BTreeMap<u64, Box<RdvIn>>,
+    /// Retry mode: tombstones of finished inbound rendezvous — a replayed
+    /// RTS/DATA for one of these gets a FIN, not a new transfer.
+    pub rdv_done: BTreeSet<u64>,
+    /// Rail the peer's most recent inbound packet arrived on — control
+    /// replies are routed back the same way, so an ack never chases a
+    /// peer into a rail that just died.
+    pub last_in_rail: Option<usize>,
+    /// Flow control, receiver side: credits earned (an eager message was
+    /// consumed) awaiting return on the next ctrl flush.
+    pub credit_owed: u32,
+    /// Flow control, receiver side: credits whose return the high-water
+    /// hysteresis is withholding until the unexpected queue drains.
+    pub credit_withheld: u32,
+}
+
+impl Gate {
+    /// The flow for `tag`, opened on first use.
+    pub fn flow(&mut self, tag: u64) -> &mut Flow {
+        self.flows.entry(tag).or_default()
+    }
+
+    /// Records held for this peer: the gate itself plus one per flow,
+    /// rendezvous and tombstone. The single definition behind
+    /// `peer_entry_count`, `NmStats::peer_entries` and the drain's
+    /// `membership_drained_entries`; at least 1 for any live record, so a
+    /// count of 0 means the core holds no record for the peer at all.
+    pub fn records(&self) -> usize {
+        1 + self.flows.len() + self.rdv_out.len() + self.rdv_in.len() + self.rdv_done.len()
+    }
+
+    /// Nothing queued, in flight or awaiting an ack toward this peer?
+    pub fn quiescent(&self) -> bool {
+        self.window.is_empty()
+            && self.unacked.is_empty()
+            && self.rdv_out.is_empty()
+            && self.rdv_in.is_empty()
+    }
+
+    /// Protocol-table state of the outbound rendezvous `rdv_id`.
+    pub fn sender_state(&self, rdv_id: u64) -> State {
+        self.rdv_out.get(&rdv_id).map_or(State::Gone, |r| r.state)
+    }
+
+    /// Derived protocol-table state of the inbound rendezvous `rdv_id`:
+    /// a tombstone is `RDone`, a live record `RWaitData`, else `Gone`.
+    pub fn receiver_state(&self, rdv_id: u64) -> State {
+        if self.rdv_done.contains(&rdv_id) {
+            State::RDone
+        } else if self.rdv_in.contains_key(&rdv_id) {
+            State::RWaitData
+        } else {
+            State::Gone
+        }
+    }
+
+    /// Cumulative ack for `tag`: forget every unacked envelope below
+    /// `next`. Returns the rail each one last went out on, in sequence
+    /// order (rail-health credit).
+    pub fn ack(&mut self, tag: u64, next: u64) -> Vec<usize> {
+        let mut rails = Vec::new();
+        while let Some((&key, _)) = self.unacked.range((tag, 0)..(tag, next)).next() {
+            rails.extend(self.unacked.remove(&key).map(|rx| rx.rail));
+        }
+        rails
+    }
+
+    /// Take every queued wrapper `doomed` selects out of the window,
+    /// keeping the order of both what stays and what is returned.
+    pub fn purge_window(
+        &mut self,
+        doomed: impl Fn(&PacketWrapper) -> bool,
+    ) -> VecDeque<PacketWrapper> {
+        let (gone, kept) = self.window.drain(..).partition(doomed);
+        self.window = kept;
+        gone
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::pack::{PwBody, PwId};
+
+    fn retx(rail: usize) -> EnvRetx {
+        EnvRetx {
+            payload: WirePayload::Cts { rdv_id: 0 },
+            deadline: SimTime::ZERO,
+            timeout: SimDuration::ZERO,
+            attempts: 0,
+            rail,
+        }
+    }
+
+    #[test]
+    fn ack_is_cumulative_per_tag_and_reports_rails_in_order() {
+        let mut g = Gate::default();
+        for (tag, seq, rail) in [(7, 0, 1), (7, 1, 0), (7, 2, 1), (8, 0, 0)] {
+            g.unacked.insert((tag, seq), retx(rail));
+        }
+        assert_eq!(g.ack(7, 2), vec![1, 0]);
+        assert_eq!(
+            g.unacked.keys().copied().collect::<Vec<_>>(),
+            [(7, 2), (8, 0)]
+        );
+        assert!(g.ack(7, 2).is_empty(), "a replayed ack is a no-op");
+        assert!(g.ack(9, u64::MAX).is_empty(), "unknown tag");
+    }
+
+    #[test]
+    fn records_counts_gate_flows_rendezvous_and_tombstones() {
+        let mut g = Gate::default();
+        assert_eq!(g.records(), 1);
+        assert_eq!(g.flow(3).next_send_seq(), 0);
+        assert_eq!(g.flow(3).next_send_seq(), 1);
+        assert_eq!(g.flow(4).next_posted_seq(), 0);
+        g.rdv_done.insert(11);
+        assert_eq!(g.records(), 4);
+        assert!(g.quiescent(), "sequence state and tombstones are not work");
+        assert_eq!(g.receiver_state(11), State::RDone);
+        assert_eq!(g.receiver_state(12), State::Gone);
+        assert_eq!(g.sender_state(11), State::Gone);
+    }
+
+    #[test]
+    fn purge_window_keeps_order_on_both_sides() {
+        let mut g = Gate::default();
+        for id in 0..5u64 {
+            g.window.push_back(PacketWrapper {
+                id: PwId(id),
+                dst: 1,
+                body: PwBody::Cts { rdv_id: id },
+                data: NmBuf::default(),
+                enqueued_at: SimTime::ZERO,
+            });
+        }
+        let gone = g.purge_window(|pw| pw.id.0 % 2 == 1);
+        assert_eq!(gone.iter().map(|p| p.id.0).collect::<Vec<_>>(), [1, 3]);
+        assert_eq!(
+            g.window.iter().map(|p| p.id.0).collect::<Vec<_>>(),
+            [0, 2, 4]
+        );
+        assert!(!g.quiescent());
+    }
+}

@@ -6,8 +6,7 @@
 //! surviving rails, but a *node* dying strands every flow toward it on
 //! every rail — the only correct response is to drain (abort the peer's
 //! in-flight rendezvous through the protocol table, release its eager
-//! credits, reclaim its lazily-populated map entries) and report clean
-//! failures upward.
+//! credits, drop its gate record) and report clean failures upward.
 //!
 //! ```text
 //!      per-peer timeouts ≥ suspect_after      ≥ dead_after AND

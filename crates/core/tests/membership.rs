@@ -28,9 +28,10 @@ use simnet::{
 
 use nmad::sr::CompletionKind;
 use nmad::{
-    MembershipConfig, NmCompletion, NmConfig, NmCore, NmNet, NmWire, PeerLiveness,
-    RetryConfig, StrategyKind, WirePayload,
+    FlowConfig, GateId, MembershipConfig, NmCompletion, NmConfig, NmCore, NmNet, NmWire,
+    PeerLiveness, RetryConfig, StrategyKind, WirePayload,
 };
+use simnet::NmBuf;
 
 /// Retry + membership tuned for fast tests: a dead verdict needs 4
 /// attributed failures and 50µs of inbound silence.
@@ -52,13 +53,13 @@ fn fast_cfg() -> NmConfig {
     cfg
 }
 
-/// Two cores on two single-rank nodes over one rail.
-fn pair(cfg: NmConfig) -> (Sim, Arc<NmCore>, Arc<NmCore>) {
+/// `n` cores on `n` single-rank nodes over one rail.
+fn cores(n: usize, cfg: NmConfig) -> (Sim, Vec<Arc<NmCore>>) {
     let sim = SimBuilder::new().build();
-    let fabric: Arc<Fabric<NmWire>> = Fabric::new(2, vec![NicModel::connectx_ib()]);
-    let rank_to_node = Arc::new((0..2).map(NodeId).collect::<Vec<_>>());
+    let fabric: Arc<Fabric<NmWire>> = Fabric::new(n, vec![NicModel::connectx_ib()]);
+    let rank_to_node = Arc::new((0..n).map(NodeId).collect::<Vec<_>>());
     let rail_ids: Vec<RailId> = (0..fabric.num_rails()).map(RailId).collect();
-    let cores: Vec<Arc<NmCore>> = (0..2)
+    let cores: Vec<Arc<NmCore>> = (0..n)
         .map(|r| {
             NmCore::new(
                 cfg,
@@ -76,6 +77,11 @@ fn pair(cfg: NmConfig) -> (Sim, Arc<NmCore>, Arc<NmCore>) {
         let core = Arc::clone(c);
         fabric.set_sink(NodeId(r), Box::new(move |s, d| core.accept(s, d.msg)));
     }
+    (sim, cores)
+}
+
+fn pair(cfg: NmConfig) -> (Sim, Arc<NmCore>, Arc<NmCore>) {
+    let (sim, cores) = cores(2, cfg);
     let mut it = cores.into_iter();
     (sim, it.next().unwrap(), it.next().unwrap())
 }
@@ -276,7 +282,7 @@ fn drain_at_rts_sent_aborts_send() {
         let st = c0.stats();
         assert_eq!(st.membership_aborted_sends, 1);
         assert_eq!(st.membership_dead_peers, 1);
-        assert!(st.membership_drained_entries >= 2, "rdv_out + rdv_dst at least");
+        assert!(st.membership_drained_entries >= 2, "gate + rendezvous at least");
         assert_eq!(c0.peer_entry_count(1), 0);
         // Post-mortem traffic fails fast, one error completion each.
         c0.isend(&ctx.scheduler(), 1, 2, Bytes::from_static(b"late"), 12);
@@ -389,6 +395,139 @@ fn drain_mid_stream_at_any_cut_point() {
                 .count() as u64;
             assert_eq!(st0.membership_aborted_sends, failed_sends, "cut@{cut_us}µs");
             assert_eq!(st1.membership_aborted_recvs, failed_recvs, "cut@{cut_us}µs");
+        });
+        sim.run().unwrap();
+    }
+}
+
+fn pattern(seed: u8, len: usize) -> Vec<u8> {
+    (0..len).map(|i| seed.wrapping_add((i * 13) as u8)).collect()
+}
+
+/// The cut sweep again, with a victim whose gate is fully populated at
+/// the verdict. Rank 0 holds, for victim rank 1: parked out-of-order
+/// envelopes, unacked eagers, withheld credits, a tombstone, and one
+/// rendezvous stuck in each direction — while rank 2 keeps a flow of its
+/// own running through the same core. Whenever the verdict lands, every
+/// request completes exactly once, the corpse's record is gone, and rank
+/// 2's bytes are untouched.
+#[test]
+fn drain_of_a_fully_populated_gate() {
+    for cut_us in [0u64, 30, 120] {
+        let mut cfg = fast_cfg();
+        // Water marks low enough that four 1 KiB unexpected eagers
+        // throttle the receiver, so its next credit return is withheld.
+        cfg.flow = Some(FlowConfig {
+            eager_credits: 8,
+            unex_bytes_cap: 16 * 1024,
+            high_water: 2 * 1024,
+            low_water: 1024,
+        });
+        let (mut sim, cores) = cores(3, cfg);
+        sim.spawn_rank("driver", move |ctx| {
+            let (c0, c1, c2) = (&cores[0], &cores[1], &cores[2]);
+            let sched = ctx.scheduler();
+            let mut comps = Vec::new();
+            let all = [c0, c1, c2];
+            // Cookies of every request posted on a surviving core.
+            let mut posted: Vec<(usize, u64)> = Vec::new();
+            let mut post = |core: usize, cookie: u64| {
+                posted.push((core, cookie));
+                cookie
+            };
+
+            // Rank 2's flow: a rendezvous and an eager, received late so
+            // they are in flight across the whole sweep.
+            let big = pattern(2, 200 * 1024);
+            c2.isend(&sched, 0, 30, Bytes::from(big.clone()), post(2, 300));
+            c2.isend(&sched, 0, 31, Bytes::from_static(b"third rank"), post(2, 301));
+
+            // Tombstone: a finished inbound rendezvous from the victim.
+            c0.irecv(&sched, 1, 23, post(0, 123));
+            c1.isend(&sched, 0, 23, Bytes::from(pattern(3, 64 * 1024)), 223);
+            // Withheld credits: four unexpected 1 KiB eagers throttle
+            // rank 0; consuming one then owes a credit it may not return.
+            for i in 0..4 {
+                c1.isend(&sched, 0, 22, Bytes::from(pattern(i, 1024)), 230 + i as u64);
+            }
+            // Inbound rendezvous: the RTS arrives, the victim dies before
+            // the CTS can reach it.
+            c1.isend(&sched, 0, 25, Bytes::from(pattern(5, 256 * 1024)), 225);
+            run_until(&ctx, &all, &mut comps, SimDuration::millis(2), "victim traffic", || {
+                c0.stats().recv_completions == 1
+                    && c0.unexpected_eager_bytes() >= 4 * 1024
+                    && c0.probe(GateId(1), 25)
+            });
+            c0.irecv(&sched, 1, 22, post(0, 122));
+            run_for(&ctx, &all, &mut comps, SimDuration::micros(5));
+            assert!(c0.stats().fc_credits_withheld >= 1, "no credit withheld");
+
+            c1.halt();
+            c0.irecv(&sched, 1, 25, post(0, 125));
+            // Outbound rendezvous and eagers into the void: an RTS nobody
+            // answers, envelopes nobody acks.
+            c0.isend(&sched, 1, 24, Bytes::from(pattern(4, 256 * 1024)), post(0, 124));
+            c0.isend(&sched, 1, 21, Bytes::from_static(b"unacked one"), post(0, 121));
+            c0.isend(&sched, 1, 21, Bytes::from_static(b"unacked two"), post(0, 126));
+            c0.irecv(&sched, 1, 26, post(0, 127));
+            // Parked: envelopes 2 and 3 of a flow whose 0 and 1 never came.
+            for seq in [2, 3] {
+                let data = NmBuf::from(Bytes::from_static(b"early"));
+                c0.accept(&sched, NmWire::new(1, 0, WirePayload::Eager { tag: 20, seq, data }));
+            }
+            // The eagers leave the node (and complete locally); nothing
+            // will ever ack them.
+            run_until(&ctx, &all, &mut comps, SimDuration::millis(1), "eagers on the wire", || {
+                c0.stats().send_completions == 2
+            });
+            run_for(&ctx, &all, &mut comps, SimDuration::micros(cut_us));
+
+            let held = c0.peer_entry_count(1);
+            let organic = c0.is_peer_dead(1);
+            if !organic {
+                // Gate + 7 flows (tags 20–26) + one rendezvous each way +
+                // the tombstone.
+                assert_eq!(held, 11, "cut@{cut_us}µs: gate not fully populated");
+                assert!(c0.declare_peer_dead(&sched, 1));
+            }
+            let st = c0.stats();
+            assert_eq!(c0.peer_entry_count(1), 0, "cut@{cut_us}µs: corpse kept a record");
+            assert_eq!(
+                st.peer_entries,
+                c0.peer_entry_count(2) as u64,
+                "cut@{cut_us}µs: only rank 2's record may remain"
+            );
+            assert_eq!(st.membership_drained_entries, 11, "cut@{cut_us}µs");
+            assert!(st.membership_credits_released >= 3, "withheld + in-flight credits");
+            assert_eq!(c0.take_dead_peers(), vec![1]);
+
+            // Rank 2's flow finishes byte-exact through the drained core.
+            c0.irecv(&sched, 2, 30, post(0, 130));
+            c0.irecv(&sched, 2, 31, post(0, 131));
+            run_until(&ctx, &all, &mut comps, SimDuration::millis(5), "rank 2's flow", || {
+                c0.stats().recv_completions == 4 && c2.stats().send_completions == 2
+            });
+            run_for(&ctx, &all, &mut comps, SimDuration::micros(100));
+            for c in c0.drain_completions() {
+                comps.push((0, c));
+            }
+            for (core, cookie) in posted {
+                let hits: Vec<_> = comps
+                    .iter()
+                    .filter(|(i, c)| *i == core && c.cookie == cookie)
+                    .collect();
+                assert_eq!(hits.len(), 1, "cut@{cut_us}µs: cookie {cookie}: {hits:?}");
+                match (cookie, &hits[0].1.kind) {
+                    (130, CompletionKind::Recv { data, .. }) => assert_eq!(data[..], big[..]),
+                    (131, CompletionKind::Recv { data, .. }) => assert_eq!(&data[..], b"third rank"),
+                    (122 | 123, CompletionKind::Recv { .. }) => {}
+                    (121 | 126 | 300 | 301, CompletionKind::Send) => {}
+                    (124, CompletionKind::SendFailed { peer: 1 }) => {}
+                    (125 | 127, CompletionKind::RecvFailed { .. }) => {}
+                    (_, other) => panic!("cut@{cut_us}µs: cookie {cookie} ended as {other:?}"),
+                }
+            }
+            assert_eq!(c0.peer_entry_count(1), 0, "late frames revived the corpse");
         });
         sim.run().unwrap();
     }

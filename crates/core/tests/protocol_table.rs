@@ -8,9 +8,16 @@
 //! and asserts the error is counted once while the engine keeps serving
 //! real traffic afterwards.
 //!
-//! All tests run without a retry layer: the declared ignores are all
-//! guarded on `Retry` (retransmission is the only legal source of stray
-//! frames), so without it every injection must land on `Verdict::Error`.
+//! The stray-frame tests run without a retry layer: the declared ignores
+//! are all guarded on `Retry` (retransmission is the only legal source of
+//! stray frames), so without it every injection must land on
+//! `Verdict::Error`.
+//!
+//! The forged-frame tests name a *live* rendezvous from the wrong peer —
+//! rendezvous ids come from one small per-core counter, so they are easy
+//! to guess. A frame is looked up in its sender's gate only, so it finds
+//! `Gone` there and the table decides: counted error without retry,
+//! declared ignore with it. Either way the real rendezvous is untouched.
 
 use std::sync::Arc;
 
@@ -19,18 +26,18 @@ use simnet::{
     Fabric, NicModel, NmBuf, NodeId, RailId, RankCtx, Sim, SimBuilder, SimDuration,
 };
 
-use nmad::{NmConfig, NmCore, NmNet, NmWire, StrategyKind, WirePayload};
+use nmad::{GateId, NmConfig, NmCore, NmNet, NmWire, RetryConfig, StrategyKind, WirePayload};
 
-/// Two cores on two single-rank nodes over one rail, no retry layer.
-fn pair() -> (Sim, Arc<NmCore>, Arc<NmCore>) {
+/// `n` cores on `n` single-rank nodes over one rail.
+fn cores(n: usize, cfg: NmConfig) -> (Sim, Vec<Arc<NmCore>>) {
     let sim = SimBuilder::new().build();
-    let fabric: Arc<Fabric<NmWire>> = Fabric::new(2, vec![NicModel::connectx_ib()]);
-    let rank_to_node = Arc::new((0..2).map(NodeId).collect::<Vec<_>>());
+    let fabric: Arc<Fabric<NmWire>> = Fabric::new(n, vec![NicModel::connectx_ib()]);
+    let rank_to_node = Arc::new((0..n).map(NodeId).collect::<Vec<_>>());
     let rail_ids: Vec<RailId> = (0..fabric.num_rails()).map(RailId).collect();
-    let cores: Vec<Arc<NmCore>> = (0..2)
+    let cores: Vec<Arc<NmCore>> = (0..n)
         .map(|r| {
             NmCore::new(
-                NmConfig::with_strategy(StrategyKind::Default),
+                cfg,
                 r,
                 NmNet {
                     fabric: Arc::clone(&fabric),
@@ -45,6 +52,12 @@ fn pair() -> (Sim, Arc<NmCore>, Arc<NmCore>) {
         let core = Arc::clone(c);
         fabric.set_sink(NodeId(r), Box::new(move |s, d| core.accept(s, d.msg)));
     }
+    (sim, cores)
+}
+
+/// Two cores, no retry layer.
+fn pair() -> (Sim, Arc<NmCore>, Arc<NmCore>) {
+    let (sim, cores) = cores(2, NmConfig::with_strategy(StrategyKind::Default));
     let mut it = cores.into_iter();
     (sim, it.next().unwrap(), it.next().unwrap())
 }
@@ -274,4 +287,78 @@ fn out_of_range_chunk_is_counted_and_flow_survives() {
         assert_eq!(c0.stats().protocol_errors, 1, "peer counts the stray CTS");
     });
     sim.run().unwrap();
+}
+
+/// Schedule both cores until `done` holds.
+fn drive(ctx: &RankCtx, c0: &Arc<NmCore>, c1: &Arc<NmCore>, what: &str, done: impl Fn() -> bool) {
+    let sched = ctx.scheduler();
+    let mut spins = 0u32;
+    while !done() {
+        c0.schedule(&sched);
+        c1.schedule(&sched);
+        ctx.advance(SimDuration::nanos(100));
+        spins += 1;
+        assert!(spins < 10_000_000, "timed out waiting for {what}");
+    }
+}
+
+/// Rank 0 has a rendezvous open toward rank 1 (RTS delivered, not yet
+/// matched) when a frame from rank 2 names it. The forgery must change
+/// nothing: no payload streams to a rank that sent no CTS, the send does
+/// not complete, and once rank 1 really posts the receive the rendezvous
+/// finishes byte-exact and fresh traffic flows.
+fn forged_frame_case(retry: bool, forgery: fn(u64) -> WirePayload) {
+    let mut cfg = NmConfig::with_strategy(StrategyKind::Default);
+    cfg.retry = retry.then(RetryConfig::default);
+    let (mut sim, cores) = cores(3, cfg);
+    sim.spawn_rank("driver", move |ctx| {
+        let (c0, c1) = (&cores[0], &cores[1]);
+        let sched = ctx.scheduler();
+        let payload: Vec<u8> = (0..64 * 1024).map(|i| (i * 31) as u8).collect();
+        c0.isend(&sched, 1, 7, Bytes::from(payload.clone()), 100);
+        drive(&ctx, c0, c1, "RTS at rank 1", || c1.probe(GateId(0), 7));
+
+        // First rendezvous of this core: id 0.
+        c0.accept(&sched, NmWire::new(2, 0, forgery(0)));
+        let settle = sched.now() + SimDuration::micros(20);
+        drive(&ctx, c0, c1, "forgery to settle", || sched.now() >= settle);
+        let st = c0.stats();
+        assert_eq!(
+            st.protocol_errors,
+            u64::from(!retry),
+            "counted without retry, a declared ignore with it"
+        );
+        assert_eq!(st.data_chunks_sent, 0, "payload streamed to a rank that sent no CTS");
+        assert!(c0.drain_completions().is_empty(), "forgery completed the send");
+        assert_eq!(c1.stats().protocol_errors, 0, "rank 1 saw unsolicited frames");
+
+        c1.irecv(&sched, 0, 7, 200);
+        drive(&ctx, c0, c1, "the real rendezvous", || {
+            c1.stats().recv_completions == 1 && c0.stats().send_completions == 1
+        });
+        let recv = c1.drain_completions().pop().expect("recv completion");
+        let nmad::sr::CompletionKind::Recv { data, .. } = recv.kind else {
+            panic!("receive failed: {:?}", recv.kind);
+        };
+        assert_eq!(&data[..], &payload[..]);
+        let send = c0.drain_completions().pop().expect("send completion");
+        assert!(matches!(send.kind, nmad::sr::CompletionKind::Send), "{:?}", send.kind);
+        eager_still_works(&ctx, c0, c1);
+        assert_eq!(c0.stats().protocol_errors, u64::from(!retry));
+    });
+    sim.run().unwrap();
+}
+
+#[test]
+fn cts_from_the_wrong_peer_is_not_honoured() {
+    for retry in [false, true] {
+        forged_frame_case(retry, |rdv_id| WirePayload::Cts { rdv_id });
+    }
+}
+
+#[test]
+fn fin_from_the_wrong_peer_is_not_honoured() {
+    for retry in [false, true] {
+        forged_frame_case(retry, |rdv_id| WirePayload::RdvFin { rdv_id });
+    }
 }

@@ -45,7 +45,6 @@ use parking_lot::Mutex;
 use crate::ctx::RankCtx;
 use crate::event::{EventKind, EventQueue};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::Tracer;
 
 /// Identifier of a simulated rank (process). Dense, starting at 0, in spawn
 /// order.
@@ -176,7 +175,6 @@ pub struct SimCore {
     /// Current simulated time in ns; written only by the engine loop, read
     /// from anywhere without locking.
     clock_ns: AtomicU64,
-    pub(crate) tracer: Tracer,
     /// Typed observability sink for the dispatch loop (off by default).
     rec: obs::RankRec,
 }
@@ -247,11 +245,6 @@ impl Scheduler {
     pub fn wake_rank_now(&self, rank: RankId) {
         self.wake_rank_at(self.now(), rank);
     }
-
-    /// Access the tracer (no-op unless tracing was enabled on the builder).
-    pub fn tracer(&self) -> &Tracer {
-        &self.core.tracer
-    }
 }
 
 enum RankState {
@@ -273,7 +266,6 @@ pub const DEFAULT_RANK_STACK: usize = 512 * 1024;
 
 /// Builder for a [`Sim`].
 pub struct SimBuilder {
-    trace: bool,
     max_events: Option<u64>,
     recorder: Option<Arc<obs::Recorder>>,
     rank_stack: usize,
@@ -282,7 +274,6 @@ pub struct SimBuilder {
 impl Default for SimBuilder {
     fn default() -> Self {
         SimBuilder {
-            trace: false,
             max_events: None,
             recorder: None,
             rank_stack: DEFAULT_RANK_STACK,
@@ -293,14 +284,6 @@ impl Default for SimBuilder {
 impl SimBuilder {
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Enable the ad-hoc string [`Tracer`] (free-form notes from user
-    /// code; the dispatch loop itself records typed events via
-    /// [`SimBuilder::with_recorder`]).
-    pub fn with_trace(mut self) -> Self {
-        self.trace = true;
-        self
     }
 
     /// Record typed dispatch events (`dispatch_call` / `dispatch_wake`)
@@ -327,7 +310,6 @@ impl SimBuilder {
         let core = Arc::new(SimCore {
             queue: Mutex::new(EventQueue::new()),
             clock_ns: AtomicU64::new(0),
-            tracer: Tracer::new(self.trace),
             rec: obs::RankRec::new(self.recorder.as_ref(), obs::ENGINE_RANK),
         });
         Sim {

@@ -39,7 +39,6 @@
 //! * [`copy`] — copy accounting ([`CopyMeter`]) and the lineage-tracked
 //!   payload buffer ([`NmBuf`]) every layer above carries.
 //! * [`stats`] — latency/bandwidth series helpers used by the harnesses.
-//! * [`trace`] — optional structured event tracing for debugging.
 
 // Data-path crates must not duplicate payloads by accident: a clone that
 // the borrow checker would let us elide is a real memcpy on the hot path.
@@ -56,7 +55,6 @@ pub mod sem;
 pub mod stats;
 pub mod time;
 pub mod topology;
-pub mod trace;
 
 pub use copy::{BufOrigin, CopyMeter, CopySnapshot, NmBuf};
 pub use ctx::RankCtx;
