@@ -2747,6 +2747,11 @@ impl NmCore {
         {
             let mut inner = self.inner.lock();
             let inner = &mut *inner;
+            // Twice per progress cycle, and an idle cycle is the common
+            // one: look before building the rail snapshot.
+            if inner.peers.values().all(|gate| gate.window.is_empty()) {
+                return;
+            }
             let mut rails: Vec<RailState> = self
                 .net
                 .rails

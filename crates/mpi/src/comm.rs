@@ -49,15 +49,16 @@
 //! a finished agreement's stragglers can never revive per-peer state.
 
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 use bytes::Bytes;
-use simnet::{NmBuf, SimDuration};
+use simnet::NmBuf;
 
 use nmad::keys::{coll_key, instance_of, OP_AGREE, OP_BCAST, OP_JOIN, OP_REDUCE, ROUND_DECIDED};
 
 use crate::api::{MpiHandle, Src};
 use crate::collectives::{allreduce_group_recdbl, barrier_group_ep, bcast_group, next_seq};
-use crate::progress::NetPath;
+use crate::progress::{NetPath, PollBackoff};
 use crate::request::Req;
 use crate::vc::VcPath;
 
@@ -150,35 +151,26 @@ enum PassRecv {
     Decided(usize),
 }
 
-const AGREE_FINE_POLLS: u32 = 100;
-const AGREE_MAX_BACKOFF: SimDuration = SimDuration::micros(2);
-
 /// Block until `req` completes or a DECIDED frame for this agreement
 /// instance shows up in the unexpected queues, whichever happens first.
 fn wait_recv_or_decided(mpi: &MpiHandle, req: Req, decided_key: u64) -> PassRecv {
-    let sched = mpi.ctx.scheduler();
-    let mut polls = 0u32;
-    let mut step = mpi.state.costs.poll_gran;
-    loop {
-        mpi.state.progress_cycle(&sched);
-        if mpi.state.reqs.is_done(req) {
-            let (d, _) = mpi.state.wait(&mpi.ctx, req);
-            return match mpi.state.reqs.failed_peer(req) {
-                Some(_) => PassRecv::Failed,
-                None => PassRecv::Data(d.expect("agreement payload")),
-            };
-        }
-        if let Some(gate) = mpi.state.iprobe_key(decided_key) {
-            return PassRecv::Decided(gate);
-        }
-        mpi.ctx.advance(step);
-        polls += 1;
-        if polls > AGREE_FINE_POLLS {
-            step = SimDuration::nanos(
-                (step.as_nanos() * 3 / 2).min(AGREE_MAX_BACKOFF.as_nanos()),
-            );
-        }
+    let state = Arc::clone(&mpi.state);
+    PollBackoff::new(state.costs.poll_gran).poll(&mpi.ctx, move |s| {
+        state.progress_cycle(s);
+        state.reqs.is_done(req) || state.iprobe_key(decided_key).is_some()
+    });
+    if mpi.state.reqs.is_done(req) {
+        let (d, _) = mpi.state.wait(&mpi.ctx, req);
+        return match mpi.state.reqs.failed_peer(req) {
+            Some(_) => PassRecv::Failed,
+            None => PassRecv::Data(d.expect("agreement payload")),
+        };
     }
+    let gate = mpi
+        .state
+        .iprobe_key(decided_key)
+        .expect("the poll ends on a done receive or a DECIDED frame");
+    PassRecv::Decided(gate)
 }
 
 fn bits_to_bytes(bits: &[bool]) -> Vec<u8> {

@@ -56,6 +56,94 @@ const MAX_POLL_BACKOFF: SimDuration = SimDuration::micros(2);
 const BULK_POLLS: u32 = 1_000;
 const BULK_POLL_BACKOFF: SimDuration = SimDuration::micros(10);
 
+/// The cadence of one app-polling wait: `fine` ticks at the initial step
+/// (so small-message latencies resolve at full precision), then ×3/2 per
+/// tick up to `cap` — long waits would otherwise drown the simulator in
+/// poll events. The back-off only starts well past any calibrated latency,
+/// so it never perturbs the Netpipe figures.
+pub(crate) struct PollBackoff {
+    polls: u32,
+    step: SimDuration,
+    fine: u32,
+    cap: SimDuration,
+    /// `(ticks, cap)`: past this many ticks the cap rises to the second.
+    bulk: Option<(u32, SimDuration)>,
+}
+
+impl PollBackoff {
+    /// The schedule of every wait that is not a bulk transfer: back off
+    /// after [`FINE_POLLS`] ticks, up to [`MAX_POLL_BACKOFF`].
+    pub(crate) fn new(step: SimDuration) -> Self {
+        PollBackoff {
+            polls: 0,
+            step,
+            fine: FINE_POLLS,
+            cap: MAX_POLL_BACKOFF,
+            bulk: None,
+        }
+    }
+
+    /// `MPI_Wait`'s schedule: waits that survive [`BULK_POLLS`] ticks may
+    /// grow on to [`BULK_POLL_BACKOFF`].
+    fn with_bulk_tier(step: SimDuration) -> Self {
+        PollBackoff {
+            bulk: Some((BULK_POLLS, BULK_POLL_BACKOFF)),
+            ..Self::new(step)
+        }
+    }
+
+    /// `MPI_Finalize`'s schedule: its loop gated growth on the index
+    /// *before* the increment, so it starts one tick later.
+    fn late_by_one(step: SimDuration) -> Self {
+        PollBackoff {
+            fine: FINE_POLLS + 1,
+            ..Self::new(step)
+        }
+    }
+
+    /// A fixed cadence.
+    fn flat(step: SimDuration) -> Self {
+        PollBackoff {
+            cap: step,
+            ..Self::new(step)
+        }
+    }
+
+    /// Account one elapsed tick and grow the step if it is due.
+    fn tick(&mut self) {
+        self.polls = self.polls.saturating_add(1);
+        if self.polls > self.fine {
+            let cap = match self.bulk {
+                Some((after, cap)) if self.polls > after => cap,
+                _ => self.cap,
+            };
+            self.step = SimDuration::nanos((self.step.as_nanos() * 3 / 2).min(cap.as_nanos()));
+        }
+    }
+
+    /// Busy-wait on this schedule: check `ready` now, then once per tick,
+    /// until it holds. Only the first check runs on the calling rank's
+    /// thread; the ticks run where events are dispatched
+    /// ([`RankCtx::poll_until`]), so `ready` owns what it needs.
+    pub(crate) fn poll(
+        mut self,
+        ctx: &RankCtx,
+        mut ready: impl FnMut(&Scheduler) -> bool + Send + 'static,
+    ) {
+        if ready(&ctx.scheduler()) {
+            return;
+        }
+        ctx.poll_until(self.step, move |s| {
+            self.tick();
+            if ready(s) {
+                None
+            } else {
+                Some(self.step)
+            }
+        });
+    }
+}
+
 /// Self-wake period for PIOMan waiters while the retry transport is
 /// active: if a lost packet killed the whole kick chain, the blocked rank
 /// re-drives its own progress cycle (and thus the retransmission sweep)
@@ -703,16 +791,10 @@ impl ProcState {
     /// MPI_Wait: block until `req` completes. Returns the payload (for
     /// receives) and the status.
     ///
-    /// App-polling mode spins at `poll_gran` for the first stretch (so
-    /// small-message latencies resolve at full precision) and then backs
-    /// off exponentially to `MAX_POLL_BACKOFF` — long waits (bulk
-    /// transfers, NAS iterations) would otherwise drown the simulator in
-    /// poll events. The backoff only starts well past any calibrated
-    /// latency, so it never perturbs the Netpipe figures.
+    /// App-polling mode spins on a [`PollBackoff`] with the bulk tier;
+    /// PIOMan mode blocks on the wake semaphore (§3.3.2).
     pub fn wait(self: &Arc<Self>, ctx: &RankCtx, req: Req) -> (Option<Bytes>, Option<Status>) {
         let sched = ctx.scheduler();
-        let mut polls = 0u32;
-        let mut step = self.costs.poll_gran;
         // Always drive progress at least once: buffered (eager) sends
         // complete immediately, but their packets still sit in the outbox /
         // submission window until a progress cycle flushes them — a
@@ -720,41 +802,22 @@ impl ProcState {
         // returning, or a program whose last call is a send would strand
         // the message.
         self.progress_cycle(&sched);
-        loop {
-            if let Some((data, status)) = self.reqs.claim(req) {
-                if self.piom.is_none() {
-                    // App-polling: the observer pays the completion cost.
-                    let c = self.completion_cost(req);
-                    if c > SimDuration::ZERO {
-                        ctx.advance(c);
+        match &self.piom {
+            None => {
+                let this = Arc::clone(self);
+                PollBackoff::with_bulk_tier(self.costs.poll_gran).poll(ctx, move |s| {
+                    this.reqs.is_done(req) || {
+                        this.progress_cycle(s);
+                        this.reqs.is_done(req)
                     }
-                }
-                return (data, status);
+                });
             }
-            if self.reqs.is_done(req) {
-                // Already claimed (e.g. re-wait): hand back the status.
-                return (None, self.reqs.status(req));
-            }
-            self.progress_cycle(&sched);
-            if self.reqs.is_done(req) {
-                continue;
-            }
-            match &self.piom {
-                None => {
-                    ctx.advance(step);
-                    polls += 1;
-                    if polls > FINE_POLLS {
-                        let cap = if polls > BULK_POLLS {
-                            BULK_POLL_BACKOFF
-                        } else {
-                            MAX_POLL_BACKOFF
-                        };
-                        step = SimDuration::nanos(
-                            (step.as_nanos() * 3 / 2).min(cap.as_nanos()),
-                        );
+            Some(_) => {
+                while !self.reqs.is_done(req) {
+                    self.progress_cycle(&sched);
+                    if self.reqs.is_done(req) {
+                        break;
                     }
-                }
-                Some(_) => {
                     // §3.3.2: block on the semaphore; PIOMan wakes us.
                     // Under the retry transport, also arm a timed self-wake
                     // — belt and braces next to the PIOMan watchdog.
@@ -764,6 +827,20 @@ impl ProcState {
                     self.wake.wait(ctx);
                 }
             }
+        }
+        match self.reqs.claim(req) {
+            Some((data, status)) => {
+                if self.piom.is_none() {
+                    // App-polling: the observer pays the completion cost.
+                    let c = self.completion_cost(req);
+                    if c > SimDuration::ZERO {
+                        ctx.advance(c);
+                    }
+                }
+                (data, status)
+            }
+            // Already claimed (e.g. re-wait): hand back the status.
+            None => (None, self.reqs.status(req)),
         }
     }
 
@@ -789,29 +866,19 @@ impl ProcState {
 
     /// MPI_Probe: block until [`ProcState::iprobe`] succeeds.
     pub fn probe(self: &Arc<Self>, ctx: &RankCtx, src: Src, tag: u32) -> Status {
-        let mut polls = 0u32;
-        let mut step = self.costs.poll_gran;
-        loop {
-            if let Some(st) = self.iprobe(ctx, src, tag) {
-                return st;
-            }
-            match &self.piom {
-                None => {
-                    ctx.advance(step);
-                    polls += 1;
-                    if polls > FINE_POLLS {
-                        step = SimDuration::nanos(
-                            (step.as_nanos() * 3 / 2).min(MAX_POLL_BACKOFF.as_nanos()),
-                        );
-                    }
-                }
-                Some(_) => {
-                    // PIOMan raises completions, not unexpected arrivals;
-                    // probing still needs a poll cadence.
-                    ctx.advance(SimDuration::nanos(500));
-                }
-            }
-        }
+        let backoff = match &self.piom {
+            None => PollBackoff::new(self.costs.poll_gran),
+            // PIOMan raises completions, not unexpected arrivals; probing
+            // still needs a poll cadence.
+            Some(_) => PollBackoff::flat(SimDuration::nanos(500)),
+        };
+        let this = Arc::clone(self);
+        backoff.poll(ctx, move |s| {
+            this.progress_cycle(s);
+            this.iprobe_inner(src, tag).is_some()
+        });
+        self.iprobe_inner(src, tag)
+            .expect("the probe poll ends on a matchable message, and only this rank can consume it")
     }
 
     fn iprobe_inner(&self, src: Src, tag: u32) -> Option<Status> {
@@ -928,23 +995,56 @@ impl ProcState {
         if self.piom.is_some() {
             return;
         }
-        let sched = ctx.scheduler();
-        let mut step = self.costs.poll_gran;
-        for polls in 0u32.. {
-            self.progress_cycle(&sched);
-            if self.quiescent() {
-                return;
+        let this = Arc::clone(self);
+        let mut cycles = 0u32;
+        PollBackoff::late_by_one(self.costs.poll_gran).poll(ctx, move |s| {
+            this.progress_cycle(s);
+            if this.quiescent() {
+                return true;
             }
             assert!(
-                polls < 5_000_000,
+                cycles < 5_000_000,
                 "MPI_Finalize drain did not quiesce (protocol leak?)"
             );
-            ctx.advance(step);
-            if polls > FINE_POLLS {
-                step = SimDuration::nanos(
-                    (step.as_nanos() * 3 / 2).min(MAX_POLL_BACKOFF.as_nanos()),
-                );
+            cycles += 1;
+            false
+        });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Each schedule against the arithmetic of the loop it replaced, tick
+    /// by tick (`polls` is that loop's counter after its increment).
+    #[test]
+    fn backoff_schedules_are_the_replaced_loops() {
+        let gran = SimDuration::nanos(50);
+        let grow = |step: &mut u64, cap: u64| *step = (*step * 3 / 2).min(cap);
+        let mut wait = PollBackoff::with_bulk_tier(gran);
+        let mut probe = PollBackoff::new(gran);
+        let mut finalize = PollBackoff::late_by_one(gran);
+        let mut flat = PollBackoff::flat(SimDuration::nanos(500));
+        let (mut w, mut p, mut f) = (50u64, 50u64, 50u64);
+        for polls in 1..=1_200u32 {
+            if polls > 100 {
+                grow(&mut w, if polls > 1_000 { 10_000 } else { 2_000 });
+                grow(&mut p, 2_000);
+            }
+            if polls - 1 > 100 {
+                grow(&mut f, 2_000);
+            }
+            for (b, want) in [
+                (&mut wait, w),
+                (&mut probe, p),
+                (&mut finalize, f),
+                (&mut flat, 500),
+            ] {
+                b.tick();
+                assert_eq!(b.step, SimDuration::nanos(want), "tick {polls}");
             }
         }
+        assert_eq!((w, p, f), (10_000, 2_000, 2_000));
     }
 }

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use crate::engine::{RankId, Report, ReportCell, Scheduler, SimCore, TornDown, WakeCell};
+use crate::engine::{PollSlot, RankId, Report, ReportCell, Scheduler, SimCore, TornDown, WakeCell};
 use crate::time::{SimDuration, SimTime};
 
 /// Per-rank simulation context, passed by value to the rank's program
@@ -12,6 +12,7 @@ pub struct RankCtx {
     core: Arc<SimCore>,
     rank: RankId,
     cell: Arc<WakeCell>,
+    poll: PollSlot,
     report: Arc<ReportCell>,
 }
 
@@ -20,12 +21,14 @@ impl RankCtx {
         core: Arc<SimCore>,
         rank: RankId,
         cell: Arc<WakeCell>,
+        poll: PollSlot,
         report: Arc<ReportCell>,
     ) -> Self {
         RankCtx {
             core,
             rank,
             cell,
+            poll,
             report,
         }
     }
@@ -61,6 +64,28 @@ impl RankCtx {
     #[inline]
     pub fn compute(&self, d: SimDuration) {
         self.advance(d);
+    }
+
+    /// Busy-wait without the host paying for it: block this rank and have
+    /// `body` called once per poll tick — first at `now + first` — until it
+    /// returns `None`, which resumes the rank at that tick's instant.
+    /// `Some(d)` asks for the next tick `d` later.
+    ///
+    /// Simulated behaviour is exactly that of the loop
+    /// `let mut d = first; loop { self.advance(d); match body(..) { Some(n) => d = n, None => break } }`
+    /// — the same events at the same `(time, seq)` — but the ticks run on
+    /// the dispatching thread, so the whole wait costs one token handoff
+    /// instead of one per tick. `body` must therefore own what it touches
+    /// (hence `Send + 'static`) and cannot block; if it panics, the run
+    /// fails with [`crate::SimError::RankPanic`] naming this rank.
+    pub fn poll_until(
+        &self,
+        first: SimDuration,
+        body: impl FnMut(&Scheduler) -> Option<SimDuration> + Send + 'static,
+    ) {
+        let armed = self.poll.lock().replace(Box::new(body));
+        debug_assert!(armed.is_none(), "{} is already polling", self.rank);
+        self.advance(first);
     }
 
     /// Give other same-instant events a chance to run, then resume.

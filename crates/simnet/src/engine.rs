@@ -10,6 +10,12 @@
 //!   `Wake(rank)` event grants the rank's [`WakeCell`] and then blocks on
 //!   the shared [`ReportCell`] until that rank reports
 //!   `Parked` / `Done` back.
+//! * A rank parked in [`crate::ctx::RankCtx::poll_until`] left a *poll
+//!   body* in its slot. Its `Wake(rank)` ticks are then answered by the
+//!   engine itself: it takes the body out of the slot, calls it, and on
+//!   `Some(d)` puts it back and pushes the next `Wake(rank)` at `now + d` —
+//!   the push the rank thread would have made, at the same `(time, seq)`,
+//!   without waking it. Only `None` falls through to the grant.
 //! * A rank thread only executes between receiving the grant and posting
 //!   its next report. Every blocking operation in rank code bottoms out in
 //!   [`crate::ctx::RankCtx::park`], which performs the report-then-wait
@@ -70,6 +76,24 @@ pub(crate) enum Report {
 /// Sentinel payload used to unwind rank threads silently when the simulation
 /// is torn down early (deadlock/error paths).
 pub(crate) struct TornDown;
+
+/// A rank's poll body (see [`crate::ctx::RankCtx::poll_until`]).
+pub(crate) type PollFn = Box<dyn FnMut(&Scheduler) -> Option<SimDuration> + Send>;
+
+/// Where a polling rank leaves its body for the engine. Shared by the
+/// rank's [`RankCtx`] and its engine-side slot, so the queue keeps carrying
+/// a plain `Wake(rank)` and [`crate::event`]'s entries stay 32 bytes. The
+/// lock is never contended: the token protocol lets only one side run.
+pub(crate) type PollSlot = Arc<Mutex<Option<PollFn>>>;
+
+/// The message of a caught panic, for [`SimError::RankPanic`].
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "<non-string panic payload>".into())
+}
 
 /// What a parked rank sees when it re-checks its wake cell.
 enum GoSignal {
@@ -255,6 +279,8 @@ enum RankState {
 struct RankSlot {
     name: String,
     cell: Arc<WakeCell>,
+    /// Holds a body exactly while the rank is parked in `poll_until`.
+    poll: PollSlot,
     state: RankState,
     join: Option<JoinHandle<()>>,
 }
@@ -328,13 +354,18 @@ impl SimBuilder {
 pub struct SimOutcome {
     /// Simulated time at which the last event fired.
     pub final_time: SimTime,
-    /// Total number of events dispatched.
+    /// Total number of events dispatched:
+    /// `events == calls + wakes + polls`, where `calls` are the closure
+    /// dispatches, run inline on the engine thread.
     pub events: u64,
-    /// Rank wake events among `events`. Each wake is a full token handoff
-    /// (two OS context switches on a single-core host), so this is the
-    /// wall-clock cost driver of large runs; `events - wakes` closure
-    /// dispatches run inline on the engine thread.
+    /// Wake events that handed the token to a rank thread. Each is a full
+    /// handoff (two OS context switches on a single-core host), so this is
+    /// the wall-clock cost driver of large runs.
     pub wakes: u64,
+    /// Wake events answered inline: poll ticks of a rank parked in
+    /// [`RankCtx::poll_until`] whose body asked for another tick. They
+    /// cost a closure call on the engine thread, not a handoff.
+    pub polls: u64,
 }
 
 /// Ways a simulation can fail.
@@ -419,6 +450,7 @@ impl Sim {
                 self.ranks.push(RankSlot {
                     name,
                     cell: WakeCell::new(),
+                    poll: PollSlot::default(),
                     state: RankState::Done,
                     join: None,
                 });
@@ -437,10 +469,12 @@ impl Sim {
         let id = RankId(self.ranks.len());
         let name = name.into();
         let cell = WakeCell::new();
+        let poll = PollSlot::default();
         let ctx = RankCtx::new(
             Arc::clone(&self.core),
             id,
             Arc::clone(&cell),
+            Arc::clone(&poll),
             Arc::clone(&self.report),
         );
         let report = Arc::clone(&self.report);
@@ -464,12 +498,7 @@ impl Sim {
                             // Silent unwind during teardown; do not report.
                             return;
                         }
-                        let msg = payload
-                            .downcast_ref::<&str>()
-                            .map(|s| s.to_string())
-                            .or_else(|| payload.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "<non-string panic payload>".into());
-                        report.send(Report::Panicked(rank, msg));
+                        report.send(Report::Panicked(rank, panic_message(&*payload)));
                     }
                 }
             }) {
@@ -484,6 +513,7 @@ impl Sim {
         self.ranks.push(RankSlot {
             name,
             cell,
+            poll,
             state: RankState::Parked,
             join: Some(join),
         });
@@ -521,6 +551,7 @@ impl Sim {
         // event-budget check on every iteration of the hot loop.
         let mut dispatched: u64 = self.core.queue.lock().dispatched();
         let mut wakes: u64 = 0;
+        let mut polls: u64 = 0;
         loop {
             // Rank-driven simulations finish when every rank returned, even
             // if recurring background events (progress timers) are still
@@ -530,6 +561,7 @@ impl Sim {
                     final_time: self.core.now(),
                     events: dispatched,
                     wakes,
+                    polls,
                 });
             }
             let popped = self.core.queue.lock().pop();
@@ -541,6 +573,7 @@ impl Sim {
                             final_time: self.core.now(),
                             events: dispatched,
                             wakes,
+                            polls,
                         });
                     }
                     let stuck: Vec<String> = self
@@ -583,6 +616,34 @@ impl Sim {
                         RankState::Parked => {}
                     }
                     self.core.rec.engine(t.0, obs::EngineEvent::DispatchWake);
+                    // A poll tick: run the rank's body here instead of
+                    // waking the rank to run it. The guard is dropped
+                    // before the call, so the slot is free while it runs.
+                    let body = slot.poll.lock().take();
+                    if let Some(mut body) = body {
+                        match panic::catch_unwind(AssertUnwindSafe(|| body(&sched))) {
+                            Ok(Some(d)) => {
+                                *slot.poll.lock() = Some(body);
+                                sched.wake_rank_at(t + d, rank);
+                                polls += 1;
+                                continue;
+                            }
+                            // Ready: the body is spent, the rank resumes.
+                            Ok(None) => {}
+                            // The body is the rank's code, so its panic is
+                            // the rank's; teardown unwinds the parked thread.
+                            Err(payload) => {
+                                return Err(SimError::RankPanic {
+                                    rank,
+                                    message: panic_message(&*payload),
+                                });
+                            }
+                        }
+                    }
+                    debug_assert!(
+                        slot.poll.lock().is_none(),
+                        "{rank} granted the token with a poll body armed"
+                    );
                     wakes += 1;
                     slot.cell.grant();
                     match self.report.recv() {
@@ -758,6 +819,164 @@ mod tests {
         match sim.run() {
             Err(SimError::EventLimit(10)) => {}
             other => panic!("expected event limit, got {other:?}"),
+        }
+    }
+
+    /// One busy-wait, written both ways: the loop `poll_until` documents
+    /// itself to be equivalent to, or `poll_until`.
+    fn busy_wait(
+        ctx: &RankCtx,
+        inline: bool,
+        first: SimDuration,
+        mut body: impl FnMut(&Scheduler) -> Option<SimDuration> + Send + 'static,
+    ) {
+        if inline {
+            return ctx.poll_until(first, body);
+        }
+        let sched = ctx.scheduler();
+        let mut d = first;
+        loop {
+            ctx.advance(d);
+            match body(&sched) {
+                Some(next) => d = next,
+                None => return,
+            }
+        }
+    }
+
+    /// Two ranks tick in lockstep (equal instants, so only `seq` orders
+    /// them) over mixed steps including zero; each tick also schedules a
+    /// `Call` for the very instant of the next tick, and a pre-scheduled
+    /// `Call` at a tick instant ends rank 0's first wait. Returns every
+    /// observation in dispatch order: `(time, rank)`, `Call`s as rank 9.
+    fn lockstep_pollers(inline: bool) -> (Vec<(SimTime, usize)>, SimOutcome) {
+        const STEPS: [u64; 5] = [50, 50, 100, 0, 70];
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let stop = Arc::new(AtomicUsize::new(0));
+        let mut sim = SimBuilder::new().build();
+        {
+            let (log, stop) = (Arc::clone(&log), Arc::clone(&stop));
+            // 50 + 50 + 100 + 0 + 70 + 50: the instant of the sixth tick.
+            sim.scheduler().schedule_at(SimTime(320), move |s| {
+                log.lock().push((s.now(), 9));
+                stop.store(1, Ordering::SeqCst);
+            });
+        }
+        for r in 0..2usize {
+            let (log, stop) = (Arc::clone(&log), Arc::clone(&stop));
+            sim.spawn_rank(format!("r{r}"), move |ctx| {
+                for round in 0..2usize {
+                    let (tick_log, stop) = (Arc::clone(&log), Arc::clone(&stop));
+                    let mut ticks = 0usize;
+                    busy_wait(&ctx, inline, SimDuration::nanos(50), move |s| {
+                        tick_log.lock().push((s.now(), r));
+                        ticks += 1;
+                        // Rank 0 waits for the Call first, rank 1 for a count.
+                        let ready = if r == round {
+                            stop.load(Ordering::SeqCst) == 1
+                        } else {
+                            ticks == 4 + 3 * round
+                        };
+                        if ready {
+                            return None;
+                        }
+                        let step = SimDuration::nanos(STEPS[ticks % STEPS.len()]);
+                        let log = Arc::clone(&tick_log);
+                        s.schedule_in(step, move |s| log.lock().push((s.now(), 9)));
+                        Some(step)
+                    });
+                    log.lock().push((ctx.now(), r));
+                    ctx.advance(SimDuration::nanos(30));
+                }
+            });
+        }
+        let out = sim.run().unwrap();
+        let log = std::mem::take(&mut *log.lock());
+        (log, out)
+    }
+
+    #[test]
+    fn poll_until_is_the_advance_loop_minus_the_handoffs() {
+        let (loop_log, loop_out) = lockstep_pollers(false);
+        let (poll_log, poll_out) = lockstep_pollers(true);
+        assert_eq!(poll_log, loop_log);
+        assert_eq!(poll_out.final_time, loop_out.final_time);
+        assert_eq!(poll_out.events, loop_out.events);
+        assert_eq!(loop_out.polls, 0);
+        assert!(poll_out.polls > 10, "{poll_out:?}");
+        assert_eq!(poll_out.wakes + poll_out.polls, loop_out.wakes);
+        // 2 ranks x (start + 2 waits + 2 advances): the ticks cost none.
+        assert_eq!(poll_out.wakes, 10);
+    }
+
+    #[test]
+    fn poll_until_edge_steps() {
+        let mut sim = SimBuilder::new().build();
+        sim.spawn_rank("r0", |ctx| {
+            // Ready on the first tick: resumes at `first`, body spent.
+            ctx.poll_until(SimDuration::nanos(40), |_| None);
+            assert_eq!(ctx.now(), SimTime(40));
+            // Zero steps re-arm at the same instant, behind queued events.
+            let fired = Arc::new(AtomicUsize::new(0));
+            let seen = Arc::clone(&fired);
+            let mut zero_ticks = 0;
+            ctx.poll_until(SimDuration::ZERO, move |s| {
+                zero_ticks += 1;
+                if zero_ticks == 1 {
+                    let fired = Arc::clone(&fired);
+                    s.schedule_in(SimDuration::ZERO, move |_| {
+                        fired.store(1, Ordering::SeqCst);
+                    });
+                }
+                (zero_ticks < 3).then_some(SimDuration::ZERO)
+            });
+            assert_eq!(ctx.now(), SimTime(40));
+            assert_eq!(seen.load(Ordering::SeqCst), 1);
+            // One body, many re-arms, its state carried across them. The
+            // grant that ends each wait finds the slot empty (the debug
+            // assertion in the dispatch loop), so the next wait can arm it.
+            let mut step = 1u64;
+            ctx.poll_until(SimDuration::nanos(1), move |_| {
+                step *= 2;
+                (step <= 64).then_some(SimDuration::nanos(step))
+            });
+            assert_eq!(ctx.now(), SimTime(40 + 127));
+        });
+        let out = sim.run().unwrap();
+        assert_eq!((out.wakes, out.polls), (4, 2 + 6));
+        assert_eq!(out.events, out.wakes + out.polls + 1);
+    }
+
+    #[test]
+    fn event_limit_trips_inside_a_poll_that_is_never_ready() {
+        let mut sim = SimBuilder::new().max_events(10).build();
+        sim.spawn_rank("spinner", |ctx| {
+            ctx.poll_until(SimDuration::nanos(1), |_| Some(SimDuration::nanos(1)));
+        });
+        match sim.run() {
+            Err(SimError::EventLimit(10)) => {}
+            other => panic!("expected event limit, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn panicking_poll_body_is_a_rank_panic() {
+        let mut sim = SimBuilder::new().build();
+        sim.spawn_rank("bystander", |ctx| ctx.advance(SimDuration::micros(1)));
+        sim.spawn_rank("poller", |ctx| {
+            let mut ticks = 0;
+            ctx.poll_until(SimDuration::nanos(5), move |_| {
+                ticks += 1;
+                assert!(ticks < 3, "tick {ticks} went wrong");
+                Some(SimDuration::nanos(5))
+            });
+        });
+        match sim.run() {
+            Err(SimError::RankPanic { rank, message }) => {
+                assert_eq!(rank, RankId(1));
+                assert!(message.contains("tick 3 went wrong"), "{message}");
+            }
+            other => panic!("expected the poller's panic, got {other:?}"),
         }
     }
 

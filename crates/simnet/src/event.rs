@@ -277,6 +277,13 @@ impl HeapEventQueue {
 mod tests {
     use super::*;
 
+    /// Every queued event is one of these: a poll body rides in the rank's
+    /// slot (`engine::PollSlot`), not in the entry, to keep it this small.
+    #[test]
+    fn entry_stays_32_bytes() {
+        assert_eq!(std::mem::size_of::<Entry>(), 32);
+    }
+
     fn call() -> EventKind {
         EventKind::Call(Box::new(|_| {}))
     }

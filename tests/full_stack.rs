@@ -251,3 +251,39 @@ fn sixtyfour_rank_job_completes() {
     });
     assert!(sums.into_iter().all(|s| s == 64.0));
 }
+
+/// The host-cost guard for app-polling waits: a wait's poll ticks are
+/// answered on the dispatching thread (`RankCtx::poll_until`), so the event
+/// count — pinned at the value from before that change, every tick is still
+/// an event — stays, while token handoffs stop scaling with simulated
+/// spinning time (they were ~71 per message).
+#[test]
+fn app_polling_pingpong_hands_off_per_message_not_per_tick() {
+    const ROUND_TRIPS: u64 = 200;
+    let cluster = Cluster::xeon_pair();
+    let out = run_mpi(
+        &cluster,
+        &Placement::one_per_node(2, &cluster),
+        &StackConfig::mpich2_nmad(false),
+        2,
+        Arc::new(|mpi: MpiHandle| {
+            let peer = 1 - mpi.rank();
+            for _ in 0..ROUND_TRIPS {
+                if mpi.rank() == 0 {
+                    mpi.send(peer, 7, b"ping");
+                }
+                assert_eq!(&mpi.recv(Src::Rank(peer), 7).0[..], b"ping");
+                if mpi.rank() == 1 {
+                    mpi.send(peer, 7, b"ping");
+                }
+            }
+        }),
+    );
+    let messages = 2 * ROUND_TRIPS;
+    assert_eq!(out.sim.events, 29_170);
+    assert!(
+        out.sim.wakes <= 6 * messages,
+        "{} handoffs for {messages} messages",
+        out.sim.wakes
+    );
+}
