@@ -5,10 +5,10 @@
 //! a plain `HashMap<usize, u32>` inside the core's big mutex; the
 //! real-thread front end wants to admit sends *without* taking that mutex,
 //! so the pool is now a [`CreditPool`] — one `AtomicU32` per gate, CAS
-//! acquire / clamped-CAS release — shared by `Arc` between the locked core
-//! and any injector threads. The [`CreditBank`] is the per-gate registry:
-//! lazily populated on first contact (preserving the O(active-flows)
-//! peer-state accounting), drained when a peer dies.
+//! acquire / clamped-CAS release — that injector threads share by `Arc`
+//! (the simulated engine simply owns its bank). The [`CreditBank`] is the
+//! per-gate registry: lazily populated on first contact (preserving the
+//! O(active-flows) peer-state accounting), drained when a peer dies.
 //!
 //! Conservation invariant (model-checked in `tests/loom_queue.rs`): with
 //! capacity `C`, at all times `available + in_flight == C` — acquires and

@@ -1,0 +1,107 @@
+//! Credit-based eager flow control: the sender's pools are debited in
+//! `isend`; this is the receiver's side of the cycle and the refill.
+
+use super::{Engine, Staged};
+use crate::stats::stat;
+use crate::wire::WirePayload;
+
+impl Engine {
+    /// One-line flow-control summary for transport `debug_state` strings,
+    /// e.g. `flow[unex=0B/peak=12KB stalls=3 fallback=3 ret=40 held=8]`.
+    /// `None` when flow control is off.
+    pub fn flow_summary(&self) -> Option<String> {
+        self.cfg.flow.map(|_| {
+            let s = &self.stats;
+            format!(
+                "flow[unex={}B/peak={}B stalls={} fallback={} ret={} held={}{}]",
+                self.unex_eager_bytes,
+                s.max_of(stat::fc_peak_unex_bytes),
+                s.get(stat::fc_credit_stalls),
+                s.get(stat::fc_fallback_sends),
+                s.get(stat::fc_credits_returned),
+                s.get(stat::fc_credits_withheld),
+                if self.fc_throttled { " throttled" } else { "" },
+            )
+        })
+    }
+
+    /// A peer returned eager credits for our gate to it: refill the pool.
+    /// The pool can never legitimately exceed its initial size (credits
+    /// are only minted by our own sends), but stay clamped regardless.
+    pub(super) fn apply_credits(&mut self, t_ns: u64, src: usize, credits: u32) {
+        if credits == 0 || self.cfg.flow.is_none() {
+            return;
+        }
+        let peer = src as u32;
+        self.out
+            .engine(t_ns, obs::EngineEvent::CreditRefill { peer, credits });
+        // Overflow debug-asserted and clamped inside the pool.
+        self.send_credits.release(src, credits);
+    }
+
+    /// A buffered unexpected eager message was consumed by a receive:
+    /// shrink the byte account and owe the sender its credit back.
+    pub(super) fn consume_unexpected_eager(&mut self, src: usize, len: usize) {
+        debug_assert!(self.unex_eager_bytes >= len, "unexpected-byte underflow");
+        self.unex_eager_bytes -= len;
+        self.owe_credit(src, len);
+    }
+
+    /// One eager message from `src` was consumed; queue the credit for
+    /// return with the next inbound stage. Zero-length messages never
+    /// consumed a credit (see `isend`), so none is owed.
+    pub(super) fn owe_credit(&mut self, src: usize, len: usize) {
+        if self.cfg.flow.is_some() && len > 0 {
+            self.peers.entry(src).or_default().credit_owed += 1;
+        }
+    }
+
+    /// Stage the return of owed credits, honouring the high/low-water
+    /// hysteresis — while the unexpected queue sits above `high_water`
+    /// the returns are withheld (the senders drain their pools and fall
+    /// back to rendezvous), and they are released in a batch once
+    /// consumption pulls the queue below `low_water`. Returns piggyback
+    /// on an ack this stage already staged for the same gate when one is
+    /// there (retry mode), else ride a standalone `Credit` frame — either
+    /// way on the express channel, never behind bulk frames.
+    pub(super) fn flush_credits(&mut self) {
+        let Some(fc) = self.cfg.flow else { return };
+        if self.fc_throttled {
+            if self.unex_eager_bytes <= fc.low_water {
+                self.fc_throttled = false;
+            }
+        } else if self.unex_eager_bytes > fc.high_water {
+            self.fc_throttled = true;
+        }
+        for (&src, gate) in self.peers.iter_mut() {
+            let owed = std::mem::take(&mut gate.credit_owed);
+            if self.fc_throttled {
+                // Defer every owed credit; each is counted once, as it
+                // moves into the withheld pool.
+                self.stats.add(stat::fc_credits_withheld, owed as u64);
+                gate.credit_withheld += owed;
+                continue;
+            }
+            let n = owed + std::mem::take(&mut gate.credit_withheld);
+            if n == 0 {
+                continue;
+            }
+            self.stats.add(stat::fc_credits_returned, n as u64);
+            let piggyback = self.out.staged.iter_mut().find_map(|s| match s {
+                Staged {
+                    dst,
+                    payload: WirePayload::Ack { credits, .. },
+                    ..
+                } if *dst == src => Some(credits),
+                _ => None,
+            });
+            match piggyback {
+                Some(credits) => *credits += n,
+                None => {
+                    let credit = WirePayload::Credit { credits: n };
+                    self.out.ctrl(src, credit, gate.last_in_rail);
+                }
+            }
+        }
+    }
+}

@@ -1,0 +1,838 @@
+//! The sans-IO protocol engine behind [`crate::core::NmCore`].
+//!
+//! [`Engine`] is every piece of NewMadeleine protocol state of one
+//! process as one owned value: gates and their submission windows,
+//! matching, the request tables, rail health, membership, epochs, credits.
+//! Its methods take `&mut self` and the current time and touch nothing
+//! else — no lock, no network handle, no event queue. Whatever the engine
+//! wants done to the world outside it is pushed, in order, onto one list
+//! of [`Effect`]s, which the caller takes when the call returns and
+//! executes. The shell in `core.rs` does that against the simulated
+//! fabric; the `loopback` test module below does it in twenty lines with
+//! no simulator at all.
+//!
+//! ## Effect order
+//!
+//! Effects are executed strictly first-in first-out, because everything
+//! downstream is order-sensitive: packet submission order feeds the fault
+//! and jitter RNG streams and the event queue's same-instant tie-break,
+//! and the recorder keeps spans in append order. A progress pass is a
+//! sequence of *stages* — inbound, retransmission sweep, rail probes,
+//! membership sweep, commit — and each stage lays its effects down as
+//!
+//! ```text
+//!   spans of the stage · packets of the stage · hook
+//! ```
+//!
+//! (the membership stage fires its hook before its probes). A stage's
+//! packets wait in a staging buffer until the stage closes
+//! ([`Engine::end_stage`]): that puts them behind the stage's own spans
+//! — the NIC records its transmit span the moment a packet is submitted —
+//! and it is the moment a control packet without a pinned rail gets one,
+//! from the health table as the stage left it.
+//!
+//! Control and replay packets travel the fabric's express lane, which
+//! never occupies a port, so holding them back until the whole pass has
+//! run changes nothing the commit stage can see: the caller's rail-idle
+//! view reads the same ports either way.
+//!
+//! Files, one per seam: `inbound` (acceptance, reordering, matching, the
+//! receiver and sender halves of the rendezvous table), `retry`
+//! (retransmission, rail-probe and membership sweeps), `outbound`
+//! (`isend`, the commit stage, NIC completions), `drain` (peer death and
+//! epoch quiesce), `flow` (eager credits).
+
+mod drain;
+mod flow;
+mod inbound;
+mod outbound;
+mod retry;
+
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::Arc;
+
+use simnet::{CopyMeter, NmBuf, SimTime};
+
+use crate::config::NmConfig;
+use crate::credit::CreditBank;
+use crate::gate::Gate;
+use crate::keys;
+use crate::matching::GateId;
+use crate::membership::MembershipTable;
+use crate::protocol;
+use crate::railhealth::RailHealthTable;
+use crate::sampling::LinkProfile;
+use crate::sharded::ShardedMatchEngine;
+use crate::sr::{CompletionKind, NmCompletion, RecvReqId, SendReqId};
+use crate::stats::{stat, NmStats, StatsCells};
+use crate::strategy::{self, Strategy};
+use crate::wire::{NmWire, WirePayload};
+
+/// One thing the engine wants done outside itself.
+pub(crate) enum Effect {
+    /// Append a lifecycle span to the job's recorder.
+    Span(obs::Event),
+    /// Put `wire` on local rail `rail`. Without a completion tag it is a
+    /// control or replay packet and rides the express lane; with one it
+    /// is a packet the strategy committed, and [`Engine::sent`] wants the
+    /// tag back once the NIC has read the buffer.
+    Packet {
+        wire: NmWire,
+        rail: usize,
+        sent: Option<SentTag>,
+    },
+    /// Something happened that a background progress engine would want
+    /// to react to: fire the event hook.
+    Hook,
+}
+
+/// What the NIC's send-completion of one committed packet finishes.
+pub(crate) struct SentTag {
+    /// Eager sends the packet carried.
+    pub eager_reqs: Vec<SendReqId>,
+    /// `(dst, rdv_id)` when the packet is a rendezvous DATA chunk (the
+    /// only packets that pay a registration delay).
+    pub data_chunk_rdv: Option<(usize, u64)>,
+}
+
+/// A packet of the stage in progress (see the module docs).
+struct Staged {
+    dst: usize,
+    payload: WirePayload,
+    /// `None`: the healthiest rail as of the end of the stage.
+    rail: Option<usize>,
+    sent: Option<SentTag>,
+}
+
+/// The engine's way out: spans and hooks go straight onto the effect
+/// list, packets wait in `staged` for their stage to close. A field of
+/// its own so the protocol code can record while it holds a gate.
+struct Out {
+    rec: obs::RankRec,
+    staged: Vec<Staged>,
+    effects: Vec<Effect>,
+}
+
+impl Out {
+    fn span(&mut self, t_ns: u64, scope: obs::Scope) {
+        if self.rec.on() {
+            let rank = self.rec.rank();
+            self.effects
+                .push(Effect::Span(obs::Event { t_ns, rank, scope }));
+        }
+    }
+
+    /// Record a phase transition of message `key`.
+    fn phase(&mut self, t_ns: u64, key: obs::MsgKey, phase: obs::Phase) {
+        self.span(t_ns, obs::Scope::Msg { key, phase });
+    }
+
+    /// Record a machinery event.
+    fn engine(&mut self, t_ns: u64, ev: obs::EngineEvent) {
+        self.span(t_ns, obs::Scope::Engine { ev });
+    }
+
+    /// Metrics commute, so they go to the registry directly.
+    fn inc(&self, name: &'static str, by: u64) {
+        self.rec.inc(name, by);
+    }
+
+    fn observe(&self, name: &'static str, v: u64) {
+        self.rec.observe(name, v);
+    }
+
+    /// Stage one control or replay packet (control traffic bypasses the
+    /// gates — it must not be rescheduled or aggregated by the machinery
+    /// it repairs).
+    fn ctrl(&mut self, dst: usize, payload: WirePayload, rail: Option<usize>) {
+        self.staged.push(Staged {
+            dst,
+            payload,
+            rail,
+            sent: None,
+        });
+    }
+
+    fn hook(&mut self) {
+        self.effects.push(Effect::Hook);
+    }
+}
+
+struct SendReq {
+    cookie: u64,
+    done: bool,
+    /// Message identity for lifecycle spans (dst, tag, per-(dst,tag) seq).
+    dst: usize,
+    tag: u64,
+    seq: u64,
+}
+
+struct RecvReq {
+    cookie: u64,
+    done: bool,
+    /// Message identity for lifecycle spans. `seq` starts as the posted
+    /// counter value and is pinned to the matched envelope's sequence at
+    /// match time (the two agree under in-order matching).
+    src: usize,
+    tag: u64,
+    seq: u64,
+}
+
+/// How a request ends: with its result (`()` for a send, the payload for
+/// a receive), or with an error because its peer was declared dead or
+/// its communicator epoch was revoked (the peer may be perfectly alive).
+enum Outcome<T> {
+    Done(T),
+    PeerDead,
+    Revoked,
+}
+
+/// Membership silence probes share [`WirePayload::Probe`] with the
+/// rail-health prober; this bit keeps their sequence spaces disjoint so a
+/// membership probe's ack can never be mistaken for a rail-recovery ack.
+const MEMBER_PROBE_BIT: u64 = 1 << 63;
+
+/// Span-key sequence space for fail-fast requests toward a dead peer:
+/// they never claim a wire sequence number (nothing will carry them) and
+/// must not open a gate or flow record, so their lifecycle spans draw a
+/// unique key from the request id in this disjoint high-bit space.
+const DEAD_LETTER_SEQ: u64 = 1 << 62;
+
+/// Span key for a message `src → dst` under `tag` with envelope `seq`.
+fn mkey(src: usize, dst: usize, tag: u64, seq: u64) -> obs::MsgKey {
+    obs::MsgKey {
+        src: src as u32,
+        dst: dst as u32,
+        tag,
+        seq,
+    }
+}
+
+/// Guard context for a [`protocol::step`] lookup in this adapter. The
+/// core always speaks the pipelined dialect (CH3's buffered/ack modes
+/// answer those guards in `mpi-ch3`).
+fn pctx(retry: bool, in_range: bool, last: bool, credit_fallback: bool) -> protocol::Ctx {
+    protocol::Ctx {
+        retry,
+        ack_mode: false,
+        buffered: false,
+        in_range,
+        last,
+        credit_fallback,
+    }
+}
+
+pub(crate) struct Engine {
+    rank: usize,
+    /// Size of the job: frames naming a rank outside it are rejected.
+    nranks: usize,
+    pub(crate) cfg: NmConfig,
+    /// Sampled profile of each local rail (§2.2, the adaptive split input).
+    profiles: Vec<LinkProfile>,
+    /// Lowest rank on a different node — the peer health probes are
+    /// aimed at (`None` in single-peer-less topologies).
+    probe_peer: Option<usize>,
+    strategy: Box<dyn Strategy>,
+    /// Everything held about each peer — submission window, sequencing,
+    /// rendezvous, retransmit queue, credits to return — one record per
+    /// rank this core has exchanged traffic with ([`crate::gate`]).
+    /// BTreeMap for deterministic iteration; boxed so a tree node holds
+    /// eleven pointers, not eleven 200-byte records.
+    pub(crate) peers: BTreeMap<usize, Box<Gate>>,
+    /// Tag matching, sharded per source gate (the single-queue
+    /// `MatchEngine` remains as the differential oracle — see
+    /// `tests/matcher_differential.rs`).
+    pub(crate) matching: ShardedMatchEngine,
+    send_reqs: Vec<SendReq>,
+    recv_reqs: Vec<RecvReq>,
+    /// Packets accepted from the fabric, pending processing.
+    inbound: VecDeque<NmWire>,
+    pub(crate) completions: VecDeque<NmCompletion>,
+    /// Retry mode: per-rail health state machine (`None` without retry —
+    /// the happy path has no failure signals to drive it).
+    pub(crate) health: Option<RailHealthTable>,
+    /// Flow control, sender side: remaining eager credits per destination
+    /// gate (lazily seeded from `FlowConfig::eager_credits`).
+    send_credits: CreditBank,
+    /// Bytes of unexpected eager payload currently buffered (receiver
+    /// side; always tracked — it feeds `fc_peak_unex_bytes`).
+    pub(crate) unex_eager_bytes: usize,
+    /// Hysteresis latch: set when `unex_eager_bytes` climbs past
+    /// `high_water`, cleared when it falls back to `low_water`.
+    fc_throttled: bool,
+    next_pw: u64,
+    next_rdv: u64,
+    stats: StatsCells,
+    /// The stack-wide copy meter; attached to every payload entering this
+    /// core so downstream shares/copies keep charging the same counters.
+    pub(crate) meter: Arc<CopyMeter>,
+    /// Per-peer liveness supervisor (`None` without
+    /// [`crate::config::MembershipConfig`] — node death then keeps the
+    /// PR-3 link-presumed-dead panic).
+    pub(crate) membership: Option<MembershipTable>,
+    /// Fresh `Dead` verdicts not yet consumed by the upper layer (the MPI
+    /// progress engine retargets ANY_SOURCE and retires the VC on these).
+    pub(crate) dead_events: VecDeque<usize>,
+    /// Monotonic sequence for membership silence probes (kept disjoint
+    /// from rail-health probe sequences via [`MEMBER_PROBE_BIT`]).
+    member_probe_seq: u64,
+    /// This rank crashed (or finalized under churn): drop all traffic,
+    /// report quiescent, never panic on behalf of a dead process.
+    halted: bool,
+    /// Highest committed communicator epoch. Collective frames whose
+    /// epoch field is below this (agreement/join excepted) are stale.
+    pub(crate) committed_epoch: u8,
+    /// Sticky set of revoked epochs: a replayed poison frame is a counted
+    /// no-op, exactly like a replayed death verdict.
+    revoked_epochs: BTreeSet<u32>,
+    /// Fresh revoke verdicts not yet consumed by the upper layer (the MPI
+    /// progress engine re-broadcasts the poison peer-to-peer and fails
+    /// its collective state on these).
+    pub(crate) revoked_events: VecDeque<u32>,
+    /// Retired agreement instances (collective keys with the round bits
+    /// masked): frames for these are counted stale and dropped. Never
+    /// GC'd — agreement keys are epoch-exempt so the epoch filter can't
+    /// cover them, and the set grows by one tiny entry per agreement.
+    retired: BTreeSet<u64>,
+    out: Out,
+}
+
+impl Engine {
+    /// `profiles` holds one sampled profile per local rail, `probe_peer`
+    /// the rank rail-health probes are aimed at; lifecycle spans are
+    /// emitted as [`Effect::Span`] when `rec` records them.
+    pub fn new(
+        cfg: NmConfig,
+        rank: usize,
+        nranks: usize,
+        profiles: Vec<LinkProfile>,
+        probe_peer: Option<usize>,
+        meter: Arc<CopyMeter>,
+        rec: obs::RankRec,
+    ) -> Engine {
+        assert!(!profiles.is_empty(), "a core needs at least one rail");
+        assert!(
+            cfg.membership.is_none() || cfg.retry.is_some(),
+            "membership verdicts are fed by retransmission timeouts; arm `retry` first"
+        );
+        Engine {
+            rank,
+            nranks,
+            strategy: strategy::make(cfg.strategy),
+            probe_peer,
+            peers: BTreeMap::new(),
+            matching: ShardedMatchEngine::new(),
+            send_reqs: Vec::new(),
+            recv_reqs: Vec::new(),
+            inbound: VecDeque::new(),
+            completions: VecDeque::new(),
+            health: cfg.retry.map(|rc| RailHealthTable::new(rc, profiles.len())),
+            // Pools are only consulted when flow control is armed; a
+            // 0-capacity bank is inert (and never reached) otherwise.
+            send_credits: CreditBank::new(cfg.flow.map_or(0, |fc| fc.eager_credits)),
+            unex_eager_bytes: 0,
+            fc_throttled: false,
+            next_pw: 0,
+            next_rdv: 0,
+            stats: StatsCells::new(),
+            meter,
+            membership: cfg.membership.map(MembershipTable::new),
+            dead_events: VecDeque::new(),
+            member_probe_seq: 0,
+            halted: false,
+            committed_epoch: 0,
+            revoked_epochs: BTreeSet::new(),
+            revoked_events: VecDeque::new(),
+            retired: BTreeSet::new(),
+            out: Out {
+                rec,
+                staged: Vec::new(),
+                effects: Vec::new(),
+            },
+            profiles,
+            cfg,
+        }
+    }
+
+    /// Swap the filled effect list for `spare` (empty; its capacity is
+    /// what the next call fills). Call once per entry point, after it.
+    pub fn swap_effects(&mut self, spare: &mut Vec<Effect>) {
+        debug_assert!(spare.is_empty() && self.out.staged.is_empty());
+        std::mem::swap(&mut self.out.effects, spare);
+    }
+
+    /// Close a stage: its packets join the effect list, and those without
+    /// a usable pinned rail go to the healthiest one as of now.
+    fn end_stage(&mut self) {
+        if self.out.staged.is_empty() {
+            return;
+        }
+        let fallback = retry::preferred_rail(self.health.as_ref(), &self.profiles);
+        for s in self.out.staged.drain(..) {
+            let rail = s.rail.filter(|&r| r < self.profiles.len());
+            self.out.effects.push(Effect::Packet {
+                wire: NmWire::new(self.rank, s.dst, s.payload),
+                rail: rail.unwrap_or(fallback),
+                sent: s.sent,
+            });
+        }
+    }
+
+    fn hook_if_completed(&mut self) {
+        if !self.completions.is_empty() {
+            self.out.hook();
+        }
+    }
+
+    /// `nm_schedule`: process inbound packets, sweep retransmission timers
+    /// (retry mode), then commit the submission windows. `rail_idle(i)`
+    /// tells whether local rail `i` could start a transfer right now.
+    pub fn schedule(&mut self, now: SimTime, rail_idle: &dyn Fn(usize) -> bool) {
+        if self.halted {
+            return;
+        }
+        self.process_inbound(now);
+        self.sweep_retries(now);
+        self.sweep_probes(now);
+        self.sweep_membership(now);
+        self.commit(now, rail_idle);
+    }
+
+    /// Crash/teardown: empty every queue and go permanently quiescent.
+    pub fn halt(&mut self) {
+        self.halted = true;
+        self.peers.clear();
+        self.inbound.clear();
+        self.completions.clear();
+        self.out.inc("nmad.halt", 1);
+    }
+
+    /// Nothing in flight, nothing pending?
+    pub fn quiescent(&self) -> bool {
+        self.inbound.is_empty()
+            && self.peers.values().all(|g| g.quiescent())
+            && self.completions.is_empty()
+    }
+
+    /// Counter snapshot (includes the live copy-meter tally and the
+    /// rail-health table's failover counters).
+    pub fn stats(&self) -> NmStats {
+        let mut s = self.stats.snapshot();
+        s.copy = self.meter.snapshot();
+        s.peer_entries = self.peers.values().map(|g| g.records() as u64).sum();
+        if let Some(h) = self.health.as_ref() {
+            s.rail_transitions = h.transitions();
+            s.degraded_nanos = h.degraded_nanos();
+            (s.probes_sent, s.probe_acks) = h.probe_counts();
+        }
+        if let Some(m) = self.membership.as_ref() {
+            s.membership_transitions = m.transitions();
+        }
+        s
+    }
+
+    /// The protocol table classified a frame as malformed or stale
+    /// ([`protocol::Verdict::Error`]): count it — overall and per frame
+    /// class — and drop it. The one thing this must never do is panic.
+    fn protocol_error(&mut self, counter: &'static str) {
+        self.stats.add(stat::protocol_errors, 1);
+        self.out.inc("nmad.protocol_errors", 1);
+        self.out.inc(counter, 1);
+    }
+
+    /// Fail-fast verdict for a new request toward `peer` under `tag`.
+    /// A known-dead peer: the request still completes (no-cancel rule) —
+    /// with an error, immediately, instead of burning a full
+    /// retransmission ladder against a corpse. A revoked/superseded
+    /// epoch: every frame of the key is acked-and-dropped at delivery,
+    /// so a send would retransmit its RTS forever (and eventually indict
+    /// a perfectly live peer) and a receive could never match.
+    fn refusal<T>(&self, peer: usize, tag: u64) -> Option<Outcome<T>> {
+        if self.membership.as_ref().is_some_and(|m| m.is_dead(peer)) {
+            Some(Outcome::PeerDead)
+        } else if self.tag_is_stale(tag) {
+            Some(Outcome::Revoked)
+        } else {
+            None
+        }
+    }
+
+    /// Complete a send that [`Self::refusal`] turns away, on the spot. It
+    /// claims no wire sequence number and opens no gate or flow record (a
+    /// drained peer keeps exactly zero).
+    fn refuse_send(
+        &mut self,
+        now: SimTime,
+        dst: usize,
+        tag: u64,
+        len: usize,
+        cookie: u64,
+    ) -> Option<SendReqId> {
+        let outcome = self.refusal(dst, tag)?;
+        let req = SendReqId(self.send_reqs.len() as u32);
+        let seq = DEAD_LETTER_SEQ | req.0 as u64;
+        self.send_reqs.push(SendReq {
+            cookie,
+            done: false,
+            dst,
+            tag,
+            seq,
+        });
+        let key = mkey(self.rank, dst, tag, seq);
+        self.out
+            .phase(now.0, key, obs::Phase::SendPosted { len: len as u64 });
+        self.out.inc("nmad.isend", 1);
+        if matches!(outcome, Outcome::PeerDead) {
+            self.out.observe("nmad.send.bytes", len as u64);
+        }
+        self.finish_send(now.0, req, outcome);
+        self.out.hook();
+        Some(req)
+    }
+
+    /// Receive-side twin of [`Self::refuse_send`]: a receive against a
+    /// drained peer (its unexpected queue was purged, its frames are
+    /// strays) or a dead epoch can never match.
+    fn refuse_recv(
+        &mut self,
+        now: SimTime,
+        src: usize,
+        tag: u64,
+        cookie: u64,
+    ) -> Option<RecvReqId> {
+        let outcome = self.refusal(src, tag)?;
+        let req = RecvReqId(self.recv_reqs.len() as u32);
+        let seq = DEAD_LETTER_SEQ | req.0 as u64;
+        self.recv_reqs.push(RecvReq {
+            cookie,
+            done: false,
+            src,
+            tag,
+            seq,
+        });
+        let key = mkey(src, self.rank, tag, seq);
+        self.out.phase(now.0, key, obs::Phase::RecvPosted);
+        self.out.inc("nmad.irecv", 1);
+        self.finish_recv(now.0, req, outcome);
+        self.out.hook();
+        Some(req)
+    }
+
+    /// Surface the completion of a send request. The no-cancel rule
+    /// (§2.2.1) is honoured on every path: a request whose peer died or
+    /// whose epoch was revoked does complete — the error is the result.
+    fn finish_send(&mut self, t_ns: u64, req: SendReqId, outcome: Outcome<()>) {
+        let r = &mut self.send_reqs[req.0 as usize];
+        debug_assert!(!r.done, "double completion of send request");
+        r.done = true;
+        let (peer, side) = (r.dst, obs::Side::Send);
+        let (counter, phase, metric, kind) = match outcome {
+            Outcome::Done(()) => (
+                stat::send_completions,
+                obs::Phase::Completed { side },
+                "nmad.send_completions",
+                CompletionKind::Send,
+            ),
+            Outcome::PeerDead => (
+                stat::membership_aborted_sends,
+                obs::Phase::Aborted { side },
+                "nmad.membership.aborted_sends",
+                CompletionKind::SendFailed { peer },
+            ),
+            Outcome::Revoked => (
+                stat::revoked_ops,
+                obs::Phase::Revoked { side },
+                "nmad.revoked_sends",
+                CompletionKind::SendRevoked {
+                    peer,
+                    epoch: keys::epoch_of(r.tag),
+                },
+            ),
+        };
+        self.stats.add(counter, 1);
+        let key = mkey(self.rank, r.dst, r.tag, r.seq);
+        self.out.phase(t_ns, key, phase);
+        self.out.inc(metric, 1);
+        self.completions.push_back(NmCompletion {
+            cookie: r.cookie,
+            kind,
+        });
+    }
+
+    /// Receive-side twin of [`Self::finish_send`].
+    fn finish_recv(&mut self, t_ns: u64, req: RecvReqId, outcome: Outcome<NmBuf>) {
+        let r = &mut self.recv_reqs[req.0 as usize];
+        debug_assert!(!r.done, "double completion of recv request");
+        r.done = true;
+        let (gate, tag, side) = (GateId(r.src), r.tag, obs::Side::Recv);
+        let (counter, phase, metric, kind) = match outcome {
+            Outcome::Done(data) => (
+                stat::recv_completions,
+                obs::Phase::Completed { side },
+                "nmad.recv_completions",
+                // Lineage ends at the user-facing completion: surrender the
+                // underlying Bytes view (zero-copy, storage still aliased).
+                CompletionKind::Recv {
+                    data: data.into_bytes(),
+                    gate,
+                    tag,
+                },
+            ),
+            Outcome::PeerDead => (
+                stat::membership_aborted_recvs,
+                obs::Phase::Aborted { side },
+                "nmad.membership.aborted_recvs",
+                CompletionKind::RecvFailed { gate, tag },
+            ),
+            Outcome::Revoked => (
+                stat::revoked_ops,
+                obs::Phase::Revoked { side },
+                "nmad.revoked_recvs",
+                CompletionKind::RecvRevoked {
+                    gate,
+                    tag,
+                    epoch: keys::epoch_of(tag),
+                },
+            ),
+        };
+        self.stats.add(counter, 1);
+        let key = mkey(r.src, self.rank, r.tag, r.seq);
+        self.out.phase(t_ns, key, phase);
+        self.out.inc(metric, 1);
+        self.completions.push_back(NmCompletion {
+            cookie: r.cookie,
+            kind,
+        });
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod loopback {
+    //! The engine with nothing around it: two [`Engine`]s joined by a
+    //! loopback that carries each packet effect straight into the peer's
+    //! `accept` and answers each committed packet with `sent`. No simulator,
+    //! no threads, no network — time is a number the harness sets.
+    //!
+    //! [`script`] is the traffic both this harness and the fabric-driven twin
+    //! in `core.rs` run; their counters must agree one for one.
+
+    use std::collections::BTreeMap;
+
+    use bytes::Bytes;
+    use simnet::{CopyMeter, NicModel, NmBuf, SimDuration, SimTime};
+
+    use super::{Effect, Engine};
+    use crate::config::{NmConfig, RetryConfig, StrategyKind};
+    use crate::sampling::LinkProfile;
+    use crate::sr::{CompletionKind, NmCompletion};
+    use crate::stats::NmStats;
+    use crate::wire::{NmWire, WirePayload};
+
+    /// What the script needs from a pair of ranks, however they are joined.
+    pub(crate) trait World {
+        fn isend(&mut self, from: usize, tag: u64, data: Bytes, cookie: u64);
+        fn irecv(&mut self, at: usize, tag: u64, cookie: u64);
+        /// Give both ranks progress passes, one per microsecond, for `micros`.
+        fn poll(&mut self, micros: u64);
+        fn completions(&mut self, at: usize) -> Vec<NmCompletion>;
+        fn stats(&self, at: usize) -> NmStats;
+    }
+
+    /// The wire faults of the retry script: the first RTS and the first DATA
+    /// chunk to cross are lost.
+    #[derive(Default)]
+    pub(crate) struct Lossy {
+        rts_lost: bool,
+        data_lost: bool,
+    }
+
+    impl Lossy {
+        pub fn loses(&mut self, wire: &NmWire) -> bool {
+            let once = match wire.payload {
+                WirePayload::Rts { .. } => &mut self.rts_lost,
+                WirePayload::Data { .. } => &mut self.data_lost,
+                _ => return false,
+            };
+            !std::mem::replace(once, true)
+        }
+    }
+
+    /// Aggregating strategy (the script wants an aggregate of three); with
+    /// `retry`, the default retransmission timers.
+    pub(crate) fn config(retry: bool) -> NmConfig {
+        let mut cfg = NmConfig::with_strategy(StrategyKind::Aggreg);
+        cfg.retry = retry.then(RetryConfig::default);
+        cfg
+    }
+
+    pub(crate) fn pattern(seed: u8, len: usize) -> Bytes {
+        Bytes::from(
+            (0..len)
+                .map(|i| seed.wrapping_add((i * 7) as u8))
+                .collect::<Vec<u8>>(),
+        )
+    }
+
+    /// An eager, an aggregate of three, a 64 KiB rendezvous, rank 0 → rank 1,
+    /// receives posted first. Checks every payload byte and that each request
+    /// completed exactly once; returns both ranks' counters.
+    pub(crate) fn script(w: &mut impl World) -> [NmStats; 2] {
+        let msgs: [(u64, Bytes); 5] = [
+            (1, pattern(1, 200)),
+            (2, pattern(2, 64)),
+            (2, pattern(3, 96)),
+            (2, pattern(4, 128)),
+            (3, pattern(5, 64 * 1024)),
+        ];
+        for (i, (tag, _)) in msgs.iter().enumerate() {
+            w.irecv(1, *tag, 100 + i as u64);
+        }
+        // Alone, then three at once, then the large one; a lost RTS and a
+        // lost DATA each cost one default retransmission timeout (80 µs).
+        for batch in [0..1, 1..4, 4..5] {
+            for i in batch {
+                w.isend(0, msgs[i].0, msgs[i].1.clone(), i as u64);
+            }
+            w.poll(400);
+        }
+        let mut sent: Vec<u64> = Vec::new();
+        for c in w.completions(0) {
+            assert!(matches!(c.kind, CompletionKind::Send), "{:?}", c.kind);
+            sent.push(c.cookie);
+        }
+        sent.sort_unstable();
+        assert_eq!(sent, [0, 1, 2, 3, 4], "each send completes exactly once");
+        let mut received: BTreeMap<u64, Bytes> = BTreeMap::new();
+        for c in w.completions(1) {
+            let CompletionKind::Recv { data, .. } = c.kind else {
+                panic!("receive {} failed: {:?}", c.cookie, c.kind);
+            };
+            assert!(received.insert(c.cookie, data).is_none(), "completed twice");
+        }
+        assert_eq!(received.len(), msgs.len(), "each receive completes once");
+        for (i, (_, want)) in msgs.iter().enumerate() {
+            assert_eq!(&received[&(100 + i as u64)], want, "payload {i}");
+        }
+        [w.stats(0), w.stats(1)]
+    }
+
+    /// Two engines and the wire between them.
+    struct Loopback {
+        engines: [Engine; 2],
+        now: SimTime,
+        lossy: Option<Lossy>,
+    }
+
+    /// Every rail of the loopback is always free.
+    const IDLE: &dyn Fn(usize) -> bool = &|_| true;
+
+    impl Loopback {
+        fn new(cfg: NmConfig, lossy: Option<Lossy>) -> Loopback {
+            let engine = |rank| {
+                let profiles = vec![LinkProfile::sample(&NicModel::connectx_ib())];
+                let rec = obs::RankRec::off();
+                Engine::new(
+                    cfg,
+                    rank,
+                    2,
+                    profiles,
+                    Some(1 - rank),
+                    CopyMeter::new(),
+                    rec,
+                )
+            };
+            Loopback {
+                engines: [engine(0), engine(1)],
+                now: SimTime::ZERO,
+                lossy,
+            }
+        }
+
+        /// Execute the effects engine `from` has produced: a packet takes one
+        /// microsecond to reach the peer's `accept` (or is lost), a committed
+        /// packet is answered with `sent`, and whatever those calls produce is
+        /// executed in turn.
+        fn pump(&mut self, from: usize) {
+            let mut effects = Vec::new();
+            self.engines[from].swap_effects(&mut effects);
+            for effect in effects {
+                let Effect::Packet { wire, sent, .. } = effect else {
+                    continue;
+                };
+                let to = wire.dst_rank;
+                if !self.lossy.as_mut().is_some_and(|l| l.loses(&wire)) {
+                    self.now += SimDuration::micros(1);
+                    self.engines[to].accept(self.now, wire, 0, false, IDLE);
+                    self.pump(to);
+                }
+                if let Some(tag) = sent {
+                    self.engines[from].sent(self.now, tag, IDLE);
+                    self.pump(from);
+                }
+            }
+        }
+    }
+
+    impl World for Loopback {
+        fn isend(&mut self, from: usize, tag: u64, data: Bytes, cookie: u64) {
+            self.engines[from].isend(self.now, 1 - from, tag, NmBuf::from(data), cookie);
+            self.pump(from);
+        }
+
+        fn irecv(&mut self, at: usize, tag: u64, cookie: u64) {
+            self.engines[at].irecv(self.now, 1 - at, tag, cookie);
+            self.pump(at);
+        }
+
+        fn poll(&mut self, micros: u64) {
+            for _ in 0..micros {
+                for rank in 0..2 {
+                    self.engines[rank].schedule(self.now, IDLE);
+                    self.pump(rank);
+                }
+                self.now += SimDuration::micros(1);
+            }
+        }
+
+        fn completions(&mut self, at: usize) -> Vec<NmCompletion> {
+            self.engines[at].completions.drain(..).collect()
+        }
+
+        fn stats(&self, at: usize) -> NmStats {
+            self.engines[at].stats()
+        }
+    }
+
+    /// Run [`script`] on the loopback; `lossy` arms retry and the two losses.
+    pub(crate) fn run(lossy: bool) -> [NmStats; 2] {
+        let mut world = Loopback::new(config(lossy), lossy.then(Lossy::default));
+        let stats = script(&mut world);
+        assert!(world.engines.iter().all(Engine::quiescent));
+        stats
+    }
+
+    #[test]
+    fn script_runs_on_two_bare_engines() {
+        let [s0, s1] = run(false);
+        assert_eq!((s0.eager_sends, s0.rdv_sends), (4, 1));
+        assert_eq!((s0.aggregates_sent, s0.frags_aggregated), (1, 3));
+        assert_eq!(
+            (s0.packets_sent, s0.data_chunks_sent),
+            (4, 1),
+            "eager, aggregate, RTS, DATA"
+        );
+        assert_eq!((s1.packets_sent, s1.recv_completions), (1, 5), "the CTS");
+        assert_eq!(s0.total_retries() + s1.total_retries(), 0);
+    }
+
+    #[test]
+    fn a_lost_rts_and_a_lost_data_chunk_are_replayed() {
+        let [s0, s1] = run(true);
+        assert_eq!(
+            (s0.rts_retries, s0.data_retries, s0.eager_retries),
+            (1, 1, 0)
+        );
+        assert_eq!((s1.fins_sent, s1.dup_data, s1.dup_envelopes), (1, 0, 0));
+        assert_eq!(s0.send_completions, 5);
+    }
+}

@@ -1,7 +1,7 @@
 //! One record per peer: the *gate*.
 //!
 //! Everything this core holds about one remote rank lives in one
-//! [`Gate`], and [`crate::core`] keeps exactly one `BTreeMap<rank, Gate>`:
+//! [`Gate`], and the engine keeps exactly one `BTreeMap<rank, Gate>`:
 //!
 //! ```text
 //!   Gate (peer p)
@@ -23,17 +23,83 @@
 //! frame, so a frame can only ever touch its own sender's records.
 //!
 //! Plain data with `&mut self` methods: no lock and no network handle.
-//! The protocol decisions stay in `core.rs`, which is the adapter
+//! The protocol decisions stay in [`crate::engine`], which is the adapter
 //! between these records and the transition table.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 use simnet::{NmBuf, SimDuration, SimTime};
 
+use crate::config::RetryConfig;
 use crate::pack::PacketWrapper;
 use crate::protocol::State;
 use crate::sr::{RecvReqId, SendReqId};
 use crate::wire::WirePayload;
+
+/// Retry mode: the retransmission timer of one record (an unacked eager
+/// envelope, an outbound or an inbound rendezvous). Unarmed by default and
+/// whenever nothing of the record is outstanding on the wire.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct RetxTimer {
+    deadline: Option<SimTime>,
+    timeout: SimDuration,
+    attempts: u32,
+}
+
+impl RetxTimer {
+    /// Start afresh: base timeout, no attempt on record.
+    pub fn arm(&mut self, now: SimTime, rc: &RetryConfig) {
+        *self = RetxTimer {
+            deadline: Some(now + rc.timeout),
+            timeout: rc.timeout,
+            attempts: 0,
+        };
+    }
+
+    pub fn disarm(&mut self) {
+        self.deadline = None;
+    }
+
+    pub fn due(&self, now: SimTime) -> bool {
+        self.deadline.is_some_and(|dl| now >= dl)
+    }
+
+    /// Progress arrived: push an armed deadline out by the current
+    /// (possibly backed-off) timeout. The attempts stay on record.
+    pub fn bump(&mut self, now: SimTime) {
+        if self.deadline.is_some() {
+            self.deadline = Some(now + self.timeout);
+        }
+    }
+
+    /// The timer fired: count the attempt, multiply the timeout by
+    /// `rc.backoff` up to `rc.max_timeout`, and re-arm. Returns the instant
+    /// the expired window was armed (the membership supervisor charges a
+    /// peer only if it stayed silent since then). `max_attempts` replays
+    /// without progress declare the link dead — unless `supervised`, where
+    /// the membership table owns that verdict.
+    pub fn backoff(
+        &mut self,
+        now: SimTime,
+        rc: &RetryConfig,
+        supervised: bool,
+        what: &str,
+    ) -> SimTime {
+        let fired = self.deadline.expect("backoff of an unarmed timer");
+        let armed_at =
+            SimTime::from_nanos(fired.as_nanos().saturating_sub(self.timeout.as_nanos()));
+        self.attempts += 1;
+        assert!(
+            supervised || self.attempts <= rc.max_attempts,
+            "{what}: {} retransmissions without progress — link presumed dead",
+            rc.max_attempts
+        );
+        let backed_off = self.timeout.as_nanos().saturating_mul(rc.backoff as u64);
+        self.timeout = SimDuration::nanos(backed_off.min(rc.max_timeout.as_nanos()));
+        self.deadline = Some(now + self.timeout);
+        armed_at
+    }
+}
 
 /// An outbound rendezvous (this rank is the sender).
 pub(crate) struct RdvOut {
@@ -55,12 +121,10 @@ pub(crate) struct RdvOut {
     /// Matching envelope identity, kept for RTS retransmission.
     pub tag: u64,
     pub seq: u64,
-    /// Retry mode: armed retransmission timer. `None` while nothing is
+    /// Retry mode: RTS→CTS, then last-chunk→FIN. Unarmed while nothing is
     /// outstanding on the wire (RTS not yet committed, or DATA chunks in
     /// flight on the local NIC).
-    pub deadline: Option<SimTime>,
-    pub timeout: SimDuration,
-    pub attempts: u32,
+    pub timer: RetxTimer,
 }
 
 /// An inbound rendezvous (this rank is the receiver).
@@ -74,18 +138,15 @@ pub(crate) struct RdvIn {
     /// Retry mode: disjoint, sorted byte ranges already landed — makes
     /// replayed DATA idempotent.
     pub ranges: Vec<(usize, usize)>,
-    /// Retry mode: CTS retransmission timer, re-armed on DATA progress.
-    pub deadline: Option<SimTime>,
-    pub timeout: SimDuration,
-    pub attempts: u32,
+    /// Retry mode: CTS retransmission timer, bumped on DATA progress.
+    pub timer: RetxTimer,
 }
 
 /// Retry mode: one unacked eager envelope awaiting a cumulative ack.
 pub(crate) struct EnvRetx {
     pub payload: WirePayload,
-    pub deadline: SimTime,
-    pub timeout: SimDuration,
-    pub attempts: u32,
+    /// Armed from the moment the envelope leaves the node.
+    pub timer: RetxTimer,
     /// Local rail index the envelope last went out on (health attribution
     /// and reroute target).
     pub rail: usize,
@@ -235,9 +296,7 @@ mod tests {
     fn retx(rail: usize) -> EnvRetx {
         EnvRetx {
             payload: WirePayload::Cts { rdv_id: 0 },
-            deadline: SimTime::ZERO,
-            timeout: SimDuration::ZERO,
-            attempts: 0,
+            timer: RetxTimer::default(),
             rail,
         }
     }

@@ -51,6 +51,7 @@
 pub mod config;
 pub mod core;
 pub mod credit;
+mod engine;
 mod gate;
 pub mod keys;
 pub mod matching;

@@ -5,7 +5,7 @@
 //! and duplicate-RTS replay, the CH3 engine's buffered rendezvous, and the
 //! CH3 DataAck-throttled depth-1 pipeline — is one state machine whose
 //! transitions live in a single static table: `States × Events → (Guards,
-//! Actions, NextState)`. The handlers in `core.rs` and `ch3.rs` are thin
+//! Actions, NextState)`. The handlers in `engine/` and `ch3.rs` are thin
 //! adapters: they translate wire frames and local happenings into
 //! [`Event`]s, look the transition up with [`step`], and execute the
 //! emitted [`Action`]s against their concrete bookkeeping.

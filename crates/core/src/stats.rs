@@ -14,14 +14,135 @@
 //!   merge by maximum;
 //! - gauges recomputed at snapshot time (`peer_entries`, rail-health and
 //!   membership mirrors, the copy meter) are **not** stored here — the
-//!   owner recomputes them in `NmCore::stats`, exactly as before.
+//!   owner recomputes them in `NmCore::stats`.
 //!
 //! Under the single-threaded simulator only one stripe is ever touched,
 //! so a snapshot is plainly the sequence of increments — bit-identical
 //! to the old non-atomic field bumps, which is what keeps same-seed
 //! replay fingerprints stable across this refactor.
 
-use crate::core::NmStats;
+use simnet::CopySnapshot;
+
+/// Counters exposed for tests and the benchmark harnesses.
+#[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
+pub struct NmStats {
+    pub eager_sends: u64,
+    pub rdv_sends: u64,
+    pub packets_sent: u64,
+    pub aggregates_sent: u64,
+    pub frags_aggregated: u64,
+    pub data_chunks_sent: u64,
+    pub recv_completions: u64,
+    pub send_completions: u64,
+    /// Retry mode: eager envelopes retransmitted after an ack timeout.
+    pub eager_retries: u64,
+    /// Retry mode: RTS packets retransmitted (no CTS within the timeout).
+    pub rts_retries: u64,
+    /// Retry mode: CTS packets retransmitted (receiver-side, no DATA
+    /// progress within the timeout) or replayed for a duplicate RTS.
+    pub cts_retries: u64,
+    /// Retry mode: whole rendezvous payloads replayed (no FIN in time).
+    pub data_retries: u64,
+    /// Retry mode: cumulative envelope acks emitted.
+    pub acks_sent: u64,
+    /// Retry mode: rendezvous FIN packets emitted (including replays).
+    pub fins_sent: u64,
+    /// Retry mode: duplicate envelopes discarded by the sequence check.
+    pub dup_envelopes: u64,
+    /// Retry mode: duplicate DATA bytes discarded by range tracking.
+    pub dup_data: u64,
+    /// Malformed or stale frames the protocol table classified as errors
+    /// (CTS/DATA/FIN for an unknown rendezvous without a retry layer to
+    /// explain them, DATA chunks outside the announced payload range):
+    /// counted and dropped — never a panic.
+    pub protocol_errors: u64,
+    /// Frames discarded at delivery because the end-to-end CRC failed
+    /// (wire corruption); the retry layer replays them like drops.
+    pub crc_drops: u64,
+    /// Rail-health state machine transitions (any edge of
+    /// `Up/Suspect/Down/Probing`).
+    pub rail_transitions: u64,
+    /// Payload bytes whose retransmission was moved off the rail that
+    /// failed them onto a survivor.
+    pub rerouted_bytes: u64,
+    /// Cumulative rail-nanoseconds spent in a non-`Up` health state
+    /// (time-in-degraded-mode, summed over rails).
+    pub degraded_nanos: u64,
+    /// Health probes emitted on `Probing` rails.
+    pub probes_sent: u64,
+    /// Probe acknowledgements accepted (stale ones are not counted).
+    pub probe_acks: u64,
+    /// Flow control: eager sends admitted by consuming a credit.
+    pub fc_eager_admitted: u64,
+    /// Flow control: sends that found the per-gate credit pool empty (each
+    /// one also counts as a fallback below).
+    pub fc_credit_stalls: u64,
+    /// Flow control: eager-sized sends demoted to the rendezvous path
+    /// because the destination gate was out of credits.
+    pub fc_fallback_sends: u64,
+    /// Flow control: eager credits returned to peers (receiver side,
+    /// piggybacked on acks or sent as standalone `Credit` frames).
+    pub fc_credits_returned: u64,
+    /// Flow control: credit returns deferred by the high-water hysteresis
+    /// (each credit counts once, when it is first withheld).
+    pub fc_credits_withheld: u64,
+    /// Peak bytes of unexpected eager payload buffered by this receiver.
+    /// Tracked whether or not flow control is armed, so a flow-off run can
+    /// report how far past the cap it went.
+    pub fc_peak_unex_bytes: u64,
+    /// Membership: liveness state-machine transitions (any edge of
+    /// `Up/Suspect/Dead`, across all tracked peers).
+    pub membership_transitions: u64,
+    /// Membership: peers this rank has declared `Dead` (sticky).
+    pub membership_dead_peers: u64,
+    /// Membership: send requests completed *with an error* by the drain
+    /// protocol (in-flight rendezvous aborted, queued eager sends failed,
+    /// fail-fast sends toward a known-dead peer).
+    pub membership_aborted_sends: u64,
+    /// Membership: receive requests completed *with an error* (posted
+    /// against a peer that died, or fail-fast toward a known-dead peer).
+    pub membership_aborted_recvs: u64,
+    /// Membership: per-peer records reclaimed by drains (the dead peer's
+    /// gate, flows, rendezvous and tombstones — the same unit as
+    /// `peer_entries`).
+    pub membership_drained_entries: u64,
+    /// Membership: frames from an already-drained peer dropped at
+    /// acceptance instead of reviving per-peer state.
+    pub membership_stray_frames: u64,
+    /// Membership: eager credits released back to full pools by drains
+    /// (in-flight credits toward the dead peer plus owed/withheld returns
+    /// it will never collect).
+    pub membership_credits_released: u64,
+    /// Epoch hygiene: collective frames from a revoked or superseded
+    /// epoch — or a retired agreement instance — counted and dropped at
+    /// delivery without touching matching or per-peer protocol state
+    /// (their transport sequence still advances, so the sender's ack
+    /// arrives and a live peer is never indicted over a dead epoch).
+    pub membership_stale_epoch: u64,
+    /// Communicator epochs revoked on this rank (locally initiated or
+    /// learned from a peer's poison frame; sticky, so counted once each).
+    pub revoked_epochs: u64,
+    /// Requests completed *with a revoked-epoch error* by a quiesce
+    /// (sends and receives of the poisoned epoch).
+    pub revoked_ops: u64,
+    /// Live per-peer records in this core at snapshot time: one per gate
+    /// plus one per flow, in-flight rendezvous and tombstone it holds.
+    /// The O(active-flows) claim made measurable: an idle core reports 0
+    /// no matter how many ranks the job has, and a core that only ever
+    /// talked to k peers reports O(k).
+    pub peer_entries: u64,
+    /// Copy accounting for the whole stack this core belongs to (memcpys,
+    /// allocations, zero-copy shares) — the measured side of the Fig. 2
+    /// bypass argument.
+    pub copy: CopySnapshot,
+}
+
+impl NmStats {
+    /// Total retransmissions across all packet classes.
+    pub fn total_retries(&self) -> u64 {
+        self.eager_retries + self.rts_retries + self.cts_retries + self.data_retries
+    }
+}
 
 /// Constant indices for every striped counter. Lower-case on purpose:
 /// call sites read `stats.add(stat::eager_sends, 1)`, keeping the diff

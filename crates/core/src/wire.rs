@@ -127,6 +127,28 @@ impl WirePayload {
             WirePayload::Revoke { epoch } => WirePayload::Revoke { epoch: *epoch },
         }
     }
+
+    /// Total modelled wire size of a packet carrying this payload:
+    /// header + payload bytes.
+    pub fn wire_bytes(&self) -> usize {
+        WIRE_HEADER_BYTES
+            + match self {
+                WirePayload::Eager { data, .. } => data.len(),
+                WirePayload::Aggregate(frags) => frags
+                    .iter()
+                    .map(|f| AGG_SUBHEADER_BYTES + f.data.len())
+                    .sum(),
+                WirePayload::Rts { .. } => 16,
+                WirePayload::Cts { .. } => 8,
+                WirePayload::Data { data, .. } => 8 + data.len(),
+                WirePayload::Ack { .. } => 16,
+                WirePayload::Credit { .. } => 8,
+                WirePayload::RdvFin { .. } => 8,
+                WirePayload::Probe { .. } => 16,
+                WirePayload::ProbeAck { .. } => 16,
+                WirePayload::Revoke { .. } => 8,
+            }
+    }
 }
 
 /// A packet as it crosses the fabric.
@@ -165,23 +187,7 @@ impl NmWire {
 
     /// Total modelled wire size: header + payload bytes.
     pub fn wire_bytes(&self) -> usize {
-        WIRE_HEADER_BYTES
-            + match &self.payload {
-                WirePayload::Eager { data, .. } => data.len(),
-                WirePayload::Aggregate(frags) => frags
-                    .iter()
-                    .map(|f| AGG_SUBHEADER_BYTES + f.data.len())
-                    .sum(),
-                WirePayload::Rts { .. } => 16,
-                WirePayload::Cts { .. } => 8,
-                WirePayload::Data { data, .. } => 8 + data.len(),
-                WirePayload::Ack { .. } => 16,
-                WirePayload::Credit { .. } => 8,
-                WirePayload::RdvFin { .. } => 8,
-                WirePayload::Probe { .. } => 16,
-                WirePayload::ProbeAck { .. } => 16,
-                WirePayload::Revoke { .. } => 8,
-            }
+        self.payload.wire_bytes()
     }
 }
 

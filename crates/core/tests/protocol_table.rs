@@ -362,3 +362,50 @@ fn fin_from_the_wrong_peer_is_not_honoured() {
         forged_frame_case(retry, |rdv_id| WirePayload::RdvFin { rdv_id });
     }
 }
+
+/// A frame whose header does not belong at rank 0 of an `n`-rank job. It
+/// must be counted once and leave no trace — no gate record, no liveness
+/// or rail credit, no reply addressed to a rank the job may not have — and
+/// a receive posted for the same `(source, tag)` must not complete.
+fn bad_header_case(retry: bool, n: usize, src: usize, dst: usize) {
+    let mut cfg = NmConfig::with_strategy(StrategyKind::Default);
+    cfg.retry = retry.then(RetryConfig::default);
+    let (mut sim, cores) = cores(n, cfg);
+    sim.spawn_rank("driver", move |ctx| {
+        let (c0, c1) = (&cores[0], &cores[1]);
+        let sched = ctx.scheduler();
+        if src < n {
+            c0.irecv(&sched, src, 9, 300);
+        }
+        let records = c0.peer_entry_count(src);
+        let payload = WirePayload::Eager {
+            tag: 9,
+            seq: 0,
+            data: NmBuf::from(vec![0xABu8; 32]),
+        };
+        c0.accept(&sched, NmWire::new(src, dst, payload));
+        let settle = sched.now() + SimDuration::micros(20);
+        drive(&ctx, c0, c1, "bad header to settle", || sched.now() >= settle);
+        assert_eq!(c0.stats().protocol_errors, 1, "counted exactly once");
+        assert_eq!(c0.peer_entry_count(src), records, "the frame opened a record");
+        assert!(c0.drain_completions().is_empty(), "a misrouted frame was delivered");
+        assert_eq!(c0.stats().acks_sent, 0, "nothing is acknowledged");
+        eager_still_works(&ctx, c0, c1);
+        assert_eq!(c0.stats().protocol_errors, 1);
+    });
+    sim.run().unwrap();
+}
+
+#[test]
+fn frame_from_a_rank_outside_the_job_is_rejected() {
+    for retry in [false, true] {
+        bad_header_case(retry, 2, 9, 0);
+    }
+}
+
+#[test]
+fn frame_addressed_to_another_rank_is_rejected() {
+    for retry in [false, true] {
+        bad_header_case(retry, 3, 2, 1);
+    }
+}
