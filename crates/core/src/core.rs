@@ -329,33 +329,35 @@ impl NmCore {
 
     /// Is there an unexpected message from `(gate, tag)`?
     pub fn probe(&self, gate: GateId, tag: u64) -> bool {
-        self.engine.lock().matching.probe(gate, tag)
+        self.probe_info(gate, tag).is_some()
     }
 
     /// Earliest-arrived unexpected message with `tag` from any gate — the
     /// ANY_SOURCE probe (§3.2.2).
     pub fn probe_tag(&self, tag: u64) -> Option<GateId> {
-        self.engine.lock().matching.probe_tag(tag)
+        self.probe_tag_info(tag).map(|(gate, _)| gate)
     }
 
     /// Probe with payload length, for MPI_Iprobe's status.
     pub fn probe_info(&self, gate: GateId, tag: u64) -> Option<usize> {
-        self.engine.lock().matching.probe_info(gate, tag)
+        self.engine.lock().probe_info(gate, tag)
     }
 
     /// ANY_SOURCE probe with gate and payload length.
     pub fn probe_tag_info(&self, tag: u64) -> Option<(GateId, usize)> {
-        self.engine.lock().matching.probe_tag_info(tag)
+        self.engine.lock().probe_tag_info(tag)
     }
 
     /// Posted receives not yet matched (diagnostics).
     pub fn posted_recvs(&self) -> usize {
-        self.engine.lock().matching.posted_len()
+        let engine = self.engine.lock();
+        engine.peers.values().map(|g| g.posted()).sum()
     }
 
     /// Unexpected messages queued (diagnostics).
     pub fn unexpected_msgs(&self) -> usize {
-        self.engine.lock().matching.unexpected_len()
+        let engine = self.engine.lock();
+        engine.peers.values().map(|g| g.unexpected()).sum()
     }
 
     /// Packet wrappers sitting in the submission windows — the library's

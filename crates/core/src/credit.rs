@@ -1,14 +1,14 @@
 //! Lock-free eager credit pools.
 //!
 //! Flow control charges every eager send one credit from the destination
-//! gate's pool. On the single-threaded simulator path that pool used to be
-//! a plain `HashMap<usize, u32>` inside the core's big mutex; the
-//! real-thread front end wants to admit sends *without* taking that mutex,
-//! so the pool is now a [`CreditPool`] — one `AtomicU32` per gate, CAS
-//! acquire / clamped-CAS release — that injector threads share by `Arc`
-//! (the simulated engine simply owns its bank). The [`CreditBank`] is the
-//! per-gate registry: lazily populated on first contact (preserving the
-//! O(active-flows) peer-state accounting), drained when a peer dies.
+//! gate's pool. The sans-IO engine keeps that pool as a plain field of
+//! the peer's `Gate` record; the real-thread front end wants to admit
+//! sends from many threads without a lock, so here the pool is a
+//! [`CreditPool`] — one `AtomicU32` per gate, CAS acquire / clamped-CAS
+//! release — that injector threads share by `Arc`. Only that path
+//! (`mpi_ch3::threaded`) uses this module. The [`CreditBank`] is the
+//! per-gate registry: lazily populated on first contact, drained when a
+//! peer dies.
 //!
 //! Conservation invariant (model-checked in `tests/loom_queue.rs`): with
 //! capacity `C`, at all times `available + in_flight == C` — acquires and

@@ -5,11 +5,10 @@ use simnet::SimTime;
 
 use super::{pctx, Engine, Outcome};
 use crate::keys;
-use crate::matching::GateId;
 use crate::membership::PeerLiveness;
 use crate::pack::PwBody;
 use crate::protocol::{self, Action, Verdict};
-use crate::sr::SendReqId;
+use crate::sr::{RecvReqId, SendReqId};
 use crate::stats::stat;
 use crate::wire::WirePayload;
 
@@ -126,7 +125,10 @@ impl Engine {
         self.dead_events.push_back(peer);
         let gate = self.peers.remove(&peer);
         let entries = gate.as_ref().map_or(0, |g| g.records()) as u64;
-        let gate = *gate.unwrap_or_default();
+        let mut gate = *gate.unwrap_or_default();
+        // Emptied while the record is still whole (the walk below moves its
+        // fields out one by one); the receives fail in their turn.
+        let (orphans, _, dropped_bytes) = gate.purge_flows(|_| true);
         // Outbound rendezvous toward the peer, in ascending id:
         // `dead/swaitcts`, `dead/sstreaming`, `dead/swaitfin` — DisarmTimer
         // (the deadline dies with the record) + AbortSend.
@@ -163,23 +165,18 @@ impl Engine {
                 }
             }
         }
-        // Posted receives against the peer fail cleanly; its buffered
-        // unexpected messages are dropped (no credit is owed to a corpse).
-        let (orphans, dropped_bytes) = self.matching.purge_gate(GateId(peer));
-        debug_assert!(self.unex_eager_bytes >= dropped_bytes);
+        // Posted receives against the peer fail cleanly, in tag order; its
+        // buffered unexpected messages are dropped (no credit is owed to a
+        // corpse).
         self.unex_eager_bytes -= dropped_bytes;
-        for (req, _tag) in orphans {
-            if !self.recv_reqs[req.0 as usize].done {
-                self.finish_recv(t_ns, req, Outcome::PeerDead);
-            }
+        for req in orphans {
+            self.finish_recv(t_ns, req, Outcome::PeerDead);
         }
         // Release the peer's eager credits: in-flight ones it will never
         // ack, owed/withheld ones it will never collect.
-        let in_flight = self.cfg.flow.and_then(|fc| {
-            let pool = self.send_credits.remove(peer)?;
-            Some(fc.eager_credits - pool)
-        });
-        let released = in_flight.unwrap_or(0) + gate.credit_owed + gate.credit_withheld;
+        let pool = self.cfg.flow.zip(gate.send_credits);
+        let in_flight = pool.map_or(0, |(fc, left)| fc.eager_credits - left);
+        let released = in_flight + gate.credit_owed + gate.credit_withheld;
         self.stats
             .add(stat::membership_credits_released, released as u64);
         // Inbound frames from the peer that arrived before the verdict
@@ -245,12 +242,12 @@ impl Engine {
 
     /// The epoch quiesce: fail every pending operation whose tag satisfies
     /// `pred` — in-flight rendezvous through the protocol table's
-    /// `Event::Revoked` rows, posted receives and buffered unexpected
-    /// frames through the matching purge, queued and unacked eager sends
-    /// directly. The peers stay alive; only the keys die, so unlike
-    /// [`Engine::drain_peer`] every gate stays in place with its sequence
-    /// windows, credits and rail affinity — stale frames of the dead keys
-    /// are counted and acked at delivery instead.
+    /// `Event::Revoked` rows; posted receives, buffered unexpected frames,
+    /// queued and unacked eager sends in one walk of each gate. The peers
+    /// stay alive; only the keys die, so unlike [`Engine::drain_peer`]
+    /// every gate stays in place with its sequence windows, credits and
+    /// rail affinity — stale frames of the dead keys are counted and acked
+    /// at delivery instead.
     fn quiesce_keys<F: Fn(u64) -> bool>(&mut self, now: SimTime, pred: F) {
         let t_ns = now.0;
         let ctx = pctx(self.cfg.retry.is_some(), false, false, false);
@@ -305,19 +302,23 @@ impl Engine {
         }
         // Per gate: unacked eager envelopes on poisoned keys (their sends
         // completed locally long ago — stop retransmitting into a dead
-        // epoch), parked early arrivals (the predecessor that would let
-        // them deliver may never be retransmitted — the sender quiesced
-        // too — so drop and count them now rather than leak), and
-        // queued-but-uncommitted wrappers on poisoned keys plus the
-        // DATA/CTS wrappers of the rendezvous cancelled above (committing
-        // one of those would index a removed record).
+        // epoch), the receive side of every poisoned flow — posted
+        // receives, buffered unexpected frames, and parked early arrivals
+        // (the predecessor that would let them deliver may never be
+        // retransmitted — the sender quiesced too — so drop and count them
+        // now rather than leak) — and queued-but-uncommitted wrappers on
+        // poisoned keys plus the DATA/CTS wrappers of the rendezvous
+        // cancelled above (committing one of those would index a removed
+        // record).
         let mut failed_eager: Vec<SendReqId> = Vec::new();
-        let mut stale_parked = 0;
+        let mut orphans: Vec<RecvReqId> = Vec::new();
+        let mut stale = 0;
         for (&peer, gate) in self.peers.iter_mut() {
             gate.unacked.retain(|&(tag, _), _| !pred(tag));
-            for (_, flow) in gate.flows.iter_mut().filter(|(&tag, _)| pred(tag)) {
-                stale_parked += std::mem::take(&mut flow.parked).len();
-            }
+            let (reqs, dropped, dropped_bytes) = gate.purge_flows(&pred);
+            orphans.extend(reqs);
+            stale += dropped;
+            self.unex_eager_bytes -= dropped_bytes;
             let gone = gate.purge_window(|pw| match pw.body {
                 // An RTS's send request already failed with its
                 // rendezvous record above.
@@ -335,16 +336,11 @@ impl Engine {
                 self.finish_send(t_ns, req, Outcome::Revoked);
             }
         }
-        // Posted receives fail; buffered unexpected frames of the epoch
-        // are counted stale and dropped (no matching state survives).
-        let (orphans, dropped_unex, dropped_bytes) = self.matching.purge_keys(&pred);
-        debug_assert!(self.unex_eager_bytes >= dropped_bytes);
-        self.unex_eager_bytes -= dropped_bytes;
-        self.count_stale_epoch((dropped_unex + stale_parked) as u64);
-        for (req, _gate, _tag) in orphans {
-            if !self.recv_reqs[req.0 as usize].done {
-                self.finish_recv(t_ns, req, Outcome::Revoked);
-            }
+        // Posted receives fail, in `(gate, tag)` order; the buffered and
+        // parked frames dropped with them are counted stale.
+        self.count_stale_epoch(stale as u64);
+        for req in orphans {
+            self.finish_recv(t_ns, req, Outcome::Revoked);
         }
     }
 }

@@ -1,5 +1,6 @@
-//! Credit-based eager flow control: the sender's pools are debited in
-//! `isend`; this is the receiver's side of the cycle and the refill.
+//! Credit-based eager flow control: each gate's `send_credits` are
+//! debited in `isend`; this is the receiver's side of the cycle and the
+//! refill.
 
 use super::{Engine, Staged};
 use crate::stats::stat;
@@ -26,17 +27,24 @@ impl Engine {
     }
 
     /// A peer returned eager credits for our gate to it: refill the pool.
-    /// The pool can never legitimately exceed its initial size (credits
-    /// are only minted by our own sends), but stay clamped regardless.
-    pub(super) fn apply_credits(&mut self, t_ns: u64, src: usize, credits: u32) {
-        if credits == 0 || self.cfg.flow.is_none() {
+    /// The count comes off the wire: credits are only minted by our own
+    /// sends, so a return that would lift the pool past its initial size
+    /// (forged, or a duplicated frame) is a counted protocol error and
+    /// the pool stops at capacity.
+    pub(super) fn apply_credits(&mut self, t_ns: u64, src: usize, returned: u32) {
+        let Some(fc) = self.cfg.flow.filter(|_| returned > 0) else {
             return;
+        };
+        let gate = self.peers.entry(src).or_default();
+        let pool = gate.send_credits.get_or_insert(fc.eager_credits);
+        let credits = returned.min(fc.eager_credits - *pool);
+        *pool += credits;
+        if credits < returned {
+            self.protocol_error("nmad.protocol_errors.credit");
         }
         let peer = src as u32;
         self.out
             .engine(t_ns, obs::EngineEvent::CreditRefill { peer, credits });
-        // Overflow debug-asserted and clamped inside the pool.
-        self.send_credits.release(src, credits);
     }
 
     /// A buffered unexpected eager message was consumed by a receive:

@@ -7,7 +7,7 @@ use bytes::Bytes;
 use simnet::{BufOrigin, NmBuf, SimTime};
 
 use super::{mkey, pctx, Engine, Outcome, RecvReq, MEMBER_PROBE_BIT};
-use crate::gate::{Envelope, RdvIn, RetxTimer};
+use crate::gate::{RdvIn, RetxTimer};
 use crate::matching::{GateId, Unexpected};
 use crate::pack::{PacketWrapper, PwBody, PwId};
 use crate::protocol::{self, Action, Verdict};
@@ -61,12 +61,9 @@ impl Engine {
             return req;
         }
         let req = RecvReqId(self.recv_reqs.len() as u32);
-        let posted_seq = self
-            .peers
-            .entry(src)
-            .or_default()
-            .flow(tag)
-            .next_posted_seq();
+        let gate = self.peers.entry(src).or_default();
+        let posted_seq = gate.flow(tag).next_posted_seq();
+        let hit = gate.post_recv(tag, req);
         self.recv_reqs.push(RecvReq {
             cookie,
             done: false,
@@ -77,8 +74,8 @@ impl Engine {
         let posted = mkey(src, self.rank, tag, posted_seq);
         self.out.phase(now.0, posted, obs::Phase::RecvPosted);
         self.out.inc("nmad.irecv", 1);
-        if let Some(unex) = self.matching.post_recv(GateId(src), tag, req) {
-            let (Unexpected::Eager { seq, .. } | Unexpected::Rts { seq, .. }) = unex;
+        if let Some(unex) = hit {
+            let seq = unex.seq();
             self.recv_reqs[req.0 as usize].seq = seq;
             let matched = obs::Phase::Matched { unexpected: true };
             self.out
@@ -95,6 +92,24 @@ impl Engine {
         }
         self.hook_if_completed();
         req
+    }
+
+    /// Payload length of the earliest unexpected message from `(gate, tag)`
+    /// (peek only; a gate never heard from has none, and gets no record).
+    pub fn probe_info(&self, gate: GateId, tag: u64) -> Option<usize> {
+        let (_, len) = self.peers.get(&gate.0)?.probe(tag)?;
+        Some(len)
+    }
+
+    /// Gate and payload length of the earliest-arrived unexpected message
+    /// with `tag` from any gate — the ANY_SOURCE probe (§3.2.2): the
+    /// lowest arrival ticket among the gates' queue heads.
+    pub fn probe_tag_info(&self, tag: u64) -> Option<(GateId, usize)> {
+        let heads = self.peers.iter().filter_map(|(&peer, gate)| {
+            let (ticket, len) = gate.probe(tag)?;
+            Some((ticket, GateId(peer), len))
+        });
+        heads.min().map(|(_, gate, len)| (gate, len))
     }
 
     /// Accept an inbound wire packet: `rail` is the local rail index it
@@ -173,21 +188,21 @@ impl Engine {
         // gets one cumulative ack afterwards (BTreeSet: deterministic order).
         let mut touched: BTreeSet<(usize, u64)> = BTreeSet::new();
         let retry = self.cfg.retry.is_some();
-        let mut envelope = |this: &mut Engine, src: usize, tag: u64, seq: u64, env: Envelope| {
+        let mut envelope = |this: &mut Engine, src: usize, tag: u64, msg: Unexpected| {
             if retry {
                 touched.insert((src, tag));
             }
-            this.deliver_envelope(now, src, tag, seq, env);
+            this.deliver_envelope(now, src, tag, msg);
         };
         while let Some(wire) = self.inbound.pop_front() {
             let src = wire.src_rank;
             match wire.payload {
                 WirePayload::Eager { tag, seq, data } => {
-                    envelope(self, src, tag, seq, Envelope::Eager(data));
+                    envelope(self, src, tag, Unexpected::Eager { seq, data });
                 }
                 WirePayload::Aggregate(frags) => {
                     for EagerFrag { tag, seq, data } in frags {
-                        envelope(self, src, tag, seq, Envelope::Eager(data));
+                        envelope(self, src, tag, Unexpected::Eager { seq, data });
                     }
                 }
                 WirePayload::Rts {
@@ -195,7 +210,7 @@ impl Engine {
                     seq,
                     rdv_id,
                     len,
-                } => envelope(self, src, tag, seq, Envelope::Rts { rdv_id, len }),
+                } => envelope(self, src, tag, Unexpected::Rts { seq, rdv_id, len }),
                 // No rail credit from the handshake: `last_rails` is an
                 // attempt mask, and crediting attempts would resurrect a
                 // dead rail every time its rerouted rendezvous completes.
@@ -303,7 +318,8 @@ impl Engine {
 
     /// Transport-level reordering: envelopes are fed to matching strictly
     /// in per-(src, tag) sequence order; early arrivals park.
-    fn deliver_envelope(&mut self, now: SimTime, src: usize, tag: u64, seq: u64, env: Envelope) {
+    fn deliver_envelope(&mut self, now: SimTime, src: usize, tag: u64, msg: Unexpected) {
+        let seq = msg.seq();
         let gate = self.peers.entry(src).or_default();
         let via = gate.last_in_rail;
         let flow = gate.flow(tag);
@@ -317,7 +333,7 @@ impl Engine {
             // `replay/rts-unmatched` (count only). A duplicate without a
             // retry layer to explain it is a counted protocol error.
             let retry = self.cfg.retry.is_some();
-            let Envelope::Rts { rdv_id, .. } = env else {
+            let Unexpected::Rts { rdv_id, .. } = msg else {
                 if retry {
                     self.stats.add(stat::dup_envelopes, 1);
                 } else {
@@ -360,7 +376,7 @@ impl Engine {
             return;
         }
         if seq != flow.recv_expected {
-            if flow.parked.insert(seq, env).is_some() {
+            if flow.parked.insert(seq, msg).is_some() {
                 self.stats.add(stat::dup_envelopes, 1);
             }
             return;
@@ -369,24 +385,24 @@ impl Engine {
         // covers the envelope whatever `deliver_now` decides about it.
         flow.recv_expected = seq + 1;
         let successors_parked = !flow.parked.is_empty();
-        self.deliver_now(now, src, tag, seq, env);
+        self.deliver_now(now, src, tag, msg);
         if !successors_parked {
             return;
         }
         // Drain any parked successors that are now in order.
         let mut next = seq + 1;
-        while let Some(env) = self.peers.get_mut(&src).and_then(|g| {
+        while let Some(msg) = self.peers.get_mut(&src).and_then(|g| {
             let flow = g.flows.get_mut(&tag)?;
-            let env = flow.parked.remove(&next)?;
+            let msg = flow.parked.remove(&next)?;
             flow.recv_expected = next + 1;
-            Some(env)
+            Some(msg)
         }) {
-            self.deliver_now(now, src, tag, next, env);
+            self.deliver_now(now, src, tag, msg);
             next += 1;
         }
     }
 
-    fn deliver_now(&mut self, now: SimTime, src: usize, tag: u64, seq: u64, env: Envelope) {
+    fn deliver_now(&mut self, now: SimTime, src: usize, tag: u64, msg: Unexpected) {
         // Epoch hygiene: a collective frame of a revoked or superseded
         // epoch (or a retired agreement instance) is dropped here — after
         // the caller's sequence advance, so the cumulative ack covers it and
@@ -408,40 +424,35 @@ impl Engine {
             }
             return;
         }
+        let seq = msg.seq();
         let key = mkey(src, self.rank, tag, seq);
-        match &env {
-            Envelope::Eager(_) => self.out.phase(now.0, key, obs::Phase::EagerRx),
-            Envelope::Rts { .. } => self.out.phase(now.0, key, obs::Phase::RtsRx),
+        match &msg {
+            Unexpected::Eager { .. } => self.out.phase(now.0, key, obs::Phase::EagerRx),
+            Unexpected::Rts { .. } => self.out.phase(now.0, key, obs::Phase::RtsRx),
         }
-        let gate = GateId(src);
-        match self.matching.try_match_arrival(gate, tag, seq) {
-            Some(req) => {
-                self.recv_reqs[req.0 as usize].seq = seq;
-                let matched = obs::Phase::Matched { unexpected: false };
-                self.out.phase(now.0, key, matched);
-                match env {
-                    Envelope::Eager(data) => {
-                        // Matched on arrival: the credit cycle completes without
-                        // the message ever occupying the unexpected queue.
-                        self.owe_credit(src, data.len());
-                        self.finish_recv(now.0, req, Outcome::Done(data))
-                    }
-                    Envelope::Rts { rdv_id, len } => {
-                        self.start_rdv_in(now, req, src, tag, seq, rdv_id, len)
-                    }
-                }
+        let gate = self.peers.entry(src).or_default();
+        let Some(req) = gate.try_match_arrival(tag, seq) else {
+            let ticket = self.next_ticket;
+            self.next_ticket += 1;
+            if let Unexpected::Eager { data, .. } = &msg {
+                self.unex_eager_bytes += data.len();
+                let buffered = self.unex_eager_bytes as u64;
+                self.stats.raise(stat::fc_peak_unex_bytes, buffered);
             }
-            None => {
-                let msg = match env {
-                    Envelope::Eager(data) => {
-                        self.unex_eager_bytes += data.len();
-                        let buffered = self.unex_eager_bytes as u64;
-                        self.stats.raise(stat::fc_peak_unex_bytes, buffered);
-                        Unexpected::Eager { seq, data }
-                    }
-                    Envelope::Rts { rdv_id, len } => Unexpected::Rts { seq, rdv_id, len },
-                };
-                self.matching.store_unexpected(gate, tag, msg);
+            return gate.store_unexpected(tag, ticket, msg);
+        };
+        self.recv_reqs[req.0 as usize].seq = seq;
+        let matched = obs::Phase::Matched { unexpected: false };
+        self.out.phase(now.0, key, matched);
+        match msg {
+            Unexpected::Eager { data, .. } => {
+                // Matched on arrival: the credit cycle completes without
+                // the message ever occupying the unexpected queue.
+                self.owe_credit(src, data.len());
+                self.finish_recv(now.0, req, Outcome::Done(data))
+            }
+            Unexpected::Rts { rdv_id, len, .. } => {
+                self.start_rdv_in(now, req, src, tag, seq, rdv_id, len)
             }
         }
     }

@@ -54,7 +54,6 @@ use std::sync::Arc;
 use simnet::{CopyMeter, NmBuf, SimTime};
 
 use crate::config::NmConfig;
-use crate::credit::CreditBank;
 use crate::gate::Gate;
 use crate::keys;
 use crate::matching::GateId;
@@ -62,7 +61,6 @@ use crate::membership::MembershipTable;
 use crate::protocol;
 use crate::railhealth::RailHealthTable;
 use crate::sampling::LinkProfile;
-use crate::sharded::ShardedMatchEngine;
 use crate::sr::{CompletionKind, NmCompletion, RecvReqId, SendReqId};
 use crate::stats::{stat, NmStats, StatsCells};
 use crate::strategy::{self, Strategy};
@@ -234,15 +232,14 @@ pub(crate) struct Engine {
     probe_peer: Option<usize>,
     strategy: Box<dyn Strategy>,
     /// Everything held about each peer — submission window, sequencing,
-    /// rendezvous, retransmit queue, credits to return — one record per
-    /// rank this core has exchanged traffic with ([`crate::gate`]).
-    /// BTreeMap for deterministic iteration; boxed so a tree node holds
-    /// eleven pointers, not eleven 200-byte records.
+    /// match queues, rendezvous, retransmit queue, credits both ways — one
+    /// record per rank this core has exchanged traffic with
+    /// ([`crate::gate`]). BTreeMap for deterministic iteration; boxed so a
+    /// tree node holds eleven pointers, not eleven 200-byte records.
     pub(crate) peers: BTreeMap<usize, Box<Gate>>,
-    /// Tag matching, sharded per source gate (the single-queue
-    /// `MatchEngine` remains as the differential oracle — see
-    /// `tests/matcher_differential.rs`).
-    pub(crate) matching: ShardedMatchEngine,
+    /// Arrival clock: each message stored unexpected takes the next
+    /// ticket, and the ANY_SOURCE probe picks the lowest across gates.
+    next_ticket: u64,
     send_reqs: Vec<SendReq>,
     recv_reqs: Vec<RecvReq>,
     /// Packets accepted from the fabric, pending processing.
@@ -251,9 +248,6 @@ pub(crate) struct Engine {
     /// Retry mode: per-rail health state machine (`None` without retry —
     /// the happy path has no failure signals to drive it).
     pub(crate) health: Option<RailHealthTable>,
-    /// Flow control, sender side: remaining eager credits per destination
-    /// gate (lazily seeded from `FlowConfig::eager_credits`).
-    send_credits: CreditBank,
     /// Bytes of unexpected eager payload currently buffered (receiver
     /// side; always tracked — it feeds `fc_peak_unex_bytes`).
     pub(crate) unex_eager_bytes: usize,
@@ -321,15 +315,12 @@ impl Engine {
             strategy: strategy::make(cfg.strategy),
             probe_peer,
             peers: BTreeMap::new(),
-            matching: ShardedMatchEngine::new(),
+            next_ticket: 0,
             send_reqs: Vec::new(),
             recv_reqs: Vec::new(),
             inbound: VecDeque::new(),
             completions: VecDeque::new(),
             health: cfg.retry.map(|rc| RailHealthTable::new(rc, profiles.len())),
-            // Pools are only consulted when flow control is armed; a
-            // 0-capacity bank is inert (and never reached) otherwise.
-            send_credits: CreditBank::new(cfg.flow.map_or(0, |fc| fc.eager_credits)),
             unex_eager_bytes: 0,
             fc_throttled: false,
             next_pw: 0,
@@ -622,7 +613,7 @@ pub(crate) mod loopback {
     use simnet::{CopyMeter, NicModel, NmBuf, SimDuration, SimTime};
 
     use super::{Effect, Engine};
-    use crate::config::{NmConfig, RetryConfig, StrategyKind};
+    use crate::config::{FlowConfig, NmConfig, RetryConfig, StrategyKind};
     use crate::sampling::LinkProfile;
     use crate::sr::{CompletionKind, NmCompletion};
     use crate::stats::NmStats;
@@ -823,6 +814,57 @@ pub(crate) mod loopback {
         );
         assert_eq!((s1.packets_sent, s1.recv_completions), (1, 5), "the CTS");
         assert_eq!(s0.total_retries() + s1.total_retries(), 0);
+    }
+
+    /// Flow-controlled traffic either side of `hostile` frames fed to
+    /// rank 0 as if from rank 1. Returns what rank 1 received, both ranks'
+    /// counters, and what is left of rank 0's credit pool toward rank 1.
+    fn around_hostile_frames(hostile: &[WirePayload]) -> (Vec<Bytes>, [NmStats; 2], Option<u32>) {
+        let mut cfg = config(true);
+        cfg.flow = Some(FlowConfig::bounded(4, 64 * 1024));
+        let mut w = Loopback::new(cfg, None);
+        let traffic = |w: &mut Loopback, tag: u64| {
+            w.irecv(1, tag, tag);
+            w.isend(0, tag, pattern(tag as u8, 300), tag);
+            w.poll(50);
+        };
+        traffic(&mut w, 7);
+        for payload in hostile {
+            let wire = NmWire::new(1, 0, payload.share());
+            w.engines[0].accept(w.now, wire, 0, false, IDLE);
+            w.pump(0);
+        }
+        traffic(&mut w, 8);
+        let received = w.completions(1).into_iter().map(|c| match c.kind {
+            CompletionKind::Recv { data, .. } => data,
+            other => panic!("receive {} ended as {other:?}", c.cookie),
+        });
+        let pool = w.engines[0].peers[&1].send_credits;
+        (received.collect(), [w.stats(0), w.stats(1)], pool)
+    }
+
+    /// Credit counts are input off the wire: a forged `Credit` that would
+    /// overflow the pool and a replayed `Ack` returning a credit the pool
+    /// already has are each one counted error. The pool stops at capacity
+    /// and the traffic around them neither sees nor counts a difference.
+    #[test]
+    fn an_over_returned_credit_is_a_counted_error() {
+        let hostile = [
+            WirePayload::Credit { credits: u32::MAX },
+            WirePayload::Ack {
+                tag: 7,
+                next: 1,
+                credits: 1,
+            },
+        ];
+        let (clean_data, [mut clean0, clean1], clean_pool) = around_hostile_frames(&[]);
+        let (data, [s0, s1], pool) = around_hostile_frames(&hostile);
+        assert_eq!((clean_pool, pool), (Some(4), Some(4)), "pool at capacity");
+        assert_eq!(data, [pattern(7, 300), pattern(8, 300)]);
+        assert_eq!(data, clean_data);
+        assert_eq!((clean0.protocol_errors, s0.protocol_errors), (0, 2));
+        clean0.protocol_errors = 2;
+        assert_eq!((s0, s1), (clean0, clean1), "no other counter moved");
     }
 
     #[test]

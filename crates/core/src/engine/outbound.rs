@@ -65,9 +65,11 @@ impl Engine {
         // credits protect receiver payload memory, which they cannot use.
         let eager_sized = len <= self.cfg.eager_threshold;
         let mut eager = eager_sized;
-        if eager && self.cfg.flow.is_some() && len > 0 {
-            eager = self.send_credits.try_acquire(dst);
+        if let Some(fc) = self.cfg.flow.filter(|_| eager && len > 0) {
+            let credits = gate.send_credits.get_or_insert(fc.eager_credits);
+            eager = *credits > 0;
             if eager {
+                *credits -= 1;
                 self.stats.add(stat::fc_eager_admitted, 1);
                 let peer = dst as u32;
                 self.out

@@ -4,7 +4,7 @@
 use simnet::SimTime;
 
 use super::{mkey, pctx, Engine, Out, MEMBER_PROBE_BIT};
-use crate::gate::RetxTimer;
+use crate::gate::{Gate, RetxTimer};
 use crate::protocol::{self, Action, Verdict};
 use crate::railhealth::{RailHealth, RailHealthTable};
 use crate::sampling::LinkProfile;
@@ -304,17 +304,9 @@ impl Engine {
         let Some(m) = self.membership.as_mut() else {
             return;
         };
-        let mut expected: Vec<usize> = self
-            .matching
-            .posted_gates()
-            .into_iter()
-            .map(|g| g.0)
-            .collect();
-        let receiving = self.peers.iter().filter(|(_, g)| !g.rdv_in.is_empty());
-        expected.extend(receiving.map(|(&src, _)| src));
-        expected.sort_unstable();
-        expected.dedup();
-        let (probes, dead) = m.tick(now, expected);
+        let awaited = |g: &Gate| g.posted() > 0 || !g.rdv_in.is_empty();
+        let expected = self.peers.iter().filter(|(_, g)| awaited(g));
+        let (probes, dead) = m.tick(now, expected.map(|(&src, _)| src));
         self.emit_member_events(now);
         let rail = preferred_rail(self.health.as_ref(), &self.profiles);
         for peer in probes {

@@ -7,11 +7,14 @@
 //!   Gate (peer p)
 //!   ├─ window           packet wrappers queued toward p, not yet committed
 //!   ├─ flows[tag]       send_seq · recv_expected · recv_posted · parked
+//!   │                   · posted · unexpected   (the tag's match queues)
+//!   ├─ posted_waiting   receives waiting on p, over all its flows
 //!   ├─ unacked[tag,seq] eager envelopes on the wire awaiting p's ack
 //!   ├─ rdv_out[rdv_id]  rendezvous this rank is sending to p
 //!   ├─ rdv_in[rdv_id]   rendezvous p is sending to this rank
 //!   ├─ rdv_done         tombstones of finished inbound rendezvous
 //!   ├─ last_in_rail     rail p's latest frame arrived on
+//!   ├─ send_credits     eager credits left for sends toward p
 //!   └─ credit_owed / credit_withheld   eager credits to hand back to p
 //! ```
 //!
@@ -31,6 +34,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use simnet::{NmBuf, SimDuration, SimTime};
 
 use crate::config::RetryConfig;
+use crate::matching::{self, TagQueue, Unexpected};
 use crate::pack::PacketWrapper;
 use crate::protocol::State;
 use crate::sr::{RecvReqId, SendReqId};
@@ -152,12 +156,6 @@ pub(crate) struct EnvRetx {
     pub rail: usize,
 }
 
-/// An envelope (matchable) message after transport reordering.
-pub(crate) enum Envelope {
-    Eager(NmBuf),
-    Rts { rdv_id: u64, len: usize },
-}
-
 /// Sequencing state of one `(peer, tag)` message stream.
 #[derive(Default)]
 pub(crate) struct Flow {
@@ -169,7 +167,10 @@ pub(crate) struct Flow {
     /// in-order delivery (keys its `recv_posted` span event).
     recv_posted: u64,
     /// Early (out-of-order) envelope arrivals, parked until their turn.
-    pub parked: BTreeMap<u64, Envelope>,
+    pub parked: BTreeMap<u64, Unexpected>,
+    /// Posted receives and in-order unexpected arrivals: reached through
+    /// the gate, which counts the former.
+    queue: TagQueue,
 }
 
 fn post_inc(counter: &mut u64) -> u64 {
@@ -217,6 +218,14 @@ pub(crate) struct Gate {
     /// replies are routed back the same way, so an ack never chases a
     /// peer into a rail that just died.
     pub last_in_rail: Option<usize>,
+    /// Posted receives waiting across `flows` — non-zero is "inbound
+    /// expected from this peer", which the membership sweep asks of every
+    /// gate on every pass.
+    posted_waiting: usize,
+    /// Flow control, sender side: eager credits left toward the peer, out
+    /// of `FlowConfig::eager_credits`. `None` until the first eager send
+    /// or credit return seeds it (the record does not know the config).
+    pub send_credits: Option<u32>,
     /// Flow control, receiver side: credits earned (an eager message was
     /// consumed) awaiting return on the next ctrl flush.
     pub credit_owed: u32,
@@ -229,6 +238,60 @@ impl Gate {
     /// The flow for `tag`, opened on first use.
     pub fn flow(&mut self, tag: u64) -> &mut Flow {
         self.flows.entry(tag).or_default()
+    }
+
+    /// Post a receive on `tag`: the earliest unexpected message is
+    /// consumed and returned if one waits, else `req` waits its turn.
+    pub fn post_recv(&mut self, tag: u64, req: RecvReqId) -> Option<Unexpected> {
+        let hit = self.flow(tag).queue.post_recv(req);
+        self.posted_waiting += hit.is_none() as usize;
+        hit
+    }
+
+    /// Envelope `seq` of `tag` is being delivered: the receive it
+    /// matches, if one is posted. Else [`Self::store_unexpected`] it.
+    pub fn try_match_arrival(&mut self, tag: u64, seq: u64) -> Option<RecvReqId> {
+        let req = self.flows.get_mut(&tag)?.queue.try_match_arrival(seq)?;
+        self.posted_waiting -= 1;
+        Some(req)
+    }
+
+    /// Keep `msg` until a receive is posted; `ticket` is the engine-wide
+    /// arrival stamp ANY_SOURCE probes arbitrate on.
+    pub fn store_unexpected(&mut self, tag: u64, ticket: u64, msg: Unexpected) {
+        self.flow(tag).queue.store_unexpected(ticket, msg);
+    }
+
+    /// Arrival ticket and payload length of the earliest unexpected
+    /// message under `tag`. Read-only: never opens a flow.
+    pub fn probe(&self, tag: u64) -> Option<(u64, usize)> {
+        self.flows.get(&tag)?.queue.front()
+    }
+
+    /// Receives waiting on this peer.
+    pub fn posted(&self) -> usize {
+        self.posted_waiting
+    }
+
+    /// Unexpected messages held from this peer.
+    pub fn unexpected(&self) -> usize {
+        self.flows.values().map(|f| f.queue.unexpected_len()).sum()
+    }
+
+    /// Empty the receive side of every flow whose tag `doomed` selects.
+    /// Returns the orphaned receives in ascending tag order, how many
+    /// messages were dropped (unexpected and parked alike), and the eager
+    /// payload bytes the unexpected ones held.
+    pub fn purge_flows(&mut self, doomed: impl Fn(u64) -> bool) -> (Vec<RecvReqId>, usize, usize) {
+        let mut parked = 0;
+        let flows = self.flows.iter_mut().filter(|(&tag, _)| doomed(tag));
+        let (orphans, dropped, dropped_bytes) = matching::purge(flows.map(|(&tag, flow)| {
+            parked += std::mem::take(&mut flow.parked).len();
+            (tag, &mut flow.queue)
+        }));
+        self.posted_waiting -= orphans.len();
+        let orphans = orphans.into_iter().map(|(req, _)| req).collect();
+        (orphans, dropped + parked, dropped_bytes)
     }
 
     /// Records held for this peer: the gate itself plus one per flow,
@@ -329,6 +392,31 @@ mod tests {
         assert_eq!(g.receiver_state(11), State::RDone);
         assert_eq!(g.receiver_state(12), State::Gone);
         assert_eq!(g.sender_state(11), State::Gone);
+    }
+
+    #[test]
+    fn match_queues_count_waiting_receives_and_purge_by_tag() {
+        let eager = |seq| Unexpected::Eager {
+            seq,
+            data: NmBuf::from(vec![0u8; 5]),
+        };
+        let mut g = Gate::default();
+        assert_eq!(g.try_match_arrival(4, 0), None, "no flow, and none opened");
+        assert_eq!(g.records(), 1);
+        for (tag, req) in [(9, 0), (3, 1), (3, 2)] {
+            assert!(g.post_recv(tag, RecvReqId(req)).is_none());
+        }
+        g.store_unexpected(4, 17, eager(0));
+        g.flow(3).parked.insert(6, eager(6));
+        assert_eq!(
+            (g.posted(), g.unexpected(), g.probe(4)),
+            (3, 1, Some((17, 5)))
+        );
+        assert_eq!(g.try_match_arrival(3, 0), Some(RecvReqId(1)));
+        let (orphans, dropped, bytes) = g.purge_flows(|tag| tag != 9);
+        assert_eq!((orphans, dropped, bytes), (vec![RecvReqId(2)], 2, 5));
+        assert_eq!((g.posted(), g.unexpected(), g.probe(4)), (1, 0, None));
+        assert_eq!(g.records(), 4, "flows outlive their queues");
     }
 
     #[test]

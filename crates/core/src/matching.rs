@@ -13,6 +13,13 @@
 //!
 //! Receives are matched to arrivals strictly FIFO per `(gate, tag)`; the
 //! engine asserts the sender-assigned sequence numbers confirm this.
+//!
+//! The match step is defined once, on [`TagQueue`] — the two FIFOs of one
+//! `(gate, tag)` stream — and has two owners: the sans-IO engine embeds a
+//! queue in each `gate::Flow` and owns it outright, and
+//! [`crate::sharded`] keeps the same queues behind a per-gate mutex for
+//! real threads. [`MatchEngine`] shares no code with it: it is the
+//! single-queue oracle `tests/matcher_differential.rs` holds both to.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -40,6 +47,107 @@ impl Unexpected {
             Unexpected::Eager { seq, .. } | Unexpected::Rts { seq, .. } => *seq,
         }
     }
+
+    /// Payload length of the message (what a probe reports).
+    pub fn payload_len(&self) -> usize {
+        match self {
+            Unexpected::Eager { data, .. } => data.len(),
+            Unexpected::Rts { len, .. } => *len,
+        }
+    }
+}
+
+/// The two FIFOs of one `(gate, tag)` message stream — receives waiting
+/// for a message and messages waiting for a receive — with the match step
+/// between them. An owner that stores an arrival only after it failed to
+/// match keeps at most one of the two non-empty. Plain data: whoever owns
+/// the queue supplies the exclusion.
+#[derive(Debug, Default)]
+pub struct TagQueue {
+    posted: VecDeque<RecvReqId>,
+    /// In arrival order, each stamped with its owner's arrival ticket —
+    /// what the ANY_SOURCE probe arbitrates on across gates.
+    unexpected: VecDeque<(u64, Unexpected)>,
+    /// Debug check: sequence number of the last message matched.
+    last_matched_seq: Option<u64>,
+}
+
+impl TagQueue {
+    /// Post a receive: the earliest unexpected message is consumed and
+    /// returned if one waits, otherwise `req` joins the posted queue.
+    pub fn post_recv(&mut self, req: RecvReqId) -> Option<Unexpected> {
+        let Some((_, msg)) = self.unexpected.pop_front() else {
+            self.posted.push_back(req);
+            return None;
+        };
+        self.matched(msg.seq());
+        Some(msg)
+    }
+
+    /// First phase of an arrival: pop the earliest posted receive if one
+    /// waits. `seq` feeds the FIFO debug check.
+    pub fn try_match_arrival(&mut self, seq: u64) -> Option<RecvReqId> {
+        let req = self.posted.pop_front()?;
+        self.matched(seq);
+        Some(req)
+    }
+
+    /// Second phase of an arrival: no receive was posted, keep the
+    /// message, stamped with the owner's arrival `ticket`.
+    pub fn store_unexpected(&mut self, ticket: u64, msg: Unexpected) {
+        self.unexpected.push_back((ticket, msg));
+    }
+
+    /// Arrival ticket and payload length of the earliest unexpected
+    /// message. (Peek only.)
+    pub fn front(&self) -> Option<(u64, usize)> {
+        let (ticket, msg) = self.unexpected.front()?;
+        Some((*ticket, msg.payload_len()))
+    }
+
+    pub fn posted_len(&self) -> usize {
+        self.posted.len()
+    }
+
+    pub fn unexpected_len(&self) -> usize {
+        self.unexpected.len()
+    }
+
+    /// Message `seq` left with a receive. Queues outlive their traffic
+    /// (flows are never pruned), so one that just went idle hands its
+    /// buffers back; and matches must come in sender order.
+    fn matched(&mut self, seq: u64) {
+        if self.posted.is_empty() && self.unexpected.is_empty() {
+            self.posted.shrink_to_fit();
+            self.unexpected.shrink_to_fit();
+        }
+        let prev = self.last_matched_seq.replace(seq);
+        debug_assert!(prev < Some(seq), "seq {seq} matched after {prev:?}");
+    }
+}
+
+/// Empty every queue handed in (a dead gate's, or a dead epoch's across
+/// gates), buffers included. Returns the orphaned receives with their
+/// tags — ascending by tag, FIFO within one, the order their failures are
+/// reported in — then how many unexpected messages were dropped and the
+/// eager payload bytes those held.
+pub fn purge<'a>(
+    queues: impl Iterator<Item = (u64, &'a mut TagQueue)>,
+) -> (Vec<(RecvReqId, u64)>, usize, usize) {
+    let mut doomed: Vec<(u64, &mut TagQueue)> = queues.collect();
+    doomed.sort_unstable_by_key(|&(tag, _)| tag);
+    let (mut orphans, mut dropped, mut dropped_bytes) = (Vec::new(), 0, 0);
+    for (tag, queue) in doomed {
+        let queue = std::mem::take(queue);
+        orphans.extend(queue.posted.into_iter().map(|req| (req, tag)));
+        dropped += queue.unexpected.len();
+        for (_, msg) in &queue.unexpected {
+            if let Unexpected::Eager { data, .. } = msg {
+                dropped_bytes += data.len();
+            }
+        }
+    }
+    (orphans, dropped, dropped_bytes)
 }
 
 /// A stored unexpected message with its origin.
@@ -135,7 +243,7 @@ impl MatchEngine {
         let deque = self.by_tag.get(&tag)?;
         for &idx in deque {
             if let Some(entry) = &self.unexpected[idx] {
-                return Some((entry.gate, Self::msg_len(&entry.msg)));
+                return Some((entry.gate, entry.msg.payload_len()));
             }
         }
         None
@@ -144,16 +252,7 @@ impl MatchEngine {
     /// Payload length of the earliest unexpected message from `(gate, tag)`.
     pub fn probe_info(&self, gate: GateId, tag: u64) -> Option<usize> {
         let idx = self.peek_key(gate, tag)?;
-        self.unexpected[idx]
-            .as_ref()
-            .map(|e| Self::msg_len(&e.msg))
-    }
-
-    fn msg_len(msg: &Unexpected) -> usize {
-        match msg {
-            Unexpected::Eager { data, .. } => data.len(),
-            Unexpected::Rts { len, .. } => *len,
-        }
+        self.unexpected[idx].as_ref().map(|e| e.msg.payload_len())
     }
 
     /// Number of live unexpected messages (diagnostics).

@@ -1,59 +1,38 @@
-//! Per-gate sharded tag matching.
+//! Per-gate sharded tag matching: the concurrent owner of [`TagQueue`].
 //!
 //! The real-thread hot path wants tag matching without a single global
-//! lock: traffic from different peers should match concurrently. This
-//! module shards [`MatchEngine`](crate::matching::MatchEngine)'s two
-//! queues **by source gate** — each gate gets its own posted/unexpected
-//! queues behind its own small mutex — because MPI matching for a
-//! directed receive only ever consults one `(gate, tag)` key, so gates
-//! are independent by construction.
+//! lock: traffic from different peers should match concurrently. MPI
+//! matching for a directed receive only ever consults one `(gate, tag)`
+//! key, so gates are independent by construction, and this module keeps
+//! each gate's [`TagQueue`]s — the very queue type, match step included,
+//! that the sans-IO engine embeds in its per-peer records and owns
+//! without a lock — behind that gate's own small mutex. Only the
+//! real-thread path (`mpi_ch3::threaded`) uses it.
 //!
 //! The one operation that crosses gates is the ANY_SOURCE probe
 //! (`probe_tag`): "which gate has the **earliest-arrived** unexpected
-//! message with this tag?". The single-queue engine answered it with a
-//! global arrival-ordered index; here every stored unexpected arrival is
-//! stamped with a ticket from one global `AtomicU64`, and `probe_tag`
-//! takes the minimum ticket across shards. Tickets are handed out in
-//! arrival order, so the arbitration is exactly the old FIFO — a property
-//! the differential test in `tests/matcher_differential.rs` drives with
-//! recorded envelope streams.
+//! message with this tag?". Every stored unexpected arrival is stamped
+//! with a ticket from one global `AtomicU64`, and `probe_tag` takes the
+//! minimum ticket across shards. Tickets are handed out in arrival order,
+//! so the arbitration is exactly the FIFO of the single-queue
+//! [`MatchEngine`](crate::matching::MatchEngine) — a property the
+//! differential test in `tests/matcher_differential.rs` drives with
+//! recorded envelope streams, for this owner and the engine's alike.
 //!
-//! All methods take `&self`: shards use interior mutability, so the core
-//! can keep calling through `inner.matching` while injector threads probe
-//! concurrently.
+//! All methods take `&self`: shards use interior mutability, so consumer
+//! threads match while injector threads probe concurrently.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
-use crate::matching::{GateId, Unexpected};
+use crate::matching::{self, GateId, TagQueue, Unexpected};
 use crate::sr::RecvReqId;
 
-/// One gate's private matching state.
-#[derive(Default)]
-struct ShardState {
-    /// Posted receives waiting, FIFO per tag.
-    posted: HashMap<u64, VecDeque<RecvReqId>>,
-    /// Unexpected messages waiting, FIFO per tag, each stamped with its
-    /// global arrival ticket.
-    unexpected: HashMap<u64, VecDeque<(u64, Unexpected)>>,
-    /// Debug check: last matched sequence number per tag.
-    last_matched_seq: HashMap<u64, u64>,
-}
-
-impl ShardState {
-    fn check_order(&mut self, gate: GateId, tag: u64, seq: u64) {
-        if let Some(prev) = self.last_matched_seq.insert(tag, seq) {
-            debug_assert!(
-                seq > prev,
-                "matching order violated on gate {gate:?} tag {tag}: seq {seq} after {prev}"
-            );
-        }
-        let _ = gate;
-    }
-}
+/// One gate's private matching state, keyed by tag.
+type Shard = Mutex<HashMap<u64, TagQueue>>;
 
 /// The sharded matching engine. API mirrors
 /// [`MatchEngine`](crate::matching::MatchEngine) (which remains as the
@@ -62,7 +41,7 @@ pub struct ShardedMatchEngine {
     /// Gate registry: rarely written (first contact, purges), read on
     /// every operation. `BTreeMap` so cross-shard scans iterate in a
     /// deterministic order.
-    shards: RwLock<BTreeMap<GateId, Arc<Mutex<ShardState>>>>,
+    shards: RwLock<BTreeMap<GateId, Arc<Shard>>>,
     /// Global arrival clock for ANY_SOURCE FIFO arbitration.
     next_ticket: AtomicU64,
     /// Live unexpected entries across all shards (kept O(1) readable).
@@ -87,32 +66,29 @@ impl ShardedMatchEngine {
         }
     }
 
-    /// The gate's shard, created on first use.
-    fn shard(&self, gate: GateId) -> Arc<Mutex<ShardState>> {
-        if let Some(s) = self.shards.read().get(&gate) {
-            return Arc::clone(s);
-        }
-        Arc::clone(self.shards.write().entry(gate).or_default())
+    /// The gate's shard if it has one. Everything that only reads or
+    /// removes goes through here: a question about a gate never seen (or
+    /// just purged) must not leave a record behind.
+    fn existing(&self, gate: GateId) -> Option<Arc<Shard>> {
+        self.shards.read().get(&gate).map(Arc::clone)
+    }
+
+    /// The gate's shard, created on first use (something is being stored).
+    fn shard(&self, gate: GateId) -> Arc<Shard> {
+        self.existing(gate)
+            .unwrap_or_else(|| Arc::clone(self.shards.write().entry(gate).or_default()))
     }
 
     /// Post a receive for `(gate, tag)`; consumes and returns a queued
     /// unexpected message if one is waiting.
     pub fn post_recv(&self, gate: GateId, tag: u64, req: RecvReqId) -> Option<Unexpected> {
         let shard = self.shard(gate);
-        let mut st = shard.lock();
-        if let Some(q) = st.unexpected.get_mut(&tag) {
-            if let Some((_, msg)) = q.pop_front() {
-                if q.is_empty() {
-                    st.unexpected.remove(&tag);
-                }
-                self.unexpected_live.fetch_sub(1, Ordering::Relaxed);
-                st.check_order(gate, tag, msg.seq());
-                return Some(msg);
-            }
-        }
-        st.posted.entry(tag).or_default().push_back(req);
-        self.posted_live.fetch_add(1, Ordering::Relaxed);
-        None
+        let hit = shard.lock().entry(tag).or_default().post_recv(req);
+        match hit {
+            Some(_) => self.unexpected_live.fetch_sub(1, Ordering::Relaxed),
+            None => self.posted_live.fetch_add(1, Ordering::Relaxed),
+        };
+        hit
     }
 
     /// An arrival from `(gate, tag)`: match a posted receive or store the
@@ -127,19 +103,10 @@ impl ShardedMatchEngine {
 
     /// First phase of an arrival: pop a posted receive if one is waiting.
     pub fn try_match_arrival(&self, gate: GateId, tag: u64, seq: u64) -> Option<RecvReqId> {
-        let shard = self.shard(gate);
-        let mut st = shard.lock();
-        if let Some(q) = st.posted.get_mut(&tag) {
-            if let Some(req) = q.pop_front() {
-                if q.is_empty() {
-                    st.posted.remove(&tag);
-                }
-                self.posted_live.fetch_sub(1, Ordering::Relaxed);
-                st.check_order(gate, tag, seq);
-                return Some(req);
-            }
-        }
-        None
+        let shard = self.existing(gate)?;
+        let req = shard.lock().get_mut(&tag)?.try_match_arrival(seq)?;
+        self.posted_live.fetch_sub(1, Ordering::Relaxed);
+        Some(req)
     }
 
     /// Second phase of an arrival: keep the message in the gate's
@@ -147,16 +114,14 @@ impl ShardedMatchEngine {
     pub fn store_unexpected(&self, gate: GateId, tag: u64, msg: Unexpected) {
         let ticket = self.next_ticket.fetch_add(1, Ordering::Relaxed);
         let shard = self.shard(gate);
-        let mut st = shard.lock();
-        st.unexpected.entry(tag).or_default().push_back((ticket, msg));
+        let mut queues = shard.lock();
+        queues.entry(tag).or_default().store_unexpected(ticket, msg);
         self.unexpected_live.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Is an unexpected message from `(gate, tag)` queued? (Peek only.)
     pub fn probe(&self, gate: GateId, tag: u64) -> bool {
-        let shard = self.shard(gate);
-        let st = shard.lock();
-        st.unexpected.get(&tag).is_some_and(|q| !q.is_empty())
+        self.probe_info(gate, tag).is_some()
     }
 
     /// The gate of the earliest-arrived unexpected message with `tag`
@@ -168,33 +133,18 @@ impl ShardedMatchEngine {
     /// Like [`ShardedMatchEngine::probe_tag`] with the payload length.
     pub fn probe_tag_info(&self, tag: u64) -> Option<(GateId, usize)> {
         let shards = self.shards.read();
-        let mut best: Option<(u64, GateId, usize)> = None;
-        for (&gate, shard) in shards.iter() {
-            let st = shard.lock();
-            if let Some((ticket, msg)) = st.unexpected.get(&tag).and_then(|q| q.front()) {
-                if best.is_none_or(|(t, _, _)| *ticket < t) {
-                    best = Some((*ticket, gate, Self::msg_len(msg)));
-                }
-            }
-        }
-        best.map(|(_, g, len)| (g, len))
+        let fronts = shards.iter().filter_map(|(&gate, shard)| {
+            let (ticket, len) = shard.lock().get(&tag)?.front()?;
+            Some((ticket, gate, len))
+        });
+        fronts.min().map(|(_, gate, len)| (gate, len))
     }
 
     /// Payload length of the earliest unexpected message from `(gate, tag)`.
     pub fn probe_info(&self, gate: GateId, tag: u64) -> Option<usize> {
-        let shard = self.shard(gate);
-        let st = shard.lock();
-        st.unexpected
-            .get(&tag)
-            .and_then(|q| q.front())
-            .map(|(_, msg)| Self::msg_len(msg))
-    }
-
-    fn msg_len(msg: &Unexpected) -> usize {
-        match msg {
-            Unexpected::Eager { data, .. } => data.len(),
-            Unexpected::Rts { len, .. } => *len,
-        }
+        let shard = self.existing(gate)?;
+        let (_, len) = shard.lock().get(&tag)?.front()?;
+        Some(len)
     }
 
     /// Number of live unexpected messages (diagnostics).
@@ -212,7 +162,7 @@ impl ShardedMatchEngine {
         let shards = self.shards.read();
         shards
             .iter()
-            .filter(|(_, shard)| shard.lock().posted.values().any(|q| !q.is_empty()))
+            .filter(|(_, shard)| shard.lock().values().any(|q| q.posted_len() > 0))
             .map(|(&g, _)| g)
             .collect()
     }
@@ -221,35 +171,13 @@ impl ShardedMatchEngine {
     /// message belonging to `gate`. Returns the orphaned receives (with
     /// tags) and the eager payload bytes dropped.
     pub fn purge_gate(&self, gate: GateId) -> (Vec<(RecvReqId, u64)>, usize) {
-        let shard = {
-            let mut shards = self.shards.write();
-            shards.remove(&gate)
-        };
-        let Some(shard) = shard else {
+        let Some(shard) = self.shards.write().remove(&gate) else {
             return (Vec::new(), 0);
         };
-        let mut st = shard.lock();
-        let mut orphans: Vec<(RecvReqId, u64)> = Vec::new();
-        let mut tags: Vec<u64> = st.posted.keys().copied().collect();
-        tags.sort_unstable();
-        for tag in tags {
-            if let Some(q) = st.posted.remove(&tag) {
-                self.posted_live.fetch_sub(q.len(), Ordering::Relaxed);
-                for req in q {
-                    orphans.push((req, tag));
-                }
-            }
-        }
-        let mut dropped_bytes = 0usize;
-        for (_, q) in st.unexpected.drain() {
-            self.unexpected_live.fetch_sub(q.len(), Ordering::Relaxed);
-            for (_, msg) in q {
-                if let Unexpected::Eager { data, .. } = &msg {
-                    dropped_bytes += data.len();
-                }
-            }
-        }
-        st.last_matched_seq.clear();
+        let (orphans, dropped, dropped_bytes) =
+            matching::purge(shard.lock().iter_mut().map(|(&tag, q)| (tag, q)));
+        self.posted_live.fetch_sub(orphans.len(), Ordering::Relaxed);
+        self.unexpected_live.fetch_sub(dropped, Ordering::Relaxed);
         (orphans, dropped_bytes)
     }
 
@@ -260,38 +188,20 @@ impl ShardedMatchEngine {
         &self,
         pred: F,
     ) -> (Vec<(RecvReqId, GateId, u64)>, usize, usize) {
-        let shards = self.shards.read();
-        let mut orphans: Vec<(RecvReqId, GateId, u64)> = Vec::new();
-        let mut dropped = 0usize;
-        let mut dropped_bytes = 0usize;
-        // BTreeMap iteration gives ascending gates; tags sorted per gate,
-        // so the orphan list comes out in global (gate, tag) order.
-        for (&gate, shard) in shards.iter() {
-            let mut st = shard.lock();
-            let mut tags: Vec<u64> = st.posted.keys().copied().filter(|&t| pred(t)).collect();
-            tags.sort_unstable();
-            for tag in tags {
-                if let Some(q) = st.posted.remove(&tag) {
-                    self.posted_live.fetch_sub(q.len(), Ordering::Relaxed);
-                    for req in q {
-                        orphans.push((req, gate, tag));
-                    }
-                }
-            }
-            let doomed: Vec<u64> = st.unexpected.keys().copied().filter(|&t| pred(t)).collect();
-            for tag in doomed {
-                if let Some(q) = st.unexpected.remove(&tag) {
-                    self.unexpected_live.fetch_sub(q.len(), Ordering::Relaxed);
-                    dropped += q.len();
-                    for (_, msg) in q {
-                        if let Unexpected::Eager { data, .. } = &msg {
-                            dropped_bytes += data.len();
-                        }
-                    }
-                }
-            }
-            st.last_matched_seq.retain(|&tag, _| !pred(tag));
+        let (mut orphans, mut dropped, mut dropped_bytes) = (Vec::new(), 0, 0);
+        // BTreeMap iteration gives ascending gates and `purge` ascending
+        // tags per gate: global (gate, tag) order.
+        for (&gate, shard) in self.shards.read().iter() {
+            let mut queues = shard.lock();
+            let doomed = queues.iter_mut().filter(|(&tag, _)| pred(tag));
+            let (reqs, n, bytes) = matching::purge(doomed.map(|(&tag, q)| (tag, q)));
+            queues.retain(|&tag, _| !pred(tag));
+            orphans.extend(reqs.into_iter().map(|(req, tag)| (req, gate, tag)));
+            dropped += n;
+            dropped_bytes += bytes;
         }
+        self.posted_live.fetch_sub(orphans.len(), Ordering::Relaxed);
+        self.unexpected_live.fetch_sub(dropped, Ordering::Relaxed);
         (orphans, dropped, dropped_bytes)
     }
 }
@@ -345,6 +255,22 @@ mod tests {
         assert_eq!(m.posted_len(), 0);
         assert_eq!(m.unexpected_len(), 1);
         assert!(m.probe(GateId(2), 5));
+    }
+
+    #[test]
+    fn reads_about_an_unknown_or_purged_gate_leave_no_shard() {
+        let m = ShardedMatchEngine::new();
+        let ask = |gate| {
+            assert!(!m.probe(gate, 5));
+            assert_eq!(m.probe_info(gate, 5), None);
+            assert_eq!(m.try_match_arrival(gate, 5, 0), None);
+        };
+        ask(GateId(9));
+        assert_eq!(m.shards.read().len(), 0, "a probe registered a gate");
+        m.arrived(GateId(1), 5, eager(0));
+        m.purge_gate(GateId(1));
+        ask(GateId(1));
+        assert_eq!(m.shards.read().len(), 0, "a probe revived a purged gate");
     }
 
     #[test]

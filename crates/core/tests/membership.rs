@@ -484,12 +484,28 @@ fn drain_of_a_fully_populated_gate() {
 
             let held = c0.peer_entry_count(1);
             let organic = c0.is_peer_dead(1);
+            let queues = || (c0.posted_recvs(), c0.unexpected_msgs(), c0.unexpected_eager_bytes());
             if !organic {
                 // Gate + 7 flows (tags 20–26) + one rendezvous each way +
                 // the tombstone.
                 assert_eq!(held, 11, "cut@{cut_us}µs: gate not fully populated");
+                let before = queues();
                 assert!(c0.declare_peer_dead(&sched, 1));
+                let after = queues();
+                // The victim's share of the match queues, exactly: the
+                // receive waiting on tag 26, and the three 1 KiB eagers
+                // of tag 22 nobody consumed.
+                assert_eq!(
+                    (before.0 - after.0, before.1 - after.1, before.2 - after.2),
+                    (1, 3, 3 * 1024),
+                    "cut@{cut_us}µs"
+                );
             }
+            // However the verdict came, what is left is rank 2's: its RTS
+            // and its eager, nothing posted.
+            assert_eq!(queues(), (0, 2, b"third rank".len()), "cut@{cut_us}µs");
+            // A question about the corpse finds nothing and records nothing.
+            assert!(!c0.probe(GateId(1), 22), "cut@{cut_us}µs: drained message still probed");
             let st = c0.stats();
             assert_eq!(c0.peer_entry_count(1), 0, "cut@{cut_us}µs: corpse kept a record");
             assert_eq!(
@@ -498,7 +514,11 @@ fn drain_of_a_fully_populated_gate() {
                 "cut@{cut_us}µs: only rank 2's record may remain"
             );
             assert_eq!(st.membership_drained_entries, 11, "cut@{cut_us}µs");
-            assert!(st.membership_credits_released >= 3, "withheld + in-flight credits");
+            // In flight (the two unacked eagers) + owed (none: the one
+            // credit earned was withheld) + withheld.
+            let (in_flight, owed, withheld) = (2, 0, st.fc_credits_withheld);
+            assert_eq!(withheld, 1, "cut@{cut_us}µs");
+            assert_eq!(st.membership_credits_released, in_flight + owed + withheld, "cut@{cut_us}µs");
             assert_eq!(c0.take_dead_peers(), vec![1]);
 
             // Rank 2's flow finishes byte-exact through the drained core.
@@ -531,6 +551,43 @@ fn drain_of_a_fully_populated_gate() {
         });
         sim.run().unwrap();
     }
+}
+
+/// ANY_SOURCE arbitration is by arrival, and the arrival order of what
+/// survives must survive the two walks that empty queues: same-tag
+/// messages arrive from gates 3, 1, 2; gate 3 is drained, then an epoch
+/// is quiesced that the tag is not part of — the probe names gate 1,
+/// then gate 2.
+#[test]
+fn arrival_order_survives_a_drain_and_a_quiesce() {
+    let (mut sim, cores) = cores(4, fast_cfg());
+    sim.spawn_rank("driver", move |ctx| {
+        let c0 = &cores[0];
+        let sched = ctx.scheduler();
+        let eager = |src: usize, tag: u64| {
+            let data = NmBuf::from(Bytes::from(vec![src as u8; 8]));
+            c0.accept(&sched, NmWire::new(src, 0, WirePayload::Eager { tag, seq: 0, data }));
+        };
+        let doomed = nmad::keys::coll_key(1, nmad::keys::OP_BARRIER, 0, 0);
+        for src in [3, 1, 2] {
+            eager(src, 9);
+        }
+        eager(1, doomed);
+        assert_eq!((c0.unexpected_msgs(), c0.probe_tag(9)), (4, Some(GateId(3))));
+
+        assert!(c0.declare_peer_dead(&sched, 3));
+        assert!(c0.revoke_epoch(&sched, 1));
+        assert_eq!(c0.unexpected_msgs(), 2, "gate 3's message and epoch 1's are gone");
+        assert!(!c0.probe(GateId(1), doomed));
+        for gate in [1, 2] {
+            assert_eq!(c0.probe_tag_info(9), Some((GateId(gate), 8)));
+            c0.irecv(&sched, gate, 9, gate as u64);
+        }
+        assert_eq!(c0.probe_tag(9), None);
+        let done: Vec<u64> = c0.drain_completions().iter().map(|c| c.cookie).collect();
+        assert_eq!(done, [1, 2]);
+    });
+    sim.run().unwrap();
 }
 
 /// Satellite: frames from a dead, drained peer are counted

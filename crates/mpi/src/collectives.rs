@@ -206,10 +206,16 @@ pub fn allreduce_sum(mpi: &MpiHandle, contrib: &[f64]) -> Vec<f64> {
 /// rank i; the result's element i came from rank i. All receives are
 /// posted before any send, so rendezvous transfers cannot deadlock.
 pub fn alltoall(mpi: &MpiHandle, blocks: Vec<Bytes>) -> Vec<Bytes> {
+    pairwise_exchange(mpi, OP_ALLTOALL, blocks)
+}
+
+/// The pairwise exchange behind [`alltoall`] and [`alltoallv`], which
+/// differ only in the opcode their keys carry.
+fn pairwise_exchange(mpi: &MpiHandle, op: u8, blocks: Vec<Bytes>) -> Vec<Bytes> {
     let (rank, size) = (mpi.rank(), mpi.size());
     assert_eq!(blocks.len(), size, "need one block per rank");
     let seq = next_seq(mpi);
-    let key = coll_key(world_epoch(mpi), OP_ALLTOALL, 0, seq);
+    let key = coll_key(world_epoch(mpi), op, 0, seq);
     // Share handles instead of cloning block storage per destination.
     let blocks: Vec<NmBuf> = blocks.into_iter().map(NmBuf::from).collect();
     let mut result: Vec<Option<Bytes>> = (0..size).map(|_| None).collect();
@@ -229,7 +235,7 @@ pub fn alltoall(mpi: &MpiHandle, blocks: Vec<Bytes>) -> Vec<Bytes> {
     }
     for (from, r) in recvs {
         let (d, _) = mpi.state.wait(&mpi.ctx, r);
-        result[from] = Some(d.expect("alltoall data"));
+        result[from] = Some(d.expect("pairwise exchange data"));
     }
     for s in sends {
         mpi.state.wait(&mpi.ctx, s);
@@ -274,34 +280,7 @@ pub fn allgather(mpi: &MpiHandle, mine: Bytes) -> Vec<Bytes> {
 /// (sizes may differ, including empty); the result's element i came from
 /// rank i.
 pub fn alltoallv(mpi: &MpiHandle, blocks: Vec<Bytes>) -> Vec<Bytes> {
-    let (rank, size) = (mpi.rank(), mpi.size());
-    assert_eq!(blocks.len(), size, "need one block per rank");
-    let seq = next_seq(mpi);
-    let key = coll_key(world_epoch(mpi), OP_ALLTOALLV, 0, seq);
-    let blocks: Vec<NmBuf> = blocks.into_iter().map(NmBuf::from).collect();
-    let mut result: Vec<Option<Bytes>> = (0..size).map(|_| None).collect();
-    result[rank] = Some(blocks[rank].share().into_bytes());
-    let mut recvs = Vec::with_capacity(size - 1);
-    for i in 1..size {
-        let from = (rank + size - i) % size;
-        recvs.push((from, mpi.state.irecv_key(&mpi.ctx, Src::Rank(from), key)));
-    }
-    let mut sends = Vec::with_capacity(size - 1);
-    for i in 1..size {
-        let to = (rank + i) % size;
-        sends.push(
-            mpi.state
-                .isend_key(&mpi.ctx, to, key, blocks[to].share()),
-        );
-    }
-    for (from, r) in recvs {
-        let (d, _) = mpi.state.wait(&mpi.ctx, r);
-        result[from] = Some(d.expect("alltoallv data"));
-    }
-    for s in sends {
-        mpi.state.wait(&mpi.ctx, s);
-    }
-    result.into_iter().map(|b| b.expect("missing block")).collect()
+    pairwise_exchange(mpi, OP_ALLTOALLV, blocks)
 }
 
 // --- Elastic membership: fault-tolerant and survivor-group collectives ----

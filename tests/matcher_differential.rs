@@ -1,13 +1,17 @@
-//! Differential equivalence: the per-gate sharded matcher must be
-//! observationally identical to the single-queue [`MatchEngine`] oracle.
+//! Differential equivalence: both owners of the per-tag match queue must
+//! be observationally identical to the single-queue [`MatchEngine`] oracle.
 //!
-//! The sharded engine (`nmad::sharded`) re-implements NewMadeleine's tag
-//! matching with per-gate locks and a global arrival ticket for
-//! ANY_SOURCE arbitration. Nothing about its *answers* may change: this
-//! test replays recorded envelope streams — seeded random interleavings
-//! of posts, eager/RTS arrivals, probes, membership purges and epoch
-//! quiesces, with the mix skewed per seed toward overload (arrival
-//! bursts) or faults (purge-heavy) — into both engines and demands
+//! `nmad::matching::TagQueue` is the one definition of the match step,
+//! and it is owned twice: the sharded engine (`nmad::sharded`) keeps the
+//! queues behind per-gate locks with an atomic arrival ticket for
+//! ANY_SOURCE arbitration, and the sans-IO protocol engine keeps them as
+//! plain per-peer state with a `u64` ticket — the shape [`Owned`] below
+//! reproduces with nothing else around it. Nothing about either's
+//! *answers* may differ from the oracle, which shares no code with them:
+//! this test replays recorded envelope streams — seeded random
+//! interleavings of posts, eager/RTS arrivals, probes, membership purges
+//! and epoch quiesces, with the mix skewed per seed toward overload
+//! (arrival bursts) or faults (purge-heavy) — into all three and demands
 //! identical results for every operation, plus identical queue lengths
 //! after every step.
 //!
@@ -16,15 +20,97 @@
 //! leave a (gate, tag) claimable from both queues, and the engine must
 //! agree with a shadow model on every probe.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
-use nmad::matching::{MatchEngine, Unexpected};
+use nmad::matching::{self, MatchEngine, TagQueue, Unexpected};
 use nmad::sharded::ShardedMatchEngine;
 use nmad::{GateId, RecvReqId};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use simnet::NmBuf;
+
+/// The engine-owned shape: per gate, per tag, one [`TagQueue`], owned
+/// outright; arrivals stored unexpected are stamped from a plain counter.
+#[derive(Default)]
+struct Owned {
+    gates: BTreeMap<GateId, HashMap<u64, TagQueue>>,
+    ticket: u64,
+}
+
+impl Owned {
+    fn queue(&mut self, gate: GateId, tag: u64) -> &mut TagQueue {
+        self.gates.entry(gate).or_default().entry(tag).or_default()
+    }
+
+    fn post_recv(&mut self, gate: GateId, tag: u64, req: RecvReqId) -> Option<Unexpected> {
+        self.queue(gate, tag).post_recv(req)
+    }
+
+    fn arrived(&mut self, gate: GateId, tag: u64, msg: Unexpected) -> Option<RecvReqId> {
+        let hit = self.queue(gate, tag).try_match_arrival(msg.seq());
+        if hit.is_none() {
+            self.ticket += 1;
+            let ticket = self.ticket;
+            self.queue(gate, tag).store_unexpected(ticket, msg);
+        }
+        hit
+    }
+
+    fn probe_info(&self, gate: GateId, tag: u64) -> Option<usize> {
+        let (_, len) = self.gates.get(&gate)?.get(&tag)?.front()?;
+        Some(len)
+    }
+
+    fn probe_tag_info(&self, tag: u64) -> Option<(GateId, usize)> {
+        let heads = self.gates.iter().filter_map(|(&gate, queues)| {
+            let (ticket, len) = queues.get(&tag)?.front()?;
+            Some((ticket, gate, len))
+        });
+        heads.min().map(|(_, gate, len)| (gate, len))
+    }
+
+    fn purge_gate(&mut self, gate: GateId) -> (Vec<(RecvReqId, u64)>, usize) {
+        let mut queues = self.gates.remove(&gate).unwrap_or_default();
+        let (orphans, _, bytes) = matching::purge(queues.iter_mut().map(|(&tag, q)| (tag, q)));
+        (orphans, bytes)
+    }
+
+    fn purge_keys(&mut self, pred: impl Fn(u64) -> bool) -> (Vec<(RecvReqId, GateId, u64)>, usize, usize) {
+        let (mut orphans, mut dropped, mut dropped_bytes) = (Vec::new(), 0, 0);
+        for (&gate, queues) in self.gates.iter_mut() {
+            let doomed = queues.iter_mut().filter(|(&tag, _)| pred(tag));
+            let (reqs, n, bytes) = matching::purge(doomed.map(|(&tag, q)| (tag, q)));
+            orphans.extend(reqs.into_iter().map(|(req, tag)| (req, gate, tag)));
+            dropped += n;
+            dropped_bytes += bytes;
+        }
+        (orphans, dropped, dropped_bytes)
+    }
+
+    fn queues(&self) -> impl Iterator<Item = (GateId, &TagQueue)> {
+        let gates = self.gates.iter();
+        gates.flat_map(|(&gate, queues)| queues.values().map(move |q| (gate, q)))
+    }
+
+    fn posted_len(&self) -> usize {
+        self.queues().map(|(_, q)| q.posted_len()).sum()
+    }
+
+    fn unexpected_len(&self) -> usize {
+        self.queues().map(|(_, q)| q.unexpected_len()).sum()
+    }
+
+    fn posted_gates(&self) -> Vec<GateId> {
+        let mut gates: Vec<GateId> = self
+            .queues()
+            .filter(|(_, q)| q.posted_len() > 0)
+            .map(|(gate, _)| gate)
+            .collect();
+        gates.dedup();
+        gates
+    }
+}
 
 const GATES: usize = 4;
 const TAGS: u64 = 4;
@@ -94,28 +180,36 @@ fn stream(seed: u64, ops: usize) -> Vec<Op> {
     out
 }
 
-/// Replay one stream into both engines, asserting identical observables
-/// at every step.
+/// Replay one stream into the oracle and both owners, asserting identical
+/// observables at every step.
 fn replay_differential(seed: u64) {
     let ops = stream(seed, 400);
     let mut oracle = MatchEngine::new();
     let sharded = ShardedMatchEngine::new();
+    let mut owned = Owned::default();
     // Arrival sequence numbers are per-(gate, tag) monotonic, as the wire
     // guarantees.
     let mut next_seq: HashMap<(usize, u64), u64> = HashMap::new();
     let mut next_req = 0u32;
     let mut next_rdv = 0u64;
     for (step, op) in ops.into_iter().enumerate() {
+        // One observable, three answers: the oracle's is the reference.
+        macro_rules! same {
+            ($what:expr, $oracle:expr, $sharded:expr, $owned:expr) => {{
+                let want = $oracle;
+                assert_eq!(want, $sharded, "sharded {} diverged at step {step} (seed {seed})", $what);
+                assert_eq!(want, $owned, "owned {} diverged at step {step} (seed {seed})", $what);
+            }};
+        }
         match op {
             Op::Post { gate, tag } => {
-                let req = RecvReqId(next_req);
+                let (gate, req) = (GateId(gate), RecvReqId(next_req));
                 next_req += 1;
-                let a = oracle.post_recv(GateId(gate), tag, req);
-                let b = sharded.post_recv(GateId(gate), tag, req);
-                assert_eq!(
-                    a.as_ref().map(fp),
-                    b.as_ref().map(fp),
-                    "post_recv diverged at step {step} (seed {seed})"
+                same!(
+                    "post_recv",
+                    oracle.post_recv(gate, tag, req).as_ref().map(fp),
+                    sharded.post_recv(gate, tag, req).as_ref().map(fp),
+                    owned.post_recv(gate, tag, req).as_ref().map(fp)
                 );
             }
             Op::Arrive { gate, tag, rdv, len } => {
@@ -134,41 +228,58 @@ fn replay_differential(seed: u64) {
                     }
                 };
                 *seq += 1;
-                let a = oracle.arrived(GateId(gate), tag, msg.clone());
-                let b = sharded.arrived(GateId(gate), tag, msg);
-                assert_eq!(a, b, "arrived diverged at step {step} (seed {seed})");
+                let gate = GateId(gate);
+                same!(
+                    "arrived",
+                    oracle.arrived(gate, tag, msg.clone()),
+                    sharded.arrived(gate, tag, msg.clone()),
+                    owned.arrived(gate, tag, msg)
+                );
             }
             Op::Probe { gate, tag } => {
-                assert_eq!(oracle.probe(GateId(gate), tag), sharded.probe(GateId(gate), tag));
-                assert_eq!(
-                    oracle.probe_info(GateId(gate), tag),
-                    sharded.probe_info(GateId(gate), tag),
-                    "probe_info diverged at step {step} (seed {seed})"
+                let gate = GateId(gate);
+                assert_eq!(oracle.probe(gate, tag), sharded.probe(gate, tag));
+                same!(
+                    "probe_info",
+                    oracle.probe_info(gate, tag),
+                    sharded.probe_info(gate, tag),
+                    owned.probe_info(gate, tag)
                 );
             }
-            Op::ProbeTag { tag } => {
-                // ANY_SOURCE arbitration: the ticket minimum must name the
-                // same gate as the oracle's global arrival order.
-                assert_eq!(
-                    oracle.probe_tag_info(tag),
-                    sharded.probe_tag_info(tag),
-                    "ANY_SOURCE arbitration diverged at step {step} (seed {seed})"
-                );
-            }
-            Op::PurgeGate { gate } => {
-                let a = oracle.purge_gate(GateId(gate));
-                let b = sharded.purge_gate(GateId(gate));
-                assert_eq!(a, b, "purge_gate diverged at step {step} (seed {seed})");
-            }
-            Op::PurgeTagsBelow { below } => {
-                let a = oracle.purge_keys(|t| t < below);
-                let b = sharded.purge_keys(|t| t < below);
-                assert_eq!(a, b, "purge_keys diverged at step {step} (seed {seed})");
-            }
+            // ANY_SOURCE arbitration: the ticket minimum must name the
+            // same gate as the oracle's global arrival order.
+            Op::ProbeTag { tag } => same!(
+                "ANY_SOURCE arbitration",
+                oracle.probe_tag_info(tag),
+                sharded.probe_tag_info(tag),
+                owned.probe_tag_info(tag)
+            ),
+            Op::PurgeGate { gate } => same!(
+                "purge_gate",
+                oracle.purge_gate(GateId(gate)),
+                sharded.purge_gate(GateId(gate)),
+                owned.purge_gate(GateId(gate))
+            ),
+            Op::PurgeTagsBelow { below } => same!(
+                "purge_keys",
+                oracle.purge_keys(|t| t < below),
+                sharded.purge_keys(|t| t < below),
+                owned.purge_keys(|t| t < below)
+            ),
         }
-        assert_eq!(oracle.posted_len(), sharded.posted_len());
-        assert_eq!(oracle.unexpected_len(), sharded.unexpected_len());
-        assert_eq!(oracle.posted_gates(), sharded.posted_gates());
+        same!("posted_len", oracle.posted_len(), sharded.posted_len(), owned.posted_len());
+        same!(
+            "unexpected_len",
+            oracle.unexpected_len(),
+            sharded.unexpected_len(),
+            owned.unexpected_len()
+        );
+        same!(
+            "posted_gates",
+            oracle.posted_gates(),
+            sharded.posted_gates(),
+            owned.posted_gates()
+        );
     }
 }
 
