@@ -317,9 +317,13 @@ impl NmCore {
         self.engine.lock().halt();
     }
 
-    /// Is transport-level retransmission configured?
-    pub fn retry_enabled(&self) -> bool {
-        self.engine.lock().cfg.retry.is_some()
+    /// The earliest instant at which [`NmCore::schedule`] has timer work
+    /// (a retransmission, a rail probe, a membership silence check);
+    /// `None` when retry is off or nothing is armed. How long a blocked
+    /// caller may sleep if nothing arrives: everything else that gives
+    /// this core work announces itself through the event hook.
+    pub fn next_deadline(&self) -> Option<SimTime> {
+        self.engine.lock().next_deadline()
     }
 
     /// Drain all surfaced completions (cookies of finished requests).

@@ -8,8 +8,15 @@
 //! wants done to the world outside it is pushed, in order, onto one list
 //! of [`Effect`]s, which the caller takes when the call returns and
 //! executes. The shell in `core.rs` does that against the simulated
-//! fabric; the `loopback` test module below does it in twenty lines with
-//! no simulator at all.
+//! fabric; the `loopback` test module does it in twenty lines with no
+//! simulator at all.
+//!
+//! Time is engine state too. Every timer the protocol runs — retransmission
+//! deadlines on the gates, rail-recovery probes, membership silence checks
+//! — is a field in here, so [`Engine::next_deadline`] can say exactly when
+//! a progress pass next has timer work. Whoever drives the engine sleeps
+//! until an arrival, a new request or that instant, whichever is first;
+//! no adapter needs a polling cadence of its own.
 //!
 //! ## Effect order
 //!
@@ -38,13 +45,16 @@
 //!
 //! Files, one per seam: `inbound` (acceptance, reordering, matching, the
 //! receiver and sender halves of the rendezvous table), `retry`
-//! (retransmission, rail-probe and membership sweeps), `outbound`
-//! (`isend`, the commit stage, NIC completions), `drain` (peer death and
-//! epoch quiesce), `flow` (eager credits).
+//! (retransmission, rail-probe and membership sweeps, the next deadline),
+//! `outbound` (`isend`, the commit stage, NIC completions), `drain` (peer
+//! death and epoch quiesce), `flow` (eager credits); `loopback` is the
+//! test-only reference adapter.
 
 mod drain;
 mod flow;
 mod inbound;
+#[cfg(test)]
+pub(crate) mod loopback;
 mod outbound;
 mod retry;
 
@@ -594,287 +604,5 @@ impl Engine {
             cookie: r.cookie,
             kind,
         });
-    }
-}
-
-#[cfg(test)]
-pub(crate) mod loopback {
-    //! The engine with nothing around it: two [`Engine`]s joined by a
-    //! loopback that carries each packet effect straight into the peer's
-    //! `accept` and answers each committed packet with `sent`. No simulator,
-    //! no threads, no network — time is a number the harness sets.
-    //!
-    //! [`script`] is the traffic both this harness and the fabric-driven twin
-    //! in `core.rs` run; their counters must agree one for one.
-
-    use std::collections::BTreeMap;
-
-    use bytes::Bytes;
-    use simnet::{CopyMeter, NicModel, NmBuf, SimDuration, SimTime};
-
-    use super::{Effect, Engine};
-    use crate::config::{FlowConfig, NmConfig, RetryConfig, StrategyKind};
-    use crate::sampling::LinkProfile;
-    use crate::sr::{CompletionKind, NmCompletion};
-    use crate::stats::NmStats;
-    use crate::wire::{NmWire, WirePayload};
-
-    /// What the script needs from a pair of ranks, however they are joined.
-    pub(crate) trait World {
-        fn isend(&mut self, from: usize, tag: u64, data: Bytes, cookie: u64);
-        fn irecv(&mut self, at: usize, tag: u64, cookie: u64);
-        /// Give both ranks progress passes, one per microsecond, for `micros`.
-        fn poll(&mut self, micros: u64);
-        fn completions(&mut self, at: usize) -> Vec<NmCompletion>;
-        fn stats(&self, at: usize) -> NmStats;
-    }
-
-    /// The wire faults of the retry script: the first RTS and the first DATA
-    /// chunk to cross are lost.
-    #[derive(Default)]
-    pub(crate) struct Lossy {
-        rts_lost: bool,
-        data_lost: bool,
-    }
-
-    impl Lossy {
-        pub fn loses(&mut self, wire: &NmWire) -> bool {
-            let once = match wire.payload {
-                WirePayload::Rts { .. } => &mut self.rts_lost,
-                WirePayload::Data { .. } => &mut self.data_lost,
-                _ => return false,
-            };
-            !std::mem::replace(once, true)
-        }
-    }
-
-    /// Aggregating strategy (the script wants an aggregate of three); with
-    /// `retry`, the default retransmission timers.
-    pub(crate) fn config(retry: bool) -> NmConfig {
-        let mut cfg = NmConfig::with_strategy(StrategyKind::Aggreg);
-        cfg.retry = retry.then(RetryConfig::default);
-        cfg
-    }
-
-    pub(crate) fn pattern(seed: u8, len: usize) -> Bytes {
-        Bytes::from(
-            (0..len)
-                .map(|i| seed.wrapping_add((i * 7) as u8))
-                .collect::<Vec<u8>>(),
-        )
-    }
-
-    /// An eager, an aggregate of three, a 64 KiB rendezvous, rank 0 → rank 1,
-    /// receives posted first. Checks every payload byte and that each request
-    /// completed exactly once; returns both ranks' counters.
-    pub(crate) fn script(w: &mut impl World) -> [NmStats; 2] {
-        let msgs: [(u64, Bytes); 5] = [
-            (1, pattern(1, 200)),
-            (2, pattern(2, 64)),
-            (2, pattern(3, 96)),
-            (2, pattern(4, 128)),
-            (3, pattern(5, 64 * 1024)),
-        ];
-        for (i, (tag, _)) in msgs.iter().enumerate() {
-            w.irecv(1, *tag, 100 + i as u64);
-        }
-        // Alone, then three at once, then the large one; a lost RTS and a
-        // lost DATA each cost one default retransmission timeout (80 µs).
-        for batch in [0..1, 1..4, 4..5] {
-            for i in batch {
-                w.isend(0, msgs[i].0, msgs[i].1.clone(), i as u64);
-            }
-            w.poll(400);
-        }
-        let mut sent: Vec<u64> = Vec::new();
-        for c in w.completions(0) {
-            assert!(matches!(c.kind, CompletionKind::Send), "{:?}", c.kind);
-            sent.push(c.cookie);
-        }
-        sent.sort_unstable();
-        assert_eq!(sent, [0, 1, 2, 3, 4], "each send completes exactly once");
-        let mut received: BTreeMap<u64, Bytes> = BTreeMap::new();
-        for c in w.completions(1) {
-            let CompletionKind::Recv { data, .. } = c.kind else {
-                panic!("receive {} failed: {:?}", c.cookie, c.kind);
-            };
-            assert!(received.insert(c.cookie, data).is_none(), "completed twice");
-        }
-        assert_eq!(received.len(), msgs.len(), "each receive completes once");
-        for (i, (_, want)) in msgs.iter().enumerate() {
-            assert_eq!(&received[&(100 + i as u64)], want, "payload {i}");
-        }
-        [w.stats(0), w.stats(1)]
-    }
-
-    /// Two engines and the wire between them.
-    struct Loopback {
-        engines: [Engine; 2],
-        now: SimTime,
-        lossy: Option<Lossy>,
-    }
-
-    /// Every rail of the loopback is always free.
-    const IDLE: &dyn Fn(usize) -> bool = &|_| true;
-
-    impl Loopback {
-        fn new(cfg: NmConfig, lossy: Option<Lossy>) -> Loopback {
-            let engine = |rank| {
-                let profiles = vec![LinkProfile::sample(&NicModel::connectx_ib())];
-                let rec = obs::RankRec::off();
-                Engine::new(
-                    cfg,
-                    rank,
-                    2,
-                    profiles,
-                    Some(1 - rank),
-                    CopyMeter::new(),
-                    rec,
-                )
-            };
-            Loopback {
-                engines: [engine(0), engine(1)],
-                now: SimTime::ZERO,
-                lossy,
-            }
-        }
-
-        /// Execute the effects engine `from` has produced: a packet takes one
-        /// microsecond to reach the peer's `accept` (or is lost), a committed
-        /// packet is answered with `sent`, and whatever those calls produce is
-        /// executed in turn.
-        fn pump(&mut self, from: usize) {
-            let mut effects = Vec::new();
-            self.engines[from].swap_effects(&mut effects);
-            for effect in effects {
-                let Effect::Packet { wire, sent, .. } = effect else {
-                    continue;
-                };
-                let to = wire.dst_rank;
-                if !self.lossy.as_mut().is_some_and(|l| l.loses(&wire)) {
-                    self.now += SimDuration::micros(1);
-                    self.engines[to].accept(self.now, wire, 0, false, IDLE);
-                    self.pump(to);
-                }
-                if let Some(tag) = sent {
-                    self.engines[from].sent(self.now, tag, IDLE);
-                    self.pump(from);
-                }
-            }
-        }
-    }
-
-    impl World for Loopback {
-        fn isend(&mut self, from: usize, tag: u64, data: Bytes, cookie: u64) {
-            self.engines[from].isend(self.now, 1 - from, tag, NmBuf::from(data), cookie);
-            self.pump(from);
-        }
-
-        fn irecv(&mut self, at: usize, tag: u64, cookie: u64) {
-            self.engines[at].irecv(self.now, 1 - at, tag, cookie);
-            self.pump(at);
-        }
-
-        fn poll(&mut self, micros: u64) {
-            for _ in 0..micros {
-                for rank in 0..2 {
-                    self.engines[rank].schedule(self.now, IDLE);
-                    self.pump(rank);
-                }
-                self.now += SimDuration::micros(1);
-            }
-        }
-
-        fn completions(&mut self, at: usize) -> Vec<NmCompletion> {
-            self.engines[at].completions.drain(..).collect()
-        }
-
-        fn stats(&self, at: usize) -> NmStats {
-            self.engines[at].stats()
-        }
-    }
-
-    /// Run [`script`] on the loopback; `lossy` arms retry and the two losses.
-    pub(crate) fn run(lossy: bool) -> [NmStats; 2] {
-        let mut world = Loopback::new(config(lossy), lossy.then(Lossy::default));
-        let stats = script(&mut world);
-        assert!(world.engines.iter().all(Engine::quiescent));
-        stats
-    }
-
-    #[test]
-    fn script_runs_on_two_bare_engines() {
-        let [s0, s1] = run(false);
-        assert_eq!((s0.eager_sends, s0.rdv_sends), (4, 1));
-        assert_eq!((s0.aggregates_sent, s0.frags_aggregated), (1, 3));
-        assert_eq!(
-            (s0.packets_sent, s0.data_chunks_sent),
-            (4, 1),
-            "eager, aggregate, RTS, DATA"
-        );
-        assert_eq!((s1.packets_sent, s1.recv_completions), (1, 5), "the CTS");
-        assert_eq!(s0.total_retries() + s1.total_retries(), 0);
-    }
-
-    /// Flow-controlled traffic either side of `hostile` frames fed to
-    /// rank 0 as if from rank 1. Returns what rank 1 received, both ranks'
-    /// counters, and what is left of rank 0's credit pool toward rank 1.
-    fn around_hostile_frames(hostile: &[WirePayload]) -> (Vec<Bytes>, [NmStats; 2], Option<u32>) {
-        let mut cfg = config(true);
-        cfg.flow = Some(FlowConfig::bounded(4, 64 * 1024));
-        let mut w = Loopback::new(cfg, None);
-        let traffic = |w: &mut Loopback, tag: u64| {
-            w.irecv(1, tag, tag);
-            w.isend(0, tag, pattern(tag as u8, 300), tag);
-            w.poll(50);
-        };
-        traffic(&mut w, 7);
-        for payload in hostile {
-            let wire = NmWire::new(1, 0, payload.share());
-            w.engines[0].accept(w.now, wire, 0, false, IDLE);
-            w.pump(0);
-        }
-        traffic(&mut w, 8);
-        let received = w.completions(1).into_iter().map(|c| match c.kind {
-            CompletionKind::Recv { data, .. } => data,
-            other => panic!("receive {} ended as {other:?}", c.cookie),
-        });
-        let pool = w.engines[0].peers[&1].send_credits;
-        (received.collect(), [w.stats(0), w.stats(1)], pool)
-    }
-
-    /// Credit counts are input off the wire: a forged `Credit` that would
-    /// overflow the pool and a replayed `Ack` returning a credit the pool
-    /// already has are each one counted error. The pool stops at capacity
-    /// and the traffic around them neither sees nor counts a difference.
-    #[test]
-    fn an_over_returned_credit_is_a_counted_error() {
-        let hostile = [
-            WirePayload::Credit { credits: u32::MAX },
-            WirePayload::Ack {
-                tag: 7,
-                next: 1,
-                credits: 1,
-            },
-        ];
-        let (clean_data, [mut clean0, clean1], clean_pool) = around_hostile_frames(&[]);
-        let (data, [s0, s1], pool) = around_hostile_frames(&hostile);
-        assert_eq!((clean_pool, pool), (Some(4), Some(4)), "pool at capacity");
-        assert_eq!(data, [pattern(7, 300), pattern(8, 300)]);
-        assert_eq!(data, clean_data);
-        assert_eq!((clean0.protocol_errors, s0.protocol_errors), (0, 2));
-        clean0.protocol_errors = 2;
-        assert_eq!((s0, s1), (clean0, clean1), "no other counter moved");
-    }
-
-    #[test]
-    fn a_lost_rts_and_a_lost_data_chunk_are_replayed() {
-        let [s0, s1] = run(true);
-        assert_eq!(
-            (s0.rts_retries, s0.data_retries, s0.eager_retries),
-            (1, 1, 0)
-        );
-        assert_eq!((s1.fins_sent, s1.dup_data, s1.dup_envelopes), (1, 0, 0));
-        assert_eq!(s0.send_completions, 5);
     }
 }

@@ -1,5 +1,6 @@
 //! Timer-driven stages of a progress pass: the retransmission sweep, the
-//! rail-recovery prober and the membership silence prober.
+//! rail-recovery prober and the membership silence prober — and
+//! [`Engine::next_deadline`], the instant the earliest of them is due.
 
 use simnet::SimTime;
 
@@ -92,7 +93,40 @@ impl Out {
     }
 }
 
+/// Does this rank expect inbound traffic from the gate's peer? Those are
+/// the peers the membership silence prober watches.
+fn awaited(gate: &Gate) -> bool {
+    gate.posted() > 0 || !gate.rdv_in.is_empty()
+}
+
 impl Engine {
+    /// The earliest instant at which a progress pass has timer work to do:
+    /// the minimum over every armed retransmission timer of every gate,
+    /// the rail-health table's next probe instant and the membership
+    /// table's next silence deadline. `None` when retry is off or nothing
+    /// is armed — then only an arrival or a new request can give this
+    /// engine work, and whoever drives it may sleep until one comes.
+    ///
+    /// This is the timer third of the adapter contract: `schedule(now)`
+    /// with `now` at or past the returned instant fires (and so re-arms or
+    /// disarms) whatever was due, hence always moves the deadline. Computed
+    /// on demand — call it when about to park, not per pass.
+    pub fn next_deadline(&self) -> Option<SimTime> {
+        self.cfg.retry?;
+        if self.halted {
+            return None;
+        }
+        let retx = self.peers.values().filter_map(|g| g.next_deadline()).min();
+        // The prober only runs with somewhere to aim (`sweep_probes`).
+        let health = self.probe_peer.and(self.health.as_ref());
+        let probe = health.and_then(|h| h.next_deadline());
+        let silence = self.membership.as_ref().and_then(|m| {
+            let expected = self.peers.iter().filter(|(_, g)| awaited(g));
+            m.next_deadline(expected.map(|(&src, _)| src))
+        });
+        retx.into_iter().chain(probe).chain(silence).min()
+    }
+
     /// Walk every armed retransmission timer and replay what timed out:
     /// unacked eager envelopes, RTS without a CTS, CTS without DATA
     /// progress, and finished DATA transfers without a FIN. Timeouts back
@@ -304,7 +338,6 @@ impl Engine {
         let Some(m) = self.membership.as_mut() else {
             return;
         };
-        let awaited = |g: &Gate| g.posted() > 0 || !g.rdv_in.is_empty();
         let expected = self.peers.iter().filter(|(_, g)| awaited(g));
         let (probes, dead) = m.tick(now, expected.map(|(&src, _)| src));
         self.emit_member_events(now);

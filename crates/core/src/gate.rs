@@ -68,6 +68,11 @@ impl RetxTimer {
         self.deadline.is_some_and(|dl| now >= dl)
     }
 
+    /// The instant this timer becomes [`Self::due`]; `None` while unarmed.
+    pub fn deadline(&self) -> Option<SimTime> {
+        self.deadline
+    }
+
     /// Progress arrived: push an armed deadline out by the current
     /// (possibly backed-off) timeout. The attempts stay on record.
     pub fn bump(&mut self, now: SimTime) {
@@ -309,6 +314,19 @@ impl Gate {
             && self.unacked.is_empty()
             && self.rdv_out.is_empty()
             && self.rdv_in.is_empty()
+    }
+
+    /// Earliest deadline over every armed retransmission timer of this
+    /// peer: unacked eager envelopes, outbound and inbound rendezvous.
+    pub fn next_deadline(&self) -> Option<SimTime> {
+        let eager = self.unacked.values().map(|rx| &rx.timer);
+        let rdv_out = self.rdv_out.values().map(|r| &r.timer);
+        let rdv_in = self.rdv_in.values().map(|r| &r.timer);
+        eager
+            .chain(rdv_out)
+            .chain(rdv_in)
+            .filter_map(RetxTimer::deadline)
+            .min()
     }
 
     /// Protocol-table state of the outbound rendezvous `rdv_id`.

@@ -235,6 +235,19 @@ impl MembershipTable {
         (probes, dead)
     }
 
+    /// The earliest instant at which [`Self::tick`] over the same
+    /// `expected` set would charge a silence failure. A peer the table has
+    /// never seen has no deadline yet: its cell (and probe clock) starts
+    /// at the first `tick` or arrival that names it.
+    pub fn next_deadline<I>(&self, expected: I) -> Option<SimTime>
+    where
+        I: IntoIterator<Item = usize>,
+    {
+        let cells = expected.into_iter().filter_map(|p| self.cells.get(&p));
+        let live = cells.filter(|c| c.state != PeerLiveness::Dead);
+        live.map(|c| c.next_probe_at).min()
+    }
+
     /// Force a `Dead` verdict (tests, upper-layer teardown). Returns
     /// `true` if the peer was not already dead.
     pub fn declare_dead(&mut self, peer: usize, now: SimTime) -> bool {

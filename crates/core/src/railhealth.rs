@@ -265,6 +265,21 @@ impl RailHealthTable {
         probes
     }
 
+    /// The earliest instant at which [`Self::tick`] has something to do:
+    /// a `Down` rail's next probe round, a `Probing` rail's follow-up
+    /// probe or its probe timeout. `None` while every rail is usable. (A
+    /// re-admission ramp is no deadline: [`Self::weight`] is a function of
+    /// `now`, read whenever the strategy runs, and nothing fires when the
+    /// ramp ends.)
+    pub fn next_deadline(&self) -> Option<SimTime> {
+        let per_rail = self.cells.iter().map(|c| match c.state {
+            RailHealth::Down => c.next_probe_at,
+            RailHealth::Probing => c.probe_deadline.into_iter().chain(c.next_probe_at).min(),
+            RailHealth::Up | RailHealth::Suspect => None,
+        });
+        per_rail.flatten().min()
+    }
+
     /// Scheduling weight of `rail` at `now`: 0 for `Down`/`Probing`, full
     /// for `Suspect` and established `Up`, ramping 0.25 → 1.0 over
     /// [`RetryConfig::ramp`] after a re-admission.

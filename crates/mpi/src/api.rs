@@ -128,6 +128,13 @@ impl MpiHandle {
         self.state.flow_state()
     }
 
+    /// The instant this rank's NewMadeleine engine next has timer work
+    /// (see [`ProcState::net_deadline`]) — what a blocked PIOMan wait
+    /// keeps its one wake armed at.
+    pub fn net_deadline(&self) -> Option<SimTime> {
+        self.state.net_deadline()
+    }
+
     /// Nonblocking send. The borrowed application buffer is copied once at
     /// the MPI boundary (metered: the only send-side copy of the bypass
     /// path); everything below shares that allocation.

@@ -25,7 +25,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use parking_lot::Mutex;
-use simnet::{CopyMeter, NmBuf, RankCtx, Scheduler, SimDuration, SimSemaphore};
+use simnet::{CopyMeter, NmBuf, RankCtx, Scheduler, SimDuration, SimSemaphore, SimTime};
 
 use nemesis::ShmModel;
 use nmad::sr::CompletionKind;
@@ -144,11 +144,16 @@ impl PollBackoff {
     }
 }
 
-/// Self-wake period for PIOMan waiters while the retry transport is
-/// active: if a lost packet killed the whole kick chain, the blocked rank
-/// re-drives its own progress cycle (and thus the retransmission sweep)
-/// at this cadence instead of sleeping forever.
-const RETRY_WAKE: SimDuration = SimDuration::micros(100);
+/// The one timed wake a blocked PIOMan waiter keeps armed, at the
+/// NewMadeleine engine's next timer deadline. simnet cannot cancel an
+/// event and does not need to: arming anew bumps `generation`, and a wake
+/// that fires carrying an older one does nothing.
+#[derive(Default)]
+struct DeadlineWake {
+    /// Instant the live wake fires at; `None` once it has fired.
+    at: Option<SimTime>,
+    generation: u64,
+}
 
 /// User-level communicator context (COMM_WORLD point-to-point).
 /// Re-exported from the canonical key layout in `nmad::keys` — the core's
@@ -203,6 +208,8 @@ pub struct ProcState {
     pub piom: Option<Arc<PiomServer>>,
     /// Wake semaphore for blocked waiters (PIOMan mode).
     pub wake: SimSemaphore,
+    /// See [`ProcState::arm_deadline_wake`].
+    deadline_wake: Mutex<DeadlineWake>,
     /// Packets a rank sent to itself, pending local delivery.
     selfq: Mutex<VecDeque<Ch3Pkt>>,
     /// Collective-operation sequence number (all ranks call collectives in
@@ -248,6 +255,7 @@ impl ProcState {
             rec,
             piom,
             wake: SimSemaphore::new(format!("mpi-wake-{rank}")),
+            deadline_wake: Mutex::default(),
             selfq: Mutex::new(VecDeque::new()),
             coll_seq: std::sync::atomic::AtomicU32::new(0),
             crashed: std::sync::atomic::AtomicBool::new(false),
@@ -818,12 +826,10 @@ impl ProcState {
                     if self.reqs.is_done(req) {
                         break;
                     }
-                    // §3.3.2: block on the semaphore; PIOMan wakes us.
-                    // Under the retry transport, also arm a timed self-wake
-                    // — belt and braces next to the PIOMan watchdog.
-                    if self.retry_net() {
-                        self.wake.signal_in(&sched, RETRY_WAKE);
-                    }
+                    // §3.3.2: block on the semaphore; PIOMan wakes us —
+                    // or the engine's next timer does, if a lost packet
+                    // killed the whole kick chain.
+                    self.arm_deadline_wake(&sched);
                     self.wake.wait(ctx);
                 }
             }
@@ -932,9 +938,58 @@ impl ProcState {
         }
     }
 
-    /// Is the inter-node path running the retransmitting transport?
-    fn retry_net(&self) -> bool {
-        matches!(&self.net, NetPath::Direct(core) if core.retry_enabled())
+    /// The instant NewMadeleine next has timer work on the bypass path
+    /// ([`NmCore::next_deadline`]): `None` without the retransmitting
+    /// transport, or with nothing outstanding on the wire.
+    pub fn net_deadline(&self) -> Option<SimTime> {
+        match &self.net {
+            NetPath::Direct(core) => core.next_deadline(),
+            _ => None,
+        }
+    }
+
+    /// About to block in PIOMan mode: make sure a wake is armed no later
+    /// than the engine's next deadline. Whenever anything is outstanding
+    /// on the wire a retransmission timer is armed, so a rank parked here
+    /// always has a wake at the instant its progress cycle next finds
+    /// something due — which is all the liveness a dead kick chain needs.
+    /// (A timer that PIOMan's own pass arms while the rank sleeps with no
+    /// earlier wake live is the peer's timer's, then the stall watchdog's,
+    /// to catch.)
+    ///
+    /// Exactly one wake is live at a time. A new one is armed only when
+    /// none is, or when the deadline moved *earlier* than the live one; a
+    /// deadline that moved later (the usual case: the ack came) keeps the
+    /// live wake, which then finds nothing due and re-arms from here. A
+    /// live wake that fires signals `wake`, so the waiter runs one
+    /// progress cycle and parks again until the next deadline; a
+    /// superseded one neither signals nor re-arms.
+    fn arm_deadline_wake(self: &Arc<Self>, sched: &Scheduler) {
+        let Some(deadline) = self.net_deadline() else {
+            return;
+        };
+        let generation = {
+            let mut armed = self.deadline_wake.lock();
+            if armed.at.is_some_and(|at| at <= deadline) {
+                return;
+            }
+            armed.at = Some(deadline);
+            armed.generation += 1;
+            armed.generation
+        };
+        let this = Arc::clone(self);
+        // A progress cycle has just run, so nothing is due yet; `max` only
+        // keeps a zero timeout from scheduling into the past.
+        sched.schedule_at(deadline.max(sched.now()), move |s| {
+            {
+                let mut armed = this.deadline_wake.lock();
+                if armed.generation != generation {
+                    return;
+                }
+                armed.at = None;
+            }
+            this.wake.signal(s);
+        });
     }
 
     /// CH3 unexpected-queue backlog of this rank: `(current buffered
