@@ -129,8 +129,8 @@ impl MpiHandle {
     }
 
     /// The instant this rank's NewMadeleine engine next has timer work
-    /// (see [`ProcState::net_deadline`]) — what a blocked PIOMan wait
-    /// keeps its one wake armed at.
+    /// (see [`ProcState::net_deadline`]) — what PIOMan keeps its one timed
+    /// pass armed at.
     pub fn net_deadline(&self) -> Option<SimTime> {
         self.state.net_deadline()
     }

@@ -78,40 +78,29 @@ pub fn bytes_to_f64s(b: &[u8]) -> Vec<f64> {
         .collect()
 }
 
+/// The identity group: COMM_WORLD as the member list the group-scoped
+/// algorithms take (position = rank).
+fn world(mpi: &MpiHandle) -> Vec<usize> {
+    (0..mpi.size()).collect()
+}
+
 /// Dissemination barrier: ⌈log₂ P⌉ rounds; in round k, rank r signals
 /// r + 2ᵏ and hears from r − 2ᵏ (mod P).
 pub fn barrier(mpi: &MpiHandle) {
-    let (rank, size) = (mpi.rank(), mpi.size());
-    if size == 1 {
+    if mpi.size() == 1 {
         return;
     }
     let seq = next_seq(mpi);
-    let ep = world_epoch(mpi);
-    let mut round = 0u16;
-    let mut dist = 1usize;
-    while dist < size {
-        let to = (rank + dist) % size;
-        let from = (rank + size - dist) % size;
-        let key = coll_key(ep, OP_BARRIER, round, seq);
-        let r = mpi
-            .state
-            .isend_key(&mpi.ctx, to, key, NmBuf::default());
-        let rr = mpi.state.irecv_key(&mpi.ctx, Src::Rank(from), key);
-        mpi.state.wait(&mpi.ctx, r);
-        mpi.state.wait(&mpi.ctx, rr);
-        dist <<= 1;
-        round += 1;
-    }
+    barrier_group_ep(mpi, world_epoch(mpi), seq, 0, &world(mpi), mpi.rank());
 }
 
 /// Binomial-tree broadcast. `data` must be `Some` on `root` (ignored
 /// elsewhere); every rank returns the payload.
 pub fn bcast(mpi: &MpiHandle, root: usize, data: Option<Bytes>) -> Bytes {
-    let (rank, size) = (mpi.rank(), mpi.size());
-    assert!(root < size);
+    let rank = mpi.rank();
+    assert!(root < mpi.size());
     let seq = next_seq(mpi);
     let key = coll_key(world_epoch(mpi), OP_BCAST, 0, seq);
-    let vrank = (rank + size - root) % size;
     // Internally the payload is an NmBuf handle: forwarding to several
     // children shares one allocation instead of cloning per child.
     let mut payload = if rank == root {
@@ -119,73 +108,19 @@ pub fn bcast(mpi: &MpiHandle, root: usize, data: Option<Bytes>) -> Bytes {
     } else {
         NmBuf::default()
     };
-    // Receive from parent.
-    let mut mask = 1usize;
-    while mask < size {
-        if vrank & mask != 0 {
-            let parent = ((vrank - mask) + root) % size;
-            let r = mpi.state.irecv_key(&mpi.ctx, Src::Rank(parent), key);
-            let (d, _) = mpi.state.wait(&mpi.ctx, r);
-            payload = NmBuf::from(d.expect("bcast data"));
-            break;
-        }
-        mask <<= 1;
-    }
-    // Forward to children.
-    mask >>= 1;
-    let mut sends = Vec::new();
-    while mask > 0 {
-        if vrank & mask == 0 && vrank + mask < size {
-            let child = ((vrank + mask) + root) % size;
-            sends.push(
-                mpi.state
-                    .isend_key(&mpi.ctx, child, key, payload.share()),
-            );
-        }
-        mask >>= 1;
-    }
-    for s in sends {
-        mpi.state.wait(&mpi.ctx, s);
-    }
+    bcast_group(mpi, key, &world(mpi), root, rank, &mut payload);
     payload.into_bytes()
 }
 
 /// Binomial-tree sum-reduction of equal-length f64 vectors to `root`.
 pub fn reduce_sum(mpi: &MpiHandle, root: usize, contrib: &[f64]) -> Option<Vec<f64>> {
-    let (rank, size) = (mpi.rank(), mpi.size());
-    assert!(root < size);
+    assert!(root < mpi.size());
     let seq = next_seq(mpi);
     let key = coll_key(world_epoch(mpi), OP_REDUCE, 0, seq);
-    let vrank = (rank + size - root) % size;
     // The accumulator is mutated in place each round; it cannot alias the
     // caller's borrowed contribution.
     let mut acc = contrib.to_vec();
-    let mut mask = 1usize;
-    while mask < size {
-        if vrank & mask == 0 {
-            let src_v = vrank | mask;
-            if src_v < size {
-                let src = (src_v + root) % size;
-                let r = mpi.state.irecv_key(&mpi.ctx, Src::Rank(src), key);
-                let (d, _) = mpi.state.wait(&mpi.ctx, r);
-                let theirs = bytes_to_f64s(&d.expect("reduce data"));
-                assert_eq!(theirs.len(), acc.len(), "reduce length mismatch");
-                for (a, b) in acc.iter_mut().zip(theirs) {
-                    *a += b;
-                }
-            }
-        } else {
-            let parent_v = vrank & !mask;
-            let parent = (parent_v + root) % size;
-            let r = mpi
-                .state
-                .isend_key(&mpi.ctx, parent, key, f64s_to_bytes(&acc));
-            mpi.state.wait(&mpi.ctx, r);
-            return None;
-        }
-        mask <<= 1;
-    }
-    Some(acc)
+    reduce_group(mpi, key, &world(mpi), root, mpi.rank(), &mut acc).then_some(acc)
 }
 
 /// Allreduce (sum) = reduce to rank 0, then broadcast.
@@ -206,41 +141,7 @@ pub fn allreduce_sum(mpi: &MpiHandle, contrib: &[f64]) -> Vec<f64> {
 /// rank i; the result's element i came from rank i. All receives are
 /// posted before any send, so rendezvous transfers cannot deadlock.
 pub fn alltoall(mpi: &MpiHandle, blocks: Vec<Bytes>) -> Vec<Bytes> {
-    pairwise_exchange(mpi, OP_ALLTOALL, blocks)
-}
-
-/// The pairwise exchange behind [`alltoall`] and [`alltoallv`], which
-/// differ only in the opcode their keys carry.
-fn pairwise_exchange(mpi: &MpiHandle, op: u8, blocks: Vec<Bytes>) -> Vec<Bytes> {
-    let (rank, size) = (mpi.rank(), mpi.size());
-    assert_eq!(blocks.len(), size, "need one block per rank");
-    let seq = next_seq(mpi);
-    let key = coll_key(world_epoch(mpi), op, 0, seq);
-    // Share handles instead of cloning block storage per destination.
-    let blocks: Vec<NmBuf> = blocks.into_iter().map(NmBuf::from).collect();
-    let mut result: Vec<Option<Bytes>> = (0..size).map(|_| None).collect();
-    let mut recvs = Vec::with_capacity(size - 1);
-    for i in 1..size {
-        let from = (rank + size - i) % size;
-        recvs.push((from, mpi.state.irecv_key(&mpi.ctx, Src::Rank(from), key)));
-    }
-    result[rank] = Some(blocks[rank].share().into_bytes());
-    let mut sends = Vec::with_capacity(size - 1);
-    for i in 1..size {
-        let to = (rank + i) % size;
-        sends.push(
-            mpi.state
-                .isend_key(&mpi.ctx, to, key, blocks[to].share()),
-        );
-    }
-    for (from, r) in recvs {
-        let (d, _) = mpi.state.wait(&mpi.ctx, r);
-        result[from] = Some(d.expect("pairwise exchange data"));
-    }
-    for s in sends {
-        mpi.state.wait(&mpi.ctx, s);
-    }
-    result.into_iter().map(|b| b.expect("missing block")).collect()
+    pairwise_exchange(mpi, OP_ALLTOALL, blocks, usize::MAX)
 }
 
 /// Allgather (ring algorithm): every rank contributes one block and
@@ -280,7 +181,7 @@ pub fn allgather(mpi: &MpiHandle, mine: Bytes) -> Vec<Bytes> {
 /// (sizes may differ, including empty); the result's element i came from
 /// rank i.
 pub fn alltoallv(mpi: &MpiHandle, blocks: Vec<Bytes>) -> Vec<Bytes> {
-    pairwise_exchange(mpi, OP_ALLTOALLV, blocks)
+    pairwise_exchange(mpi, OP_ALLTOALLV, blocks, usize::MAX)
 }
 
 // --- Elastic membership: fault-tolerant and survivor-group collectives ----
@@ -382,26 +283,26 @@ pub fn barrier_group_of(mpi: &MpiHandle, group: &[usize]) {
         .position(|&r| r == mpi.rank())
         .expect("caller must be a member of the group");
     let seq = next_seq(mpi);
-    barrier_group_ep(mpi, world_epoch(mpi), seq, group, my_pos);
+    barrier_group_ep(mpi, world_epoch(mpi), seq, 0, group, my_pos);
 }
 
-/// Dissemination barrier over a group with an explicit epoch and sequence
-/// number — the primitive behind both [`barrier_group_of`] and the
-/// communicator-scoped barrier (whose keys carry the *communicator's*
-/// epoch, not the world's).
+/// Dissemination barrier over a group with an explicit epoch, sequence
+/// number and first round — the one dissemination loop, behind
+/// [`barrier`], [`barrier_group_of`], the leader phase of [`barrier_hier`]
+/// and the communicator-scoped barrier (whose keys carry the
+/// *communicator's* epoch, not the world's). In round k, position p
+/// signals p + 2ᵏ and hears from p − 2ᵏ (mod the group size).
 pub(crate) fn barrier_group_ep(
     mpi: &MpiHandle,
     ep: u8,
     seq: u32,
+    round_base: u16,
     group: &[usize],
     my_pos: usize,
 ) {
     let gsize = group.len();
     debug_assert_eq!(group[my_pos], mpi.rank());
-    if gsize <= 1 {
-        return;
-    }
-    let mut round = 0u16;
+    let mut round = round_base;
     let mut dist = 1usize;
     while dist < gsize {
         let to = group[(my_pos + dist) % gsize];
@@ -850,17 +751,25 @@ pub fn alltoall_bruck(mpi: &MpiHandle, blocks: Vec<Bytes>) -> Vec<Bytes> {
 /// outstanding requests (and their unexpected-queue footprint) never pile
 /// up at once.
 pub fn alltoallv_windowed(mpi: &MpiHandle, blocks: Vec<Bytes>, window: usize) -> Vec<Bytes> {
+    assert!(window > 0, "window must be positive");
+    pairwise_exchange(mpi, OP_ALLTOALLV, blocks, window)
+}
+
+/// The pairwise exchange behind [`alltoall`], [`alltoallv`] (one window
+/// spanning the whole job) and [`alltoallv_windowed`]: per window, post
+/// the receives, then the sends, then wait for both.
+fn pairwise_exchange(mpi: &MpiHandle, op: u8, blocks: Vec<Bytes>, window: usize) -> Vec<Bytes> {
     let (rank, size) = (mpi.rank(), mpi.size());
     assert_eq!(blocks.len(), size, "need one block per rank");
-    assert!(window > 0, "window must be positive");
     let seq = next_seq(mpi);
-    let key = coll_key(world_epoch(mpi), OP_ALLTOALLV, 0, seq);
+    let key = coll_key(world_epoch(mpi), op, 0, seq);
+    // Share handles instead of cloning block storage per destination.
     let blocks: Vec<NmBuf> = blocks.into_iter().map(NmBuf::from).collect();
     let mut result: Vec<Option<Bytes>> = (0..size).map(|_| None).collect();
     result[rank] = Some(blocks[rank].share().into_bytes());
     let mut i = 1usize;
     while i < size {
-        let end = (i + window).min(size);
+        let end = i.saturating_add(window).min(size);
         let mut recvs = Vec::with_capacity(end - i);
         for d in i..end {
             let from = (rank + size - d) % size;
@@ -873,7 +782,7 @@ pub fn alltoallv_windowed(mpi: &MpiHandle, blocks: Vec<Bytes>, window: usize) ->
         }
         for (from, r) in recvs {
             let (data, _) = mpi.state.wait(&mpi.ctx, r);
-            result[from] = Some(data.expect("alltoallv data"));
+            result[from] = Some(data.expect("pairwise exchange data"));
         }
         for s in sends {
             mpi.state.wait(&mpi.ctx, s);
@@ -914,21 +823,7 @@ pub fn barrier_hier(mpi: &MpiHandle) {
     );
     // Phase 2: dissemination over the node leaders only.
     if let Some(lpos) = topo.leader_index(rank) {
-        let leaders = topo.leaders();
-        let nl = leaders.len();
-        let mut dist = 1usize;
-        let mut round = 8u16;
-        while dist < nl {
-            let key = coll_key(ep, OP_BARRIER, round, seq);
-            let to = leaders[(lpos + dist) % nl];
-            let from = leaders[(lpos + nl - dist) % nl];
-            let s = mpi.state.isend_key(&mpi.ctx, to, key, NmBuf::default());
-            let r = mpi.state.irecv_key(&mpi.ctx, Src::Rank(from), key);
-            mpi.state.wait(&mpi.ctx, s);
-            mpi.state.wait(&mpi.ctx, r);
-            dist <<= 1;
-            round += 1;
-        }
+        barrier_group_ep(mpi, ep, seq, 8, topo.leaders(), lpos);
     }
     // Phase 3: intra-node release from the leader.
     let mut empty = NmBuf::default();

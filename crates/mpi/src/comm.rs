@@ -398,7 +398,7 @@ pub fn comm_shrink(mpi: &MpiHandle, comm: &Comm) -> Comm {
     // Seal: the first collective of the new epoch. Frames of the old epoch
     // arriving after this point are counted stale and dropped.
     let seal = next_seq(mpi);
-    barrier_group_ep(mpi, next.epoch, seal, &next.members, next.my_pos);
+    barrier_group_ep(mpi, next.epoch, seal, 0, &next.members, next.my_pos);
     next
 }
 
@@ -411,7 +411,7 @@ pub fn comm_accept(mpi: &MpiHandle, comm: &Comm, joiner: usize, join_seq: u32) -
     debug_assert!(!comm.members.contains(&joiner), "joiner already a member");
     // Pre-join sync: nobody may touch the joiner before everyone is here.
     let pre = next_seq(mpi);
-    barrier_group_ep(mpi, comm.epoch, pre, &comm.members, comm.my_pos);
+    barrier_group_ep(mpi, comm.epoch, pre, 0, &comm.members, comm.my_pos);
     let new_epoch = comm.epoch.checked_add(1).expect("epoch space exhausted");
     if comm.my_pos == 0 {
         // Roster payload: [new_epoch u8][coll_seq u32][n u32][member u32 …].
@@ -449,7 +449,7 @@ pub fn comm_accept(mpi: &MpiHandle, comm: &Comm, joiner: usize, join_seq: u32) -
         my_pos,
     };
     let seal = next_seq(mpi);
-    barrier_group_ep(mpi, next.epoch, seal, &next.members, next.my_pos);
+    barrier_group_ep(mpi, next.epoch, seal, 0, &next.members, next.my_pos);
     next
 }
 
@@ -486,7 +486,7 @@ pub fn comm_join(mpi: &MpiHandle, leader: usize, join_seq: u32) -> Comm {
         my_pos,
     };
     let seal = next_seq(mpi);
-    barrier_group_ep(mpi, next.epoch, seal, &next.members, next.my_pos);
+    barrier_group_ep(mpi, next.epoch, seal, 0, &next.members, next.my_pos);
     next
 }
 
@@ -497,7 +497,7 @@ pub fn comm_join(mpi: &MpiHandle, leader: usize, join_seq: u32) -> Comm {
 /// Dissemination barrier over the communicator (keys carry its epoch).
 pub fn comm_barrier(mpi: &MpiHandle, comm: &Comm) {
     let seq = next_seq(mpi);
-    barrier_group_ep(mpi, comm.epoch, seq, &comm.members, comm.my_pos);
+    barrier_group_ep(mpi, comm.epoch, seq, 0, &comm.members, comm.my_pos);
 }
 
 /// Sum-allreduce over the communicator (recursive doubling).

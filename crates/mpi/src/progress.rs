@@ -144,17 +144,6 @@ impl PollBackoff {
     }
 }
 
-/// The one timed wake a blocked PIOMan waiter keeps armed, at the
-/// NewMadeleine engine's next timer deadline. simnet cannot cancel an
-/// event and does not need to: arming anew bumps `generation`, and a wake
-/// that fires carrying an older one does nothing.
-#[derive(Default)]
-struct DeadlineWake {
-    /// Instant the live wake fires at; `None` once it has fired.
-    at: Option<SimTime>,
-    generation: u64,
-}
-
 /// User-level communicator context (COMM_WORLD point-to-point).
 /// Re-exported from the canonical key layout in `nmad::keys` — the core's
 /// epoch hygiene (stale-frame filtering, revoke quiesce) decodes the same
@@ -208,8 +197,6 @@ pub struct ProcState {
     pub piom: Option<Arc<PiomServer>>,
     /// Wake semaphore for blocked waiters (PIOMan mode).
     pub wake: SimSemaphore,
-    /// See [`ProcState::arm_deadline_wake`].
-    deadline_wake: Mutex<DeadlineWake>,
     /// Packets a rank sent to itself, pending local delivery.
     selfq: Mutex<VecDeque<Ch3Pkt>>,
     /// Collective-operation sequence number (all ranks call collectives in
@@ -255,7 +242,6 @@ impl ProcState {
             rec,
             piom,
             wake: SimSemaphore::new(format!("mpi-wake-{rank}")),
-            deadline_wake: Mutex::default(),
             selfq: Mutex::new(VecDeque::new()),
             coll_seq: std::sync::atomic::AtomicU32::new(0),
             crashed: std::sync::atomic::AtomicBool::new(false),
@@ -556,13 +542,7 @@ impl ProcState {
                         tag: tag_of(tag),
                         len: data.len(),
                     };
-                    // If this was an ANY_SOURCE head, its parked specifics
-                    // can now flow to NewMadeleine.
-                    let releases = self.anysource.on_complete(req);
-                    for r in releases {
-                        let nm = core.irecv(sched, r.src, r.key, r.req.0 as u64);
-                        self.reqs.bind_nmad(r.req, NmadBinding::Recv(nm));
-                    }
+                    self.release_parked(sched, req);
                     self.finish_recv(sched, req, data, status);
                 }
                 // Membership drain verdicts (§2.2.1 no-cancel rule): the
@@ -575,11 +555,7 @@ impl ProcState {
                     self.rec.inc("mpi.recv_failures", 1);
                     // A failed ANY_SOURCE head still releases its parked
                     // specifics — those target other (possibly live) peers.
-                    let releases = self.anysource.on_complete(req);
-                    for r in releases {
-                        let nm = core.irecv(sched, r.src, r.key, r.req.0 as u64);
-                        self.reqs.bind_nmad(r.req, NmadBinding::Recv(nm));
-                    }
+                    self.release_parked(sched, req);
                     self.finish_recv_failed(sched, req, gate.0);
                 }
                 // Revoke quiesce verdicts: the operation's epoch was torn
@@ -589,23 +565,15 @@ impl ProcState {
                 CompletionKind::SendRevoked { peer, epoch } => {
                     self.rec.inc("mpi.send_revocations", 1);
                     self.reqs.complete_send_revoked(req, peer, epoch);
-                    if self.piom.is_some() {
-                        self.wake.signal(sched);
-                    }
+                    self.completed(sched);
                 }
                 CompletionKind::RecvRevoked { gate, tag: _, epoch } => {
                     self.rec.inc("mpi.recv_revocations", 1);
                     // Same release discipline as RecvFailed: a revoked
                     // ANY_SOURCE head must not strand its parked specifics.
-                    let releases = self.anysource.on_complete(req);
-                    for r in releases {
-                        let nm = core.irecv(sched, r.src, r.key, r.req.0 as u64);
-                        self.reqs.bind_nmad(r.req, NmadBinding::Recv(nm));
-                    }
+                    self.release_parked(sched, req);
                     self.reqs.complete_recv_revoked(req, gate.0, epoch);
-                    if self.piom.is_some() {
-                        self.wake.signal(sched);
-                    }
+                    self.completed(sched);
                 }
             }
         }
@@ -660,6 +628,21 @@ impl ProcState {
         }
     }
 
+    /// `req` is over (matched, failed or revoked): if it was an ANY_SOURCE
+    /// head, remove its entry and let its parked specifics flow to
+    /// NewMadeleine.
+    fn release_parked(&self, sched: &Scheduler, req: Req) {
+        let releases = self.anysource.on_complete(req);
+        let NetPath::Direct(core) = &self.net else {
+            debug_assert!(releases.is_empty());
+            return;
+        };
+        for r in releases {
+            let nm = core.irecv(sched, r.src, r.key, r.req.0 as u64);
+            self.reqs.bind_nmad(r.req, NmadBinding::Recv(nm));
+        }
+    }
+
     fn apply_ch3_event(self: &Arc<Self>, sched: &Scheduler, e: Ch3Event) {
         match e {
             Ch3Event::SendDone { req } => self.finish_send(sched, req),
@@ -686,18 +669,9 @@ impl ProcState {
                     self.reqs.set_path(req, path);
                 }
                 if was_any {
-                    // Intra-node match of a listed ANY_SOURCE request:
-                    // remove its entry and release parked specifics
+                    // Intra-node match of a listed ANY_SOURCE request
                     // (§3.2.2, final paragraph).
-                    let releases = self.anysource.on_complete(req);
-                    if let NetPath::Direct(core) = &self.net {
-                        for r in releases {
-                            let nm = core.irecv(sched, r.src, r.key, r.req.0 as u64);
-                            self.reqs.bind_nmad(r.req, NmadBinding::Recv(nm));
-                        }
-                    } else {
-                        debug_assert!(releases.is_empty());
-                    }
+                    self.release_parked(sched, req);
                 }
                 self.finish_recv(sched, req, data, status);
             }
@@ -708,8 +682,9 @@ impl ProcState {
     // Completion, costs, waiting
     // ------------------------------------------------------------------
 
-    /// The receiver-side software cost of observing this completion.
-    pub fn completion_cost(&self, req: Req) -> SimDuration {
+    /// The receiver-side software cost of observing the completion of
+    /// `req` with a `len`-byte payload.
+    pub fn completion_cost(&self, req: Req, len: usize) -> SimDuration {
         let kind = self.reqs.kind(req);
         if kind == ReqKind::Send {
             return SimDuration::ZERO; // sender cost charged at isend
@@ -718,11 +693,6 @@ impl ProcState {
             ReqPath::Net | ReqPath::Unknown => self.costs.net_recv,
             ReqPath::Shm => {
                 let model = self.shm_model.expect("shm completion without model");
-                let len = self
-                    .reqs
-                    .status(req)
-                    .map(|s| s.len)
-                    .unwrap_or(0);
                 self.costs.shm_recv + model.recv_cpu_cost(len)
             }
             ReqPath::SelfLoop => SimDuration::nanos(50),
@@ -734,32 +704,31 @@ impl ProcState {
         }
     }
 
-    fn finish_send(self: &Arc<Self>, sched: &Scheduler, req: Req) {
-        match &self.piom {
-            Some(_) => {
-                self.reqs.complete_send(req);
-                self.wake.signal(sched);
-            }
-            None => self.reqs.complete_send(req),
+    /// A request just completed: wake the rank if it blocks on completions
+    /// (PIOMan mode) rather than polling for them.
+    fn completed(&self, sched: &Scheduler) {
+        if self.piom.is_some() {
+            self.wake.signal(sched);
         }
+    }
+
+    fn finish_send(self: &Arc<Self>, sched: &Scheduler, req: Req) {
+        self.reqs.complete_send(req);
+        self.completed(sched);
     }
 
     /// Terminal failure of a send: destination declared dead. No completion
     /// delay — there is no payload work, only the verdict.
     fn finish_send_failed(self: &Arc<Self>, sched: &Scheduler, req: Req, peer: usize) {
         self.reqs.complete_send_failed(req, peer);
-        if self.piom.is_some() {
-            self.wake.signal(sched);
-        }
+        self.completed(sched);
     }
 
     /// Terminal failure of a receive: its source was declared dead and the
     /// membership drain aborted the posted operation.
     fn finish_recv_failed(self: &Arc<Self>, sched: &Scheduler, req: Req, peer: usize) {
         self.reqs.complete_recv_failed(req, peer);
-        if self.piom.is_some() {
-            self.wake.signal(sched);
-        }
+        self.completed(sched);
     }
 
     fn finish_recv(self: &Arc<Self>, sched: &Scheduler, req: Req, data: Bytes, status: Status) {
@@ -767,7 +736,7 @@ impl ProcState {
             Some(_) => {
                 // The completion work runs on the progress core; the
                 // requester observes it after that work's cost.
-                let cost = self.completion_cost_precompute(req, status.len);
+                let cost = self.completion_cost(req, status.len);
                 let this = Arc::clone(self);
                 sched.schedule_in(cost, move |s| {
                     this.reqs.complete_recv(req, data, status);
@@ -775,24 +744,6 @@ impl ProcState {
                 });
             }
             None => self.reqs.complete_recv(req, data, status),
-        }
-    }
-
-    /// Like [`ProcState::completion_cost`] but before the status is stored.
-    fn completion_cost_precompute(&self, req: Req, len: usize) -> SimDuration {
-        let kind = self.reqs.kind(req);
-        let base = match self.reqs.path(req) {
-            ReqPath::Net | ReqPath::Unknown => self.costs.net_recv,
-            ReqPath::Shm => {
-                let model = self.shm_model.expect("shm completion without model");
-                self.costs.shm_recv + model.recv_cpu_cost(len)
-            }
-            ReqPath::SelfLoop => SimDuration::nanos(50),
-        };
-        if kind == ReqKind::RecvAnySource {
-            base + self.costs.anysource_extra
-        } else {
-            base
         }
     }
 
@@ -820,16 +771,18 @@ impl ProcState {
                     }
                 });
             }
-            Some(_) => {
+            Some(piom) => {
                 while !self.reqs.is_done(req) {
                     self.progress_cycle(&sched);
                     if self.reqs.is_done(req) {
                         break;
                     }
-                    // §3.3.2: block on the semaphore; PIOMan wakes us —
-                    // or the engine's next timer does, if a lost packet
-                    // killed the whole kick chain.
-                    self.arm_deadline_wake(&sched);
+                    // §3.3.2: block on the semaphore until a PIOMan pass
+                    // completes something. The cycle above may have armed
+                    // retransmission timers no pass has seen: hand PIOMan
+                    // the deadline, so a lost packet that kills the whole
+                    // kick chain still gets its pass.
+                    piom.arm_pass(&sched, self.net_deadline());
                     self.wake.wait(ctx);
                 }
             }
@@ -838,7 +791,7 @@ impl ProcState {
             Some((data, status)) => {
                 if self.piom.is_none() {
                     // App-polling: the observer pays the completion cost.
-                    let c = self.completion_cost(req);
+                    let c = self.completion_cost(req, status.map_or(0, |s| s.len));
                     if c > SimDuration::ZERO {
                         ctx.advance(c);
                     }
@@ -938,58 +891,17 @@ impl ProcState {
         }
     }
 
-    /// The instant NewMadeleine next has timer work on the bypass path
-    /// ([`NmCore::next_deadline`]): `None` without the retransmitting
-    /// transport, or with nothing outstanding on the wire.
+    /// The instant the inter-node path next has timer work
+    /// ([`NmCore::next_deadline`], directly or under the netmod tunnel):
+    /// `None` without the retransmitting transport, or with nothing
+    /// outstanding on the wire. PIOMan keeps its one timed pass armed here
+    /// ([`PiomServer::arm_pass`]).
     pub fn net_deadline(&self) -> Option<SimTime> {
         match &self.net {
             NetPath::Direct(core) => core.next_deadline(),
-            _ => None,
+            NetPath::Ch3(t) => t.next_deadline(),
+            NetPath::None => None,
         }
-    }
-
-    /// About to block in PIOMan mode: make sure a wake is armed no later
-    /// than the engine's next deadline. Whenever anything is outstanding
-    /// on the wire a retransmission timer is armed, so a rank parked here
-    /// always has a wake at the instant its progress cycle next finds
-    /// something due — which is all the liveness a dead kick chain needs.
-    /// (A timer that PIOMan's own pass arms while the rank sleeps with no
-    /// earlier wake live is the peer's timer's, then the stall watchdog's,
-    /// to catch.)
-    ///
-    /// Exactly one wake is live at a time. A new one is armed only when
-    /// none is, or when the deadline moved *earlier* than the live one; a
-    /// deadline that moved later (the usual case: the ack came) keeps the
-    /// live wake, which then finds nothing due and re-arms from here. A
-    /// live wake that fires signals `wake`, so the waiter runs one
-    /// progress cycle and parks again until the next deadline; a
-    /// superseded one neither signals nor re-arms.
-    fn arm_deadline_wake(self: &Arc<Self>, sched: &Scheduler) {
-        let Some(deadline) = self.net_deadline() else {
-            return;
-        };
-        let generation = {
-            let mut armed = self.deadline_wake.lock();
-            if armed.at.is_some_and(|at| at <= deadline) {
-                return;
-            }
-            armed.at = Some(deadline);
-            armed.generation += 1;
-            armed.generation
-        };
-        let this = Arc::clone(self);
-        // A progress cycle has just run, so nothing is due yet; `max` only
-        // keeps a zero timeout from scheduling into the past.
-        sched.schedule_at(deadline.max(sched.now()), move |s| {
-            {
-                let mut armed = this.deadline_wake.lock();
-                if armed.generation != generation {
-                    return;
-                }
-                armed.at = None;
-            }
-            this.wake.signal(s);
-        });
     }
 
     /// CH3 unexpected-queue backlog of this rank: `(current buffered

@@ -231,7 +231,8 @@ pub struct RunOutcome {
     /// Per-rail `(messages, bytes)` seen by the NewMadeleine fabric —
     /// replay-identity fingerprint for the determinism tests.
     pub rail_counters: Vec<(u64, u64)>,
-    /// Total PIOMan watchdog stall re-kicks across all ranks.
+    /// Total PIOMan re-kicks across all ranks: ltask passes run at an
+    /// engine deadline with no kick behind them.
     pub piom_rekicks: u64,
     /// Job-wide copy accounting: every payload memcpy/allocation/share from
     /// MPI ingress down to the NIC, across all ranks (the Fig. 2 copy
@@ -671,7 +672,10 @@ pub fn run_mpi(
             let st = Arc::clone(&state);
             server.register_fn(
                 &format!("mpi-progress-{r}"),
-                Arc::new(move |s| st.progress_cycle(s)),
+                Arc::new(move |s| {
+                    st.progress_cycle(s);
+                    st.net_deadline()
+                }),
             );
             if let Some(t) = &state.shm {
                 let sv = Arc::clone(server);
@@ -708,18 +712,6 @@ pub fn run_mpi(
         }
     }
 
-    // Retry transport + PIOMan: kicks are event-driven, and under fault
-    // injection the event chain itself can die with a lost packet. The
-    // watchdog re-runs stalled ltasks so the retransmission sweeps keep
-    // running (the engine exits once every rank finished, so a perpetual
-    // tick cannot hang the job).
-    if let Some(rc) = cfg.nm.retry {
-        if cfg.pioman.is_some() {
-            for server in piom_servers.iter().flatten() {
-                server.enable_watchdog(&sched, rc.timeout);
-            }
-        }
-    }
     // --- Rank threads ----------------------------------------------------
     for (r, state) in states.iter().enumerate() {
         let program = Arc::clone(&program);

@@ -23,7 +23,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use simnet::{BufOrigin, CopyMeter, Fabric, NmBuf, NodeId, RailId, Scheduler};
+use simnet::{BufOrigin, CopyMeter, Fabric, NmBuf, NodeId, RailId, Scheduler, SimTime};
 
 use nemesis::{MsgHeader, ShmDomain};
 use nmad::sr::CompletionKind;
@@ -64,6 +64,12 @@ pub trait Ch3Transport: Send + Sync {
     /// submission window.
     fn quiescent(&self) -> bool {
         true
+    }
+
+    /// The instant this transport next has timer work of its own (a
+    /// retransmission deadline), kick or no kick.
+    fn next_deadline(&self) -> Option<SimTime> {
+        None
     }
 }
 
@@ -503,6 +509,10 @@ impl Ch3Transport for NmadNetmodTransport {
 
     fn quiescent(&self) -> bool {
         self.core.quiescent()
+    }
+
+    fn next_deadline(&self) -> Option<SimTime> {
+        self.core.next_deadline()
     }
 }
 

@@ -141,7 +141,7 @@ pub enum EngineEvent {
     PiomKick { net: bool },
     /// PIOMan ran its ltask list.
     PiomLtaskPass { tasks: u32 },
-    /// The PIOMan watchdog re-kicked a stagnant server.
+    /// PIOMan ran an ltask pass at an ltask's deadline, no kick behind it.
     PiomRekick,
     /// One eager credit consumed toward `peer`.
     CreditDebit { peer: u32 },

@@ -14,12 +14,19 @@
 //! ## What the simulation models
 //!
 //! * **ltasks** ([`ltask`]): the registered progress tasks PIOMan runs on
-//!   every detection opportunity.
+//!   every detection opportunity. Each run answers with the instant the
+//!   task next needs to run *absent any event* (a retransmission
+//!   deadline), or `None`.
 //! * **The server** ([`server`]): reacts to event *kicks* from the network
 //!   (NewMadeleine's hook) and from shared memory (the Nemesis mailbox
 //!   hook), each after the measured synchronization cost — ≈2 µs for the
 //!   network path, ≈450 ns for shared memory (§4.1.2) — and, in
-//!   timer-driven mode, on a periodic tick.
+//!   timer-driven mode, on a periodic tick. It is also the one owner of
+//!   *time* on the stack: it keeps exactly one timed pass armed at the
+//!   earliest deadline its ltasks answered with
+//!   ([`PiomServer::arm_pass`]), so a lost packet that kills the whole
+//!   kick chain still gets its retransmission — whether the rank is
+//!   parked, computing, or has returned.
 //! * **Detection methods** ([`server::DetectionMethod`]): `IdleCorePolling`
 //!   reacts to every event (an idle core continuously polls — the mode that
 //!   produces the overlap of Fig. 7); `TimerDriven` only reacts on its

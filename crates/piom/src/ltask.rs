@@ -5,13 +5,18 @@
 //! timer tick). In the MPICH2 integration there are typically two: "poll
 //! NewMadeleine" and "poll the Nemesis shared-memory mailboxes", plus the
 //! MPI layer's completion task.
+//!
+//! An ltask answers with the instant it next needs to run *absent any
+//! kick* — a retransmission deadline, say — or `None` when only events can
+//! give it work. The server keeps one timed pass armed at the minimum.
 
 use std::sync::Arc;
 
-use simnet::Scheduler;
+use simnet::{Scheduler, SimTime};
 
-/// The work an ltask performs, on the engine thread.
-pub type LTaskFn = Arc<dyn Fn(&Scheduler) + Send + Sync>;
+/// The work an ltask performs, on the engine thread; returns when it next
+/// needs a pass of its own accord.
+pub type LTaskFn = Arc<dyn Fn(&Scheduler) -> Option<SimTime> + Send + Sync>;
 
 /// A named background progress task.
 #[derive(Clone)]
@@ -40,11 +45,11 @@ impl LTask {
         self.runs.load(std::sync::atomic::Ordering::Relaxed)
     }
 
-    /// Execute the task.
-    pub fn run(&self, sched: &Scheduler) {
+    /// Execute the task; its answer is its next deadline.
+    pub fn run(&self, sched: &Scheduler) -> Option<SimTime> {
         self.runs
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        (self.f)(sched);
+        (self.f)(sched)
     }
 }
 
@@ -58,7 +63,7 @@ impl std::fmt::Debug for LTask {
 mod tests {
     use super::*;
     use parking_lot::Mutex;
-    use simnet::{SimBuilder, SimTime};
+    use simnet::SimBuilder;
 
     #[test]
     fn ltask_runs_and_counts() {
@@ -66,13 +71,18 @@ mod tests {
         let sched = sim.scheduler();
         let log = Arc::new(Mutex::new(0));
         let l2 = Arc::clone(&log);
-        let t = LTask::new("test", Arc::new(move |_| *l2.lock() += 1));
+        let t = LTask::new(
+            "test",
+            Arc::new(move |_| {
+                *l2.lock() += 1;
+                Some(SimTime(7))
+            }),
+        );
         assert_eq!(t.name(), "test");
         assert_eq!(t.runs(), 0);
-        t.run(&sched);
+        assert_eq!(t.run(&sched), Some(SimTime(7)));
         t.run(&sched);
         assert_eq!(*log.lock(), 2);
         assert_eq!(t.runs(), 2);
-        let _ = SimTime::ZERO;
     }
 }

@@ -16,13 +16,19 @@
 //!   after [`PiomConfig::shm_sync`] (≈450 ns);
 //! * in [`DetectionMethod::TimerDriven`] mode, a periodic tick — the
 //!   degraded path when no core is idle ("context switches, timer
-//!   interrupts").
+//!   interrupts");
+//! * a **deadline**: each ltask answers with the instant it next needs to
+//!   run absent any kick (a retransmission timer, when a lost packet killed
+//!   the whole kick chain), and the server keeps exactly one timed pass
+//!   armed at the minimum ([`PiomServer::arm_pass`]). The server is the
+//!   only owner of time on this stack: neither a blocked rank nor a
+//!   fixed-cadence supervisor keeps a timer of its own.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use simnet::{Scheduler, SimDuration};
+use simnet::{Scheduler, SimDuration, SimTime};
 
 use crate::ltask::{LTask, LTaskFn};
 
@@ -63,6 +69,16 @@ impl Default for PiomConfig {
     }
 }
 
+/// The one timed pass the server keeps armed. simnet cannot cancel an
+/// event and does not need to: arming anew bumps `generation`, and a pass
+/// that fires carrying an older one does nothing.
+#[derive(Default)]
+struct TimedPass {
+    /// Instant the live pass fires at; `None` once it has fired.
+    at: Option<SimTime>,
+    generation: u64,
+}
+
 /// The per-process progress server.
 pub struct PiomServer {
     cfg: PiomConfig,
@@ -78,12 +94,9 @@ pub struct PiomServer {
     /// pass per co-located rank and event counts grow with node width.
     pass_pending: AtomicBool,
     kicks: AtomicU64,
-    /// Completed `run_ltasks` passes (the watchdog's progress signal).
-    runs: AtomicU64,
-    watchdog_running: AtomicBool,
-    /// `runs` snapshot at the last watchdog inspection.
-    watchdog_seen: AtomicU64,
-    /// Stall detections: watchdog periods in which no ltask pass happened.
+    /// See [`PiomServer::arm_pass`].
+    timed: Mutex<TimedPass>,
+    /// Timed passes that fired live: ltask passes with no kick behind them.
     rekicks: AtomicU64,
     /// Observability handle (installed by the stack glue after
     /// construction; defaults to the inert handle).
@@ -99,16 +112,14 @@ impl PiomServer {
             timer_running: AtomicBool::new(false),
             pass_pending: AtomicBool::new(false),
             kicks: AtomicU64::new(0),
-            runs: AtomicU64::new(0),
-            watchdog_running: AtomicBool::new(false),
-            watchdog_seen: AtomicU64::new(0),
+            timed: Mutex::default(),
             rekicks: AtomicU64::new(0),
             rec: Mutex::new(obs::RankRec::off()),
         })
     }
 
     /// Install the observability handle this server stamps its events with
-    /// (kicks, ltask passes, watchdog re-kicks).
+    /// (kicks, ltask passes, re-kicks).
     pub fn set_recorder(&self, rec: obs::RankRec) {
         *self.rec.lock() = rec;
     }
@@ -134,18 +145,18 @@ impl PiomServer {
         self.kicks.load(Ordering::Relaxed)
     }
 
-    /// Watchdog stall detections: periods with no ltask pass that forced a
-    /// re-kick (diagnostics).
+    /// Re-kicks: ltask passes the server ran at an ltask's deadline, with
+    /// no kick behind them (diagnostics).
     pub fn rekicks(&self) -> u64 {
         self.rekicks.load(Ordering::Relaxed)
     }
 
-    /// Run every registered ltask now.
-    pub fn run_ltasks(&self, sched: &Scheduler) {
+    /// Run every registered ltask now, then keep a timed pass armed at the
+    /// earliest deadline they answered with.
+    pub fn run_ltasks(self: &Arc<Self>, sched: &Scheduler) {
         if self.stopped.load(Ordering::Acquire) {
             return;
         }
-        self.runs.fetch_add(1, Ordering::Relaxed);
         // Clone out so ltasks may register further ltasks without deadlock.
         let tasks: Vec<LTask> = self.ltasks.lock().clone();
         {
@@ -158,9 +169,58 @@ impl PiomServer {
             );
             rec.inc("piom.ltask_passes", 1);
         }
-        for t in &tasks {
-            t.run(sched);
-        }
+        let deadline = tasks.iter().filter_map(|t| t.run(sched)).min();
+        self.arm_pass(sched, deadline);
+    }
+
+    /// Make sure an ltask pass runs no later than `deadline`, kick or no
+    /// kick (`None`: nothing to arm). Called after every pass with the
+    /// ltasks' own answer, and by whoever drove progress outside a pass and
+    /// is about to stop doing so (a rank parking in `wait`), with the
+    /// deadline it read after its last cycle.
+    ///
+    /// Exactly one timed pass is live at a time. A new one is armed only
+    /// when none is, or when the deadline moved *earlier* than the live
+    /// one; a deadline that moved later (the usual case: the ack came)
+    /// keeps the live pass, which then finds nothing due and re-arms from
+    /// the ltasks' answer. A live pass that fires runs the ltasks on the
+    /// dispatching thread and counts as a re-kick; a superseded one runs
+    /// nothing and re-arms nothing.
+    pub fn arm_pass(self: &Arc<Self>, sched: &Scheduler, deadline: Option<SimTime>) {
+        let Some(deadline) = deadline else {
+            return;
+        };
+        let generation = {
+            let mut armed = self.timed.lock();
+            if armed.at.is_some_and(|at| at <= deadline) {
+                return;
+            }
+            armed.at = Some(deadline);
+            armed.generation += 1;
+            armed.generation
+        };
+        let server = Arc::clone(self);
+        // `max` only keeps a deadline already due from scheduling into the
+        // past.
+        sched.schedule_at(deadline.max(sched.now()), move |s| {
+            {
+                let mut armed = server.timed.lock();
+                if armed.generation != generation {
+                    return;
+                }
+                armed.at = None;
+            }
+            if server.stopped.load(Ordering::Acquire) {
+                return;
+            }
+            server.rekicks.fetch_add(1, Ordering::Relaxed);
+            {
+                let rec = server.rec.lock();
+                rec.engine(s.now().0, obs::EngineEvent::PiomRekick);
+                rec.inc("piom.rekicks", 1);
+            }
+            server.run_ltasks(s);
+        });
     }
 
     /// A network event happened (NewMadeleine hook): react after the
@@ -219,6 +279,8 @@ impl PiomServer {
         }
     }
 
+    /// The one periodic re-arm on this stack: `TimerDriven` *is* a
+    /// fixed-cadence detection method.
     fn tick(self: &Arc<Self>, sched: &Scheduler, period: SimDuration) {
         if self.stopped.load(Ordering::Acquire) {
             return;
@@ -227,47 +289,6 @@ impl PiomServer {
         sched.schedule_in(period, move |s| {
             server.run_ltasks(s);
             server.tick(s, period);
-        });
-    }
-
-    /// Start the stall watchdog: every `period`, if no ltask pass ran since
-    /// the previous inspection (the kick chain died — e.g. a lost packet
-    /// means no NIC event will ever fire the NewMadeleine hook again), run
-    /// the ltasks anyway. This is what lets a blocked `wait()` recover under
-    /// fault injection: the re-kicked ltasks drive `NmCore::schedule`, whose
-    /// retransmission sweep puts the lost traffic back on the wire.
-    /// Idempotent; ends when the server is stopped.
-    pub fn enable_watchdog(self: &Arc<Self>, sched: &Scheduler, period: SimDuration) {
-        assert!(period > SimDuration::ZERO, "watchdog needs a nonzero period");
-        if !self.watchdog_running.swap(true, Ordering::AcqRel) {
-            self.watchdog_seen
-                .store(self.runs.load(Ordering::Relaxed), Ordering::Relaxed);
-            self.watchdog_tick(sched, period);
-        }
-    }
-
-    fn watchdog_tick(self: &Arc<Self>, sched: &Scheduler, period: SimDuration) {
-        if self.stopped.load(Ordering::Acquire) {
-            self.watchdog_running.store(false, Ordering::Release);
-            return;
-        }
-        let server = Arc::clone(self);
-        sched.schedule_in(period, move |s| {
-            let runs = server.runs.load(Ordering::Relaxed);
-            if server.watchdog_seen.swap(runs, Ordering::Relaxed) == runs
-                && !server.stopped.load(Ordering::Acquire)
-            {
-                server.rekicks.fetch_add(1, Ordering::Relaxed);
-                {
-                    let rec = server.rec.lock();
-                    rec.engine(s.now().0, obs::EngineEvent::PiomRekick);
-                    rec.inc("piom.rekicks", 1);
-                }
-                server.run_ltasks(s);
-                server.watchdog_seen
-                    .store(server.runs.load(Ordering::Relaxed), Ordering::Relaxed);
-            }
-            server.watchdog_tick(s, period);
         });
     }
 
@@ -281,11 +302,27 @@ impl PiomServer {
 mod tests {
     use super::*;
     use parking_lot::Mutex as PlMutex;
-    use simnet::{SimBuilder, SimTime};
+    use simnet::SimBuilder;
+    use std::collections::VecDeque;
+
+    /// Logs each run; the n-th run answers with the n-th scripted deadline
+    /// (in ns), `None` past the script's end.
+    fn scripted_task(log: &Arc<PlMutex<Vec<SimTime>>>, answers: &[Option<u64>]) -> ProgressFn {
+        let log = Arc::clone(log);
+        let answers = PlMutex::new(VecDeque::from(answers.to_vec()));
+        Arc::new(move |s: &Scheduler| {
+            log.lock().push(s.now());
+            answers.lock().pop_front().flatten().map(SimTime)
+        })
+    }
 
     fn counter_task(log: &Arc<PlMutex<Vec<SimTime>>>) -> ProgressFn {
-        let log = Arc::clone(log);
-        Arc::new(move |s: &Scheduler| log.lock().push(s.now()))
+        scripted_task(log, &[])
+    }
+
+    fn kick_at(sched: &Scheduler, server: &Arc<PiomServer>, ns: u64) {
+        let server = Arc::clone(server);
+        sched.schedule_at(SimTime(ns), move |s| server.kick_net(s));
     }
 
     #[test]
@@ -323,7 +360,13 @@ mod tests {
         let order = Arc::new(PlMutex::new(Vec::new()));
         for name in ["a", "b", "c"] {
             let order = Arc::clone(&order);
-            server.register_fn(name, Arc::new(move |_| order.lock().push(name)));
+            server.register_fn(
+                name,
+                Arc::new(move |_| {
+                    order.lock().push(name);
+                    None
+                }),
+            );
         }
         server.run_ltasks(&sched);
         assert_eq!(*order.lock(), vec!["a", "b", "c"]);
@@ -367,44 +410,81 @@ mod tests {
     }
 
     #[test]
-    fn watchdog_rekicks_when_kicks_stagnate() {
+    fn a_deadline_gets_exactly_one_timed_pass_at_it() {
         let sim = SimBuilder::new().build();
         let sched = sim.scheduler();
         let server = PiomServer::new(PiomConfig::default());
         let log = Arc::new(PlMutex::new(Vec::new()));
-        server.register_fn("count", counter_task(&log));
-        // No kick ever arrives (all packets "lost"): only the watchdog can
-        // run the ltasks.
-        server.enable_watchdog(&sched, SimDuration::micros(10));
-        let s2 = Arc::clone(&server);
-        sched.schedule_at(SimTime(45_000), move |_| s2.stop());
+        // The kicked pass at 3 us asks for 50 us; nothing kicks again (all
+        // packets "lost"), so only the timed pass can run the ltasks.
+        server.register_fn("t", scripted_task(&log, &[Some(50_000)]));
+        kick_at(&sched, &server, 1_000);
         sim.run().unwrap();
-        assert!(
-            server.rekicks() >= 3,
-            "stalled server must be re-kicked (got {})",
-            server.rekicks()
-        );
-        assert!(!log.lock().is_empty());
+        assert_eq!(*log.lock(), vec![SimTime(3_000), SimTime(50_000)]);
+        assert_eq!(server.rekicks(), 1);
     }
 
     #[test]
-    fn watchdog_stays_quiet_while_kicks_flow() {
+    fn a_later_deadline_keeps_the_live_pass_an_earlier_one_supersedes_it() {
+        let sim = SimBuilder::new().build();
+        let sched = sim.scheduler();
+        let server = PiomServer::new(PiomConfig::default());
+        let log = Arc::new(PlMutex::new(Vec::new()));
+        server.register_fn(
+            "t",
+            scripted_task(
+                &log,
+                &[
+                    Some(50_000), // kicked pass at 3 us: arms 50 us
+                    Some(80_000), // kicked pass at 12 us: later, 50 us stays live
+                    Some(80_000), // timed pass at 50 us: arms 80 us
+                    Some(70_000), // kicked pass at 62 us: earlier, supersedes 80 us
+                    None,         // timed pass at 70 us; the 80 us one is stale
+                ],
+            ),
+        );
+        for ns in [1_000, 10_000, 60_000] {
+            kick_at(&sched, &server, ns);
+        }
+        sim.run().unwrap();
+        let at: Vec<u64> = log.lock().iter().map(|t| t.as_nanos()).collect();
+        assert_eq!(at, [3_000, 12_000, 50_000, 62_000, 70_000]);
+        assert_eq!(server.rekicks(), 2, "the superseded pass ran nothing");
+    }
+
+    #[test]
+    fn no_deadline_arms_nothing_and_kicks_still_coalesce() {
         let sim = SimBuilder::new().build();
         let sched = sim.scheduler();
         let server = PiomServer::new(PiomConfig::default());
         let log = Arc::new(PlMutex::new(Vec::new()));
         server.register_fn("count", counter_task(&log));
-        server.enable_watchdog(&sched, SimDuration::micros(10));
-        // A kick in every watchdog period: never stalled, never re-kicked.
-        for i in 0..7u64 {
-            let s2 = Arc::clone(&server);
-            sched.schedule_at(SimTime(i * 5_000), move |s| s2.kick_net(s));
+        server.arm_pass(&sched, None);
+        // Three kicks inside one sync cost are one pass; a fourth after it
+        // ran is another.
+        for ns in [1_000, 1_500, 2_900, 3_500] {
+            kick_at(&sched, &server, ns);
         }
-        let s3 = Arc::clone(&server);
-        sched.schedule_at(SimTime(38_000), move |_| s3.stop());
-        sim.run().unwrap();
+        let outcome = sim.run().unwrap();
+        assert_eq!(*log.lock(), vec![SimTime(3_000), SimTime(5_500)]);
+        assert_eq!(server.kicks(), 4);
         assert_eq!(server.rekicks(), 0);
-        assert_eq!(log.lock().len(), 7);
+        assert_eq!(outcome.events, 6, "four kicks, two passes, no timer");
+    }
+
+    #[test]
+    fn a_stopped_servers_fired_pass_runs_nothing() {
+        let sim = SimBuilder::new().build();
+        let sched = sim.scheduler();
+        let server = PiomServer::new(PiomConfig::default());
+        let log = Arc::new(PlMutex::new(Vec::new()));
+        server.register_fn("count", counter_task(&log));
+        server.arm_pass(&sched, Some(SimTime(50_000)));
+        let s2 = Arc::clone(&server);
+        sched.schedule_at(SimTime(20_000), move |_| s2.stop());
+        sim.run().unwrap();
+        assert!(log.lock().is_empty());
+        assert_eq!(server.rekicks(), 0);
     }
 
     #[test]
@@ -419,7 +499,14 @@ mod tests {
             "registrar",
             Arc::new(move |_s| {
                 let h3 = Arc::clone(&h2);
-                s2.register_fn("child", Arc::new(move |_| *h3.lock() = true));
+                s2.register_fn(
+                    "child",
+                    Arc::new(move |_| {
+                        *h3.lock() = true;
+                        None
+                    }),
+                );
+                None
             }),
         );
         server.run_ltasks(&sched); // registers child

@@ -16,7 +16,10 @@ fn blocked_rank_wakes_via_ltask() {
     let sem2 = sem.clone();
     server.register_fn(
         "signal-waiter",
-        Arc::new(move |s| sem2.signal(s)),
+        Arc::new(move |s| {
+            sem2.signal(s);
+            None
+        }),
     );
     let woke_at = Arc::new(Mutex::new(SimTime::ZERO));
     let w2 = Arc::clone(&woke_at);
@@ -40,7 +43,13 @@ fn kicks_fan_out_to_all_ltasks() {
     let tasks: Vec<LTask> = (0..3)
         .map(|i| {
             let counts = Arc::clone(&counts);
-            LTask::new(format!("t{i}"), Arc::new(move |_| counts.lock()[i] += 1))
+            LTask::new(
+                format!("t{i}"),
+                Arc::new(move |_| {
+                    counts.lock()[i] += 1;
+                    None
+                }),
+            )
         })
         .collect();
     for t in &tasks {
@@ -76,6 +85,7 @@ fn detection_method_controls_reaction_latency() {
                 if r.is_none() {
                     *r = Some(s.now());
                 }
+                None
             }),
         );
         let sched = sim.scheduler();
