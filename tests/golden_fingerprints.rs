@@ -32,29 +32,29 @@ const GOLDEN: &[(&str, u64)] = &[
     ("sendrecv/clean/0", 0x8c74f4de8a1c647d),
     ("sendrecv/faulty/0", 0xaf287bf32066e2d5),
     ("sendrecv/clean/1", 0x1aba5369c0fa9511),
-    ("sendrecv/faulty/1", 0x7c25b8d99af8a3eb),
+    ("sendrecv/faulty/1", 0x3aa33e6b0745b58f),
     ("sendrecv/clean/2", 0x4f3c16bc1307c267),
     ("sendrecv/faulty/2", 0xb62b41af6d67d70c),
     ("sendrecv/clean/3", 0xe30297037299bfc2),
-    ("sendrecv/faulty/3", 0xb14bd9551b6e5f52),
+    ("sendrecv/faulty/3", 0x95a4c36ee78a51b4),
     ("sendrecv/traced", 0xba7ae191f43ef1b2),
     ("anysource/clean/0", 0xbb3929905e378b20),
     ("anysource/faulty/0", 0x717a0ba12248eb7b),
     ("anysource/clean/1", 0xe0bf6fb59ed128a5),
-    ("anysource/faulty/1", 0xf87554fc9721321e),
+    ("anysource/faulty/1", 0x1622bedcf481e621),
     ("anysource/clean/2", 0x61b324de9bdd79ad),
     ("anysource/faulty/2", 0x6c84f242f118a8c8),
     ("anysource/clean/3", 0xaf8fd14683dd13b0),
-    ("anysource/faulty/3", 0x3c48aa1cfa0765f2),
+    ("anysource/faulty/3", 0x847f7e67470f2cac),
     ("anysource/traced", 0x665ae73ccf122c97),
     ("multirail/clean/0", 0xb594a9d9eecdda51),
     ("multirail/faulty/0", 0xfc662f55e5502fb4),
     ("multirail/clean/1", 0x2ea19d7b9db833ff),
-    ("multirail/faulty/1", 0xac77e397b6ea2566),
+    ("multirail/faulty/1", 0x995690208c20b500),
     ("multirail/clean/2", 0xc3285f74aa9005ed),
     ("multirail/faulty/2", 0xf0560a415b1b15cf),
     ("multirail/clean/3", 0x7e0e8cdbee5ed30a),
-    ("multirail/faulty/3", 0x88f3cf3e1f10f4d2),
+    ("multirail/faulty/3", 0xf4751ad9757f79ed),
     ("multirail/traced", 0x0a8227d9ec5ad839),
     ("core/drain", 0xf154588b86d6d5b8),
     ("core/revoke", 0x53495b56e4c0b5e0),
