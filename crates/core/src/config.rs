@@ -39,17 +39,8 @@ pub struct RetryConfig {
     /// misattributed timeout (a multi-rail rendezvous can't always name
     /// the guilty rail) never demotes a healthy rail.
     pub suspect_after: u32,
-    /// Consecutive timeouts before a `Suspect` rail is declared `Down`
-    /// and its traffic rerouted to survivors.
-    pub down_after: u32,
     /// How often a `Down` rail is probed for recovery (`Down → Probing`).
     pub probe_interval: SimDuration,
-    /// Probe acknowledgements required to re-admit a rail (`Probing → Up`).
-    pub probe_successes: u32,
-    /// Re-admission ramp: a recovered rail's scheduling weight climbs from
-    /// 25 % back to 100 % linearly over this window, so a flapping link
-    /// can't immediately re-capture half of every split.
-    pub ramp: SimDuration,
 }
 
 impl Default for RetryConfig {
@@ -60,10 +51,7 @@ impl Default for RetryConfig {
             max_timeout: SimDuration::millis(1),
             max_attempts: 64,
             suspect_after: 2,
-            down_after: 4,
             probe_interval: SimDuration::micros(500),
-            probe_successes: 2,
-            ramp: SimDuration::millis(1),
         }
     }
 }
@@ -183,20 +171,9 @@ pub struct NmConfig {
     /// Messages up to this size go eager; larger ones use the internal
     /// rendezvous (RTS/CTS/DATA).
     pub eager_threshold: usize,
-    /// Below this size a rendezvous DATA transfer stays on a single rail
-    /// even under the split strategy (split overhead would dominate).
-    pub multirail_threshold: usize,
-    /// Aggregation: stop coalescing when the aggregate reaches this size…
-    pub max_aggreg_bytes: usize,
-    /// …or this many fragments.
-    pub max_aggreg_count: usize,
     /// Transport-level retransmission (fault-tolerant mode). `None` keeps
     /// the exact happy-path wire behaviour.
     pub retry: Option<RetryConfig>,
-    /// Smallest chunk a renormalized multirail split may assign to one
-    /// rail; anything smaller is folded into the largest chunk (per-chunk
-    /// header and handoff costs would dominate below this).
-    pub min_split_chunk: usize,
     /// Credit-based eager flow control (overload protection). `None`
     /// keeps the exact happy-path wire behaviour.
     pub flow: Option<FlowConfig>,
@@ -211,11 +188,7 @@ impl Default for NmConfig {
         NmConfig {
             strategy: StrategyKind::SplitBalanced,
             eager_threshold: 16 * 1024,
-            multirail_threshold: 32 * 1024,
-            max_aggreg_bytes: 8 * 1024,
-            max_aggreg_count: 16,
             retry: None,
-            min_split_chunk: 4 * 1024,
             flow: None,
             membership: None,
         }

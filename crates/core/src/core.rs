@@ -32,7 +32,8 @@
 //! packets. NIC send-completions continue an already-committed pipeline
 //! (chaining the next window packet) but never process inbound traffic.
 //! This is what makes communication/computation overlap an explicit
-//! property of *who drives progress* — the subject of Fig. 7.//!
+//! property of *who drives progress* — the subject of Fig. 7.
+//!
 //! ## Engine and shell
 //!
 //! All protocol state and every decision lives in `crate::engine`, a
@@ -49,9 +50,9 @@ use parking_lot::Mutex;
 use simnet::{CopyMeter, Fabric, NmBuf, NodeId, RailId, Scheduler, SimDuration, SimTime};
 
 use crate::config::NmConfig;
-use crate::engine::{Effect, Engine, SentTag};
+use crate::engine::{Effect, Engine, EngineSnapshot, SentTag};
 use crate::matching::GateId;
-use crate::membership::PeerLiveness;
+use crate::membership::{Death, PeerLiveness};
 use crate::sampling::LinkProfile;
 use crate::sr::{NmCompletion, RecvReqId, SendReqId};
 pub use crate::stats::NmStats;
@@ -364,13 +365,6 @@ impl NmCore {
         engine.peers.values().map(|g| g.unexpected()).sum()
     }
 
-    /// Packet wrappers sitting in the submission windows — the library's
-    /// "outbox" depth (diagnostics).
-    pub fn window_depth(&self) -> usize {
-        let engine = self.engine.lock();
-        engine.peers.values().map(|g| g.window.len()).sum()
-    }
-
     /// Nothing in flight, nothing pending?
     pub fn quiescent(&self) -> bool {
         self.engine.lock().quiescent()
@@ -382,11 +376,14 @@ impl NmCore {
         self.engine.lock().stats()
     }
 
-    /// One-line failover summary for transport `debug_state` strings, e.g.
-    /// `failover[rails=Up,Down transitions=2 probes=4/2 degraded=…ns]`.
-    /// `None` when health tracking is off.
-    pub fn health_summary(&self) -> Option<String> {
-        self.engine.lock().health.as_ref().map(|h| h.summary())
+    /// The engine's state as one typed value, with the job-wide copy
+    /// meter's reading filled in. Its `Display` is the dump line of a
+    /// failed run; nothing else in the stack formats nmad state.
+    pub fn snapshot(&self) -> EngineSnapshot {
+        let engine = self.engine.lock();
+        let mut snapshot = engine.snapshot();
+        snapshot.stats.copy = engine.meter.snapshot();
+        snapshot
     }
 
     /// Is the membership supervisor armed?
@@ -476,9 +473,9 @@ impl NmCore {
         self.with_engine(sched, |e| e.retire_instance(sched.now(), instance));
     }
 
-    /// Death log: `(peer, verdict time, fail streak at verdict)` — the
-    /// raw material for detection-latency histograms.
-    pub fn death_log(&self) -> Vec<(usize, SimTime, u64)> {
+    /// Death log, in verdict order — the raw material for
+    /// detection-latency histograms.
+    pub fn death_log(&self) -> Vec<Death> {
         let engine = self.engine.lock();
         let table = engine.membership.as_ref();
         table.map(|m| m.deaths().to_vec()).unwrap_or_default()
@@ -497,13 +494,6 @@ impl NmCore {
     /// whether or not flow control is armed).
     pub fn unexpected_eager_bytes(&self) -> usize {
         self.engine.lock().unex_eager_bytes
-    }
-
-    /// One-line flow-control summary for transport `debug_state` strings,
-    /// e.g. `flow[unex=0B/peak=12KB stalls=3 fallback=3 ret=40 held=8]`.
-    /// `None` when flow control is off.
-    pub fn flow_summary(&self) -> Option<String> {
-        self.engine.lock().flow_summary()
     }
 }
 

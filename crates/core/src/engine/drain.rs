@@ -9,7 +9,6 @@ use crate::membership::PeerLiveness;
 use crate::pack::PwBody;
 use crate::protocol::{self, Action, Verdict};
 use crate::sr::{RecvReqId, SendReqId};
-use crate::stats::stat;
 use crate::wire::WirePayload;
 
 impl Engine {
@@ -121,7 +120,7 @@ impl Engine {
     /// disturbed.
     pub(super) fn drain_peer(&mut self, now: SimTime, peer: usize) {
         let t_ns = now.0;
-        self.stats.add(stat::membership_dead_peers, 1);
+        self.stats.membership_dead_peers += 1;
         self.dead_events.push_back(peer);
         let gate = self.peers.remove(&peer);
         let entries = gate.as_ref().map_or(0, |g| g.records()) as u64;
@@ -177,15 +176,14 @@ impl Engine {
         let pool = self.cfg.flow.zip(gate.send_credits);
         let in_flight = pool.map_or(0, |(fc, left)| fc.eager_credits - left);
         let released = in_flight + gate.credit_owed + gate.credit_withheld;
-        self.stats
-            .add(stat::membership_credits_released, released as u64);
+        self.stats.membership_credits_released += released as u64;
         // Inbound frames from the peer that arrived before the verdict
         // are dead letters.
         let before = self.inbound.len();
         self.inbound.retain(|w| w.src_rank != peer);
         let strays = (before - self.inbound.len()) as u64;
-        self.stats.add(stat::membership_stray_frames, strays);
-        self.stats.add(stat::membership_drained_entries, entries);
+        self.stats.membership_stray_frames += strays;
+        self.stats.membership_drained_entries += entries;
         self.out.engine(
             t_ns,
             obs::EngineEvent::MemberDrain {
@@ -199,7 +197,7 @@ impl Engine {
     /// A stale collective frame (revoked/superseded epoch or retired
     /// agreement instance) was dropped: bump the hygiene counter.
     pub(super) fn count_stale_epoch(&mut self, n: u64) {
-        self.stats.add(stat::membership_stale_epoch, n);
+        self.stats.membership_stale_epoch += n;
         self.out.inc("nmad.membership.stale_epoch", n);
     }
 
@@ -230,7 +228,7 @@ impl Engine {
             self.count_stale_epoch(1);
             return false;
         }
-        self.stats.add(stat::revoked_epochs, 1);
+        self.stats.revoked_epochs += 1;
         self.revoked_events.push_back(epoch);
         self.out.engine(now.0, obs::EngineEvent::Revoke { epoch });
         self.out.inc("nmad.revoke", 1);

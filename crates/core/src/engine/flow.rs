@@ -3,29 +3,9 @@
 //! refill.
 
 use super::{Engine, Staged};
-use crate::stats::stat;
 use crate::wire::WirePayload;
 
 impl Engine {
-    /// One-line flow-control summary for transport `debug_state` strings,
-    /// e.g. `flow[unex=0B/peak=12KB stalls=3 fallback=3 ret=40 held=8]`.
-    /// `None` when flow control is off.
-    pub fn flow_summary(&self) -> Option<String> {
-        self.cfg.flow.map(|_| {
-            let s = &self.stats;
-            format!(
-                "flow[unex={}B/peak={}B stalls={} fallback={} ret={} held={}{}]",
-                self.unex_eager_bytes,
-                s.max_of(stat::fc_peak_unex_bytes),
-                s.get(stat::fc_credit_stalls),
-                s.get(stat::fc_fallback_sends),
-                s.get(stat::fc_credits_returned),
-                s.get(stat::fc_credits_withheld),
-                if self.fc_throttled { " throttled" } else { "" },
-            )
-        })
-    }
-
     /// A peer returned eager credits for our gate to it: refill the pool.
     /// The count comes off the wire: credits are only minted by our own
     /// sends, so a return that would lift the pool past its initial size
@@ -86,7 +66,7 @@ impl Engine {
             if self.fc_throttled {
                 // Defer every owed credit; each is counted once, as it
                 // moves into the withheld pool.
-                self.stats.add(stat::fc_credits_withheld, owed as u64);
+                self.stats.fc_credits_withheld += owed as u64;
                 gate.credit_withheld += owed;
                 continue;
             }
@@ -94,7 +74,7 @@ impl Engine {
             if n == 0 {
                 continue;
             }
-            self.stats.add(stat::fc_credits_returned, n as u64);
+            self.stats.fc_credits_returned += n as u64;
             let piggyback = self.out.staged.iter_mut().find_map(|s| match s {
                 Staged {
                     dst,

@@ -12,7 +12,6 @@ use crate::matching::{GateId, Unexpected};
 use crate::pack::{PacketWrapper, PwBody, PwId};
 use crate::protocol::{self, Action, Verdict};
 use crate::sr::RecvReqId;
-use crate::stats::stat;
 use crate::wire::{EagerFrag, NmWire, WirePayload};
 
 /// How many bytes of `[start, end)` are *not* already covered by the
@@ -138,7 +137,7 @@ impl Engine {
             return;
         }
         if !wire.crc_ok() {
-            self.stats.add(stat::crc_drops, 1);
+            self.stats.crc_drops += 1;
             return;
         }
         // The header is input from outside the program: a frame for
@@ -154,7 +153,7 @@ impl Engine {
         // revive any per-peer state (`Dead` is sticky): count it and
         // drop it before it can touch a map.
         if self.membership.as_ref().is_some_and(|m| m.is_dead(src)) {
-            self.stats.add(stat::membership_stray_frames, 1);
+            self.stats.membership_stray_frames += 1;
             self.out.inc("nmad.membership.stray_frames", 1);
             return;
         }
@@ -264,7 +263,7 @@ impl Engine {
             let next = gate
                 .and_then(|g| g.flows.get(&tag))
                 .map_or(0, |f| f.recv_expected);
-            self.stats.add(stat::acks_sent, 1);
+            self.stats.acks_sent += 1;
             // Route the ack back the way the peer's traffic came in — never
             // into a rail the peer may have already abandoned.
             let via = gate.and_then(|g| g.last_in_rail);
@@ -335,7 +334,7 @@ impl Engine {
             let retry = self.cfg.retry.is_some();
             let Unexpected::Rts { rdv_id, .. } = msg else {
                 if retry {
-                    self.stats.add(stat::dup_envelopes, 1);
+                    self.stats.dup_envelopes += 1;
                 } else {
                     self.protocol_error("nmad.protocol_errors.dup_envelope");
                 }
@@ -356,14 +355,14 @@ impl Engine {
             let mk = mkey(src, self.rank, tag, seq);
             for &action in actions {
                 match action {
-                    Action::CountDupEnvelope => self.stats.add(stat::dup_envelopes, 1),
+                    Action::CountDupEnvelope => self.stats.dup_envelopes += 1,
                     Action::ReplayFin => {
-                        self.stats.add(stat::fins_sent, 1);
+                        self.stats.fins_sent += 1;
                         self.out.phase(now.0, mk, obs::Phase::FinTx);
                         self.out.ctrl(src, WirePayload::RdvFin { rdv_id }, via);
                     }
                     Action::ReplayCts => {
-                        self.stats.add(stat::cts_retries, 1);
+                        self.stats.cts_retries += 1;
                         let tx = obs::Phase::CtsTx {
                             rail: via.unwrap_or(0) as u8,
                         };
@@ -377,7 +376,7 @@ impl Engine {
         }
         if seq != flow.recv_expected {
             if flow.parked.insert(seq, msg).is_some() {
-                self.stats.add(stat::dup_envelopes, 1);
+                self.stats.dup_envelopes += 1;
             }
             return;
         }
@@ -437,7 +436,7 @@ impl Engine {
             if let Unexpected::Eager { data, .. } = &msg {
                 self.unex_eager_bytes += data.len();
                 let buffered = self.unex_eager_bytes as u64;
-                self.stats.raise(stat::fc_peak_unex_bytes, buffered);
+                self.stats.fc_peak_unex_bytes = self.stats.fc_peak_unex_bytes.max(buffered);
             }
             return gate.store_unexpected(tag, ticket, msg);
         };
@@ -633,7 +632,7 @@ impl Engine {
                     };
                     debug_assert!(rdv.received <= rdv.buf.len());
                     if dup_bytes > 0 {
-                        self.stats.add(stat::dup_data, 1);
+                        self.stats.dup_data += 1;
                     }
                 }
                 // Progress arrived: push the CTS retransmission timer
@@ -650,7 +649,7 @@ impl Engine {
                 }
                 Action::SendFin => {
                     let rdv = &gate.rdv_in[&rdv_id];
-                    self.stats.add(stat::fins_sent, 1);
+                    self.stats.fins_sent += 1;
                     let key = mkey(src, self.rank, rdv.tag, rdv.seq);
                     self.out.phase(now.0, key, obs::Phase::FinTx);
                     self.out.ctrl(src, WirePayload::RdvFin { rdv_id }, via);
@@ -658,9 +657,9 @@ impl Engine {
                 Action::CompleteRecv => done = true,
                 // Replayed payload at a tombstone: the sender's FIN
                 // was lost.
-                Action::CountDupData => self.stats.add(stat::dup_data, 1),
+                Action::CountDupData => self.stats.dup_data += 1,
                 Action::ReplayFin => {
-                    self.stats.add(stat::fins_sent, 1);
+                    self.stats.fins_sent += 1;
                     self.out.ctrl(src, WirePayload::RdvFin { rdv_id }, via);
                 }
                 _ => unreachable!("DataRx rows emit no other action"),

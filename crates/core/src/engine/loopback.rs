@@ -3,23 +3,25 @@
 //! `accept` and answers each committed packet with `sent`. No simulator,
 //! no threads, no network — time is a number the harness sets.
 //!
-//! [`script`] is the traffic both this harness and the fabric-driven twin
-//! in `core.rs` run; their counters must agree one for one.
-
-use std::collections::BTreeMap;
+//! This is the reference adapter: the whole contract between an engine
+//! and whatever drives it (effect order, the rail-idle view, `sent`, the
+//! park bound of `next_deadline`) in one page, and the way a test outside
+//! this crate holds bare engines. The unit tests below drive the same
+//! `script` through it that the fabric-driven twin in `core.rs` runs;
+//! their counters must agree one for one.
 
 use bytes::Bytes;
 use simnet::{CopyMeter, NicModel, NmBuf, SimDuration, SimTime};
 
 use super::{Effect, Engine};
-use crate::config::{FlowConfig, MembershipConfig, NmConfig, RetryConfig, StrategyKind};
+use crate::config::NmConfig;
 use crate::sampling::LinkProfile;
-use crate::sr::{CompletionKind, NmCompletion};
+use crate::sr::NmCompletion;
 use crate::stats::NmStats;
 use crate::wire::{NmWire, WirePayload};
 
-/// What the script needs from a pair of ranks, however they are joined.
-pub(crate) trait World {
+/// What a script needs from a pair of ranks, however they are joined.
+pub trait World {
     fn isend(&mut self, from: usize, tag: u64, data: Bytes, cookie: u64);
     fn irecv(&mut self, at: usize, tag: u64, cookie: u64);
     /// Let `micros` of time pass, with the progress passes on both ranks
@@ -29,10 +31,10 @@ pub(crate) trait World {
     fn stats(&self, at: usize) -> NmStats;
 }
 
-/// The wire faults of the retry script: the first RTS and the first DATA
-/// chunk to cross are lost.
-#[derive(Default)]
-pub(crate) struct Lossy {
+/// Wire faults for a retry script: the first RTS and the first DATA chunk
+/// to cross are lost.
+#[derive(Clone, Default)]
+pub struct Lossy {
     rts_lost: bool,
     data_lost: bool,
 }
@@ -48,78 +50,14 @@ impl Lossy {
     }
 }
 
-/// Aggregating strategy (the script wants an aggregate of three); with
-/// `retry`, the default retransmission timers.
-pub(crate) fn config(retry: bool) -> NmConfig {
-    let mut cfg = NmConfig::with_strategy(StrategyKind::Aggreg);
-    cfg.retry = retry.then(RetryConfig::default);
-    cfg
-}
-
-/// Retry armed, eager sends flow-controlled.
-fn flow_cfg() -> NmConfig {
-    let mut cfg = config(true);
-    cfg.flow = Some(FlowConfig::bounded(4, 64 * 1024));
-    cfg
-}
-
-pub(crate) fn pattern(seed: u8, len: usize) -> Bytes {
-    Bytes::from(
-        (0..len)
-            .map(|i| seed.wrapping_add((i * 7) as u8))
-            .collect::<Vec<u8>>(),
-    )
-}
-
-/// An eager, an aggregate of three, a 64 KiB rendezvous, rank 0 → rank 1,
-/// receives posted first. Checks every payload byte and that each request
-/// completed exactly once; returns both ranks' counters.
-pub(crate) fn script(w: &mut impl World) -> [NmStats; 2] {
-    let msgs: [(u64, Bytes); 5] = [
-        (1, pattern(1, 200)),
-        (2, pattern(2, 64)),
-        (2, pattern(3, 96)),
-        (2, pattern(4, 128)),
-        (3, pattern(5, 64 * 1024)),
-    ];
-    for (i, (tag, _)) in msgs.iter().enumerate() {
-        w.irecv(1, *tag, 100 + i as u64);
-    }
-    // Alone, then three at once, then the large one; a lost RTS and a
-    // lost DATA each cost one default retransmission timeout (80 µs).
-    for batch in [0..1, 1..4, 4..5] {
-        for i in batch {
-            w.isend(0, msgs[i].0, msgs[i].1.clone(), i as u64);
-        }
-        w.poll(400);
-    }
-    let mut sent: Vec<u64> = Vec::new();
-    for c in w.completions(0) {
-        assert!(matches!(c.kind, CompletionKind::Send), "{:?}", c.kind);
-        sent.push(c.cookie);
-    }
-    sent.sort_unstable();
-    assert_eq!(sent, [0, 1, 2, 3, 4], "each send completes exactly once");
-    let mut received: BTreeMap<u64, Bytes> = BTreeMap::new();
-    for c in w.completions(1) {
-        let CompletionKind::Recv { data, .. } = c.kind else {
-            panic!("receive {} failed: {:?}", c.cookie, c.kind);
-        };
-        assert!(received.insert(c.cookie, data).is_none(), "completed twice");
-    }
-    assert_eq!(received.len(), msgs.len(), "each receive completes once");
-    for (i, (_, want)) in msgs.iter().enumerate() {
-        assert_eq!(&received[&(100 + i as u64)], want, "payload {i}");
-    }
-    [w.stats(0), w.stats(1)]
-}
-
-/// Two engines and the wire between them.
-struct Loopback {
-    engines: [Engine; 2],
-    now: SimTime,
+/// Two engines and the wire between them. `Clone` (with a cloneable
+/// `loses`) forks the pair: the copy runs on independently.
+#[derive(Clone)]
+pub struct Loopback<L = Box<dyn FnMut(&NmWire) -> bool>> {
+    pub engines: [Engine; 2],
+    pub now: SimTime,
     /// Does the wire lose this packet?
-    loses: Box<dyn FnMut(&NmWire) -> bool>,
+    pub loses: L,
     /// Packets pumped so far, lost ones included.
     pumped: u64,
 }
@@ -128,7 +66,7 @@ struct Loopback {
 const IDLE: &dyn Fn(usize) -> bool = &|_| true;
 
 /// A bare engine with one rail, probing the next rank round the ring.
-fn engine(cfg: NmConfig, rank: usize, nranks: usize) -> Engine {
+pub fn engine(cfg: NmConfig, rank: usize, nranks: usize) -> Engine {
     let profiles = vec![LinkProfile::sample(&NicModel::connectx_ib())];
     let probe_peer = Some((rank + 1) % nranks);
     let rec = obs::RankRec::off();
@@ -145,18 +83,25 @@ fn engine(cfg: NmConfig, rank: usize, nranks: usize) -> Engine {
 
 impl Loopback {
     /// A lossless pair; assign `loses` to change that.
-    fn new(cfg: NmConfig) -> Loopback {
+    pub fn new(cfg: NmConfig) -> Loopback {
+        Loopback::with_wire(cfg, Box::new(|_| false))
+    }
+}
+
+impl<L: FnMut(&NmWire) -> bool> Loopback<L> {
+    /// A pair whose wire loses the packets `loses` says it does.
+    pub fn with_wire(cfg: NmConfig, loses: L) -> Loopback<L> {
         Loopback {
             engines: [engine(cfg, 0, 2), engine(cfg, 1, 2)],
             now: SimTime::ZERO,
-            loses: Box::new(|_| false),
+            loses,
             pumped: 0,
         }
     }
 
     /// One progress pass on each rank at the current time. Returns whether
     /// either put a packet on the wire.
-    fn pass(&mut self) -> bool {
+    pub fn pass(&mut self) -> bool {
         let before = self.pumped;
         for rank in 0..2 {
             self.engines[rank].schedule(self.now, IDLE);
@@ -166,7 +111,7 @@ impl Loopback {
     }
 
     /// The earlier of the two engines' deadlines.
-    fn next_deadline(&self) -> Option<SimTime> {
+    pub fn next_deadline(&self) -> Option<SimTime> {
         let deadlines = self.engines.iter().filter_map(Engine::next_deadline);
         deadlines.min()
     }
@@ -175,7 +120,7 @@ impl Loopback {
     /// microsecond to reach the peer's `accept` (or is lost), a committed
     /// packet is answered with `sent`, and whatever those calls produce is
     /// executed in turn.
-    fn pump(&mut self, from: usize) {
+    pub fn pump(&mut self, from: usize) {
         let mut effects = Vec::new();
         self.engines[from].swap_effects(&mut effects);
         for effect in effects {
@@ -197,7 +142,7 @@ impl Loopback {
     }
 }
 
-impl World for Loopback {
+impl<L: FnMut(&NmWire) -> bool> World for Loopback<L> {
     fn isend(&mut self, from: usize, tag: u64, data: Bytes, cookie: u64) {
         self.engines[from].isend(self.now, 1 - from, tag, NmBuf::from(data), cookie);
         self.pump(from);
@@ -241,7 +186,90 @@ impl World for Loopback {
     }
 }
 
+// ---------------------------------------------------------------------
+// Test-only from here down: the script and the unit tests.
+// ---------------------------------------------------------------------
+
+#[cfg(test)]
+use std::collections::BTreeMap;
+
+#[cfg(test)]
+use crate::config::{FlowConfig, MembershipConfig, RetryConfig, StrategyKind};
+#[cfg(test)]
+use crate::sr::CompletionKind;
+
+/// Aggregating strategy (the script wants an aggregate of three); with
+/// `retry`, the default retransmission timers.
+#[cfg(test)]
+pub(crate) fn config(retry: bool) -> NmConfig {
+    let mut cfg = NmConfig::with_strategy(StrategyKind::Aggreg);
+    cfg.retry = retry.then(RetryConfig::default);
+    cfg
+}
+
+/// Retry armed, eager sends flow-controlled.
+#[cfg(test)]
+fn flow_cfg() -> NmConfig {
+    let mut cfg = config(true);
+    cfg.flow = Some(FlowConfig::bounded(4, 64 * 1024));
+    cfg
+}
+
+#[cfg(test)]
+pub(crate) fn pattern(seed: u8, len: usize) -> Bytes {
+    Bytes::from(
+        (0..len)
+            .map(|i| seed.wrapping_add((i * 7) as u8))
+            .collect::<Vec<u8>>(),
+    )
+}
+
+/// An eager, an aggregate of three, a 64 KiB rendezvous, rank 0 → rank 1,
+/// receives posted first. Checks every payload byte and that each request
+/// completed exactly once; returns both ranks' counters.
+#[cfg(test)]
+pub(crate) fn script(w: &mut impl World) -> [NmStats; 2] {
+    let msgs: [(u64, Bytes); 5] = [
+        (1, pattern(1, 200)),
+        (2, pattern(2, 64)),
+        (2, pattern(3, 96)),
+        (2, pattern(4, 128)),
+        (3, pattern(5, 64 * 1024)),
+    ];
+    for (i, (tag, _)) in msgs.iter().enumerate() {
+        w.irecv(1, *tag, 100 + i as u64);
+    }
+    // Alone, then three at once, then the large one; a lost RTS and a
+    // lost DATA each cost one default retransmission timeout (80 µs).
+    for batch in [0..1, 1..4, 4..5] {
+        for i in batch {
+            w.isend(0, msgs[i].0, msgs[i].1.clone(), i as u64);
+        }
+        w.poll(400);
+    }
+    let mut sent: Vec<u64> = Vec::new();
+    for c in w.completions(0) {
+        assert!(matches!(c.kind, CompletionKind::Send), "{:?}", c.kind);
+        sent.push(c.cookie);
+    }
+    sent.sort_unstable();
+    assert_eq!(sent, [0, 1, 2, 3, 4], "each send completes exactly once");
+    let mut received: BTreeMap<u64, Bytes> = BTreeMap::new();
+    for c in w.completions(1) {
+        let CompletionKind::Recv { data, .. } = c.kind else {
+            panic!("receive {} failed: {:?}", c.cookie, c.kind);
+        };
+        assert!(received.insert(c.cookie, data).is_none(), "completed twice");
+    }
+    assert_eq!(received.len(), msgs.len(), "each receive completes once");
+    for (i, (_, want)) in msgs.iter().enumerate() {
+        assert_eq!(&received[&(100 + i as u64)], want, "payload {i}");
+    }
+    [w.stats(0), w.stats(1)]
+}
+
 /// Run [`script`] on the loopback; `lossy` arms retry and the two losses.
+#[cfg(test)]
 pub(crate) fn run(lossy: bool) -> [NmStats; 2] {
     let mut world = Loopback::new(config(lossy));
     if lossy {
@@ -271,6 +299,7 @@ fn script_runs_on_two_bare_engines() {
 /// Flow-controlled traffic either side of `hostile` frames fed to
 /// rank 0 as if from rank 1. Returns what rank 1 received, both ranks'
 /// counters, and what is left of rank 0's credit pool toward rank 1.
+#[cfg(test)]
 fn around_hostile_frames(hostile: &[WirePayload]) -> (Vec<Bytes>, [NmStats; 2], Option<u32>) {
     let mut w = Loopback::new(flow_cfg());
     let traffic = |w: &mut Loopback, tag: u64| {
@@ -332,9 +361,12 @@ fn a_lost_rts_and_a_lost_data_chunk_are_replayed() {
 // `Engine::next_deadline`: the timer third of the adapter contract.
 // ---------------------------------------------------------------------
 
+#[cfg(test)]
 const ALL: fn(&NmWire) -> bool = |_| true;
+#[cfg(test)]
 const NONE: fn(&NmWire) -> bool = |_| false;
 
+#[cfg(test)]
 fn after(t: SimTime, micros: u64) -> SimTime {
     t + SimDuration::micros(micros)
 }

@@ -8,8 +8,8 @@
 //! wants done to the world outside it is pushed, in order, onto one list
 //! of [`Effect`]s, which the caller takes when the call returns and
 //! executes. The shell in `core.rs` does that against the simulated
-//! fabric; the `loopback` test module does it in twenty lines with no
-//! simulator at all.
+//! fabric; the `loopback` module does it in a page with no simulator at
+//! all.
 //!
 //! Time is engine state too. Every timer the protocol runs — retransmission
 //! deadlines on the gates, rail-recovery probes, membership silence checks
@@ -47,16 +47,26 @@
 //! receiver and sender halves of the rendezvous table), `retry`
 //! (retransmission, rail-probe and membership sweeps, the next deadline),
 //! `outbound` (`isend`, the commit stage, NIC completions), `drain` (peer
-//! death and epoch quiesce), `flow` (eager credits); `loopback` is the
-//! test-only reference adapter.
+//! death and epoch quiesce), `flow` (eager credits), `snapshot` (the read
+//! side: [`EngineSnapshot`] and [`Engine::fingerprint`]); `loopback` is
+//! the reference adapter.
+//!
+//! ## What a driver may read
+//!
+//! [`Engine::snapshot`], [`Engine::fingerprint`] and
+//! [`Engine::next_deadline`] — `&self`, pure. The fields are not part of
+//! the contract. Counters are the engine's own plain integers: whoever
+//! shares an engine's numbers across threads publishes a snapshot.
 
 mod drain;
 mod flow;
 mod inbound;
-#[cfg(test)]
-pub(crate) mod loopback;
+pub mod loopback;
 mod outbound;
 mod retry;
+mod snapshot;
+
+pub use snapshot::{EngineSnapshot, PeerSnapshot};
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
@@ -72,12 +82,12 @@ use crate::protocol;
 use crate::railhealth::RailHealthTable;
 use crate::sampling::LinkProfile;
 use crate::sr::{CompletionKind, NmCompletion, RecvReqId, SendReqId};
-use crate::stats::{stat, NmStats, StatsCells};
-use crate::strategy::{self, Strategy};
+use crate::stats::NmStats;
 use crate::wire::{NmWire, WirePayload};
 
 /// One thing the engine wants done outside itself.
-pub(crate) enum Effect {
+#[derive(Clone)]
+pub enum Effect {
     /// Append a lifecycle span to the job's recorder.
     Span(obs::Event),
     /// Put `wire` on local rail `rail`. Without a completion tag it is a
@@ -95,7 +105,8 @@ pub(crate) enum Effect {
 }
 
 /// What the NIC's send-completion of one committed packet finishes.
-pub(crate) struct SentTag {
+#[derive(Clone)]
+pub struct SentTag {
     /// Eager sends the packet carried.
     pub eager_reqs: Vec<SendReqId>,
     /// `(dst, rdv_id)` when the packet is a rendezvous DATA chunk (the
@@ -104,6 +115,7 @@ pub(crate) struct SentTag {
 }
 
 /// A packet of the stage in progress (see the module docs).
+#[derive(Clone)]
 struct Staged {
     dst: usize,
     payload: WirePayload,
@@ -115,6 +127,7 @@ struct Staged {
 /// The engine's way out: spans and hooks go straight onto the effect
 /// list, packets wait in `staged` for their stage to close. A field of
 /// its own so the protocol code can record while it holds a gate.
+#[derive(Clone)]
 struct Out {
     rec: obs::RankRec,
     staged: Vec<Staged>,
@@ -166,6 +179,7 @@ impl Out {
     }
 }
 
+#[derive(Clone)]
 struct SendReq {
     cookie: u64,
     done: bool,
@@ -175,6 +189,7 @@ struct SendReq {
     seq: u64,
 }
 
+#[derive(Clone)]
 struct RecvReq {
     cookie: u64,
     done: bool,
@@ -185,6 +200,9 @@ struct RecvReq {
     tag: u64,
     seq: u64,
 }
+
+/// Which counter an outcome bumps, where the choice is made in a `match`.
+type Counter = fn(&mut NmStats) -> &mut u64;
 
 /// How a request ends: with its result (`()` for a send, the payload for
 /// a receive), or with an error because its peer was declared dead or
@@ -230,7 +248,13 @@ fn pctx(retry: bool, in_range: bool, last: bool, credit_fallback: bool) -> proto
     }
 }
 
-pub(crate) struct Engine {
+/// All NewMadeleine protocol state of one process (see the module docs).
+/// A plain value: `Clone` gives an independent engine that, stepped the
+/// same way, does the same thing. Two handles are shared rather than
+/// copied, because they belong to the job and not to the engine: the copy
+/// meter and the span recorder.
+#[derive(Clone)]
+pub struct Engine {
     rank: usize,
     /// Size of the job: frames naming a rank outside it are rejected.
     nranks: usize,
@@ -240,7 +264,6 @@ pub(crate) struct Engine {
     /// Lowest rank on a different node — the peer health probes are
     /// aimed at (`None` in single-peer-less topologies).
     probe_peer: Option<usize>,
-    strategy: Box<dyn Strategy>,
     /// Everything held about each peer — submission window, sequencing,
     /// match queues, rendezvous, retransmit queue, credits both ways — one
     /// record per rank this core has exchanged traffic with
@@ -266,7 +289,9 @@ pub(crate) struct Engine {
     fc_throttled: bool,
     next_pw: u64,
     next_rdv: u64,
-    stats: StatsCells,
+    /// The counters; `peer_entries`, the health and membership mirrors and
+    /// `copy` are filled in on read.
+    stats: NmStats,
     /// The stack-wide copy meter; attached to every payload entering this
     /// core so downstream shares/copies keep charging the same counters.
     pub(crate) meter: Arc<CopyMeter>,
@@ -322,7 +347,6 @@ impl Engine {
         Engine {
             rank,
             nranks,
-            strategy: strategy::make(cfg.strategy),
             probe_peer,
             peers: BTreeMap::new(),
             next_ticket: 0,
@@ -335,7 +359,7 @@ impl Engine {
             fc_throttled: false,
             next_pw: 0,
             next_rdv: 0,
-            stats: StatsCells::new(),
+            stats: NmStats::default(),
             meter,
             membership: cfg.membership.map(MembershipTable::new),
             dead_events: VecDeque::new(),
@@ -418,8 +442,15 @@ impl Engine {
     /// Counter snapshot (includes the live copy-meter tally and the
     /// rail-health table's failover counters).
     pub fn stats(&self) -> NmStats {
-        let mut s = self.stats.snapshot();
+        let mut s = self.counters();
         s.copy = self.meter.snapshot();
+        s
+    }
+
+    /// Everything of [`Self::stats`] that is this engine's own: the
+    /// counters, `peer_entries`, the health and membership mirrors.
+    fn counters(&self) -> NmStats {
+        let mut s = self.stats;
         s.peer_entries = self.peers.values().map(|g| g.records() as u64).sum();
         if let Some(h) = self.health.as_ref() {
             s.rail_transitions = h.transitions();
@@ -436,7 +467,7 @@ impl Engine {
     /// ([`protocol::Verdict::Error`]): count it — overall and per frame
     /// class — and drop it. The one thing this must never do is panic.
     fn protocol_error(&mut self, counter: &'static str) {
-        self.stats.add(stat::protocol_errors, 1);
+        self.stats.protocol_errors += 1;
         self.out.inc("nmad.protocol_errors", 1);
         self.out.inc(counter, 1);
     }
@@ -527,21 +558,21 @@ impl Engine {
         debug_assert!(!r.done, "double completion of send request");
         r.done = true;
         let (peer, side) = (r.dst, obs::Side::Send);
-        let (counter, phase, metric, kind) = match outcome {
+        let (counter, phase, metric, kind): (Counter, _, _, _) = match outcome {
             Outcome::Done(()) => (
-                stat::send_completions,
+                |s| &mut s.send_completions,
                 obs::Phase::Completed { side },
                 "nmad.send_completions",
                 CompletionKind::Send,
             ),
             Outcome::PeerDead => (
-                stat::membership_aborted_sends,
+                |s| &mut s.membership_aborted_sends,
                 obs::Phase::Aborted { side },
                 "nmad.membership.aborted_sends",
                 CompletionKind::SendFailed { peer },
             ),
             Outcome::Revoked => (
-                stat::revoked_ops,
+                |s| &mut s.revoked_ops,
                 obs::Phase::Revoked { side },
                 "nmad.revoked_sends",
                 CompletionKind::SendRevoked {
@@ -550,7 +581,7 @@ impl Engine {
                 },
             ),
         };
-        self.stats.add(counter, 1);
+        *counter(&mut self.stats) += 1;
         let key = mkey(self.rank, r.dst, r.tag, r.seq);
         self.out.phase(t_ns, key, phase);
         self.out.inc(metric, 1);
@@ -566,9 +597,9 @@ impl Engine {
         debug_assert!(!r.done, "double completion of recv request");
         r.done = true;
         let (gate, tag, side) = (GateId(r.src), r.tag, obs::Side::Recv);
-        let (counter, phase, metric, kind) = match outcome {
+        let (counter, phase, metric, kind): (Counter, _, _, _) = match outcome {
             Outcome::Done(data) => (
-                stat::recv_completions,
+                |s| &mut s.recv_completions,
                 obs::Phase::Completed { side },
                 "nmad.recv_completions",
                 // Lineage ends at the user-facing completion: surrender the
@@ -580,13 +611,13 @@ impl Engine {
                 },
             ),
             Outcome::PeerDead => (
-                stat::membership_aborted_recvs,
+                |s| &mut s.membership_aborted_recvs,
                 obs::Phase::Aborted { side },
                 "nmad.membership.aborted_recvs",
                 CompletionKind::RecvFailed { gate, tag },
             ),
             Outcome::Revoked => (
-                stat::revoked_ops,
+                |s| &mut s.revoked_ops,
                 obs::Phase::Revoked { side },
                 "nmad.revoked_recvs",
                 CompletionKind::RecvRevoked {
@@ -596,7 +627,7 @@ impl Engine {
                 },
             ),
         };
-        self.stats.add(counter, 1);
+        *counter(&mut self.stats) += 1;
         let key = mkey(r.src, self.rank, r.tag, r.seq);
         self.out.phase(t_ns, key, phase);
         self.out.inc(metric, 1);

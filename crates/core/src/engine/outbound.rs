@@ -10,8 +10,8 @@ use crate::pack::{PacketWrapper, PwBody, PwId};
 use crate::protocol::{self, Action, Verdict};
 use crate::railhealth::RailHealth;
 use crate::sr::SendReqId;
-use crate::stats::{stat, StatsCells};
-use crate::strategy::{RailState, Submission};
+use crate::stats::NmStats;
+use crate::strategy::{self, RailState, Submission};
 use crate::wire::{EagerFrag, WirePayload};
 
 impl Engine {
@@ -70,18 +70,18 @@ impl Engine {
             eager = *credits > 0;
             if eager {
                 *credits -= 1;
-                self.stats.add(stat::fc_eager_admitted, 1);
+                self.stats.fc_eager_admitted += 1;
                 let peer = dst as u32;
                 self.out
                     .engine(now.0, obs::EngineEvent::CreditDebit { peer });
             } else {
-                self.stats.add(stat::fc_credit_stalls, 1);
-                self.stats.add(stat::fc_fallback_sends, 1);
+                self.stats.fc_credit_stalls += 1;
+                self.stats.fc_fallback_sends += 1;
                 self.out.phase(now.0, key, obs::Phase::CreditStall);
             }
         }
         let (body, data) = if eager {
-            self.stats.add(stat::eager_sends, 1);
+            self.stats.eager_sends += 1;
             let body = PwBody::Eager {
                 tag,
                 seq,
@@ -103,7 +103,7 @@ impl Engine {
                 unreachable!("rendezvous entry must be a table row");
             };
             debug_assert!(actions.contains(&Action::SendRts));
-            self.stats.add(stat::rdv_sends, 1);
+            self.stats.rdv_sends += 1;
             let rdv_id = self.next_rdv;
             self.next_rdv += 1;
             gate.rdv_out.insert(
@@ -158,16 +158,18 @@ impl Engine {
                 weight: health.map_or(1.0, |h| h.weight(i, now)),
             })
             .collect();
+        // The strategies are stateless (boxing a unit struct allocates
+        // nothing), so the one the configuration names is resolved here.
+        let mut strategy = strategy::make(self.cfg.strategy);
         for (&dst, gate) in self.peers.iter_mut() {
             if gate.window.is_empty() {
                 continue;
             }
-            let subs = self
-                .strategy
-                .try_and_commit(&self.cfg, &mut gate.window, &mut rails);
+            let subs = strategy.try_and_commit(&self.cfg, &mut gate.window, &mut rails);
             for sub in subs {
                 let retry = self.cfg.retry;
-                let packet = build_packet(&mut self.out, &self.stats, gate, retry, now, dst, sub);
+                let packet =
+                    build_packet(&mut self.out, &mut self.stats, gate, retry, now, dst, sub);
                 self.out.staged.push(packet);
             }
         }
@@ -242,7 +244,7 @@ impl Engine {
 /// with the bookkeeping of everything that leaves the node with it.
 fn build_packet(
     out: &mut Out,
-    stats: &StatsCells,
+    stats: &mut NmStats,
     gate: &mut Gate,
     retry: Option<RetryConfig>,
     now: SimTime,
@@ -251,7 +253,7 @@ fn build_packet(
 ) -> Staged {
     let rank = out.rec.rank() as usize;
     let rail = sub.rail;
-    stats.add(stat::packets_sent, 1);
+    stats.packets_sent += 1;
     let mut sent = SentTag {
         eager_reqs: Vec::new(),
         data_chunk_rdv: None,
@@ -280,8 +282,8 @@ fn build_packet(
         out.phase(now.0, mkey(rank, dst, tag, seq), tx);
     };
     let payload = if sub.pws.len() > 1 {
-        stats.add(stat::aggregates_sent, 1);
-        stats.add(stat::frags_aggregated, sub.pws.len() as u64);
+        stats.aggregates_sent += 1;
+        stats.frags_aggregated += sub.pws.len() as u64;
         let frag = |pw: PacketWrapper| match pw.body {
             PwBody::Eager { tag, seq, send_req } => {
                 eager(out, tag, seq, send_req, &pw.data);
@@ -336,7 +338,7 @@ fn build_packet(
                 WirePayload::Cts { rdv_id }
             }
             PwBody::Data { rdv_id, offset } => {
-                stats.add(stat::data_chunks_sent, 1);
+                stats.data_chunks_sent += 1;
                 let rdv = gate.rdv_out.get_mut(&rdv_id);
                 let rdv = rdv.expect("DATA chunk for unknown rendezvous");
                 rdv.bytes_remaining = rdv

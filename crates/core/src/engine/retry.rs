@@ -4,12 +4,12 @@
 
 use simnet::SimTime;
 
-use super::{mkey, pctx, Engine, Out, MEMBER_PROBE_BIT};
+use super::{mkey, pctx, Counter, Engine, Out, MEMBER_PROBE_BIT};
 use crate::gate::{Gate, RetxTimer};
 use crate::protocol::{self, Action, Verdict};
 use crate::railhealth::{RailHealth, RailHealthTable};
 use crate::sampling::LinkProfile;
-use crate::stats::{stat, StatsCells};
+use crate::stats::NmStats;
 use crate::wire::WirePayload;
 
 /// Healthiest local rail for control traffic: the lowest-latency `Up`
@@ -54,7 +54,7 @@ fn payload_data_len(p: &WirePayload) -> usize {
 fn indict(
     health: &mut Option<RailHealthTable>,
     profiles: &[LinkProfile],
-    stats: &StatsCells,
+    stats: &mut NmStats,
     now: SimTime,
     mask: u64,
     moved: u64,
@@ -67,7 +67,7 @@ fn indict(
     let rail = preferred_rail(health.as_ref(), profiles);
     let rerouted = mask != 0 && mask != 1 << rail;
     if rerouted {
-        stats.add(stat::rerouted_bytes, moved);
+        stats.rerouted_bytes += moved;
     }
     (rail, rerouted.then_some((rail, moved)))
 }
@@ -156,14 +156,14 @@ impl Engine {
             let due = gate.unacked.iter_mut().filter(|(_, rx)| rx.timer.due(now));
             for (&(tag, seq), rx) in due {
                 fire(&mut rx.timer, dst, "eager envelope");
-                self.stats.add(stat::eager_retries, 1);
+                self.stats.eager_retries += 1;
                 // The timeout indicts the rail the envelope went out on;
                 // the replay moves to the current healthiest rail.
                 let moved = payload_data_len(&rx.payload) as u64;
                 let (rail, reroute) = indict(
                     &mut self.health,
                     &self.profiles,
-                    &self.stats,
+                    &mut self.stats,
                     now,
                     1 << rx.rail,
                     moved,
@@ -217,16 +217,16 @@ impl Engine {
             let (rail, reroute) = indict(
                 &mut self.health,
                 &self.profiles,
-                &self.stats,
+                &mut self.stats,
                 now,
                 rdv.last_rails,
                 moved,
             );
             rdv.last_rails = 1 << rail;
-            let (counter, kind, tx, payload) = if replay_rts {
+            let (counter, kind, tx, payload): (Counter, _, _, _) = if replay_rts {
                 let (tag, seq) = (rdv.tag, rdv.seq);
                 (
-                    stat::rts_retries,
+                    |s| &mut s.rts_retries,
                     obs::RetryKind::Rts,
                     obs::Phase::RtsTx {
                         rail: rail as u8,
@@ -241,7 +241,7 @@ impl Engine {
                 )
             } else {
                 (
-                    stat::data_retries,
+                    |s| &mut s.data_retries,
                     obs::RetryKind::Data,
                     obs::Phase::DataChunkTx {
                         rail: rail as u8,
@@ -256,7 +256,7 @@ impl Engine {
                     },
                 )
             };
-            self.stats.add(counter, 1);
+            *counter(&mut self.stats) += 1;
             self.out.replay(now, key, kind, reroute, tx);
             self.out.ctrl(dst, payload, Some(rail));
         }
@@ -281,7 +281,7 @@ impl Engine {
             let due = gate.rdv_in.iter_mut().filter(|(_, r)| r.timer.due(now));
             for (&rdv_id, rdv) in due {
                 fire(&mut rdv.timer, src, "rendezvous (receiver)");
-                self.stats.add(stat::cts_retries, 1);
+                self.stats.cts_retries += 1;
                 let key = mkey(src, self.rank, rdv.tag, rdv.seq);
                 let tx = obs::Phase::CtsTx {
                     rail: via.unwrap_or(0) as u8,

@@ -30,6 +30,7 @@
 //! between these records and the transition table.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::hash::{Hash, Hasher};
 
 use simnet::{NmBuf, SimDuration, SimTime};
 
@@ -43,7 +44,7 @@ use crate::wire::WirePayload;
 /// Retry mode: the retransmission timer of one record (an unacked eager
 /// envelope, an outbound or an inbound rendezvous). Unarmed by default and
 /// whenever nothing of the record is outstanding on the wire.
-#[derive(Clone, Copy, Default)]
+#[derive(Clone, Copy, Default, Hash)]
 pub(crate) struct RetxTimer {
     deadline: Option<SimTime>,
     timeout: SimDuration,
@@ -111,6 +112,7 @@ impl RetxTimer {
 }
 
 /// An outbound rendezvous (this rank is the sender).
+#[derive(Clone)]
 pub(crate) struct RdvOut {
     pub send_req: SendReqId,
     pub data: NmBuf,
@@ -137,6 +139,7 @@ pub(crate) struct RdvOut {
 }
 
 /// An inbound rendezvous (this rank is the receiver).
+#[derive(Clone)]
 pub(crate) struct RdvIn {
     pub recv_req: RecvReqId,
     pub tag: u64,
@@ -152,6 +155,7 @@ pub(crate) struct RdvIn {
 }
 
 /// Retry mode: one unacked eager envelope awaiting a cumulative ack.
+#[derive(Clone)]
 pub(crate) struct EnvRetx {
     pub payload: WirePayload,
     /// Armed from the moment the envelope leaves the node.
@@ -162,7 +166,7 @@ pub(crate) struct EnvRetx {
 }
 
 /// Sequencing state of one `(peer, tag)` message stream.
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub(crate) struct Flow {
     /// Sender side: sequence the next envelope toward the peer carries.
     send_seq: u64,
@@ -195,7 +199,7 @@ impl Flow {
 }
 
 /// Everything held about one peer. See the module docs for the layout.
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub(crate) struct Gate {
     /// Submission window toward the peer.
     pub window: VecDeque<PacketWrapper>,
@@ -327,6 +331,30 @@ impl Gate {
             .chain(rdv_in)
             .filter_map(RetxTimer::deadline)
             .min()
+    }
+
+    /// Feed `h` this peer's timers and sequence numbers, in an order that
+    /// depends on nothing but their values (flows by tag): the half of
+    /// `Engine::fingerprint` that `records()` and the queue depths do not
+    /// already determine.
+    pub fn hash_clock(&self, h: &mut impl Hasher) {
+        let mut flows: Vec<_> = self.flows.iter().collect();
+        flows.sort_unstable_by_key(|&(&tag, _)| tag);
+        for (tag, f) in flows {
+            (tag, f.send_seq, f.recv_expected, f.recv_posted).hash(h);
+            f.parked.keys().for_each(|seq| seq.hash(h));
+        }
+        for (key, rx) in &self.unacked {
+            (key, rx.timer, rx.rail).hash(h);
+        }
+        for (id, r) in &self.rdv_out {
+            (id, r.seq, r.state, r.bytes_remaining, r.chunks_in_flight).hash(h);
+            (r.last_rails, r.timer).hash(h);
+        }
+        for (id, r) in &self.rdv_in {
+            (id, r.seq, r.received, r.timer).hash(h);
+        }
+        (&self.rdv_done, self.last_in_rail).hash(h);
     }
 
     /// Protocol-table state of the outbound rendezvous `rdv_id`.

@@ -51,7 +51,7 @@
 pub mod config;
 pub mod core;
 pub mod credit;
-mod engine;
+pub mod engine;
 mod gate;
 pub mod keys;
 pub mod matching;
@@ -69,7 +69,7 @@ pub mod wire;
 pub use crate::core::{NmCore, NmNet, NmStats};
 pub use config::{FlowConfig, MembershipConfig, NmConfig, RetryConfig, StrategyKind};
 pub use matching::GateId;
-pub use membership::{MembershipTable, PeerLiveness};
+pub use membership::{Death, MembershipTable, PeerLiveness};
 pub use railhealth::{RailHealth, RailHealthTable};
 pub use sampling::LinkProfile;
 pub use sr::{NmCompletion, RecvReqId, SendReqId};

@@ -62,7 +62,7 @@ impl Unexpected {
 /// between them. An owner that stores an arrival only after it failed to
 /// match keeps at most one of the two non-empty. Plain data: whoever owns
 /// the queue supplies the exclusion.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct TagQueue {
     posted: VecDeque<RecvReqId>,
     /// In arrival order, each stamped with its owner's arrival ticket —

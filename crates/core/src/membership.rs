@@ -32,20 +32,32 @@
 //! bit-for-bit with the simulation.
 
 use std::collections::BTreeMap;
+use std::hash::{Hash, Hasher};
 
 use simnet::SimTime;
 
 use crate::config::MembershipConfig;
 
 /// Liveness verdict for one peer.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum PeerLiveness {
     Up,
     Suspect,
     Dead,
 }
 
-#[derive(Clone, Copy, Debug)]
+/// One `Dead` verdict, as logged by the rank that reached it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct Death {
+    pub peer: usize,
+    /// When the verdict fired.
+    pub at: SimTime,
+    /// How long the peer had been inbound-silent by then: the detection
+    /// latency as seen from this rank.
+    pub silence_ns: u64,
+}
+
+#[derive(Clone, Copy, Debug, Hash)]
 struct Cell {
     state: PeerLiveness,
     /// Consecutive failures (retransmission timeouts or unanswered probe
@@ -58,17 +70,17 @@ struct Cell {
     next_probe_at: SimTime,
 }
 
-/// Mutable per-peer liveness table owned by the core (under its lock).
+/// Mutable per-peer liveness table owned by the engine.
 /// Lazily populated — idle peers cost nothing, matching the PR-7
 /// O(active-flows) discipline.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct MembershipTable {
     cfg: MembershipConfig,
     cells: BTreeMap<usize, Cell>,
     transitions: u64,
-    /// Verdict log: `(peer, detected_at, silence_nanos)` per Dead verdict,
-    /// in verdict order — the detection-latency histogram's raw data.
-    deaths: Vec<(usize, SimTime, u64)>,
+    /// One entry per Dead verdict, in verdict order — the
+    /// detection-latency histogram's raw data.
+    deaths: Vec<Death>,
     /// Transition edges not yet drained by the owner: `(peer, new state)`
     /// in transition order — the core turns these into obs spans.
     pending_events: Vec<(usize, PeerLiveness)>,
@@ -110,29 +122,21 @@ impl MembershipTable {
         self.transitions
     }
 
-    /// Dead verdicts in verdict order: `(peer, detected_at, silence_ns)`
-    /// where `silence_ns` is how long the peer had been inbound-silent
-    /// when the verdict fired (the detection latency, as seen from this
-    /// rank).
-    pub fn deaths(&self) -> &[(usize, SimTime, u64)] {
+    /// Dead verdicts in verdict order.
+    pub fn deaths(&self) -> &[Death] {
         &self.deaths
-    }
-
-    /// Peers currently declared dead, ascending.
-    pub fn dead_peers(&self) -> Vec<usize> {
-        self.cells
-            .iter()
-            .filter(|(_, c)| c.state == PeerLiveness::Dead)
-            .map(|(p, _)| *p)
-            .collect()
     }
 
     fn set_state(&mut self, peer: usize, state: PeerLiveness, now: SimTime) {
         let cell = self.cells.get_mut(&peer).expect("cell exists");
         if cell.state != state {
             if state == PeerLiveness::Dead {
-                let silence = (now - cell.last_inbound).as_nanos();
-                self.deaths.push((peer, now, silence));
+                let silence_ns = (now - cell.last_inbound).as_nanos();
+                self.deaths.push(Death {
+                    peer,
+                    at: now,
+                    silence_ns,
+                });
             }
             let cell = self.cells.get_mut(&peer).expect("cell exists");
             cell.state = state;
@@ -248,6 +252,12 @@ impl MembershipTable {
         live.map(|c| c.next_probe_at).min()
     }
 
+    /// Feed `h` every per-peer streak and clock, and the transition edges
+    /// not yet drained.
+    pub(crate) fn hash_clock(&self, h: &mut impl Hasher) {
+        (&self.cells, &self.pending_events).hash(h);
+    }
+
     /// Force a `Dead` verdict (tests, upper-layer teardown). Returns
     /// `true` if the peer was not already dead.
     pub fn declare_dead(&mut self, peer: usize, now: SimTime) -> bool {
@@ -257,17 +267,6 @@ impl MembershipTable {
         }
         self.set_state(peer, PeerLiveness::Dead, now);
         true
-    }
-
-    /// One-line digest for `debug_state()` dumps.
-    pub fn summary(&self) -> String {
-        let dead = self.dead_peers();
-        format!(
-            "membership[tracked={} dead={:?} transitions={}]",
-            self.cells.len(),
-            dead,
-            self.transitions
-        )
     }
 }
 
@@ -305,9 +304,9 @@ mod tests {
         assert_eq!(m.state(7), PeerLiveness::Dead);
         assert!(m.is_dead(7));
         assert_eq!(m.deaths().len(), 1);
-        let (peer, _, silence) = m.deaths()[0];
-        assert_eq!(peer, 7);
-        assert!(silence >= cfg.min_silence.as_nanos());
+        let death = m.deaths()[0];
+        assert_eq!(death.peer, 7);
+        assert!(death.silence_ns >= cfg.min_silence.as_nanos());
     }
 
     #[test]
@@ -347,7 +346,6 @@ mod tests {
         let m = table();
         assert_eq!(m.state(99), PeerLiveness::Up);
         assert!(!m.is_dead(99));
-        assert!(m.dead_peers().is_empty());
     }
 
     #[test]
@@ -430,14 +428,5 @@ mod tests {
         }
         assert!(died, "a silent peer still walks to Dead via record_timeout");
         assert!(m.is_dead(8));
-    }
-
-    #[test]
-    fn summary_mentions_dead_peers() {
-        let mut m = table();
-        m.declare_dead(9, t(1));
-        let s = m.summary();
-        assert!(s.contains("membership["), "{s}");
-        assert!(s.contains("[9]"), "{s}");
     }
 }

@@ -17,7 +17,7 @@
 //! ```
 //!
 //! * **Up** — full scheduling weight (ramped after a recovery, see
-//!   [`RetryConfig::ramp`]).
+//!   [`RAMP`]).
 //! * **Suspect** — still scheduled (the hysteresis absorbs misattributed
 //!   timeouts: a multi-rail rendezvous cannot always name the guilty rail),
 //!   one more failure streak away from demotion.
@@ -26,16 +26,29 @@
 //! * **Probing** — zero data weight, but low-rate [`crate::wire::WirePayload::Probe`]
 //!   packets test the link; enough acks re-admit it.
 //!
-//! All thresholds live in [`RetryConfig`]; the table is pure bookkeeping
+//! The thresholds a run may want to move live in [`RetryConfig`], the
+//! rest are the constants below; the table is pure bookkeeping
 //! (no RNG, no wall clock), so health decisions replay bit-for-bit with the
 //! simulation.
 
-use simnet::SimTime;
+use std::hash::{Hash, Hasher};
+
+use simnet::{SimDuration, SimTime};
 
 use crate::config::RetryConfig;
 
+/// Consecutive timeouts before a `Suspect` rail is declared `Down` and its
+/// traffic rerouted to survivors.
+const DOWN_AFTER: u32 = 4;
+/// Probe acknowledgements required to re-admit a rail (`Probing → Up`).
+const PROBE_SUCCESSES: u32 = 2;
+/// Re-admission ramp: a recovered rail's scheduling weight climbs from
+/// 25 % back to 100 % linearly over this window, so a flapping link can't
+/// immediately re-capture half of every split.
+const RAMP: SimDuration = SimDuration::millis(1);
+
 /// Liveness verdict for one rail.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum RailHealth {
     Up,
     Suspect,
@@ -50,7 +63,7 @@ impl RailHealth {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Hash)]
 struct Cell {
     state: RailHealth,
     /// Consecutive retransmission timeouts attributed to this rail.
@@ -69,8 +82,8 @@ struct Cell {
     accounted_to: SimTime,
 }
 
-/// Mutable per-rail health table owned by the core (under its lock).
-#[derive(Debug)]
+/// Mutable per-rail health table owned by the engine.
+#[derive(Clone, Debug)]
 pub struct RailHealthTable {
     cfg: RetryConfig,
     cells: Vec<Cell>,
@@ -162,7 +175,7 @@ impl RailHealthTable {
             RailHealth::Up if streak >= cfg.suspect_after => {
                 self.set_state(rail, RailHealth::Suspect, now);
             }
-            RailHealth::Suspect if streak >= cfg.down_after => {
+            RailHealth::Suspect if streak >= DOWN_AFTER => {
                 self.set_state(rail, RailHealth::Down, now);
                 let cell = &mut self.cells[rail];
                 cell.next_probe_at = Some(now + cfg.probe_interval);
@@ -201,7 +214,6 @@ impl RailHealthTable {
             return;
         }
         self.accrue(rail, now);
-        let cfg = self.cfg;
         let cell = &mut self.cells[rail];
         if cell.state != RailHealth::Probing || cell.probe_seq != seq {
             return;
@@ -210,7 +222,7 @@ impl RailHealthTable {
         let cell = &mut self.cells[rail];
         cell.probe_ok += 1;
         cell.probe_deadline = None;
-        if cell.probe_ok >= cfg.probe_successes {
+        if cell.probe_ok >= PROBE_SUCCESSES {
             cell.fail_streak = 0;
             cell.next_probe_at = None;
             cell.readmitted_at = Some(now);
@@ -280,9 +292,15 @@ impl RailHealthTable {
         per_rail.flatten().min()
     }
 
+    /// Feed `h` every per-rail streak, probe sequence and timer (the
+    /// counters are in `NmStats`).
+    pub(crate) fn hash_clock(&self, h: &mut impl Hasher) {
+        self.cells.hash(h);
+    }
+
     /// Scheduling weight of `rail` at `now`: 0 for `Down`/`Probing`, full
     /// for `Suspect` and established `Up`, ramping 0.25 → 1.0 over
-    /// [`RetryConfig::ramp`] after a re-admission.
+    /// [`RAMP`] after a re-admission.
     pub fn weight(&self, rail: usize, now: SimTime) -> f64 {
         let Some(cell) = self.cells.get(rail) else {
             return 1.0;
@@ -291,31 +309,13 @@ impl RailHealthTable {
             RailHealth::Down | RailHealth::Probing => 0.0,
             RailHealth::Suspect => 1.0,
             RailHealth::Up => match cell.readmitted_at {
-                Some(at) if now < at + self.cfg.ramp => {
-                    let frac = (now - at).as_nanos() as f64
-                        / self.cfg.ramp.as_nanos().max(1) as f64;
+                Some(at) if now < at + RAMP => {
+                    let frac = (now - at).as_nanos() as f64 / RAMP.as_nanos() as f64;
                     0.25 + 0.75 * frac
                 }
                 _ => 1.0,
             },
         }
-    }
-
-    /// One-line digest for `debug_state()` dumps.
-    pub fn summary(&self) -> String {
-        let states: Vec<String> = self
-            .cells
-            .iter()
-            .map(|c| format!("{:?}", c.state))
-            .collect();
-        format!(
-            "failover[rails={} transitions={} probes={}/{} degraded={}ns]",
-            states.join(","),
-            self.transitions,
-            self.probe_acks,
-            self.probes_sent,
-            self.degraded_nanos
-        )
     }
 }
 
@@ -323,7 +323,7 @@ impl RetryConfig {
     /// How long a probe may go unanswered before its round fails. Derived
     /// rather than configured: a probe round trip is bounded by the same
     /// worst-case backoff the data path tolerates.
-    fn probe_timeout(&self) -> simnet::SimDuration {
+    fn probe_timeout(&self) -> SimDuration {
         self.max_timeout
     }
 }
@@ -331,7 +331,6 @@ impl RetryConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simnet::SimDuration;
 
     fn table(rails: usize) -> RailHealthTable {
         RailHealthTable::new(RetryConfig::default(), rails)
@@ -406,7 +405,7 @@ mod tests {
         assert_eq!(rail, 1);
         assert_eq!(h.state(1), RailHealth::Probing);
         assert_eq!(h.weight(1, when), 0.0, "probing carries no payload");
-        // First ack: not yet re-admitted (probe_successes = 2)…
+        // First ack: not yet re-admitted (PROBE_SUCCESSES = 2)…
         h.record_probe_ack(1, seq, when + SimDuration::micros(3));
         assert_eq!(h.state(1), RailHealth::Probing);
         // …the follow-up probe goes out and its ack completes recovery.
@@ -416,10 +415,10 @@ mod tests {
         h.record_probe_ack(1, probes[0].1, back_at);
         assert_eq!(h.state(1), RailHealth::Up);
         assert_eq!(h.probe_counts(), (2, 2));
-        // Ramp: reduced weight right after recovery, full after `ramp`.
+        // Ramp: reduced weight right after recovery, full after `RAMP`.
         let w0 = h.weight(1, back_at);
         assert!((0.2..0.5).contains(&w0), "fresh weight {w0}");
-        let w1 = h.weight(1, back_at + cfg.ramp);
+        let w1 = h.weight(1, back_at + RAMP);
         assert_eq!(w1, 1.0);
     }
 
@@ -467,15 +466,5 @@ mod tests {
         assert_eq!(h.state(7), RailHealth::Up);
         assert_eq!(h.weight(7, t(4)), 1.0);
         assert_eq!(h.transitions(), 0);
-    }
-
-    #[test]
-    fn summary_mentions_states_and_counters() {
-        let mut h = table(2);
-        drive_down(&mut h, 1, t(0));
-        let s = h.summary();
-        assert!(s.contains("failover["), "{s}");
-        assert!(s.contains("Up,Down"), "{s}");
-        assert!(s.contains("transitions=2"), "{s}");
     }
 }

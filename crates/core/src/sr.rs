@@ -26,7 +26,7 @@ pub struct SendReqId(pub u32);
 pub struct RecvReqId(pub u32);
 
 /// What completed.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub enum CompletionKind {
     /// The send's payload has fully left this host (buffer reusable).
     Send,
@@ -57,7 +57,7 @@ pub enum CompletionKind {
 /// "The NewMadeleine network module periodically polls a new NewMadeleine
 /// function which returns a pointer to the CH3 request of any received
 /// message" (§3.1.3) — `cookie` is that pointer.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct NmCompletion {
     pub cookie: u64,
     pub kind: CompletionKind,
@@ -71,17 +71,6 @@ impl NmCompletion {
             CompletionKind::Send
                 | CompletionKind::SendFailed { .. }
                 | CompletionKind::SendRevoked { .. }
-        )
-    }
-
-    /// True for completions that report a dead-peer or revoked-epoch error.
-    pub fn is_failed(&self) -> bool {
-        matches!(
-            self.kind,
-            CompletionKind::SendFailed { .. }
-                | CompletionKind::RecvFailed { .. }
-                | CompletionKind::SendRevoked { .. }
-                | CompletionKind::RecvRevoked { .. }
         )
     }
 }

@@ -1,30 +1,26 @@
-//! Contended-write-free protocol counters.
+//! Protocol counters.
 //!
-//! [`StatsCells`] is the hot-path representation of [`NmStats`]: every
-//! incrementable counter gets a constant index into an
-//! [`obs::StripedCells`] slab, so a counter bump from any thread is one
-//! `Relaxed` `fetch_add` on that thread's own cache lines — no shared
-//! write contention, no lock. A [`StatsCells::snapshot`] merges the
-//! per-thread slabs back into the plain [`NmStats`] struct that tests,
-//! benchmarks and the fingerprint replay checker consume.
+//! [`NmStats`] is the plain struct tests, benchmarks and the fingerprint
+//! replay checker consume. An [`crate::engine::Engine`] counts straight
+//! into one — it has one owner at a time, so `stats.eager_sends += 1` is
+//! the whole story — and [`NmStats::absorb`] folds several engines'
+//! counters into a job-wide total.
 //!
-//! Merge discipline (mirrors `obs::striped`):
-//! - additive counters (`add`) merge by summation;
-//! - high-water marks (`raise`, currently only `fc_peak_unex_bytes`)
-//!   merge by maximum;
-//! - gauges recomputed at snapshot time (`peer_entries`, rail-health and
-//!   membership mirrors, the copy meter) are **not** stored here — the
-//!   owner recomputes them in `NmCore::stats`.
-//!
-//! Under the single-threaded simulator only one stripe is ever touched,
-//! so a snapshot is plainly the sequence of increments — bit-identical
-//! to the old non-atomic field bumps, which is what keeps same-seed
-//! replay fingerprints stable across this refactor.
+//! [`StatsCells`] is the shared representation for code that bumps the
+//! same counters from several OS threads at once (`mpi-ch3`'s real-thread
+//! path): every incrementable counter gets a constant index into an
+//! [`obs::StripedCells`] slab, so a bump is one `Relaxed` `fetch_add` on
+//! the calling thread's own cache lines, and [`StatsCells::snapshot`]
+//! merges the slabs back into an [`NmStats`] — additive counters (`add`)
+//! by summation, high-water marks (`raise`, currently only
+//! `fc_peak_unex_bytes`) by maximum. Gauges an owner recomputes at read
+//! time (`peer_entries`, the rail-health and membership mirrors, the copy
+//! meter) are not stored in either form.
 
 use simnet::CopySnapshot;
 
 /// Counters exposed for tests and the benchmark harnesses.
-#[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Default, Debug, PartialEq, Eq, Hash)]
 pub struct NmStats {
     pub eager_sends: u64,
     pub rdv_sends: u64,
@@ -137,20 +133,85 @@ pub struct NmStats {
     pub copy: CopySnapshot,
 }
 
+/// Every counter a bump site increments, named once: the list behind the
+/// [`stat`] indices, [`StatsCells::snapshot`] and [`NmStats::absorb`].
+/// Calls `$m!` with the names. All of them add up except
+/// `fc_peak_unex_bytes`, a high-water mark, which the users single out by
+/// name. (The fields not listed — `peer_entries`, the rail-health and
+/// membership mirrors, `copy` — are gauges their owner recomputes.)
+macro_rules! with_counters {
+    ($m:ident) => {
+        $m! {
+            eager_sends,
+            rdv_sends,
+            packets_sent,
+            aggregates_sent,
+            frags_aggregated,
+            data_chunks_sent,
+            recv_completions,
+            send_completions,
+            eager_retries,
+            rts_retries,
+            cts_retries,
+            data_retries,
+            acks_sent,
+            fins_sent,
+            dup_envelopes,
+            dup_data,
+            protocol_errors,
+            crc_drops,
+            rerouted_bytes,
+            fc_eager_admitted,
+            fc_credit_stalls,
+            fc_fallback_sends,
+            fc_credits_returned,
+            fc_credits_withheld,
+            fc_peak_unex_bytes,
+            membership_dead_peers,
+            membership_aborted_sends,
+            membership_aborted_recvs,
+            membership_drained_entries,
+            membership_stray_frames,
+            membership_credits_released,
+            membership_stale_epoch,
+            revoked_epochs,
+            revoked_ops
+        }
+    };
+}
+
 impl NmStats {
     /// Total retransmissions across all packet classes.
     pub fn total_retries(&self) -> u64 {
         self.eager_retries + self.rts_retries + self.cts_retries + self.data_retries
     }
+
+    /// Fold another core's counters into this job-wide total: every
+    /// counter and gauge sums, except `fc_peak_unex_bytes`, a per-receiver
+    /// high-water mark, which takes the maximum, and `copy`, which every
+    /// core of a stack reads off the same job-wide meter
+    /// (`RunOutcome.copy` has it once) and is left alone.
+    pub fn absorb(&mut self, other: &NmStats) {
+        macro_rules! fold {
+            (@one fc_peak_unex_bytes) => {
+                self.fc_peak_unex_bytes = self.fc_peak_unex_bytes.max(other.fc_peak_unex_bytes)
+            };
+            (@one $field:ident) => { self.$field += other.$field };
+            ($($field:ident),+) => { $(fold!(@one $field);)+ };
+        }
+        with_counters!(fold);
+        fold!(rail_transitions, degraded_nanos, probes_sent, probe_acks);
+        fold!(membership_transitions, peer_entries);
+    }
 }
 
 /// Constant indices for every striped counter. Lower-case on purpose:
-/// call sites read `stats.add(stat::eager_sends, 1)`, keeping the diff
-/// from the old `stats.eager_sends += 1` form mechanical and greppable.
+/// call sites read `stats.add(stat::eager_sends, 1)`, the same name as
+/// the field it lands in.
 #[allow(non_upper_case_globals)]
 pub mod stat {
     macro_rules! indices {
-        ($($name:ident),+ $(,)?) => {
+        ($($name:ident),+) => {
             indices!(@build 0usize; $($name),+);
         };
         (@build $idx:expr; $name:ident $(, $rest:ident)*) => {
@@ -163,42 +224,7 @@ pub mod stat {
         };
     }
 
-    indices!(
-        eager_sends,
-        rdv_sends,
-        packets_sent,
-        aggregates_sent,
-        frags_aggregated,
-        data_chunks_sent,
-        recv_completions,
-        send_completions,
-        eager_retries,
-        rts_retries,
-        cts_retries,
-        data_retries,
-        acks_sent,
-        fins_sent,
-        dup_envelopes,
-        dup_data,
-        protocol_errors,
-        crc_drops,
-        rerouted_bytes,
-        fc_eager_admitted,
-        fc_credit_stalls,
-        fc_fallback_sends,
-        fc_credits_returned,
-        fc_credits_withheld,
-        fc_peak_unex_bytes,
-        membership_dead_peers,
-        membership_aborted_sends,
-        membership_aborted_recvs,
-        membership_drained_entries,
-        membership_stray_frames,
-        membership_credits_released,
-        membership_stale_epoch,
-        revoked_epochs,
-        revoked_ops,
-    );
+    with_counters!(indices);
 }
 
 /// The striped counter bank behind [`NmStats`]. Shared-write-free on the
@@ -225,64 +251,19 @@ impl StatsCells {
         self.cells.raise(i, v);
     }
 
-    /// Merged read of one additive counter.
-    pub fn get(&self, i: usize) -> u64 {
-        self.cells.sum(i)
-    }
-
-    /// Merged read of a high-water-mark counter (pairs with [`Self::raise`]).
-    pub fn max_of(&self, i: usize) -> u64 {
-        self.cells.max(i)
-    }
-
     /// Merge every stripe into the plain snapshot struct. Gauges that the
     /// owner recomputes (`peer_entries`, rail health, membership
     /// transitions, the copy meter) are left at their defaults.
     pub fn snapshot(&self) -> NmStats {
         let c = &self.cells;
-        NmStats {
-            eager_sends: c.sum(stat::eager_sends),
-            rdv_sends: c.sum(stat::rdv_sends),
-            packets_sent: c.sum(stat::packets_sent),
-            aggregates_sent: c.sum(stat::aggregates_sent),
-            frags_aggregated: c.sum(stat::frags_aggregated),
-            data_chunks_sent: c.sum(stat::data_chunks_sent),
-            recv_completions: c.sum(stat::recv_completions),
-            send_completions: c.sum(stat::send_completions),
-            eager_retries: c.sum(stat::eager_retries),
-            rts_retries: c.sum(stat::rts_retries),
-            cts_retries: c.sum(stat::cts_retries),
-            data_retries: c.sum(stat::data_retries),
-            acks_sent: c.sum(stat::acks_sent),
-            fins_sent: c.sum(stat::fins_sent),
-            dup_envelopes: c.sum(stat::dup_envelopes),
-            dup_data: c.sum(stat::dup_data),
-            protocol_errors: c.sum(stat::protocol_errors),
-            crc_drops: c.sum(stat::crc_drops),
-            rail_transitions: 0,
-            rerouted_bytes: c.sum(stat::rerouted_bytes),
-            degraded_nanos: 0,
-            probes_sent: 0,
-            probe_acks: 0,
-            fc_eager_admitted: c.sum(stat::fc_eager_admitted),
-            fc_credit_stalls: c.sum(stat::fc_credit_stalls),
-            fc_fallback_sends: c.sum(stat::fc_fallback_sends),
-            fc_credits_returned: c.sum(stat::fc_credits_returned),
-            fc_credits_withheld: c.sum(stat::fc_credits_withheld),
-            fc_peak_unex_bytes: c.max(stat::fc_peak_unex_bytes),
-            membership_transitions: 0,
-            membership_dead_peers: c.sum(stat::membership_dead_peers),
-            membership_aborted_sends: c.sum(stat::membership_aborted_sends),
-            membership_aborted_recvs: c.sum(stat::membership_aborted_recvs),
-            membership_drained_entries: c.sum(stat::membership_drained_entries),
-            membership_stray_frames: c.sum(stat::membership_stray_frames),
-            membership_credits_released: c.sum(stat::membership_credits_released),
-            membership_stale_epoch: c.sum(stat::membership_stale_epoch),
-            revoked_epochs: c.sum(stat::revoked_epochs),
-            revoked_ops: c.sum(stat::revoked_ops),
-            peer_entries: 0,
-            copy: Default::default(),
+        macro_rules! merged {
+            (@one fc_peak_unex_bytes) => { c.max(stat::fc_peak_unex_bytes) };
+            (@one $field:ident) => { c.sum(stat::$field) };
+            ($($field:ident),+) => {
+                NmStats { $($field: merged!(@one $field),)+ ..NmStats::default() }
+            };
         }
+        with_counters!(merged)
     }
 }
 
@@ -312,7 +293,34 @@ mod tests {
         assert_eq!(snap.rerouted_bytes, 4096);
         assert_eq!(snap.fc_peak_unex_bytes, 100);
         assert_eq!(snap.packets_sent, 0);
-        assert_eq!(s.get(stat::eager_sends), 2);
+    }
+
+    /// A field added to `NmStats` and forgotten by `absorb` reads 0 here.
+    #[test]
+    fn absorb_leaves_no_counter_behind() {
+        let cells = StatsCells::new();
+        (0..stat::COUNT).for_each(|i| cells.add(i, 1));
+        let one = NmStats {
+            rail_transitions: 1,
+            degraded_nanos: 1,
+            probes_sent: 1,
+            probe_acks: 1,
+            membership_transitions: 1,
+            peer_entries: 1,
+            ..cells.snapshot()
+        };
+        let mut total = NmStats::default();
+        total.absorb(&one);
+        total.absorb(&one);
+        let shown = format!("{total:?}");
+        let (counters, copy) = shown.split_once("copy:").expect("copy is the last field");
+        assert_eq!(counters.matches(": 2,").count(), 39, "{shown}");
+        assert_eq!(counters.matches(": 1,").count(), 1, "the peak is a maximum");
+        assert!(!counters.contains(": 0,"), "{shown}");
+        assert!(
+            !copy.contains(|c: char| c.is_ascii_digit() && c != '0'),
+            "{copy}"
+        );
     }
 
     #[test]

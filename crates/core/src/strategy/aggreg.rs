@@ -8,7 +8,7 @@
 //! While the rail is busy, small sends to the same gate pile up in the
 //! window; when the rail frees, a *prefix* of consecutive aggregatable
 //! wrappers is coalesced into a single wire packet (bounded by
-//! [`crate::config::NmConfig::max_aggreg_bytes`] / `max_aggreg_count`),
+//! `MAX_AGGREG_BYTES` / `MAX_AGGREG_COUNT`, see [`super::pop_aggregate`]),
 //! trading one NIC latency for a few subheader bytes per message.
 //! Non-aggregatable packets (control, rendezvous data) break the run and go
 //! out alone, preserving window order.
@@ -18,7 +18,7 @@ use std::collections::VecDeque;
 use crate::config::NmConfig;
 use crate::pack::PacketWrapper;
 
-use super::{first_usable_rail, RailState, Strategy, Submission};
+use super::{first_usable_rail, pop_aggregate, RailState, Strategy, Submission};
 
 #[derive(Default)]
 pub struct StratAggreg;
@@ -36,7 +36,7 @@ impl Strategy for StratAggreg {
 
     fn try_and_commit(
         &mut self,
-        cfg: &NmConfig,
+        _cfg: &NmConfig,
         pending: &mut VecDeque<PacketWrapper>,
         rails: &mut [RailState],
     ) -> Vec<Submission> {
@@ -47,26 +47,9 @@ impl Strategy for StratAggreg {
             Some(r) => r,
             None => return out,
         };
-        let first = match pending.pop_front() {
-            Some(pw) => pw,
-            None => return out,
+        let Some(pws) = pop_aggregate(pending) else {
+            return out;
         };
-        let mut pws = vec![first];
-        if pws[0].can_aggregate() {
-            let mut bytes = pws[0].len();
-            while pws.len() < cfg.max_aggreg_count {
-                match pending.front() {
-                    Some(next)
-                        if next.can_aggregate()
-                            && bytes + next.len() <= cfg.max_aggreg_bytes =>
-                    {
-                        bytes += next.len();
-                        pws.push(pending.pop_front().unwrap());
-                    }
-                    _ => break,
-                }
-            }
-        }
         rails[rail].idle = false;
         out.push(Submission { rail, pws });
         out
@@ -98,7 +81,7 @@ mod tests {
     #[test]
     fn respects_byte_budget() {
         let mut s = StratAggreg::new();
-        let c = cfg(); // max_aggreg_bytes = 8192
+        let c = cfg(); // MAX_AGGREG_BYTES = 8192
         let mut pending: VecDeque<_> = (0..4).map(|i| eager_pw(i, 3000)).collect();
         let mut rs = rails(1);
         let subs = s.try_and_commit(&c, &mut pending, &mut rs);
@@ -110,7 +93,7 @@ mod tests {
     #[test]
     fn respects_count_budget() {
         let mut s = StratAggreg::new();
-        let c = cfg(); // max_aggreg_count = 16
+        let c = cfg(); // MAX_AGGREG_COUNT = 16
         let mut pending: VecDeque<_> = (0..20).map(|i| eager_pw(i, 1)).collect();
         let mut rs = rails(1);
         let subs = s.try_and_commit(&c, &mut pending, &mut rs);

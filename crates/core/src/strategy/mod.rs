@@ -102,6 +102,35 @@ pub(crate) fn first_usable_rail(rails: &[RailState]) -> Option<usize> {
         .or_else(|| rails.iter().position(|r| r.idle))
 }
 
+/// Below this size a rendezvous DATA transfer stays on a single rail even
+/// under the split strategies (split overhead would dominate).
+pub(crate) const MULTIRAIL_THRESHOLD: usize = 32 * 1024;
+
+/// Aggregation stops coalescing when the aggregate reaches this size…
+const MAX_AGGREG_BYTES: usize = 8 * 1024;
+/// …or this many fragments.
+const MAX_AGGREG_COUNT: usize = 16;
+
+/// Pop the front of `pending` and, if it is aggregatable, the run of
+/// aggregatable wrappers behind it that fits the budget above — in window
+/// order. `None` on an empty window.
+pub(crate) fn pop_aggregate(pending: &mut VecDeque<PacketWrapper>) -> Option<Vec<PacketWrapper>> {
+    let mut pws = vec![pending.pop_front()?];
+    if pws[0].can_aggregate() {
+        let mut bytes = pws[0].len();
+        while pws.len() < MAX_AGGREG_COUNT {
+            match pending.front() {
+                Some(next) if next.can_aggregate() && bytes + next.len() <= MAX_AGGREG_BYTES => {
+                    bytes += next.len();
+                    pws.push(pending.pop_front().expect("front exists"));
+                }
+                _ => break,
+            }
+        }
+    }
+    Some(pws)
+}
+
 /// One wire packet to emit: `pws` is a single wrapper, or several
 /// aggregatable wrappers coalesced into one transfer.
 #[derive(Debug)]

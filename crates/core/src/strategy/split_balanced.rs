@@ -19,7 +19,15 @@ use crate::config::NmConfig;
 use crate::pack::{PacketWrapper, PwBody};
 use crate::sampling::{split_sizes_weighted, LinkProfile};
 
-use super::{pick_single_rail, schedulable_rails, RailState, Strategy, Submission};
+use super::{
+    pick_single_rail, pop_aggregate, schedulable_rails, RailState, Strategy, Submission,
+    MULTIRAIL_THRESHOLD,
+};
+
+/// Smallest chunk a renormalized multirail split may assign to one rail;
+/// anything smaller is folded into the largest chunk (per-chunk header and
+/// handoff costs would dominate below this).
+const MIN_SPLIT_CHUNK: usize = 4 * 1024;
 
 #[derive(Default)]
 pub struct StratSplitBalanced;
@@ -37,7 +45,7 @@ impl Strategy for StratSplitBalanced {
 
     fn try_and_commit(
         &mut self,
-        cfg: &NmConfig,
+        _cfg: &NmConfig,
         pending: &mut VecDeque<PacketWrapper>,
         rails: &mut [RailState],
     ) -> Vec<Submission> {
@@ -54,14 +62,14 @@ impl Strategy for StratSplitBalanced {
             // zero bytes, a ramping (recently re-admitted) rail gets a
             // weight-shrunk share.
             let usable = schedulable_rails(rails);
-            if front.can_split() && front.len() >= cfg.multirail_threshold && usable.len() > 1 {
+            if front.can_split() && front.len() >= MULTIRAIL_THRESHOLD && usable.len() > 1 {
                 // Large rendezvous data: split across every usable idle rail.
                 let pw = pending.pop_front().unwrap();
                 let profiles: Vec<LinkProfile> =
                     usable.iter().map(|&i| rails[i].profile).collect();
                 let weights: Vec<f64> = usable.iter().map(|&i| rails[i].weight).collect();
                 let chunks =
-                    split_sizes_weighted(pw.len(), &profiles, &weights, cfg.min_split_chunk);
+                    split_sizes_weighted(pw.len(), &profiles, &weights, MIN_SPLIT_CHUNK);
                 let (rdv_id, base) = match pw.body {
                     PwBody::Data { rdv_id, offset } => (rdv_id, offset),
                     _ => unreachable!("can_split implies Data"),
@@ -99,23 +107,7 @@ impl Strategy for StratSplitBalanced {
             let Some(rail) = pick_single_rail(rails, len) else {
                 return out;
             };
-            let first = pending.pop_front().unwrap();
-            let mut pws = vec![first];
-            if pws[0].can_aggregate() {
-                let mut bytes = pws[0].len();
-                while pws.len() < cfg.max_aggreg_count {
-                    match pending.front() {
-                        Some(next)
-                            if next.can_aggregate()
-                                && bytes + next.len() <= cfg.max_aggreg_bytes =>
-                        {
-                            bytes += next.len();
-                            pws.push(pending.pop_front().unwrap());
-                        }
-                        _ => break,
-                    }
-                }
-            }
+            let pws = pop_aggregate(pending).expect("front exists");
             rails[rail].idle = false;
             out.push(Submission { rail, pws });
         }
@@ -176,7 +168,7 @@ mod tests {
     #[test]
     fn below_threshold_data_stays_single_rail() {
         let mut s = StratSplitBalanced::new();
-        let c = cfg(); // multirail_threshold = 32K
+        let c = cfg(); // MULTIRAIL_THRESHOLD = 32K
         let mut pending: VecDeque<_> = vec![data_pw(0, 7, 16 * 1024)].into();
         let mut rs = rails(2);
         let subs = s.try_and_commit(&c, &mut pending, &mut rs);

@@ -11,7 +11,9 @@ use std::collections::VecDeque;
 use crate::config::NmConfig;
 use crate::pack::{PacketWrapper, PwBody};
 
-use super::{pick_single_rail, schedulable_rails, RailState, Strategy, Submission};
+use super::{
+    pick_single_rail, schedulable_rails, RailState, Strategy, Submission, MULTIRAIL_THRESHOLD,
+};
 
 #[derive(Default)]
 pub struct StratSplitEqual;
@@ -29,7 +31,7 @@ impl Strategy for StratSplitEqual {
 
     fn try_and_commit(
         &mut self,
-        cfg: &NmConfig,
+        _cfg: &NmConfig,
         pending: &mut VecDeque<PacketWrapper>,
         rails: &mut [RailState],
     ) -> Vec<Submission> {
@@ -45,7 +47,7 @@ impl Strategy for StratSplitEqual {
             // Same survivor filtering as split_balanced so the ablation
             // isolates the ratio choice, not the failover behaviour.
             let usable = schedulable_rails(rails);
-            if front.can_split() && front.len() >= cfg.multirail_threshold && usable.len() > 1 {
+            if front.can_split() && front.len() >= MULTIRAIL_THRESHOLD && usable.len() > 1 {
                 let pw = pending.pop_front().unwrap();
                 let (rdv_id, base) = match pw.body {
                     PwBody::Data { rdv_id, offset } => (rdv_id, offset),

@@ -123,11 +123,6 @@ impl MpiHandle {
         self.state.unexpected_backlog()
     }
 
-    /// One-line flow/overload diagnostic (see [`ProcState::flow_state`]).
-    pub fn flow_state(&self) -> String {
-        self.state.flow_state()
-    }
-
     /// The instant this rank's NewMadeleine engine next has timer work
     /// (see [`ProcState::net_deadline`]) — what PIOMan keeps its one timed
     /// pass armed at.
@@ -247,16 +242,11 @@ impl MpiHandle {
         matches!(&self.state.net, NetPath::Direct(core) if core.membership_enabled())
     }
 
-    /// Death log as seen by this rank: `(peer, verdict time in ns, fail
-    /// streak at the verdict)` — the raw material for detection-latency
-    /// measurements.
-    pub fn death_log(&self) -> Vec<(usize, u64, u64)> {
+    /// Death log as seen by this rank, in verdict order — the raw
+    /// material for detection-latency measurements.
+    pub fn death_log(&self) -> Vec<nmad::Death> {
         match &self.state.net {
-            NetPath::Direct(core) => core
-                .death_log()
-                .into_iter()
-                .map(|(peer, t, streak)| (peer, t.as_nanos(), streak))
-                .collect(),
+            NetPath::Direct(core) => core.death_log(),
             _ => Vec::new(),
         }
     }
@@ -390,11 +380,6 @@ impl MpiHandle {
 
     // Communicator recovery (revoke / agree / shrink / join — see
     // `crate::comm` and DESIGN.md §13).
-
-    /// The world communicator: the committed epoch over all ranks.
-    pub fn comm_world(&self) -> crate::comm::Comm {
-        crate::comm::Comm::world(self)
-    }
 
     /// Revoke the communicator's epoch: quiesce every in-flight operation
     /// keyed to it with counted errors and gossip the poison to all live

@@ -55,5 +55,5 @@ pub use api::{FtError, MpiHandle, PeerDead, Src, Status};
 pub use comm::Comm;
 pub use costs::SoftwareCosts;
 pub use request::Req;
-pub use stack::{InterNode, MembershipTotals, RunOutcome, StackConfig, TailoredProfile};
+pub use stack::{InterNode, RunOutcome, StackConfig, TailoredProfile};
 pub use threaded::{run_inline, run_threaded, ThreadedConfig, ThreadedReport};

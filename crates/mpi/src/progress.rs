@@ -914,24 +914,6 @@ impl ProcState {
         )
     }
 
-    /// One-line flow/overload diagnostic for this rank: CH3 unexpected
-    /// byte accounting, counted protocol errors, and — on the bypass path
-    /// — the NewMadeleine credit state.
-    pub fn flow_state(&self) -> String {
-        let (cur, hwm) = self.unexpected_backlog();
-        let nm = match &self.net {
-            NetPath::Direct(core) => core
-                .flow_summary()
-                .unwrap_or_else(|| "flow[off: no credit layer]".into()),
-            NetPath::Ch3(_) => "flow[see transport debug_state]".into(),
-            NetPath::None => "flow[n/a: no network]".into(),
-        };
-        format!(
-            "ch3-unex[cur={cur}B hwm={hwm}B] proto_errs={} {nm}",
-            self.engine.protocol_errors()
-        )
-    }
-
     /// Is all outbound protocol work this rank is responsible for done?
     /// (Pending CH3 rendezvous halves, unsent submission-window packets.)
     pub fn quiescent(&self) -> bool {

@@ -243,112 +243,15 @@ pub struct RunOutcome {
     pub obs: Option<obs::Report>,
 }
 
-/// Job-wide flow-control totals, summed across every rank's NewMadeleine
-/// core (see [`RunOutcome::flow_totals`]). All zero when `NmConfig.flow`
-/// is `None` — except `peak_unex_bytes`, which is tracked unconditionally
-/// so an *unarmed* overload run can still report how far past a would-be
-/// cap it went.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FlowTotals {
-    /// Eager sends admitted by consuming a credit.
-    pub eager_admitted: u64,
-    /// Times a sender found an empty credit pool.
-    pub credit_stalls: u64,
-    /// Sends that degraded to the rendezvous path for lack of credits.
-    pub fallback_sends: u64,
-    /// Credits returned to senders (piggybacked or standalone).
-    pub credits_returned: u64,
-    /// Credit returns withheld by the high-water throttle.
-    pub credits_withheld: u64,
-    /// Largest per-rank unexpected-eager-byte backlog seen anywhere in the
-    /// job (a max across ranks, not a sum — the cap is per receiver).
-    pub peak_unex_bytes: u64,
-}
-
-/// Job-wide elastic-membership totals, summed across every rank's
-/// NewMadeleine core (see [`RunOutcome::membership_totals`]). All zero when
-/// `NmConfig.membership` is `None`. Part of the replay fingerprint: two
-/// runs under one seed must agree on every field.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MembershipTotals {
-    /// Liveness state-machine transitions (Up→Suspect, Suspect→Up, →Dead).
-    pub transitions: u64,
-    /// Dead verdicts issued (each peer counted once per observer).
-    pub dead_peers: u64,
-    /// In-flight sends aborted by the drain protocol.
-    pub aborted_sends: u64,
-    /// Posted receives failed by the drain protocol.
-    pub aborted_recvs: u64,
-    /// Per-peer protocol map entries reclaimed by drains.
-    pub drained_entries: u64,
-    /// Frames from already-dead peers dropped without reviving state.
-    pub stray_frames: u64,
-    /// Eager credits released back when their holder died.
-    pub credits_released: u64,
-    /// Collective frames dropped because their epoch predated the
-    /// committed one, their epoch was revoked, or their instance was
-    /// retired (stale cross-epoch traffic, counted not resurrected).
-    pub stale_epoch: u64,
-    /// Epoch revocations committed (first-time `revoke_epoch` calls,
-    /// local or learned from a peer's poison frame).
-    pub revoked_epochs: u64,
-    /// In-flight operations quiesced with counted `Revoked` completions.
-    pub revoked_ops: u64,
-}
-
 impl RunOutcome {
-    /// Elastic-membership totals across all ranks (see
-    /// [`MembershipTotals`]).
-    pub fn membership_totals(&self) -> MembershipTotals {
-        self.nm_stats
-            .iter()
-            .fold(MembershipTotals::default(), |acc, s| MembershipTotals {
-                transitions: acc.transitions + s.membership_transitions,
-                dead_peers: acc.dead_peers + s.membership_dead_peers,
-                aborted_sends: acc.aborted_sends + s.membership_aborted_sends,
-                aborted_recvs: acc.aborted_recvs + s.membership_aborted_recvs,
-                drained_entries: acc.drained_entries + s.membership_drained_entries,
-                stray_frames: acc.stray_frames + s.membership_stray_frames,
-                credits_released: acc.credits_released + s.membership_credits_released,
-                stale_epoch: acc.stale_epoch + s.membership_stale_epoch,
-                revoked_epochs: acc.revoked_epochs + s.revoked_epochs,
-                revoked_ops: acc.revoked_ops + s.revoked_ops,
-            })
-    }
-
-    /// Flow-control totals across all ranks (see [`FlowTotals`]).
-    pub fn flow_totals(&self) -> FlowTotals {
-        self.nm_stats.iter().fold(FlowTotals::default(), |acc, s| {
-            FlowTotals {
-                eager_admitted: acc.eager_admitted + s.fc_eager_admitted,
-                credit_stalls: acc.credit_stalls + s.fc_credit_stalls,
-                fallback_sends: acc.fallback_sends + s.fc_fallback_sends,
-                credits_returned: acc.credits_returned + s.fc_credits_returned,
-                credits_withheld: acc.credits_withheld + s.fc_credits_withheld,
-                peak_unex_bytes: acc.peak_unex_bytes.max(s.fc_peak_unex_bytes),
-            }
-        })
-    }
-
-    /// Failover totals across all ranks: `(rail state transitions,
-    /// rerouted payload bytes, degraded rail-nanoseconds)`. All zero on a
-    /// healthy run — the degraded-mode counters only move when the
-    /// rail-health machine demotes a rail.
-    pub fn failover_totals(&self) -> (u64, u64, u64) {
-        self.nm_stats.iter().fold((0, 0, 0), |acc, s| {
-            (
-                acc.0 + s.rail_transitions,
-                acc.1 + s.rerouted_bytes,
-                acc.2 + s.degraded_nanos,
-            )
-        })
-    }
-
-    /// Probe totals across all ranks: `(probes sent, probe acks)`.
-    pub fn probe_totals(&self) -> (u64, u64) {
-        self.nm_stats
-            .iter()
-            .fold((0, 0), |acc, s| (acc.0 + s.probes_sent, acc.1 + s.probe_acks))
+    /// Job-wide NewMadeleine totals: every rank's `nm_stats` folded by
+    /// [`nmad::NmStats::absorb`] (sums; `fc_peak_unex_bytes` is the
+    /// largest any one receiver saw; `copy` is left at zero — the job-wide
+    /// figure is [`RunOutcome::copy`]).
+    pub fn nm_total(&self) -> nmad::NmStats {
+        let mut total = nmad::NmStats::default();
+        self.nm_stats.iter().for_each(|s| total.absorb(s));
+        total
     }
 
     /// Per-phase latency breakdown reconstructed from the span stream
@@ -734,17 +637,7 @@ pub fn run_mpi(
             let rdv = st.engine.rdv_in_flight();
             let proto_errs = st.engine.protocol_errors();
             let nm = match &st.net {
-                NetPath::Direct(core) => format!(
-                    "nm: posted={} unexpected={} quiescent={} {} {} stats={:?}",
-                    core.posted_recvs(),
-                    core.unexpected_msgs(),
-                    core.quiescent(),
-                    core.health_summary()
-                        .unwrap_or_else(|| "failover[off: no retry layer]".into()),
-                    core.flow_summary()
-                        .unwrap_or_else(|| "flow[off: no credit layer]".into()),
-                    core.stats()
-                ),
+                NetPath::Direct(core) => core.snapshot().to_string(),
                 NetPath::Ch3(t) => format!("ch3-net {}", t.debug_state()),
                 NetPath::None => "no-net".into(),
             };

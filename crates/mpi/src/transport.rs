@@ -490,21 +490,7 @@ impl Ch3Transport for NmadNetmodTransport {
     }
 
     fn debug_state(&self) -> String {
-        format!(
-            "netmod nm: posted={} unexpected={} outbox={} quiescent={} copy[{}] {} {} stats={:?}",
-            self.core.posted_recvs(),
-            self.core.unexpected_msgs(),
-            self.core.window_depth(),
-            self.core.quiescent(),
-            self.meter.snapshot(),
-            self.core
-                .health_summary()
-                .unwrap_or_else(|| "failover[off: no retry layer]".into()),
-            self.core
-                .flow_summary()
-                .unwrap_or_else(|| "flow[off: no credit layer]".into()),
-            self.core.stats()
-        )
+        format!("netmod {}", self.core.snapshot())
     }
 
     fn quiescent(&self) -> bool {

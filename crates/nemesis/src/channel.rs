@@ -217,11 +217,6 @@ impl ShmDomain {
         &self.meter
     }
 
-    /// Number of endpoints (co-located ranks).
-    pub fn num_local(&self) -> usize {
-        self.endpoints.len()
-    }
-
     /// The PIOMan mailbox of a local endpoint.
     pub fn mailbox(&self, local: usize) -> Mailbox {
         Mailbox::clone(&self.endpoints[local].mailbox)

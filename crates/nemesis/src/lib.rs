@@ -13,8 +13,11 @@
 //! * **The shared-memory channel** ([`channel`]): message fragmentation
 //!   into cells, reassembly, pending-send backpressure, and the timing model
 //!   used by the simulator.
-//! * **The network-module interface** ([`netmod`]): the four-routine
-//!   `init`/`send`/`poll`/`finalize` contract modules implement (§2.1.2).
+//! * **The network-module interface** is a note, not a type: §2.1.2's
+//!   four routines (`net_module_init`/`send`/`poll`/`finalize` — no `recv`,
+//!   since `poll`, called by the low-level progress engine, retrieves
+//!   every incoming message) are what `mpi-ch3`'s `Ch3Transport`
+//!   implementations supply, the NewMadeleine tunnel among them.
 //! * **PIOMan mailboxes** ([`mailbox`]): the counter-based notification
 //!   scheme added so PIOMan can check shared-memory state the way it checks
 //!   networks (§3.3.2).
@@ -31,12 +34,10 @@
 pub mod cell;
 pub mod channel;
 pub mod mailbox;
-pub mod netmod;
 pub mod queue;
 pub(crate) mod sync_shim;
 
 pub use cell::{CellData, CellHandle, CellPool, MsgHeader, MsgKind, CELL_PAYLOAD};
 pub use channel::{ShmDomain, ShmModel};
 pub use mailbox::Mailbox;
-pub use netmod::NetModule;
 pub use queue::NemQueue;

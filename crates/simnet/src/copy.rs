@@ -46,7 +46,7 @@ pub enum BufOrigin {
 }
 
 /// Immutable tally of a [`CopyMeter`] at one instant.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct CopySnapshot {
     /// Total payload bytes that were physically memcpy'd.
     pub bytes_copied: u64,
@@ -180,19 +180,6 @@ impl NmBuf {
         meter.record_copy(src.len());
         NmBuf {
             data: Bytes::copy_from_slice(src),
-            origin,
-            generation: 0,
-            meter: Some(Arc::clone(meter)),
-        }
-    }
-
-    /// Take ownership of a `Vec` the caller just filled (counts the
-    /// allocation; the fill itself is charged where the bytes were
-    /// written).
-    pub fn from_vec(v: Vec<u8>, origin: BufOrigin, meter: &Arc<CopyMeter>) -> NmBuf {
-        meter.record_alloc();
-        NmBuf {
-            data: Bytes::from(v),
             origin,
             generation: 0,
             meter: Some(Arc::clone(meter)),

@@ -525,11 +525,6 @@ impl Sim {
         Ok(id)
     }
 
-    /// Number of ranks spawned so far.
-    pub fn num_ranks(&self) -> usize {
-        self.ranks.len()
-    }
-
     /// Run the simulation to completion.
     pub fn run(mut self) -> Result<SimOutcome, SimError> {
         let result = self.run_inner();

@@ -67,7 +67,6 @@ pub struct FabricOpts {
 pub struct Fabric<M: Send + 'static> {
     rails: Vec<RailPorts<M>>,
     sinks: Arc<Mutex<Vec<Option<SinkFn<M>>>>>,
-    nodes: usize,
     seed: u64,
     fault: Option<Arc<FaultPlan>>,
 }
@@ -145,7 +144,6 @@ impl<M: Send + 'static> Fabric<M> {
         Arc::new(Fabric {
             rails,
             sinks,
-            nodes,
             seed: opts.seed,
             fault: opts.fault,
         })
@@ -154,11 +152,6 @@ impl<M: Send + 'static> Fabric<M> {
     /// The master seed this fabric was built with.
     pub fn seed(&self) -> u64 {
         self.seed
-    }
-
-    /// The installed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&Arc<FaultPlan>> {
-        self.fault.as_ref()
     }
 
     /// Consult the fault plan: does a registration on `rail` miss the
@@ -187,11 +180,6 @@ impl<M: Send + 'static> Fabric<M> {
     /// Number of rails (networks).
     pub fn num_rails(&self) -> usize {
         self.rails.len()
-    }
-
-    /// Number of nodes.
-    pub fn num_nodes(&self) -> usize {
-        self.nodes
     }
 
     /// The performance model of rail `rail`.

@@ -66,17 +66,17 @@ fn main() {
             1 + SENDERS,
             Arc::new(move |mpi: MpiHandle| flood_rank(&mpi, &p)),
         );
-        let ft = outcome.flow_totals();
+        let ft = outcome.nm_total();
         let total = plan.total_msgs() as u64;
         println!(
             "{:>9} | {:>10} B | {:>7}% | {:>8}% | {:>9} | {:>7.2} ms{}",
             label,
-            ft.peak_unex_bytes,
-            100 * ft.eager_admitted / total,
-            100 * ft.fallback_sends / total,
-            ft.credits_withheld,
+            ft.fc_peak_unex_bytes,
+            100 * ft.fc_eager_admitted / total,
+            100 * ft.fc_fallback_sends / total,
+            ft.fc_credits_withheld,
             outcome.sim.final_time.as_nanos() as f64 / 1e6,
-            if ft.peak_unex_bytes > CAP as u64 {
+            if ft.fc_peak_unex_bytes > CAP as u64 {
                 "  <- cap blown"
             } else {
                 ""

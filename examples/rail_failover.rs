@@ -77,9 +77,7 @@ fn bw(marks: &[u64], from: usize, to: usize) -> f64 {
 }
 
 fn report(name: &str, outcome: &RunOutcome, marks: &[u64]) {
-    let (transitions, rerouted, degraded) = outcome.failover_totals();
-    let (probes, acks) = outcome.probe_totals();
-    let retries: u64 = outcome.nm_stats.iter().map(|s| s.total_retries()).sum();
+    let nm = outcome.nm_total();
     println!("== {name}");
     println!(
         "   rounds 0-4 {:7.1} MB/s | mid {:7.1} MB/s | last 4 {:7.1} MB/s",
@@ -88,19 +86,17 @@ fn report(name: &str, outcome: &RunOutcome, marks: &[u64]) {
         bw(marks, ROUNDS - 4, ROUNDS),
     );
     println!(
-        "   transitions {transitions} rerouted {rerouted} B degraded {degraded} ns \
-         probes {probes}/{acks} retries {retries}"
+        "   transitions {} rerouted {} B degraded {} ns probes sent {} acked {} retries {}",
+        nm.rail_transitions,
+        nm.rerouted_bytes,
+        nm.degraded_nanos,
+        nm.probes_sent,
+        nm.probe_acks,
+        nm.total_retries()
     );
-    let sum = |f: fn(&mpich2_nmad_repro::nmad::core::NmStats) -> u64| -> u64 {
-        outcome.nm_stats.iter().map(f).sum()
-    };
     println!(
         "   retry breakdown: eager {} rts {} cts {} data {} fin-replays {}",
-        sum(|s| s.eager_retries),
-        sum(|s| s.rts_retries),
-        sum(|s| s.cts_retries),
-        sum(|s| s.data_retries),
-        sum(|s| s.dup_data),
+        nm.eager_retries, nm.rts_retries, nm.cts_retries, nm.data_retries, nm.dup_data,
     );
     println!(
         "   rail bytes: {:?}  marks: {:?}",

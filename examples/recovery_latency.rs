@@ -17,7 +17,7 @@ use std::time::Instant;
 use mpich2_nmad_repro::mpi_ch3::comm::Comm;
 use mpich2_nmad_repro::mpi_ch3::stack::{run_mpi_collect, StackConfig};
 use mpich2_nmad_repro::mpi_ch3::{MpiHandle, Src};
-use mpich2_nmad_repro::nmad::{MembershipConfig, RetryConfig};
+use mpich2_nmad_repro::nmad::{Death, MembershipConfig, RetryConfig};
 use mpich2_nmad_repro::simnet::{
     Cluster, FaultPlan, FaultSpec, NicModel, NodeWindow, Placement, SimDuration, SimTime,
 };
@@ -62,7 +62,7 @@ struct Marks {
     shrink1: Option<(u64, u64)>,
     shrink2: Option<(u64, u64)>,
     join: Option<(u64, u64)>,
-    death_log: Vec<(usize, u64, u64)>,
+    death_log: Vec<Death>,
 }
 
 fn rank_program(mpi: &MpiHandle) -> Marks {
@@ -170,8 +170,8 @@ fn detection_us(marks: &[Marks], corpse: usize, crash_us: u64) -> (f64, f64, usi
     let lats: Vec<u64> = marks
         .iter()
         .flat_map(|m| m.death_log.iter())
-        .filter(|&&(p, _, _)| p == corpse)
-        .map(|&(_, t, _)| t - crash_us * 1_000)
+        .filter(|d| d.peer == corpse)
+        .map(|d| d.at.as_nanos() - crash_us * 1_000)
         .collect();
     (
         *lats.iter().min().unwrap() as f64 / 1_000.0,
@@ -197,7 +197,7 @@ fn main() {
     let (s1_at, s1_span) = span_us(&marks, |m| m.shrink1);
     let (s2_at, s2_span) = span_us(&marks, |m| m.shrink2);
     let (j_at, j_span) = span_us(&marks, |m| m.join);
-    let m = outcome.membership_totals();
+    let m = outcome.nm_total();
 
     let mut json = String::new();
     let _ = writeln!(json, "{{");
@@ -227,7 +227,11 @@ fn main() {
     let _ = writeln!(
         json,
         "  \"epoch_hygiene\": {{\"revoked_epochs\": {}, \"revoked_ops\": {}, \"stale_epoch_frames\": {}, \"dead_peer_verdicts\": {}, \"drained_entries\": {}}}",
-        m.revoked_epochs, m.revoked_ops, m.stale_epoch, m.dead_peers, m.drained_entries
+        m.revoked_epochs,
+        m.revoked_ops,
+        m.membership_stale_epoch,
+        m.membership_dead_peers,
+        m.membership_drained_entries
     );
     let _ = writeln!(json, "}}");
     std::fs::write(&out_path, &json).expect("write bench output");

@@ -29,7 +29,7 @@
 
 use mpich2_nmad_repro::mpi_ch3::stack::{run_mpi_collect, RunOutcome, StackConfig};
 use mpich2_nmad_repro::mpi_ch3::{MpiHandle, Src};
-use mpich2_nmad_repro::nmad::{MembershipConfig, RetryConfig};
+use mpich2_nmad_repro::nmad::{Death, MembershipConfig, RetryConfig};
 use mpich2_nmad_repro::obs::ObsConfig;
 use mpich2_nmad_repro::simnet::{
     Cluster, FaultPlan, FaultSpec, NicModel, NodeWindow, Placement, SimDuration, SimTime,
@@ -48,6 +48,7 @@ const SLOW: usize = 5;
 const T_CRASH1: u64 = 400; // µs
 const T_HANG_FROM: u64 = 800;
 const T_HANG_UNTIL: u64 = 836; // 36µs < min_silence: must never go Dead
+const MIN_SILENCE: SimDuration = SimDuration::micros(50);
 const T_PHASE_C: u64 = 1_500;
 const T_CRASH2: u64 = 1_510;
 const T_JOIN: u64 = 2_000;
@@ -123,7 +124,7 @@ fn ring_round(mpi: &MpiHandle, group: &[usize], round: usize, len: usize) -> u64
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct RankReport {
     /// (peer, verdict ns, fail streak) from this rank's supervisor.
-    death_log: Vec<(usize, u64, u64)>,
+    death_log: Vec<Death>,
     /// Outcome of the mid-collective barrier (survivors only).
     barrier_err: Option<usize>,
     coll_aborts: u64,
@@ -285,7 +286,7 @@ fn churn_stack(seed: u64) -> StackConfig {
         .with_membership(MembershipConfig {
             suspect_after: 2,
             dead_after: 4,
-            min_silence: SimDuration::micros(50),
+            min_silence: MIN_SILENCE,
             probe_interval: SimDuration::micros(25),
         })
         .with_faults(FaultPlan::with_nodes(
@@ -309,15 +310,17 @@ fn latencies(reports: &[RankReport], peer: usize, crash_us: u64) -> Vec<u64> {
     let crash_ns = crash_us * 1_000;
     let mut out = Vec::new();
     for (rank, rep) in reports.iter().enumerate() {
-        for &(p, t, streak) in &rep.death_log {
-            if p != peer {
-                continue;
-            }
+        for d in rep.death_log.iter().filter(|d| d.peer == peer) {
+            let t = d.at.as_nanos();
             assert!(
                 t > crash_ns,
                 "rank {rank} declared {peer} dead at {t}ns, before the crash at {crash_ns}ns"
             );
-            assert!(streak >= 4, "verdict with streak {streak} < dead_after");
+            assert!(
+                d.silence_ns >= MIN_SILENCE.as_nanos(),
+                "verdict after {}ns of silence < min_silence",
+                d.silence_ns
+            );
             out.push(t - crash_ns);
         }
     }
@@ -352,7 +355,7 @@ fn churn_crash_hang_join_under_live_traffic() {
     assert!(max2 <= 1_500_000, "slowest detection of corpse 23: {max2}ns");
     // Nobody ever declared the merely-hung node dead.
     for rep in &reports {
-        assert!(rep.death_log.iter().all(|&(p, _, _)| p == DEAD1 || p == DEAD2));
+        assert!(rep.death_log.iter().all(|d| d.peer == DEAD1 || d.peer == DEAD2));
     }
 
     // The mid-collective death aborted the barrier on at least the six
@@ -371,11 +374,11 @@ fn churn_crash_hang_join_under_live_traffic() {
 
     // Job-wide membership accounting moved in every dimension the drain
     // touches.
-    let m = outcome.membership_totals();
-    println!("membership totals: {m:?}");
-    assert!(m.dead_peers as usize >= 2 * survivors.len(), "{m:?}");
-    assert!(m.transitions > 0 && m.aborted_sends > 0, "{m:?}");
-    assert!(m.drained_entries > 0, "death verdicts drained nothing: {m:?}");
+    let m = outcome.nm_total();
+    println!("nmad totals: {m:?}");
+    assert!(m.membership_dead_peers as usize >= 2 * survivors.len(), "{m:?}");
+    assert!(m.membership_transitions > 0 && m.membership_aborted_sends > 0, "{m:?}");
+    assert!(m.membership_drained_entries > 0, "death verdicts drained nothing: {m:?}");
     let drops = outcome.fault_counters.expect("fault plan armed").node_drops;
     assert!(drops > 0, "node windows never ate a frame");
 
@@ -399,5 +402,5 @@ fn churn_replays_bit_identically() {
     assert_eq!(a.nm_stats, b.nm_stats, "per-rank core stats diverged");
     assert_eq!(a.rail_counters, b.rail_counters);
     assert_eq!(a.fault_counters, b.fault_counters);
-    assert_eq!(a.membership_totals(), b.membership_totals());
+    assert_eq!(a.nm_total(), b.nm_total());
 }

@@ -140,12 +140,15 @@ fn rail_death_mid_run_reroutes_and_sustains_bandwidth() {
     );
 
     // The health machine demoted the rail and rerouted its chunks.
-    let (transitions, rerouted, degraded) = outcome.failover_totals();
+    let nm = outcome.nm_total();
+    let transitions = nm.rail_transitions;
     assert!(transitions >= 2, "no rail demotion recorded: {transitions}");
-    assert!(rerouted > 0, "no bytes rerouted off the dead rail");
-    assert!(degraded > 0, "no degraded time accumulated");
-    let retries: u64 = outcome.nm_stats.iter().map(|s| s.total_retries()).sum();
-    assert!(retries > 0, "failover without a single retransmission");
+    assert!(nm.rerouted_bytes > 0, "no bytes rerouted off the dead rail");
+    assert!(nm.degraded_nanos > 0, "no degraded time accumulated");
+    assert!(
+        nm.total_retries() > 0,
+        "failover without a single retransmission"
+    );
 
     // Sustained post-failure bandwidth on the survivor: ≥ 80% of the
     // healthy single-rail run (the last rounds are pure survivor traffic).
@@ -188,8 +191,8 @@ fn revived_rail_is_readmitted_and_split_returns() {
     );
 
     // Full cycle: Up → Suspect → Down → Probing → Up is four transitions.
-    let (transitions, _, degraded) = outcome.failover_totals();
-    let (probes, acks) = outcome.probe_totals();
+    let nm = outcome.nm_total();
+    let (transitions, probes, acks) = (nm.rail_transitions, nm.probes_sent, nm.probe_acks);
     assert!(
         transitions >= 4,
         "revived rail never walked the full state cycle: {transitions} transitions"
@@ -199,7 +202,7 @@ fn revived_rail_is_readmitted_and_split_returns() {
         acks >= 2,
         "re-admission requires probe acks (got {acks} of {probes} probes)"
     );
-    assert!(degraded > 0, "no degraded time accumulated");
+    assert!(nm.degraded_nanos > 0, "no degraded time accumulated");
 
     // The revived rail carries real payload again: its byte total must
     // clearly exceed what a never-recovered run leaves on it.

@@ -13,7 +13,7 @@
 //! here onto a fresh range, so each job proves the invariants on burst
 //! schedules no other job saw.
 
-use mpich2_nmad_repro::mpi_ch3::stack::{run_mpi_collect, FlowTotals, RunOutcome, StackConfig};
+use mpich2_nmad_repro::mpi_ch3::stack::{run_mpi_collect, RunOutcome, StackConfig};
 use mpich2_nmad_repro::mpi_ch3::{MpiHandle, Src};
 use mpich2_nmad_repro::nmad::FlowConfig;
 use mpich2_nmad_repro::sim_harness::byte;
@@ -143,30 +143,66 @@ fn flood_rank(mpi: &MpiHandle, plan: &OverloadPlan, seed: u64, any_source: bool)
 fn flood_respects_cap_and_degrades_to_rendezvous() {
     let seed = seed_base() + 40;
     let (outcome, _) = run_flood(seed, Some(FlowConfig::bounded(CREDITS, CAP)), false);
-    let ft = outcome.flow_totals();
+    let ft = outcome.nm_total();
     assert!(
-        ft.peak_unex_bytes <= CAP as u64,
+        ft.fc_peak_unex_bytes <= CAP as u64,
         "flow armed but peak unexpected backlog {}B exceeded the {}B cap",
-        ft.peak_unex_bytes,
+        ft.fc_peak_unex_bytes,
         CAP
     );
-    assert!(ft.eager_admitted > 0, "no eager send consumed a credit");
+    assert!(ft.fc_eager_admitted > 0, "no eager send consumed a credit");
     assert!(
-        ft.credit_stalls > 0 && ft.fallback_sends > 0,
+        ft.fc_credit_stalls > 0 && ft.fc_fallback_sends > 0,
         "a {MSGS_PER_SENDER}-deep flood against {CREDITS} credits must \
          exhaust pools and degrade to rendezvous (stalls {}, fallbacks {})",
-        ft.credit_stalls,
-        ft.fallback_sends
+        ft.fc_credit_stalls,
+        ft.fc_fallback_sends
     );
     assert!(
-        ft.credits_withheld > 0,
+        ft.fc_credits_withheld > 0,
         "the idle receiver must cross the high-water mark and withhold \
          credit returns"
     );
     assert!(
-        ft.credits_returned > 0,
+        ft.fc_credits_returned > 0,
         "draining the backlog must eventually return credits"
     );
+}
+
+/// `RunOutcome::nm_total` against the values the four hand folds it
+/// replaced (`flow_totals`, `membership_totals`, `failover_totals`,
+/// `probe_totals`) returned for this run at the commit that deleted
+/// them. A fixed seed: `SIM_SEED_BASE` does not shift it.
+#[test]
+fn nm_total_equals_the_deleted_folds_on_a_pinned_flood() {
+    let (outcome, _) = run_flood(40, Some(FlowConfig::bounded(CREDITS, CAP)), false);
+    let t = outcome.nm_total();
+    assert_eq!(
+        (
+            t.fc_eager_admitted,
+            t.fc_credit_stalls,
+            t.fc_fallback_sends,
+            t.fc_credits_returned,
+            t.fc_credits_withheld,
+            t.fc_peak_unex_bytes
+        ),
+        (216, 104, 104, 216, 131, 93_042),
+        "flow_totals"
+    );
+    let peaks = outcome.nm_stats.iter().map(|s| s.fc_peak_unex_bytes);
+    assert_eq!(peaks.max(), Some(93_042), "a maximum across ranks, not a sum");
+    assert_eq!(
+        (t.membership_transitions, t.membership_dead_peers, t.revoked_ops),
+        (0, 0, 0),
+        "membership_totals"
+    );
+    assert_eq!(
+        (t.rail_transitions, t.rerouted_bytes, t.degraded_nanos),
+        (0, 0, 0),
+        "failover_totals"
+    );
+    assert_eq!((t.probes_sent, t.probe_acks), (0, 0), "probe_totals");
+    assert_eq!(t.copy, Default::default(), "copy is RunOutcome.copy's");
 }
 
 #[test]
@@ -176,22 +212,22 @@ fn unarmed_flood_blows_past_the_cap() {
     // workload being too gentle to matter.
     let seed = seed_base() + 40;
     let (outcome, _) = run_flood(seed, None, false);
-    let ft = outcome.flow_totals();
+    let ft = outcome.nm_total();
     assert!(
-        ft.peak_unex_bytes > CAP as u64,
+        ft.fc_peak_unex_bytes > CAP as u64,
         "unarmed flood peaked at {}B, under the {}B cap — the armed test \
          is not proving anything",
-        ft.peak_unex_bytes,
+        ft.fc_peak_unex_bytes,
         CAP
     );
     // Off means off: no credit counter may move.
     assert_eq!(
         (
-            ft.eager_admitted,
-            ft.credit_stalls,
-            ft.fallback_sends,
-            ft.credits_returned,
-            ft.credits_withheld
+            ft.fc_eager_admitted,
+            ft.fc_credit_stalls,
+            ft.fc_fallback_sends,
+            ft.fc_credits_returned,
+            ft.fc_credits_withheld
         ),
         (0, 0, 0, 0, 0),
         "flow disabled but credit counters moved"
@@ -217,13 +253,8 @@ fn same_seed_replays_bit_identical() {
             "seed {seed}: rail traffic diverged"
         );
         assert_eq!(a.copy, b.copy, "seed {seed}: copy accounting diverged");
-        assert_eq!(
-            a.flow_totals(),
-            b.flow_totals(),
-            "seed {seed}: flow totals diverged"
-        );
         assert!(
-            a.flow_totals().fallback_sends > 0,
+            a.nm_total().fc_fallback_sends > 0,
             "seed {seed}: replay pair never exercised the fallback path"
         );
     }
@@ -237,10 +268,10 @@ fn any_source_survives_the_flood() {
     // in-program via the payload headers).
     let seed = seed_base() + 80;
     let (outcome, _) = run_flood(seed, Some(FlowConfig::bounded(CREDITS, CAP)), true);
-    let ft = outcome.flow_totals();
-    assert!(ft.peak_unex_bytes <= CAP as u64, "cap held under ANY_SOURCE");
+    let ft = outcome.nm_total();
+    assert!(ft.fc_peak_unex_bytes <= CAP as u64, "cap held under ANY_SOURCE");
     assert!(
-        ft.fallback_sends > 0,
+        ft.fc_fallback_sends > 0,
         "flood too gentle: ANY_SOURCE never saw the degraded path"
     );
 }
@@ -293,11 +324,11 @@ fn ample_credits_match_unarmed_baseline() {
     };
     let (armed, ha) = run(Some(FlowConfig::bounded(32, 8 * 1024 * 1024)));
     let (unarmed, hu) = run(None);
-    let ft = armed.flow_totals();
-    assert_eq!(ft.credit_stalls, 0, "deep pools must never stall");
-    assert_eq!(ft.fallback_sends, 0, "paced flow must stay all-eager");
-    assert!(ft.eager_admitted > 0);
-    assert_eq!(ft.credits_withheld, 0, "pre-posted receiver never throttles");
+    let ft = armed.nm_total();
+    assert_eq!(ft.fc_credit_stalls, 0, "deep pools must never stall");
+    assert_eq!(ft.fc_fallback_sends, 0, "paced flow must stay all-eager");
+    assert!(ft.fc_eager_admitted > 0);
+    assert_eq!(ft.fc_credits_withheld, 0, "pre-posted receiver never throttles");
     assert_eq!(ha, hu, "same workload, same bytes");
     let (ta, tu) = (
         armed.sim.final_time.as_nanos() as f64,
@@ -310,9 +341,17 @@ fn ample_credits_match_unarmed_baseline() {
          (armed {ta}ns, unarmed {tu}ns)",
         ratio * 100.0
     );
+    let fu = unarmed.nm_total();
     assert_eq!(
-        FlowTotals::default(),
-        unarmed.flow_totals(),
+        (
+            fu.fc_eager_admitted,
+            fu.fc_credit_stalls,
+            fu.fc_fallback_sends,
+            fu.fc_credits_returned,
+            fu.fc_credits_withheld,
+            fu.fc_peak_unex_bytes
+        ),
+        (0, 0, 0, 0, 0, 0),
         "unarmed baseline moved a flow counter"
     );
 }

@@ -32,7 +32,7 @@
 use mpich2_nmad_repro::mpi_ch3::comm::Comm;
 use mpich2_nmad_repro::mpi_ch3::stack::{run_mpi_collect, RunOutcome, StackConfig};
 use mpich2_nmad_repro::mpi_ch3::{MpiHandle, Src};
-use mpich2_nmad_repro::nmad::{MembershipConfig, RetryConfig};
+use mpich2_nmad_repro::nmad::{Death, MembershipConfig, RetryConfig};
 use mpich2_nmad_repro::obs::ObsConfig;
 use mpich2_nmad_repro::simnet::{
     Cluster, FaultPlan, FaultSpec, NicModel, NodeWindow, Placement, SimDuration, SimTime,
@@ -114,7 +114,7 @@ struct Report {
     sums: Vec<u64>,
     /// Did this rank's `comm_revoke` commit a fresh revocation?
     revoked_fresh: bool,
-    death_log: Vec<(usize, u64, u64)>,
+    death_log: Vec<Death>,
 }
 
 fn recovery_rank(mpi: &MpiHandle) -> Report {
@@ -298,8 +298,9 @@ fn revoke_agree_shrink_join_under_churn() {
         let lats: Vec<u64> = reports
             .iter()
             .flat_map(|rep| rep.death_log.iter())
-            .filter(|&&(p, _, _)| p == corpse)
-            .map(|&(_, t, _)| {
+            .filter(|d| d.peer == corpse)
+            .map(|d| {
+                let t = d.at.as_nanos();
                 assert!(t > crash_ns, "verdict for {corpse} predates its crash");
                 t - crash_ns
             })
@@ -317,17 +318,59 @@ fn revoke_agree_shrink_join_under_churn() {
     // revocation flooded the job, in-flight epoch-0 ops were quiesced with
     // counted errors, and stale cross-epoch frames were counted — never
     // resurrected into per-peer state (the peer_entries asserts above).
-    let m = outcome.membership_totals();
-    println!("membership totals: {m:?}");
+    let m = outcome.nm_total();
+    println!("nmad totals: {m:?}");
     assert!(
         m.revoked_epochs >= s1.len() as u64,
         "revocation never flooded: {m:?}"
     );
     assert!(m.revoked_ops > 0, "revoke quiesced nothing: {m:?}");
-    assert!(m.stale_epoch > 0, "no stale cross-epoch frame was counted: {m:?}");
-    assert!(m.dead_peers > 0 && m.drained_entries > 0, "{m:?}");
+    assert!(m.membership_stale_epoch > 0, "no stale cross-epoch frame was counted: {m:?}");
+    assert!(m.membership_dead_peers > 0 && m.membership_drained_entries > 0, "{m:?}");
     let drops = outcome.fault_counters.expect("fault plan armed").node_drops;
     assert!(drops > 0, "node windows never ate a frame");
+}
+
+/// `RunOutcome::nm_total` against the values the four hand folds it
+/// replaced returned for this run at the commit that deleted them
+/// (`membership_totals` field by field, then `flow_totals`,
+/// `failover_totals`, `probe_totals`). A fixed seed: `SIM_SEED_BASE` does
+/// not shift it.
+#[test]
+fn nm_total_equals_the_deleted_folds_on_a_pinned_recovery() {
+    let (outcome, _) = run_recovery(0x9E10_0000);
+    let t = outcome.nm_total();
+    assert_eq!(
+        (
+            t.membership_transitions,
+            t.membership_dead_peers,
+            t.membership_aborted_sends,
+            t.membership_aborted_recvs,
+            t.membership_drained_entries,
+        ),
+        (148, 123, 16, 42, 274)
+    );
+    assert_eq!(
+        (
+            t.membership_stray_frames,
+            t.membership_credits_released,
+            t.membership_stale_epoch,
+            t.revoked_epochs,
+            t.revoked_ops
+        ),
+        (0, 0, 11_218, 62, 178)
+    );
+    assert_eq!(
+        (t.fc_eager_admitted, t.fc_credits_returned, t.fc_peak_unex_bytes),
+        (0, 0, 488),
+        "flow_totals"
+    );
+    assert_eq!(
+        (t.rail_transitions, t.rerouted_bytes, t.degraded_nanos),
+        (2, 0, 45),
+        "failover_totals"
+    );
+    assert_eq!((t.probes_sent, t.probe_acks), (0, 0), "probe_totals");
 }
 
 #[test]
@@ -341,7 +384,7 @@ fn recovery_replays_bit_identically() {
     assert_eq!(a.nm_stats, b.nm_stats, "per-rank core stats diverged");
     assert_eq!(a.rail_counters, b.rail_counters);
     assert_eq!(a.fault_counters, b.fault_counters);
-    assert_eq!(a.membership_totals(), b.membership_totals());
+    assert_eq!(a.nm_total(), b.nm_total());
 }
 
 // ---------------------------------------------------------------------
@@ -446,7 +489,7 @@ fn su_ring(mpi: &MpiHandle, round: usize) {
     assert_eq!(&data[..], &fill(left, round, 256)[..]);
 }
 
-fn suspect_rank(mpi: &MpiHandle) -> Vec<(usize, u64, u64)> {
+fn suspect_rank(mpi: &MpiHandle) -> Vec<Death> {
     let me = mpi.rank();
     // Warmup, then verified ring traffic pinned across the hang window:
     // the stall must surface as Suspect and then be re-credited Up by the
@@ -495,16 +538,16 @@ fn suspect_stack(seed: u64, pioman: bool) -> StackConfig {
         ))
 }
 
-fn assert_suspect_recovery(outcome: &RunOutcome, logs: &[Vec<(usize, u64, u64)>]) {
+fn assert_suspect_recovery(outcome: &RunOutcome, logs: &[Vec<Death>]) {
     for (r, log) in logs.iter().enumerate() {
         assert!(log.is_empty(), "rank {r} issued a death verdict: {log:?}");
     }
-    let m = outcome.membership_totals();
-    assert_eq!(m.dead_peers, 0, "stall promoted to death: {m:?}");
+    let m = outcome.nm_total();
+    assert_eq!(m.membership_dead_peers, 0, "stall promoted to death: {m:?}");
     // The stall was *seen*: at least one Up→Suspect and the matching
     // Suspect→Up re-credit.
     assert!(
-        m.transitions >= 2,
+        m.membership_transitions >= 2,
         "the stall never registered as Suspect: {m:?}"
     );
 }
@@ -659,7 +702,7 @@ fn any_source_survives_revoke_and_shrink() {
             assert_eq!(rep.leaked, 0, "rank {r} leaked corpse entries");
         }
     }
-    let m = outcome.membership_totals();
-    assert!(m.aborted_recvs > 0, "parked specific not counted: {m:?}");
+    let m = outcome.nm_total();
+    assert!(m.membership_aborted_recvs > 0, "parked specific not counted: {m:?}");
     assert!(m.revoked_epochs > 0, "{m:?}");
 }

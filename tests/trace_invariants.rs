@@ -346,13 +346,13 @@ fn run_flood_traced(seed: u64) -> Report {
     let (outcome, _) = run_mpi_collect(&cluster, &placement, &stack, nranks, move |mpi| {
         flood_rank(mpi, &plan, seed)
     });
-    let ft = outcome.flow_totals();
+    let nm = outcome.nm_total();
     assert!(
-        ft.credit_stalls > 0,
+        nm.fc_credit_stalls > 0,
         "flood too gentle: no credit stall, the overload invariants prove \
          nothing (stalls {}, fallbacks {})",
-        ft.credit_stalls,
-        ft.fallback_sends
+        nm.fc_credit_stalls,
+        nm.fc_fallback_sends
     );
     outcome.obs.expect("obs armed")
 }
