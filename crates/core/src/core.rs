@@ -43,8 +43,10 @@
 //! takes the ordered list of effects that call produced, unlocks, and
 //! hands the list to the one executor (`NmCore::execute`) — the only
 //! code here that touches the fabric, the recorder or the event hook.
+//! A call that produced no effects (every idle progress tick) is done
+//! after that one lock.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 use simnet::{CopyMeter, Fabric, NmBuf, NodeId, RailId, Scheduler, SimDuration, SimTime};
@@ -73,18 +75,24 @@ pub struct NmNet {
     pub rank_to_node: Arc<Vec<NodeId>>,
 }
 
+/// What the shell's one lock guards.
+struct Shell {
+    engine: Engine,
+    /// The effect list the previous call drained, kept for its capacity:
+    /// calls trade it for the engine's filled one, so a steady-state
+    /// progress pass allocates no list.
+    spare: Vec<Effect>,
+}
+
 /// One NewMadeleine instance (per process).
 pub struct NmCore {
     rank: usize,
     net: NmNet,
-    engine: Mutex<Engine>,
-    hook: Mutex<Option<EventHook>>,
+    shell: Mutex<Shell>,
+    /// Set once, at wiring time.
+    hook: OnceLock<EventHook>,
     /// Where [`Effect::Span`]s are appended.
     recorder: Option<Arc<obs::Recorder>>,
-    /// The effect list the previous call drained, kept for its capacity:
-    /// calls trade it for the engine's filled one, so a steady-state
-    /// progress pass allocates no list.
-    spare: Mutex<Vec<Effect>>,
 }
 
 impl NmCore {
@@ -121,13 +129,13 @@ impl NmCore {
         let nranks = net.rank_to_node.len();
         Arc::new(NmCore {
             rank,
-            engine: Mutex::new(Engine::new(
-                cfg, rank, nranks, profiles, probe_peer, meter, rec,
-            )),
+            shell: Mutex::new(Shell {
+                engine: Engine::new(cfg, rank, nranks, profiles, probe_peer, meter, rec),
+                spare: Vec::new(),
+            }),
             net,
-            hook: Mutex::new(None),
+            hook: OnceLock::new(),
             recorder: recorder.map(Arc::clone),
-            spare: Mutex::new(Vec::new()),
         })
     }
 
@@ -138,30 +146,33 @@ impl NmCore {
 
     /// Install the background-progress hook (PIOMan).
     pub fn set_event_hook(&self, hook: EventHook) {
-        *self.hook.lock() = Some(hook);
+        assert!(self.hook.set(hook).is_ok(), "event hook installed twice");
     }
 
     /// The stack-wide copy meter this core charges.
     pub fn meter(&self) -> Arc<CopyMeter> {
-        Arc::clone(&self.engine.lock().meter)
+        Arc::clone(&self.shell.lock().engine.meter)
     }
 
     /// One entry point: lock the engine, make the call, take the effects
-    /// it produced, unlock, execute them.
+    /// it produced, unlock, execute them (and hand the emptied list back).
     fn with_engine<R>(
         self: &Arc<Self>,
         sched: &Scheduler,
         call: impl FnOnce(&mut Engine) -> R,
     ) -> R {
-        let mut effects = std::mem::take(&mut *self.spare.lock());
-        let result = {
-            let mut engine = self.engine.lock();
-            let result = call(&mut engine);
-            engine.swap_effects(&mut effects);
-            result
+        let (result, mut effects) = {
+            let mut shell = self.shell.lock();
+            let shell = &mut *shell;
+            let result = call(&mut shell.engine);
+            shell.engine.swap_effects(&mut shell.spare);
+            if shell.spare.is_empty() {
+                return result;
+            }
+            (result, std::mem::take(&mut shell.spare))
         };
         self.execute(sched, &mut effects);
-        *self.spare.lock() = effects;
+        self.shell.lock().spare = effects;
         result
     }
 
@@ -188,8 +199,7 @@ impl NmCore {
                     continue;
                 }
                 Effect::Hook => {
-                    let hook = self.hook.lock().as_ref().map(Arc::clone);
-                    if let Some(hook) = hook {
+                    if let Some(hook) = self.hook.get() {
                         hook(sched);
                     }
                     continue;
@@ -315,7 +325,7 @@ impl NmCore {
     /// real on the wire. Peers detect the death via their own membership
     /// supervision; this rank simply stops participating.
     pub fn halt(&self) {
-        self.engine.lock().halt();
+        self.shell.lock().engine.halt();
     }
 
     /// The earliest instant at which [`NmCore::schedule`] has timer work
@@ -324,12 +334,12 @@ impl NmCore {
     /// caller may sleep if nothing arrives: everything else that gives
     /// this core work announces itself through the event hook.
     pub fn next_deadline(&self) -> Option<SimTime> {
-        self.engine.lock().next_deadline()
+        self.shell.lock().engine.next_deadline()
     }
 
     /// Drain all surfaced completions (cookies of finished requests).
     pub fn drain_completions(&self) -> Vec<NmCompletion> {
-        self.engine.lock().completions.drain(..).collect()
+        self.shell.lock().engine.completions.drain(..).collect()
     }
 
     /// Is there an unexpected message from `(gate, tag)`?
@@ -345,57 +355,57 @@ impl NmCore {
 
     /// Probe with payload length, for MPI_Iprobe's status.
     pub fn probe_info(&self, gate: GateId, tag: u64) -> Option<usize> {
-        self.engine.lock().probe_info(gate, tag)
+        self.shell.lock().engine.probe_info(gate, tag)
     }
 
     /// ANY_SOURCE probe with gate and payload length.
     pub fn probe_tag_info(&self, tag: u64) -> Option<(GateId, usize)> {
-        self.engine.lock().probe_tag_info(tag)
+        self.shell.lock().engine.probe_tag_info(tag)
     }
 
     /// Posted receives not yet matched (diagnostics).
     pub fn posted_recvs(&self) -> usize {
-        let engine = self.engine.lock();
-        engine.peers.values().map(|g| g.posted()).sum()
+        let shell = self.shell.lock();
+        shell.engine.peers.values().map(|g| g.posted()).sum()
     }
 
     /// Unexpected messages queued (diagnostics).
     pub fn unexpected_msgs(&self) -> usize {
-        let engine = self.engine.lock();
-        engine.peers.values().map(|g| g.unexpected()).sum()
+        let shell = self.shell.lock();
+        shell.engine.peers.values().map(|g| g.unexpected()).sum()
     }
 
     /// Nothing in flight, nothing pending?
     pub fn quiescent(&self) -> bool {
-        self.engine.lock().quiescent()
+        self.shell.lock().engine.quiescent()
     }
 
     /// Counter snapshot (includes the live copy-meter tally and the
     /// rail-health table's failover counters).
     pub fn stats(&self) -> NmStats {
-        self.engine.lock().stats()
+        self.shell.lock().engine.stats()
     }
 
     /// The engine's state as one typed value, with the job-wide copy
     /// meter's reading filled in. Its `Display` is the dump line of a
     /// failed run; nothing else in the stack formats nmad state.
     pub fn snapshot(&self) -> EngineSnapshot {
-        let engine = self.engine.lock();
-        let mut snapshot = engine.snapshot();
-        snapshot.stats.copy = engine.meter.snapshot();
+        let shell = self.shell.lock();
+        let mut snapshot = shell.engine.snapshot();
+        snapshot.stats.copy = shell.engine.meter.snapshot();
         snapshot
     }
 
     /// Is the membership supervisor armed?
     pub fn membership_enabled(&self) -> bool {
-        self.engine.lock().membership.is_some()
+        self.shell.lock().engine.membership.is_some()
     }
 
     /// Liveness verdict for one peer (`Up` when membership is off — the
     /// happy path treats every peer as alive).
     pub fn peer_state(&self, peer: usize) -> PeerLiveness {
-        let engine = self.engine.lock();
-        let table = engine.membership.as_ref();
+        let shell = self.shell.lock();
+        let table = shell.engine.membership.as_ref();
         table.map_or(PeerLiveness::Up, |m| m.state(peer))
     }
 
@@ -409,15 +419,15 @@ impl NmCore {
 
     /// True when membership is armed and `peer` has been declared dead.
     pub fn is_peer_dead(&self, peer: usize) -> bool {
-        let engine = self.engine.lock();
-        engine.membership.as_ref().is_some_and(|m| m.is_dead(peer))
+        let shell = self.shell.lock();
+        shell.engine.membership.as_ref().is_some_and(|m| m.is_dead(peer))
     }
 
     /// Drain the queue of freshly-dead peers (each peer appears exactly
     /// once, in verdict order). The MPI layer polls this to retire VCs,
     /// flush ANY_SOURCE windows and shrink collective groups.
     pub fn take_dead_peers(&self) -> Vec<usize> {
-        self.engine.lock().dead_events.drain(..).collect()
+        self.shell.lock().engine.dead_events.drain(..).collect()
     }
 
     /// Revoke a communicator epoch locally (the MPI layer calls this both
@@ -438,7 +448,7 @@ impl NmCore {
     /// fail collective state and forward the poison frame to every
     /// communicator member it hasn't provably reached.
     pub fn take_revoked_epochs(&self) -> Vec<u32> {
-        self.engine.lock().revoked_events.drain(..).collect()
+        self.shell.lock().engine.revoked_events.drain(..).collect()
     }
 
     /// Put one revoke poison frame for `epoch` on the wire toward `dst`
@@ -459,7 +469,7 @@ impl NmCore {
 
     /// The highest committed communicator epoch on this rank.
     pub fn committed_epoch(&self) -> u8 {
-        self.engine.lock().committed_epoch
+        self.shell.lock().engine.committed_epoch
     }
 
     /// Retire one agreement instance (a collective key with its round
@@ -476,8 +486,8 @@ impl NmCore {
     /// Death log, in verdict order — the raw material for
     /// detection-latency histograms.
     pub fn death_log(&self) -> Vec<Death> {
-        let engine = self.engine.lock();
-        let table = engine.membership.as_ref();
+        let shell = self.shell.lock();
+        let table = shell.engine.membership.as_ref();
         table.map(|m| m.deaths().to_vec()).unwrap_or_default()
     }
 
@@ -486,14 +496,14 @@ impl NmCore {
     /// so 0 exactly when the core holds no record for it at all: the
     /// drain's acceptance gate once the drain has run.
     pub fn peer_entry_count(&self, peer: usize) -> usize {
-        let engine = self.engine.lock();
-        engine.peers.get(&peer).map_or(0, |g| g.records())
+        let shell = self.shell.lock();
+        shell.engine.peers.get(&peer).map_or(0, |g| g.records())
     }
 
     /// Bytes of unexpected eager payload currently buffered (tracked
     /// whether or not flow control is armed).
     pub fn unexpected_eager_bytes(&self) -> usize {
-        self.engine.lock().unex_eager_bytes
+        self.shell.lock().engine.unex_eager_bytes
     }
 }
 

@@ -482,6 +482,13 @@ impl Engine {
         };
         debug_assert!(actions.contains(&Action::AllocLanding));
         debug_assert!(actions.contains(&Action::SendCts));
+        // `len` is the sender's word, read off the wire: a landing buffer
+        // no allocation can satisfy is a counted error — no buffer, no
+        // CTS, no timer, and the engine lives on (the matched receive
+        // stays pending, like one whose sender never sends).
+        let Some(buf) = protocol::alloc_landing(len) else {
+            return self.protocol_error("nmad.protocol_errors.rts_len");
+        };
         let mut timer = RetxTimer::default();
         if let Some(rc) = &self.cfg.retry {
             timer.arm(now, rc);
@@ -496,7 +503,7 @@ impl Engine {
                 recv_req: req,
                 tag,
                 seq,
-                buf: vec![0u8; len],
+                buf,
                 received: 0,
                 ranges: Vec::new(),
                 timer,

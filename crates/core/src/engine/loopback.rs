@@ -346,6 +346,54 @@ fn an_over_returned_credit_is_a_counted_error() {
     assert_eq!((s0, s1), (clean0, clean1), "no other counter moved");
 }
 
+/// A length is input off the wire too: a forged RTS (valid CRC, in-job
+/// source) announcing `u64::MAX` bytes used to reach `vec![0u8; len]` — a
+/// capacity-overflow panic. It is one counted error, whether the receive
+/// was posted before or after it: no landing buffer, no CTS, and the
+/// flows around it complete as if it had never come.
+#[test]
+fn a_forged_rts_length_is_a_counted_error_not_an_allocation() {
+    for posted_first in [true, false] {
+        let mut w = Loopback::new(flow_cfg());
+        let forged = WirePayload::Rts {
+            tag: 66,
+            seq: 0,
+            rdv_id: 900,
+            len: u64::MAX as usize,
+        };
+        let allocs_before = w.engines[0].meter.snapshot().allocations;
+        if posted_first {
+            w.irecv(0, 66, 66);
+        }
+        w.engines[0].accept(w.now, NmWire::new(1, 0, forged), 0, false, IDLE);
+        w.pump(0);
+        if !posted_first {
+            w.irecv(0, 66, 66);
+        }
+        w.poll(50);
+        assert_eq!(w.stats(0).protocol_errors, 1);
+        assert!(w.engines[0].peers[&1].rdv_in.is_empty(), "no landing buffer");
+        assert_eq!(w.engines[0].meter.snapshot().allocations, allocs_before);
+        // The ack of the envelope may have left; a CTS must not have.
+        assert_eq!((w.stats(0).cts_retries, w.stats(1).data_chunks_sent), (0, 0));
+        assert!(w.completions(0).is_empty(), "the forged receive stays pending");
+        // An eager message and a rendezvous, one each way, still complete.
+        w.irecv(1, 7, 7);
+        w.irecv(0, 8, 8);
+        w.isend(0, 7, pattern(7, 300), 7);
+        w.isend(1, 8, pattern(8, 64 * 1024), 8);
+        w.poll(400);
+        for (at, tag, len) in [(1, 7, 300), (0, 8, 64 * 1024)] {
+            let got = w.completions(at).into_iter().find_map(|c| match c.kind {
+                CompletionKind::Recv { data, .. } => Some(data),
+                _ => None,
+            });
+            assert_eq!(got, Some(pattern(tag, len)), "flow {tag}");
+        }
+        assert_eq!(w.stats(0).protocol_errors, 1, "and nothing else counted");
+    }
+}
+
 #[test]
 fn a_lost_rts_and_a_lost_data_chunk_are_replayed() {
     let [s0, s1] = run(true);

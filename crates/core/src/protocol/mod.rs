@@ -681,6 +681,23 @@ pub enum Verdict {
     Error,
 }
 
+/// [`Action::AllocLanding`] as both adapters perform it: a zeroed buffer
+/// of `len` bytes, or `None` when no allocation can satisfy `len` — which
+/// is the sender's word, read off a wire (a forged RTS announcing
+/// `u64::MAX` bytes used to reach `vec![0u8; len]`: a capacity-overflow
+/// panic). The caller counts `None` as a protocol error and sends no CTS.
+///
+/// Stable Rust has no fallible *zeroed* allocation. `try_reserve_exact`
+/// followed by `resize(len, 0)` is a fallible one that then memsets pages
+/// `vec![0; len]` gets untouched from `calloc` — measured at +5.7 % host
+/// time on the ledger's `stream_large`, worse in 9 of 10 pairs
+/// (BENCH_24.json). So: prove `len` can be had, hand it back, take it
+/// zeroed.
+pub fn alloc_landing(len: usize) -> Option<Vec<u8>> {
+    Vec::<u8>::new().try_reserve_exact(len).ok()?;
+    Some(vec![0u8; len])
+}
+
 /// Look up the unique classification of (state, event) under `ctx`.
 ///
 /// [`validate_table`] proves at most one table row *or* one ignore can

@@ -35,9 +35,7 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use parking_lot::Mutex;
-
-use crate::queues::ActiveFlag;
+use crate::queues::{deactivate, ActiveFlag};
 use crate::request::Req;
 
 enum Entry {
@@ -68,12 +66,13 @@ pub struct Release {
     pub key: u64,
 }
 
-/// The main list: one sublist per tag in use.
+/// The main list: one sublist per tag in use. A plain value inside the
+/// rank's [`crate::rank::RankState`].
 #[derive(Default)]
 pub struct AnySourceLists {
-    lists: Mutex<HashMap<u64, TagList>>,
+    lists: HashMap<u64, TagList>,
     /// Reverse map from request to its tag key.
-    by_req: Mutex<HashMap<Req, u64>>,
+    by_req: HashMap<Req, u64>,
 }
 
 impl AnySourceLists {
@@ -82,29 +81,23 @@ impl AnySourceLists {
     }
 
     /// Register a newly posted ANY_SOURCE receive.
-    pub fn register_any(&self, key: u64, req: Req, ch3_flag: ActiveFlag) {
-        self.lists
-            .lock()
-            .entry(key)
-            .or_default()
-            .entries
-            .push_back(Entry::Any {
-                req,
-                ch3_flag,
-                nm_gate: None,
-            });
-        self.by_req.lock().insert(req, key);
+    pub fn register_any(&mut self, key: u64, req: Req, ch3_flag: ActiveFlag) {
+        self.lists.entry(key).or_default().entries.push_back(Entry::Any {
+            req,
+            ch3_flag,
+            nm_gate: None,
+        });
+        self.by_req.insert(req, key);
     }
 
     /// A specific-source inter-node receive is being posted: if its tag has
     /// pending ANY_SOURCE entries it must be parked (returns `true`);
     /// otherwise the caller posts it to NewMadeleine directly.
-    pub fn try_park_specific(&self, key: u64, req: Req, src: usize) -> bool {
-        let mut lists = self.lists.lock();
-        match lists.get_mut(&key) {
+    pub fn try_park_specific(&mut self, key: u64, req: Req, src: usize) -> bool {
+        match self.lists.get_mut(&key) {
             Some(list) if !list.entries.is_empty() => {
                 list.entries.push_back(Entry::Specific { req, src });
-                self.by_req.lock().insert(req, key);
+                self.by_req.insert(req, key);
                 true
             }
             _ => false,
@@ -114,8 +107,8 @@ impl AnySourceLists {
     /// Heads awaiting a probe: every sublist whose head is an ANY_SOURCE
     /// entry without a NewMadeleine request yet. Called on every poll.
     pub fn heads_to_probe(&self) -> Vec<(u64, Req)> {
-        let lists = self.lists.lock();
-        let mut out: Vec<(u64, Req)> = lists
+        let mut out: Vec<(u64, Req)> = self
+            .lists
             .iter()
             .filter_map(|(&key, list)| match list.entries.front() {
                 Some(Entry::Any {
@@ -134,16 +127,15 @@ impl AnySourceLists {
     /// dynamically created NewMadeleine request and deactivate the CH3
     /// twin (the NewMadeleine request cannot be cancelled, so shared
     /// memory must no longer steal this receive).
-    pub fn mark_posted(&self, key: u64, gate: usize) {
-        let mut lists = self.lists.lock();
-        let list = lists.get_mut(&key).expect("mark_posted on unknown tag");
+    pub fn mark_posted(&mut self, key: u64, gate: usize) {
+        let list = self.lists.get_mut(&key).expect("mark_posted on unknown tag");
         match list.entries.front_mut() {
             Some(Entry::Any {
                 nm_gate, ch3_flag, ..
             }) => {
                 debug_assert!(nm_gate.is_none(), "double mark_posted");
                 *nm_gate = Some(gate);
-                ch3_flag.store(false, std::sync::atomic::Ordering::Release);
+                deactivate(ch3_flag);
             }
             _ => panic!("mark_posted: head is not an ANY_SOURCE entry"),
         }
@@ -155,15 +147,12 @@ impl AnySourceLists {
     /// NewMadeleine) up to the next ANY_SOURCE entry, which becomes the new
     /// head. Returns the releases. No-op (empty) if the request is not
     /// tracked.
-    pub fn on_complete(&self, req: Req) -> Vec<Release> {
-        let key = match self.by_req.lock().remove(&req) {
-            Some(k) => k,
-            None => return Vec::new(),
+    pub fn on_complete(&mut self, req: Req) -> Vec<Release> {
+        let Some(key) = self.by_req.remove(&req) else {
+            return Vec::new();
         };
-        let mut lists = self.lists.lock();
-        let list = match lists.get_mut(&key) {
-            Some(l) => l,
-            None => return Vec::new(),
+        let Some(list) = self.lists.get_mut(&key) else {
+            return Vec::new();
         };
         let pos = list
             .entries
@@ -179,7 +168,7 @@ impl AnySourceLists {
             while let Some(Entry::Specific { .. }) = list.entries.front() {
                 match list.entries.pop_front() {
                     Some(Entry::Specific { req, src }) => {
-                        self.by_req.lock().remove(&req);
+                        self.by_req.remove(&req);
                         released.push(Release { req, src, key });
                     }
                     _ => unreachable!(),
@@ -187,7 +176,7 @@ impl AnySourceLists {
             }
         }
         if list.entries.is_empty() {
-            lists.remove(&key);
+            self.lists.remove(&key);
         }
         released
     }
@@ -198,11 +187,10 @@ impl AnySourceLists {
     /// dead-peer error instead of posting it). ANY_SOURCE entries stay:
     /// they remain matchable by every surviving sender, and the heads keep
     /// their probe/park ordering role for the ranks that are still alive.
-    pub fn purge_src(&self, src: usize) -> Vec<Release> {
-        let mut lists = self.lists.lock();
-        let mut by_req = self.by_req.lock();
+    pub fn purge_src(&mut self, src: usize) -> Vec<Release> {
+        let by_req = &mut self.by_req;
         let mut purged = Vec::new();
-        lists.retain(|&key, list| {
+        self.lists.retain(|&key, list| {
             let mut kept = VecDeque::with_capacity(list.entries.len());
             for e in list.entries.drain(..) {
                 match e {
@@ -224,60 +212,62 @@ impl AnySourceLists {
     /// Is this request currently parked as a specific entry? (A parked
     /// request must not be posted to NewMadeleine by anyone else.)
     pub fn is_tracked(&self, req: Req) -> bool {
-        self.by_req.lock().contains_key(&req)
+        self.by_req.contains_key(&req)
     }
 
     /// Number of live sublists (diagnostics).
     pub fn tags_in_use(&self) -> usize {
-        self.lists.lock().len()
+        self.lists.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::queues::{is_active, Ch3Queues};
     use crate::request::{ReqKind, ReqPath, RequestTable};
-    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
+    /// The flag of a freshly posted CH3 entry, as `irecv` would hand over.
     fn flag() -> ActiveFlag {
-        Arc::new(AtomicBool::new(true))
+        let posted = Ch3Queues::new().post(Req(0), None, 0);
+        posted.unwrap_or_else(|_| unreachable!("nothing is unexpected in a new queue pair"))
     }
 
-    fn any_req(t: &RequestTable) -> Req {
+    fn any_req(t: &mut RequestTable) -> Req {
         t.create(ReqKind::RecvAnySource, ReqPath::Unknown)
     }
 
-    fn spec_req(t: &RequestTable) -> Req {
+    fn spec_req(t: &mut RequestTable) -> Req {
         t.create(ReqKind::Recv, ReqPath::Net)
     }
 
     #[test]
     fn head_is_probed_until_posted() {
-        let t = RequestTable::new();
-        let l = AnySourceLists::new();
-        let r = any_req(&t);
+        let mut t = RequestTable::new();
+        let mut l = AnySourceLists::new();
+        let r = any_req(&mut t);
         let f = flag();
         l.register_any(7, r, Arc::clone(&f));
         assert_eq!(l.heads_to_probe(), vec![(7, r)]);
         l.mark_posted(7, 3);
         assert!(l.heads_to_probe().is_empty(), "posted head stops probing");
-        assert!(!f.load(Ordering::Acquire), "CH3 twin deactivated");
+        assert!(!is_active(&f), "CH3 twin deactivated");
     }
 
     #[test]
     fn specifics_park_behind_any_and_release_on_completion() {
-        let t = RequestTable::new();
-        let l = AnySourceLists::new();
-        let ra = any_req(&t);
-        let r1 = spec_req(&t);
-        let r2 = spec_req(&t);
+        let mut t = RequestTable::new();
+        let mut l = AnySourceLists::new();
+        let ra = any_req(&mut t);
+        let r1 = spec_req(&mut t);
+        let r2 = spec_req(&mut t);
         l.register_any(7, ra, flag());
         assert!(l.try_park_specific(7, r1, 4));
         assert!(l.try_park_specific(7, r2, 5));
         assert!(l.is_tracked(r1));
         // Different tag: not parked.
-        assert!(!l.try_park_specific(8, spec_req(&t), 4));
+        assert!(!l.try_park_specific(8, spec_req(&mut t), 4));
         let released = l.on_complete(ra);
         assert_eq!(
             released,
@@ -289,12 +279,12 @@ mod tests {
 
     #[test]
     fn next_any_becomes_head_and_blocks_later_specifics() {
-        let t = RequestTable::new();
-        let l = AnySourceLists::new();
-        let ra1 = any_req(&t);
-        let s1 = spec_req(&t);
-        let ra2 = any_req(&t);
-        let s2 = spec_req(&t);
+        let mut t = RequestTable::new();
+        let mut l = AnySourceLists::new();
+        let ra1 = any_req(&mut t);
+        let s1 = spec_req(&mut t);
+        let ra2 = any_req(&mut t);
+        let s2 = spec_req(&mut t);
         l.register_any(7, ra1, flag());
         assert!(l.try_park_specific(7, s1, 4));
         l.register_any(7, ra2, flag());
@@ -314,11 +304,11 @@ mod tests {
         // Head is nm-posted; the SECOND any-source entry is matched by an
         // intra-node message. Its removal must not release the specifics
         // parked behind the still-pending head.
-        let t = RequestTable::new();
-        let l = AnySourceLists::new();
-        let ra1 = any_req(&t);
-        let ra2 = any_req(&t);
-        let s1 = spec_req(&t);
+        let mut t = RequestTable::new();
+        let mut l = AnySourceLists::new();
+        let ra1 = any_req(&mut t);
+        let ra2 = any_req(&mut t);
+        let s1 = spec_req(&mut t);
         l.register_any(7, ra1, flag());
         l.register_any(7, ra2, flag());
         assert!(l.try_park_specific(7, s1, 4));
@@ -332,12 +322,12 @@ mod tests {
 
     #[test]
     fn purge_src_releases_only_the_dead_peers_parked_specifics() {
-        let t = RequestTable::new();
-        let l = AnySourceLists::new();
-        let ra = any_req(&t);
-        let dead1 = spec_req(&t);
-        let live = spec_req(&t);
-        let dead2 = spec_req(&t);
+        let mut t = RequestTable::new();
+        let mut l = AnySourceLists::new();
+        let ra = any_req(&mut t);
+        let dead1 = spec_req(&mut t);
+        let live = spec_req(&mut t);
+        let dead2 = spec_req(&mut t);
         l.register_any(7, ra, flag());
         assert!(l.try_park_specific(7, dead1, 9));
         assert!(l.try_park_specific(7, live, 4));
@@ -361,17 +351,17 @@ mod tests {
 
     #[test]
     fn untracked_completion_is_noop() {
-        let t = RequestTable::new();
-        let l = AnySourceLists::new();
-        assert!(l.on_complete(spec_req(&t)).is_empty());
+        let mut t = RequestTable::new();
+        let mut l = AnySourceLists::new();
+        assert!(l.on_complete(spec_req(&mut t)).is_empty());
     }
 
     #[test]
     fn probe_order_is_deterministic_by_tag() {
-        let t = RequestTable::new();
-        let l = AnySourceLists::new();
-        let r9 = any_req(&t);
-        let r3 = any_req(&t);
+        let mut t = RequestTable::new();
+        let mut l = AnySourceLists::new();
+        let r9 = any_req(&mut t);
+        let r3 = any_req(&mut t);
         l.register_any(9, r9, flag());
         l.register_any(3, r3, flag());
         assert_eq!(l.heads_to_probe(), vec![(3, r3), (9, r9)]);

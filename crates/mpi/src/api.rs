@@ -188,7 +188,7 @@ impl MpiHandle {
     /// payload-less success.
     pub fn wait_result(&self, req: Req) -> Result<(Option<Bytes>, Option<Status>), PeerDead> {
         let (data, status) = self.state.wait(&self.ctx, req);
-        match self.state.reqs.failed_peer(req) {
+        match self.state.failed_peer(req) {
             Some(peer) => Err(PeerDead { peer }),
             None => Ok((data, status)),
         }
@@ -200,12 +200,13 @@ impl MpiHandle {
     /// (exclude the corpse), `Ok` otherwise.
     pub fn wait_ft(&self, req: Req) -> Result<(Option<Bytes>, Option<Status>), FtError> {
         let (data, status) = self.state.wait(&self.ctx, req);
-        if let Some(epoch) = self.state.reqs.revoked_epoch(req) {
-            return Err(FtError::Revoked { epoch });
-        }
-        match self.state.reqs.failed_peer(req) {
-            Some(peer) => Err(FtError::PeerDead { peer }),
-            None => Ok((data, status)),
+        let verdict = |st: &mut crate::RankState| {
+            (st.reqs.revoked_epoch(req), st.reqs.failed_peer(req))
+        };
+        match self.state.with_state(verdict) {
+            (Some(epoch), _) => Err(FtError::Revoked { epoch }),
+            (None, Some(peer)) => Err(FtError::PeerDead { peer }),
+            (None, None) => Ok((data, status)),
         }
     }
 
@@ -219,9 +220,7 @@ impl MpiHandle {
     /// to drain. The rank program should return immediately after calling
     /// this. Survivors detect the silence via their membership supervisors.
     pub fn crash(&self) {
-        self.state
-            .crashed
-            .store(true, std::sync::atomic::Ordering::Relaxed);
+        self.state.with_state(|st| st.crashed = true);
         if let NetPath::Direct(core) = &self.state.net {
             core.halt();
         }
@@ -262,9 +261,7 @@ impl MpiHandle {
 
     /// Collectives this rank aborted because a member died mid-protocol.
     pub fn coll_aborts(&self) -> u64 {
-        self.state
-            .coll_aborts
-            .load(std::sync::atomic::Ordering::Relaxed)
+        self.state.with_state(|st| st.coll_aborts)
     }
 
     /// Wait for all requests, in order.

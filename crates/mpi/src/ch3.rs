@@ -2,23 +2,25 @@
 //!
 //! CH3 moves messages as typed packets: `Eager` for small messages, the
 //! `Rts`/`Cts`/`Data` rendezvous for large ones (Fig. 2's outer
-//! handshake). The engine is transport-agnostic: it receives inbound
-//! packets and a `send` callback, and reports completions back to the
-//! caller; the same engine therefore serves the Nemesis shared-memory
+//! handshake). The engine is sans-IO, like `nmad::engine::Engine`: a plain
+//! value whose calls take `&mut self`, decide, and append what they want
+//! done — packets to transmit, completions to apply — to one ordered
+//! out-list ([`Ch3Out`]). Whoever holds the engine executes that list
+//! afterwards (`ProcState::route` in a job, the test loopback with no
+//! simulator at all); the engine names no transport, no scheduler and no
+//! lock. The same engine therefore serves the Nemesis shared-memory
 //! channel, the tailored baseline NICs, and the legacy NewMadeleine
 //! netmod (where its rendezvous *nests* inside NewMadeleine's — the
 //! pathology §2.1.3 describes).
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::{Bytes, BytesMut};
 use nmad::protocol::{self, Action, State, Verdict};
-use parking_lot::Mutex;
-use simnet::{BufOrigin, CopyMeter, NmBuf, Scheduler};
+use simnet::{BufOrigin, CopyMeter, NmBuf};
 
-use crate::queues::{Ch3Queues, UnexMsg};
+use crate::queues::{ActiveFlag, Ch3Queues, UnexMsg};
 use crate::request::Req;
 
 /// Modelled CH3 packet-header size on the wire.
@@ -118,9 +120,10 @@ impl Ch3Pkt {
     /// zero-copy view into the encoded frame (a slice-ref, not a memcpy),
     /// and it inherits the frame's meter.
     ///
-    /// # Panics
-    /// Panics on malformed input — transports are trusted in-process.
-    pub fn decode(raw: NmBuf) -> Ch3Pkt {
+    /// The frame came off a wire: a truncated header, an unknown variant
+    /// or a payload shorter or longer than its length field is `None` —
+    /// the caller counts and drops it — never a panic.
+    pub fn decode(raw: NmBuf) -> Option<Ch3Pkt> {
         use bytes::Buf;
         let meter = raw.meter().map(Arc::clone);
         let mut raw = raw.into_bytes();
@@ -131,46 +134,48 @@ impl Ch3Pkt {
             }
             None => NmBuf::from_bytes(rest, BufOrigin::Ch3),
         };
-        let variant = raw.get_u8();
-        match variant {
+        let variant = (!raw.is_empty()).then(|| raw.get_u8())?;
+        Some(match variant {
             0 => {
-                let key = raw.get_u64_le();
-                let len = raw.get_u64_le() as usize;
-                assert_eq!(raw.len(), len, "eager length mismatch");
-                Ch3Pkt::Eager {
-                    key,
-                    data: payload(raw),
+                let (key, len) = (word(&mut raw)?, word(&mut raw)?);
+                if raw.len() as u64 != len {
+                    return None;
                 }
+                let data = payload(raw);
+                Ch3Pkt::Eager { key, data }
             }
             1 => Ch3Pkt::Rts {
-                key: raw.get_u64_le(),
-                rdv_id: raw.get_u64_le(),
-                len: raw.get_u64_le() as usize,
+                key: word(&mut raw)?,
+                rdv_id: word(&mut raw)?,
+                len: word(&mut raw)? as usize,
             },
             2 => Ch3Pkt::Cts {
-                rdv_id: raw.get_u64_le(),
+                rdv_id: word(&mut raw)?,
             },
             3 => {
-                let rdv_id = raw.get_u64_le();
-                let offset = raw.get_u64_le() as usize;
-                let len = raw.get_u64_le() as usize;
-                assert_eq!(raw.len(), len, "data length mismatch");
+                let (rdv_id, offset, len) = (word(&mut raw)?, word(&mut raw)?, word(&mut raw)?);
+                if raw.len() as u64 != len {
+                    return None;
+                }
                 Ch3Pkt::Data {
                     rdv_id,
-                    offset,
+                    offset: offset as usize,
                     data: payload(raw),
                 }
             }
             4 => Ch3Pkt::DataAck {
-                rdv_id: raw.get_u64_le(),
+                rdv_id: word(&mut raw)?,
             },
-            v => panic!("unknown CH3 packet variant {v}"),
-        }
+            _ => return None,
+        })
     }
 }
 
-/// Callback the engine uses to transmit a packet toward `dst`.
-pub type SendFn<'a> = dyn FnMut(&Scheduler, usize, Ch3Pkt) + 'a;
+/// The next little-endian `u64` of a frame off a wire, if it has one.
+pub(crate) fn word(raw: &mut Bytes) -> Option<u64> {
+    use bytes::Buf;
+    (raw.len() >= 8).then(|| raw.get_u64_le())
+}
 
 /// A completion the engine reports to its caller.
 #[derive(Debug)]
@@ -186,6 +191,16 @@ pub enum Ch3Event {
     SendDone {
         req: Req,
     },
+}
+
+/// One entry of the engine's out-list: what a call wants done, in the
+/// order it decided it.
+#[derive(Debug)]
+pub enum Ch3Out {
+    /// Transmit the packet toward rank `.0`.
+    Pkt(usize, Ch3Pkt),
+    /// Apply a completion to the request table.
+    Event(Ch3Event),
 }
 
 struct RdvOut {
@@ -209,18 +224,15 @@ struct RdvIn {
     received: usize,
 }
 
-struct EngineInner {
-    rdv_out: HashMap<u64, RdvOut>,
-    rdv_in: HashMap<(usize, u64), RdvIn>,
-    next_rdv: u64,
-}
-
 /// The per-rank CH3 protocol engine.
 pub struct Ch3Engine {
     /// The CH3 queue pair (shared with the any-source machinery).
     pub queues: Ch3Queues,
-    inner: Mutex<EngineInner>,
-    my_rank: usize,
+    rdv_out: HashMap<u64, RdvOut>,
+    rdv_in: HashMap<(usize, u64), RdvIn>,
+    next_rdv: u64,
+    /// Packets and completions produced since the last [`Ch3Engine::take_out`].
+    out: Vec<Ch3Out>,
     eager_threshold: usize,
     /// Rendezvous payload pipelining: chunk size (None = single DATA).
     rdv_chunk: Option<usize>,
@@ -238,22 +250,18 @@ pub struct Ch3Engine {
     rec: obs::RankRec,
     /// Malformed or stray protocol packets tolerated and dropped (e.g. a
     /// duplicated DATA/CTS for a rendezvous that already finished —
-    /// reachable with faults armed). A counter, not a crash: one bad
-    /// frame must never take the rank down.
-    protocol_errors: AtomicU64,
+    /// reachable with faults armed — or an RTS announcing a length no
+    /// buffer can hold). A counter, not a crash: one bad frame must never
+    /// take the rank down.
+    protocol_errors: u64,
 }
 
 impl Ch3Engine {
-    pub fn new(my_rank: usize, eager_threshold: usize, rdv_chunk: Option<usize>) -> Ch3Engine {
-        Self::with_ack(my_rank, eager_threshold, rdv_chunk, false)
+    pub fn new(eager_threshold: usize, rdv_chunk: Option<usize>) -> Ch3Engine {
+        Self::with_ack(eager_threshold, rdv_chunk, false)
     }
 
-    pub fn with_ack(
-        my_rank: usize,
-        eager_threshold: usize,
-        rdv_chunk: Option<usize>,
-        rdv_ack: bool,
-    ) -> Ch3Engine {
+    pub fn with_ack(eager_threshold: usize, rdv_chunk: Option<usize>, rdv_ack: bool) -> Ch3Engine {
         if let Some(c) = rdv_chunk {
             assert!(c > 0, "zero rendezvous chunk");
         }
@@ -263,28 +271,26 @@ impl Ch3Engine {
         );
         Ch3Engine {
             queues: Ch3Queues::new(),
-            inner: Mutex::new(EngineInner {
-                rdv_out: HashMap::new(),
-                rdv_in: HashMap::new(),
-                next_rdv: 0,
-            }),
-            my_rank,
+            rdv_out: HashMap::new(),
+            rdv_in: HashMap::new(),
+            next_rdv: 0,
+            out: Vec::new(),
             eager_threshold,
             rdv_chunk,
             rdv_ack,
             meter: None,
             rec: obs::RankRec::off(),
-            protocol_errors: AtomicU64::new(0),
+            protocol_errors: 0,
         }
     }
 
     /// Stray/malformed packets dropped instead of crashing (diagnostics).
     pub fn protocol_errors(&self) -> u64 {
-        self.protocol_errors.load(Ordering::Relaxed)
+        self.protocol_errors
     }
 
-    fn note_protocol_error(&self) {
-        self.protocol_errors.fetch_add(1, Ordering::Relaxed);
+    fn note_protocol_error(&mut self) {
+        self.protocol_errors += 1;
     }
 
     /// Attach the job-wide copy meter (builder style — the stack assembles
@@ -302,6 +308,16 @@ impl Ch3Engine {
 
     pub fn eager_threshold(&self) -> usize {
         self.eager_threshold
+    }
+
+    /// Everything the calls since the last `take_out` asked for, in order.
+    /// Call once per entry point, after it, and execute the list.
+    pub fn take_out(&mut self) -> Vec<Ch3Out> {
+        std::mem::take(&mut self.out)
+    }
+
+    fn send(&mut self, dst: usize, pkt: Ch3Pkt) {
+        self.out.push(Ch3Out::Pkt(dst, pkt));
     }
 
     /// Guard context for the shared protocol table. The CH3 engine is the
@@ -340,11 +356,8 @@ impl Ch3Engine {
     /// engine's configured threshold.
     ///
     /// Returns `true` if the send request `req` is already complete.
-    #[allow(clippy::too_many_arguments)]
     pub fn send_msg(
-        &self,
-        sched: &Scheduler,
-        send: &mut SendFn,
+        &mut self,
         req: Req,
         dst: usize,
         key: u64,
@@ -354,7 +367,7 @@ impl Ch3Engine {
         if data.len() <= eager_limit {
             self.rec.inc("ch3.eager_tx", 1);
             self.rec.observe("ch3.eager.bytes", data.len() as u64);
-            send(sched, dst, Ch3Pkt::Eager { key, data });
+            self.send(dst, Ch3Pkt::Eager { key, data });
             true
         } else {
             // Table entry point: the CH3 engine has no credit layer, so
@@ -365,11 +378,10 @@ impl Ch3Engine {
                 unreachable!("entry/size must be a table row");
             };
             debug_assert!(actions.contains(&Action::SendRts));
-            let mut inner = self.inner.lock();
-            let rdv_id = inner.next_rdv;
-            inner.next_rdv += 1;
+            let rdv_id = self.next_rdv;
+            self.next_rdv += 1;
             let len = data.len();
-            inner.rdv_out.insert(
+            self.rdv_out.insert(
                 rdv_id,
                 RdvOut {
                     req,
@@ -379,56 +391,48 @@ impl Ch3Engine {
                     state: next,
                 },
             );
-            drop(inner);
             self.rec.inc("ch3.rts_tx", 1);
             self.rec.observe("ch3.rdv.bytes", len as u64);
-            send(sched, dst, Ch3Pkt::Rts { key, rdv_id, len });
+            self.send(dst, Ch3Pkt::Rts { key, rdv_id, len });
             false
         }
     }
 
-    /// Post a receive; consumes a matching unexpected message if present.
-    /// Returns any immediate completion plus, for the pending case, the
-    /// active flag of the posted entry.
-    pub fn post_recv(
-        &self,
-        sched: &Scheduler,
-        send: &mut SendFn,
-        req: Req,
-        src: Option<usize>,
-        key: u64,
-    ) -> (Option<Ch3Event>, Option<crate::queues::ActiveFlag>) {
+    /// Post a receive; consumes a matching unexpected message if present
+    /// (its completion, or the CTS that starts its rendezvous, goes on the
+    /// out-list). Returns the active flag of the posted entry when the
+    /// receive stays pending.
+    pub fn post_recv(&mut self, req: Req, src: Option<usize>, key: u64) -> Option<ActiveFlag> {
         match self.queues.post(req, src, key) {
-            Ok(flag) => (None, Some(flag)),
+            Ok(flag) => return Some(flag),
             Err(UnexMsg::Eager {
                 src: s,
                 key: k,
                 data,
-            }) => (
-                Some(Ch3Event::RecvDone {
-                    req,
-                    // Lineage ends at the user-facing completion.
-                    data: data.into_bytes(),
-                    src: s,
-                    key: k,
-                    was_any: src.is_none(),
-                }),
-                None,
-            ),
+            }) => self.out.push(Ch3Out::Event(Ch3Event::RecvDone {
+                req,
+                // Lineage ends at the user-facing completion.
+                data: data.into_bytes(),
+                src: s,
+                key: k,
+                was_any: src.is_none(),
+            })),
             Err(UnexMsg::Rts {
                 src: s,
                 key: k,
                 rdv_id,
                 len,
-            }) => {
-                self.begin_rdv_in(req, s, k, src.is_none(), rdv_id, len);
-                send(sched, s, Ch3Pkt::Cts { rdv_id });
-                (None, None)
-            }
+            }) => self.begin_rdv_in(req, s, k, src.is_none(), rdv_id, len),
         }
+        None
     }
 
-    fn begin_rdv_in(&self, req: Req, src: usize, key: u64, was_any: bool, rdv_id: u64, len: usize) {
+    /// A receive matched an RTS: allocate the landing buffer and answer
+    /// with the CTS. `len` is the sender's word: a length no allocation
+    /// can satisfy is a counted protocol error — no buffer, no CTS, the
+    /// engine lives on (the matched receive stays pending, like one whose
+    /// sender never sends).
+    fn begin_rdv_in(&mut self, req: Req, src: usize, key: u64, was_any: bool, rdv_id: u64, len: usize) {
         // Table entry point for the receive side; the live entry embodies
         // the `RWaitData` state the table hands back.
         let Verdict::Step { actions, next, .. } = protocol::step(
@@ -441,35 +445,31 @@ impl Ch3Engine {
         debug_assert!(actions.contains(&Action::AllocLanding));
         debug_assert!(actions.contains(&Action::SendCts));
         debug_assert_eq!(next, State::RWaitData);
+        let Some(buf) = protocol::alloc_landing(len) else {
+            return self.note_protocol_error();
+        };
         if let Some(m) = &self.meter {
             // The rendezvous landing buffer — one allocation, no copy yet.
             m.record_alloc();
         }
-        let mut inner = self.inner.lock();
-        let prev = inner.rdv_in.insert(
+        let prev = self.rdv_in.insert(
             (src, rdv_id),
             RdvIn {
                 req,
                 src,
                 key,
                 was_any,
-                buf: vec![0u8; len],
+                buf,
                 received: 0,
             },
         );
         debug_assert!(prev.is_none(), "duplicate CH3 rendezvous {rdv_id}");
+        self.send(src, Ch3Pkt::Cts { rdv_id });
     }
 
-    /// Feed one inbound packet through the protocol; completions (and any
-    /// reply packets via `send`) come out.
-    pub fn on_packet(
-        &self,
-        sched: &Scheduler,
-        send: &mut SendFn,
-        src: usize,
-        pkt: Ch3Pkt,
-        events: &mut Vec<Ch3Event>,
-    ) {
+    /// Feed one inbound packet through the protocol; reply packets and
+    /// completions go on the out-list.
+    pub fn on_packet(&mut self, src: usize, pkt: Ch3Pkt) {
         self.rec.inc(
             match &pkt {
                 Ch3Pkt::Eager { .. } => "ch3.eager_rx",
@@ -482,7 +482,7 @@ impl Ch3Engine {
         );
         match pkt {
             Ch3Pkt::Eager { key, data } => match self.queues.match_arrival(src, key) {
-                Some(entry) => events.push(Ch3Event::RecvDone {
+                Some(entry) => self.out.push(Ch3Out::Event(Ch3Event::RecvDone {
                     req: entry.req,
                     // Zero-copy: the completion hands out the same storage
                     // the transport delivered.
@@ -490,13 +490,12 @@ impl Ch3Engine {
                     src,
                     key,
                     was_any: entry.src.is_none(),
-                }),
+                })),
                 None => self.queues.store_unexpected(UnexMsg::Eager { src, key, data }),
             },
             Ch3Pkt::Rts { key, rdv_id, len } => match self.queues.match_arrival(src, key) {
                 Some(entry) => {
-                    self.begin_rdv_in(entry.req, src, key, entry.src.is_none(), rdv_id, len);
-                    send(sched, src, Ch3Pkt::Cts { rdv_id });
+                    self.begin_rdv_in(entry.req, src, key, entry.src.is_none(), rdv_id, len)
                 }
                 None => self.queues.store_unexpected(UnexMsg::Rts {
                     src,
@@ -505,51 +504,19 @@ impl Ch3Engine {
                     len,
                 }),
             },
-            Ch3Pkt::Cts { rdv_id } => {
-                // Table rows: `cts/buffered` streams everything and
-                // completes; `cts/throttled` opens the depth-1 fragment
-                // pipeline; `cts/throttled-single-fragment` does both at
-                // once. A CTS for an unknown rendezvous (already finished)
-                // or a duplicated CTS mid-pipeline has no row — counted
-                // and dropped. (The latter used to advance the fragment
-                // cursor a second time and double-complete the send.)
-                let inner = self.inner.lock();
-                let (state, last) = match inner.rdv_out.get(&rdv_id) {
-                    Some(rdv) => (rdv.state, self.next_is_last(rdv)),
-                    None => (State::Gone, false),
-                };
-                match protocol::step(state, protocol::Event::CtsRx, self.pctx(false, last)) {
-                    Verdict::Step { actions, next, .. } => {
-                        self.apply_sender_step(inner, sched, send, rdv_id, actions, next, events);
-                    }
-                    Verdict::Ignore { .. } => {}
-                    Verdict::Error => {
-                        drop(inner);
-                        self.note_protocol_error();
-                    }
-                }
-            }
-            Ch3Pkt::DataAck { rdv_id } => {
-                // Table rows: `ack/next-fragment` keeps the depth-1
-                // pipeline moving, `ack/final-fragment` sends the last cut
-                // and completes. A stray/duplicated ack (entry gone, or an
-                // engine that never throttles) has no row.
-                let inner = self.inner.lock();
-                let (state, last) = match inner.rdv_out.get(&rdv_id) {
-                    Some(rdv) => (rdv.state, self.next_is_last(rdv)),
-                    None => (State::Gone, false),
-                };
-                match protocol::step(state, protocol::Event::DataAckRx, self.pctx(false, last)) {
-                    Verdict::Step { actions, next, .. } => {
-                        self.apply_sender_step(inner, sched, send, rdv_id, actions, next, events);
-                    }
-                    Verdict::Ignore { .. } => {}
-                    Verdict::Error => {
-                        drop(inner);
-                        self.note_protocol_error();
-                    }
-                }
-            }
+            // Table rows: `cts/buffered` streams everything and completes;
+            // `cts/throttled` opens the depth-1 fragment pipeline;
+            // `cts/throttled-single-fragment` does both at once. A CTS for
+            // an unknown rendezvous (already finished) or a duplicated CTS
+            // mid-pipeline has no row — counted and dropped. (The latter
+            // used to advance the fragment cursor a second time and
+            // double-complete the send.)
+            Ch3Pkt::Cts { rdv_id } => self.sender_step(rdv_id, protocol::Event::CtsRx),
+            // Table rows: `ack/next-fragment` keeps the depth-1 pipeline
+            // moving, `ack/final-fragment` sends the last cut and
+            // completes. A stray/duplicated ack (entry gone, or an engine
+            // that never throttles) has no row.
+            Ch3Pkt::DataAck { rdv_id } => self.sender_step(rdv_id, protocol::Event::DataAckRx),
             Ch3Pkt::Data {
                 rdv_id,
                 offset,
@@ -562,12 +529,8 @@ impl Ch3Engine {
                 // for an unknown rendezvous (already finished: duplicated
                 // final chunk, reachable with faults armed) or one past
                 // the announced length (would corrupt the landing buffer)
-                // has no row — counted and dropped. One lock scope for
-                // the whole update: the old copy / unlock / re-lock /
-                // `remove().unwrap()` sequence crashed on a duplicated
-                // final chunk (the entry was gone by the second lock).
-                let mut inner = self.inner.lock();
-                let (state, in_range, last) = match inner.rdv_in.get(&(src, rdv_id)) {
+                // has no row — counted and dropped.
+                let (state, in_range, last) = match self.rdv_in.get(&(src, rdv_id)) {
                     Some(rdv) => {
                         let end = offset.checked_add(data.len());
                         let in_range = end.is_some_and(|e| e <= rdv.buf.len());
@@ -578,11 +541,10 @@ impl Ch3Engine {
                 };
                 match protocol::step(state, protocol::Event::DataRx, self.pctx(in_range, last)) {
                     Verdict::Step { actions, next, .. } => {
-                        let rdv = inner
+                        let rdv = self
                             .rdv_in
                             .get_mut(&(src, rdv_id))
                             .expect("the table only steps live entries");
-                        let mut ack_dst = None;
                         for a in actions {
                             match a {
                                 Action::CopyChunk => {
@@ -592,118 +554,87 @@ impl Ch3Engine {
                                     data.copy_out(&mut rdv.buf[offset..offset + data.len()]);
                                     rdv.received += data.len();
                                 }
-                                Action::SendDataAck => ack_dst = Some(rdv.src),
+                                Action::SendDataAck => {
+                                    self.out.push(Ch3Out::Pkt(src, Ch3Pkt::DataAck { rdv_id }))
+                                }
                                 // The table completes via `next == Gone`
                                 // below; CH3 has no receive-side timer.
                                 Action::CompleteRecv | Action::BumpRecvTimer => {}
                                 other => unreachable!("CH3 receiver step emitted {other:?}"),
                             }
                         }
-                        let finished = (next == State::Gone).then(|| {
-                            inner
-                                .rdv_in
-                                .remove(&(src, rdv_id))
-                                .expect("entry held under the same lock")
-                        });
-                        drop(inner);
-                        if let Some(dst) = ack_dst {
-                            send(sched, dst, Ch3Pkt::DataAck { rdv_id });
-                        }
-                        if let Some(rdv) = finished {
-                            events.push(Ch3Event::RecvDone {
+                        if next == State::Gone {
+                            let rdv = self.rdv_in.remove(&(src, rdv_id)).expect("stepped above");
+                            self.out.push(Ch3Out::Event(Ch3Event::RecvDone {
                                 req: rdv.req,
                                 data: Bytes::from(rdv.buf),
                                 src: rdv.src,
                                 key: rdv.key,
                                 was_any: rdv.was_any,
-                            });
+                            }));
                         }
                     }
                     Verdict::Ignore { .. } => {}
-                    Verdict::Error => {
-                        drop(inner);
-                        self.note_protocol_error();
-                    }
+                    Verdict::Error => self.note_protocol_error(),
                 }
             }
         }
     }
 
-    /// Realize one sender-side table step against the outbound entry:
-    /// actions become packets and completions, and the entry is dropped
-    /// when the table lands back in `Gone`.
-    #[allow(clippy::too_many_arguments)]
-    fn apply_sender_step(
-        &self,
-        mut inner: parking_lot::MutexGuard<'_, EngineInner>,
-        sched: &Scheduler,
-        send: &mut SendFn,
-        rdv_id: u64,
-        actions: &'static [Action],
-        next: State,
-        events: &mut Vec<Ch3Event>,
-    ) {
-        let mut pkts = Vec::new();
+    /// One sender-side table step (`CtsRx` or `DataAckRx`) against the
+    /// outbound entry `rdv_id`: actions become packets and completions,
+    /// and the entry is dropped when the table lands back in `Gone`.
+    fn sender_step(&mut self, rdv_id: u64, event: protocol::Event) {
+        let (state, last) = match self.rdv_out.get(&rdv_id) {
+            Some(rdv) => (rdv.state, self.next_is_last(rdv)),
+            None => (State::Gone, false),
+        };
+        let (actions, next) = match protocol::step(state, event, self.pctx(false, last)) {
+            Verdict::Step { actions, next, .. } => (actions, next),
+            Verdict::Ignore { .. } => return,
+            Verdict::Error => return self.note_protocol_error(),
+        };
+        let rdv = self
+            .rdv_out
+            .get_mut(&rdv_id)
+            .expect("the table only steps live entries");
+        rdv.state = next;
         let mut done = None;
-        {
-            let rdv = inner
-                .rdv_out
-                .get_mut(&rdv_id)
-                .expect("the table only steps live entries");
-            rdv.state = next;
-            for a in actions {
-                match a {
-                    Action::SendAllData => {
-                        // Buffered semantics: hand the whole payload to
-                        // the transport now (chunked if configured).
-                        let chunk = self.rdv_chunk.unwrap_or(rdv.data.len().max(1));
-                        let mut off = 0;
-                        while off < rdv.data.len() {
-                            let end = (off + chunk).min(rdv.data.len());
-                            pkts.push((
-                                rdv.dst,
-                                Ch3Pkt::Data {
-                                    rdv_id,
-                                    offset: off,
-                                    data: rdv.data.slice(off..end),
-                                },
-                            ));
-                            off = end;
-                        }
+        for a in actions {
+            match a {
+                Action::SendAllData => {
+                    // Buffered semantics: hand the whole payload to
+                    // the transport now (chunked if configured).
+                    let chunk = self.rdv_chunk.unwrap_or(rdv.data.len().max(1));
+                    while rdv.cursor < rdv.data.len() {
+                        self.out.push(Self::next_fragment(rdv, rdv_id, chunk));
                     }
-                    Action::SendNextFragment => {
-                        pkts.push(Self::next_fragment(
-                            rdv,
-                            rdv_id,
-                            self.rdv_chunk.expect("ack mode requires chunking"),
-                        ));
-                    }
-                    Action::CompleteSend => done = Some(rdv.req),
-                    other => unreachable!("CH3 sender step emitted {other:?}"),
                 }
+                Action::SendNextFragment => {
+                    let chunk = self.rdv_chunk.expect("ack mode requires chunking");
+                    self.out.push(Self::next_fragment(rdv, rdv_id, chunk));
+                }
+                Action::CompleteSend => done = Some(rdv.req),
+                other => unreachable!("CH3 sender step emitted {other:?}"),
             }
         }
         if next == State::Gone {
-            inner.rdv_out.remove(&rdv_id);
-        }
-        drop(inner);
-        for (dst, pkt) in pkts {
-            send(sched, dst, pkt);
+            self.rdv_out.remove(&rdv_id);
         }
         if let Some(req) = done {
-            events.push(Ch3Event::SendDone { req });
+            self.out.push(Ch3Out::Event(Ch3Event::SendDone { req }));
         }
     }
 
-    /// Cut the next fragment of an ACK-throttled rendezvous. Returns
-    /// `(dst, packet)`; whether it was the last cut is the table's call
-    /// (the `Last` guard), not this helper's.
-    fn next_fragment(rdv: &mut RdvOut, rdv_id: u64, chunk: usize) -> (usize, Ch3Pkt) {
+    /// Cut the next fragment of a rendezvous payload and advance its
+    /// cursor. Whether it was the last cut of a throttled pipeline is the
+    /// table's call (the `Last` guard), not this helper's.
+    fn next_fragment(rdv: &mut RdvOut, rdv_id: u64, chunk: usize) -> Ch3Out {
         let off = rdv.cursor;
         let end = (off + chunk).min(rdv.data.len());
         debug_assert!(off < end, "fragment past the payload end");
         rdv.cursor = end;
-        (
+        Ch3Out::Pkt(
             rdv.dst,
             Ch3Pkt::Data {
                 rdv_id,
@@ -715,49 +646,19 @@ impl Ch3Engine {
 
     /// In-flight rendezvous count (diagnostics).
     pub fn rdv_in_flight(&self) -> usize {
-        let inner = self.inner.lock();
-        inner.rdv_out.len() + inner.rdv_in.len()
-    }
-
-    /// The rank this engine belongs to.
-    pub fn rank(&self) -> usize {
-        self.my_rank
+        self.rdv_out.len() + self.rdv_in.len()
     }
 }
 
 #[cfg(test)]
+mod loopback;
+
+#[cfg(test)]
 mod tests {
+    //! The protocol on the [`loopback`] pair: no simulator, no transport.
+
+    use super::loopback::Pair;
     use super::*;
-    use crate::request::{ReqKind, ReqPath, RequestTable};
-    use simnet::SimBuilder;
-
-    fn sched() -> Scheduler {
-        SimBuilder::new().build().scheduler()
-    }
-
-    /// Wire two engines together with an in-memory packet queue and pump
-    /// until quiescent.
-    fn pump(
-        s: &Scheduler,
-        engines: &[&Ch3Engine],
-        queue: &mut Vec<(usize, usize, Ch3Pkt)>,
-        events: &mut Vec<(usize, Ch3Event)>,
-    ) {
-        while let Some((src, dst, pkt)) = queue.pop() {
-            let mut replies: Vec<(usize, usize, Ch3Pkt)> = Vec::new();
-            let mut evs = Vec::new();
-            {
-                let mut send = |_: &Scheduler, to: usize, p: Ch3Pkt| {
-                    replies.push((dst, to, p));
-                };
-                engines[dst].on_packet(s, &mut send, src, pkt, &mut evs);
-            }
-            for e in evs {
-                events.push((dst, e));
-            }
-            queue.extend(replies);
-        }
-    }
 
     #[test]
     fn codec_roundtrip() {
@@ -780,7 +681,7 @@ mod tests {
         ];
         for p in pkts {
             let enc = p.encode();
-            let dec = Ch3Pkt::decode(enc);
+            let dec = Ch3Pkt::decode(enc).expect("well-formed frame");
             match (&p, &dec) {
                 (Ch3Pkt::Eager { key: a, data: d1 }, Ch3Pkt::Eager { key: b, data: d2 }) => {
                     assert_eq!(a, b);
@@ -823,123 +724,48 @@ mod tests {
 
     #[test]
     fn eager_send_completes_immediately() {
-        let s = sched();
-        let t = RequestTable::new();
-        let e = Ch3Engine::new(0, 16 * 1024, None);
-        let req = t.create(ReqKind::Send, ReqPath::Net);
-        let mut sent = Vec::new();
-        let mut send = |_: &Scheduler, dst: usize, p: Ch3Pkt| sent.push((dst, p));
-        let done = e.send_msg(
-            &s,
-            &mut send,
-            req,
-            1,
-            7,
-            NmBuf::from(Bytes::from_static(b"small")),
-            16 * 1024,
-        );
+        let mut w = Pair::new(16 * 1024, None, false);
+        let (_, done) = w.isend(0, 7, NmBuf::from(Bytes::from_static(b"small")));
         assert!(done);
-        assert_eq!(sent.len(), 1);
-        assert!(matches!(sent[0].1, Ch3Pkt::Eager { key: 7, .. }));
+        assert_eq!(w.crossed.len(), 1);
+        assert!(matches!(w.crossed[0], (1, Ch3Pkt::Eager { key: 7, .. })));
     }
 
     #[test]
     fn rendezvous_full_handshake() {
-        let s = sched();
-        let t = RequestTable::new();
-        let e0 = Ch3Engine::new(0, 1024, None);
-        let e1 = Ch3Engine::new(1, 1024, None);
-        let sreq = t.create(ReqKind::Send, ReqPath::Net);
-        let rreq = t.create(ReqKind::Recv, ReqPath::Net);
+        let mut w = Pair::new(1024, None, false);
         let payload = NmBuf::from(vec![0x5A; 10_000]);
-
-        let mut queue: Vec<(usize, usize, Ch3Pkt)> = Vec::new();
-        let mut events = Vec::new();
-        {
-            let mut send0 = |_: &Scheduler, dst: usize, p: Ch3Pkt| queue.push((0, dst, p));
-            assert!(!e0.send_msg(&s, &mut send0, sreq, 1, 7, payload.share(), 1024));
-        }
-        {
-            let mut send1 = |_: &Scheduler, dst: usize, p: Ch3Pkt| queue.push((1, dst, p));
-            let (ev, _flag) = e1.post_recv(&s, &mut send1, rreq, Some(0), 7);
-            assert!(ev.is_none(), "nothing arrived yet");
-        }
-        pump(&s, &[&e0, &e1], &mut queue, &mut events);
+        let (sreq, done) = w.isend(0, 7, payload.share());
+        assert!(!done);
+        assert!(w.events.is_empty(), "nothing posted yet: no CTS, no DATA");
+        let (rreq, flag) = w.irecv(1, Some(0), 7);
+        assert!(flag.is_none(), "the waiting RTS matched at once");
         // Sender got SendDone, receiver got RecvDone with intact payload.
-        let mut send_done = false;
-        let mut recv_done = false;
-        for (who, e) in events {
-            match e {
-                Ch3Event::SendDone { req } => {
-                    assert_eq!((who, req), (0, sreq));
-                    send_done = true;
-                }
-                Ch3Event::RecvDone { req, data, src, .. } => {
-                    assert_eq!((who, req, src), (1, rreq, 0));
-                    assert_eq!(&data[..], &payload[..]);
-                    recv_done = true;
-                }
-            }
-        }
-        assert!(send_done && recv_done);
-        assert_eq!(e0.rdv_in_flight(), 0);
-        assert_eq!(e1.rdv_in_flight(), 0);
+        assert_eq!(w.sends_done(), [sreq]);
+        let got = w.received();
+        assert_eq!(got.len(), 1);
+        assert_eq!((got[0].0, &got[0].1[..]), (rreq, &payload[..]));
+        // Depth-first execution: the DATA landed before the sender's own
+        // completion was applied.
+        assert!(matches!(
+            w.events[..],
+            [(1, Ch3Event::RecvDone { src: 0, .. }), (0, Ch3Event::SendDone { .. })]
+        ));
+        assert_eq!(w.engines[0].rdv_in_flight(), 0);
+        assert_eq!(w.engines[1].rdv_in_flight(), 0);
     }
 
     #[test]
     fn rendezvous_chunked_pipeline() {
-        let s = sched();
-        let t = RequestTable::new();
         // 4KB chunks.
-        let e0 = Ch3Engine::new(0, 1024, Some(4096));
-        let e1 = Ch3Engine::new(1, 1024, Some(4096));
-        let sreq = t.create(ReqKind::Send, ReqPath::Net);
-        let rreq = t.create(ReqKind::Recv, ReqPath::Net);
+        let mut w = Pair::new(1024, Some(4096), false);
         let payload: Vec<u8> = (0..10_000).map(|i| (i % 256) as u8).collect();
-        let mut queue = Vec::new();
-        let mut events = Vec::new();
-        let mut data_pkts = 0;
-        {
-            let mut send1 = |_: &Scheduler, dst: usize, p: Ch3Pkt| queue.push((1, dst, p));
-            e1.post_recv(&s, &mut send1, rreq, Some(0), 7);
-        }
-        {
-            let mut send0 = |_: &Scheduler, dst: usize, p: Ch3Pkt| queue.push((0, dst, p));
-            e0.send_msg(
-                &s,
-                &mut send0,
-                sreq,
-                1,
-                7,
-                NmBuf::from(Bytes::copy_from_slice(&payload)),
-                1024,
-            );
-        }
-        // Manual pump to count DATA packets.
-        while let Some((src, dst, pkt)) = queue.pop() {
-            if matches!(pkt, Ch3Pkt::Data { .. }) {
-                data_pkts += 1;
-            }
-            let engines = [&e0, &e1];
-            let mut replies = Vec::new();
-            let mut evs = Vec::new();
-            {
-                let mut send =
-                    |_: &Scheduler, to: usize, p: Ch3Pkt| replies.push((dst, to, p));
-                engines[dst].on_packet(&s, &mut send, src, pkt, &mut evs);
-            }
-            events.extend(evs);
-            queue.extend(replies);
-        }
-        assert_eq!(data_pkts, 3, "10000 bytes in 4096-byte chunks");
-        let got = events
-            .into_iter()
-            .find_map(|e| match e {
-                Ch3Event::RecvDone { data, .. } => Some(data),
-                _ => None,
-            })
-            .expect("recv completes");
-        assert_eq!(&got[..], &payload[..]);
+        w.irecv(1, Some(0), 7);
+        w.isend(0, 7, NmBuf::from(Bytes::copy_from_slice(&payload)));
+        let data_pkts = w.crossed.iter().filter(|(_, p)| matches!(p, Ch3Pkt::Data { .. }));
+        assert_eq!(data_pkts.count(), 3, "10000 bytes in 4096-byte chunks");
+        let got = w.received();
+        assert_eq!(&got.first().expect("recv completes").1[..], &payload[..]);
     }
 
     /// Regression: a duplicated final DATA chunk (the "dup'd FIN" of a
@@ -949,135 +775,76 @@ mod tests {
     /// duplicated CTS replayed at the sender after the rendezvous is done.
     #[test]
     fn duplicated_final_data_is_counted_not_a_crash() {
-        let s = sched();
-        let t = RequestTable::new();
-        let e0 = Ch3Engine::new(0, 1024, None);
-        let e1 = Ch3Engine::new(1, 1024, None);
-        let sreq = t.create(ReqKind::Send, ReqPath::Net);
-        let rreq = t.create(ReqKind::Recv, ReqPath::Net);
+        let mut w = Pair::new(1024, None, false);
         let payload = NmBuf::from(vec![0x7E; 5_000]);
-
-        let mut queue: Vec<(usize, usize, Ch3Pkt)> = Vec::new();
-        let mut events = Vec::new();
-        {
-            let mut send1 = |_: &Scheduler, dst: usize, p: Ch3Pkt| queue.push((1, dst, p));
-            e1.post_recv(&s, &mut send1, rreq, Some(0), 7);
-        }
-        {
-            let mut send0 = |_: &Scheduler, dst: usize, p: Ch3Pkt| queue.push((0, dst, p));
-            e0.send_msg(&s, &mut send0, sreq, 1, 7, payload.share(), 1024);
-        }
-        // Pump by hand, duplicating every DATA and CTS frame — the lossy
-        // transport's replay, concentrated on the packets that used to
-        // kill the receiver (DATA after completion) and the sender (CTS
-        // after the payload left).
-        let engines = [&e0, &e1];
-        while let Some((src, dst, pkt)) = queue.pop() {
-            let dup = matches!(pkt, Ch3Pkt::Data { .. } | Ch3Pkt::Cts { .. })
-                .then(|| pkt.clone());
-            let mut replies = Vec::new();
-            let mut evs = Vec::new();
-            {
-                let mut send =
-                    |_: &Scheduler, to: usize, p: Ch3Pkt| replies.push((dst, to, p));
-                engines[dst].on_packet(&s, &mut send, src, pkt, &mut evs);
-                if let Some(p) = dup {
-                    engines[dst].on_packet(&s, &mut send, src, p, &mut evs);
-                }
-            }
-            events.extend(evs);
-            queue.extend(replies);
-        }
+        // Duplicate every DATA and CTS frame — the lossy transport's
+        // replay, concentrated on the packets that used to kill the
+        // receiver (DATA after completion) and the sender (CTS after the
+        // payload left).
+        w.copies = Box::new(|p| match p {
+            Ch3Pkt::Data { .. } | Ch3Pkt::Cts { .. } => 2,
+            _ => 1,
+        });
+        w.irecv(1, Some(0), 7);
+        w.isend(0, 7, payload.share());
         // The transfer still completed exactly once, byte-exact…
-        let recvs: Vec<_> = events
-            .iter()
-            .filter_map(|e| match e {
-                Ch3Event::RecvDone { data, .. } => Some(data),
-                _ => None,
-            })
-            .collect();
+        let recvs = w.received();
         assert_eq!(recvs.len(), 1, "exactly one receive completion");
-        assert_eq!(&recvs[0][..], &payload[..]);
+        assert_eq!(&recvs[0].1[..], &payload[..]);
+        assert_eq!(w.sends_done().len(), 1, "exactly one send completion");
         // …and the duplicates were tallied, not fatal: the replayed final
         // DATA at the receiver, the replayed CTS at the sender.
-        assert!(e1.protocol_errors() >= 1, "dup final DATA counted");
-        assert!(e0.protocol_errors() >= 1, "dup CTS counted");
-        assert_eq!(e0.rdv_in_flight(), 0);
-        assert_eq!(e1.rdv_in_flight(), 0);
+        assert!(w.engines[1].protocol_errors() >= 1, "dup final DATA counted");
+        assert!(w.engines[0].protocol_errors() >= 1, "dup CTS counted");
+        assert_eq!(w.engines[0].rdv_in_flight(), 0);
+        assert_eq!(w.engines[1].rdv_in_flight(), 0);
     }
 
     /// An out-of-bounds DATA chunk (offset past the announced length) is
     /// dropped and counted, never written.
     #[test]
     fn out_of_bounds_data_chunk_is_dropped() {
-        let s = sched();
-        let t = RequestTable::new();
-        let e1 = Ch3Engine::new(1, 64, None);
-        let rreq = t.create(ReqKind::Recv, ReqPath::Net);
-        let mut queue: Vec<(usize, usize, Ch3Pkt)> = Vec::new();
-        let mut events = Vec::new();
-        {
-            let mut send1 = |_: &Scheduler, dst: usize, p: Ch3Pkt| queue.push((1, dst, p));
-            e1.post_recv(&s, &mut send1, rreq, Some(0), 7);
-            e1.on_packet(
-                &s,
-                &mut |_: &Scheduler, _: usize, _: Ch3Pkt| {},
-                0,
-                Ch3Pkt::Rts {
-                    key: 7,
-                    rdv_id: 0,
-                    len: 100,
-                },
-                &mut events,
-            );
-            e1.on_packet(
-                &s,
-                &mut |_: &Scheduler, _: usize, _: Ch3Pkt| {},
-                0,
-                Ch3Pkt::Data {
-                    rdv_id: 0,
-                    offset: 90,
-                    data: NmBuf::from(vec![0xFF; 50]),
-                },
-                &mut events,
-            );
-        }
-        assert!(events.is_empty(), "no completion from the bad chunk");
-        assert_eq!(e1.protocol_errors(), 1);
-        assert_eq!(e1.rdv_in_flight(), 1, "the rendezvous stays live");
+        let mut w = Pair::new(64, None, false);
+        w.copies = Box::new(|_| 0); // rank 0 is scripted by hand
+        w.irecv(1, Some(0), 7);
+        w.inject(
+            1,
+            Ch3Pkt::Rts {
+                key: 7,
+                rdv_id: 0,
+                len: 100,
+            },
+        );
+        w.inject(
+            1,
+            Ch3Pkt::Data {
+                rdv_id: 0,
+                offset: 90,
+                data: NmBuf::from(vec![0xFF; 50]),
+            },
+        );
+        assert!(w.events.is_empty(), "no completion from the bad chunk");
+        assert_eq!(w.engines[1].protocol_errors(), 1);
+        assert_eq!(w.engines[1].rdv_in_flight(), 1, "the rendezvous stays live");
     }
 
     #[test]
     fn unexpected_rts_matched_by_late_any_source_post() {
-        let s = sched();
-        let t = RequestTable::new();
-        let e1 = Ch3Engine::new(1, 64, None);
-        let rreq = t.create(ReqKind::RecvAnySource, ReqPath::Unknown);
-        let mut out = Vec::new();
-        let mut events = Vec::new();
-        {
-            let mut send = |_: &Scheduler, dst: usize, p: Ch3Pkt| out.push((dst, p));
-            e1.on_packet(
-                &s,
-                &mut send,
-                0,
-                Ch3Pkt::Rts {
-                    key: 7,
-                    rdv_id: 0,
-                    len: 100,
-                },
-                &mut events,
-            );
-        }
-        assert!(out.is_empty(), "no CTS before a receive is posted");
-        assert_eq!(e1.queues.unexpected_len(), 1);
-        {
-            let mut send = |_: &Scheduler, dst: usize, p: Ch3Pkt| out.push((dst, p));
-            let (ev, flag) = e1.post_recv(&s, &mut send, rreq, None, 7);
-            assert!(ev.is_none());
-            assert!(flag.is_none(), "matched immediately, no posted entry");
-        }
-        assert_eq!(out.len(), 1, "CTS sent on match");
-        assert!(matches!(out[0].1, Ch3Pkt::Cts { rdv_id: 0 }));
+        let mut w = Pair::new(64, None, false);
+        w.inject(
+            1,
+            Ch3Pkt::Rts {
+                key: 7,
+                rdv_id: 0,
+                len: 100,
+            },
+        );
+        assert!(w.crossed.is_empty(), "no CTS before a receive is posted");
+        assert_eq!(w.engines[1].queues.unexpected_len(), 1);
+        let (_, flag) = w.irecv(1, None, 7);
+        assert!(flag.is_none(), "matched immediately, no posted entry");
+        assert!(w.events.is_empty());
+        assert_eq!(w.crossed.len(), 1, "CTS sent on match");
+        assert!(matches!(w.crossed[0], (0, Ch3Pkt::Cts { rdv_id: 0 })));
     }
 }

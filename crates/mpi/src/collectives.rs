@@ -34,7 +34,6 @@
 //! thresholds they return the flat algorithms byte-for-byte, so existing
 //! small-run figures stay bit-identical.
 
-use std::sync::atomic::Ordering;
 
 use bytes::Bytes;
 use simnet::{NmBuf, TopoMap};
@@ -48,7 +47,11 @@ use crate::api::{MpiHandle, PeerDead, Src};
 use crate::progress::NetPath;
 
 pub(crate) fn next_seq(mpi: &MpiHandle) -> u32 {
-    mpi.state.coll_seq.fetch_add(1, Ordering::Relaxed)
+    mpi.state.with_state(|st| {
+        let seq = st.coll_seq;
+        st.coll_seq = seq.wrapping_add(1);
+        seq
+    })
 }
 
 /// The committed world epoch: collective keys carry it so the core's epoch
@@ -240,11 +243,11 @@ pub fn try_barrier_group(mpi: &MpiHandle, group: &[usize]) -> Result<(), PeerDea
         let r = mpi.state.irecv_key(&mpi.ctx, Src::Rank(from), key);
         let s = mpi.state.isend_key(&mpi.ctx, to, key, NmBuf::from(payload));
         mpi.state.wait(&mpi.ctx, s);
-        if let Some(p) = mpi.state.reqs.failed_peer(s) {
+        if let Some(p) = mpi.state.failed_peer(s) {
             dead.get_or_insert(p);
         }
         let (d, _) = mpi.state.wait(&mpi.ctx, r);
-        match mpi.state.reqs.failed_peer(r) {
+        match mpi.state.failed_peer(r) {
             Some(p) => {
                 dead.get_or_insert(p);
             }
@@ -267,7 +270,7 @@ pub fn try_barrier_group(mpi: &MpiHandle, group: &[usize]) -> Result<(), PeerDea
     let agreed = crate::comm::agree_group(mpi, ep, agree_seq, group, my_pos, &seed);
     match agreed.first() {
         Some(&peer) => {
-            mpi.state.coll_aborts.fetch_add(1, Ordering::Relaxed);
+            mpi.state.with_state(|st| st.coll_aborts += 1);
             Err(PeerDead { peer })
         }
         None => Ok(()),

@@ -48,7 +48,6 @@
 //! *inside* a revoked epoch. Retired-instance filtering still applies, so
 //! a finished agreement's stragglers can never revive per-peer state.
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -155,13 +154,14 @@ enum PassRecv {
 /// instance shows up in the unexpected queues, whichever happens first.
 fn wait_recv_or_decided(mpi: &MpiHandle, req: Req, decided_key: u64) -> PassRecv {
     let state = Arc::clone(&mpi.state);
-    PollBackoff::new(state.costs.poll_gran).poll(&mpi.ctx, move |s| {
+    let backoff = PollBackoff::new(state.costs.poll_gran);
+    mpi.state.poll(&mpi.ctx, backoff, move |s| {
         state.progress_cycle(s);
-        state.reqs.is_done(req) || state.iprobe_key(decided_key).is_some()
+        state.with_state(|st| st.reqs.is_done(req)) || state.iprobe_key(decided_key).is_some()
     });
-    if mpi.state.reqs.is_done(req) {
+    if mpi.state.with_state(|st| st.reqs.is_done(req)) {
         let (d, _) = mpi.state.wait(&mpi.ctx, req);
-        return match mpi.state.reqs.failed_peer(req) {
+        return match mpi.state.failed_peer(req) {
             Some(_) => PassRecv::Failed,
             None => PassRecv::Data(d.expect("agreement payload")),
         };
@@ -255,10 +255,10 @@ pub(crate) fn agree_group(
         NetPath::Direct(core) => core.is_peer_dead(r),
         _ => false,
     };
+    let vc_retired = |r: usize| mpi.state.with_state(|st| st.retired.is_retired(r));
     let mut bits = vec![false; n];
     for (i, &r) in group.iter().enumerate() {
-        if i != my_pos && (seed_dead.contains(&r) || peer_dead(r) || mpi.state.vcs.is_retired(r))
-        {
+        if i != my_pos && (seed_dead.contains(&r) || peer_dead(r) || vc_retired(r)) {
             bits[i] = true;
         }
     }
@@ -288,7 +288,7 @@ pub(crate) fn agree_group(
                 .state
                 .isend_key(&mpi.ctx, to, key, NmBuf::from(Bytes::from(payload)));
             mpi.state.wait(&mpi.ctx, s);
-            if mpi.state.reqs.failed_peer(s).is_some() {
+            if mpi.state.failed_peer(s).is_some() {
                 bits[to_pos] = true;
             }
             match wait_recv_or_decided(mpi, r, decided_key) {
@@ -417,7 +417,7 @@ pub fn comm_accept(mpi: &MpiHandle, comm: &Comm, joiner: usize, join_seq: u32) -
         // Roster payload: [new_epoch u8][coll_seq u32][n u32][member u32 …].
         // The counter synchronizes the joiner's collective sequence space
         // with the members' (they advance in lockstep from here on).
-        let seqv = mpi.state.coll_seq.load(Ordering::Relaxed);
+        let seqv = mpi.state.with_state(|st| st.coll_seq);
         let mut payload = vec![new_epoch];
         payload.extend_from_slice(&seqv.to_le_bytes());
         payload.extend_from_slice(&(comm.members.len() as u32).to_le_bytes());
@@ -468,7 +468,7 @@ pub fn comm_join(mpi: &MpiHandle, leader: usize, join_seq: u32) -> Comm {
     let mut members: Vec<usize> = (0..n)
         .map(|i| u32::from_le_bytes(d[9 + 4 * i..13 + 4 * i].try_into().unwrap()) as usize)
         .collect();
-    mpi.state.coll_seq.store(seqv, Ordering::Relaxed);
+    mpi.state.with_state(|st| st.coll_seq = seqv);
     let s = mpi.state.isend_key(&mpi.ctx, leader, k1, NmBuf::default());
     mpi.state.wait(&mpi.ctx, s);
     if let NetPath::Direct(core) = &mpi.state.net {

@@ -44,6 +44,7 @@ pub mod costs;
 pub mod datatype;
 pub mod progress;
 pub mod queues;
+pub mod rank;
 pub mod request;
 pub mod rma;
 pub mod stack;
@@ -54,6 +55,7 @@ pub mod vc;
 pub use api::{FtError, MpiHandle, PeerDead, Src, Status};
 pub use comm::Comm;
 pub use costs::SoftwareCosts;
+pub use rank::{RankSnapshot, RankState};
 pub use request::Req;
 pub use stack::{InterNode, RunOutcome, StackConfig, TailoredProfile};
 pub use threaded::{run_inline, run_threaded, ThreadedConfig, ThreadedReport};

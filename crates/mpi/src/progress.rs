@@ -20,11 +20,9 @@
 //! per-message completion costs applied as completion *delays* (the work
 //! happens on another core, but the requester still observes it).
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use parking_lot::Mutex;
 use simnet::{CopyMeter, NmBuf, RankCtx, Scheduler, SimDuration, SimSemaphore, SimTime};
 
 use nemesis::ShmModel;
@@ -32,11 +30,11 @@ use nmad::sr::CompletionKind;
 use nmad::NmCore;
 use piom::PiomServer;
 
-use crate::anysource::AnySourceLists;
 use crate::api::{Src, Status};
-use crate::ch3::{Ch3Engine, Ch3Event, Ch3Pkt};
+use crate::ch3::{Ch3Engine, Ch3Event, Ch3Out, Ch3Pkt};
 use crate::costs::SoftwareCosts;
-use crate::request::{NmadBinding, Req, ReqKind, ReqPath, RequestTable};
+use crate::rank::RankState;
+use crate::request::{NmadBinding, Req, ReqKind, ReqPath};
 use crate::transport::Ch3Transport;
 use crate::vc::{VcPath, VcTable};
 
@@ -174,19 +172,28 @@ pub enum NetPath {
     Ch3(Arc<dyn Ch3Transport>),
 }
 
-/// Everything one rank's MPI library knows.
+/// Everything one rank's MPI library knows: immutable wiring (topology,
+/// transports, costs, PIOMan) around the one [`RankState`] it mutates.
+///
+/// **One owner, one lock.** Every MPI entry point — `isend_key`,
+/// `irecv_key`, `progress_cycle`, each tick of `wait`/`probe`/`finalize`,
+/// the PIOMan ltask, the delayed `finish_recv` completion — takes `state`
+/// exactly once, works on `&mut RankState`, and executes the CH3 engine's
+/// out-list (`ProcState::route`) before it lets go. **Never across a
+/// park:** the lock is released before `ctx.advance`, `wake.wait` and
+/// arming `poll_until` (each asserts so in debug builds) — exactly one OS
+/// thread runs at a time, so a lock held by a parked rank is a deadlock,
+/// not contention.
 pub struct ProcState {
     pub rank: usize,
     pub size: usize,
-    pub reqs: RequestTable,
     pub vcs: VcTable,
-    pub engine: Ch3Engine,
+    state: parking_lot::Mutex<RankState>,
     pub shm: Option<Arc<dyn Ch3Transport>>,
     pub shm_model: Option<ShmModel>,
     pub net: NetPath,
     /// Eager/rendezvous boundary on the CH3 network path.
     pub net_eager_limit: usize,
-    pub anysource: AnySourceLists,
     pub costs: SoftwareCosts,
     /// Job-wide copy accounting: MPI-ingress copies are charged here and
     /// the meter rides along inside every payload handle.
@@ -197,17 +204,6 @@ pub struct ProcState {
     pub piom: Option<Arc<PiomServer>>,
     /// Wake semaphore for blocked waiters (PIOMan mode).
     pub wake: SimSemaphore,
-    /// Packets a rank sent to itself, pending local delivery.
-    selfq: Mutex<VecDeque<Ch3Pkt>>,
-    /// Collective-operation sequence number (all ranks call collectives in
-    /// the same order, so the counters agree across the job).
-    pub(crate) coll_seq: std::sync::atomic::AtomicU32,
-    /// This rank simulated a crash: its NewMadeleine core is halted and
-    /// finalize must not drain (a corpse owes the network nothing).
-    pub(crate) crashed: std::sync::atomic::AtomicBool,
-    /// Collectives aborted because a member died mid-protocol (the
-    /// fail-fast outcome of `try_barrier_group` and friends).
-    pub(crate) coll_aborts: std::sync::atomic::AtomicU64,
 }
 
 impl ProcState {
@@ -229,24 +225,58 @@ impl ProcState {
         Arc::new(ProcState {
             rank,
             size,
-            reqs: RequestTable::new(),
             vcs,
-            engine,
+            state: RankState::new(engine).into(),
             shm,
             shm_model,
             net,
             net_eager_limit,
-            anysource: AnySourceLists::new(),
             costs,
             meter,
             rec,
             piom,
             wake: SimSemaphore::new(format!("mpi-wake-{rank}")),
-            selfq: Mutex::new(VecDeque::new()),
-            coll_seq: std::sync::atomic::AtomicU32::new(0),
-            crashed: std::sync::atomic::AtomicBool::new(false),
-            coll_aborts: std::sync::atomic::AtomicU64::new(0),
         })
+    }
+
+    /// The one place the rank's lock is taken: every entry point runs its
+    /// body as `f`, and callers outside this file read the state between
+    /// entry points with it (request verdicts, the collective sequence
+    /// number, a snapshot). `f` must not park and must not come back here.
+    /// Exactly one OS thread runs at a time and none parks holding the
+    /// lock, so it is always free: finding it taken is one of those two
+    /// bugs, and a panic that says so beats the deadlock it would be.
+    pub fn with_state<R>(&self, f: impl FnOnce(&mut RankState) -> R) -> R {
+        let mut state = self.state.try_lock();
+        f(state.as_mut().expect("rank state re-entered, or held across a park"))
+    }
+
+    /// The dead peer `req` failed on, if it completed with that error.
+    pub fn failed_peer(&self, req: Req) -> Option<usize> {
+        self.with_state(|st| st.reqs.failed_peer(req))
+    }
+
+    /// The rank is about to give up the token: the state lock must be
+    /// free, or whoever runs next deadlocks on it.
+    fn about_to_park(&self) {
+        debug_assert!(self.state.try_lock().is_some(), "rank state locked across a park");
+    }
+
+    /// Park site 1 of 3: charge `d` of software cost to the rank's clock.
+    fn advance(&self, ctx: &RankCtx, d: SimDuration) {
+        self.about_to_park();
+        ctx.advance(d);
+    }
+
+    /// Park site 2 of 3: busy-wait on `backoff` until `ready` holds.
+    pub(crate) fn poll(
+        &self,
+        ctx: &RankCtx,
+        backoff: PollBackoff,
+        ready: impl FnMut(&Scheduler) -> bool + Send + 'static,
+    ) {
+        self.about_to_park();
+        backoff.poll(ctx, ready);
     }
 
     // ------------------------------------------------------------------
@@ -282,41 +312,41 @@ impl ProcState {
         };
         assert!(dst < self.size, "send to rank {dst} of {}", self.size);
         let sched = ctx.scheduler();
-        match self.vcs.path(dst) {
+        let path = self.vcs.path(dst);
+        // The sender-side cost is a park, so it is paid before the lock is
+        // taken (only this rank creates requests: the id is the same).
+        match path {
+            VcPath::SelfLoop => {}
+            VcPath::Shm => {
+                let model = self.shm_model.expect("shm path without shm model");
+                self.advance(ctx, self.costs.shm_send + model.send_cpu_cost(data.len()));
+            }
+            VcPath::NmadDirect | VcPath::Ch3Net => self.advance(ctx, self.costs.net_send),
+        }
+        self.with_state(|st| match path {
             VcPath::SelfLoop => {
-                let req = self.reqs.create(ReqKind::Send, ReqPath::SelfLoop);
-                self.selfq.lock().push_back(Ch3Pkt::Eager { key, data });
-                self.reqs.complete_send(req);
-                self.drain_selfq(&sched);
+                let req = st.reqs.create(ReqKind::Send, ReqPath::SelfLoop);
+                st.selfq.push_back(Ch3Pkt::Eager { key, data });
+                st.reqs.complete_send(req);
+                self.drain_selfq(st, &sched);
                 req
             }
             VcPath::Shm => {
-                let req = self.reqs.create(ReqKind::Send, ReqPath::Shm);
-                let model = self.shm_model.expect("shm path without shm model");
-                ctx.advance(self.costs.shm_send + model.send_cpu_cost(data.len()));
-                let shm = Arc::clone(self.shm.as_ref().expect("shm path without channel"));
-                let mut send =
-                    |s: &Scheduler, d: usize, p: Ch3Pkt| shm.send_pkt(s, d, p);
+                let req = st.reqs.create(ReqKind::Send, ReqPath::Shm);
                 // The cell queues fragment + flow-control any size: always
                 // eager on the shm path.
-                let done =
-                    self.engine
-                        .send_msg(&sched, &mut send, req, dst, key, data, usize::MAX);
+                let done = st.engine.send_msg(req, dst, key, data, usize::MAX);
                 debug_assert!(done);
-                self.reqs.complete_send(req);
+                self.route(st, &sched);
+                st.reqs.complete_send(req);
                 req
             }
             VcPath::NmadDirect => {
                 // §3.1.2: MPID_Send resolves directly to the NewMadeleine
                 // send for remote destinations.
-                let req = self.reqs.create(ReqKind::Send, ReqPath::Net);
-                ctx.advance(self.costs.net_send);
-                let core = match &self.net {
-                    NetPath::Direct(c) => c,
-                    _ => unreachable!("NmadDirect VC without a core"),
-                };
-                let nm = core.isend(&sched, dst, key, data, req.0 as u64);
-                self.reqs.bind_nmad(req, NmadBinding::Send(nm));
+                let req = st.reqs.create(ReqKind::Send, ReqPath::Net);
+                let nm = self.core().isend(&sched, dst, key, data, req.0 as u64);
+                st.reqs.bind_nmad(req, NmadBinding::Send(nm));
                 // With PIOMan the submission is offloaded: an idle core
                 // will commit the window after the sync cost (§2.2.2,
                 // "offloading eager messages submission").
@@ -326,30 +356,25 @@ impl ProcState {
                 req
             }
             VcPath::Ch3Net => {
-                let req = self.reqs.create(ReqKind::Send, ReqPath::Net);
-                ctx.advance(self.costs.net_send);
-                let t = match &self.net {
-                    NetPath::Ch3(t) => Arc::clone(t),
-                    _ => unreachable!("Ch3Net VC without a transport"),
-                };
-                let mut send = |s: &Scheduler, d: usize, p: Ch3Pkt| t.send_pkt(s, d, p);
-                let done = self.engine.send_msg(
-                    &sched,
-                    &mut send,
-                    req,
-                    dst,
-                    key,
-                    data,
-                    self.net_eager_limit,
-                );
+                let req = st.reqs.create(ReqKind::Send, ReqPath::Net);
+                let done = st.engine.send_msg(req, dst, key, data, self.net_eager_limit);
+                self.route(st, &sched);
                 if done {
-                    self.reqs.complete_send(req);
+                    st.reqs.complete_send(req);
                 }
                 if let Some(p) = &self.piom {
                     p.kick_net(&sched);
                 }
                 req
             }
+        })
+    }
+
+    /// The NewMadeleine core behind an `NmadDirect` VC.
+    fn core(&self) -> &Arc<NmCore> {
+        match &self.net {
+            NetPath::Direct(c) => c,
+            _ => unreachable!("NmadDirect VC without a core"),
         }
     }
 
@@ -360,86 +385,68 @@ impl ProcState {
 
     pub(crate) fn irecv_key(self: &Arc<Self>, ctx: &RankCtx, src: Src, key: u64) -> Req {
         let sched = ctx.scheduler();
-        match src {
+        self.with_state(|st| match src {
             Src::Rank(s) => {
                 assert!(s < self.size, "recv from rank {s} of {}", self.size);
                 match self.vcs.path(s) {
                     VcPath::SelfLoop => {
-                        let req = self.reqs.create(ReqKind::Recv, ReqPath::SelfLoop);
-                        self.post_ch3_recv(&sched, req, Some(s), key);
-                        self.drain_selfq(&sched);
+                        let req = st.reqs.create(ReqKind::Recv, ReqPath::SelfLoop);
+                        self.post_ch3_recv(st, &sched, req, Some(s), key);
+                        self.drain_selfq(st, &sched);
                         req
                     }
                     VcPath::Shm => {
-                        let req = self.reqs.create(ReqKind::Recv, ReqPath::Shm);
-                        self.post_ch3_recv(&sched, req, Some(s), key);
+                        let req = st.reqs.create(ReqKind::Recv, ReqPath::Shm);
+                        self.post_ch3_recv(st, &sched, req, Some(s), key);
                         req
                     }
                     VcPath::NmadDirect => {
-                        let req = self.reqs.create(ReqKind::Recv, ReqPath::Net);
+                        let req = st.reqs.create(ReqKind::Recv, ReqPath::Net);
                         // §3.2.2 ordering: while an ANY_SOURCE receive with
                         // this tag is pending, same-tag specific receives
                         // must queue behind it.
-                        if !self.anysource.try_park_specific(key, req, s) {
-                            let core = match &self.net {
-                                NetPath::Direct(c) => c,
-                                _ => unreachable!(),
-                            };
-                            let nm = core.irecv(&sched, s, key, req.0 as u64);
-                            self.reqs.bind_nmad(req, NmadBinding::Recv(nm));
+                        if !st.anysource.try_park_specific(key, req, s) {
+                            let nm = self.core().irecv(&sched, s, key, req.0 as u64);
+                            st.reqs.bind_nmad(req, NmadBinding::Recv(nm));
                         }
                         req
                     }
                     VcPath::Ch3Net => {
-                        let req = self.reqs.create(ReqKind::Recv, ReqPath::Net);
-                        self.post_ch3_recv(&sched, req, Some(s), key);
+                        let req = st.reqs.create(ReqKind::Recv, ReqPath::Net);
+                        self.post_ch3_recv(st, &sched, req, Some(s), key);
                         req
                     }
                 }
             }
             Src::Any => {
-                let req = self.reqs.create(ReqKind::RecvAnySource, ReqPath::Unknown);
+                let req = st.reqs.create(ReqKind::RecvAnySource, ReqPath::Unknown);
                 // The CH3 queues serve intra-node arrivals (and ALL
                 // arrivals on non-bypass stacks).
-                let flag = self.post_ch3_recv_flag(&sched, req, None, key);
+                let flag = self.post_ch3_recv(st, &sched, req, None, key);
                 if let (NetPath::Direct(_), Some(flag)) = (&self.net, flag) {
                     if self.vcs.has_remote() {
                         // Bypass stack: inter-node ANY_SOURCE needs the
                         // §3.2 lists.
-                        self.anysource.register_any(key, req, flag);
+                        st.anysource.register_any(key, req, flag);
                     }
                 }
                 req
             }
-        }
+        })
     }
 
     /// Post into the CH3 queues, applying any immediate completion.
-    fn post_ch3_recv(self: &Arc<Self>, sched: &Scheduler, req: Req, src: Option<usize>, key: u64) {
-        let _ = self.post_ch3_recv_flag(sched, req, src, key);
-    }
-
-    fn post_ch3_recv_flag(
+    /// Returns the posted entry's active flag if the receive stays pending.
+    fn post_ch3_recv(
         self: &Arc<Self>,
+        st: &mut RankState,
         sched: &Scheduler,
         req: Req,
         src: Option<usize>,
         key: u64,
     ) -> Option<crate::queues::ActiveFlag> {
-        let mut events = Vec::new();
-        let flag = {
-            let this = Arc::clone(self);
-            let mut send =
-                move |s: &Scheduler, d: usize, p: Ch3Pkt| this.send_ch3_pkt(s, d, p);
-            let (ev, flag) = self.engine.post_recv(sched, &mut send, req, src, key);
-            if let Some(e) = ev {
-                events.push(e);
-            }
-            flag
-        };
-        for e in events {
-            self.apply_ch3_event(sched, e);
-        }
+        let flag = st.engine.post_recv(req, src, key);
+        self.route(st, sched);
         flag
     }
 
@@ -451,23 +458,36 @@ impl ProcState {
     /// timing costs are charged by waiters (app-polling) or as completion
     /// delays (PIOMan).
     pub fn progress_cycle(self: &Arc<Self>, sched: &Scheduler) {
+        self.with_state(|st| self.cycle(st, sched));
+    }
+
+    /// One wait tick: is `req` done — now, or after one more cycle?
+    fn done_or_cycle(self: &Arc<Self>, req: Req, sched: &Scheduler) -> bool {
+        self.with_state(|st| {
+            st.reqs.is_done(req) || {
+                self.cycle(st, sched);
+                st.reqs.is_done(req)
+            }
+        })
+    }
+
+    fn cycle(self: &Arc<Self>, st: &mut RankState, sched: &Scheduler) {
         self.rec.inc("mpi.progress_cycles", 1);
         // 1. Inter-node.
         match &self.net {
             NetPath::Direct(core) => {
-                let core = Arc::clone(core);
                 core.schedule(sched);
-                self.drain_nm(sched, &core);
+                self.drain_nm(st, sched, core);
                 // Promote fresh death verdicts from the membership
                 // supervisor into MPI-layer state: tear down the VC and
                 // fail any ANY_SOURCE-parked specifics aimed at the corpse
                 // (they would otherwise wait forever behind a head that can
                 // never match them from that source).
                 for peer in core.take_dead_peers() {
-                    self.vcs.retire(peer);
+                    st.retired.retire(peer);
                     self.rec.inc("mpi.peer_deaths", 1);
-                    for rel in self.anysource.purge_src(peer) {
-                        self.finish_recv_failed(sched, rel.req, peer);
+                    for rel in st.anysource.purge_src(peer) {
+                        self.finish_recv_failed(st, sched, rel.req, peer);
                     }
                 }
                 // Revoke gossip (DESIGN.md §13): every epoch this rank just
@@ -478,37 +498,30 @@ impl ProcState {
                 for epoch in core.take_revoked_epochs() {
                     self.rec.inc("mpi.revokes", 1);
                     for dst in self.vcs.remote_peers() {
-                        if !self.vcs.is_retired(dst) && !core.is_peer_dead(dst) {
+                        if !st.retired.is_retired(dst) && !core.is_peer_dead(dst) {
                             core.send_revoke(sched, dst, epoch);
                         }
                     }
                 }
             }
-            NetPath::Ch3(t) => {
-                let t = Arc::clone(t);
-                let pkts = t.progress(sched);
-                self.feed_ch3(sched, pkts);
-            }
+            NetPath::Ch3(t) => self.feed_ch3(st, sched, t.progress(sched)),
             NetPath::None => {}
         }
         // 2. Intra-node.
         if let Some(t) = &self.shm {
-            let t = Arc::clone(t);
-            let pkts = t.progress(sched);
-            self.feed_ch3(sched, pkts);
+            self.feed_ch3(st, sched, t.progress(sched));
         }
-        self.drain_selfq(sched);
+        self.drain_selfq(st, sched);
         // 3. ANY_SOURCE probes (§3.2.2: "every time Nemesis polls for
         // incoming messages, we probe NewMadeleine").
         if let NetPath::Direct(core) = &self.net {
-            let core = Arc::clone(core);
             let mut posted_any = false;
-            for (key, req) in self.anysource.heads_to_probe() {
+            for (key, req) in st.anysource.heads_to_probe() {
                 if let Some(gate) = core.probe_tag(key) {
                     let nm = core.irecv(sched, gate.0, key, req.0 as u64);
-                    self.reqs.bind_nmad(req, NmadBinding::Recv(nm));
-                    self.reqs.set_path(req, ReqPath::Net);
-                    self.anysource.mark_posted(key, gate.0);
+                    st.reqs.bind_nmad(req, NmadBinding::Recv(nm));
+                    st.reqs.set_path(req, ReqPath::Net);
+                    st.anysource.mark_posted(key, gate.0);
                     posted_any = true;
                 }
             }
@@ -516,7 +529,7 @@ impl ProcState {
                 // The dynamically created request completes immediately
                 // (the message already sits in NewMadeleine's buffers) —
                 // surface it in this same cycle.
-                self.drain_nm(sched, &core);
+                self.drain_nm(st, sched, core);
             }
         }
         // 4. Final flush: packets produced while processing inbound traffic
@@ -531,32 +544,33 @@ impl ProcState {
     }
 
     /// Apply NewMadeleine completions to the MPI request table.
-    fn drain_nm(self: &Arc<Self>, sched: &Scheduler, core: &Arc<NmCore>) {
+    fn drain_nm(self: &Arc<Self>, st: &mut RankState, sched: &Scheduler, core: &Arc<NmCore>) {
         for c in core.drain_completions() {
             let req = Req(c.cookie as u32);
             match c.kind {
-                CompletionKind::Send => self.finish_send(sched, req),
+                CompletionKind::Send => self.finish_send(st, sched, req),
                 CompletionKind::Recv { data, gate, tag } => {
                     let status = Status {
                         source: gate.0,
                         tag: tag_of(tag),
                         len: data.len(),
                     };
-                    self.release_parked(sched, req);
-                    self.finish_recv(sched, req, data, status);
+                    self.release_parked(st, sched, req);
+                    self.finish_recv(st, sched, req, data, status);
                 }
                 // Membership drain verdicts (§2.2.1 no-cancel rule): the
                 // operation is over, but with an error instead of data.
                 CompletionKind::SendFailed { peer } => {
                     self.rec.inc("mpi.send_failures", 1);
-                    self.finish_send_failed(sched, req, peer);
+                    st.reqs.complete_send_failed(req, peer);
+                    self.completed(sched);
                 }
                 CompletionKind::RecvFailed { gate, tag: _ } => {
                     self.rec.inc("mpi.recv_failures", 1);
                     // A failed ANY_SOURCE head still releases its parked
                     // specifics — those target other (possibly live) peers.
-                    self.release_parked(sched, req);
-                    self.finish_recv_failed(sched, req, gate.0);
+                    self.release_parked(st, sched, req);
+                    self.finish_recv_failed(st, sched, req, gate.0);
                 }
                 // Revoke quiesce verdicts: the operation's epoch was torn
                 // down. Like the membership drain, the request finishes —
@@ -564,88 +578,90 @@ impl ProcState {
                 // corpse.
                 CompletionKind::SendRevoked { peer, epoch } => {
                     self.rec.inc("mpi.send_revocations", 1);
-                    self.reqs.complete_send_revoked(req, peer, epoch);
+                    st.reqs.complete_send_revoked(req, peer, epoch);
                     self.completed(sched);
                 }
                 CompletionKind::RecvRevoked { gate, tag: _, epoch } => {
                     self.rec.inc("mpi.recv_revocations", 1);
                     // Same release discipline as RecvFailed: a revoked
                     // ANY_SOURCE head must not strand its parked specifics.
-                    self.release_parked(sched, req);
-                    self.reqs.complete_recv_revoked(req, gate.0, epoch);
+                    self.release_parked(st, sched, req);
+                    st.reqs.complete_recv_revoked(req, gate.0, epoch);
                     self.completed(sched);
                 }
             }
         }
     }
 
-    /// Route CH3 packets produced by the engine toward their destination.
-    fn send_ch3_pkt(self: &Arc<Self>, sched: &Scheduler, dst: usize, pkt: Ch3Pkt) {
-        match self.vcs.path(dst) {
-            VcPath::SelfLoop => self.selfq.lock().push_back(pkt),
-            VcPath::Shm => self
-                .shm
-                .as_ref()
-                .expect("shm packet without channel")
-                .send_pkt(sched, dst, pkt),
-            VcPath::Ch3Net => match &self.net {
-                NetPath::Ch3(t) => t.send_pkt(sched, dst, pkt),
-                _ => unreachable!("Ch3Net VC without transport"),
-            },
-            VcPath::NmadDirect => {
-                unreachable!("CH3 protocol packet on the bypass path")
+    /// The single executor of the CH3 engine's out-list: in the order the
+    /// engine decided them, packets leave toward their destination's VC
+    /// and completions land in the request table.
+    fn route(self: &Arc<Self>, st: &mut RankState, sched: &Scheduler) {
+        for out in st.engine.take_out() {
+            let (dst, pkt) = match out {
+                Ch3Out::Event(e) => {
+                    self.apply_ch3_event(st, sched, e);
+                    continue;
+                }
+                Ch3Out::Pkt(dst, pkt) => (dst, pkt),
+            };
+            match self.vcs.path(dst) {
+                VcPath::SelfLoop => st.selfq.push_back(pkt),
+                VcPath::Shm => self
+                    .shm
+                    .as_ref()
+                    .expect("shm packet without channel")
+                    .send_pkt(sched, dst, pkt),
+                VcPath::Ch3Net => match &self.net {
+                    NetPath::Ch3(t) => t.send_pkt(sched, dst, pkt),
+                    _ => unreachable!("Ch3Net VC without transport"),
+                },
+                VcPath::NmadDirect => {
+                    unreachable!("CH3 protocol packet on the bypass path")
+                }
             }
         }
     }
 
     /// Feed inbound CH3 packets through the protocol engine.
-    fn feed_ch3(self: &Arc<Self>, sched: &Scheduler, pkts: Vec<(usize, Ch3Pkt)>) {
-        if pkts.is_empty() {
-            return;
+    fn feed_ch3(
+        self: &Arc<Self>,
+        st: &mut RankState,
+        sched: &Scheduler,
+        pkts: Vec<(usize, Ch3Pkt)>,
+    ) {
+        for (src, pkt) in pkts {
+            st.engine.on_packet(src, pkt);
         }
-        let mut events = Vec::new();
-        {
-            let this = Arc::clone(self);
-            let mut send =
-                move |s: &Scheduler, d: usize, p: Ch3Pkt| this.send_ch3_pkt(s, d, p);
-            for (src, pkt) in pkts {
-                self.engine.on_packet(sched, &mut send, src, pkt, &mut events);
-            }
-        }
-        for e in events {
-            self.apply_ch3_event(sched, e);
-        }
+        self.route(st, sched);
     }
 
     /// Deliver packets this rank sent to itself.
-    fn drain_selfq(self: &Arc<Self>, sched: &Scheduler) {
-        loop {
-            let pkt = match self.selfq.lock().pop_front() {
-                Some(p) => p,
-                None => return,
-            };
-            self.feed_ch3(sched, vec![(self.rank, pkt)]);
+    fn drain_selfq(self: &Arc<Self>, st: &mut RankState, sched: &Scheduler) {
+        while let Some(pkt) = st.selfq.pop_front() {
+            st.engine.on_packet(self.rank, pkt);
+            self.route(st, sched);
         }
     }
 
     /// `req` is over (matched, failed or revoked): if it was an ANY_SOURCE
     /// head, remove its entry and let its parked specifics flow to
     /// NewMadeleine.
-    fn release_parked(&self, sched: &Scheduler, req: Req) {
-        let releases = self.anysource.on_complete(req);
+    fn release_parked(&self, st: &mut RankState, sched: &Scheduler, req: Req) {
+        let releases = st.anysource.on_complete(req);
         let NetPath::Direct(core) = &self.net else {
             debug_assert!(releases.is_empty());
             return;
         };
         for r in releases {
             let nm = core.irecv(sched, r.src, r.key, r.req.0 as u64);
-            self.reqs.bind_nmad(r.req, NmadBinding::Recv(nm));
+            st.reqs.bind_nmad(r.req, NmadBinding::Recv(nm));
         }
     }
 
-    fn apply_ch3_event(self: &Arc<Self>, sched: &Scheduler, e: Ch3Event) {
+    fn apply_ch3_event(self: &Arc<Self>, st: &mut RankState, sched: &Scheduler, e: Ch3Event) {
         match e {
-            Ch3Event::SendDone { req } => self.finish_send(sched, req),
+            Ch3Event::SendDone { req } => self.finish_send(st, sched, req),
             Ch3Event::RecvDone {
                 req,
                 data,
@@ -665,15 +681,15 @@ impl ProcState {
                     VcPath::Shm => ReqPath::Shm,
                     _ => ReqPath::Net,
                 };
-                if self.reqs.path(req) == ReqPath::Unknown {
-                    self.reqs.set_path(req, path);
+                if st.reqs.path(req) == ReqPath::Unknown {
+                    st.reqs.set_path(req, path);
                 }
                 if was_any {
                     // Intra-node match of a listed ANY_SOURCE request
                     // (§3.2.2, final paragraph).
-                    self.release_parked(sched, req);
+                    self.release_parked(st, sched, req);
                 }
-                self.finish_recv(sched, req, data, status);
+                self.finish_recv(st, sched, req, data, status);
             }
         }
     }
@@ -684,12 +700,12 @@ impl ProcState {
 
     /// The receiver-side software cost of observing the completion of
     /// `req` with a `len`-byte payload.
-    pub fn completion_cost(&self, req: Req, len: usize) -> SimDuration {
-        let kind = self.reqs.kind(req);
+    fn completion_cost(&self, st: &RankState, req: Req, len: usize) -> SimDuration {
+        let kind = st.reqs.kind(req);
         if kind == ReqKind::Send {
             return SimDuration::ZERO; // sender cost charged at isend
         }
-        let base = match self.reqs.path(req) {
+        let base = match st.reqs.path(req) {
             ReqPath::Net | ReqPath::Unknown => self.costs.net_recv,
             ReqPath::Shm => {
                 let model = self.shm_model.expect("shm completion without model");
@@ -712,38 +728,39 @@ impl ProcState {
         }
     }
 
-    fn finish_send(self: &Arc<Self>, sched: &Scheduler, req: Req) {
-        self.reqs.complete_send(req);
-        self.completed(sched);
-    }
-
-    /// Terminal failure of a send: destination declared dead. No completion
-    /// delay — there is no payload work, only the verdict.
-    fn finish_send_failed(self: &Arc<Self>, sched: &Scheduler, req: Req, peer: usize) {
-        self.reqs.complete_send_failed(req, peer);
+    fn finish_send(&self, st: &mut RankState, sched: &Scheduler, req: Req) {
+        st.reqs.complete_send(req);
         self.completed(sched);
     }
 
     /// Terminal failure of a receive: its source was declared dead and the
-    /// membership drain aborted the posted operation.
-    fn finish_recv_failed(self: &Arc<Self>, sched: &Scheduler, req: Req, peer: usize) {
-        self.reqs.complete_recv_failed(req, peer);
+    /// membership drain aborted the posted operation. No completion delay
+    /// — there is no payload work, only the verdict.
+    fn finish_recv_failed(&self, st: &mut RankState, sched: &Scheduler, req: Req, peer: usize) {
+        st.reqs.complete_recv_failed(req, peer);
         self.completed(sched);
     }
 
-    fn finish_recv(self: &Arc<Self>, sched: &Scheduler, req: Req, data: Bytes, status: Status) {
+    fn finish_recv(
+        self: &Arc<Self>,
+        st: &mut RankState,
+        sched: &Scheduler,
+        req: Req,
+        data: Bytes,
+        status: Status,
+    ) {
         match &self.piom {
             Some(_) => {
                 // The completion work runs on the progress core; the
                 // requester observes it after that work's cost.
-                let cost = self.completion_cost(req, status.len);
+                let cost = self.completion_cost(st, req, status.len);
                 let this = Arc::clone(self);
                 sched.schedule_in(cost, move |s| {
-                    this.reqs.complete_recv(req, data, status);
+                    this.with_state(|st| st.reqs.complete_recv(req, data, status));
                     this.wake.signal(s);
                 });
             }
-            None => self.reqs.complete_recv(req, data, status),
+            None => st.reqs.complete_recv(req, data, status),
         }
     }
 
@@ -764,51 +781,46 @@ impl ProcState {
         match &self.piom {
             None => {
                 let this = Arc::clone(self);
-                PollBackoff::with_bulk_tier(self.costs.poll_gran).poll(ctx, move |s| {
-                    this.reqs.is_done(req) || {
-                        this.progress_cycle(s);
-                        this.reqs.is_done(req)
-                    }
-                });
+                let backoff = PollBackoff::with_bulk_tier(self.costs.poll_gran);
+                self.poll(ctx, backoff, move |s| this.done_or_cycle(req, s));
             }
             Some(piom) => {
-                while !self.reqs.is_done(req) {
-                    self.progress_cycle(&sched);
-                    if self.reqs.is_done(req) {
-                        break;
-                    }
+                while !self.done_or_cycle(req, &sched) {
                     // §3.3.2: block on the semaphore until a PIOMan pass
                     // completes something. The cycle above may have armed
                     // retransmission timers no pass has seen: hand PIOMan
                     // the deadline, so a lost packet that kills the whole
                     // kick chain still gets its pass.
                     piom.arm_pass(&sched, self.net_deadline());
+                    // Park site 3 of 3.
+                    self.about_to_park();
                     self.wake.wait(ctx);
                 }
             }
         }
-        match self.reqs.claim(req) {
-            Some((data, status)) => {
-                if self.piom.is_none() {
-                    // App-polling: the observer pays the completion cost.
-                    let c = self.completion_cost(req, status.map_or(0, |s| s.len));
-                    if c > SimDuration::ZERO {
-                        ctx.advance(c);
-                    }
-                }
-                (data, status)
+        let (claimed, cost) = self.with_state(|st| match st.reqs.claim(req) {
+            // App-polling: the observer pays the completion cost.
+            Some((data, status)) if self.piom.is_none() => {
+                let len = status.map_or(0, |s| s.len);
+                ((data, status), self.completion_cost(st, req, len))
             }
+            Some(claimed) => (claimed, SimDuration::ZERO),
             // Already claimed (e.g. re-wait): hand back the status.
-            None => (None, self.reqs.status(req)),
+            None => ((None, st.reqs.status(req)), SimDuration::ZERO),
+        });
+        if cost > SimDuration::ZERO {
+            self.advance(ctx, cost);
         }
+        claimed
     }
 
     /// MPI_Test: nonblocking completion check (drives one progress cycle,
     /// like MPICH2's test).
     pub fn test(self: &Arc<Self>, ctx: &RankCtx, req: Req) -> bool {
-        let sched = ctx.scheduler();
-        self.progress_cycle(&sched);
-        self.reqs.is_done(req)
+        self.with_state(|st| {
+            self.cycle(st, &ctx.scheduler());
+            st.reqs.is_done(req)
+        })
     }
 
     /// MPI_Iprobe: nonblocking check for a matchable incoming message.
@@ -818,9 +830,14 @@ impl ProcState {
     /// internal matching (inter-node on the bypass — the same probe the
     /// §3.2 ANY_SOURCE lists use).
     pub fn iprobe(self: &Arc<Self>, ctx: &RankCtx, src: Src, tag: u32) -> Option<Status> {
-        let sched = ctx.scheduler();
-        self.progress_cycle(&sched);
-        self.iprobe_inner(src, tag)
+        self.cycle_and_probe(&ctx.scheduler(), src, tag)
+    }
+
+    fn cycle_and_probe(self: &Arc<Self>, sched: &Scheduler, src: Src, tag: u32) -> Option<Status> {
+        self.with_state(|st| {
+            self.cycle(st, sched);
+            self.iprobe_inner(st, src, tag)
+        })
     }
 
     /// MPI_Probe: block until [`ProcState::iprobe`] succeeds.
@@ -832,51 +849,32 @@ impl ProcState {
             Some(_) => PollBackoff::flat(SimDuration::nanos(500)),
         };
         let this = Arc::clone(self);
-        backoff.poll(ctx, move |s| {
-            this.progress_cycle(s);
-            this.iprobe_inner(src, tag).is_some()
-        });
-        self.iprobe_inner(src, tag)
+        self.poll(ctx, backoff, move |s| this.cycle_and_probe(s, src, tag).is_some());
+        self.with_state(|st| self.iprobe_inner(st, src, tag))
             .expect("the probe poll ends on a matchable message, and only this rank can consume it")
     }
 
-    fn iprobe_inner(&self, src: Src, tag: u32) -> Option<Status> {
+    fn iprobe_inner(&self, st: &RankState, src: Src, tag: u32) -> Option<Status> {
         let key = key_of(USER_CTX, tag);
-        match src {
-            Src::Rank(s) => match self.vcs.path(s) {
-                VcPath::SelfLoop | VcPath::Shm | VcPath::Ch3Net => self
-                    .engine
-                    .queues
-                    .probe(Some(s), key)
-                    .map(|(source, len)| Status { source, tag, len }),
-                VcPath::NmadDirect => match &self.net {
-                    NetPath::Direct(core) => core
-                        .probe_info(nmad::GateId(s), key)
-                        .map(|len| Status {
-                            source: s,
-                            tag,
-                            len,
-                        }),
-                    _ => None,
-                },
-            },
-            Src::Any => {
-                // CH3 first (intra-node + non-bypass), then NewMadeleine.
-                if let Some((source, len)) = self.engine.queues.probe(None, key) {
-                    return Some(Status { source, tag, len });
-                }
-                if let NetPath::Direct(core) = &self.net {
-                    if let Some((gate, len)) = core.probe_tag_info(key) {
-                        return Some(Status {
-                            source: gate.0,
-                            tag,
-                            len,
-                        });
-                    }
-                }
-                None
+        // Which layer(s) would match the receive: the CH3 queues (asked
+        // first) and/or NewMadeleine's own matching.
+        let (from, ch3, nm) = match src {
+            Src::Rank(s) => {
+                let direct = self.vcs.path(s) == VcPath::NmadDirect;
+                (Some(s), !direct, direct)
             }
-        }
+            Src::Any => (None, true, true),
+        };
+        let in_ch3 = || st.engine.queues.probe(from, key);
+        let in_nm = || match (&self.net, from) {
+            (NetPath::Direct(core), Some(s)) => {
+                core.probe_info(nmad::GateId(s), key).map(|len| (s, len))
+            }
+            (NetPath::Direct(core), None) => core.probe_tag_info(key).map(|(g, len)| (g.0, len)),
+            _ => None,
+        };
+        let hit = ch3.then(in_ch3).flatten().or_else(|| nm.then(in_nm).flatten());
+        hit.map(|(source, len)| Status { source, tag, len })
     }
 
     /// Probe for an unexpected inter-node message on a *full* 64-bit key
@@ -908,16 +906,16 @@ impl ProcState {
     /// payload bytes, lifetime high-water mark)`. Incrementally maintained
     /// — cheap enough for per-iteration assertions in overload tests.
     pub fn unexpected_backlog(&self) -> (usize, usize) {
-        (
-            self.engine.queues.unexpected_bytes(),
-            self.engine.queues.unexpected_hwm(),
-        )
+        self.with_state(|st| {
+            let queues = &st.engine.queues;
+            (queues.unexpected_bytes(), queues.unexpected_hwm())
+        })
     }
 
     /// Is all outbound protocol work this rank is responsible for done?
     /// (Pending CH3 rendezvous halves, unsent submission-window packets.)
-    pub fn quiescent(&self) -> bool {
-        if self.engine.rdv_in_flight() != 0 {
+    fn quiescent(&self, st: &RankState) -> bool {
+        if st.engine.rdv_in_flight() != 0 {
             return false;
         }
         match &self.net {
@@ -936,27 +934,24 @@ impl ProcState {
     /// event-driven and keeps running as long as the simulation has
     /// events.
     pub fn finalize(self: &Arc<Self>, ctx: &RankCtx) {
-        if self.crashed.load(std::sync::atomic::Ordering::Relaxed) {
-            // A crashed rank's program ends abruptly; it neither drains nor
-            // owes protocol work (its core is halted).
-            return;
-        }
-        if self.piom.is_some() {
+        // A crashed rank's program ends abruptly; it neither drains nor
+        // owes protocol work (its core is halted).
+        if self.piom.is_some() || self.with_state(|st| st.crashed) {
             return;
         }
         let this = Arc::clone(self);
         let mut cycles = 0u32;
-        PollBackoff::late_by_one(self.costs.poll_gran).poll(ctx, move |s| {
-            this.progress_cycle(s);
-            if this.quiescent() {
-                return true;
-            }
+        self.poll(ctx, PollBackoff::late_by_one(self.costs.poll_gran), move |s| {
+            let quiet = this.with_state(|st| {
+                this.cycle(st, s);
+                this.quiescent(st)
+            });
             assert!(
-                cycles < 5_000_000,
+                quiet || cycles < 5_000_000,
                 "MPI_Finalize drain did not quiesce (protocol leak?)"
             );
             cycles += 1;
-            false
+            quiet
         });
     }
 }

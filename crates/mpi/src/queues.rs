@@ -25,6 +25,16 @@ use crate::request::Req;
 /// Shared liveness flag of a posted entry (see module docs).
 pub type ActiveFlag = Arc<AtomicBool>;
 
+/// Switch a posted entry off: matching skips (and collects) it from now on.
+pub fn deactivate(flag: &ActiveFlag) {
+    flag.store(false, Ordering::Release);
+}
+
+/// Is the posted entry behind `flag` still matchable?
+pub fn is_active(flag: &ActiveFlag) -> bool {
+    flag.load(Ordering::Acquire)
+}
+
 /// One entry in the posted-receive queue.
 pub struct PostedEntry {
     pub req: Req,
@@ -100,6 +110,16 @@ impl UnexQueue {
 }
 
 /// The queue pair.
+///
+/// The one stated exception to mpi-ch3's one-owner rule (DESIGN.md §5):
+/// everything else a rank's MPI library mutates is a plain field of
+/// [`crate::rank::RankState`] behind `ProcState`'s single lock, but this
+/// type keeps its `&self` API and its two internal locks, because the
+/// perf ledger's `benchmark/src/adapter.rs` calls [`Ch3Queues::new`],
+/// [`Ch3Queues::post`] and [`Ch3Queues::match_arrival`] through `&self`
+/// and `benchmark/` changes only in a `[benchmark]` PR (ROADMAP, "the
+/// benchmark contract"). Inside a rank both locks are only ever taken
+/// with the rank's lock already held, so they never contend.
 #[derive(Default)]
 pub struct Ch3Queues {
     posted: Mutex<VecDeque<PostedEntry>>,
@@ -157,7 +177,7 @@ impl Ch3Queues {
         let mut i = 0;
         while i < posted.len() {
             let e = &posted[i];
-            if !e.active.load(Ordering::Acquire) {
+            if !is_active(&e.active) {
                 posted.remove(i);
                 continue;
             }
@@ -201,7 +221,7 @@ impl Ch3Queues {
         self.posted
             .lock()
             .iter()
-            .filter(|e| e.active.load(Ordering::Acquire))
+            .filter(|e| is_active(&e.active))
             .count()
     }
 
@@ -227,7 +247,7 @@ mod tests {
     use super::*;
     use crate::request::{ReqKind, ReqPath, RequestTable};
 
-    fn req(t: &RequestTable) -> Req {
+    fn req(t: &mut RequestTable) -> Req {
         t.create(ReqKind::Recv, ReqPath::Shm)
     }
 
@@ -241,9 +261,9 @@ mod tests {
 
     #[test]
     fn post_then_arrival() {
-        let t = RequestTable::new();
+        let mut t = RequestTable::new();
         let q = Ch3Queues::new();
-        let r = req(&t);
+        let r = req(&mut t);
         q.post(r, Some(2), 7).expect("no unexpected yet");
         assert_eq!(q.posted_len(), 1);
         let hit = q.match_arrival(2, 7).expect("must match");
@@ -253,10 +273,10 @@ mod tests {
 
     #[test]
     fn arrival_then_post() {
-        let t = RequestTable::new();
+        let mut t = RequestTable::new();
         let q = Ch3Queues::new();
         q.store_unexpected(eager(2, 7));
-        match q.post(req(&t), Some(2), 7) {
+        match q.post(req(&mut t), Some(2), 7) {
             Err(UnexMsg::Eager { src: 2, key: 7, .. }) => {}
             other => panic!("expected unexpected hit, got {:?}", other.is_ok()),
         }
@@ -265,9 +285,9 @@ mod tests {
 
     #[test]
     fn any_source_posted_matches_any_arrival() {
-        let t = RequestTable::new();
+        let mut t = RequestTable::new();
         let q = Ch3Queues::new();
-        let r = req(&t);
+        let r = req(&mut t);
         q.post(r, None, 7).unwrap();
         let hit = q.match_arrival(5, 7).unwrap();
         assert_eq!(hit.req, r);
@@ -276,11 +296,11 @@ mod tests {
 
     #[test]
     fn any_source_post_consumes_earliest_unexpected() {
-        let t = RequestTable::new();
+        let mut t = RequestTable::new();
         let q = Ch3Queues::new();
         q.store_unexpected(eager(3, 7));
         q.store_unexpected(eager(1, 7));
-        match q.post(req(&t), None, 7) {
+        match q.post(req(&mut t), None, 7) {
             Err(m) => assert_eq!(m.src(), 3, "earliest arrival wins"),
             Ok(_) => panic!("should hit unexpected"),
         }
@@ -288,10 +308,10 @@ mod tests {
 
     #[test]
     fn posted_order_determines_matching() {
-        let t = RequestTable::new();
+        let mut t = RequestTable::new();
         let q = Ch3Queues::new();
-        let r_any = req(&t);
-        let r_spec = req(&t);
+        let r_any = req(&mut t);
+        let r_spec = req(&mut t);
         q.post(r_any, None, 7).unwrap();
         q.post(r_spec, Some(4), 7).unwrap();
         // Arrival from 4 matches the EARLIER any-source post.
@@ -301,13 +321,13 @@ mod tests {
 
     #[test]
     fn deactivated_entries_are_skipped_and_collected() {
-        let t = RequestTable::new();
+        let mut t = RequestTable::new();
         let q = Ch3Queues::new();
-        let r1 = req(&t);
-        let r2 = req(&t);
+        let r1 = req(&mut t);
+        let r2 = req(&mut t);
         let flag = q.post(r1, None, 7).unwrap();
         q.post(r2, Some(4), 7).unwrap();
-        flag.store(false, Ordering::Release);
+        deactivate(&flag);
         assert_eq!(q.match_arrival(4, 7).unwrap().req, r2);
         assert_eq!(q.posted_len(), 0, "dead entry collected");
     }
@@ -323,7 +343,7 @@ mod tests {
 
     #[test]
     fn unexpected_bytes_track_pushes_and_consumes() {
-        let t = RequestTable::new();
+        let mut t = RequestTable::new();
         let q = Ch3Queues::new();
         assert_eq!((q.unexpected_bytes(), q.unexpected_hwm()), (0, 0));
         let payload = |n: usize| UnexMsg::Eager {
@@ -342,18 +362,18 @@ mod tests {
         });
         assert_eq!(q.unexpected_bytes(), 150);
         assert_eq!(q.unexpected_hwm(), 150);
-        q.post(req(&t), Some(1), 7).expect_err("consumes 100B eager");
+        q.post(req(&mut t), Some(1), 7).expect_err("consumes 100B eager");
         assert_eq!(q.unexpected_bytes(), 50);
         assert_eq!(q.unexpected_hwm(), 150, "high-water mark is sticky");
-        q.post(req(&t), Some(1), 8).expect_err("consumes the RTS");
+        q.post(req(&mut t), Some(1), 8).expect_err("consumes the RTS");
         assert_eq!(q.unexpected_bytes(), 50, "RTS consume moves no bytes");
     }
 
     #[test]
     fn key_isolation() {
-        let t = RequestTable::new();
+        let mut t = RequestTable::new();
         let q = Ch3Queues::new();
-        q.post(req(&t), Some(1), 7).unwrap();
+        q.post(req(&mut t), Some(1), 7).unwrap();
         assert!(q.match_arrival(1, 8).is_none());
         q.store_unexpected(eager(1, 8));
         assert_eq!(q.unexpected_len(), 1);

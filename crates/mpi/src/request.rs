@@ -8,7 +8,6 @@
 //! two can always find each other.
 
 use bytes::Bytes;
-use parking_lot::Mutex;
 
 use crate::api::Status;
 
@@ -67,10 +66,12 @@ pub(crate) struct Slot {
     pub revoked_epoch: Option<u8>,
 }
 
-/// The per-process request table.
+/// The per-process request table: a plain value, owned by the rank's
+/// [`crate::rank::RankState`] (whose one lock is the only one it ever
+/// sits behind).
 #[derive(Default)]
 pub struct RequestTable {
-    slots: Mutex<Vec<Slot>>,
+    slots: Vec<Slot>,
 }
 
 impl RequestTable {
@@ -78,10 +79,9 @@ impl RequestTable {
         RequestTable::default()
     }
 
-    pub fn create(&self, kind: ReqKind, path: ReqPath) -> Req {
-        let mut slots = self.slots.lock();
-        let id = Req(slots.len() as u32);
-        slots.push(Slot {
+    pub fn create(&mut self, kind: ReqKind, path: ReqPath) -> Req {
+        let id = Req(self.slots.len() as u32);
+        self.slots.push(Slot {
             kind,
             done: false,
             charged: false,
@@ -95,31 +95,29 @@ impl RequestTable {
         id
     }
 
-    pub fn bind_nmad(&self, req: Req, binding: NmadBinding) {
-        self.slots.lock()[req.0 as usize].nmad_req = binding;
+    pub fn bind_nmad(&mut self, req: Req, binding: NmadBinding) {
+        self.slots[req.0 as usize].nmad_req = binding;
     }
 
     pub fn nmad_binding(&self, req: Req) -> NmadBinding {
-        self.slots.lock()[req.0 as usize].nmad_req
+        self.slots[req.0 as usize].nmad_req
     }
 
-    pub fn set_path(&self, req: Req, path: ReqPath) {
-        self.slots.lock()[req.0 as usize].path = path;
+    pub fn set_path(&mut self, req: Req, path: ReqPath) {
+        self.slots[req.0 as usize].path = path;
     }
 
     /// Mark a send complete.
-    pub fn complete_send(&self, req: Req) {
-        let mut slots = self.slots.lock();
-        let s = &mut slots[req.0 as usize];
+    pub fn complete_send(&mut self, req: Req) {
+        let s = &mut self.slots[req.0 as usize];
         debug_assert_eq!(s.kind, ReqKind::Send);
         debug_assert!(!s.done, "double send completion");
         s.done = true;
     }
 
     /// Mark a receive complete with its payload and envelope.
-    pub fn complete_recv(&self, req: Req, data: Bytes, status: Status) {
-        let mut slots = self.slots.lock();
-        let s = &mut slots[req.0 as usize];
+    pub fn complete_recv(&mut self, req: Req, data: Bytes, status: Status) {
+        let s = &mut self.slots[req.0 as usize];
         debug_assert!(matches!(s.kind, ReqKind::Recv | ReqKind::RecvAnySource));
         debug_assert!(!s.done, "double recv completion");
         s.done = true;
@@ -130,9 +128,8 @@ impl RequestTable {
     /// Complete a send *with an error*: its destination was declared dead
     /// before the transfer could finish. The request is done (waiters
     /// unblock) but carries no status; `failed_peer` names the corpse.
-    pub fn complete_send_failed(&self, req: Req, peer: usize) {
-        let mut slots = self.slots.lock();
-        let s = &mut slots[req.0 as usize];
+    pub fn complete_send_failed(&mut self, req: Req, peer: usize) {
+        let s = &mut self.slots[req.0 as usize];
         debug_assert_eq!(s.kind, ReqKind::Send);
         debug_assert!(!s.done, "double send completion");
         s.done = true;
@@ -142,9 +139,8 @@ impl RequestTable {
     /// Complete a receive *with an error*: its (specific) source was
     /// declared dead and the membership drain aborted the operation. No
     /// data, no status — just a terminal, queryable failure.
-    pub fn complete_recv_failed(&self, req: Req, peer: usize) {
-        let mut slots = self.slots.lock();
-        let s = &mut slots[req.0 as usize];
+    pub fn complete_recv_failed(&mut self, req: Req, peer: usize) {
+        let s = &mut self.slots[req.0 as usize];
         debug_assert!(matches!(s.kind, ReqKind::Recv | ReqKind::RecvAnySource));
         debug_assert!(!s.done, "double recv completion");
         s.done = true;
@@ -155,9 +151,8 @@ impl RequestTable {
     /// (ULFM-style comm teardown). `peer` names the destination so the
     /// generic dead-peer plumbing still unblocks waiters; `revoked_epoch`
     /// records the real cause.
-    pub fn complete_send_revoked(&self, req: Req, peer: usize, epoch: u8) {
-        let mut slots = self.slots.lock();
-        let s = &mut slots[req.0 as usize];
+    pub fn complete_send_revoked(&mut self, req: Req, peer: usize, epoch: u8) {
+        let s = &mut self.slots[req.0 as usize];
         debug_assert_eq!(s.kind, ReqKind::Send);
         debug_assert!(!s.done, "double send completion");
         s.done = true;
@@ -166,9 +161,8 @@ impl RequestTable {
     }
 
     /// Complete a receive *with an error* because its epoch was revoked.
-    pub fn complete_recv_revoked(&self, req: Req, peer: usize, epoch: u8) {
-        let mut slots = self.slots.lock();
-        let s = &mut slots[req.0 as usize];
+    pub fn complete_recv_revoked(&mut self, req: Req, peer: usize, epoch: u8) {
+        let s = &mut self.slots[req.0 as usize];
         debug_assert!(matches!(s.kind, ReqKind::Recv | ReqKind::RecvAnySource));
         debug_assert!(!s.done, "double recv completion");
         s.done = true;
@@ -179,34 +173,33 @@ impl RequestTable {
     /// Did the request complete with a dead-peer error? `Some(peer)` after
     /// a failed completion; `None` while pending or after success.
     pub fn failed_peer(&self, req: Req) -> Option<usize> {
-        self.slots.lock()[req.0 as usize].failed_peer
+        self.slots[req.0 as usize].failed_peer
     }
 
     /// Did the request fail because its epoch was revoked? `Some(epoch)`
     /// after a revoked completion; `None` while pending, after success, or
     /// after a plain dead-peer failure.
     pub fn revoked_epoch(&self, req: Req) -> Option<u8> {
-        self.slots.lock()[req.0 as usize].revoked_epoch
+        self.slots[req.0 as usize].revoked_epoch
     }
 
     pub fn is_done(&self, req: Req) -> bool {
-        self.slots.lock()[req.0 as usize].done
+        self.slots[req.0 as usize].done
     }
 
     pub fn kind(&self, req: Req) -> ReqKind {
-        self.slots.lock()[req.0 as usize].kind
+        self.slots[req.0 as usize].kind
     }
 
     pub fn path(&self, req: Req) -> ReqPath {
-        self.slots.lock()[req.0 as usize].path
+        self.slots[req.0 as usize].path
     }
 
     /// First observation of a completion by the rank thread: returns the
     /// payload/status exactly once (the caller charges completion costs).
     /// Returns `None` if not done or already claimed.
-    pub fn claim(&self, req: Req) -> Option<(Option<Bytes>, Option<Status>)> {
-        let mut slots = self.slots.lock();
-        let s = &mut slots[req.0 as usize];
+    pub fn claim(&mut self, req: Req) -> Option<(Option<Bytes>, Option<Status>)> {
+        let s = &mut self.slots[req.0 as usize];
         if !s.done || s.charged {
             return None;
         }
@@ -217,11 +210,16 @@ impl RequestTable {
     /// Status of a completed request (after claim the data is gone but the
     /// status remains).
     pub fn status(&self, req: Req) -> Option<Status> {
-        self.slots.lock()[req.0 as usize].status
+        self.slots[req.0 as usize].status
     }
 
     pub fn len(&self) -> usize {
-        self.slots.lock().len()
+        self.slots.len()
+    }
+
+    /// Requests not yet complete (a scan; diagnostics only).
+    pub fn pending(&self) -> usize {
+        self.slots.iter().filter(|s| !s.done).count()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -243,7 +241,7 @@ mod tests {
 
     #[test]
     fn lifecycle_send() {
-        let t = RequestTable::new();
+        let mut t = RequestTable::new();
         let r = t.create(ReqKind::Send, ReqPath::Net);
         assert!(!t.is_done(r));
         t.complete_send(r);
@@ -255,7 +253,7 @@ mod tests {
 
     #[test]
     fn lifecycle_recv_keeps_status() {
-        let t = RequestTable::new();
+        let mut t = RequestTable::new();
         let r = t.create(ReqKind::Recv, ReqPath::Shm);
         t.complete_recv(r, Bytes::from_static(b"xy"), status(3, 7, 2));
         let (data, st) = t.claim(r).unwrap();
@@ -267,7 +265,7 @@ mod tests {
 
     #[test]
     fn failed_completions_unblock_without_data_and_keep_the_peer() {
-        let t = RequestTable::new();
+        let mut t = RequestTable::new();
         let s = t.create(ReqKind::Send, ReqPath::Net);
         let r = t.create(ReqKind::Recv, ReqPath::Net);
         assert_eq!(t.failed_peer(s), None);
@@ -284,7 +282,7 @@ mod tests {
 
     #[test]
     fn revoked_completions_carry_epoch_and_peer() {
-        let t = RequestTable::new();
+        let mut t = RequestTable::new();
         let s = t.create(ReqKind::Send, ReqPath::Net);
         let r = t.create(ReqKind::Recv, ReqPath::Net);
         assert_eq!(t.revoked_epoch(s), None);
@@ -306,7 +304,7 @@ mod tests {
 
     #[test]
     fn nmad_binding_roundtrip() {
-        let t = RequestTable::new();
+        let mut t = RequestTable::new();
         let r = t.create(ReqKind::Recv, ReqPath::Net);
         assert_eq!(t.nmad_binding(r), NmadBinding::None);
         t.bind_nmad(r, NmadBinding::Recv(nmad::RecvReqId(5)));
@@ -315,7 +313,7 @@ mod tests {
 
     #[test]
     fn anysource_path_updates_on_match() {
-        let t = RequestTable::new();
+        let mut t = RequestTable::new();
         let r = t.create(ReqKind::RecvAnySource, ReqPath::Unknown);
         assert_eq!(t.path(r), ReqPath::Unknown);
         t.set_path(r, ReqPath::Net);

@@ -19,6 +19,7 @@ use bytes::{Buf, Bytes, BytesMut};
 use parking_lot::Mutex;
 
 use crate::api::{MpiHandle, Src};
+use crate::ch3::word;
 
 /// Reserved user-tag range for RMA traffic (kept clear of applications by
 /// convention, as MPICH2 reserves context ids).
@@ -61,23 +62,29 @@ impl Op {
         b.freeze()
     }
 
-    fn decode(mut raw: Bytes) -> Op {
-        match raw.get_u8() {
-            0 => Op::Put {
-                offset: raw.get_u64_le() as usize,
-                data: raw,
-            },
-            1 => Op::Get {
-                offset: raw.get_u64_le() as usize,
-                len: raw.get_u64_le() as usize,
-                get_id: raw.get_u64_le(),
-            },
-            2 => Op::AccSum {
-                offset: raw.get_u64_le() as usize,
-                data: raw,
-            },
-            v => panic!("unknown RMA op {v}"),
-        }
+    /// Decode [`Op::encode`]'s output. The bytes came from another rank:
+    /// a truncated header, an unknown variant, a `Get` with trailing bytes
+    /// or an `AccSum` that is not whole f64s is `None` (the fence counts
+    /// and drops it), never a panic.
+    fn decode(mut raw: Bytes) -> Option<Op> {
+        let variant = (!raw.is_empty()).then(|| raw.get_u8())?;
+        let offset = word(&mut raw)? as usize;
+        Some(match variant {
+            0 => Op::Put { offset, data: raw },
+            1 => {
+                let (len, get_id) = (word(&mut raw)? as usize, word(&mut raw)?);
+                if !raw.is_empty() {
+                    return None;
+                }
+                Op::Get {
+                    offset,
+                    len,
+                    get_id,
+                }
+            }
+            2 if raw.len().is_multiple_of(8) => Op::AccSum { offset, data: raw },
+            _ => return None,
+        })
     }
 }
 
@@ -86,14 +93,22 @@ pub struct GetHandle {
     id: u64,
 }
 
+/// What a window's one lock guards.
+struct Epoch {
+    /// The exposed memory.
+    local: Vec<u8>,
+    /// Ops issued this epoch, per target.
+    outgoing: Vec<Vec<Op>>,
+    /// Completed get results by id.
+    gets: std::collections::HashMap<u64, Bytes>,
+    next_get: u64,
+    /// Inbound ops and get replies that did not decode: counted, dropped.
+    malformed: u64,
+}
+
 /// An RMA window: every rank exposes `size` bytes.
 pub struct Window {
-    local: Mutex<Vec<u8>>,
-    /// Ops issued this epoch, per target.
-    outgoing: Mutex<Vec<Vec<Op>>>,
-    /// Completed get results by id.
-    gets: Mutex<std::collections::HashMap<u64, Bytes>>,
-    next_get: Mutex<u64>,
+    state: Mutex<Epoch>,
     nranks: usize,
     my_rank: usize,
 }
@@ -107,10 +122,13 @@ impl Window {
         local[..init.len()].copy_from_slice(init);
         mpi.barrier(); // window creation is collective
         Window {
-            local: Mutex::new(local),
-            outgoing: Mutex::new((0..mpi.size()).map(|_| Vec::new()).collect()),
-            gets: Mutex::new(Default::default()),
-            next_get: Mutex::new(0),
+            state: Mutex::new(Epoch {
+                local,
+                outgoing: (0..mpi.size()).map(|_| Vec::new()).collect(),
+                gets: Default::default(),
+                next_get: 0,
+                malformed: 0,
+            }),
             nranks: mpi.size(),
             my_rank: mpi.rank(),
         }
@@ -120,14 +138,19 @@ impl Window {
     pub fn local(&self) -> Vec<u8> {
         // Ownership constraint: the snapshot must outlive the window lock
         // (concurrent Puts keep mutating the exposed memory).
-        self.local.lock().clone()
+        self.state.lock().local.clone()
+    }
+
+    /// Inbound ops and get replies dropped because they did not decode.
+    pub fn malformed_ops(&self) -> u64 {
+        self.state.lock().malformed
     }
 
     /// MPI_Put: write `data` into `target`'s window at `offset` (visible
     /// after the next fence).
     pub fn put(&self, target: usize, offset: usize, data: &[u8]) {
         assert!(target < self.nranks);
-        self.outgoing.lock()[target].push(Op::Put {
+        self.state.lock().outgoing[target].push(Op::Put {
             offset,
             data: Bytes::copy_from_slice(data),
         });
@@ -137,14 +160,11 @@ impl Window {
     /// result is available through [`Window::get_result`] after the next
     /// fence.
     pub fn get(&self, target: usize, offset: usize, len: usize) -> GetHandle {
-        let id = {
-            let mut g = self.next_get.lock();
-            let v = *g;
-            *g += 1;
-            // Ids are namespaced by origin rank when they travel.
-            v
-        };
-        self.outgoing.lock()[target].push(Op::Get {
+        let st = &mut *self.state.lock();
+        // Ids are namespaced by origin rank when they travel.
+        let id = st.next_get;
+        st.next_get += 1;
+        st.outgoing[target].push(Op::Get {
             offset,
             len,
             get_id: id,
@@ -154,7 +174,7 @@ impl Window {
 
     /// MPI_Accumulate(MPI_SUM) of f64s into `target` at byte `offset`.
     pub fn accumulate_sum(&self, target: usize, offset: usize, values: &[f64]) {
-        self.outgoing.lock()[target].push(Op::AccSum {
+        self.state.lock().outgoing[target].push(Op::AccSum {
             offset,
             data: crate::collectives::f64s_to_bytes(values),
         });
@@ -162,10 +182,8 @@ impl Window {
 
     /// Fetch a completed get (after the fence that closed its epoch).
     pub fn get_result(&self, h: &GetHandle) -> Bytes {
-        self.gets
-            .lock()
-            .remove(&h.id)
-            .expect("get not completed — did you fence?")
+        let got = self.state.lock().gets.remove(&h.id);
+        got.expect("get not completed — did you fence?")
     }
 
     /// MPI_Win_fence: close the access epoch. Collective. All puts and
@@ -180,12 +198,8 @@ impl Window {
         assert_eq!(mpi.size(), self.nranks);
         let n = self.nranks;
         // 1. Everyone learns how many ops target it: all-to-all of counts.
-        let taken: Vec<Vec<Op>> = {
-            let mut out = self.outgoing.lock();
-            let t = std::mem::take(&mut *out);
-            *out = (0..n).map(|_| Vec::new()).collect();
-            t
-        };
+        let fresh = (0..n).map(|_| Vec::new()).collect();
+        let taken: Vec<Vec<Op>> = std::mem::replace(&mut self.state.lock().outgoing, fresh);
         let counts: Vec<Bytes> = taken
             .iter()
             .map(|ops| Bytes::copy_from_slice(&(ops.len() as u64).to_le_bytes()))
@@ -219,15 +233,23 @@ impl Window {
         // nonblocking for the same no-deadlock reason.
         for _ in 0..to_receive {
             let (raw, st) = mpi.recv(Src::Any, TAG_RMA_OP);
-            if let Some(reply) = self.apply(&Op::decode(raw), st.source) {
+            let Some(op) = Op::decode(raw) else {
+                self.state.lock().malformed += 1;
+                continue;
+            };
+            if let Some(reply) = self.apply(&op, st.source) {
                 send_reqs.push(mpi.isend_bytes(st.source, TAG_RMA_REPLY, reply));
             }
         }
         // 4. Collect replies for our remote gets.
         for _ in 0..remote_gets {
             let (mut raw, _) = mpi.recv(Src::Any, TAG_RMA_REPLY);
-            let id = raw.get_u64_le();
-            self.gets.lock().insert(id, raw);
+            let st = &mut *self.state.lock();
+            if raw.len() < 8 {
+                st.malformed += 1;
+                continue;
+            }
+            st.gets.insert(raw.get_u64_le(), raw);
         }
         mpi.waitall(&send_reqs);
         // 5. Everyone done before anyone proceeds.
@@ -238,14 +260,14 @@ impl Window {
     /// payload to transmit; everything else returns `None` (self-gets are
     /// stored directly).
     fn apply(&self, op: &Op, origin: usize) -> Option<Bytes> {
+        let st = &mut *self.state.lock();
+        let w = &mut st.local;
         match op {
             Op::Put { offset, data } => {
-                let mut w = self.local.lock();
                 w[*offset..offset + data.len()].copy_from_slice(data);
                 None
             }
             Op::AccSum { offset, data } => {
-                let mut w = self.local.lock();
                 let incoming = crate::collectives::bytes_to_f64s(data);
                 for (i, v) in incoming.iter().enumerate() {
                     let at = offset + i * 8;
@@ -259,12 +281,9 @@ impl Window {
                 len,
                 get_id,
             } => {
-                let chunk = {
-                    let w = self.local.lock();
-                    Bytes::copy_from_slice(&w[*offset..offset + len])
-                };
+                let chunk = Bytes::copy_from_slice(&w[*offset..offset + len]);
                 if origin == self.my_rank {
-                    self.gets.lock().insert(*get_id, chunk);
+                    st.gets.insert(*get_id, chunk);
                     None
                 } else {
                     let mut b = BytesMut::with_capacity(8 + chunk.len());
@@ -274,5 +293,41 @@ impl Window {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `decode` takes bytes another rank sent: a packet or `None`.
+    #[test]
+    fn decode_refuses_truncated_unknown_and_mislengthed_ops() {
+        let ops = [
+            Op::Put { offset: 3, data: Bytes::from_static(b"abc") },
+            Op::Get { offset: 1, len: 2, get_id: 9 },
+            Op::AccSum { offset: 8, data: crate::collectives::f64s_to_bytes(&[1.5, 2.5]) },
+        ];
+        for op in &ops {
+            let whole = op.encode();
+            assert_eq!(Op::decode(whole.clone()).map(|o| o.encode()), Some(whole.clone()));
+            // No prefix short of the fixed header decodes.
+            let header = if matches!(op, Op::Get { .. }) { 25 } else { 9 };
+            for cut in 0..header {
+                assert!(Op::decode(whole.slice(..cut)).is_none(), "cut at {cut}");
+            }
+        }
+        for variant in 3..=255u8 {
+            let mut raw = vec![variant];
+            raw.extend_from_slice(&[0u8; 24]);
+            assert!(Op::decode(Bytes::from(raw)).is_none(), "variant {variant}");
+        }
+        // Length mismatches: a Get with a trailing byte, an AccSum that is
+        // not whole f64s.
+        let mut get = ops[1].encode().to_vec();
+        get.push(0);
+        assert!(Op::decode(Bytes::from(get)).is_none());
+        let acc = ops[2].encode();
+        assert!(Op::decode(acc.slice(..acc.len() - 1)).is_none());
     }
 }

@@ -452,87 +452,48 @@ pub fn run_mpi(
     let mut cores_for_stats: Vec<Arc<NmCore>> = Vec::new();
     for r in 0..nranks {
         let vcs = VcTable::new(r, Arc::clone(&topo), cfg.bypass());
-        let has_remote = vcs.has_remote();
-        let (net, engine, costs, net_eager) = match &net_setup {
-            NetSetup::Direct(cores) => {
-                if cores_for_stats.len() <= r {
-                    cores_for_stats.push(Arc::clone(&cores[r]));
-                }
-                (
-                    if has_remote {
-                        NetPath::Direct(Arc::clone(&cores[r]))
-                    } else {
-                        NetPath::None
-                    },
-                    Ch3Engine::new(r, cfg.nm.eager_threshold, None)
-                        .with_copy_meter(&meter)
-                        .with_recorder(obs::RankRec::new(recorder.as_ref(), r as u32)),
-                    cfg.costs,
-                    cfg.nm.eager_threshold,
-                )
-            }
+        // A net set-up exists exactly when some rank lives on another node
+        // (`any_remote`), which is every rank's `vcs.has_remote()`.
+        let net = match &net_setup {
+            NetSetup::Direct(cores) => NetPath::Direct(Arc::clone(&cores[r])),
             NetSetup::Netmod(cores) => {
-                if cores_for_stats.len() <= r {
-                    cores_for_stats.push(Arc::clone(&cores[r]));
-                }
-                let net = if has_remote {
-                    let t = NmadNetmodTransport::new(
-                        Arc::clone(&cores[r]),
-                        vcs.remote_peers(),
-                    );
-                    NetPath::Ch3(Arc::new(t) as Arc<dyn Ch3Transport>)
-                } else {
-                    NetPath::None
-                };
-                (
-                    net,
-                    Ch3Engine::new(r, cfg.nm.eager_threshold, None)
-                        .with_copy_meter(&meter)
-                        .with_recorder(obs::RankRec::new(recorder.as_ref(), r as u32)),
-                    cfg.costs,
-                    cfg.nm.eager_threshold,
-                )
+                let t = NmadNetmodTransport::new(Arc::clone(&cores[r]), vcs.remote_peers());
+                NetPath::Ch3(Arc::new(t) as Arc<dyn Ch3Transport>)
             }
             NetSetup::Tailored(inboxes, fabric, profile) => {
-                let net = if has_remote {
-                    let t = FabricTransport::with_rdv_setup(
-                        Arc::clone(fabric),
-                        r,
-                        placement.node_of(r),
-                        RailId(0),
-                        Arc::clone(&rank_to_node),
-                        Arc::clone(&inboxes[r]),
-                        profile.reg_cache,
-                        profile.rdv_setup,
-                    );
-                    t.set_copy_meter(&meter);
-                    NetPath::Ch3(Arc::new(t) as Arc<dyn Ch3Transport>)
-                } else {
-                    NetPath::None
-                };
-                (
-                    net,
-                    Ch3Engine::with_ack(
-                        r,
-                        profile.eager_threshold,
-                        profile.rdv_chunk,
-                        profile.rdv_ack,
-                    )
-                    .with_copy_meter(&meter)
-                    .with_recorder(obs::RankRec::new(recorder.as_ref(), r as u32)),
-                    profile.costs,
-                    profile.eager_threshold,
+                let t = FabricTransport::new(
+                    Arc::clone(fabric),
+                    r,
+                    placement.node_of(r),
+                    RailId(0),
+                    Arc::clone(&rank_to_node),
+                    Arc::clone(&inboxes[r]),
+                    profile.reg_cache,
                 )
+                .with_rdv_setup(profile.rdv_setup)
+                .with_copy_meter(&meter);
+                NetPath::Ch3(Arc::new(t) as Arc<dyn Ch3Transport>)
             }
-            NetSetup::None => (
-                NetPath::None,
-                Ch3Engine::new(r, cfg.nm.eager_threshold, None)
-                        .with_copy_meter(&meter)
-                        .with_recorder(obs::RankRec::new(recorder.as_ref(), r as u32)),
+            NetSetup::None => NetPath::None,
+        };
+        if let NetSetup::Direct(cores) | NetSetup::Netmod(cores) = &net_setup {
+            cores_for_stats.push(Arc::clone(&cores[r]));
+        }
+        let (engine, costs, net_eager) = match &net_setup {
+            NetSetup::Tailored(_, _, p) => (
+                Ch3Engine::with_ack(p.eager_threshold, p.rdv_chunk, p.rdv_ack),
+                p.costs,
+                p.eager_threshold,
+            ),
+            _ => (
+                Ch3Engine::new(cfg.nm.eager_threshold, None),
                 cfg.costs,
                 cfg.nm.eager_threshold,
             ),
         };
+        let engine = engine
+            .with_copy_meter(&meter)
+            .with_recorder(obs::RankRec::new(recorder.as_ref(), r as u32));
         // Shared-memory transport (only when the node hosts >1 rank).
         let node = topo.node_of(r);
         let colocated = topo.node_ranks(r).len() > 1;
@@ -628,24 +589,13 @@ pub fn run_mpi(
         // diagnosable from the panic output.
         eprintln!("=== MPI job '{}' failed: {e} ===", cfg.name);
         for (r, st) in states.iter().enumerate() {
-            let (posted, unexpected) =
-                (st.engine.queues.posted_len(), st.engine.queues.unexpected_len());
-            let (unex_bytes, unex_hwm) = (
-                st.engine.queues.unexpected_bytes(),
-                st.engine.queues.unexpected_hwm(),
-            );
-            let rdv = st.engine.rdv_in_flight();
-            let proto_errs = st.engine.protocol_errors();
+            let rank = st.with_state(|st| st.snapshot());
             let nm = match &st.net {
                 NetPath::Direct(core) => core.snapshot().to_string(),
-                NetPath::Ch3(t) => format!("ch3-net {}", t.debug_state()),
+                NetPath::Ch3(t) => format!("ch3-net {}", t.snapshot()),
                 NetPath::None => "no-net".into(),
             };
-            eprintln!(
-                "  rank{r}: ch3 posted={posted} unexpected={unexpected} \
-                 unex_bytes={unex_bytes}B (hwm {unex_hwm}B) rdv_in_flight={rdv} \
-                 protocol_errors={proto_errs}; {nm}"
-            );
+            eprintln!("  rank{r}: {rank}; {nm}");
         }
         panic!("MPI job '{}' failed: {e}", cfg.name);
     });

@@ -20,10 +20,14 @@
 //! measures.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Once, OnceLock};
 
 use parking_lot::Mutex;
-use simnet::{BufOrigin, CopyMeter, Fabric, NmBuf, NodeId, RailId, Scheduler, SimTime};
+use simnet::{
+    BufOrigin, CopyMeter, CopySnapshot, Fabric, NmBuf, NodeId, RailId, Scheduler, SimTime,
+};
 
 use nemesis::{MsgHeader, ShmDomain};
 use nmad::sr::CompletionKind;
@@ -53,10 +57,8 @@ pub trait Ch3Transport: Send + Sync {
     /// Install the inbound-event hook.
     fn set_event_hook(&self, hook: EventHook);
 
-    /// One-line internal-state summary for failure diagnostics.
-    fn debug_state(&self) -> String {
-        String::new()
-    }
+    /// The transport's state as one typed value (failure diagnostics).
+    fn snapshot(&self) -> TransportSnapshot;
 
     /// Is all outbound work this transport is responsible for finished?
     /// Drives the MPI_Finalize drain: a rank may not stop progressing
@@ -70,6 +72,71 @@ pub trait Ch3Transport: Send + Sync {
     /// retransmission deadline), kick or no kick.
     fn next_deadline(&self) -> Option<SimTime> {
         None
+    }
+}
+
+/// A [`Ch3Transport`] at one instant. Its `Display` is the transport's
+/// part of a failed run's dump line — the only place transport state is
+/// formatted.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum TransportSnapshot {
+    Shm {
+        local: usize,
+        /// Mailbox deliveries raised and not yet polled.
+        pending_deliveries: u64,
+        /// Fragment-reassembly bytes held now, and at most so far.
+        reasm_bytes: usize,
+        reasm_hwm: usize,
+        copy: CopySnapshot,
+    },
+    Fabric {
+        rank: usize,
+        outbox: usize,
+        inbox: usize,
+        /// `None`: no job-wide meter was wired in.
+        copy: Option<CopySnapshot>,
+    },
+    Netmod {
+        /// Tunnelled frames that did not decode, counted and dropped.
+        malformed: u64,
+        core: Box<nmad::engine::EngineSnapshot>,
+    },
+}
+
+impl fmt::Display for TransportSnapshot {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            TransportSnapshot::Shm {
+                local,
+                pending_deliveries,
+                reasm_bytes,
+                reasm_hwm,
+                copy,
+            } => write!(
+                f,
+                "shm local={local} outbox=0 pending_deliveries={pending_deliveries} \
+                 reasm[cur={reasm_bytes}B hwm={reasm_hwm}B] copy[{copy}] \
+                 failover[n/a: shared memory has no rails] \
+                 flow[n/a: cell pool is the shm backpressure]"
+            ),
+            TransportSnapshot::Fabric {
+                rank,
+                outbox,
+                inbox,
+                copy,
+            } => {
+                let copy = copy.map_or("unmetered".into(), |c| c.to_string());
+                write!(
+                    f,
+                    "fabric rank={rank} outbox={outbox} inbox={inbox} copy[{copy}] \
+                     failover[n/a: tailored stack is single-rail] \
+                     flow[n/a: tailored stack has no credits]"
+                )
+            }
+            TransportSnapshot::Netmod { malformed, core } => {
+                write!(f, "netmod malformed_frames={malformed} {core}")
+            }
+        }
     }
 }
 
@@ -188,16 +255,14 @@ impl Ch3Transport for ShmTransport {
             .set_delivery_hook(local, Arc::new(move |s, _l| hook(s)));
     }
 
-    fn debug_state(&self) -> String {
-        format!(
-            "shm local={} outbox=0 pending_deliveries={} reasm[cur={}B hwm={}B] copy[{}] \
-             failover[n/a: shared memory has no rails] flow[n/a: cell pool is the shm backpressure]",
-            self.my_local,
-            self.domain.mailbox(self.my_local).pending(),
-            self.domain.reassembly_bytes(self.my_local),
-            self.domain.reassembly_hwm(self.my_local),
-            self.domain.meter().snapshot(),
-        )
+    fn snapshot(&self) -> TransportSnapshot {
+        TransportSnapshot::Shm {
+            local: self.my_local,
+            pending_deliveries: self.domain.mailbox(self.my_local).pending(),
+            reasm_bytes: self.domain.reassembly_bytes(self.my_local),
+            reasm_hwm: self.domain.reassembly_hwm(self.my_local),
+            copy: self.domain.meter().snapshot(),
+        }
     }
 }
 
@@ -213,18 +278,11 @@ pub struct Ch3Wire {
 }
 
 /// Shared inbox a fabric sink pushes into (one per rank).
+#[derive(Default)]
 pub struct Inbox {
     q: Mutex<VecDeque<(usize, Ch3Pkt)>>,
-    hook: Mutex<Option<EventHook>>,
-}
-
-impl Default for Inbox {
-    fn default() -> Self {
-        Inbox {
-            q: Mutex::new(VecDeque::new()),
-            hook: Mutex::new(None),
-        }
-    }
+    /// Set once, at wiring time.
+    hook: OnceLock<EventHook>,
 }
 
 impl Inbox {
@@ -235,9 +293,8 @@ impl Inbox {
     /// Deliver a packet (called by the node's fabric sink).
     pub fn push(&self, sched: &Scheduler, src: usize, pkt: Ch3Pkt) {
         self.q.lock().push_back((src, pkt));
-        let hook = self.hook.lock().as_ref().map(Arc::clone);
-        if let Some(h) = hook {
-            h(sched);
+        if let Some(hook) = self.hook.get() {
+            hook(sched);
         }
     }
 }
@@ -257,12 +314,13 @@ pub struct FabricTransport {
     /// Pipeline-startup delay before a CTS leaves (tailored stacks with a
     /// costly rendezvous protocol switch).
     rdv_setup: simnet::SimDuration,
-    /// Job-wide copy meter, installed by the stack builder (diagnostics;
-    /// the payload handles carry the charging meter themselves).
-    meter: Mutex<Option<Arc<CopyMeter>>>,
+    /// Job-wide copy meter (diagnostics; the payload handles carry the
+    /// charging meter themselves).
+    meter: Option<Arc<CopyMeter>>,
 }
 
 impl FabricTransport {
+    /// No pipeline-startup delay and no meter; see the builders below.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         fabric: Arc<Fabric<Ch3Wire>>,
@@ -273,29 +331,6 @@ impl FabricTransport {
         inbox: Arc<Inbox>,
         reg_cache: bool,
     ) -> FabricTransport {
-        Self::with_rdv_setup(
-            fabric,
-            my_rank,
-            node,
-            rail,
-            rank_to_node,
-            inbox,
-            reg_cache,
-            simnet::SimDuration::ZERO,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_rdv_setup(
-        fabric: Arc<Fabric<Ch3Wire>>,
-        my_rank: usize,
-        node: NodeId,
-        rail: RailId,
-        rank_to_node: Arc<Vec<NodeId>>,
-        inbox: Arc<Inbox>,
-        reg_cache: bool,
-        rdv_setup: simnet::SimDuration,
-    ) -> FabricTransport {
         FabricTransport {
             fabric,
             my_rank,
@@ -305,14 +340,22 @@ impl FabricTransport {
             outbox: Mutex::new(VecDeque::new()),
             inbox,
             reg_cache,
-            rdv_setup,
-            meter: Mutex::new(None),
+            rdv_setup: simnet::SimDuration::ZERO,
+            meter: None,
         }
     }
 
-    /// Install the job-wide copy meter (shown by [`Ch3Transport::debug_state`]).
-    pub fn set_copy_meter(&self, meter: &Arc<CopyMeter>) {
-        *self.meter.lock() = Some(Arc::clone(meter));
+    /// Charge `rdv_setup` before each CTS leaves (builder style).
+    pub fn with_rdv_setup(mut self, rdv_setup: simnet::SimDuration) -> FabricTransport {
+        self.rdv_setup = rdv_setup;
+        self
+    }
+
+    /// Attach the job-wide copy meter (builder style; shown by
+    /// [`Ch3Transport::snapshot`]).
+    pub fn with_copy_meter(mut self, meter: &Arc<CopyMeter>) -> FabricTransport {
+        self.meter = Some(Arc::clone(meter));
+        self
     }
 }
 
@@ -364,23 +407,16 @@ impl Ch3Transport for FabricTransport {
     }
 
     fn set_event_hook(&self, hook: EventHook) {
-        *self.inbox.hook.lock() = Some(hook);
+        assert!(self.inbox.hook.set(hook).is_ok(), "inbox hook installed twice");
     }
 
-    fn debug_state(&self) -> String {
-        let copy = self
-            .meter
-            .lock()
-            .as_ref()
-            .map(|m| m.snapshot().to_string())
-            .unwrap_or_else(|| "unmetered".into());
-        format!(
-            "fabric rank={} outbox={} inbox={} copy[{copy}] \
-             failover[n/a: tailored stack is single-rail] flow[n/a: tailored stack has no credits]",
-            self.my_rank,
-            self.outbox.lock().len(),
-            self.inbox.q.lock().len(),
-        )
+    fn snapshot(&self) -> TransportSnapshot {
+        TransportSnapshot::Fabric {
+            rank: self.my_rank,
+            outbox: self.outbox.lock().len(),
+            inbox: self.inbox.q.lock().len(),
+            copy: self.meter.as_ref().map(|m| m.snapshot()),
+        }
     }
 
     fn quiescent(&self) -> bool {
@@ -404,7 +440,9 @@ pub struct NmadNetmodTransport {
     core: Arc<NmCore>,
     /// Remote peers (one pre-posted receive each, reposted on completion).
     peers: Vec<usize>,
-    started: Mutex<bool>,
+    started: Once,
+    /// Tunnelled frames [`Ch3Pkt::decode`] refused: counted and dropped.
+    malformed: AtomicU64,
     /// The core's copy meter, re-attached to inbound frames (the completion
     /// boundary hands out plain `Bytes`, which drops the lineage).
     meter: Arc<CopyMeter>,
@@ -416,22 +454,20 @@ impl NmadNetmodTransport {
         NmadNetmodTransport {
             core,
             peers,
-            started: Mutex::new(false),
+            started: Once::new(),
+            malformed: AtomicU64::new(0),
             meter,
         }
     }
 
     /// `net_module_init`: pre-post one receive per remote gate.
     fn ensure_started(&self, sched: &Scheduler) {
-        let mut started = self.started.lock();
-        if *started {
-            return;
-        }
-        *started = true;
-        for &p in &self.peers {
-            self.core
-                .irecv(sched, p, NETMOD_KEY, NETMOD_RECV_BASE + p as u64);
-        }
+        self.started.call_once(|| {
+            for &p in &self.peers {
+                self.core
+                    .irecv(sched, p, NETMOD_KEY, NETMOD_RECV_BASE + p as u64);
+            }
+        });
     }
 }
 
@@ -458,7 +494,14 @@ impl Ch3Transport for NmadNetmodTransport {
                 CompletionKind::Recv { data, gate, .. } => {
                     debug_assert_eq!(c.cookie, NETMOD_RECV_BASE + gate.0 as u64);
                     let frame = NmBuf::adopt(data, BufOrigin::Ch3, &self.meter);
-                    out.push((gate.0, Ch3Pkt::decode(frame)));
+                    // The frame crossed a wire: one that does not decode is
+                    // counted and dropped, and the gate stays served.
+                    match Ch3Pkt::decode(frame) {
+                        Some(pkt) => out.push((gate.0, pkt)),
+                        None => {
+                            self.malformed.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
                     // Repost — the module must always be ready to poll.
                     self.core
                         .irecv(sched, gate.0, NETMOD_KEY, NETMOD_RECV_BASE + gate.0 as u64);
@@ -489,8 +532,11 @@ impl Ch3Transport for NmadNetmodTransport {
         self.core.set_event_hook(hook);
     }
 
-    fn debug_state(&self) -> String {
-        format!("netmod {}", self.core.snapshot())
+    fn snapshot(&self) -> TransportSnapshot {
+        TransportSnapshot::Netmod {
+            malformed: self.malformed.load(Ordering::Relaxed),
+            core: Box::new(self.core.snapshot()),
+        }
     }
 
     fn quiescent(&self) -> bool {
@@ -617,10 +663,10 @@ mod tests {
             // Outboxed: nothing on the wire yet.
             ctx.advance(SimDuration::micros(10));
             assert_eq!(port0.counters().0, 0, "send must be deferred");
-            let state = t0b.debug_state();
+            let state = t0b.snapshot();
             assert!(
-                state.contains("outbox=1"),
-                "deferred packet missing from debug_state: {state}"
+                matches!(state, TransportSnapshot::Fabric { outbox: 1, .. }),
+                "deferred packet missing from the snapshot: {state}"
             );
             t0b.progress(&sched); // flush
         });
@@ -639,41 +685,50 @@ mod tests {
         sim.run().unwrap();
     }
 
-    /// Satellite check: every transport's `debug_state` reports its outbox
-    /// depth and the copy-meter counters it is wired to.
+    /// The three hand-formatted `debug_state()` strings became one typed
+    /// [`TransportSnapshot`]; its `Display` is pinned here against the old
+    /// text of an shm and a fabric dump, so nothing they reported is lost.
     #[test]
     fn debug_state_reports_outbox_and_copy_meter() {
         let meter = CopyMeter::new();
+        meter.record_alloc();
+        meter.record_copy(64);
 
         let domain =
             ShmDomain::with_meter(&[0, 1], 16, nemesis::ShmModel::xeon(), Arc::clone(&meter));
         let l: Arc<dyn Fn(usize) -> usize + Send + Sync> = Arc::new(|g| g);
         let shm = ShmTransport::new(domain, 0, l);
-        let s = shm.debug_state();
-        assert!(s.contains("copy["), "shm debug_state lacks copy meter: {s}");
-        assert!(
-            s.contains("reasm[") && s.contains("flow["),
-            "shm debug_state lacks reassembly/flow state: {s}"
+        assert_eq!(
+            shm.snapshot().to_string(),
+            "shm local=0 outbox=0 pending_deliveries=0 reasm[cur=0B hwm=0B] \
+             copy[memcpy=1 (64 B) alloc=1 slice=0] \
+             failover[n/a: shared memory has no rails] \
+             flow[n/a: cell pool is the shm backpressure]"
         );
 
         let fabric: Arc<Fabric<Ch3Wire>> =
             Fabric::new(2, vec![simnet::NicModel::connectx_ib()]);
         let rank_to_node = Arc::new(vec![NodeId(0), NodeId(1)]);
-        let ft = FabricTransport::new(
-            Arc::clone(&fabric),
-            0,
-            NodeId(0),
-            RailId(0),
-            Arc::clone(&rank_to_node),
-            Inbox::new(),
-            false,
+        let new_ft = || {
+            FabricTransport::new(
+                Arc::clone(&fabric),
+                0,
+                NodeId(0),
+                RailId(0),
+                Arc::clone(&rank_to_node),
+                Inbox::new(),
+                false,
+            )
+        };
+        let ft = new_ft().with_copy_meter(&meter);
+        assert_eq!(ft.snapshot(), ft.snapshot());
+        assert_eq!(
+            ft.snapshot().to_string(),
+            "fabric rank=0 outbox=0 inbox=0 copy[memcpy=1 (64 B) alloc=1 slice=0] \
+             failover[n/a: tailored stack is single-rail] \
+             flow[n/a: tailored stack has no credits]"
         );
-        ft.set_copy_meter(&meter);
-        let s = ft.debug_state();
-        assert!(
-            s.contains("outbox=") && s.contains("copy[") && s.contains("flow["),
-            "fabric debug_state incomplete: {s}"
-        );
+        assert!(new_ft().snapshot().to_string().contains("copy[unmetered]"));
 
         let nm_fabric: Arc<Fabric<nmad::NmWire>> =
             Fabric::new(2, vec![simnet::NicModel::connectx_ib()]);
@@ -688,10 +743,13 @@ mod tests {
             },
         );
         let nt = NmadNetmodTransport::new(core, vec![1]);
-        let s = nt.debug_state();
+        let s = nt.snapshot().to_string();
         assert!(
-            s.contains("outbox=") && s.contains("copy[") && s.contains("flow[off"),
-            "netmod debug_state incomplete: {s}"
+            s.starts_with("netmod malformed_frames=0 ")
+                && s.contains("outbox=")
+                && s.contains("copy[")
+                && s.contains("flow[off"),
+            "netmod snapshot incomplete: {s}"
         );
     }
 }

@@ -22,7 +22,6 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use simnet::{Placement, TopoMap};
 
 /// Where traffic for one destination flows.
@@ -40,18 +39,42 @@ pub enum VcPath {
     Ch3Net,
 }
 
-/// The per-process VC table: a view over the shared topology map rather
-/// than a materialised per-destination vector.
+/// The per-process VC table: an immutable view over the shared topology
+/// map rather than a materialised per-destination vector. The one thing
+/// about a connection that changes at run time — its teardown — is
+/// [`RetiredVcs`], a field of the rank's mutable state.
 pub struct VcTable {
     topo: Arc<TopoMap>,
     my_rank: usize,
     bypass: bool,
-    /// Dynamically torn-down connections: peers this rank's membership
-    /// supervisor has declared dead. VC *establishment* is implicit and
-    /// lazy (the interned table materialises nothing per destination until
-    /// traffic flows — a late joiner needs no setup call); *teardown* is
-    /// explicit and sticky, mirroring the one-way Up→Dead verdict.
-    retired: Mutex<HashSet<usize>>,
+}
+
+/// Dynamically torn-down connections: peers this rank's membership
+/// supervisor has declared dead. VC *establishment* is implicit and lazy
+/// (the interned table materialises nothing per destination until traffic
+/// flows — a late joiner needs no setup call); *teardown* is explicit and
+/// sticky, mirroring the one-way Up→Dead verdict. The path computation is
+/// untouched by it (the topology is immutable job-wide state); callers
+/// consult [`RetiredVcs::is_retired`] before initiating new traffic.
+#[derive(Default)]
+pub struct RetiredVcs(HashSet<usize>);
+
+impl RetiredVcs {
+    /// Tear down the virtual connection to `dst` after a death verdict.
+    /// Returns `true` on the first retirement, `false` if already retired.
+    pub fn retire(&mut self, dst: usize) -> bool {
+        self.0.insert(dst)
+    }
+
+    /// Has the connection to `dst` been torn down?
+    pub fn is_retired(&self, dst: usize) -> bool {
+        self.0.contains(&dst)
+    }
+
+    /// How many connections have been retired.
+    pub fn count(&self) -> usize {
+        self.0.len()
+    }
 }
 
 impl VcTable {
@@ -63,7 +86,6 @@ impl VcTable {
             topo,
             my_rank,
             bypass,
-            retired: Mutex::new(HashSet::new()),
         }
     }
 
@@ -90,27 +112,6 @@ impl VcTable {
 
     pub fn my_rank(&self) -> usize {
         self.my_rank
-    }
-
-    /// Tear down the virtual connection to `dst` after a death verdict.
-    /// Returns `true` on the first retirement, `false` if already retired.
-    /// The path computation itself is untouched (the topology is immutable
-    /// job-wide state); callers consult [`VcTable::is_retired`] before
-    /// initiating new traffic.
-    pub fn retire(&self, dst: usize) -> bool {
-        self.retired.lock().insert(dst)
-    }
-
-    /// Has the connection to `dst` been torn down? Sticky, like the Dead
-    /// verdict that drives it.
-    pub fn is_retired(&self, dst: usize) -> bool {
-        self.retired.lock().contains(&dst)
-    }
-
-    /// How many connections have been retired (dead peers seen by this
-    /// rank's table).
-    pub fn retired_count(&self) -> usize {
-        self.retired.lock().len()
     }
 
     /// The shared topology map this table is a view over.
@@ -186,12 +187,13 @@ mod tests {
         let cluster = Cluster::new(2, 2, vec![]);
         let p = Placement::block(4, &cluster);
         let vc = VcTable::from_placement(0, &p, true);
-        assert!(!vc.is_retired(2));
-        assert!(vc.retire(2), "first retirement is fresh");
-        assert!(!vc.retire(2), "second retirement is a no-op");
-        assert!(vc.is_retired(2));
-        assert!(!vc.is_retired(3), "other peers unaffected");
-        assert_eq!(vc.retired_count(), 1);
+        let mut retired = RetiredVcs::default();
+        assert!(!retired.is_retired(2));
+        assert!(retired.retire(2), "first retirement is fresh");
+        assert!(!retired.retire(2), "second retirement is a no-op");
+        assert!(retired.is_retired(2));
+        assert!(!retired.is_retired(3), "other peers unaffected");
+        assert_eq!(retired.count(), 1);
         // Path computation is unchanged — teardown is a policy bit, not a
         // topology mutation.
         assert_eq!(vc.path(2), VcPath::NmadDirect);

@@ -81,8 +81,8 @@ proptest! {
     #[test]
     fn anysource_lists_match_model(ops in proptest::collection::vec(op_strategy(), 1..60)) {
         let tags: [u32; 3] = [5, 9, 1000];
-        let table = RequestTable::new();
-        let lists = AnySourceLists::new();
+        let mut table = RequestTable::new();
+        let mut lists = AnySourceLists::new();
         let mut model: BTreeMap<u64, VecDeque<MEntry>> = BTreeMap::new();
         let mut flags: Vec<(Req, ActiveFlag)> = Vec::new();
         let mut retired: Vec<Req> = Vec::new();

@@ -191,7 +191,7 @@ proptest! {
     /// accounting and probe results included.
     #[test]
     fn posted_and_unexpected_stay_disjoint(ops in proptest::collection::vec(qop_strategy(), 1..60)) {
-        let table = RequestTable::new();
+        let mut table = RequestTable::new();
         let q = Ch3Queues::new();
         // Shadow model: live posted entries (with their shared active
         // flags) and unexpected messages, both in queue order.
@@ -461,7 +461,7 @@ proptest! {
     fn wildcard_matching_is_fifo_and_disjoint(
         ops in proptest::collection::vec(wop_strategy(), 1..60),
     ) {
-        let table = RequestTable::new();
+        let mut table = RequestTable::new();
         let q = Ch3Queues::new();
         let mut posts: Vec<WPost> = Vec::new();           // mirror, post order
         let mut unexq: Vec<(usize, usize, u64)> = Vec::new(); // (id, src, key), arrival order
