@@ -258,39 +258,47 @@ impl Window {
 
     /// Apply one op to the local window. A remote `get` returns the reply
     /// payload to transmit; everything else returns `None` (self-gets are
-    /// stored directly).
+    /// stored directly). Offsets and lengths came off the wire: an op
+    /// whose range overflows or leaves the window is counted in
+    /// `malformed` and touches nothing; a remote one answers an empty
+    /// reply, which its origin counts in turn, so neither side waits on
+    /// the other in the fence.
     fn apply(&self, op: &Op, origin: usize) -> Option<Bytes> {
         let st = &mut *self.state.lock();
-        let w = &mut st.local;
+        let (offset, len) = match op {
+            Op::Put { offset, data } | Op::AccSum { offset, data } => (*offset, data.len()),
+            Op::Get { offset, len, .. } => (*offset, *len),
+        };
+        let Some(w) = offset
+            .checked_add(len)
+            .and_then(|end| st.local.get_mut(offset..end))
+        else {
+            st.malformed += 1;
+            let remote_get = matches!(op, Op::Get { .. }) && origin != self.my_rank;
+            return remote_get.then(Bytes::new);
+        };
         match op {
-            Op::Put { offset, data } => {
-                w[*offset..offset + data.len()].copy_from_slice(data);
+            Op::Put { data, .. } => {
+                w.copy_from_slice(data);
                 None
             }
-            Op::AccSum { offset, data } => {
+            Op::AccSum { data, .. } => {
                 let incoming = crate::collectives::bytes_to_f64s(data);
-                for (i, v) in incoming.iter().enumerate() {
-                    let at = offset + i * 8;
-                    let cur = f64::from_le_bytes(w[at..at + 8].try_into().unwrap());
-                    w[at..at + 8].copy_from_slice(&(cur + v).to_le_bytes());
+                for (cell, v) in w.chunks_exact_mut(8).zip(incoming) {
+                    let cur = f64::from_le_bytes((&*cell).try_into().unwrap());
+                    cell.copy_from_slice(&(cur + v).to_le_bytes());
                 }
                 None
             }
-            Op::Get {
-                offset,
-                len,
-                get_id,
-            } => {
-                let chunk = Bytes::copy_from_slice(&w[*offset..offset + len]);
-                if origin == self.my_rank {
-                    st.gets.insert(*get_id, chunk);
-                    None
-                } else {
-                    let mut b = BytesMut::with_capacity(8 + chunk.len());
-                    b.extend_from_slice(&get_id.to_le_bytes());
-                    b.extend_from_slice(&chunk);
-                    Some(b.freeze())
-                }
+            Op::Get { get_id, .. } if origin == self.my_rank => {
+                st.gets.insert(*get_id, Bytes::copy_from_slice(w));
+                None
+            }
+            Op::Get { get_id, .. } => {
+                let mut b = BytesMut::with_capacity(8 + w.len());
+                b.extend_from_slice(&get_id.to_le_bytes());
+                b.extend_from_slice(w);
+                Some(b.freeze())
             }
         }
     }

@@ -135,3 +135,35 @@ fn put_then_get_ordering_across_epochs() {
     });
     assert!(oks.into_iter().all(|b| b));
 }
+
+/// Offsets and lengths reach the target off the wire. An op whose range
+/// overflows or leaves the window used to panic the target rank; now it
+/// is counted and dropped, the window is untouched, an out-of-range get
+/// is answered with an empty reply (counted again at its origin), the
+/// fence returns on both sides and a legitimate put beside them lands.
+#[test]
+fn out_of_range_ops_are_counted_and_leave_the_window_untouched() {
+    const SIZE: usize = 64;
+    let cluster = Cluster::xeon_pair();
+    let placement = Placement::one_per_node(2, &cluster);
+    let stack = StackConfig::mpich2_nmad(false);
+    let init: Vec<u8> = (0..SIZE as u8).collect();
+    let (_, oks) = run_mpi_collect(&cluster, &placement, &stack, 2, move |mpi| {
+        let win = Window::create(mpi, SIZE, &init);
+        if mpi.rank() == 0 {
+            win.put(1, usize::MAX, b"wraps");
+            let _ = win.get(1, 0, SIZE + 1);
+            win.accumulate_sum(1, SIZE - 8, &[1.0, 2.0]);
+            win.put(1, 8, b"legit!!!");
+        }
+        win.fence(mpi);
+        let mut want = init.clone();
+        if mpi.rank() == 1 {
+            want[8..16].copy_from_slice(b"legit!!!");
+        }
+        // Rank 1 dropped the three forged ops; rank 0 the empty get reply.
+        let malformed = [1, 3][mpi.rank()];
+        win.local() == want && win.malformed_ops() == malformed
+    });
+    assert_eq!(oks, [true, true]);
+}
