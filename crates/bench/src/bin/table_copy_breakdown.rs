@@ -5,8 +5,9 @@
 //! each zero-copy share. This table prints the per-message totals for the
 //! paper's bypass integration (§3.1) against the legacy netmod tunnel
 //! (§2.1.3): the tunnel pays the module-queue encode copy of Fig. 2 on
-//! every frame, the bypass path pays exactly the MPI-boundary copy-in plus
-//! the receive-side reassembly, independent of chunking.
+//! every frame, the bypass path pays exactly the MPI-boundary copy-in,
+//! independent of chunking: the receiver hands the DATA chunks over as one
+//! view of the sender's payload.
 
 use std::sync::Arc;
 
@@ -90,6 +91,7 @@ fn main() {
         "memcpy/bytes = physical copies of payload bytes; shares = zero-copy\n\
          refcount bumps. The tunnel's extra memcpys per message are the\n\
          module-queue encode copies of Fig. 2; the bypass path stays at the\n\
-         MPI-boundary copy-in plus receive-side reassembly."
+         MPI-boundary copy-in, its rendezvous receive rejoining the chunks\n\
+         as one view of the sender's payload."
     );
 }

@@ -3,8 +3,7 @@
 
 use std::collections::BTreeSet;
 
-use bytes::Bytes;
-use simnet::{BufOrigin, NmBuf, SimTime};
+use simnet::{NmBuf, SimTime};
 
 use super::{mkey, pctx, Engine, Outcome, RecvReq, MEMBER_PROBE_BIT};
 use crate::gate::{RdvIn, RetxTimer};
@@ -13,41 +12,6 @@ use crate::pack::{PacketWrapper, PwBody, PwId};
 use crate::protocol::{self, Action, Verdict};
 use crate::sr::RecvReqId;
 use crate::wire::{EagerFrag, NmWire, WirePayload};
-
-/// How many bytes of `[start, end)` are *not* already covered by the
-/// sorted, disjoint range set — computed without mutating, so the
-/// protocol table's `Last` guard can be answered before the copy runs.
-fn fresh_len(ranges: &[(usize, usize)], start: usize, end: usize) -> usize {
-    let mut fresh = end - start;
-    for &(rs, re) in ranges {
-        let os = start.max(rs);
-        let oe = end.min(re);
-        if os < oe {
-            fresh -= oe - os;
-        }
-    }
-    fresh
-}
-
-/// Merge `[start, end)` into a sorted, disjoint range set; returns how many
-/// bytes of the new range were not already covered.
-fn insert_range(ranges: &mut Vec<(usize, usize)>, start: usize, end: usize) -> usize {
-    let fresh = fresh_len(ranges, start, end);
-    ranges.push((start, end));
-    ranges.sort_unstable();
-    let mut merged: Vec<(usize, usize)> = Vec::with_capacity(ranges.len());
-    for &(rs, re) in ranges.iter() {
-        if let Some(last) = merged.last_mut() {
-            if rs <= last.1 {
-                last.1 = last.1.max(re);
-                continue;
-            }
-        }
-        merged.push((rs, re));
-    }
-    *ranges = merged;
-    fresh
-}
 
 impl Engine {
     /// `nm_sr_irecv`: post a receive for `(src, tag)`. If a matching
@@ -456,7 +420,7 @@ impl Engine {
         }
     }
 
-    /// The receiver matched an RTS: allocate the landing buffer and queue a
+    /// The receiver matched an RTS: open the inbound record and queue a
     /// CTS control packet back to the sender.
     #[allow(clippy::too_many_arguments)]
     fn start_rdv_in(
@@ -469,8 +433,8 @@ impl Engine {
         rdv_id: u64,
         len: usize,
     ) {
-        // `entry/rts-matched`: allocate the landing buffer, answer with
-        // the CTS, arm the progress timer (`ArmRecvTimer` is a no-op
+        // `entry/rts-matched`: open the record the chunks land in, answer
+        // with the CTS, arm the progress timer (`ArmRecvTimer` is a no-op
         // without retry).
         let verdict = protocol::step(
             protocol::State::Gone,
@@ -482,33 +446,20 @@ impl Engine {
         };
         debug_assert!(actions.contains(&Action::AllocLanding));
         debug_assert!(actions.contains(&Action::SendCts));
-        // `len` is the sender's word, read off the wire: a landing buffer
-        // no allocation can satisfy is a counted error — no buffer, no
-        // CTS, no timer, and the engine lives on (the matched receive
-        // stays pending, like one whose sender never sends).
-        let Some(buf) = protocol::alloc_landing(len) else {
+        // `len` is the sender's word, read off the wire: a length no
+        // buffer can hold is a counted error — no record, no CTS, no
+        // timer, and the engine lives on (the matched receive stays
+        // pending, like one whose sender never sends).
+        if len > isize::MAX as usize {
             return self.protocol_error("nmad.protocol_errors.rts_len");
-        };
+        }
         let mut timer = RetxTimer::default();
         if let Some(rc) = &self.cfg.retry {
             timer.arm(now, rc);
         }
-        // The rendezvous landing buffer is a fresh payload allocation; the
-        // chunk memcpys into it are charged as each DATA lands.
-        self.meter.record_alloc();
         let gate = self.peers.entry(src).or_default();
-        let prev = gate.rdv_in.insert(
-            rdv_id,
-            Box::new(RdvIn {
-                recv_req: req,
-                tag,
-                seq,
-                buf,
-                received: 0,
-                ranges: Vec::new(),
-                timer,
-            }),
-        );
+        let rdv = RdvIn::new(req, tag, seq, len, timer);
+        let prev = gate.rdv_in.insert(rdv_id, Box::new(rdv));
         debug_assert!(prev.is_none(), "duplicate rendezvous id from rank {src}");
         gate.window.push_back(PacketWrapper {
             id: PwId(self.next_pw),
@@ -567,36 +518,26 @@ impl Engine {
 
     /// A DATA chunk landed. Table lookup against the derived receiver
     /// state (live entry = `RWaitData`, tombstone = `RDone`, neither =
-    /// `Gone`): `data/chunk` copies and bumps the progress timer,
+    /// `Gone`): `data/chunk` keeps the chunk and bumps the progress timer,
     /// `data/last*` completes the receive (and in retry mode sends the
     /// FIN and tombstones), `replay/fin-on-data` answers a replayed
     /// payload at a tombstone with the FIN again. Chunks outside the
     /// announced payload range — or for an unknown rendezvous without
     /// retry — are counted protocol errors, never a panic or a wild
     /// slice.
-    fn handle_data(&mut self, now: SimTime, src: usize, rdv_id: u64, offset: usize, data: NmBuf) {
+    fn handle_data(
+        &mut self,
+        now: SimTime,
+        src: usize,
+        rdv_id: u64,
+        offset: usize,
+        mut data: NmBuf,
+    ) {
         let retry = self.cfg.retry.is_some();
         let gate = self.peers.entry(src).or_default();
         let state = gate.receiver_state(rdv_id);
-        // Answer the `InRange` / `Last` guards before anything mutates:
-        // the chunk must lie inside the landing buffer, and `last` means
-        // it completes the payload (under retry, counting only bytes not
-        // already covered by a replay).
         let (in_range, last) = match gate.rdv_in.get(&rdv_id) {
-            Some(rdv) => {
-                let end = offset.checked_add(data.len());
-                let in_range = end.is_some_and(|e| e <= rdv.buf.len());
-                let last = in_range && {
-                    let end = end.unwrap();
-                    let fresh = if retry {
-                        fresh_len(&rdv.ranges, offset, end)
-                    } else {
-                        data.len()
-                    };
-                    rdv.received + fresh == rdv.buf.len()
-                };
-                (in_range, last)
-            }
+            Some(rdv) => rdv.guards(offset, data.len()),
             None => (true, false),
         };
         let actions = match protocol::step(
@@ -625,20 +566,10 @@ impl Engine {
                         },
                     );
                     self.out.observe("nmad.chunk.bytes", data.len() as u64);
-                    // The one unavoidable receive-side memcpy of the
-                    // rendezvous path: gather the chunk into the
-                    // contiguous landing buffer.
-                    data.copy_out(&mut rdv.buf[offset..offset + data.len()]);
-                    let dup_bytes = if retry {
-                        let fresh = insert_range(&mut rdv.ranges, offset, offset + data.len());
-                        rdv.received += fresh;
-                        (data.len() - fresh) as u64
-                    } else {
-                        rdv.received += data.len();
-                        0
-                    };
-                    debug_assert!(rdv.received <= rdv.buf.len());
-                    if dup_bytes > 0 {
+                    // No receive-side memcpy: the chunk, verified once in
+                    // `accept`, is kept as the view of the wire it is.
+                    let len = data.len();
+                    if rdv.land(offset, std::mem::take(&mut data)) < len {
                         self.stats.dup_data += 1;
                     }
                 }
@@ -674,11 +605,9 @@ impl Engine {
         }
         if done {
             let rdv = gate.rdv_in.remove(&rdv_id).expect("live state");
-            debug_assert_eq!(rdv.received, rdv.buf.len());
-            // Freeze the landing buffer without a copy (the allocation was
-            // charged in start_rdv_in, the fills as each chunk landed).
-            let buf = NmBuf::adopt(Bytes::from(rdv.buf), BufOrigin::Nmad, &self.meter);
-            self.finish_recv(now.0, rdv.recv_req, Outcome::Done(buf));
+            let req = rdv.recv_req;
+            let payload = rdv.into_payload(&self.meter);
+            self.finish_recv(now.0, req, Outcome::Done(payload));
         }
     }
 }

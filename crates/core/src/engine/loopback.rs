@@ -394,6 +394,78 @@ fn a_forged_rts_length_is_a_counted_error_not_an_allocation() {
     }
 }
 
+/// One DATA chunk cut from the sender's payload: `(start, end, corrupted)`,
+/// its bounds in KiB.
+#[cfg(test)]
+type Chunk = (usize, usize, bool);
+
+/// Rank 1 receives a 64 KiB rendezvous under retry whose DATA chunks the
+/// test hands it directly, in arrival order. Rank 0 only stands in for the
+/// RTS: all that rank 1 answers is lost. Checks that the receive completed
+/// once, byte-exact, as a view of the sender's payload with no
+/// receive-side allocation or memcpy; returns rank 1's counters.
+#[cfg(test)]
+fn reassemble(chunks: &[Chunk]) -> NmStats {
+    const K: usize = 1024;
+    let source = pattern(3, 64 * K);
+    let payload = NmBuf::from(source.clone());
+    let mut w = Loopback::with_wire(config(true), |wire: &NmWire| wire.dst_rank == 0);
+    w.irecv(1, 5, 5);
+    let deliver = |w: &mut Loopback<_>, payload: WirePayload, corrupted: bool| {
+        w.engines[1].accept(w.now, NmWire::new(0, 1, payload), 0, corrupted, IDLE);
+        w.pump(1);
+    };
+    let (tag, seq, rdv_id, len) = (5, 0, 1, source.len());
+    deliver(&mut w, WirePayload::Rts { tag, seq, rdv_id, len }, false);
+    for &(start, end, corrupted) in chunks {
+        let (offset, data) = (start * K, payload.slice(start * K..end * K));
+        deliver(&mut w, WirePayload::Data { rdv_id, offset, data }, corrupted);
+    }
+    let done = w.completions(1);
+    let [NmCompletion { kind: CompletionKind::Recv { data, .. }, .. }] = &done[..] else {
+        panic!("not one completed receive: {done:?}");
+    };
+    assert_eq!(data, &source, "byte-exact");
+    assert_eq!(data.storage_ptr(), source.storage_ptr(), "a view, not a copy");
+    let stats = w.stats(1);
+    assert_eq!((stats.copy.allocations, stats.copy.memcpy_calls), (0, 0));
+    stats
+}
+
+/// Replays are idempotent with no landing buffer: chunks out of order, a
+/// duplicated chunk, a replay overlapping two landed parts and a corrupted
+/// chunk each leave one completion. `dup_data` counts each chunk that
+/// brought bytes already landed, a straggler after the FIN included.
+#[test]
+fn rendezvous_chunks_reassemble_in_any_order_as_one_view() {
+    let cases: [(&str, &[Chunk], u64, u64); 4] = [
+        ("out of order", &[(32, 64, false), (0, 32, false)], 0, 0),
+        (
+            "duplicated, then a straggler after the FIN",
+            &[(0, 32, false), (0, 32, false), (32, 64, false), (0, 64, false)],
+            2,
+            0,
+        ),
+        (
+            "a last chunk overlapping two landed parts",
+            &[(0, 16, false), (48, 64, false), (8, 56, false)],
+            1,
+            0,
+        ),
+        (
+            "corrupted, then replayed",
+            &[(0, 32, true), (32, 64, false), (0, 32, false)],
+            0,
+            1,
+        ),
+    ];
+    for (name, chunks, dup_data, crc_drops) in cases {
+        let stats = reassemble(chunks);
+        assert_eq!((stats.dup_data, stats.crc_drops), (dup_data, crc_drops), "{name}");
+        assert_eq!(stats.recv_completions, 1, "{name}");
+    }
+}
+
 #[test]
 fn a_lost_rts_and_a_lost_data_chunk_are_replayed() {
     let [s0, s1] = run(true);

@@ -31,8 +31,10 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
+use std::ops::Range;
+use std::sync::Arc;
 
-use simnet::{NmBuf, SimDuration, SimTime};
+use simnet::{CopyMeter, NmBuf, SimDuration, SimTime};
 
 use crate::config::RetryConfig;
 use crate::matching::{self, TagQueue, Unexpected};
@@ -145,13 +147,90 @@ pub(crate) struct RdvIn {
     pub tag: u64,
     /// Envelope sequence of the matched RTS (lifecycle-span identity).
     pub seq: u64,
-    pub buf: Vec<u8>,
-    pub received: usize,
-    /// Retry mode: disjoint, sorted byte ranges already landed — makes
-    /// replayed DATA idempotent.
-    pub ranges: Vec<(usize, usize)>,
+    /// Payload length the RTS announced.
+    len: usize,
+    /// Bytes landed so far: the total length of `parts`.
+    received: usize,
+    /// The landed DATA chunks as views of the wire, keyed by payload
+    /// offset and disjoint: a replayed or overlapping chunk lands only
+    /// the bytes no part covers yet, so replays are idempotent.
+    parts: BTreeMap<usize, NmBuf>,
     /// Retry mode: CTS retransmission timer, bumped on DATA progress.
     pub timer: RetxTimer,
+}
+
+impl RdvIn {
+    pub fn new(recv_req: RecvReqId, tag: u64, seq: u64, len: usize, timer: RetxTimer) -> RdvIn {
+        RdvIn {
+            recv_req,
+            tag,
+            seq,
+            len,
+            received: 0,
+            parts: BTreeMap::new(),
+            timer,
+        }
+    }
+
+    /// The sub-ranges of `[start, end)` no landed part covers, in order.
+    fn gaps(&self, start: usize, end: usize) -> impl Iterator<Item = Range<usize>> + '_ {
+        let before = self.parts.range(..start).next_back();
+        let landed = before.into_iter().chain(self.parts.range(start..end));
+        let mut at = start;
+        landed
+            .map(|(&s, part)| (s, s + part.len()))
+            // An empty part at `end` closes the last gap.
+            .chain([(end, end)])
+            .filter_map(move |(s, e)| {
+                let gap = at..s.min(end);
+                at = at.max(e);
+                (!gap.is_empty()).then_some(gap)
+            })
+    }
+
+    /// How many bytes a chunk over `[start, end)` would add.
+    fn fresh(&self, start: usize, end: usize) -> usize {
+        self.gaps(start, end).map(|gap| gap.len()).sum()
+    }
+
+    /// The protocol table's guards for a chunk of `n` bytes at `offset`,
+    /// answered before anything lands: does it lie inside the announced
+    /// payload (`InRange`), and would it complete the payload (`Last`,
+    /// counting only bytes no landed part covers)?
+    pub fn guards(&self, offset: usize, n: usize) -> (bool, bool) {
+        match offset.checked_add(n) {
+            Some(end) if end <= self.len => {
+                (true, self.received + self.fresh(offset, end) == self.len)
+            }
+            _ => (false, false),
+        }
+    }
+
+    /// Land the chunk `data` at `offset`, which [`Self::guards`] found in
+    /// range: keep it whole if none of it is here yet, else only zero-copy
+    /// slices of its uncovered bytes. Returns how many bytes were fresh.
+    pub fn land(&mut self, offset: usize, data: NmBuf) -> usize {
+        let end = offset + data.len();
+        let fresh = self.fresh(offset, end);
+        if fresh > 0 && fresh == data.len() {
+            self.parts.insert(offset, data);
+        } else {
+            let gaps: Vec<_> = self.gaps(offset, end).collect();
+            for gap in gaps {
+                let part = data.slice(gap.start - offset..gap.end - offset);
+                self.parts.insert(gap.start, part);
+            }
+        }
+        self.received += fresh;
+        fresh
+    }
+
+    /// The whole payload, once every byte has landed: the parts rejoined
+    /// as one view of the sender's storage (see [`NmBuf::concat`]).
+    pub fn into_payload(self, meter: &Arc<CopyMeter>) -> NmBuf {
+        debug_assert_eq!(self.received, self.len);
+        NmBuf::concat(self.parts.into_values().collect(), self.len, meter)
+    }
 }
 
 /// Retry mode: one unacked eager envelope awaiting a cumulative ack.

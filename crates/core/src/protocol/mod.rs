@@ -53,7 +53,7 @@ pub enum State {
     /// Sender, retry mode: every chunk left the local NIC; holding the
     /// payload until the receiver's FIN confirms delivery.
     SWaitFin,
-    /// Receiver: CTS sent, assembling DATA chunks into the landing buffer.
+    /// Receiver: CTS sent, landing DATA chunks.
     RWaitData,
     /// Receiver, retry mode: transfer complete, FIN sent, entry
     /// tombstoned — stragglers and replays get the FIN again.
@@ -188,17 +188,22 @@ pub enum Action {
     /// Replay the RTS (timer fired before the CTS).
     ReplayRts,
     /// Replay the payload as one DATA covering every byte (timer fired
-    /// before the FIN; receiver-side range tracking dedups).
+    /// before the FIN; the receiver lands only bytes it lacks).
     ReplayData,
     // -- receiver ----------------------------------------------------
-    /// Allocate the landing buffer.
+    /// Prepare to receive `len` bytes. CH3 allocates its landing buffer
+    /// ([`alloc_landing`]); nmad allocates nothing — it checks that the
+    /// announced length could be held and opens the record its chunks
+    /// land in as views of the wire.
     AllocLanding,
     /// Put the CTS on the wire (and create the inbound entry).
     SendCts,
     /// Arm the CTS→DATA retransmission timer (no-op without retry).
     ArmRecvTimer,
-    /// Copy the chunk into the landing buffer (range-tracked dedup under
-    /// retry).
+    /// Land the chunk, keeping only bytes not already landed (replays are
+    /// idempotent). CH3 copies it into its landing buffer; nmad keeps it
+    /// as a view of the wire and rejoins the views on the last chunk
+    /// (`NmBuf::concat`), copying nothing.
     CopyChunk,
     /// DATA progress arrived: push the receiver's timer out.
     BumpRecvTimer,
@@ -221,7 +226,7 @@ pub enum Action {
     /// no-cancel rule (§2.2.1) still holds: the request completes — with
     /// an error, not silently.
     AbortSend,
-    /// Surface the receive as failed and release the landing buffer.
+    /// Surface the receive as failed and release what has landed.
     AbortRecv,
     // -- accounting --------------------------------------------------
     /// Count a stale cross-epoch collective frame
@@ -681,7 +686,8 @@ pub enum Verdict {
     Error,
 }
 
-/// [`Action::AllocLanding`] as both adapters perform it: a zeroed buffer
+/// [`Action::AllocLanding`] as CH3 performs it (nmad lands its chunks as
+/// views of the wire and needs no buffer): a zeroed buffer
 /// of `len` bytes, or `None` when no allocation can satisfy `len` — which
 /// is the sender's word, read off a wire (a forged RTS announcing
 /// `u64::MAX` bytes used to reach `vec![0u8; len]`: a capacity-overflow

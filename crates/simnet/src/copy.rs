@@ -134,8 +134,10 @@ impl CopyMeter {
 /// * [`NmBuf::share`] / `Clone` — refcount bump, recorded as a slice-ref.
 /// * [`NmBuf::slice`] — zero-copy sub-view (aggregation, multirail
 ///   splitting, fragment cursors), recorded as a slice-ref.
-/// * [`NmBuf::copy_out`] / [`NmBuf::copied_from_slice`] — the only
-///   operations that move bytes, recorded as memcpys.
+/// * [`NmBuf::concat`] — reassembly: a zero-copy rejoin when the parts
+///   are adjacent views of one allocation, else a metered gather.
+/// * [`NmBuf::copy_out`] / [`NmBuf::copied_from_slice`] and `concat`'s
+///   gather — the only operations that move bytes, recorded as memcpys.
 ///
 /// The meter travels *with* the buffer, so layers that merely forward a
 /// payload need no meter plumbing of their own, and a payload that
@@ -220,6 +222,40 @@ impl NmBuf {
             generation: self.generation + 1,
             meter: self.meter.as_ref().map(Arc::clone),
         }
+    }
+
+    /// Reassemble `parts`, in order and `len` bytes in all, into one
+    /// buffer charged to `meter`. Parts that are adjacent views of one
+    /// allocation — the chunks of a rendezvous, each cut from the
+    /// sender's one payload — rejoin into one view of it: no allocation,
+    /// no copy, one slice-ref when more than one part was joined.
+    /// Anything else is gathered: one allocation, one memcpy per part.
+    pub fn concat(parts: Vec<NmBuf>, len: usize, meter: &Arc<CopyMeter>) -> NmBuf {
+        debug_assert_eq!(parts.iter().map(NmBuf::len).sum::<usize>(), len);
+        let mut views = parts.iter().map(|p| &p.data);
+        let first = views.next().cloned().unwrap_or_default();
+        if let Some(data) = views.try_fold(first, |view, next| view.rejoin(next)) {
+            let joined = parts.len() > 1;
+            if joined {
+                meter.record_slice();
+            }
+            let (origin, generation) = parts.first().map_or((BufOrigin::Nmad, 0), |p| {
+                (p.origin, p.generation + joined as u32)
+            });
+            return NmBuf {
+                data,
+                origin,
+                generation,
+                meter: Some(Arc::clone(meter)),
+            };
+        }
+        meter.record_alloc();
+        let mut gathered = Vec::with_capacity(len);
+        for part in &parts {
+            meter.record_copy(part.len());
+            gathered.extend_from_slice(part);
+        }
+        NmBuf::adopt(Bytes::from(gathered), BufOrigin::Nmad, meter)
     }
 
     /// Memcpy this buffer's contents into `dst` (cell fill, landing
@@ -376,6 +412,33 @@ mod tests {
         assert_eq!(dst, [9u8; 16]);
         let s = meter.snapshot();
         assert_eq!((s.memcpy_calls, s.bytes_copied, s.allocations), (1, 16, 0));
+    }
+
+    #[test]
+    fn concat_rejoins_adjacent_views_and_gathers_the_rest() {
+        let meter = CopyMeter::new();
+        let whole = NmBuf::from((0u8..12).collect::<Vec<_>>());
+        let parts = vec![whole.slice(0..5), whole.slice(5..9), whole.slice(9..)];
+        let joined = NmBuf::concat(parts, 12, &meter);
+        assert_eq!(joined, whole);
+        assert_eq!(joined.bytes().storage_ptr(), whole.bytes().storage_ptr());
+        let s = meter.snapshot();
+        assert_eq!((s.memcpy_calls, s.allocations, s.slice_refs), (0, 0, 1));
+
+        // Two allocations: one fresh buffer, one copy per part.
+        let meter = CopyMeter::new();
+        let parts = vec![whole.slice(0..5), NmBuf::from(whole[5..].to_vec())];
+        let gathered = NmBuf::concat(parts, 12, &meter);
+        assert_eq!(gathered, whole);
+        assert_ne!(gathered.bytes().storage_ptr(), whole.bytes().storage_ptr());
+        let s = meter.snapshot();
+        assert_eq!((s.memcpy_calls, s.bytes_copied, s.allocations), (2, 12, 1));
+
+        let meter = CopyMeter::new();
+        let one = NmBuf::concat(vec![whole.share()], 12, &meter);
+        assert_eq!(one.bytes().storage_ptr(), whole.bytes().storage_ptr());
+        assert!(NmBuf::concat(Vec::new(), 0, &meter).is_empty());
+        assert_eq!(meter.snapshot(), CopySnapshot::default(), "nothing joined");
     }
 
     #[test]
