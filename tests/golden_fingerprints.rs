@@ -29,35 +29,35 @@ use mpich2_nmad_repro::simnet::{
 };
 
 const GOLDEN: &[(&str, u64)] = &[
-    ("sendrecv/clean/0", 0x8c74f4de8a1c647d),
-    ("sendrecv/faulty/0", 0xaf287bf32066e2d5),
-    ("sendrecv/clean/1", 0x1aba5369c0fa9511),
-    ("sendrecv/faulty/1", 0x3aa33e6b0745b58f),
-    ("sendrecv/clean/2", 0x4f3c16bc1307c267),
-    ("sendrecv/faulty/2", 0xb62b41af6d67d70c),
-    ("sendrecv/clean/3", 0xe30297037299bfc2),
-    ("sendrecv/faulty/3", 0x95a4c36ee78a51b4),
-    ("sendrecv/traced", 0xba7ae191f43ef1b2),
-    ("anysource/clean/0", 0xbb3929905e378b20),
-    ("anysource/faulty/0", 0x717a0ba12248eb7b),
-    ("anysource/clean/1", 0xe0bf6fb59ed128a5),
-    ("anysource/faulty/1", 0x1622bedcf481e621),
-    ("anysource/clean/2", 0x61b324de9bdd79ad),
-    ("anysource/faulty/2", 0x6c84f242f118a8c8),
-    ("anysource/clean/3", 0xaf8fd14683dd13b0),
-    ("anysource/faulty/3", 0x847f7e67470f2cac),
-    ("anysource/traced", 0x665ae73ccf122c97),
-    ("multirail/clean/0", 0xb594a9d9eecdda51),
-    ("multirail/faulty/0", 0xfc662f55e5502fb4),
-    ("multirail/clean/1", 0x2ea19d7b9db833ff),
-    ("multirail/faulty/1", 0x995690208c20b500),
-    ("multirail/clean/2", 0xc3285f74aa9005ed),
-    ("multirail/faulty/2", 0xf0560a415b1b15cf),
-    ("multirail/clean/3", 0x7e0e8cdbee5ed30a),
-    ("multirail/faulty/3", 0xf4751ad9757f79ed),
-    ("multirail/traced", 0x0a8227d9ec5ad839),
-    ("core/drain", 0xf154588b86d6d5b8),
-    ("core/revoke", 0x53495b56e4c0b5e0),
+    ("sendrecv/clean/0", 0x125389c32f9af68b),
+    ("sendrecv/faulty/0", 0x2d8db5cf2865198c),
+    ("sendrecv/clean/1", 0x40f98417b6ca2d77),
+    ("sendrecv/faulty/1", 0x7a984382acf5168b),
+    ("sendrecv/clean/2", 0xed8996eb2af5c8ad),
+    ("sendrecv/faulty/2", 0x458ace0f6b2f498c),
+    ("sendrecv/clean/3", 0xd240edca83dfb5f0),
+    ("sendrecv/faulty/3", 0xacc44cb3f56964ef),
+    ("sendrecv/traced", 0x71938c381f0de0aa),
+    ("anysource/clean/0", 0xab205945e71ef810),
+    ("anysource/faulty/0", 0x7f6829ee27c7f787),
+    ("anysource/clean/1", 0x31fee111edd432e5),
+    ("anysource/faulty/1", 0xd34df13ed03e1c4d),
+    ("anysource/clean/2", 0xee9335d060f5f511),
+    ("anysource/faulty/2", 0xcf6923a5f8d1a9f8),
+    ("anysource/clean/3", 0xe2f6763ba4010c0c),
+    ("anysource/faulty/3", 0x3aef1a03536b2db0),
+    ("anysource/traced", 0x56968e4383920ec3),
+    ("multirail/clean/0", 0x7424a4dfc2978855),
+    ("multirail/faulty/0", 0xad3a3c03448bc5ce),
+    ("multirail/clean/1", 0xee256b200fd09933),
+    ("multirail/faulty/1", 0x1f2d451637827e41),
+    ("multirail/clean/2", 0x2b9c16b63bd3eebd),
+    ("multirail/faulty/2", 0x499d2ea604160ef3),
+    ("multirail/clean/3", 0xb4b0eace8153ff44),
+    ("multirail/faulty/3", 0xf1ea5cd2fd743cde),
+    ("multirail/traced", 0x7400104993294a29),
+    ("core/drain", 0xc119a73512a0199f),
+    ("core/revoke", 0x96ce7dd09647bd42),
 ];
 
 fn fnv(h: &mut u64, bytes: &[u8]) {
