@@ -339,7 +339,7 @@ impl NmCore {
 
     /// Drain all surfaced completions (cookies of finished requests).
     pub fn drain_completions(&self) -> Vec<NmCompletion> {
-        self.shell.lock().engine.completions.drain(..).collect()
+        self.shell.lock().engine.take_completions()
     }
 
     /// Is there an unexpected message from `(gate, tag)`?

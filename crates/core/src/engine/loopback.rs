@@ -178,7 +178,7 @@ impl<L: FnMut(&NmWire) -> bool> World for Loopback<L> {
     }
 
     fn completions(&mut self, at: usize) -> Vec<NmCompletion> {
-        self.engines[at].completions.drain(..).collect()
+        self.engines[at].take_completions()
     }
 
     fn stats(&self, at: usize) -> NmStats {

@@ -54,7 +54,8 @@
 //! ## What a driver may read
 //!
 //! [`Engine::snapshot`], [`Engine::fingerprint`] and
-//! [`Engine::next_deadline`] — `&self`, pure. The fields are not part of
+//! [`Engine::next_deadline`] — `&self`, pure — and the completions,
+//! through [`Engine::take_completions`]. The fields are not part of
 //! the contract. Counters are the engine's own plain integers: whoever
 //! shares an engine's numbers across threads publishes a snapshot.
 
@@ -277,7 +278,7 @@ pub struct Engine {
     recv_reqs: Vec<RecvReq>,
     /// Packets accepted from the fabric, pending processing.
     inbound: VecDeque<NmWire>,
-    pub(crate) completions: VecDeque<NmCompletion>,
+    completions: VecDeque<NmCompletion>,
     /// Retry mode: per-rail health state machine (`None` without retry —
     /// the happy path has no failure signals to drive it).
     pub(crate) health: Option<RailHealthTable>,
@@ -430,6 +431,11 @@ impl Engine {
         self.inbound.clear();
         self.completions.clear();
         self.out.inc("nmad.halt", 1);
+    }
+
+    /// The completions surfaced since the last call, in order.
+    pub fn take_completions(&mut self) -> Vec<NmCompletion> {
+        self.completions.drain(..).collect()
     }
 
     /// Nothing in flight, nothing pending?

@@ -92,8 +92,8 @@ impl Engine {
             // Rendezvous entry: `entry/size` (payload above the eager
             // threshold) or `entry/credit-fallback` (eager-sized send
             // demoted because the credit pool ran dry). Same actions,
-            // distinct table rows so the explorer proves both entries
-            // live.
+            // distinct table rows so the engine explorer proves both
+            // entries live.
             let verdict = protocol::step(
                 protocol::State::Gone,
                 protocol::Event::SendRdv,

@@ -263,16 +263,6 @@ impl Engine {
         // Inbound rendezvous replay in `(src, id)` order. A live
         // inbound record is `RWaitData` by construction; `timer/cts`
         // backs off and replays the CTS.
-        let verdict = protocol::step(
-            protocol::State::RWaitData,
-            protocol::Event::RecvTimeout,
-            pctx(true, false, false, false),
-        );
-        let Verdict::Step { actions, .. } = verdict else {
-            unreachable!("timer/cts must be a table row");
-        };
-        debug_assert!(actions.contains(&Action::Backoff));
-        debug_assert!(actions.contains(&Action::ReplayCts));
         for (&src, gate) in self.peers.iter_mut() {
             // Receiver-side timeout: could be the lost CTS or the
             // sender going quiet — no rail to indict. Route the replay
@@ -280,6 +270,16 @@ impl Engine {
             let via = gate.last_in_rail;
             let due = gate.rdv_in.iter_mut().filter(|(_, r)| r.timer.due(now));
             for (&rdv_id, rdv) in due {
+                let verdict = protocol::step(
+                    protocol::State::RWaitData,
+                    protocol::Event::RecvTimeout,
+                    pctx(true, false, false, false),
+                );
+                let Verdict::Step { actions, .. } = verdict else {
+                    unreachable!("timer/cts must be a table row");
+                };
+                debug_assert!(actions.contains(&Action::Backoff));
+                debug_assert!(actions.contains(&Action::ReplayCts));
                 fire(&mut rdv.timer, src, "rendezvous (receiver)");
                 self.stats.cts_retries += 1;
                 let key = mkey(src, self.rank, rdv.tag, rdv.seq);

@@ -3,7 +3,7 @@
 //! Replays a recorded obs span stream through [`super::TABLE`], turning
 //! every traced run into a conformance test: each rendezvous-phase event
 //! must correspond to a legal transition (or declared ignore) of the
-//! table the small-model explorer proved sound. Installed as the
+//! table. Installed as the
 //! [`obs::Validator`] hook when [`obs::ObsConfig::conformance`] is set,
 //! so every seed-sweep suite that runs with `ObsConfig::full()` checks
 //! conformance incrementally as events are recorded; [`check_events`] is
@@ -15,8 +15,8 @@
 //! order respects global simulated time and events of one message arrive
 //! in causal order. Core traces speak the *pipelined* dialect only
 //! (`buffered`/`ack_mode` never hold — CH3's buffered rendezvous is
-//! exercised by the explorer and CH3's own unit tests, not by obs
-//! spans). One protocol event is locally invisible: the final DATA
+//! exercised by `mpi-ch3`'s `ch3::explore` and CH3's own unit tests, not
+//! by obs spans). One protocol event is locally invisible: the final DATA
 //! chunk's NIC completion ([`super::Event::LastChunkSent`]) records no
 //! phase. The checker infers it at its observable successors — a
 //! `Retry { Data }` implies the sender reached `SWaitFin`, and a
@@ -36,10 +36,10 @@ use std::sync::Arc;
 
 use obs::{Event as ObsEvent, MsgKey, Phase, RetryKind, Scope, Side};
 
-use super::{step, Action, Ctx, Event, State, Verdict, IGNORES, TABLE};
+use super::{step, Action, Ctx, Event, State, Verdict, IGNORES};
 
 /// Checker view of one message's rendezvous flow.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 struct Flow {
     s: Option<State>,
     r: Option<State>,
@@ -78,6 +78,8 @@ impl Flow {
 }
 
 /// Incremental trace-conformance checker for core (pipelined) traces.
+/// `Clone`, so an explorer can carry one along each path it forks.
+#[derive(Clone)]
 pub struct TraceChecker {
     retry: bool,
     flows: HashMap<MsgKey, Flow>,
@@ -130,7 +132,7 @@ impl TraceChecker {
         sender_side: bool,
     ) -> Result<(), String> {
         match step(state, event, ctx) {
-            Verdict::Step { index, actions, next } => {
+            Verdict::Step { actions, next, .. } => {
                 if actions.contains(&Action::CompleteSend) || actions.contains(&Action::AbortSend)
                 {
                     flow.s_done = true;
@@ -144,7 +146,6 @@ impl TraceChecker {
                 } else {
                     flow.r = Some(next);
                 }
-                let _ = TABLE[index].name;
                 Ok(())
             }
             Verdict::Ignore { index, defensive } => {
@@ -347,18 +348,15 @@ impl TraceChecker {
                 if !flow.is_rdv() {
                     return Ok(());
                 }
+                // A side whose machine already wound down (e.g. the
+                // posted receive's RTS never arrived) finds `Gone`: the
+                // table's `ignore/dead-gone`.
                 let sender_side = side == Side::Send;
                 let state = if sender_side {
                     flow.sender()
                 } else {
                     flow.receiver()
                 };
-                if state == State::Gone {
-                    // The machine already wound down (e.g. the posted
-                    // receive's RTS never arrived); the abort is pure
-                    // request bookkeeping.
-                    return Ok(());
-                }
                 let ctx = Self::ctx(retry, flow, false, false);
                 Self::apply(flow, key, state, Event::PeerDead, ctx, sender_side)
             }
@@ -370,17 +368,14 @@ impl TraceChecker {
                 if !flow.is_rdv() {
                     return Ok(());
                 }
+                // A side with no machine (the machine already wound down)
+                // finds `Gone`: the table's `ignore/revoked-gone`.
                 let sender_side = side == Side::Send;
                 let state = if sender_side {
                     flow.sender()
                 } else {
                     flow.receiver()
                 };
-                if state == State::Gone {
-                    // Pure request bookkeeping (fail-fast post, or the
-                    // machine already wound down).
-                    return Ok(());
-                }
                 let ctx = Self::ctx(retry, flow, false, false);
                 Self::apply(flow, key, state, Event::Revoked, ctx, sender_side)
             }

@@ -10,15 +10,17 @@
 //! [`Event`]s, look the transition up with [`step`], and execute the
 //! emitted [`Action`]s against their concrete bookkeeping.
 //!
-//! Three consumers read the same table:
+//! Two consumers read the same table:
 //!
 //! * the **adapters** (runtime behaviour),
-//! * the **small-model explorer** ([`explore`]) that walks every reachable
-//!   interleaving of a bounded configuration and proves the table free of
-//!   unreachable entries, invariant violations and incomplete terminals,
 //! * the **conformance checker** ([`conformance`]) that replays recorded
 //!   obs span streams through the table, turning every traced seed sweep
-//!   into a conformance test of the artifact the explorer proved.
+//!   into a conformance test.
+//!
+//! The exhaustive check runs the adapters themselves: the engine explorers
+//! (`crates/core/tests/engine_explorer.rs`, `mpi-ch3`'s `ch3::explore`)
+//! walk every interleaving of a bounded configuration of real engines and
+//! read [`take_fired`] to prove that every row is reachable.
 //!
 //! ## Classification of (state, event) pairs
 //!
@@ -27,7 +29,7 @@
 //! * a [`Transition`] from [`TABLE`] — the protocol moves;
 //! * a declared [`Ignore`] — legal no-op (e.g. a duplicated CTS while
 //!   streaming). Ignores marked `defensive` are *believed unreachable*
-//!   and exist only as tolerance; the explorer asserts they never fire.
+//!   and exist only as tolerance; the explorers assert they never fire.
 //! * [`Verdict::Error`] — a malformed or stale frame. Adapters count
 //!   these in `protocol_errors` and drop the frame; nothing panics.
 //!
@@ -35,7 +37,8 @@
 //! adding rows, not surgery: see DESIGN.md §10.
 
 pub mod conformance;
-pub mod explore;
+
+use std::cell::Cell;
 
 /// Rendezvous protocol states. One enum covers both ends: a live
 /// rendezvous id is in exactly one of these at each peer.
@@ -161,10 +164,9 @@ impl Guard {
 }
 
 /// Effects a transition emits. Adapters execute them against their
-/// concrete state (queues, buffers, timers, stats); the model executes
-/// them against the abstract net. An action an implementation has no
-/// concept of (e.g. [`Action::BumpRecvTimer`] in timer-less CH3) is a
-/// documented no-op there.
+/// concrete state (queues, buffers, timers, stats). An action an
+/// implementation has no concept of (e.g. [`Action::BumpRecvTimer`] in
+/// timer-less CH3) is a documented no-op there.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Action {
     // -- sender ------------------------------------------------------
@@ -248,13 +250,13 @@ pub struct Transition {
     pub guards: &'static [Guard],
     pub actions: &'static [Action],
     pub next: State,
-    /// Human-readable row name (explorer coverage reports, errors).
+    /// Human-readable row name (coverage reports, errors).
     pub name: &'static str,
 }
 
 /// One declared ignore: a (state, event, guards) combination that is a
 /// legal no-op. `defensive` rows are believed unreachable and exist as
-/// tolerance only — the explorer asserts they never fire.
+/// tolerance only — the explorers assert they never fire.
 #[derive(Debug)]
 pub struct Ignore {
     pub state: State,
@@ -506,10 +508,12 @@ pub static TABLE: &[Transition] = &[
         name: "dead/rdone",
     },
     // -- communicator revoke: the epoch was poisoned ---------------------
-    // Mirrors the PeerDead drain row-for-row: every in-flight entry of a
-    // revoked epoch is cancelled through the table, completions surface
-    // as counted errors, and the conformance checker replays the same
-    // `Aborted` phases. Only retry mode has a membership/recovery layer.
+    // Mirrors the PeerDead drain: every in-flight entry of a revoked
+    // epoch is cancelled through the table, completions surface as
+    // counted errors, and the conformance checker replays the same
+    // `Revoked` phases. A tombstone is left alone: it carries no tag to
+    // select it by epoch, and the peer's death reclaims it. Only retry
+    // mode has a membership/recovery layer.
     Transition {
         state: S::SWaitCts,
         event: E::Revoked,
@@ -546,16 +550,6 @@ pub static TABLE: &[Transition] = &[
         actions: &[A::DisarmTimer, A::AbortRecv, A::Tombstone],
         next: S::RDone,
         name: "revoked/rwaitdata",
-    },
-    // A tombstone of a revoked epoch replays FINs to nobody: the sender's
-    // flow was cancelled by its own revoke quiesce. Drop it silently.
-    Transition {
-        state: S::RDone,
-        event: E::Revoked,
-        guards: &[G::Retry],
-        actions: &[],
-        next: S::RDone,
-        name: "revoked/rdone",
     },
     // -- epoch hygiene: stale cross-epoch frames ------------------------
     // A collective frame from a superseded epoch (or a retired agreement
@@ -658,7 +652,7 @@ pub static IGNORES: &[Ignore] = &[
     // An in-flight DATA chunk can only exist after a CTS, a CTS only
     // after the inbound entry exists, and the entry only leaves via the
     // tombstone — so DATA should never find `Gone`. Tolerated as a drop
-    // (the sender's FIN timer replays), but the explorer proves it
+    // (the sender's FIN timer replays), but the engine explorer proves it
     // unreachable.
     Ignore {
         state: S::Gone,
@@ -704,13 +698,38 @@ pub fn alloc_landing(len: usize) -> Option<Vec<u8>> {
     Some(vec![0u8; len])
 }
 
+// The tally keeps one bit per row and per ignore.
+const _: () = assert!(TABLE.len() <= 64 && IGNORES.len() <= 64);
+
+thread_local! {
+    /// Coverage tally: the rows (`.0`) and ignores (`.1`) [`step`] has
+    /// resolved to on this thread since the last [`take_fired`].
+    static FIRED: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
+/// Take this thread's coverage tally and clear it: bit `i` of `.0` is set
+/// once [`TABLE`]`[i]` fired, bit `i` of `.1` once [`IGNORES`]`[i]`
+/// matched. Only the exhaustive explorers read it; it counts the
+/// conformance checker's lookups too, so a row a span announces and a row
+/// only an engine steps are tallied alike.
+pub fn take_fired() -> (u64, u64) {
+    FIRED.with(Cell::take)
+}
+
 /// Look up the unique classification of (state, event) under `ctx`.
 ///
 /// [`validate_table`] proves at most one table row *or* one ignore can
 /// match any (state, event, ctx); this scan relies on that.
 pub fn step(state: State, event: Event, ctx: Ctx) -> Verdict {
+    let tally = |rows: u64, ignores: u64| {
+        FIRED.with(|f| {
+            let (r, i) = f.get();
+            f.set((r | rows, i | ignores));
+        })
+    };
     for (index, t) in TABLE.iter().enumerate() {
         if t.state == state && t.event == event && t.guards.iter().all(|g| g.holds(ctx)) {
+            tally(1 << index, 0);
             return Verdict::Step {
                 index,
                 actions: t.actions,
@@ -720,6 +739,7 @@ pub fn step(state: State, event: Event, ctx: Ctx) -> Verdict {
     }
     for (index, ig) in IGNORES.iter().enumerate() {
         if ig.state == state && ig.event == event && ig.guards.iter().all(|g| g.holds(ctx)) {
+            tally(0, 1 << index);
             return Verdict::Ignore {
                 index,
                 defensive: ig.defensive,
@@ -749,8 +769,9 @@ fn all_ctxs() -> impl Iterator<Item = Ctx> {
 /// * **satisfiability** — every row and ignore fires under at least one
 ///   ctx (no contradictory guard sets / dead rows).
 ///
-/// Returns the list of violations (empty = sound). Asserted by the
-/// explorer suite and cheap enough to run in debug adapters.
+/// Returns the list of violations (empty = sound). Asserted by
+/// `crates/core/tests/protocol_table.rs` and cheap enough to run in debug
+/// adapters.
 pub fn validate_table() -> Vec<String> {
     let mut problems = Vec::new();
     let mut row_sat = vec![false; TABLE.len()];
@@ -949,13 +970,11 @@ mod tests {
             assert_eq!(next, end, "{state:?} quiesces to {end:?}");
             assert!(actions.contains(&want), "{state:?} must {want:?}");
         }
-        // A revoked tombstone stays a tombstone (it is keyed per peer and
-        // reclaimed by the peer's own death); Gone is a declared ignore.
-        let Verdict::Step { actions, next, .. } = step(S::RDone, E::Revoked, ctx) else {
-            panic!("RDone × Revoked must step");
-        };
-        assert_eq!(next, S::RDone);
-        assert!(actions.is_empty());
+        // The quiesce never looks a tombstone up: it carries no tag to
+        // select it by, stays as it is, and is reclaimed by the peer's own
+        // death (`dead/rdone`). So `RDone` has no revoke row; `Gone` is a
+        // declared ignore.
+        assert_eq!(step(S::RDone, E::Revoked, ctx), Verdict::Error);
         assert!(matches!(
             step(S::Gone, E::Revoked, ctx),
             Verdict::Ignore { defensive: false, .. }

@@ -1,4 +1,5 @@
-//! Regression tests for the counted protocol-error paths.
+//! Regression tests for the counted protocol-error paths, and the table's
+//! own soundness.
 //!
 //! Every arm that used to be a `panic!`/`unreachable!` in the envelope and
 //! rendezvous handlers is now a table miss (`Verdict::Error`) counted in
@@ -53,6 +54,13 @@ fn cores(n: usize, cfg: NmConfig) -> (Sim, Vec<Arc<NmCore>>) {
         fabric.set_sink(NodeId(r), Box::new(move |s, d| core.accept(s, d.msg)));
     }
     (sim, cores)
+}
+
+/// No (state, event, ctx) point of the guard cube matches two rows, or a
+/// row and an ignore, and every row and ignore matches at least one.
+#[test]
+fn table_is_deterministic_and_satisfiable() {
+    assert_eq!(nmad::protocol::validate_table(), Vec::<String>::new());
 }
 
 /// Two cores, no retry layer.

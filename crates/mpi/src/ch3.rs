@@ -651,6 +651,8 @@ impl Ch3Engine {
 }
 
 #[cfg(test)]
+mod explore;
+#[cfg(test)]
 mod loopback;
 
 #[cfg(test)]
