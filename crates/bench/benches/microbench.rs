@@ -374,9 +374,9 @@ fn threaded_injection(c: &mut Criterion) {
     // The real-thread hot path end to end: producers fill + CRC-seal
     // cells, the per-VC consumers verify and tag-match them through the
     // sharded engine, with flow control armed. One "element" = one
-    // delivered message. The recorded trajectory (BENCH_10.json) and the
-    // CI perf gate use the larger standalone harness; this group gives
-    // criterion-grade per-message numbers for quick A/B work.
+    // delivered message. The recorded trajectory (BENCH_10.json) uses
+    // the larger standalone harness; this group gives criterion-grade
+    // per-message numbers for quick A/B work.
     const MSGS: u64 = 4_000;
     let mut g = c.benchmark_group("threaded-injection");
     g.sample_size(10);

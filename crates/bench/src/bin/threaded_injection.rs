@@ -6,7 +6,7 @@
 //! ```
 //!
 //! With a path argument the JSON is also written there (the checked-in
-//! baseline the CI perf gate compares against).
+//! record, EXPERIMENTS.md E22).
 
 use bench_harness::threaded_injection::{injection_sweep, render_bench10_json};
 

@@ -33,7 +33,7 @@
 //!
 //! Latency is sampled per message (enqueue-to-delivery, monotonic clock)
 //! and reported as exact percentiles — the numbers behind `BENCH_10.json`
-//! and the CI perf gate.
+//! and the perf ledger's `threaded_injection` workload.
 
 use std::collections::HashMap;
 use std::sync::Arc;
