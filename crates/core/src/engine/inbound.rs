@@ -453,11 +453,17 @@ impl Engine {
         if len > isize::MAX as usize {
             return self.protocol_error("nmad.protocol_errors.rts_len");
         }
+        // The CTS timer waits for the bytes it asked for: they land behind
+        // whatever this gate's other inbound rendezvous still have on the
+        // wire, at the pace of the slowest rail.
+        let gate = self.peers.entry(src).or_default();
         let mut timer = RetxTimer::default();
         if let Some(rc) = &self.cfg.retry {
-            timer.arm(now, rc);
+            let queued: usize = gate.rdv_in.values().map(|r| r.outstanding()).sum();
+            let bytes = len.saturating_add(queued);
+            let wire = self.profiles.iter().map(|p| p.predict(bytes)).max();
+            timer.arm(now, rc.timeout.saturating_add(wire.unwrap_or_default()));
         }
-        let gate = self.peers.entry(src).or_default();
         let rdv = RdvIn::new(req, tag, seq, len, timer);
         let prev = gate.rdv_in.insert(rdv_id, Box::new(rdv));
         debug_assert!(prev.is_none(), "duplicate rendezvous id from rank {src}");

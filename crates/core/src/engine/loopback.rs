@@ -31,19 +31,21 @@ pub trait World {
     fn stats(&self, at: usize) -> NmStats;
 }
 
-/// Wire faults for a retry script: the first RTS and the first DATA chunk
-/// to cross are lost.
+/// Wire faults for a retry script: the first RTS and the first FIN to
+/// cross are lost. (A lost DATA chunk makes the receiver's CTS timer race
+/// the sender's FIN timer by the CTS's flight and the chunk's registration,
+/// which no loopback models: its outcome depends on the wire.)
 #[derive(Clone, Default)]
 pub struct Lossy {
     rts_lost: bool,
-    data_lost: bool,
+    fin_lost: bool,
 }
 
 impl Lossy {
     pub fn loses(&mut self, wire: &NmWire) -> bool {
         let once = match wire.payload {
             WirePayload::Rts { .. } => &mut self.rts_lost,
-            WirePayload::Data { .. } => &mut self.data_lost,
+            WirePayload::RdvFin { .. } => &mut self.fin_lost,
             _ => return false,
         };
         !std::mem::replace(once, true)
@@ -240,7 +242,7 @@ pub(crate) fn script(w: &mut impl World) -> [NmStats; 2] {
         w.irecv(1, *tag, 100 + i as u64);
     }
     // Alone, then three at once, then the large one; a lost RTS and a
-    // lost DATA each cost one default retransmission timeout (80 µs).
+    // lost FIN each cost one default retransmission timeout (80 µs).
     for batch in [0..1, 1..4, 4..5] {
         for i in batch {
             w.isend(0, msgs[i].0, msgs[i].1.clone(), i as u64);
@@ -466,14 +468,37 @@ fn rendezvous_chunks_reassemble_in_any_order_as_one_view() {
     }
 }
 
+/// The sender's FIN timer replays a lost DATA chunk before the receiver's
+/// CTS timer, which waits for the chunk's predicted transfer, runs out.
 #[test]
 fn a_lost_rts_and_a_lost_data_chunk_are_replayed() {
-    let [s0, s1] = run(true);
+    let mut lost = [false; 2];
+    let mut w = Loopback::with_wire(config(true), move |wire: &NmWire| {
+        let first = match wire.payload {
+            WirePayload::Rts { .. } => &mut lost[0],
+            WirePayload::Data { .. } => &mut lost[1],
+            _ => return false,
+        };
+        !std::mem::replace(first, true)
+    });
+    let [s0, s1] = script(&mut w);
     assert_eq!(
         (s0.rts_retries, s0.data_retries, s0.eager_retries),
         (1, 1, 0)
     );
     assert_eq!((s1.fins_sent, s1.dup_data, s1.dup_envelopes), (1, 0, 0));
+    assert_eq!((s0.send_completions, s1.cts_retries), (5, 0));
+}
+
+#[test]
+fn a_lost_rts_and_a_lost_fin_are_replayed() {
+    let [s0, s1] = run(true);
+    assert_eq!(
+        (s0.rts_retries, s0.data_retries, s0.eager_retries),
+        (1, 1, 0)
+    );
+    // The replayed payload finds the tombstone, which answers with the FIN.
+    assert_eq!((s1.fins_sent, s1.dup_data, s1.cts_retries), (2, 1, 0));
     assert_eq!(s0.send_completions, 5);
 }
 
@@ -568,21 +593,63 @@ fn deadline_is_the_minimum_across_a_cts_timer_and_an_eager_timer() {
     w.isend(0, 3, pattern(5, 64 * 1024), 3);
     let rts_committed = w.now;
     w.pass();
-    let cts_due = after(rts_committed, 1) + rc.timeout;
-    assert_eq!(w.engines[1].next_deadline(), Some(cts_due), "RTS took 1 us");
+    // The RTS took 1 us; the CTS timer waits out the 64 KiB it asked for.
+    let cts_due = after(rts_committed, 1) + rc.timeout + transfer(64 * 1024);
+    assert_eq!(w.engines[1].next_deadline(), Some(cts_due));
     // Later, rank 1 sends an eager message that is lost too: `unacked`.
     w.loses = Box::new(ALL);
     w.now = after(w.now, 7);
     w.isend(1, 9, pattern(9, 100), 9);
     let eager_due = w.now + rc.timeout;
     w.pass();
-    assert!(cts_due < eager_due);
-    assert_eq!(w.engines[1].next_deadline(), Some(cts_due));
-    // Once the CTS timer has fired and backed off, the eager one is next.
-    w.now = cts_due;
-    w.pass();
-    assert_eq!((w.stats(1).cts_retries, w.stats(1).eager_retries), (1, 0));
+    assert!(eager_due < cts_due);
     assert_eq!(w.engines[1].next_deadline(), Some(eager_due));
+    // Once the eager timer has fired and backed off, the CTS one is next.
+    w.now = eager_due;
+    w.pass();
+    assert_eq!((w.stats(1).cts_retries, w.stats(1).eager_retries), (0, 1));
+    assert_eq!(w.engines[1].next_deadline(), Some(cts_due));
+}
+
+/// The one-way time of `bytes` on the loopback's one rail.
+#[cfg(test)]
+fn transfer(bytes: usize) -> SimDuration {
+    LinkProfile::sample(&NicModel::connectx_ib()).predict(bytes)
+}
+
+/// A CTS timer waits for the bytes it asked for: the announced length plus
+/// what the gate's other inbound rendezvous have yet to land. A wait past
+/// `max_timeout` is kept when the timer backs off, never cut back to it.
+#[test]
+fn a_cts_timer_covers_its_own_bytes_and_those_queued_ahead() {
+    const MIB: usize = 1024 * 1024;
+    let rc = RetryConfig::default();
+    // Rank 0 only stands in for the sender: all that rank 1 answers is lost.
+    let mut w = Loopback::with_wire(config(true), |wire: &NmWire| wire.dst_rank == 0);
+    let rts = |w: &mut Loopback<_>, tag, len| {
+        w.irecv(1, tag, tag);
+        let rts = WirePayload::Rts { tag, seq: 0, rdv_id: tag, len };
+        w.engines[1].accept(w.now, NmWire::new(0, 1, rts), 0, false, IDLE);
+        w.pump(1);
+    };
+    rts(&mut w, 1, 4 * MIB);
+    let long = rc.timeout + transfer(4 * MIB);
+    assert!(long > rc.max_timeout);
+    let long_due = w.now + long;
+    assert_eq!(w.engines[1].next_deadline(), Some(long_due));
+    // A second rendezvous from the same peer lands behind all of the first.
+    w.now = after(w.now, 10);
+    rts(&mut w, 2, 64 * 1024);
+    let second = rc.timeout + transfer(4 * MIB + 64 * 1024);
+    let second_due = w.now + second;
+    assert_eq!(w.engines[1].next_deadline(), Some(long_due));
+    // Each fires once; neither backs off below the wait it was armed with.
+    for (due, next) in [(long_due, second_due), (second_due, long_due + long)] {
+        w.now = due;
+        w.pass();
+        assert_eq!(w.engines[1].next_deadline(), Some(next));
+    }
+    assert_eq!(w.stats(1).cts_retries, 2);
 }
 
 #[test]

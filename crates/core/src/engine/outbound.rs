@@ -224,7 +224,7 @@ impl Engine {
         match protocol::step(rdv.state, protocol::Event::LastChunkSent, ctx) {
             Verdict::Step { actions, next, .. } if actions.contains(&Action::ArmFinTimer) => {
                 rdv.state = next;
-                rdv.timer.arm(now, &retry.expect("FIN timer implies retry"));
+                rdv.timer.arm(now, retry.expect("FIN timer implies retry").timeout);
             }
             Verdict::Step { actions, .. } => {
                 debug_assert!(actions.contains(&Action::CompleteSend));
@@ -268,7 +268,7 @@ fn build_packet(
             let data = data.share();
             let payload = WirePayload::Eager { tag, seq, data };
             let mut timer = RetxTimer::default();
-            timer.arm(now, rc);
+            timer.arm(now, rc.timeout);
             unacked.insert(
                 (tag, seq),
                 EnvRetx {
@@ -312,7 +312,7 @@ fn build_packet(
                 if let Some(rc) = &retry {
                     let rdv = gate.rdv_out.get_mut(&rdv_id);
                     let rdv = rdv.expect("RTS for unknown rendezvous");
-                    rdv.timer.arm(now, rc);
+                    rdv.timer.arm(now, rc.timeout);
                     rdv.last_rails = 1 << rail;
                 }
                 let tx = obs::Phase::RtsTx {

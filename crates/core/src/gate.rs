@@ -53,12 +53,18 @@ pub(crate) struct RetxTimer {
     attempts: u32,
 }
 
+/// `now + timeout`, saturating: a receiver's timeout grows with a length
+/// read off the wire, and a forged one must not overflow the clock.
+fn after(now: SimTime, timeout: SimDuration) -> SimTime {
+    SimTime::from_nanos(now.as_nanos().saturating_add(timeout.as_nanos()))
+}
+
 impl RetxTimer {
-    /// Start afresh: base timeout, no attempt on record.
-    pub fn arm(&mut self, now: SimTime, rc: &RetryConfig) {
+    /// Start afresh: `timeout` from now, no attempt on record.
+    pub fn arm(&mut self, now: SimTime, timeout: SimDuration) {
         *self = RetxTimer {
-            deadline: Some(now + rc.timeout),
-            timeout: rc.timeout,
+            deadline: Some(after(now, timeout)),
+            timeout,
             attempts: 0,
         };
     }
@@ -80,12 +86,14 @@ impl RetxTimer {
     /// (possibly backed-off) timeout. The attempts stay on record.
     pub fn bump(&mut self, now: SimTime) {
         if self.deadline.is_some() {
-            self.deadline = Some(now + self.timeout);
+            self.deadline = Some(after(now, self.timeout));
         }
     }
 
     /// The timer fired: count the attempt, multiply the timeout by
-    /// `rc.backoff` up to `rc.max_timeout`, and re-arm. Returns the instant
+    /// `rc.backoff` up to `rc.max_timeout` — but never below the timeout it
+    /// already has, so a timer armed past `max_timeout` (a receiver waiting
+    /// on megabytes) keeps its wait — and re-arm. Returns the instant
     /// the expired window was armed (the membership supervisor charges a
     /// peer only if it stayed silent since then). `max_attempts` replays
     /// without progress declare the link dead — unless `supervised`, where
@@ -107,8 +115,9 @@ impl RetxTimer {
             rc.max_attempts
         );
         let backed_off = self.timeout.as_nanos().saturating_mul(rc.backoff as u64);
-        self.timeout = SimDuration::nanos(backed_off.min(rc.max_timeout.as_nanos()));
-        self.deadline = Some(now + self.timeout);
+        let capped = backed_off.min(rc.max_timeout.as_nanos());
+        self.timeout = SimDuration::nanos(capped.max(self.timeout.as_nanos()));
+        self.deadline = Some(after(now, self.timeout));
         armed_at
     }
 }
@@ -155,7 +164,9 @@ pub(crate) struct RdvIn {
     /// offset and disjoint: a replayed or overlapping chunk lands only
     /// the bytes no part covers yet, so replays are idempotent.
     parts: BTreeMap<usize, NmBuf>,
-    /// Retry mode: CTS retransmission timer, bumped on DATA progress.
+    /// Retry mode: CTS retransmission timer, armed for the predicted
+    /// transfer of every byte this gate still awaits, bumped on DATA
+    /// progress.
     pub timer: RetxTimer,
 }
 
@@ -191,6 +202,11 @@ impl RdvIn {
     /// How many bytes a chunk over `[start, end)` would add.
     fn fresh(&self, start: usize, end: usize) -> usize {
         self.gaps(start, end).map(|gap| gap.len()).sum()
+    }
+
+    /// Payload bytes announced but not landed yet.
+    pub fn outstanding(&self) -> usize {
+        self.len - self.received
     }
 
     /// The protocol table's guards for a chunk of `n` bytes at `offset`,

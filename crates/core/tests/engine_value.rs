@@ -23,7 +23,7 @@ fn cfg() -> NmConfig {
     cfg
 }
 
-/// A pair whose wire loses the first RTS and the first DATA chunk. The
+/// A pair whose wire loses the first RTS and the first FIN. The
 /// closure owns its `Lossy`, so cloning the pair clones the wire's memory
 /// of what it has already lost.
 fn lossy_pair() -> Loopback<impl FnMut(&NmWire) -> bool + Clone> {
@@ -75,7 +75,7 @@ fn step(w: &mut impl World, i: usize, extra: bool) {
             (4..msgs.len()).for_each(|m| send(w, m));
             w.isend(1, 9, pattern(9, 100), 90);
         }
-        // A lost RTS and a lost DATA each cost one 80 µs timeout.
+        // A lost RTS and a lost FIN each cost one 80 µs timeout.
         _ => w.poll(400),
     }
 }
