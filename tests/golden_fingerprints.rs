@@ -30,34 +30,34 @@ use mpich2_nmad_repro::simnet::{
 
 const GOLDEN: &[(&str, u64)] = &[
     ("sendrecv/clean/0", 0x125389c32f9af68b),
-    ("sendrecv/faulty/0", 0x2d8db5cf2865198c),
+    ("sendrecv/faulty/0", 0x55d4e85ad5937612),
     ("sendrecv/clean/1", 0x40f98417b6ca2d77),
-    ("sendrecv/faulty/1", 0x7a984382acf5168b),
+    ("sendrecv/faulty/1", 0x0725e424c3af33cf),
     ("sendrecv/clean/2", 0xed8996eb2af5c8ad),
-    ("sendrecv/faulty/2", 0x458ace0f6b2f498c),
+    ("sendrecv/faulty/2", 0xc5a55faae7e609ca),
     ("sendrecv/clean/3", 0xd240edca83dfb5f0),
-    ("sendrecv/faulty/3", 0xacc44cb3f56964ef),
-    ("sendrecv/traced", 0x71938c381f0de0aa),
+    ("sendrecv/faulty/3", 0x81c149ccd14ddece),
+    ("sendrecv/traced", 0xf35c96bf23a7f46f),
     ("anysource/clean/0", 0xab205945e71ef810),
     ("anysource/faulty/0", 0x7f6829ee27c7f787),
     ("anysource/clean/1", 0x31fee111edd432e5),
-    ("anysource/faulty/1", 0xd34df13ed03e1c4d),
+    ("anysource/faulty/1", 0xc7e18852a53e8aab),
     ("anysource/clean/2", 0xee9335d060f5f511),
-    ("anysource/faulty/2", 0xcf6923a5f8d1a9f8),
+    ("anysource/faulty/2", 0xf9622f82b65c032e),
     ("anysource/clean/3", 0xe2f6763ba4010c0c),
-    ("anysource/faulty/3", 0x3aef1a03536b2db0),
+    ("anysource/faulty/3", 0x3dc75174c5ff9994),
     ("anysource/traced", 0x56968e4383920ec3),
     ("multirail/clean/0", 0x7424a4dfc2978855),
-    ("multirail/faulty/0", 0xad3a3c03448bc5ce),
+    ("multirail/faulty/0", 0xd44c1c1ee6c6fa89),
     ("multirail/clean/1", 0xee256b200fd09933),
-    ("multirail/faulty/1", 0x1f2d451637827e41),
+    ("multirail/faulty/1", 0x3e5b81c69afd0210),
     ("multirail/clean/2", 0x2b9c16b63bd3eebd),
-    ("multirail/faulty/2", 0x499d2ea604160ef3),
+    ("multirail/faulty/2", 0x0bc07a8f4fbb5af0),
     ("multirail/clean/3", 0xb4b0eace8153ff44),
-    ("multirail/faulty/3", 0xf1ea5cd2fd743cde),
-    ("multirail/traced", 0x7400104993294a29),
-    ("core/drain", 0xc119a73512a0199f),
-    ("core/revoke", 0x96ce7dd09647bd42),
+    ("multirail/faulty/3", 0x57756c7b9f9bfbe4),
+    ("multirail/traced", 0x4b2bd16c68bc9d2b),
+    ("core/drain", 0x5ada1bebcdd55c0d),
+    ("core/revoke", 0xc83f08ffd6d2e853),
 ];
 
 fn fnv(h: &mut u64, bytes: &[u8]) {
@@ -210,7 +210,7 @@ fn drain_run() -> u64 {
         c0.isend(&sched, 1, 6, pattern(4, 128 * 1024), 40);
         c0.irecv(&sched, 1, 8, 42);
         c0.irecv(&sched, 1, 10, 45);
-        c1.isend(&sched, 0, 10, pattern(5, 96 * 1024), 46);
+        c1.isend(&sched, 0, 10, pattern(5, 256 * 1024), 46);
         c1.isend(&sched, 0, 9, pattern(6, 64 * 1024), 44);
         c0.isend(&sched, 1, 7, pattern(7, 300), 43);
         c0.isend(&sched, 1, 7, pattern(8, 900), 47);
