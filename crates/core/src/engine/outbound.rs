@@ -224,7 +224,8 @@ impl Engine {
         match protocol::step(rdv.state, protocol::Event::LastChunkSent, ctx) {
             Verdict::Step { actions, next, .. } if actions.contains(&Action::ArmFinTimer) => {
                 rdv.state = next;
-                rdv.timer.arm(now, retry.expect("FIN timer implies retry").timeout);
+                let rc = retry.expect("FIN timer implies retry");
+                rdv.timer.arm(now, rc.timeout);
             }
             Verdict::Step { actions, .. } => {
                 debug_assert!(actions.contains(&Action::CompleteSend));

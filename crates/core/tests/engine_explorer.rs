@@ -40,7 +40,7 @@
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashSet};
 use std::hash::{Hash, Hasher};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
@@ -68,7 +68,7 @@ const MAX_FORCED: u8 = 8;
 const IDLE: &dyn Fn(usize) -> bool = &|_| true;
 
 /// One bounded configuration.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 struct Config {
     name: &'static str,
     ranks: usize,
@@ -100,13 +100,7 @@ impl Config {
             ranks,
             rails,
             msgs,
-            retry: false,
-            credits: None,
-            kill: false,
-            revoke: false,
-            drops: 0,
-            dups: 0,
-            timers: 0,
+            ..Config::default()
         }
     }
 
@@ -148,12 +142,8 @@ impl Packet {
     /// Equal packets have equal keys: the checksum covers the ranks, the
     /// header fields and the payload bytes.
     fn key(&self) -> u64 {
-        hash_of((
-            self.wire.src_rank,
-            self.wire.dst_rank,
-            self.rail,
-            self.wire.crc,
-        ))
+        let w = &self.wire;
+        hash_of((w.src_rank, w.dst_rank, self.rail, w.crc))
     }
 
     /// The rendezvous a handshake packet belongs to, named by the rank
@@ -600,15 +590,15 @@ fn standard_suite() -> Vec<Config> {
     };
     let fan_in = vec![(0, 2, ONE_CHUNK), (1, 2, ONE_CHUNK)];
     vec![
+        // The fault menu: a loss, two duplicates, a spurious timer.
+        Config {
+            dups: 2,
+            ..retry("retry-faults-1msg", 1, ONE_CHUNK)
+        },
         // Backed-off timers: two firings, one of them before a loss.
         Config {
             timers: 2,
             ..retry("retry-backoff-1msg", 1, ONE_CHUNK)
-        },
-        // The fault menu: a loss, a duplicate, a spurious timer.
-        Config {
-            dups: 1,
-            ..retry("retry-faults-1msg", 1, ONE_CHUNK)
         },
         // Either rank dies at any point after the first send, the
         // payload on the wire as two chunks.
@@ -646,27 +636,26 @@ fn standard_suite() -> Vec<Config> {
     ]
 }
 
-/// The standard suite, explored once per test binary, on two threads.
+/// The standard suite, explored once per test binary by two threads that
+/// take the configurations in turn.
 fn suite() -> &'static [Stats] {
     static SUITE: OnceLock<Vec<Stats>> = OnceLock::new();
     SUITE.get_or_init(|| {
-        let cfgs = standard_suite();
-        let half = |t: usize| {
-            cfgs.iter()
-                .skip(t)
-                .step_by(2)
-                .map(explore)
+        let queue = Mutex::new(standard_suite().into_iter());
+        let next = || queue.lock().unwrap().next();
+        let work = || {
+            std::iter::from_fn(next)
+                .map(|cfg| explore(&cfg))
                 .collect::<Vec<_>>()
         };
-        let halves: Vec<_> = std::thread::scope(|s| {
-            let workers: Vec<_> = (0..2).map(|t| s.spawn(move || half(t))).collect();
+        let done: Vec<_> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..2).map(|_| s.spawn(work)).collect();
             workers
                 .into_iter()
                 .flat_map(|w| w.join().unwrap())
                 .collect()
         });
-        halves
-            .into_iter()
+        done.into_iter()
             .map(|r| r.unwrap_or_else(|e| panic!("{e}")))
             .collect()
     })
