@@ -1,6 +1,6 @@
 //! Exhaustive exploration of the production rendezvous engines.
 //!
-//! Two or three `nmad::engine::Engine`s — the values `NmCore` drives in a
+//! Two or three [`Engine`]s — the values `NmCore` drives in a
 //! simulated job — are joined by a wire this file owns: the packets in
 //! flight are a multiset, and any of them may arrive next. A memoised
 //! depth-first search walks every interleaving of a bounded configuration,
@@ -34,7 +34,7 @@
 //! and every non-defensive ignore must fire (`protocol::take_fired`); the
 //! CH3 rows are `mpi-ch3`'s `ch3::explore`'s to cover.
 //!
-//! `cargo test --release -p nmad --test engine_explorer -- --nocapture`
+//! `cargo test --release -p nmad --lib protocol::explore -- --nocapture`
 //! prints the per-configuration sizes (EXPERIMENTS.md E18).
 
 use std::collections::hash_map::DefaultHasher;
@@ -44,13 +44,15 @@ use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use nmad::engine::{Effect, Engine, SentTag};
-use nmad::protocol::conformance::TraceChecker;
-use nmad::protocol::{self, Guard, IGNORES, TABLE};
-use nmad::sr::{CompletionKind, NmCompletion};
-use nmad::{keys, FlowConfig, LinkProfile, MembershipConfig, NmConfig, RetryConfig};
-use nmad::{NmWire, WirePayload};
 use simnet::{CopyMeter, NicModel, NmBuf, SimTime};
+
+use super::conformance::TraceChecker;
+use super::{Guard, IGNORES, TABLE};
+use crate::engine::{Effect, Engine, SentTag};
+use crate::protocol;
+use crate::sr::{CompletionKind, NmCompletion};
+use crate::{keys, FlowConfig, LinkProfile, MembershipConfig, NmConfig, RetryConfig};
+use crate::{NmWire, WirePayload};
 
 /// A rendezvous that travels as one DATA chunk on one rail.
 const ONE_CHUNK: usize = 20 * 1024;
@@ -661,131 +663,142 @@ fn suite() -> &'static [Stats] {
     })
 }
 
-fn fired_rows(s: &Stats) -> Vec<&'static str> {
-    let fired = TABLE
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| s.rows & 1 << i != 0);
-    fired.map(|(_, t)| t.name).collect()
-}
+mod tests {
+    use super::*;
 
-#[test]
-fn standard_suite_covers_table_without_violations() {
-    let suite = suite();
-    println!("engine explorer — standard suite:");
-    for s in suite {
-        println!(
-            "  {:<24} states={:>8} edges={:>9} terminals={:>7}  {:.2?}",
-            s.name, s.states, s.edges, s.terminals, s.elapsed
-        );
-        assert!(s.terminals > 0, "{}: no terminal reached", s.name);
-    }
-    let sum = |f: fn(&Stats) -> usize| suite.iter().map(f).sum::<usize>();
-    let edges = sum(|s| s.edges);
-    println!(
-        "  {:<24} states={:>8} edges={edges:>9} terminals={:>7}",
-        "TOTAL",
-        sum(|s| s.states),
-        sum(|s| s.terminals)
-    );
-    assert!(edges >= 100_000, "explored only {edges} edges");
-    // CH3's buffered and ACK-throttled dialects are `ch3::explore`'s.
-    let ch3_only = |g: &[Guard]| g.contains(&Guard::Buffered) || g.contains(&Guard::AckMode);
-    let rows = suite.iter().fold(0, |acc, s| acc | s.rows);
-    let ignores = suite.iter().fold(0, |acc, s| acc | s.ignores);
-    let unreached = (TABLE.iter().enumerate())
-        .filter(|(i, t)| rows & 1 << i == 0 && !ch3_only(t.guards))
-        .map(|(_, t)| t.name);
-    assert_eq!(
-        unreached.collect::<Vec<_>>(),
-        Vec::<&str>::new(),
-        "rows no engine fired"
-    );
-    let unignored = (IGNORES.iter().enumerate())
-        .filter(|(i, ig)| ignores & 1 << i == 0 && !ig.defensive)
-        .map(|(_, ig)| ig.name);
-    assert_eq!(
-        unignored.collect::<Vec<_>>(),
-        Vec::<&str>::new(),
-        "ignores never reached"
-    );
-}
-
-/// Each configuration reaches the rows it is there for.
-#[test]
-fn each_config_reaches_its_rows() {
-    let wanted: [(&str, &[&str]); 4] = [
-        (
-            "clean-pipelined",
-            &["cts/pipelined", "data/chunk", "data/last", "sent/complete"],
-        ),
-        (
-            "retry-faults-1msg",
-            &["replay/fin-on-data", "replay/cts-on-rts", "timer/rts"],
-        ),
-        (
-            "retry-peer-death",
-            &[
-                "dead/swaitcts",
-                "dead/sstreaming",
-                "dead/swaitfin",
-                "dead/rwaitdata",
-                "dead/rdone",
-            ],
-        ),
-        (
-            "retry-revoke-epoch",
-            &[
-                "revoked/swaitcts",
-                "revoked/sstreaming",
-                "revoked/swaitfin",
-                "revoked/rwaitdata",
-                "stale/epoch",
-                "fin/tombstone",
-            ],
-        ),
-    ];
-    for (name, rows) in wanted {
+    /// Assert that the standard suite's configuration `name` fired every one
+    /// of `rows`, and return its stats.
+    fn reaches(name: &str, rows: &[&str]) -> &'static Stats {
         let stats = suite().iter().find(|s| s.name == name).unwrap();
-        let fired = fired_rows(stats);
+        let fired: Vec<_> = (TABLE.iter().enumerate())
+            .filter(|(i, _)| stats.rows & 1 << i != 0)
+            .map(|(_, t)| t.name)
+            .collect();
         let missing: Vec<_> = rows.iter().filter(|r| !fired.contains(r)).collect();
         assert!(
             missing.is_empty(),
             "{name} misses {missing:?}; fired {fired:?}"
         );
+        stats
     }
-}
 
-/// The explorer is itself a checker: a wire that loses packets with no
-/// retransmission layer to repair them strands a message.
-#[test]
-fn explorer_rejects_unrecoverable_fault_config() {
-    let cfg = Config {
-        drops: 1,
-        timers: 1,
-        ..Config::clean("drops-without-retry", 1, vec![(0, 1, ONE_CHUNK)])
-    };
-    let err = explore(&cfg).expect_err("a lost packet with no retry must strand");
-    assert!(err.contains("stranded"), "{err}");
-}
+    #[test]
+    fn standard_suite_covers_table_without_violations() {
+        let suite = suite();
+        println!("engine explorer — standard suite:");
+        for s in suite {
+            println!(
+                "  {:<24} states={:>8} edges={:>9} terminals={:>7}  {:.2?}",
+                s.name, s.states, s.edges, s.terminals, s.elapsed
+            );
+            assert!(s.terminals > 0, "{}: no terminal reached", s.name);
+        }
+        let sum = |f: fn(&Stats) -> usize| suite.iter().map(f).sum::<usize>();
+        let edges = sum(|s| s.edges);
+        println!(
+            "  {:<24} states={:>8} edges={edges:>9} terminals={:>7}",
+            "TOTAL",
+            sum(|s| s.states),
+            sum(|s| s.terminals)
+        );
+        assert!(edges >= 100_000, "explored only {edges} edges");
+        // CH3's buffered and ACK-throttled dialects are `ch3::explore`'s.
+        let ch3_only = |g: &[Guard]| g.contains(&Guard::Buffered) || g.contains(&Guard::AckMode);
+        let rows = suite.iter().fold(0, |acc, s| acc | s.rows);
+        let ignores = suite.iter().fold(0, |acc, s| acc | s.ignores);
+        let unreached = (TABLE.iter().enumerate())
+            .filter(|(i, t)| rows & 1 << i == 0 && !ch3_only(t.guards))
+            .map(|(_, t)| t.name);
+        assert_eq!(
+            unreached.collect::<Vec<_>>(),
+            Vec::<&str>::new(),
+            "rows no engine fired"
+        );
+        let unignored = (IGNORES.iter().enumerate())
+            .filter(|(i, ig)| ignores & 1 << i == 0 && !ig.defensive)
+            .map(|(_, ig)| ig.name);
+        assert_eq!(
+            unignored.collect::<Vec<_>>(),
+            Vec::<&str>::new(),
+            "ignores never reached"
+        );
+    }
 
-/// A duplicated RTS with no retry layer to explain it is the engine's own
-/// counted protocol error, and the per-edge check reads that counter: the
-/// search finds a duplicate it cannot place, and the path that duplicates
-/// the RTS fails on the receiver's count.
-#[test]
-fn a_duplicated_rts_without_retry_fails_on_counted_protocol_errors() {
-    let cfg = Config {
-        dups: 1,
-        ..Config::clean("dup-without-retry", 1, vec![(0, 1, ONE_CHUNK)])
-    };
-    let err = explore(&cfg).expect_err("a duplicate without retry must be counted");
-    assert!(err.contains("counted 1 protocol errors"), "{err}");
-    let mut w = World::new(&cfg);
-    w.apply(Move::Start(0)).unwrap();
-    assert!(matches!(w.net[0].wire.payload, WirePayload::Rts { .. }));
-    w.apply(Move::Dup(0)).unwrap();
-    w.apply(Move::Deliver(0)).unwrap();
-    let err = w.apply(Move::Deliver(0));
-    assert_eq!(err, Err("rank 1 counted 1 protocol errors".into()));
+    /// The plain pipelined path, both ways, completes through every
+    /// happy-path row of a two-chunk rendezvous.
+    #[test]
+    fn clean_pipelined_model_completes() {
+        let rows = ["cts/pipelined", "data/chunk", "data/last", "sent/complete"];
+        let s = reaches("clean-pipelined", &rows);
+        assert!(s.terminals > 0);
+        assert!(s.edges > s.states.saturating_sub(1));
+    }
+
+    /// Losses, duplicates and a spurious timer reach the replay rows.
+    #[test]
+    fn faulty_model_reaches_replay_rows() {
+        let rows = ["replay/fin-on-data", "replay/cts-on-rts", "timer/rts"];
+        reaches("retry-faults-1msg", &rows);
+    }
+
+    /// A peer dying at any point drains every rendezvous state it can catch.
+    #[test]
+    fn peer_death_model_reaches_every_drain_row() {
+        let rows = [
+            "dead/swaitcts",
+            "dead/sstreaming",
+            "dead/swaitfin",
+            "dead/rwaitdata",
+            "dead/rdone",
+        ];
+        reaches("retry-peer-death", &rows);
+    }
+
+    /// A revoke at any point quiesces every rendezvous state it can catch.
+    #[test]
+    fn revoke_model_reaches_every_quiesce_row() {
+        let rows = [
+            "revoked/swaitcts",
+            "revoked/sstreaming",
+            "revoked/swaitfin",
+            "revoked/rwaitdata",
+            "stale/epoch",
+            "fin/tombstone",
+        ];
+        reaches("retry-revoke-epoch", &rows);
+    }
+
+    /// The explorer is itself a checker: a wire that loses packets with no
+    /// retransmission layer to repair them strands a message.
+    #[test]
+    fn explorer_rejects_unrecoverable_fault_config() {
+        let cfg = Config {
+            drops: 1,
+            timers: 1,
+            ..Config::clean("drops-without-retry", 1, vec![(0, 1, ONE_CHUNK)])
+        };
+        let err = explore(&cfg).expect_err("a lost packet with no retry must strand");
+        assert!(err.contains("stranded"), "{err}");
+    }
+
+    /// A duplicated RTS with no retry layer to explain it is the engine's own
+    /// counted protocol error, and the per-edge check reads that counter: the
+    /// search finds a duplicate it cannot place, and the path that duplicates
+    /// the RTS fails on the receiver's count.
+    #[test]
+    fn a_duplicated_rts_without_retry_fails_on_counted_protocol_errors() {
+        let cfg = Config {
+            dups: 1,
+            ..Config::clean("dup-without-retry", 1, vec![(0, 1, ONE_CHUNK)])
+        };
+        let err = explore(&cfg).expect_err("a duplicate without retry must be counted");
+        assert!(err.contains("counted 1 protocol errors"), "{err}");
+        let mut w = World::new(&cfg);
+        w.apply(Move::Start(0)).unwrap();
+        assert!(matches!(w.net[0].wire.payload, WirePayload::Rts { .. }));
+        w.apply(Move::Dup(0)).unwrap();
+        w.apply(Move::Deliver(0)).unwrap();
+        let err = w.apply(Move::Deliver(0));
+        assert_eq!(err, Err("rank 1 counted 1 protocol errors".into()));
+    }
 }

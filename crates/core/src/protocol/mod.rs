@@ -18,7 +18,7 @@
 //!   into a conformance test.
 //!
 //! The exhaustive check runs the adapters themselves: the engine explorers
-//! (`crates/core/tests/engine_explorer.rs`, `mpi-ch3`'s `ch3::explore`)
+//! (`explore` here, `mpi-ch3`'s `ch3::explore`)
 //! walk every interleaving of a bounded configuration of real engines and
 //! read [`take_fired`] to prove that every row is reachable.
 //!
@@ -37,6 +37,8 @@
 //! adding rows, not surgery: see DESIGN.md §10.
 
 pub mod conformance;
+#[cfg(test)]
+mod explore;
 
 use std::cell::Cell;
 

@@ -14,8 +14,8 @@
 //! flight, in a rendezvous record or in a queue. Across the dialects the
 //! table rows CH3 fires (`protocol::take_fired`) are exactly the ones its
 //! adapter steps, which include every row guarded on the buffered or the
-//! throttled dialect; `crates/core/tests/engine_explorer.rs` covers the
-//! rest on the nmad engine.
+//! throttled dialect; `nmad`'s `protocol::explore` covers the rest on
+//! the nmad engine.
 
 use nmad::protocol::{self, Guard, TABLE};
 use simnet::NmBuf;
