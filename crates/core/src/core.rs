@@ -60,7 +60,7 @@ use crate::sr::{NmCompletion, RecvReqId, SendReqId};
 pub use crate::stats::NmStats;
 use crate::wire::NmWire;
 
-/// Hook invoked (on the engine thread) when something happened that a
+/// Hook invoked (from an event callback) when something happened that a
 /// background progress engine would want to react to: an inbound packet was
 /// accepted or a NIC completed a transfer. PIOMan installs this.
 pub type EventHook = Arc<dyn Fn(&Scheduler) + Send + Sync>;

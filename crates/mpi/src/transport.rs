@@ -35,7 +35,7 @@ use nmad::NmCore;
 
 use crate::ch3::Ch3Pkt;
 
-/// Hook fired (on the engine thread) when inbound traffic lands — PIOMan's
+/// Hook fired (from an event callback) when inbound traffic lands — PIOMan's
 /// wake-up signal.
 pub type EventHook = Arc<dyn Fn(&Scheduler) + Send + Sync>;
 

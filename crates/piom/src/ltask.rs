@@ -14,8 +14,9 @@ use std::sync::Arc;
 
 use simnet::{Scheduler, SimTime};
 
-/// The work an ltask performs, on the engine thread; returns when it next
-/// needs a pass of its own accord.
+/// The work an ltask performs, inline in the simulator's dispatch loop on
+/// whichever thread holds the token; returns when it next needs a pass of
+/// its own accord.
 pub type LTaskFn = Arc<dyn Fn(&Scheduler) -> Option<SimTime> + Send + Sync>;
 
 /// A named background progress task.

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use crate::engine::{PollSlot, RankId, Report, ReportCell, Scheduler, SimCore, TornDown, WakeCell};
+use crate::engine::{PollSlot, RankId, Scheduler, SimCore, TornDown, WakeCell};
 use crate::time::{SimDuration, SimTime};
 
 /// Per-rank simulation context, passed by value to the rank's program
@@ -13,7 +13,6 @@ pub struct RankCtx {
     rank: RankId,
     cell: Arc<WakeCell>,
     poll: PollSlot,
-    report: Arc<ReportCell>,
 }
 
 impl RankCtx {
@@ -22,14 +21,12 @@ impl RankCtx {
         rank: RankId,
         cell: Arc<WakeCell>,
         poll: PollSlot,
-        report: Arc<ReportCell>,
     ) -> Self {
         RankCtx {
             core,
             rank,
             cell,
             poll,
-            report,
         }
     }
 
@@ -73,11 +70,12 @@ impl RankCtx {
     ///
     /// Simulated behaviour is exactly that of the loop
     /// `let mut d = first; loop { self.advance(d); match body(..) { Some(n) => d = n, None => break } }`
-    /// — the same events at the same `(time, seq)` — but the ticks run on
-    /// the dispatching thread, so the whole wait costs one token handoff
-    /// instead of one per tick. `body` must therefore own what it touches
-    /// (hence `Send + 'static`) and cannot block; if it panics, the run
-    /// fails with [`crate::SimError::RankPanic`] naming this rank.
+    /// — the same events at the same `(time, seq)` — but the ticks run in
+    /// the dispatch loop, on whichever thread holds the token, so the whole
+    /// wait resumes the rank once instead of once per tick. `body` must
+    /// therefore own what it touches (hence `Send + 'static`) and cannot
+    /// block; if it panics, the run fails with [`crate::SimError::RankPanic`]
+    /// naming this rank.
     pub fn poll_until(
         &self,
         first: SimDuration,
@@ -96,10 +94,16 @@ impl RankCtx {
     /// Block until some event wakes this rank. Used by blocking primitives
     /// ([`crate::sem::SimSemaphore`]); the waker must have arranged for
     /// exactly one wake event targeting this rank.
+    ///
+    /// The rank runs the dispatch loop itself: when the next wake is its
+    /// own it returns without a thread switch, otherwise it hands the token
+    /// on and waits for it to come back.
     pub(crate) fn park(&self) {
-        self.report.send(Report::Parked(self.rank));
+        if self.core.hand_off(Some(self.rank)) {
+            return;
+        }
         if self.cell.wait_go().is_err() {
-            // The engine tore the simulation down (deadlock/panic path):
+            // `Sim::run` tore the simulation down (deadlock/panic path):
             // unwind this thread silently.
             std::panic::panic_any(TornDown);
         }

@@ -3,36 +3,49 @@
 //!
 //! ## Token protocol
 //!
-//! The simulation is logically single-threaded. Exactly one of
-//! {engine thread, some rank thread} executes at any moment:
+//! The simulation is logically single-threaded. Exactly one thread holds
+//! the execution token at any moment: the caller of [`Sim::run`] until the
+//! first grant, then one rank thread at a time. There is no engine thread.
+//! Whoever holds the token and is about to give it up runs the dispatch
+//! loop (`SimCore::dispatch`) itself:
 //!
-//! * The engine pops the earliest event. A `Call` event runs inline; a
-//!   `Wake(rank)` event grants the rank's [`WakeCell`] and then blocks on
-//!   the shared [`ReportCell`] until that rank reports
-//!   `Parked` / `Done` back.
+//! * It pops the earliest event. A `Call` event runs inline, on the
+//!   holder's thread. A `Wake(rank)` event resumes `rank`: if that is the
+//!   rank that just parked, the loop returns and the rank carries on with
+//!   no thread switch; otherwise the holder grants the rank's [`WakeCell`]
+//!   and waits on its own. A wake costs one OS switch when it changes
+//!   thread and none when it does not.
 //! * A rank parked in [`crate::ctx::RankCtx::poll_until`] left a *poll
 //!   body* in its slot. Its `Wake(rank)` ticks are then answered by the
-//!   engine itself: it takes the body out of the slot, calls it, and on
-//!   `Some(d)` puts it back and pushes the next `Wake(rank)` at `now + d` —
-//!   the push the rank thread would have made, at the same `(time, seq)`,
-//!   without waking it. Only `None` falls through to the grant.
-//! * A rank thread only executes between receiving the grant and posting
-//!   its next report. Every blocking operation in rank code bottoms out in
-//!   [`crate::ctx::RankCtx::park`], which performs the report-then-wait
-//!   sequence.
+//!   dispatching thread: it takes the body out of the slot, calls it, and
+//!   on `Some(d)` puts it back and pushes the next `Wake(rank)` at
+//!   `now + d` — the push the rank would have made, at the same
+//!   `(time, seq)`, without resuming it. Only `None` falls through to the
+//!   resume.
+//! * A rank runs its own code only between a grant (or a `Resume`) and its
+//!   next park. Every blocking operation in rank code bottoms out in
+//!   `RankCtx::park`, which dispatches and then either keeps
+//!   the token or hands it on and waits. A rank whose program returns
+//!   marks itself done and dispatches once more to hand the token on.
+//! * The run ends when every rank is done, on deadlock, on the event limit
+//!   or on a panic. The holder that finds the end posts it on the shared
+//!   `ReportCell`, where [`Sim::run`] waits, and `Sim::run` tears the
+//!   rank threads down.
 //!
 //! Because handoffs are synchronous, no two simulation participants ever run
-//! concurrently and the run is fully determined by the event order.
+//! concurrently and the run is fully determined by the event order, which
+//! does not depend on which thread happens to run the loop.
 //!
 //! ## Scale
 //!
-//! The handoff primitives are a fixed mutex + condvar pair per rank (wake
-//! side) and one shared pair (report side) — no per-message queue nodes are
-//! allocated on the hot path, unlike the mpsc channels they replaced.
-//! Rank threads are spawned with an explicitly small stack
-//! ([`SimBuilder::rank_stack_size`], default 512 KiB) so a 4096-rank job
-//! reserves ~2 GiB of lazily-committed address space instead of ~32 GiB.
+//! The handoff primitives are a fixed mutex + condvar pair per rank — no
+//! per-message queue nodes are allocated on the hot path, unlike the mpsc
+//! channels they replaced. Rank threads are spawned with an explicitly
+//! small stack ([`SimBuilder::rank_stack_size`], default 512 KiB) so a
+//! 4096-rank job reserves ~2 GiB of lazily-committed address space instead
+//! of ~32 GiB.
 
+use std::any::Any;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -63,16 +76,6 @@ impl std::fmt::Display for RankId {
     }
 }
 
-/// Message a rank thread posts back to the engine when it yields the token.
-pub(crate) enum Report {
-    /// The rank blocked and returned the token; it now waits for a grant.
-    Parked(RankId),
-    /// The rank's program returned.
-    Done(RankId),
-    /// The rank's program panicked with this message.
-    Panicked(RankId, String),
-}
-
 /// Sentinel payload used to unwind rank threads silently when the simulation
 /// is torn down early (deadlock/error paths).
 pub(crate) struct TornDown;
@@ -80,14 +83,15 @@ pub(crate) struct TornDown;
 /// A rank's poll body (see [`crate::ctx::RankCtx::poll_until`]).
 pub(crate) type PollFn = Box<dyn FnMut(&Scheduler) -> Option<SimDuration> + Send>;
 
-/// Where a polling rank leaves its body for the engine. Shared by the
-/// rank's [`RankCtx`] and its engine-side slot, so the queue keeps carrying
-/// a plain `Wake(rank)` and [`crate::event`]'s entries stay 32 bytes. The
-/// lock is never contended: the token protocol lets only one side run.
+/// Where a polling rank leaves its body for the dispatch loop. Shared by
+/// the rank's [`RankCtx`] and its slot in `Dispatch`, so the queue keeps
+/// carrying a plain `Wake(rank)` and [`crate::event`]'s entries stay 32
+/// bytes. The lock is never contended: the token protocol lets only one
+/// side run.
 pub(crate) type PollSlot = Arc<Mutex<Option<PollFn>>>;
 
 /// The message of a caught panic, for [`SimError::RankPanic`].
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+fn panic_message(payload: &(dyn Any + Send)) -> String {
     payload
         .downcast_ref::<&str>()
         .map(|s| s.to_string())
@@ -99,7 +103,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 enum GoSignal {
     /// No grant yet; keep waiting.
     Pending,
-    /// The engine handed this rank the execution token.
+    /// The previous holder handed this rank the execution token.
     Go,
     /// The simulation is being torn down; unwind silently.
     TornDown,
@@ -108,7 +112,9 @@ enum GoSignal {
 /// Per-rank wake primitive: one mutex + condvar, reused for every handoff.
 /// Granting never allocates (an mpsc send allocates a queue node per
 /// message, which at thousands of ranks × millions of handoffs was pure
-/// churn).
+/// churn). A grant is sticky: it may land before the rank waits, which
+/// direct handoff makes routine (the granted rank can run, dispatch and
+/// grant the granter back before the granter reaches its own wait).
 ///
 /// Public so the loom model-check suite (`tests/loom_queue.rs`, built with
 /// `--cfg loom`) can drive the real grant/wait handoff; everything outside
@@ -158,49 +164,87 @@ impl WakeCell {
     }
 }
 
-/// The shared report slot. The token protocol guarantees at most one rank
-/// runs (and therefore at most one report is in flight) at a time, so a
-/// single Option slot replaces the old shared mpsc channel.
-pub(crate) struct ReportCell {
-    slot: StdMutex<Option<Report>>,
+/// How a run ended: its result, or the payload of a panic in the dispatch
+/// loop, which [`Sim::run`] re-raises on its caller after teardown.
+type End = std::thread::Result<Result<SimOutcome, SimError>>;
+
+/// Where the run's end is posted for [`Sim::run`]. Exactly one end is
+/// posted per run, so a single Option slot does.
+struct ReportCell {
+    slot: StdMutex<Option<End>>,
     cv: Condvar,
 }
 
 impl ReportCell {
-    fn new() -> Arc<ReportCell> {
-        Arc::new(ReportCell {
+    fn new() -> ReportCell {
+        ReportCell {
             slot: StdMutex::new(None),
             cv: Condvar::new(),
-        })
+        }
     }
 
-    pub(crate) fn send(&self, r: Report) {
+    fn send(&self, end: End) {
         let mut s = self.slot.lock().unwrap_or_else(|e| e.into_inner());
-        debug_assert!(s.is_none(), "two ranks reported without an engine recv");
-        *s = Some(r);
+        debug_assert!(s.is_none(), "a run ended twice");
+        *s = Some(end);
         self.cv.notify_one();
     }
 
-    fn recv(&self) -> Report {
+    fn recv(&self) -> End {
         let mut s = self.slot.lock().unwrap_or_else(|e| e.into_inner());
         loop {
-            if let Some(r) = s.take() {
-                return r;
+            if let Some(end) = s.take() {
+                return end;
             }
             s = self.cv.wait(s).unwrap_or_else(|e| e.into_inner());
         }
     }
 }
 
-/// Shared core: the event queue and clock, reachable from the engine, from
-/// rank contexts, and from [`Scheduler`] handles captured in callbacks.
+/// One rank as the dispatch loop sees it.
+struct RankSlot {
+    name: String,
+    cell: Arc<WakeCell>,
+    /// Holds a body exactly while the rank is parked in `poll_until`.
+    poll: PollSlot,
+    /// The rank's program returned, or its thread never spawned.
+    done: bool,
+}
+
+/// The dispatch loop's state. Any token holder may run the loop, so it
+/// sits behind a mutex; the token makes that mutex uncontended.
+struct Dispatch {
+    ranks: Vec<RankSlot>,
+    done: usize,
+    dispatched: u64,
+    wakes: u64,
+    polls: u64,
+    switches: u64,
+    max_events: Option<u64>,
+}
+
+/// What [`SimCore::dispatch`] tells the thread that ran it.
+enum Next {
+    /// The loop woke the rank that ran it: it keeps the token.
+    Resume,
+    /// Another rank is due: grant its cell.
+    Grant(Arc<WakeCell>),
+    /// The run is over: post this on the [`ReportCell`].
+    Finish(End),
+}
+
+/// Shared core: the event queue, the clock and the dispatch loop's state,
+/// reachable from rank contexts, from [`Sim`], and from [`Scheduler`]
+/// handles captured in callbacks.
 pub struct SimCore {
     pub(crate) queue: Mutex<EventQueue>,
-    /// Current simulated time in ns; written only by the engine loop, read
-    /// from anywhere without locking.
+    /// Current simulated time in ns; written only by the token holder's
+    /// dispatch loop, read from anywhere without locking.
     clock_ns: AtomicU64,
     /// Typed observability sink for the dispatch loop (off by default).
     rec: obs::RankRec,
+    dispatch: Mutex<Dispatch>,
+    end: ReportCell,
 }
 
 impl SimCore {
@@ -208,6 +252,131 @@ impl SimCore {
     #[inline]
     pub fn now(&self) -> SimTime {
         SimTime(self.clock_ns.load(Ordering::Acquire))
+    }
+
+    /// Run the dispatch loop on the calling thread, which holds the token,
+    /// until the token must go somewhere: back to `me` (the rank that just
+    /// parked, if any), to another rank, or to [`Sim::run`] as the run's
+    /// end. A panic anywhere in the loop — a `Call`, or the harness-bug
+    /// check below — ends the run with its payload.
+    fn dispatch(self: &Arc<Self>, me: Option<RankId>) -> Next {
+        let mut d = self.dispatch.lock();
+        let sched = Scheduler::new(Arc::clone(self));
+        panic::catch_unwind(AssertUnwindSafe(|| self.run_events(&mut d, &sched, me)))
+            .unwrap_or_else(|payload| Next::Finish(Err(payload)))
+    }
+
+    fn run_events(&self, d: &mut Dispatch, sched: &Scheduler, me: Option<RankId>) -> Next {
+        loop {
+            // Rank-driven simulations finish when every rank returned, even
+            // if recurring background events (progress timers) are still
+            // queued — nothing observable can happen anymore.
+            if !d.ranks.is_empty() && d.done == d.ranks.len() {
+                return Next::Finish(Ok(Ok(self.outcome(d))));
+            }
+            let popped = self.queue.lock().pop();
+            let Some((t, kind)) = popped else {
+                if d.done == d.ranks.len() {
+                    return Next::Finish(Ok(Ok(self.outcome(d))));
+                }
+                let stuck = d
+                    .ranks
+                    .iter()
+                    .filter(|r| !r.done)
+                    // Ownership constraint: the deadlock report outlives
+                    // the run, so the stuck ranks' names must be owned.
+                    .map(|r| r.name.clone())
+                    .collect();
+                return Next::Finish(Ok(Err(SimError::Deadlock(stuck))));
+            };
+            d.dispatched += 1;
+            debug_assert!(t >= self.now(), "event queue went backwards");
+            self.clock_ns.store(t.0, Ordering::Release);
+            if let Some(limit) = d.max_events {
+                if d.dispatched > limit {
+                    return Next::Finish(Ok(Err(SimError::EventLimit(limit))));
+                }
+            }
+            let rank = match kind {
+                EventKind::Call(f) => {
+                    self.rec.engine(t.0, obs::EngineEvent::DispatchCall);
+                    f(sched);
+                    continue;
+                }
+                EventKind::Wake(rank) => rank,
+            };
+            let slot = &d.ranks[rank.0];
+            // A wake raced with rank completion; a completed rank cannot be
+            // blocked, so this indicates a harness bug (e.g. double-signal
+            // of a semaphore after its waiter returned).
+            assert!(
+                !slot.done,
+                "wake event for finished rank {} ({})",
+                rank.0, slot.name
+            );
+            self.rec.engine(t.0, obs::EngineEvent::DispatchWake);
+            // A poll tick: run the rank's body here instead of resuming the
+            // rank to run it. The guard is dropped before the call, so the
+            // slot is free while it runs.
+            let body = slot.poll.lock().take();
+            if let Some(mut body) = body {
+                match panic::catch_unwind(AssertUnwindSafe(|| body(sched))) {
+                    Ok(Some(step)) => {
+                        *slot.poll.lock() = Some(body);
+                        sched.wake_rank_at(t + step, rank);
+                        d.polls += 1;
+                        continue;
+                    }
+                    // Ready: the body is spent, the rank resumes.
+                    Ok(None) => {}
+                    // The body is the rank's code, so its panic is the
+                    // rank's; teardown unwinds the parked thread.
+                    Err(payload) => {
+                        let message = panic_message(&*payload);
+                        return Next::Finish(Ok(Err(SimError::RankPanic { rank, message })));
+                    }
+                }
+            }
+            debug_assert!(
+                slot.poll.lock().is_none(),
+                "{rank} granted the token with a poll body armed"
+            );
+            d.wakes += 1;
+            if me == Some(rank) {
+                return Next::Resume;
+            }
+            d.switches += 1;
+            return Next::Grant(Arc::clone(&slot.cell));
+        }
+    }
+
+    fn outcome(&self, d: &Dispatch) -> SimOutcome {
+        SimOutcome {
+            final_time: self.now(),
+            events: d.dispatched,
+            wakes: d.wakes,
+            polls: d.polls,
+            switches: d.switches,
+        }
+    }
+
+    /// Dispatch and pass the token to whoever the loop names. Returns
+    /// `true` when it came back to `me`; otherwise the caller no longer
+    /// holds the token and must wait on its own cell, or exit.
+    pub(crate) fn hand_off(self: &Arc<Self>, me: Option<RankId>) -> bool {
+        match self.dispatch(me) {
+            Next::Resume => return true,
+            Next::Grant(cell) => cell.grant(),
+            Next::Finish(end) => self.end.send(end),
+        }
+        false
+    }
+
+    /// A rank's program returned: it will never be woken again.
+    fn retire(&self, rank: RankId) {
+        let mut d = self.dispatch.lock();
+        d.ranks[rank.0].done = true;
+        d.done += 1;
     }
 }
 
@@ -229,7 +398,8 @@ impl Scheduler {
         self.core.now()
     }
 
-    /// Schedule `f` to run on the engine thread at absolute time `t`.
+    /// Schedule `f` to run at absolute time `t`, on whichever thread holds
+    /// the token then.
     ///
     /// # Panics
     /// Panics if `t` is in the past; events may not rewrite history.
@@ -269,20 +439,6 @@ impl Scheduler {
     pub fn wake_rank_now(&self, rank: RankId) {
         self.wake_rank_at(self.now(), rank);
     }
-}
-
-enum RankState {
-    Parked,
-    Done,
-}
-
-struct RankSlot {
-    name: String,
-    cell: Arc<WakeCell>,
-    /// Holds a body exactly while the rank is parked in `poll_until`.
-    poll: PollSlot,
-    state: RankState,
-    join: Option<JoinHandle<()>>,
 }
 
 /// Default rank-thread stack size. Rank programs are shallow (the MPI stack
@@ -326,7 +482,10 @@ impl SimBuilder {
         self
     }
 
-    /// Stack size for rank threads (default [`DEFAULT_RANK_STACK`]).
+    /// Stack size for rank threads (default [`DEFAULT_RANK_STACK`]). The
+    /// dispatch loop runs on whichever rank thread holds the token, so
+    /// `Call`s and poll bodies run on these stacks too; the debug test
+    /// suite runs its whole stack on the 512 KiB default.
     pub fn rank_stack_size(mut self, bytes: usize) -> Self {
         self.rank_stack = bytes;
         self
@@ -337,12 +496,20 @@ impl SimBuilder {
             queue: Mutex::new(EventQueue::new()),
             clock_ns: AtomicU64::new(0),
             rec: obs::RankRec::new(self.recorder.as_ref(), obs::ENGINE_RANK),
+            dispatch: Mutex::new(Dispatch {
+                ranks: Vec::new(),
+                done: 0,
+                dispatched: 0,
+                wakes: 0,
+                polls: 0,
+                switches: 0,
+                max_events: self.max_events,
+            }),
+            end: ReportCell::new(),
         });
         Sim {
             core,
-            ranks: Vec::new(),
-            report: ReportCell::new(),
-            max_events: self.max_events,
+            joins: Vec::new(),
             rank_stack: self.rank_stack,
             spawn_error: None,
         }
@@ -356,16 +523,20 @@ pub struct SimOutcome {
     pub final_time: SimTime,
     /// Total number of events dispatched:
     /// `events == calls + wakes + polls`, where `calls` are the closure
-    /// dispatches, run inline on the engine thread.
+    /// dispatches, run inline by whichever thread holds the token.
     pub events: u64,
-    /// Wake events that handed the token to a rank thread. Each is a full
-    /// handoff (two OS context switches on a single-core host), so this is
-    /// the wall-clock cost driver of large runs.
+    /// Wake events that resumed a rank: the rank's own code ran again.
+    /// Whether that cost a thread switch is counted in `switches`.
     pub wakes: u64,
     /// Wake events answered inline: poll ticks of a rank parked in
     /// [`RankCtx::poll_until`] whose body asked for another tick. They
-    /// cost a closure call on the engine thread, not a handoff.
+    /// cost a closure call on the dispatching thread, not a resume.
     pub polls: u64,
+    /// Grants that moved the token to another thread: the first grant
+    /// from [`Sim::run`], and every wake of a rank other than the one that
+    /// parked. Each costs one OS context switch; the other
+    /// `wakes - switches` wakes cost none.
+    pub switches: u64,
 }
 
 /// Ways a simulation can fail.
@@ -406,9 +577,7 @@ impl std::error::Error for SimError {}
 /// A discrete-event simulation with rank threads.
 pub struct Sim {
     core: Arc<SimCore>,
-    ranks: Vec<RankSlot>,
-    report: Arc<ReportCell>,
-    max_events: Option<u64>,
+    joins: Vec<JoinHandle<()>>,
     rank_stack: usize,
     /// First spawn failure, surfaced by [`Sim::run`] (see
     /// [`Sim::spawn_rank`]).
@@ -437,7 +606,6 @@ impl Sim {
         match self.try_spawn_rank(name, f) {
             Ok(id) => id,
             Err(e) => {
-                let id = RankId(self.ranks.len());
                 let name = match &e {
                     SimError::SpawnFailed { name, .. } => name.clone(),
                     _ => unreachable!("try_spawn_rank only fails with SpawnFailed"),
@@ -445,16 +613,17 @@ impl Sim {
                 if self.spawn_error.is_none() {
                     self.spawn_error = Some(e);
                 }
-                // Dense placeholder so later RankIds stay valid; marked Done
+                // Dense placeholder so later RankIds stay valid; marked done
                 // so the dispatch loop never grants it.
-                self.ranks.push(RankSlot {
+                let mut d = self.core.dispatch.lock();
+                d.ranks.push(RankSlot {
                     name,
                     cell: WakeCell::new(),
                     poll: PollSlot::default(),
-                    state: RankState::Done,
-                    join: None,
+                    done: true,
                 });
-                id
+                d.done += 1;
+                RankId(d.ranks.len() - 1)
             }
         }
     }
@@ -466,7 +635,8 @@ impl Sim {
         name: impl Into<String>,
         f: impl FnOnce(RankCtx) + Send + 'static,
     ) -> Result<RankId, SimError> {
-        let id = RankId(self.ranks.len());
+        let mut d = self.core.dispatch.lock();
+        let id = RankId(d.ranks.len());
         let name = name.into();
         let cell = WakeCell::new();
         let poll = PollSlot::default();
@@ -475,9 +645,8 @@ impl Sim {
             id,
             Arc::clone(&cell),
             Arc::clone(&poll),
-            Arc::clone(&self.report),
         );
-        let report = Arc::clone(&self.report);
+        let core = Arc::clone(&self.core);
         let tname = format!("sim-{name}");
         let join = match std::thread::Builder::new()
             .name(tname)
@@ -488,17 +657,17 @@ impl Sim {
                     return; // torn down before start
                 }
                 let rank = ctx.rank();
-                let result = panic::catch_unwind(AssertUnwindSafe(|| f(ctx)));
-                match result {
+                match panic::catch_unwind(AssertUnwindSafe(|| f(ctx))) {
                     Ok(()) => {
-                        report.send(Report::Done(rank));
+                        core.retire(rank);
+                        core.hand_off(None);
                     }
+                    // Silent unwind during teardown; do not report.
+                    Err(payload) if payload.is::<TornDown>() => {}
                     Err(payload) => {
-                        if payload.downcast_ref::<TornDown>().is_some() {
-                            // Silent unwind during teardown; do not report.
-                            return;
-                        }
-                        report.send(Report::Panicked(rank, panic_message(&*payload)));
+                        let message = panic_message(&*payload);
+                        core.end
+                            .send(Ok(Err(SimError::RankPanic { rank, message })));
                     }
                 }
             }) {
@@ -510,13 +679,13 @@ impl Sim {
                 })
             }
         };
-        self.ranks.push(RankSlot {
+        d.ranks.push(RankSlot {
             name,
             cell,
             poll,
-            state: RankState::Parked,
-            join: Some(join),
+            done: false,
         });
+        self.joins.push(join);
         // First activation at t=0.
         self.core
             .queue
@@ -526,152 +695,32 @@ impl Sim {
     }
 
     /// Run the simulation to completion.
+    ///
+    /// # Panics
+    /// Re-raises, after every rank thread is joined, a panic raised by an
+    /// event callback (whichever thread ran it).
     pub fn run(mut self) -> Result<SimOutcome, SimError> {
-        let result = self.run_inner();
+        let end = match self.spawn_error.take() {
+            Some(e) => Ok(Err(e)),
+            None => {
+                self.core.hand_off(None);
+                self.core.end.recv()
+            }
+        };
         self.teardown();
-        result
-    }
-
-    fn run_inner(&mut self) -> Result<SimOutcome, SimError> {
-        if let Some(e) = self.spawn_error.take() {
-            return Err(e);
-        }
-        let sched = Scheduler::new(Arc::clone(&self.core));
-        let mut done_count = self
-            .ranks
-            .iter()
-            .filter(|r| matches!(r.state, RankState::Done))
-            .count();
-        // Local dispatch counter: saves re-locking the queue for the
-        // event-budget check on every iteration of the hot loop.
-        let mut dispatched: u64 = self.core.queue.lock().dispatched();
-        let mut wakes: u64 = 0;
-        let mut polls: u64 = 0;
-        loop {
-            // Rank-driven simulations finish when every rank returned, even
-            // if recurring background events (progress timers) are still
-            // queued — nothing observable can happen anymore.
-            if !self.ranks.is_empty() && done_count == self.ranks.len() {
-                return Ok(SimOutcome {
-                    final_time: self.core.now(),
-                    events: dispatched,
-                    wakes,
-                    polls,
-                });
-            }
-            let popped = self.core.queue.lock().pop();
-            let (t, kind) = match popped {
-                Some(e) => e,
-                None => {
-                    if done_count == self.ranks.len() {
-                        return Ok(SimOutcome {
-                            final_time: self.core.now(),
-                            events: dispatched,
-                            wakes,
-                            polls,
-                        });
-                    }
-                    let stuck: Vec<String> = self
-                        .ranks
-                        .iter()
-                        .filter(|r| !matches!(r.state, RankState::Done))
-                        // Ownership constraint: the deadlock report outlives
-                        // `self`, so the stuck ranks' names must be owned.
-                        .map(|r| r.name.clone())
-                        .collect();
-                    return Err(SimError::Deadlock(stuck));
-                }
-            };
-            dispatched += 1;
-            debug_assert!(t >= self.core.now(), "event queue went backwards");
-            self.core.clock_ns.store(t.0, Ordering::Release);
-            if let Some(limit) = self.max_events {
-                if dispatched > limit {
-                    return Err(SimError::EventLimit(limit));
-                }
-            }
-            match kind {
-                EventKind::Call(f) => {
-                    self.core.rec.engine(t.0, obs::EngineEvent::DispatchCall);
-                    f(&sched);
-                }
-                EventKind::Wake(rank) => {
-                    let slot = &self.ranks[rank.0];
-                    match slot.state {
-                        RankState::Done => {
-                            // A wake raced with rank completion; a completed
-                            // rank cannot be blocked, so this indicates a
-                            // harness bug (e.g. double-signal of a semaphore
-                            // after its waiter returned).
-                            panic!(
-                                "wake event for finished rank {} ({})",
-                                rank.0, slot.name
-                            );
-                        }
-                        RankState::Parked => {}
-                    }
-                    self.core.rec.engine(t.0, obs::EngineEvent::DispatchWake);
-                    // A poll tick: run the rank's body here instead of
-                    // waking the rank to run it. The guard is dropped
-                    // before the call, so the slot is free while it runs.
-                    let body = slot.poll.lock().take();
-                    if let Some(mut body) = body {
-                        match panic::catch_unwind(AssertUnwindSafe(|| body(&sched))) {
-                            Ok(Some(d)) => {
-                                *slot.poll.lock() = Some(body);
-                                sched.wake_rank_at(t + d, rank);
-                                polls += 1;
-                                continue;
-                            }
-                            // Ready: the body is spent, the rank resumes.
-                            Ok(None) => {}
-                            // The body is the rank's code, so its panic is
-                            // the rank's; teardown unwinds the parked thread.
-                            Err(payload) => {
-                                return Err(SimError::RankPanic {
-                                    rank,
-                                    message: panic_message(&*payload),
-                                });
-                            }
-                        }
-                    }
-                    debug_assert!(
-                        slot.poll.lock().is_none(),
-                        "{rank} granted the token with a poll body armed"
-                    );
-                    wakes += 1;
-                    slot.cell.grant();
-                    match self.report.recv() {
-                        Report::Parked(r) => {
-                            debug_assert_eq!(
-                                r, rank,
-                                "token returned by a different rank than was woken"
-                            );
-                        }
-                        Report::Done(r) => {
-                            self.ranks[r.0].state = RankState::Done;
-                            done_count += 1;
-                        }
-                        Report::Panicked(r, message) => {
-                            self.ranks[r.0].state = RankState::Done;
-                            return Err(SimError::RankPanic { rank: r, message });
-                        }
-                    }
-                }
-            }
-        }
+        end.unwrap_or_else(|payload| panic::resume_unwind(payload))
     }
 
     /// Unblock and join every rank thread, silently unwinding any that are
     /// still parked (error paths).
     fn teardown(&mut self) {
-        for slot in &mut self.ranks {
-            // A torn-down wake cell makes a parked rank's wait fail, which
-            // RankCtx turns into a silent TornDown unwind.
+        // A torn-down wake cell makes a parked rank's wait fail, which
+        // RankCtx turns into a silent TornDown unwind.
+        for slot in &self.core.dispatch.lock().ranks {
             slot.cell.tear_down();
-            if let Some(join) = slot.join.take() {
-                let _ = join.join();
-            }
+        }
+        for join in self.joins.drain(..) {
+            let _ = join.join();
         }
     }
 }
@@ -972,6 +1021,61 @@ mod tests {
                 assert!(message.contains("tick 3 went wrong"), "{message}");
             }
             other => panic!("expected the poller's panic, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn switches_count_grants_to_another_thread() {
+        // A lone rank's advances come back to the rank that parked: its N
+        // calls cost no switch, whatever N. The one switch is the grant
+        // that starts it.
+        for n in [0u64, 50] {
+            let mut sim = SimBuilder::new().build();
+            sim.spawn_rank("alone", move |ctx| {
+                for _ in 0..n {
+                    ctx.advance(SimDuration::nanos(10));
+                }
+            });
+            let out = sim.run().unwrap();
+            assert_eq!((out.wakes, out.switches), (n + 1, 1), "{out:?}");
+        }
+        // Two ranks in lockstep: every wake is the other rank's turn.
+        let mut sim = SimBuilder::new().build();
+        for r in 0..2 {
+            sim.spawn_rank(format!("r{r}"), |ctx| {
+                for _ in 0..50 {
+                    ctx.advance(SimDuration::nanos(10));
+                }
+            });
+        }
+        let out = sim.run().unwrap();
+        assert_eq!(out.wakes, 2 * 51);
+        assert_eq!(out.switches, out.wakes);
+    }
+
+    #[test]
+    fn panicking_call_unwinds_on_the_caller_after_teardown() {
+        // At 0 the call runs on `Sim::run`'s thread before the rank starts;
+        // at 1 µs it runs on the parked rank's thread, inside its `advance`.
+        for at in [SimTime::ZERO, SimTime(1_000)] {
+            let held = Arc::new(());
+            let mut sim = SimBuilder::new().build();
+            sim.scheduler()
+                .schedule_at(at, |_| panic!("the call went wrong"));
+            let h = Arc::clone(&held);
+            sim.spawn_rank("holder", move |ctx| {
+                let _held = h;
+                ctx.advance(SimDuration::micros(10));
+                unreachable!("the run ends at the call");
+            });
+            let payload = panic::catch_unwind(AssertUnwindSafe(|| sim.run()))
+                .expect_err("the call's panic reaches the caller");
+            assert_eq!(panic_message(&*payload), "the call went wrong");
+            assert_eq!(
+                Arc::strong_count(&held),
+                1,
+                "a rank thread outlived the run"
+            );
         }
     }
 

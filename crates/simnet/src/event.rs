@@ -28,15 +28,16 @@ use std::collections::BinaryHeap;
 use crate::engine::{RankId, Scheduler};
 use crate::time::SimTime;
 
-/// A boxed event callback. Callbacks run on the engine thread and may
-/// schedule further events or wake parked ranks through the [`Scheduler`].
+/// A boxed event callback. Callbacks run inline in the dispatch loop, on
+/// whichever thread holds the execution token, and may schedule further
+/// events or wake parked ranks through the [`Scheduler`].
 pub type EventFn = Box<dyn FnOnce(&Scheduler) + Send>;
 
 /// What an event does when it fires.
 pub enum EventKind {
-    /// Run a callback on the engine thread (NIC completions, PIOMan ltasks…).
+    /// Run a callback inline (NIC completions, PIOMan ltasks…).
     Call(EventFn),
-    /// Hand the execution token to a parked rank thread.
+    /// Resume a parked rank (or run its poll body, if it left one).
     Wake(RankId),
 }
 

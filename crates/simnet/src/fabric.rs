@@ -33,8 +33,8 @@ pub struct Delivery<M> {
     pub corrupted: bool,
 }
 
-/// Per-node handler invoked (on the engine thread) for every arriving
-/// message.
+/// Per-node handler invoked (inline in the dispatch loop) for every
+/// arriving message.
 pub type SinkFn<M> = Box<dyn FnMut(&Scheduler, Delivery<M>) + Send>;
 
 /// Re-export of the NIC wire-size unit used across the workspace.

@@ -15,12 +15,13 @@
 //!
 //! Each simulated *rank* (MPI process) runs its program on a dedicated OS
 //! thread, but the simulation is logically single-threaded: a single
-//! *execution token* is handed back and forth between the engine and rank
-//! threads. A rank thread only executes while it holds the token; it returns
-//! the token whenever it blocks (on a [`sem::SimSemaphore`], on
-//! [`ctx::RankCtx::advance`], …). Background machinery (NIC DMA engines,
-//! PIOMan ltasks) runs as plain event callbacks on the engine thread and never
-//! needs a thread of its own.
+//! *execution token* passes directly from rank thread to rank thread. A rank
+//! thread only executes while it holds the token. When it blocks (on a
+//! [`sem::SimSemaphore`], on [`ctx::RankCtx::advance`], …) it runs the
+//! event dispatch loop itself until the next rank is due, and keeps the
+//! token if that rank is itself. There is no engine thread. Background
+//! machinery (NIC DMA engines, PIOMan ltasks) runs as plain event callbacks
+//! on whichever thread holds the token and never needs a thread of its own.
 //!
 //! ## Module map
 //!

@@ -1,6 +1,7 @@
 //! Pure engine token-handoff throughput: K ranks round-robin through
-//! `advance`, so every event is a park/grant handoff. Reports wakes/sec
-//! per rank count — the floor on what any simulated workload can hit.
+//! `advance`, so every event is a wake. Reports wakes/sec per rank count —
+//! the floor on what any simulated workload can hit — and the thread
+//! switches those wakes cost (at K = 1 the rank's own wakes cost none).
 //!
 //! `cargo run --release --example handoff_bench [rank-counts]`
 
@@ -12,7 +13,7 @@ fn main() {
     let counts: Vec<usize> = std::env::args()
         .nth(1)
         .map(|s| s.split(',').map(|x| x.parse().unwrap()).collect())
-        .unwrap_or_else(|| vec![2, 64, 256, 1024]);
+        .unwrap_or_else(|| vec![1, 2, 64, 256, 1024]);
     const TOTAL: usize = 200_000;
     for k in counts {
         let mut sim = SimBuilder::new().build();
@@ -28,8 +29,9 @@ fn main() {
         let out = sim.run().unwrap();
         let dt = t0.elapsed().as_secs_f64();
         println!(
-            "ranks {k:>5}: {:>8} wakes in {dt:.2}s = {:>8.0} wakes/s ({:.1} us/handoff)",
+            "ranks {k:>5}: {:>8} wakes, {:>8} switches in {dt:.2}s = {:>8.0} wakes/s ({:.2} us/wake)",
             out.wakes,
+            out.switches,
             out.wakes as f64 / dt,
             dt * 1e6 / out.wakes as f64
         );

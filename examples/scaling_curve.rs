@@ -3,8 +3,9 @@
 //! the calendar queue.
 //!
 //! For each rank count the job runs a barrier, a hierarchical allreduce
-//! and a Bruck alltoall, and reports wall-clock, dispatched events,
-//! events/sec and peak RSS (VmHWM). Results are written to `BENCH_7.json`
+//! and a Bruck alltoall, and reports wall-clock, dispatched events, rank
+//! wakes and the thread switches they cost, events/sec and peak RSS
+//! (VmHWM). Results are written to `BENCH_7.json`
 //! (pass an output path as the first argument to override).
 //!
 //! Run with `cargo run --release --example scaling_curve` — debug builds
@@ -37,6 +38,7 @@ struct SweepPoint {
     wall_s: f64,
     events: u64,
     wakes: u64,
+    switches: u64,
     events_per_sec: f64,
     sim_time_us: f64,
     peak_rss_mb: f64,
@@ -83,6 +85,7 @@ fn sweep(p: usize) -> SweepPoint {
         wall_s: wall,
         events: outcome.sim.events,
         wakes: outcome.sim.wakes,
+        switches: outcome.sim.switches,
         events_per_sec: outcome.sim.events as f64 / wall,
         sim_time_us: outcome.sim.final_time.0 as f64 / 1000.0,
         peak_rss_mb: peak_rss_kb() as f64 / 1024.0,
@@ -153,8 +156,8 @@ fn main() {
         eprintln!("== E19 sweep at {p} ranks ==");
         let pt = sweep(p);
         eprintln!(
-            "  wall {:.2}s  events {}  wakes {}  {:.0} events/s  sim {:.0}us  peak RSS {:.1} MB",
-            pt.wall_s, pt.events, pt.wakes, pt.events_per_sec, pt.sim_time_us, pt.peak_rss_mb
+            "  wall {:.2}s  events {}  wakes {}  switches {}  {:.0} events/s  sim {:.0}us  peak RSS {:.1} MB",
+            pt.wall_s, pt.events, pt.wakes, pt.switches, pt.events_per_sec, pt.sim_time_us, pt.peak_rss_mb
         );
         points.push(pt);
     }
@@ -182,6 +185,7 @@ fn main() {
         writeln!(json, "      \"wall_clock_s\": {:.3},", pt.wall_s).unwrap();
         writeln!(json, "      \"events\": {},", pt.events).unwrap();
         writeln!(json, "      \"wakes\": {},", pt.wakes).unwrap();
+        writeln!(json, "      \"switches\": {},", pt.switches).unwrap();
         writeln!(json, "      \"events_per_sec\": {:.0},", pt.events_per_sec).unwrap();
         writeln!(json, "      \"sim_time_us\": {:.1},", pt.sim_time_us).unwrap();
         writeln!(json, "      \"peak_rss_mb\": {:.1}", pt.peak_rss_mb).unwrap();
