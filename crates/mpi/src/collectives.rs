@@ -25,7 +25,9 @@
 //! * [`alltoall_bruck`] / [`alltoallv_bruck`] — Bruck's algorithm:
 //!   ⌈log₂ P⌉ rounds of packed exchanges (P log P messages job-wide
 //!   instead of P²). Blocks are length-prefixed, so one implementation
-//!   serves both the fixed and variable-size variants.
+//!   serves both the fixed and variable-size variants; each rank keeps its
+//!   blocks in one contiguous buffer plus a `u32` length table and slices
+//!   the result out of it once.
 //! * [`alltoallv_windowed`] — pairwise exchange with a bounded number of
 //!   in-flight request pairs, for when payload bytes (not message count)
 //!   dominate.
@@ -643,6 +645,15 @@ pub fn allreduce_sum_hier(mpi: &MpiHandle, contrib: &[f64]) -> Vec<f64> {
 /// of the pairwise exchange's P², at the cost of each byte travelling up to
 /// ⌈log₂ P⌉ hops. Handles variable block sizes, so it backs both
 /// [`alltoall_auto`] and [`alltoallv_auto`].
+///
+/// Each rank holds its rotated blocks back to back in one `Vec<u8>` with a
+/// `u32` length per block: a round packs by walking the lengths, then
+/// rebuilds into a second buffer (arrivals from the round message, the
+/// rest from the current buffer) that replaces the first. The result is
+/// one slice per source of that final buffer, which holds output bytes
+/// only. Per rank that is at most 2 × the rank's block bytes + 4·P bytes
+/// of lengths + one round message in flight — no per-block handles until
+/// the result.
 pub fn alltoallv_bruck(mpi: &MpiHandle, blocks: Vec<Bytes>) -> Vec<Bytes> {
     let (rank, size) = (mpi.rank(), mpi.size());
     assert_eq!(blocks.len(), size, "need one block per rank");
@@ -651,97 +662,82 @@ pub fn alltoallv_bruck(mpi: &MpiHandle, blocks: Vec<Bytes>) -> Vec<Bytes> {
     }
     let seq = next_seq(mpi);
     let ep = world_epoch(mpi);
-    // Local rotation: temp[i] holds the block destined to rank+i. Done in
-    // place on the input vector — a handle array is 32 B × P per rank,
-    // O(P²) job-wide, so this routine never materialises a second one.
-    let mut temp = blocks;
-    temp.rotate_left(rank);
-    let mut pof = 1usize;
-    let mut round = 1u16;
-    while pof < size {
-        let key = coll_key(ep, OP_ALLTOALLV, round, seq);
+    // Local rotation: rotated index i holds the block destined to rank+i.
+    let mut buf = Vec::with_capacity(blocks.iter().map(Bytes::len).sum());
+    let mut lens = Vec::with_capacity(size);
+    for i in 0..size {
+        let blk = &blocks[(rank + i) % size];
+        lens.push(u32::try_from(blk.len()).expect("bruck block too large"));
+        buf.extend_from_slice(blk);
+    }
+    drop(blocks);
+    for round in 0..size.next_power_of_two().trailing_zeros() {
+        let pof = 1usize << round;
+        let key = coll_key(ep, OP_ALLTOALLV, round as u16 + 1, seq);
         let to = (rank + pof) % size;
         let from = (rank + size - pof) % size;
-        let idxs: Vec<usize> = (0..size).filter(|i| i & pof != 0).collect();
         // u32 length prefixes: at thousands of ranks with small blocks the
         // prefix dominates wire size (a u64 one is 2/3 of the bytes for
         // 4-byte blocks) and can push the round message past the eager
         // threshold into rendezvous.
-        let mut packed = Vec::new();
-        for &i in &idxs {
-            let blk = &temp[i];
-            assert!(blk.len() <= u32::MAX as usize, "bruck block too large");
-            packed.extend_from_slice(&(blk.len() as u32).to_le_bytes());
-            packed.extend_from_slice(blk);
+        let picked = lens.iter().enumerate().filter(|(i, _)| i & pof != 0);
+        let packed_len: usize = picked.map(|(_, &l)| 4 + l as usize).sum();
+        let mut packed = Vec::with_capacity(packed_len);
+        let mut off = 0usize;
+        for (i, &len) in lens.iter().enumerate() {
+            let end = off + len as usize;
+            if i & pof != 0 {
+                packed.extend_from_slice(&len.to_le_bytes());
+                packed.extend_from_slice(&buf[off..end]);
+            }
+            off = end;
         }
         let r = mpi.state.irecv_key(&mpi.ctx, Src::Rank(from), key);
         let s = mpi
             .state
             .isend_key(&mpi.ctx, to, key, NmBuf::from(Bytes::from(packed)));
-        let (d, _) = mpi.state.wait(&mpi.ctx, r);
+        let d = mpi.state.wait(&mpi.ctx, r).0.expect("bruck data");
         mpi.state.wait(&mpi.ctx, s);
-        let d = d.expect("bruck data");
-        let mut off = 0usize;
-        // Zero-copy slices of the raw arrival buffer would pin the whole
-        // buffer until the LAST of its blocks is overwritten — and every
-        // round delivers some block that lives to the final round, so all
-        // ⌈log₂P⌉ arrival buffers (mostly dead bytes) would stay resident
-        // per rank at the peak: gigabytes job-wide at 4096 ranks. Instead,
-        // group arriving blocks by the round that overwrites them — the
-        // next set bit of the rotated index above this round's bit. All
-        // blocks of a group die together, so a compact buffer per group
-        // never holds dead data; the no-higher-bit group is final output.
-        struct ArrivalGroup {
-            /// Round whose arrival overwrites every block in this group
-            /// (`u32::MAX`: never — the blocks are final output).
-            death: u32,
-            buf: Vec<u8>,
-            /// (temp index, start, end) of each block within `buf`.
-            bounds: Vec<(usize, usize, usize)>,
-        }
-        let shift = pof.trailing_zeros() + 1;
-        let mut groups: Vec<ArrivalGroup> = Vec::new();
-        for &i in &idxs {
-            let len =
-                u32::from_le_bytes(d[off..off + 4].try_into().unwrap()) as usize;
-            off += 4;
-            let death = match i >> shift {
-                0 => u32::MAX,
-                hi => hi.trailing_zeros(),
-            };
-            let g = match groups.iter().position(|g| g.death == death) {
-                Some(g) => g,
-                None => {
-                    groups.push(ArrivalGroup {
-                        death,
-                        buf: Vec::new(),
-                        bounds: Vec::new(),
-                    });
-                    groups.len() - 1
-                }
-            };
-            let g = &mut groups[g];
-            let start = g.buf.len();
-            g.buf.extend_from_slice(&d[off..off + len]);
-            g.bounds.push((i, start, g.buf.len()));
-            off += len;
-        }
-        assert_eq!(off, d.len(), "bruck payload size mismatch");
-        for g in groups {
-            let shared = Bytes::from(g.buf);
-            for (i, s, e) in g.bounds {
-                temp[i] = shared.slice(s..e);
+        // Both round messages carry one prefix per picked block, so this is
+        // the rebuilt buffer's exact size: the final one pins no slack.
+        let mut next = Vec::with_capacity((buf.len() + d.len()).saturating_sub(packed_len));
+        let (mut off, mut rest) = (0usize, &d[..]);
+        for (i, len) in lens.iter_mut().enumerate() {
+            let end = off + *len as usize;
+            if i & pof != 0 {
+                let (blk, tail) = split_block(rest);
+                next.extend_from_slice(blk);
+                *len = blk.len() as u32;
+                rest = tail;
+            } else {
+                next.extend_from_slice(&buf[off..end]);
             }
+            off = end;
         }
-        pof <<= 1;
-        round += 1;
+        assert!(rest.is_empty(), "bruck payload size mismatch");
+        buf = next;
     }
-    // Inverse rotation: after the exchange rounds, temp[i] holds the block
-    // that originated at rank−i, i.e. result[s] = temp[(rank−s) mod P] —
-    // a reversal followed by a rotation, again in place.
-    temp.reverse();
-    temp.rotate_left(size - 1 - rank);
-    temp
+    // Inverse rotation: rotated index i now holds the block that originated
+    // at rank−i, so it is result[(rank−i) mod P] — one slice each of the
+    // final buffer.
+    let out = Bytes::from(buf);
+    let mut result = vec![Bytes::new(); size];
+    let mut off = 0usize;
+    for (i, &len) in lens.iter().enumerate() {
+        result[(rank + size - i) % size] = out.slice(off..off + len as usize);
+        off += len as usize;
+    }
+    result
+}
+
+/// Splits the first `u32`-prefixed block off a Bruck round message:
+/// `(block, rest)`. A short message is a programmer invariant, not an
+/// input error: every member packs with the same code over a CRC-checked
+/// wire.
+fn split_block(msg: &[u8]) -> (&[u8], &[u8]) {
+    msg.split_first_chunk::<4>()
+        .and_then(|(len, rest)| rest.split_at_checked(u32::from_le_bytes(*len) as usize))
+        .expect("bruck round message truncated")
 }
 
 /// Bruck all-to-all with equal-size blocks (see [`alltoallv_bruck`]).
@@ -903,6 +899,12 @@ mod tests {
     #[should_panic(expected = "not an f64 vector")]
     fn f64_codec_rejects_ragged() {
         bytes_to_f64s(&[1, 2, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "bruck round message truncated")]
+    fn split_block_rejects_a_short_block() {
+        split_block(&[3, 0, 0, 0, 7, 8]);
     }
 
     #[test]

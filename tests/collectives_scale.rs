@@ -34,12 +34,20 @@ fn cluster_for(nranks: usize) -> (Cluster, Placement) {
     (cluster, placement)
 }
 
-/// P ∈ {1, 3, 6}: every algorithm variant must agree byte-for-byte on the
-/// same inputs, including the degenerate single-rank and odd sizes where
-/// the non-power-of-two folds and empty node groups are exercised.
+/// Rank `quiet` sends only empty blocks; every other rank sends non-empty
+/// ones of varying length.
+fn one_quiet_block(src: usize, dst: usize, quiet: usize) -> Bytes {
+    let len = if src == quiet { 0 } else { 1 + (src + dst) % 5 };
+    Bytes::from(vec![(src * 7 + dst) as u8; len])
+}
+
+/// P ∈ {1, 3, 6, 8}: every algorithm variant must agree byte-for-byte on
+/// the same inputs, including the degenerate single-rank and odd sizes
+/// where the non-power-of-two folds and empty node groups are exercised,
+/// and P = 8, where every Bruck round is full.
 #[test]
 fn all_variants_agree_at_degenerate_sizes() {
-    for p in [1usize, 3, 6] {
+    for p in [1usize, 3, 6, 8] {
         let (cluster, placement) = cluster_for(p);
         let stack = StackConfig::mpich2_nmad(false);
         let (_, oks) = run_mpi_collect(&cluster, &placement, &stack, p, move |mpi| {
@@ -89,6 +97,21 @@ fn all_variants_agree_at_degenerate_sizes() {
             let flat = collectives::alltoall(mpi, blocks.clone());
             let bruck = collectives::alltoall_bruck(mpi, blocks);
             assert_eq!(flat, bruck, "alltoall flat≠bruck at P={n}");
+            // equal-size alltoall of empty blocks (B = 0).
+            let empty = vec![Bytes::new(); n];
+            let flat = collectives::alltoall(mpi, empty.clone());
+            let bruck = collectives::alltoall_bruck(mpi, empty);
+            assert_eq!(flat, bruck, "empty alltoall flat≠bruck at P={n}");
+            assert!(bruck.iter().all(Bytes::is_empty));
+            // alltoallv where the last rank sends only empty blocks.
+            let quiet = n - 1;
+            let blocks: Vec<Bytes> = (0..n).map(|d| one_quiet_block(me, d, quiet)).collect();
+            let flat = collectives::alltoallv(mpi, blocks.clone());
+            let bruck = collectives::alltoallv_bruck(mpi, blocks);
+            assert_eq!(flat, bruck, "quiet-rank alltoallv flat≠bruck at P={n}");
+            for (s, b) in bruck.iter().enumerate() {
+                assert_eq!(*b, one_quiet_block(s, me, quiet));
+            }
             // The hierarchical barrier's degenerate paths: single-node
             // groups (no dissemination phase) and P=1 (early return).
             collectives::barrier_hier(mpi);
@@ -142,9 +165,11 @@ fn hier_matches_flat_at_p1000() {
     assert!(oks.into_iter().all(|(b, _, _)| b));
 }
 
-/// P = 1000 alltoallv via Bruck, validated against the analytically known
-/// result (the flat pairwise exchange would be ~10⁶ messages — the point
-/// of the log-round algorithm is to never send them).
+/// P = 1000 alltoallv via Bruck, then the ledger's `coll_1024` shape (an
+/// equal-size alltoall of 4-byte blocks) in the same job, both validated
+/// against the analytically known result (the flat pairwise exchange would
+/// be ~10⁶ messages — the point of the log-round algorithm is to never
+/// send them).
 #[test]
 fn bruck_alltoallv_validates_at_p1000() {
     let p = 1000usize;
@@ -157,6 +182,13 @@ fn bruck_alltoallv_validates_at_p1000() {
         let got = collectives::alltoallv_bruck(mpi, blocks);
         for (s, g) in got.iter().enumerate() {
             assert_eq!(*g, block(s, me, n), "bruck wrong at src={s} dst={me}");
+        }
+        let word = |src: usize, dst: usize| ((src * n + dst) as u32).to_le_bytes();
+        let backing = Bytes::from((0..n).flat_map(|d| word(me, d)).collect::<Vec<u8>>());
+        let blocks = (0..n).map(|d| backing.slice(4 * d..4 * d + 4)).collect();
+        let got = collectives::alltoall_bruck(mpi, blocks);
+        for (s, g) in got.iter().enumerate() {
+            assert_eq!(g[..], word(s, me), "4-byte bruck wrong at src={s} dst={me}");
         }
         true
     });
