@@ -43,8 +43,9 @@
 //! takes the ordered list of effects that call produced, unlocks, and
 //! hands the list to the one executor (`NmCore::execute`) — the only
 //! code here that touches the fabric, the recorder or the event hook.
-//! A call that produced no effects (every idle progress tick) is done
-//! after that one lock.
+//! A call that produced no effects is done after that one lock, and an
+//! idle progress cycle makes no call at all: it asks
+//! [`NmCore::has_work`] first.
 
 use std::sync::{Arc, OnceLock};
 
@@ -335,6 +336,14 @@ impl NmCore {
     /// this core work announces itself through the event hook.
     pub fn next_deadline(&self) -> Option<SimTime> {
         self.shell.lock().engine.next_deadline()
+    }
+
+    /// Would a progress pass here do anything ([`Engine::has_work`])?
+    /// The MPI progress cycle asks this first and returns at once on
+    /// `false`, instead of locking the engine for `schedule` and each
+    /// drain in turn.
+    pub fn has_work(&self) -> bool {
+        self.shell.lock().engine.has_work()
     }
 
     /// Drain all surfaced completions (cookies of finished requests).

@@ -44,6 +44,21 @@ impl Engine {
         }
     }
 
+    /// Would [`Self::flush_credits`] change anything now? It would with
+    /// a credit owed or released and waiting, or with the hysteresis
+    /// latch due to flip.
+    pub(super) fn credits_due(&self) -> bool {
+        let Some(fc) = self.cfg.flow else {
+            return false;
+        };
+        let flips = match self.fc_throttled {
+            true => self.unex_eager_bytes <= fc.low_water,
+            false => self.unex_eager_bytes > fc.high_water,
+        };
+        let released = |withheld: u32| !self.fc_throttled && withheld > 0;
+        flips || self.peers.values().any(|g| g.credit_owed > 0 || released(g.credit_withheld))
+    }
+
     /// Stage the return of owed credits, honouring the high/low-water
     /// hysteresis — while the unexpected queue sits above `high_water`
     /// the returns are withheld (the senders drain their pools and fall

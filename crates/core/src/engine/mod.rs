@@ -53,8 +53,9 @@
 //!
 //! ## What a driver may read
 //!
-//! [`Engine::snapshot`], [`Engine::fingerprint`] and
-//! [`Engine::next_deadline`] — `&self`, pure — and the completions,
+//! [`Engine::snapshot`], [`Engine::fingerprint`],
+//! [`Engine::next_deadline`] and [`Engine::has_work`] — `&self`, pure —
+//! and the completions,
 //! through [`Engine::take_completions`]. The fields are not part of
 //! the contract. Counters are the engine's own plain integers: whoever
 //! shares an engine's numbers across threads publishes a snapshot.
@@ -438,6 +439,29 @@ impl Engine {
         self.completions.drain(..).collect()
     }
 
+    /// Would a progress pass ([`Engine::schedule`] and the drains of what
+    /// it surfaces) do anything at this instant? A pure read for a driver
+    /// that polls far more often than work arrives: `false` promises that
+    /// such a pass would emit no effect and leave [`Engine::fingerprint`]
+    /// as it is, so the driver may skip it. `true` may be a false alarm,
+    /// which costs one ordinary pass.
+    ///
+    /// The queues a driver drains count even on a halted engine. Past
+    /// them, a live engine has work with anything in a submission window
+    /// (the commit stage reads rail idleness, which nothing here knows),
+    /// with credits due back, and always with retry armed: the timer
+    /// sweeps move the rail-health clock and open membership cells even
+    /// when nothing fires.
+    pub fn has_work(&self) -> bool {
+        let surfaced = !(self.inbound.is_empty()
+            && self.completions.is_empty()
+            && self.dead_events.is_empty()
+            && self.revoked_events.is_empty());
+        surfaced
+            || !self.halted
+                && (self.cfg.retry.is_some() || self.window_queued() || self.credits_due())
+    }
+
     /// Nothing in flight, nothing pending?
     pub fn quiescent(&self) -> bool {
         self.inbound.is_empty()
@@ -641,5 +665,89 @@ impl Engine {
             cookie: r.cookie,
             kind,
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! [`Engine::has_work`], one condition at a time.
+
+    use super::*;
+    use crate::config::{FlowConfig, RetryConfig};
+
+    /// Flow control with a 64 KiB cap: high water 32 KiB, low 16 KiB.
+    fn flow() -> NmConfig {
+        NmConfig {
+            flow: Some(FlowConfig::bounded(4, 64 * 1024)),
+            ..NmConfig::default()
+        }
+    }
+
+    /// Each condition turns an idle engine's verdict to "work" on its own.
+    #[test]
+    fn each_condition_alone_is_work() {
+        type Set = fn(&mut Engine);
+        let conditions: [(&str, NmConfig, Set); 9] = [
+            ("inbound", NmConfig::default(), |e| {
+                let credit = WirePayload::Credit { credits: 0 };
+                e.inbound.push_back(NmWire::new(1, 0, credit));
+            }),
+            ("completions", NmConfig::default(), |e| {
+                let kind = CompletionKind::Send;
+                e.completions.push_back(NmCompletion { cookie: 0, kind });
+            }),
+            ("dead_events", NmConfig::default(), |e| {
+                e.dead_events.push_back(1)
+            }),
+            ("revoked_events", NmConfig::default(), |e| {
+                e.revoked_events.push_back(0)
+            }),
+            ("window", NmConfig::default(), |e| {
+                e.isend(SimTime::ZERO, 1, 7, NmBuf::default(), 0);
+            }),
+            ("credit owed", flow(), |e| e.owe_credit(1, 8)),
+            ("latch due to close", flow(), |e| {
+                e.unex_eager_bytes = 32 * 1024 + 1
+            }),
+            ("latch due to open", flow(), |e| e.fc_throttled = true),
+            ("withheld credit released", flow(), |e| {
+                e.peers.entry(1).or_default().credit_withheld = 1;
+            }),
+        ];
+        for (name, cfg, set) in conditions {
+            let mut e = loopback::engine(cfg, 0, 2);
+            assert!(!e.has_work(), "{name}: a fresh engine is idle");
+            set(&mut e);
+            assert!(e.has_work(), "{name} alone is work");
+        }
+    }
+
+    /// Credits held back by a closed latch that is not due to open are no
+    /// work: the pass would only hold them back again.
+    #[test]
+    fn withheld_credits_behind_a_closed_latch_are_no_work() {
+        let mut e = loopback::engine(flow(), 0, 2);
+        e.fc_throttled = true;
+        e.unex_eager_bytes = 16 * 1024 + 1;
+        e.peers.entry(1).or_default().credit_withheld = 3;
+        assert!(!e.has_work());
+        e.unex_eager_bytes -= 1;
+        assert!(e.has_work(), "at low water the latch opens");
+    }
+
+    /// With retry armed a live engine always has work; halted, only what
+    /// it still has to surface counts.
+    #[test]
+    fn retry_is_work_until_the_halt() {
+        let retry = NmConfig {
+            retry: Some(RetryConfig::default()),
+            ..NmConfig::default()
+        };
+        let mut e = loopback::engine(retry, 0, 2);
+        assert!(e.has_work());
+        e.halt();
+        assert!(!e.has_work());
+        e.dead_events.push_back(1);
+        assert!(e.has_work(), "a halted engine still has its queues drained");
     }
 }

@@ -144,9 +144,10 @@ impl Engine {
     /// Commit stage: run the strategy over every gate with a non-empty
     /// window and stage the packets it submits.
     pub(super) fn commit(&mut self, now: SimTime, rail_idle: &dyn Fn(usize) -> bool) {
-        // Twice per progress cycle, and an idle cycle is the common
-        // one: look before building the rail snapshot.
-        if self.peers.values().all(|gate| gate.window.is_empty()) {
+        // Idle progress cycles stop at `has_work` and never get here, but
+        // every NIC completion and every pass whose work was inbound does:
+        // look before building the rail snapshot.
+        if !self.window_queued() {
             return;
         }
         let health = self.health.as_ref();
@@ -174,6 +175,11 @@ impl Engine {
             }
         }
         self.end_stage();
+    }
+
+    /// Does any gate hold a wrapper the commit stage has yet to submit?
+    pub(super) fn window_queued(&self) -> bool {
+        self.peers.values().any(|gate| !gate.window.is_empty())
     }
 
     /// The NIC read the buffer of one committed packet: finish its eager

@@ -27,7 +27,10 @@
 //! protocol error, every request completed at most once and every receive
 //! byte-exact, a `TraceChecker` accepting the `Effect::Span` stream, and,
 //! with flow control armed, every eager credit accounted for. Every
-//! terminal (no move left) checks that each surviving request finished,
+//! state, and every engine between an input and its pass, checks the
+//! verdict of `Engine::has_work`: an engine that reports no work is left
+//! unchanged by a pass, and a live one with retry armed always has some.
+//! Every terminal (no move left) checks that each surviving request finished,
 //! as done or as a counted failure, that nothing is in flight, that the
 //! engines are quiescent, and that a drained peer left no record behind.
 //! Across the suite every `protocol::TABLE` row outside CH3's dialects
@@ -409,6 +412,7 @@ impl<'c> World<'c> {
     fn input(&mut self, rank: usize, f: impl FnOnce(&mut Engine, SimTime)) -> Result<(), String> {
         let engine = &mut self.engines[rank];
         f(engine, self.now);
+        idle_is_inert(engine, self.now, false).map_err(|e| format!("rank {rank}: {e}"))?;
         engine.schedule(self.now, IDLE);
         let mut effects = Vec::new();
         engine.swap_effects(&mut effects);
@@ -503,6 +507,16 @@ impl<'c> World<'c> {
         Ok(())
     }
 
+    /// Every engine that reports no work here is left as it is by a
+    /// progress pass.
+    fn check_idle(&self) -> Result<(), String> {
+        for (rank, e) in self.engines.iter().enumerate() {
+            let halted = !self.alive(rank);
+            idle_is_inert(e, self.now, halted).map_err(|e| format!("rank {rank}: {e}"))?;
+        }
+        Ok(())
+    }
+
     fn check_terminal(&self) -> Result<(), String> {
         for (i, (m, &(src, dst, _))) in self.msgs.iter().zip(&self.cfg.msgs).enumerate() {
             if self.alive(src) && !m.send_done || self.alive(dst) && !m.recv_done {
@@ -523,6 +537,32 @@ impl<'c> World<'c> {
         }
         Ok(())
     }
+}
+
+/// The verdict of [`Engine::has_work`], checked: a live retry-armed
+/// engine always has work, and one that reports none is left as it is by
+/// a progress pass at `now` and the drains a driver makes after it (run
+/// on a clone): no effect, nothing drained, the same fingerprint.
+fn idle_is_inert(e: &Engine, now: SimTime, halted: bool) -> Result<(), String> {
+    if e.has_work() {
+        return Ok(());
+    }
+    if e.cfg.retry.is_some() && !halted {
+        return Err("a live retry-armed engine reported no work".into());
+    }
+    let mut pass = e.clone();
+    // Only what the pass emits counts, not what its input left behind.
+    let (mut before, mut effects) = (Vec::new(), Vec::new());
+    pass.swap_effects(&mut before);
+    pass.schedule(now, IDLE);
+    pass.swap_effects(&mut effects);
+    let drained = pass.take_completions().len()
+        + pass.dead_events.drain(..).count()
+        + pass.revoked_events.drain(..).count();
+    if !effects.is_empty() || drained != 0 || pass.fingerprint() != e.fingerprint() {
+        return Err("a progress pass changed an engine that reported no work".into());
+    }
+    Ok(())
 }
 
 /// The size and coverage of one exploration.
@@ -548,6 +588,7 @@ fn explore(cfg: &Config) -> Result<Stats, String> {
     let (mut edges, mut terminals) = (0, 0);
     while let Some(world) = stack.pop() {
         let fail = |w: &World, e: String| format!("{}: {e}, after {:?}", cfg.name, w.path);
+        world.check_idle().map_err(|e| fail(&world, e))?;
         let moves = world.moves();
         if moves.is_empty() {
             terminals += 1;

@@ -105,10 +105,22 @@ impl AnySourceLists {
     }
 
     /// Heads awaiting a probe: every sublist whose head is an ANY_SOURCE
-    /// entry without a NewMadeleine request yet. Called on every poll.
+    /// entry without a NewMadeleine request yet. Called on every progress
+    /// cycle that gets past its has-work check.
     pub fn heads_to_probe(&self) -> Vec<(u64, Req)> {
-        let mut out: Vec<(u64, Req)> = self
-            .lists
+        let mut out: Vec<(u64, Req)> = self.unposted_heads().collect();
+        out.sort_unstable_by_key(|&(k, _)| k); // deterministic probe order
+        out
+    }
+
+    /// Is there a head to probe? [`AnySourceLists::heads_to_probe`] is
+    /// non-empty, found without allocating or sorting.
+    pub fn has_unposted_head(&self) -> bool {
+        self.unposted_heads().next().is_some()
+    }
+
+    fn unposted_heads(&self) -> impl Iterator<Item = (u64, Req)> + '_ {
+        self.lists
             .iter()
             .filter_map(|(&key, list)| match list.entries.front() {
                 Some(Entry::Any {
@@ -118,9 +130,6 @@ impl AnySourceLists {
                 }) => Some((key, *req)),
                 _ => None,
             })
-            .collect();
-        out.sort_unstable_by_key(|&(k, _)| k); // deterministic probe order
-        out
     }
 
     /// A probe found a matching message from `gate`: record the

@@ -316,6 +316,11 @@ impl Ch3Engine {
         std::mem::take(&mut self.out)
     }
 
+    /// Is anything waiting for [`Ch3Engine::take_out`]?
+    pub fn has_out(&self) -> bool {
+        !self.out.is_empty()
+    }
+
     fn send(&mut self, dst: usize, pkt: Ch3Pkt) {
         self.out.push(Ch3Out::Pkt(dst, pkt));
     }

@@ -56,8 +56,9 @@ use simnet::NmBuf;
 use nmad::keys::{coll_key, instance_of, OP_AGREE, OP_BCAST, OP_JOIN, OP_REDUCE, ROUND_DECIDED};
 
 use crate::api::{MpiHandle, Src};
+use crate::backoff::PollBackoff;
 use crate::collectives::{allreduce_group_recdbl, barrier_group_ep, bcast_group, next_seq};
-use crate::progress::{NetPath, PollBackoff};
+use crate::progress::NetPath;
 use crate::request::Req;
 use crate::vc::VcPath;
 

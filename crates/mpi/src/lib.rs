@@ -37,6 +37,7 @@
 
 pub mod anysource;
 pub mod api;
+mod backoff;
 pub mod ch3;
 pub mod collectives;
 pub mod comm;

@@ -6,7 +6,9 @@
 //! the semaphore-based waiting of §3.3.2.
 //!
 //! One **progress cycle** ([`ProcState::progress_cycle`]) is the unit of
-//! work both progress modes share:
+//! work both progress modes share. It first asks every layer whether it
+//! has work at this instant and returns at once when none has; otherwise
+//! it goes on to
 //!
 //! 1. drive NewMadeleine (`nm_schedule`) or the CH3 network transport and
 //!    apply its completions,
@@ -31,116 +33,13 @@ use nmad::NmCore;
 use piom::PiomServer;
 
 use crate::api::{Src, Status};
+use crate::backoff::PollBackoff;
 use crate::ch3::{Ch3Engine, Ch3Event, Ch3Out, Ch3Pkt};
 use crate::costs::SoftwareCosts;
 use crate::rank::RankState;
 use crate::request::{NmadBinding, Req, ReqKind, ReqPath};
 use crate::transport::Ch3Transport;
 use crate::vc::{VcPath, VcTable};
-
-/// Number of fine-grained polls before a waiting rank starts backing off.
-/// Covers ~5 µs at the default 50 ns granularity — several times any
-/// calibrated small-message latency.
-const FINE_POLLS: u32 = 100;
-
-/// Ceiling on the poll back-off step. Bounds the timing error of long
-/// waits to ~2 µs (negligible against the millisecond transfers that
-/// reach it) while keeping event counts tractable.
-const MAX_POLL_BACKOFF: SimDuration = SimDuration::micros(2);
-
-/// Waits that survive this many polls (≈ 2 ms of simulated spinning) are
-/// bulk transfers; their step may grow to [`BULK_POLL_BACKOFF`] (0.1 %
-/// error on a 10 ms transfer) so NAS-scale volumes stay cheap to simulate.
-const BULK_POLLS: u32 = 1_000;
-const BULK_POLL_BACKOFF: SimDuration = SimDuration::micros(10);
-
-/// The cadence of one app-polling wait: `fine` ticks at the initial step
-/// (so small-message latencies resolve at full precision), then ×3/2 per
-/// tick up to `cap` — long waits would otherwise drown the simulator in
-/// poll events. The back-off only starts well past any calibrated latency,
-/// so it never perturbs the Netpipe figures.
-pub(crate) struct PollBackoff {
-    polls: u32,
-    step: SimDuration,
-    fine: u32,
-    cap: SimDuration,
-    /// `(ticks, cap)`: past this many ticks the cap rises to the second.
-    bulk: Option<(u32, SimDuration)>,
-}
-
-impl PollBackoff {
-    /// The schedule of every wait that is not a bulk transfer: back off
-    /// after [`FINE_POLLS`] ticks, up to [`MAX_POLL_BACKOFF`].
-    pub(crate) fn new(step: SimDuration) -> Self {
-        PollBackoff {
-            polls: 0,
-            step,
-            fine: FINE_POLLS,
-            cap: MAX_POLL_BACKOFF,
-            bulk: None,
-        }
-    }
-
-    /// `MPI_Wait`'s schedule: waits that survive [`BULK_POLLS`] ticks may
-    /// grow on to [`BULK_POLL_BACKOFF`].
-    fn with_bulk_tier(step: SimDuration) -> Self {
-        PollBackoff {
-            bulk: Some((BULK_POLLS, BULK_POLL_BACKOFF)),
-            ..Self::new(step)
-        }
-    }
-
-    /// `MPI_Finalize`'s schedule: its loop gated growth on the index
-    /// *before* the increment, so it starts one tick later.
-    fn late_by_one(step: SimDuration) -> Self {
-        PollBackoff {
-            fine: FINE_POLLS + 1,
-            ..Self::new(step)
-        }
-    }
-
-    /// A fixed cadence.
-    fn flat(step: SimDuration) -> Self {
-        PollBackoff {
-            cap: step,
-            ..Self::new(step)
-        }
-    }
-
-    /// Account one elapsed tick and grow the step if it is due.
-    fn tick(&mut self) {
-        self.polls = self.polls.saturating_add(1);
-        if self.polls > self.fine {
-            let cap = match self.bulk {
-                Some((after, cap)) if self.polls > after => cap,
-                _ => self.cap,
-            };
-            self.step = SimDuration::nanos((self.step.as_nanos() * 3 / 2).min(cap.as_nanos()));
-        }
-    }
-
-    /// Busy-wait on this schedule: check `ready` now, then once per tick,
-    /// until it holds. Only the first check runs on the calling rank's
-    /// thread; the ticks run where events are dispatched
-    /// ([`RankCtx::poll_until`]), so `ready` owns what it needs.
-    pub(crate) fn poll(
-        mut self,
-        ctx: &RankCtx,
-        mut ready: impl FnMut(&Scheduler) -> bool + Send + 'static,
-    ) {
-        if ready(&ctx.scheduler()) {
-            return;
-        }
-        ctx.poll_until(self.step, move |s| {
-            self.tick();
-            if ready(s) {
-                None
-            } else {
-                Some(self.step)
-            }
-        });
-    }
-}
 
 /// User-level communicator context (COMM_WORLD point-to-point).
 /// Re-exported from the canonical key layout in `nmad::keys` — the core's
@@ -473,6 +372,11 @@ impl ProcState {
 
     fn cycle(self: &Arc<Self>, st: &mut RankState, sched: &Scheduler) {
         self.rec.inc("mpi.progress_cycles", 1);
+        // 0. Most cycles find nothing to do: ask every layer first, and
+        // stop here when none has work at this instant.
+        if !self.has_work(st) {
+            return;
+        }
         // 1. Inter-node.
         match &self.net {
             NetPath::Direct(core) => {
@@ -541,6 +445,19 @@ impl ProcState {
             NetPath::Direct(core) => core.schedule(sched),
             NetPath::None => {}
         }
+    }
+
+    /// Would a cycle now do anything? Each layer answers for itself, and
+    /// a false "work" only costs one ordinary cycle; a false "no work"
+    /// would lose one.
+    fn has_work(&self, st: &RankState) -> bool {
+        st.has_work()
+            || self.shm.as_ref().is_some_and(|t| t.has_work())
+            || match &self.net {
+                NetPath::Direct(core) => core.has_work(),
+                NetPath::Ch3(t) => t.has_work(),
+                NetPath::None => false,
+            }
     }
 
     /// Apply NewMadeleine completions to the MPI request table.
@@ -953,42 +870,5 @@ impl ProcState {
             cycles += 1;
             quiet
         });
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Each schedule against the arithmetic of the loop it replaced, tick
-    /// by tick (`polls` is that loop's counter after its increment).
-    #[test]
-    fn backoff_schedules_are_the_replaced_loops() {
-        let gran = SimDuration::nanos(50);
-        let grow = |step: &mut u64, cap: u64| *step = (*step * 3 / 2).min(cap);
-        let mut wait = PollBackoff::with_bulk_tier(gran);
-        let mut probe = PollBackoff::new(gran);
-        let mut finalize = PollBackoff::late_by_one(gran);
-        let mut flat = PollBackoff::flat(SimDuration::nanos(500));
-        let (mut w, mut p, mut f) = (50u64, 50u64, 50u64);
-        for polls in 1..=1_200u32 {
-            if polls > 100 {
-                grow(&mut w, if polls > 1_000 { 10_000 } else { 2_000 });
-                grow(&mut p, 2_000);
-            }
-            if polls - 1 > 100 {
-                grow(&mut f, 2_000);
-            }
-            for (b, want) in [
-                (&mut wait, w),
-                (&mut probe, p),
-                (&mut finalize, f),
-                (&mut flat, 500),
-            ] {
-                b.tick();
-                assert_eq!(b.step, SimDuration::nanos(want), "tick {polls}");
-            }
-        }
-        assert_eq!((w, p, f), (10_000, 2_000, 2_000));
     }
 }

@@ -54,6 +54,13 @@ impl RankState {
         }
     }
 
+    /// Does this rank's own state give a progress cycle work: a self-send
+    /// to deliver, a CH3 packet or completion to route, an ANY_SOURCE head
+    /// to probe NewMadeleine for?
+    pub fn has_work(&self) -> bool {
+        !self.selfq.is_empty() || self.engine.has_out() || self.anysource.has_unposted_head()
+    }
+
     /// The state in numbers, at this instant.
     pub fn snapshot(&self) -> RankSnapshot {
         let queues = &self.engine.queues;

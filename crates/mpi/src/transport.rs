@@ -73,6 +73,16 @@ pub trait Ch3Transport: Send + Sync {
     fn next_deadline(&self) -> Option<SimTime> {
         None
     }
+
+    /// Would [`Ch3Transport::progress`] or [`Ch3Transport::flush`] do
+    /// anything now? The progress cycle skips itself when no layer has
+    /// work, so `false` must be exact; `true` is always safe. The
+    /// shared-memory transport answers from its endpoint. The two network
+    /// transports keep this default: only the baseline stacks use them,
+    /// and no ledger workload runs one.
+    fn has_work(&self) -> bool {
+        true
+    }
 }
 
 /// A [`Ch3Transport`] at one instant. Its `Display` is the transport's
@@ -247,6 +257,10 @@ impl Ch3Transport for ShmTransport {
     fn flush(&self, _sched: &Scheduler) {
         // Shared-memory sends go straight into the cell queues; nothing is
         // outboxed.
+    }
+
+    fn has_work(&self) -> bool {
+        self.domain.has_incoming(self.my_local)
     }
 
     fn set_event_hook(&self, hook: EventHook) {

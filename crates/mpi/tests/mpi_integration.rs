@@ -618,3 +618,37 @@ fn pioman_shm_overhead_is_sub_microsecond() {
         "PIOMan shm overhead {gap_us:.3}us (want ~0.45)"
     );
 }
+
+#[test]
+fn zero_poll_granularity_wait_terminates() {
+    // `StackConfig.costs.poll_gran` is public: a 0 ns cadence must still
+    // back off, or a wait on a message that lands later re-ticks one
+    // instant forever. The job runs on a thread of its own so that a
+    // regression fails here instead of hanging the suite.
+    let (c, p) = pair();
+    let mut cfg = StackConfig::mpich2_nmad_rail(0, false);
+    cfg.costs.poll_gran = SimDuration::ZERO;
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let (_, got) = run_mpi_collect(&c, &p, &cfg, 2, |mpi| {
+            if mpi.rank() == 0 {
+                let (data, _) = mpi.recv(Src::Rank(1), 3);
+                Some((data.to_vec(), mpi.now()))
+            } else {
+                mpi.compute(SimDuration::micros(20));
+                mpi.send(0, 3, b"late");
+                None
+            }
+        });
+        tx.send(got).unwrap();
+    });
+    let got = rx
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("a wait at a 0 ns poll granularity never ended");
+    let (data, at) = got[0].clone().expect("rank 0 received");
+    assert_eq!(data, b"late");
+    assert!(
+        at > SimTime(20_000),
+        "received at {at:?}, before it was sent"
+    );
+}

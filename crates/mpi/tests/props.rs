@@ -182,6 +182,11 @@ proptest! {
                 })
                 .collect();
             prop_assert_eq!(lists.heads_to_probe(), want_heads, "probe heads diverged");
+            prop_assert_eq!(
+                lists.has_unposted_head(),
+                !lists.heads_to_probe().is_empty(),
+                "the progress gate's head check diverged from the probe list"
+            );
             prop_assert_eq!(lists.tags_in_use(), model.len(), "live tag count diverged");
             for (_, l) in model.iter() {
                 for e in l {

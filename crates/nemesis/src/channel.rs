@@ -449,7 +449,11 @@ impl ShmDomain {
         }
     }
 
-    /// Does `local` have anything to poll? (Mailbox hint — may be stale.)
+    /// Does `local` have anything to poll? Exact while no other thread
+    /// delivers to it, as under the simulator's token, where one rank
+    /// thread runs at a time and deliveries are events: the MPI progress
+    /// cycle relies on that to skip itself. With senders running
+    /// concurrently a `false` may be stale by the time it returns.
     pub fn has_incoming(&self, local: usize) -> bool {
         let ep = &self.endpoints[local];
         ep.mailbox.pending() > 0
