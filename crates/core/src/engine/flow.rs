@@ -3,6 +3,7 @@
 //! refill.
 
 use super::{Engine, Staged};
+use crate::config::FlowConfig;
 use crate::wire::WirePayload;
 
 impl Engine {
@@ -51,12 +52,23 @@ impl Engine {
         let Some(fc) = self.cfg.flow else {
             return false;
         };
-        let flips = match self.fc_throttled {
+        if self.latch_flips(fc) {
+            return true;
+        }
+        let open = !self.fc_throttled;
+        self.peers
+            .values()
+            .any(|g| g.credit_owed > 0 || open && g.credit_withheld > 0)
+    }
+
+    /// The high/low-water hysteresis: a closed latch opens once the
+    /// unexpected queue is at or below `low_water`, an open one closes
+    /// once it is above `high_water`.
+    fn latch_flips(&self, fc: FlowConfig) -> bool {
+        match self.fc_throttled {
             true => self.unex_eager_bytes <= fc.low_water,
             false => self.unex_eager_bytes > fc.high_water,
-        };
-        let released = |withheld: u32| !self.fc_throttled && withheld > 0;
-        flips || self.peers.values().any(|g| g.credit_owed > 0 || released(g.credit_withheld))
+        }
     }
 
     /// Stage the return of owed credits, honouring the high/low-water
@@ -69,12 +81,8 @@ impl Engine {
     /// way on the express channel, never behind bulk frames.
     pub(super) fn flush_credits(&mut self) {
         let Some(fc) = self.cfg.flow else { return };
-        if self.fc_throttled {
-            if self.unex_eager_bytes <= fc.low_water {
-                self.fc_throttled = false;
-            }
-        } else if self.unex_eager_bytes > fc.high_water {
-            self.fc_throttled = true;
+        if self.latch_flips(fc) {
+            self.fc_throttled = !self.fc_throttled;
         }
         for (&src, gate) in self.peers.iter_mut() {
             let owed = std::mem::take(&mut gate.credit_owed);

@@ -2,14 +2,15 @@
 """Alternating parent/tip perf-ledger pairs, and the claim rule's verdict.
 
     scripts/paired_runs.py BASE_REV [--pairs N] [--pairs-for WORKLOAD=N ...]
-        [--first-seed S] [--workloads W,W,...] [--seconds S] [--claim WORKLOAD:METRIC]
+        [--first-seed S] [--workloads W,W,...] [--claim WORKLOAD:METRIC]
         [--experiment NAME] [--out BENCH_xx.json] [--base-dir DIR]
 
 Builds the ledger (`benchmark/`) twice, once in a checkout of BASE_REV and
 once in the working tree, then runs `perf-ledger --workload W --seed S
---seconds SECONDS --trace 0` from each side's root for N seeds of every
-workload, from `--first-seed` (default 1) on, so that a second batch adds
-fresh seeds. The two runs of a pair alternate which side goes first: the
+--trace 0` from each side's root for N seeds of every workload, from
+`--first-seed` (default 1) on, so that a second batch adds fresh seeds.
+Each run lasts the ledger's default length (the `run_seconds` of
+BENCHMARK.json); the script does not set it. The two runs of a pair alternate which side goes first: the
 parent on even seeds, the tip on odd ones. For each end-to-end metric
 (the `end_to_end` list of BENCHMARK.json) it prints both sides' median,
 q1 and q3, the change of the median in %, and in how many pairs the tip
@@ -114,11 +115,10 @@ def build(root):
     subprocess.run(cmd, cwd=root, check=True)
 
 
-def run_one(root, workload, seed, seconds):
+def run_one(root, workload, seed):
     """One ledger run from `root`: the result line's JSON."""
     ledger = os.path.join(root, "benchmark", "target", "release", "perf-ledger")
-    cmd = [ledger, "--workload", workload, "--seed", str(seed)]
-    cmd += ["--seconds", str(seconds), "--trace", "0"]
+    cmd = [ledger, "--workload", workload, "--seed", str(seed), "--trace", "0"]
     out = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     lines = [ln for ln in out.stdout.splitlines() if ln.startswith("{")]
     if not lines:
@@ -173,7 +173,6 @@ def main():
     ap.add_argument("--pairs-for", action="append", default=[], metavar="WORKLOAD=N")
     ap.add_argument("--first-seed", type=int, default=1)
     ap.add_argument("--workloads", default=",".join(WORKLOADS))
-    ap.add_argument("--seconds", type=int, default=10)
     ap.add_argument("--claim", metavar="WORKLOAD:METRIC")
     ap.add_argument("--experiment", default="paired-runs")
     ap.add_argument("--out")
@@ -183,7 +182,8 @@ def main():
     tip_root = git("rev-parse", "--show-toplevel")
     base_rev = git("rev-parse", args.base, cwd=tip_root)
     with open(os.path.join(tip_root, "BENCHMARK.json")) as f:
-        metrics = json.load(f)["end_to_end"]
+        bench = json.load(f)
+    metrics = bench["end_to_end"]
     pairs = {w: args.pairs for w in args.workloads.split(",")}
     for spec in args.pairs_for:
         w, n = spec.split("=")
@@ -204,7 +204,8 @@ def main():
         report = {"experiment": args.experiment, "build": "release", **host(),
                   "parent_commit": base_rev, "tip_commit": tip_rev(tip_root),
                   "method": (f"perf-ledger built once per side; each run `perf-ledger --workload <w> "
-                             f"--seed <s> --seconds {args.seconds} --trace 0` from its side's root; "
+                             f"--seed <s> --trace 0` from its side's root, {bench['run_seconds']} s each "
+                             "(the ledger's default run length); "
                              f"pairs on N seeds from {args.first_seed}, the parent first on even "
                              "seeds; medians and quartiles by linear interpolation over the pairs; median_change_pct "
                              "is (tip - parent) / parent; tip_lower_in_pairs counts pairs where "
@@ -216,7 +217,7 @@ def main():
             for seed in range(args.first_seed, args.first_seed + n):
                 order = ("parent", "tip") if seed % 2 == 0 else ("tip", "parent")
                 for side in order:
-                    res = run_one(sides[side], w, seed, args.seconds)
+                    res = run_one(sides[side], w, seed)
                     run = {"seed": seed, "side": side, "failed": res["failed"],
                            "attempted": res["attempted"], "correct": res["correct"]}
                     run.update({m["name"]: res["metrics"][m["name"]]["value"] for m in metrics})
