@@ -60,7 +60,6 @@ impl Engine {
         let epoch = new_epoch as u32;
         self.out
             .engine(now.0, obs::EngineEvent::EpochCommit { epoch });
-        self.out.inc("nmad.epoch_commit", 1);
         self.quiesce_keys(now, |tag| {
             keys::is_coll(tag) && !keys::epoch_exempt(tag) && keys::epoch_of(tag) < new_epoch
         });
@@ -93,7 +92,6 @@ impl Engine {
             let peer = peer as u32;
             self.out
                 .engine(now.0, obs::EngineEvent::MemberState { peer, state });
-            self.out.inc("nmad.membership.transitions", 1);
         }
     }
 
@@ -105,7 +103,7 @@ impl Engine {
             Verdict::Step { actions, .. } => actions,
             Verdict::Ignore { .. } => &[],
             Verdict::Error => {
-                self.protocol_error("nmad.protocol_errors.dead");
+                self.protocol_error();
                 &[]
             }
         }
@@ -191,14 +189,12 @@ impl Engine {
                 entries: entries as u32,
             },
         );
-        self.out.inc("nmad.membership.drained_entries", entries);
     }
 
     /// A stale collective frame (revoked/superseded epoch or retired
     /// agreement instance) was dropped: bump the hygiene counter.
     pub(super) fn count_stale_epoch(&mut self, n: u64) {
         self.stats.membership_stale_epoch += n;
-        self.out.inc("nmad.membership.stale_epoch", n);
     }
 
     /// Is `tag` a collective key whose frames must be dropped — revoked or
@@ -231,7 +227,6 @@ impl Engine {
         self.stats.revoked_epochs += 1;
         self.revoked_events.push_back(epoch);
         self.out.engine(now.0, obs::EngineEvent::Revoke { epoch });
-        self.out.inc("nmad.revoke", 1);
         self.quiesce_keys(now, |tag| {
             keys::is_coll(tag) && !keys::epoch_exempt(tag) && keys::epoch_of(tag) as u32 == epoch
         });
@@ -272,7 +267,7 @@ impl Engine {
                     }
                 }
                 Verdict::Ignore { .. } => {}
-                Verdict::Error => self.protocol_error("nmad.protocol_errors.revoked"),
+                Verdict::Error => self.protocol_error(),
             }
         }
         // Inbound rendezvous on poisoned keys, in `(src, id)` order:
@@ -295,7 +290,7 @@ impl Engine {
                     }
                 }
                 Verdict::Ignore { .. } => {}
-                Verdict::Error => self.protocol_error("nmad.protocol_errors.revoked"),
+                Verdict::Error => self.protocol_error(),
             }
         }
         // Per gate: unacked eager envelopes on poisoned keys (their sends

@@ -21,7 +21,7 @@ impl Engine {
         let credits = returned.min(fc.eager_credits - *pool);
         *pool += credits;
         if credits < returned {
-            self.protocol_error("nmad.protocol_errors.credit");
+            self.protocol_error();
         }
         let peer = src as u32;
         self.out

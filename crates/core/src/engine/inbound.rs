@@ -36,7 +36,6 @@ impl Engine {
         });
         let posted = mkey(src, self.rank, tag, posted_seq);
         self.out.phase(now.0, posted, obs::Phase::RecvPosted);
-        self.out.inc("nmad.irecv", 1);
         if let Some(unex) = hit {
             let seq = unex.seq();
             self.recv_reqs[req.0 as usize].seq = seq;
@@ -110,7 +109,7 @@ impl Engine {
         // must never come back out as an effect naming an unknown rank.
         let src = wire.src_rank;
         if wire.dst_rank != self.rank || src == self.rank || src >= self.nranks {
-            self.protocol_error("nmad.protocol_errors.header");
+            self.protocol_error();
             return;
         }
         // A frame from a peer this rank already drained must not
@@ -118,7 +117,6 @@ impl Engine {
         // drop it before it can touch a map.
         if self.membership.as_ref().is_some_and(|m| m.is_dead(src)) {
             self.stats.membership_stray_frames += 1;
-            self.out.inc("nmad.membership.stray_frames", 1);
             return;
         }
         // An intact inbound frame is the only way a peer earns
@@ -275,7 +273,7 @@ impl Engine {
                 self.finish_send(now.0, rdv.send_req, outcome);
             }
             Verdict::Ignore { .. } => {}
-            Verdict::Error => self.protocol_error("nmad.protocol_errors.fin"),
+            Verdict::Error => self.protocol_error(),
         }
     }
 
@@ -300,7 +298,7 @@ impl Engine {
                 if retry {
                     self.stats.dup_envelopes += 1;
                 } else {
-                    self.protocol_error("nmad.protocol_errors.dup_envelope");
+                    self.protocol_error();
                 }
                 return;
             };
@@ -312,7 +310,7 @@ impl Engine {
                 Verdict::Step { actions, .. } => actions,
                 Verdict::Ignore { .. } => return,
                 Verdict::Error => {
-                    self.protocol_error("nmad.protocol_errors.dup_envelope");
+                    self.protocol_error();
                     return;
                 }
             };
@@ -383,7 +381,7 @@ impl Engine {
                     self.count_stale_epoch(1);
                 }
                 Verdict::Ignore { .. } => {}
-                Verdict::Error => self.protocol_error("nmad.protocol_errors.stale_epoch"),
+                Verdict::Error => self.protocol_error(),
             }
             return;
         }
@@ -451,7 +449,7 @@ impl Engine {
         // timer, and the engine lives on (the matched receive stays
         // pending, like one whose sender never sends).
         if len > isize::MAX as usize {
-            return self.protocol_error("nmad.protocol_errors.rts_len");
+            return self.protocol_error();
         }
         // The CTS timer waits for the bytes it asked for: they land behind
         // whatever this gate's other inbound rendezvous still have on the
@@ -494,7 +492,7 @@ impl Engine {
         let (actions, next) = match verdict {
             Verdict::Step { actions, next, .. } => (actions, next),
             Verdict::Ignore { .. } => return,
-            Verdict::Error => return self.protocol_error("nmad.protocol_errors.cts"),
+            Verdict::Error => return self.protocol_error(),
         };
         let rdv = gate.rdv_out.get_mut(&rdv_id).expect("live state");
         rdv.state = next;
@@ -555,7 +553,7 @@ impl Engine {
             // `ignore/data-before-reentry` (defensive): drop the chunk;
             // the sender's FIN timer replays it.
             Verdict::Ignore { .. } => return,
-            Verdict::Error => return self.protocol_error("nmad.protocol_errors.data"),
+            Verdict::Error => return self.protocol_error(),
         };
         let via = gate.last_in_rail;
         let mut done = false;
@@ -571,7 +569,6 @@ impl Engine {
                             len: data.len() as u64,
                         },
                     );
-                    self.out.observe("nmad.chunk.bytes", data.len() as u64);
                     // No receive-side memcpy: the chunk, verified once in
                     // `accept`, is kept as the view of the wire it is.
                     let len = data.len();

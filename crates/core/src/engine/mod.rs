@@ -155,15 +155,6 @@ impl Out {
         self.span(t_ns, obs::Scope::Engine { ev });
     }
 
-    /// Metrics commute, so they go to the registry directly.
-    fn inc(&self, name: &'static str, by: u64) {
-        self.rec.inc(name, by);
-    }
-
-    fn observe(&self, name: &'static str, v: u64) {
-        self.rec.observe(name, v);
-    }
-
     /// Stage one control or replay packet (control traffic bypasses the
     /// gates — it must not be rescheduled or aggregated by the machinery
     /// it repairs).
@@ -431,7 +422,6 @@ impl Engine {
         self.peers.clear();
         self.inbound.clear();
         self.completions.clear();
-        self.out.inc("nmad.halt", 1);
     }
 
     /// The completions surfaced since the last call, in order.
@@ -494,12 +484,10 @@ impl Engine {
     }
 
     /// The protocol table classified a frame as malformed or stale
-    /// ([`protocol::Verdict::Error`]): count it — overall and per frame
-    /// class — and drop it. The one thing this must never do is panic.
-    fn protocol_error(&mut self, counter: &'static str) {
+    /// ([`protocol::Verdict::Error`]): count it and drop it. The one thing
+    /// this must never do is panic.
+    fn protocol_error(&mut self) {
         self.stats.protocol_errors += 1;
-        self.out.inc("nmad.protocol_errors", 1);
-        self.out.inc(counter, 1);
     }
 
     /// Fail-fast verdict for a new request toward `peer` under `tag`.
@@ -543,10 +531,6 @@ impl Engine {
         let key = mkey(self.rank, dst, tag, seq);
         self.out
             .phase(now.0, key, obs::Phase::SendPosted { len: len as u64 });
-        self.out.inc("nmad.isend", 1);
-        if matches!(outcome, Outcome::PeerDead) {
-            self.out.observe("nmad.send.bytes", len as u64);
-        }
         self.finish_send(now.0, req, outcome);
         self.out.hook();
         Some(req)
@@ -574,7 +558,6 @@ impl Engine {
         });
         let key = mkey(src, self.rank, tag, seq);
         self.out.phase(now.0, key, obs::Phase::RecvPosted);
-        self.out.inc("nmad.irecv", 1);
         self.finish_recv(now.0, req, outcome);
         self.out.hook();
         Some(req)
@@ -588,23 +571,20 @@ impl Engine {
         debug_assert!(!r.done, "double completion of send request");
         r.done = true;
         let (peer, side) = (r.dst, obs::Side::Send);
-        let (counter, phase, metric, kind): (Counter, _, _, _) = match outcome {
+        let (counter, phase, kind): (Counter, _, _) = match outcome {
             Outcome::Done(()) => (
                 |s| &mut s.send_completions,
                 obs::Phase::Completed { side },
-                "nmad.send_completions",
                 CompletionKind::Send,
             ),
             Outcome::PeerDead => (
                 |s| &mut s.membership_aborted_sends,
                 obs::Phase::Aborted { side },
-                "nmad.membership.aborted_sends",
                 CompletionKind::SendFailed { peer },
             ),
             Outcome::Revoked => (
                 |s| &mut s.revoked_ops,
                 obs::Phase::Revoked { side },
-                "nmad.revoked_sends",
                 CompletionKind::SendRevoked {
                     peer,
                     epoch: keys::epoch_of(r.tag),
@@ -614,7 +594,6 @@ impl Engine {
         *counter(&mut self.stats) += 1;
         let key = mkey(self.rank, r.dst, r.tag, r.seq);
         self.out.phase(t_ns, key, phase);
-        self.out.inc(metric, 1);
         self.completions.push_back(NmCompletion {
             cookie: r.cookie,
             kind,
@@ -627,11 +606,10 @@ impl Engine {
         debug_assert!(!r.done, "double completion of recv request");
         r.done = true;
         let (gate, tag, side) = (GateId(r.src), r.tag, obs::Side::Recv);
-        let (counter, phase, metric, kind): (Counter, _, _, _) = match outcome {
+        let (counter, phase, kind): (Counter, _, _) = match outcome {
             Outcome::Done(data) => (
                 |s| &mut s.recv_completions,
                 obs::Phase::Completed { side },
-                "nmad.recv_completions",
                 // Lineage ends at the user-facing completion: surrender the
                 // underlying Bytes view (zero-copy, storage still aliased).
                 CompletionKind::Recv {
@@ -643,13 +621,11 @@ impl Engine {
             Outcome::PeerDead => (
                 |s| &mut s.membership_aborted_recvs,
                 obs::Phase::Aborted { side },
-                "nmad.membership.aborted_recvs",
                 CompletionKind::RecvFailed { gate, tag },
             ),
             Outcome::Revoked => (
                 |s| &mut s.revoked_ops,
                 obs::Phase::Revoked { side },
-                "nmad.revoked_recvs",
                 CompletionKind::RecvRevoked {
                     gate,
                     tag,
@@ -660,7 +636,6 @@ impl Engine {
         *counter(&mut self.stats) += 1;
         let key = mkey(r.src, self.rank, r.tag, r.seq);
         self.out.phase(t_ns, key, phase);
-        self.out.inc(metric, 1);
         self.completions.push_back(NmCompletion {
             cookie: r.cookie,
             kind,

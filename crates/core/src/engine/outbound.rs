@@ -55,8 +55,6 @@ impl Engine {
         let len = data.len();
         self.out
             .phase(now.0, key, obs::Phase::SendPosted { len: len as u64 });
-        self.out.inc("nmad.isend", 1);
-        self.out.observe("nmad.send.bytes", len as u64);
         // Flow-control admission: an eager-sized message needs a credit
         // from the destination gate's pool; with the pool empty it degrades
         // to the rendezvous path (RTS/CTS is natural backpressure — the
@@ -215,7 +213,7 @@ impl Engine {
                 protocol::step(gone, protocol::Event::LastChunkSent, ctx),
                 Verdict::Ignore { .. }
             ) {
-                self.protocol_error("nmad.protocol_errors.sent");
+                self.protocol_error();
             }
             return false;
         };
@@ -241,7 +239,7 @@ impl Engine {
                 return true;
             }
             Verdict::Ignore { .. } => {}
-            Verdict::Error => self.protocol_error("nmad.protocol_errors.sent"),
+            Verdict::Error => self.protocol_error(),
         }
         false
     }
@@ -369,8 +367,6 @@ fn build_packet(
             }
         }
     };
-    out.inc("nmad.packets", 1);
-    out.observe("nmad.wire.bytes", payload.wire_bytes() as u64);
     Staged {
         dst,
         payload,

@@ -200,7 +200,7 @@ impl Engine {
             );
             let Verdict::Step { actions, .. } = verdict else {
                 rdv.timer.disarm();
-                self.protocol_error("nmad.protocol_errors.timer");
+                self.protocol_error();
                 continue;
             };
             debug_assert!(actions.contains(&Action::Backoff));
@@ -345,7 +345,6 @@ impl Engine {
         for peer in probes {
             let seq = MEMBER_PROBE_BIT | self.member_probe_seq;
             self.member_probe_seq += 1;
-            self.out.inc("nmad.membership.probes", 1);
             self.out
                 .ctrl(peer, WirePayload::Probe { rail, seq }, Some(rail));
         }

@@ -222,11 +222,7 @@ struct World<'c> {
 
 impl<'c> World<'c> {
     fn new(cfg: &'c Config) -> World<'c> {
-        let spans = obs::ObsConfig {
-            spans: true,
-            ..obs::ObsConfig::default()
-        };
-        let rec = obs::Recorder::new(spans);
+        let rec = obs::Recorder::new(obs::ObsConfig::recording_only());
         let profile = LinkProfile::sample(&NicModel::connectx_ib());
         let meter = CopyMeter::new();
         let engines = (0..cfg.ranks).map(|rank| {

@@ -6,16 +6,10 @@
 //! the whole story — and [`NmStats::absorb`] folds several engines'
 //! counters into a job-wide total.
 //!
-//! [`StatsCells`] is the shared representation for code that bumps the
-//! same counters from several OS threads at once (`mpi-ch3`'s real-thread
-//! path): every incrementable counter gets a constant index into an
-//! [`obs::StripedCells`] slab, so a bump is one `Relaxed` `fetch_add` on
-//! the calling thread's own cache lines, and [`StatsCells::snapshot`]
-//! merges the slabs back into an [`NmStats`] — additive counters (`add`)
-//! by summation, high-water marks (`raise`, currently only
-//! `fc_peak_unex_bytes`) by maximum. Gauges an owner recomputes at read
-//! time (`peer_entries`, the rail-health and membership mirrors, the copy
-//! meter) are not stored in either form.
+//! Code that counts from several OS threads at once (`mpi-ch3`'s
+//! real-thread path) does the same: each thread owns an [`NmStats`], and
+//! the copies are folded with [`NmStats::absorb`] after the join. Nothing
+//! is shared while the threads run.
 
 use simnet::CopySnapshot;
 
@@ -133,11 +127,10 @@ pub struct NmStats {
     pub copy: CopySnapshot,
 }
 
-/// Every counter a bump site increments, named once: the list behind the
-/// [`stat`] indices, [`StatsCells::snapshot`] and [`NmStats::absorb`].
-/// Calls `$m!` with the names. All of them add up except
-/// `fc_peak_unex_bytes`, a high-water mark, which the users single out by
-/// name. (The fields not listed — `peer_entries`, the rail-health and
+/// Every counter a bump site increments, named once: the list behind
+/// [`NmStats::absorb`]. Calls `$m!` with the names. All of them add up
+/// except `fc_peak_unex_bytes`, a high-water mark, which the users single
+/// out by name. (The fields not listed — `peer_entries`, the rail-health and
 /// membership mirrors, `copy` — are gauges their owner recomputes.)
 macro_rules! with_counters {
     ($m:ident) => {
@@ -205,110 +198,26 @@ impl NmStats {
     }
 }
 
-/// Constant indices for every striped counter. Lower-case on purpose:
-/// call sites read `stats.add(stat::eager_sends, 1)`, the same name as
-/// the field it lands in.
-#[allow(non_upper_case_globals)]
-pub mod stat {
-    macro_rules! indices {
-        ($($name:ident),+) => {
-            indices!(@build 0usize; $($name),+);
-        };
-        (@build $idx:expr; $name:ident $(, $rest:ident)*) => {
-            pub const $name: usize = $idx;
-            indices!(@build $idx + 1; $($rest),*);
-        };
-        (@build $idx:expr;) => {
-            /// Number of striped counters.
-            pub const COUNT: usize = $idx;
-        };
-    }
-
-    with_counters!(indices);
-}
-
-/// The striped counter bank behind [`NmStats`]. Shared-write-free on the
-/// hot path; merged on read.
-#[derive(Default)]
-pub struct StatsCells {
-    cells: obs::StripedCells<{ stat::COUNT }>,
-}
-
-impl StatsCells {
-    pub fn new() -> StatsCells {
-        StatsCells::default()
-    }
-
-    /// Bump an additive counter (see [`stat`] for indices).
-    #[inline]
-    pub fn add(&self, i: usize, n: u64) {
-        self.cells.add(i, n);
-    }
-
-    /// Raise a high-water-mark counter to at least `v`.
-    #[inline]
-    pub fn raise(&self, i: usize, v: u64) {
-        self.cells.raise(i, v);
-    }
-
-    /// Merge every stripe into the plain snapshot struct. Gauges that the
-    /// owner recomputes (`peer_entries`, rail health, membership
-    /// transitions, the copy meter) are left at their defaults.
-    pub fn snapshot(&self) -> NmStats {
-        let c = &self.cells;
-        macro_rules! merged {
-            (@one fc_peak_unex_bytes) => { c.max(stat::fc_peak_unex_bytes) };
-            (@one $field:ident) => { c.sum(stat::$field) };
-            ($($field:ident),+) => {
-                NmStats { $($field: merged!(@one $field),)+ ..NmStats::default() }
-            };
-        }
-        with_counters!(merged)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-
-    #[test]
-    fn indices_are_dense_and_distinct() {
-        // The macro assigns 0..COUNT; spot-check the ends.
-        assert_eq!(stat::eager_sends, 0);
-        assert_eq!(stat::revoked_ops, stat::COUNT - 1);
-    }
-
-    #[test]
-    fn snapshot_mirrors_increments() {
-        let s = StatsCells::new();
-        s.add(stat::eager_sends, 2);
-        s.add(stat::rdv_sends, 1);
-        s.add(stat::rerouted_bytes, 4096);
-        s.raise(stat::fc_peak_unex_bytes, 100);
-        s.raise(stat::fc_peak_unex_bytes, 40);
-        let snap = s.snapshot();
-        assert_eq!(snap.eager_sends, 2);
-        assert_eq!(snap.rdv_sends, 1);
-        assert_eq!(snap.rerouted_bytes, 4096);
-        assert_eq!(snap.fc_peak_unex_bytes, 100);
-        assert_eq!(snap.packets_sent, 0);
-    }
 
     /// A field added to `NmStats` and forgotten by `absorb` reads 0 here.
     #[test]
     fn absorb_leaves_no_counter_behind() {
-        let cells = StatsCells::new();
-        (0..stat::COUNT).for_each(|i| cells.add(i, 1));
-        let one = NmStats {
+        let mut one = NmStats {
             rail_transitions: 1,
             degraded_nanos: 1,
             probes_sent: 1,
             probe_acks: 1,
             membership_transitions: 1,
             peer_entries: 1,
-            ..cells.snapshot()
+            ..NmStats::default()
         };
+        macro_rules! set_each {
+            ($($field:ident),+) => { $(one.$field = 1;)+ };
+        }
+        with_counters!(set_each);
         let mut total = NmStats::default();
         total.absorb(&one);
         total.absorb(&one);
@@ -325,23 +234,24 @@ mod tests {
 
     #[test]
     fn concurrent_bumps_merge_exactly() {
-        let s = Arc::new(StatsCells::new());
+        // Each thread owns its counters; the fold at join is exact.
         let threads: Vec<_> = (0..4)
             .map(|k| {
-                let s = Arc::clone(&s);
                 std::thread::spawn(move || {
+                    let mut s = NmStats::default();
                     for i in 0..1000 {
-                        s.add(stat::packets_sent, 1);
-                        s.raise(stat::fc_peak_unex_bytes, k * 1000 + i);
+                        s.packets_sent += 1;
+                        s.fc_peak_unex_bytes = s.fc_peak_unex_bytes.max(k * 1000 + i);
                     }
+                    s
                 })
             })
             .collect();
+        let mut total = NmStats::default();
         for t in threads {
-            t.join().unwrap();
+            total.absorb(&t.join().unwrap());
         }
-        let snap = s.snapshot();
-        assert_eq!(snap.packets_sent, 4000);
-        assert_eq!(snap.fc_peak_unex_bytes, 3999);
+        assert_eq!(total.packets_sent, 4000);
+        assert_eq!(total.fc_peak_unex_bytes, 3999);
     }
 }

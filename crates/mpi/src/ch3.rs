@@ -244,10 +244,6 @@ pub struct Ch3Engine {
     /// Copy accounting for the engine's own buffer work (rendezvous
     /// landing buffers, the receive-side reassembly memcpy).
     meter: Option<Arc<CopyMeter>>,
-    /// Observability handle: CH3 protocol counters (eager/RTS/CTS/DATA
-    /// traffic). Inert — and allocation-free — unless the job armed
-    /// `ObsConfig`.
-    rec: obs::RankRec,
     /// Malformed or stray protocol packets tolerated and dropped (e.g. a
     /// duplicated DATA/CTS for a rendezvous that already finished —
     /// reachable with faults armed — or an RTS announcing a length no
@@ -279,7 +275,6 @@ impl Ch3Engine {
             rdv_chunk,
             rdv_ack,
             meter: None,
-            rec: obs::RankRec::off(),
             protocol_errors: 0,
         }
     }
@@ -297,12 +292,6 @@ impl Ch3Engine {
     /// engines before handing them to `ProcState`).
     pub fn with_copy_meter(mut self, meter: &Arc<CopyMeter>) -> Ch3Engine {
         self.meter = Some(Arc::clone(meter));
-        self
-    }
-
-    /// Attach the observability handle (builder style, like the meter).
-    pub fn with_recorder(mut self, rec: obs::RankRec) -> Ch3Engine {
-        self.rec = rec;
         self
     }
 
@@ -370,8 +359,6 @@ impl Ch3Engine {
         eager_limit: usize,
     ) -> bool {
         if data.len() <= eager_limit {
-            self.rec.inc("ch3.eager_tx", 1);
-            self.rec.observe("ch3.eager.bytes", data.len() as u64);
             self.send(dst, Ch3Pkt::Eager { key, data });
             true
         } else {
@@ -396,8 +383,6 @@ impl Ch3Engine {
                     state: next,
                 },
             );
-            self.rec.inc("ch3.rts_tx", 1);
-            self.rec.observe("ch3.rdv.bytes", len as u64);
             self.send(dst, Ch3Pkt::Rts { key, rdv_id, len });
             false
         }
@@ -475,16 +460,6 @@ impl Ch3Engine {
     /// Feed one inbound packet through the protocol; reply packets and
     /// completions go on the out-list.
     pub fn on_packet(&mut self, src: usize, pkt: Ch3Pkt) {
-        self.rec.inc(
-            match &pkt {
-                Ch3Pkt::Eager { .. } => "ch3.eager_rx",
-                Ch3Pkt::Rts { .. } => "ch3.rts_rx",
-                Ch3Pkt::Cts { .. } => "ch3.cts_rx",
-                Ch3Pkt::Data { .. } => "ch3.data_rx",
-                Ch3Pkt::DataAck { .. } => "ch3.data_ack_rx",
-            },
-            1,
-        );
         match pkt {
             Ch3Pkt::Eager { key, data } => match self.queues.match_arrival(src, key) {
                 Some(entry) => self.out.push(Ch3Out::Event(Ch3Event::RecvDone {

@@ -97,9 +97,6 @@ pub struct ProcState {
     /// Job-wide copy accounting: MPI-ingress copies are charged here and
     /// the meter rides along inside every payload handle.
     pub meter: Arc<CopyMeter>,
-    /// Observability handle (inert unless the job armed `ObsConfig`):
-    /// progress-engine counters land in the shared metrics registry.
-    pub rec: obs::RankRec,
     pub piom: Option<Arc<PiomServer>>,
     /// Wake semaphore for blocked waiters (PIOMan mode).
     pub wake: SimSemaphore,
@@ -118,7 +115,6 @@ impl ProcState {
         net_eager_limit: usize,
         costs: SoftwareCosts,
         meter: Arc<CopyMeter>,
-        rec: obs::RankRec,
         piom: Option<Arc<PiomServer>>,
     ) -> Arc<ProcState> {
         Arc::new(ProcState {
@@ -132,7 +128,6 @@ impl ProcState {
             net_eager_limit,
             costs,
             meter,
-            rec,
             piom,
             wake: SimSemaphore::new(format!("mpi-wake-{rank}")),
         })
@@ -371,7 +366,6 @@ impl ProcState {
     }
 
     fn cycle(self: &Arc<Self>, st: &mut RankState, sched: &Scheduler) {
-        self.rec.inc("mpi.progress_cycles", 1);
         // 0. Most cycles find nothing to do: ask every layer first, and
         // stop here when none has work at this instant.
         if !self.has_work(st) {
@@ -389,7 +383,6 @@ impl ProcState {
                 // never match them from that source).
                 for peer in core.take_dead_peers() {
                     st.retired.retire(peer);
-                    self.rec.inc("mpi.peer_deaths", 1);
                     for rel in st.anysource.purge_src(peer) {
                         self.finish_recv_failed(st, sched, rel.req, peer);
                     }
@@ -400,7 +393,6 @@ impl ProcState {
                 // `learn_revoke` is sticky, so the flood terminates after
                 // each rank relays each epoch at most once.
                 for epoch in core.take_revoked_epochs() {
-                    self.rec.inc("mpi.revokes", 1);
                     for dst in self.vcs.remote_peers() {
                         if !st.retired.is_retired(dst) && !core.is_peer_dead(dst) {
                             core.send_revoke(sched, dst, epoch);
@@ -478,12 +470,10 @@ impl ProcState {
                 // Membership drain verdicts (§2.2.1 no-cancel rule): the
                 // operation is over, but with an error instead of data.
                 CompletionKind::SendFailed { peer } => {
-                    self.rec.inc("mpi.send_failures", 1);
                     st.reqs.complete_send_failed(req, peer);
                     self.completed(sched);
                 }
                 CompletionKind::RecvFailed { gate, tag: _ } => {
-                    self.rec.inc("mpi.recv_failures", 1);
                     // A failed ANY_SOURCE head still releases its parked
                     // specifics — those target other (possibly live) peers.
                     self.release_parked(st, sched, req);
@@ -494,12 +484,10 @@ impl ProcState {
                 // with an error naming the revoked epoch instead of a
                 // corpse.
                 CompletionKind::SendRevoked { peer, epoch } => {
-                    self.rec.inc("mpi.send_revocations", 1);
                     st.reqs.complete_send_revoked(req, peer, epoch);
                     self.completed(sched);
                 }
                 CompletionKind::RecvRevoked { gate, tag: _, epoch } => {
-                    self.rec.inc("mpi.recv_revocations", 1);
                     // Same release discipline as RecvFailed: a revoked
                     // ANY_SOURCE head must not strand its parked specifics.
                     self.release_parked(st, sched, req);

@@ -100,10 +100,9 @@ pub struct StackConfig {
     /// Fault plan installed on the NewMadeleine fabric (ignored by tailored
     /// stacks — their CH3 wire protocol has no retransmission layer).
     pub faults: Option<Arc<FaultPlan>>,
-    /// Structured observability: message-lifecycle spans and metric
-    /// histograms across every layer of the stack. Off by default — a
-    /// disabled config costs one branch per instrumentation site and
-    /// allocates nothing.
+    /// Structured observability: message-lifecycle spans across every
+    /// layer of the stack. Off by default — a disabled config costs one
+    /// branch per instrumentation site and allocates nothing.
     pub obs: obs::ObsConfig,
 }
 
@@ -207,8 +206,8 @@ impl StackConfig {
         self
     }
 
-    /// Arm structured observability: per-message lifecycle spans and/or
-    /// metric histograms, surfaced on [`RunOutcome::obs`].
+    /// Arm structured observability: per-message lifecycle spans (with or
+    /// without table conformance), surfaced on [`RunOutcome::obs`].
     pub fn with_obs(mut self, obs: obs::ObsConfig) -> StackConfig {
         self.obs = obs;
         self
@@ -238,8 +237,8 @@ pub struct RunOutcome {
     /// MPI ingress down to the NIC, across all ranks (the Fig. 2 copy
     /// breakdown). Deterministic for a fixed seed.
     pub copy: CopySnapshot,
-    /// Structured observability report: the job-wide span stream and
-    /// metric registry (None unless the stack armed `ObsConfig`).
+    /// Structured observability report: the job-wide span stream (None
+    /// unless the stack armed `ObsConfig`).
     pub obs: Option<obs::Report>,
 }
 
@@ -279,7 +278,7 @@ pub fn run_mpi(
             builder = builder.max_events(n);
         }
     }
-    // One job-wide span/metric recorder (None when observability is off:
+    // One job-wide span recorder (None when observability is off:
     // every instrumentation site below degrades to a single branch).
     let recorder: Option<Arc<obs::Recorder>> =
         cfg.obs.enabled().then(|| obs::Recorder::new(cfg.obs));
@@ -491,9 +490,7 @@ pub fn run_mpi(
                 cfg.nm.eager_threshold,
             ),
         };
-        let engine = engine
-            .with_copy_meter(&meter)
-            .with_recorder(obs::RankRec::new(recorder.as_ref(), r as u32));
+        let engine = engine.with_copy_meter(&meter);
         // Shared-memory transport (only when the node hosts >1 rank).
         let node = topo.node_of(r);
         let colocated = topo.node_ranks(r).len() > 1;
@@ -510,10 +507,9 @@ pub fn run_mpi(
         } else {
             (None, Some(cfg.shm_model))
         };
-        let piom_server = cfg.pioman.map(PiomServer::new);
-        if let Some(server) = &piom_server {
-            server.set_recorder(obs::RankRec::new(recorder.as_ref(), r as u32));
-        }
+        let piom_server = cfg
+            .pioman
+            .map(|p| PiomServer::new(p, obs::RankRec::new(recorder.as_ref(), r as u32)));
         let state = ProcState::new(
             r,
             nranks,
@@ -525,7 +521,6 @@ pub fn run_mpi(
             net_eager,
             costs,
             Arc::clone(&meter),
-            obs::RankRec::new(recorder.as_ref(), r as u32),
             piom_server.as_ref().map(Arc::clone),
         );
         // PIOMan wiring (part 1): the progress cycle becomes an ltask and

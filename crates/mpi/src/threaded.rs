@@ -27,9 +27,11 @@
 //!   the consumer claims the payload directly (the CTS/DATA round-trip
 //!   collapses to a handoff through the store, sealed by the DATA packet's
 //!   CRC).
-//! * **Statistics** go to a shared contended-write-free [`StatsCells`];
-//!   the merged snapshot must equal a single-threaded oracle run
-//!   ([`run_inline`]) executing the identical per-message logic.
+//! * **Statistics** are owned, not shared: each producer and each consumer
+//!   counts into its own [`NmStats`], and the copies are folded with
+//!   [`NmStats::absorb`] once the threads are joined. The folded total
+//!   must equal a single-threaded oracle run ([`run_inline`]) executing
+//!   the identical per-message logic.
 //!
 //! Latency is sampled per message (enqueue-to-delivery, monotonic clock)
 //! and reported as exact percentiles — the numbers behind `BENCH_10.json`
@@ -44,7 +46,6 @@ use nemesis::queue::NemQueue;
 use nmad::credit::CreditBank;
 use nmad::matching::Unexpected;
 use nmad::sharded::ShardedMatchEngine;
-use nmad::stats::{stat, StatsCells};
 use nmad::{GateId, NmStats, NmWire, RecvReqId, WirePayload};
 use parking_lot::Mutex;
 use piom::WorkerTeam;
@@ -122,7 +123,6 @@ struct Shared {
     free_queues: Vec<NemQueue>,
     credits: Arc<CreditBank>,
     matching: ShardedMatchEngine,
-    stats: StatsCells,
     /// Rendezvous payload store: rdv_id → parked payload. Touched twice
     /// per rendezvous (park, claim), never on the eager path.
     rdv_store: Mutex<HashMap<u64, NmBuf>>,
@@ -154,7 +154,6 @@ impl Shared {
             free_queues,
             credits,
             matching: ShardedMatchEngine::new(),
-            stats: StatsCells::new(),
             rdv_store: Mutex::new(HashMap::new()),
             base: Instant::now(),
         }
@@ -165,8 +164,9 @@ impl Shared {
     }
 
     /// Producer `p` injects message `m`: claim a window cell, do the real
-    /// sender-side work, enqueue on the pinned VC.
-    fn produce_one(&self, p: usize, m: u64) {
+    /// sender-side work, enqueue on the pinned VC. Counts into `stats`,
+    /// the producer's own.
+    fn produce_one(&self, p: usize, m: u64, stats: &mut NmStats) {
         let cfg = &self.cfg;
         let vc = p % cfg.vcs;
         let dst = cfg.consumer_rank(vc);
@@ -214,7 +214,7 @@ impl Shared {
             cell.header.packet_type = PKT_RTS;
             cell.header.aux = [self.now_ns(), data_wire.crc];
             cell.fill(&[]);
-            self.stats.add(stat::rdv_sends, 1);
+            stats.rdv_sends += 1;
         } else {
             // Eager admission: one credit per message when flow control is
             // armed. The stall counter records messages that had to wait,
@@ -226,9 +226,9 @@ impl Shared {
                     std::thread::yield_now();
                 }
                 if stalled {
-                    self.stats.add(stat::fc_credit_stalls, 1);
+                    stats.fc_credit_stalls += 1;
                 }
-                self.stats.add(stat::fc_eager_admitted, 1);
+                stats.fc_eager_admitted += 1;
             }
             let wire = NmWire::new(
                 p,
@@ -242,11 +242,11 @@ impl Shared {
             cell.header.packet_type = PKT_EAGER;
             cell.header.aux = [self.now_ns(), wire.crc];
             cell.fill(payload.as_slice());
-            self.stats.add(stat::eager_sends, 1);
+            stats.eager_sends += 1;
             // Eager completes at the sender once the bytes are copied out.
-            self.stats.add(stat::send_completions, 1);
+            stats.send_completions += 1;
         }
-        self.stats.add(stat::packets_sent, 1);
+        stats.packets_sent += 1;
         self.vc_queues[vc].enqueue(cell);
     }
 
@@ -285,13 +285,13 @@ impl Shared {
                     },
                 );
                 if wire.crc != crc_expect {
-                    self.stats.add(stat::crc_drops, 1);
+                    state.stats.crc_drops += 1;
                 } else {
                     self.deliver(src, tag, seq, data, state);
                 }
                 if cfg.eager_credits > 0 {
                     self.credits.release(src, 1);
-                    self.stats.add(stat::fc_credits_returned, 1);
+                    state.stats.fc_credits_returned += 1;
                 }
             }
             PKT_RTS => {
@@ -312,13 +312,13 @@ impl Shared {
                         data: payload.share(),
                     },
                 );
-                self.stats.add(stat::data_chunks_sent, 1);
+                state.stats.data_chunks_sent += 1;
                 if data_wire.crc != crc_expect {
-                    self.stats.add(stat::crc_drops, 1);
+                    state.stats.crc_drops += 1;
                 } else {
                     self.deliver(src, tag, seq, payload, state);
                 }
-                self.stats.add(stat::send_completions, 1);
+                state.stats.send_completions += 1;
             }
             other => panic!("unknown threaded packet type {other}"),
         }
@@ -370,7 +370,7 @@ impl Shared {
             assert_eq!(msg.seq(), seq);
             state.matched_unexpected += 1;
         }
-        self.stats.add(stat::recv_completions, 1);
+        state.stats.recv_completions += 1;
     }
 
     /// Audit the credit bank: every pool back at capacity.
@@ -391,6 +391,7 @@ struct ConsumerState {
     matched_posted: u64,
     matched_unexpected: u64,
     latencies_ns: Vec<u64>,
+    stats: NmStats,
 }
 
 impl ConsumerState {
@@ -404,6 +405,7 @@ impl ConsumerState {
             matched_posted: 0,
             matched_unexpected: 0,
             latencies_ns: Vec::with_capacity(expected as usize),
+            stats: NmStats::default(),
         }
     }
 }
@@ -417,7 +419,7 @@ pub struct ThreadedReport {
     /// Enqueue-to-delivery latency samples, sorted ascending (exact, one
     /// per message).
     pub latencies_ns: Vec<u64>,
-    /// Merged statistics snapshot (per-core stripes summed on read).
+    /// Every thread's counters, folded with [`NmStats::absorb`].
     pub stats: NmStats,
     pub fifo_violations: u64,
     pub matched_posted: u64,
@@ -445,7 +447,14 @@ impl ThreadedReport {
     }
 }
 
-fn finish(shared: &Shared, elapsed: Duration, consumers: Vec<ConsumerState>) -> ThreadedReport {
+fn finish(
+    shared: &Shared,
+    elapsed: Duration,
+    producers: &[NmStats],
+    consumers: Vec<ConsumerState>,
+) -> ThreadedReport {
+    let mut stats = NmStats::default();
+    producers.iter().for_each(|p| stats.absorb(p));
     let mut latencies: Vec<u64> = Vec::new();
     let mut fifo_violations = 0;
     let mut matched_posted = 0;
@@ -457,6 +466,7 @@ fn finish(shared: &Shared, elapsed: Duration, consumers: Vec<ConsumerState>) -> 
         matched_posted += s.matched_posted;
         matched_unexpected += s.matched_unexpected;
         total += s.received;
+        stats.absorb(&s.stats);
     }
     latencies.sort_unstable();
     let secs = elapsed.as_secs_f64();
@@ -465,7 +475,7 @@ fn finish(shared: &Shared, elapsed: Duration, consumers: Vec<ConsumerState>) -> 
         total_msgs: total,
         throughput_msgs_per_sec: if secs > 0.0 { total as f64 / secs } else { 0.0 },
         latencies_ns: latencies,
-        stats: shared.stats.snapshot(),
+        stats,
         fifo_violations,
         matched_posted,
         matched_unexpected,
@@ -494,16 +504,18 @@ pub fn run_threaded(cfg: ThreadedConfig) -> ThreadedReport {
     let producers = WorkerTeam::spawn(cfg.producers, "nm-prod", |p| {
         let shared = Arc::clone(&shared);
         move || {
+            let mut stats = NmStats::default();
             for m in 0..shared.cfg.msgs_per_producer {
-                shared.produce_one(p, m);
+                shared.produce_one(p, m, &mut stats);
             }
+            stats
         }
     });
 
-    producers.join();
+    let sent = producers.join();
     let states = consumers.join();
     let elapsed = start.elapsed();
-    finish(&shared, elapsed, states)
+    finish(&shared, elapsed, &sent, states)
 }
 
 /// Single-threaded oracle: the identical per-message logic, executed
@@ -516,15 +528,16 @@ pub fn run_inline(cfg: ThreadedConfig) -> ThreadedReport {
     let mut states: Vec<ConsumerState> = (0..cfg.vcs)
         .map(|c| ConsumerState::new(cfg.consumer_rank(c), cfg.expected_on_vc(c)))
         .collect();
+    let mut sent = NmStats::default();
     for m in 0..cfg.msgs_per_producer {
         for p in 0..cfg.producers {
-            shared.produce_one(p, m);
+            shared.produce_one(p, m, &mut sent);
             let vc = p % cfg.vcs;
             while shared.consume_one(vc, &mut states[vc]) {}
         }
     }
     let elapsed = start.elapsed();
-    finish(&shared, elapsed, states)
+    finish(&shared, elapsed, &[sent], states)
 }
 
 #[cfg(test)]

@@ -315,8 +315,6 @@ impl ShmDomain {
                     bytes: frag_len as u64,
                 },
             );
-            ep.rec.inc("shm.frag.copies", 1);
-            ep.rec.observe("shm.frag.bytes", frag_len as u64);
             let (start, end) = {
                 let mut free_at = ep.pipe_free_at.lock();
                 let start = (*free_at).max(now);
@@ -342,7 +340,6 @@ impl ShmDomain {
                 src_local: cell.origin as u32,
             },
         );
-        ep.rec.inc("shm.cells.delivered", 1);
         ep.recv_queue.enqueue(cell);
         ep.mailbox.raise();
         let hook = ep.on_delivery.lock().as_ref().map(Arc::clone);

@@ -10,7 +10,6 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
 
-use crate::metrics::MetricsRegistry;
 use crate::span::{EngineEvent, Event, MsgKey, Phase, Scope};
 
 /// Everything one run recorded, frozen.
@@ -18,8 +17,6 @@ use crate::span::{EngineEvent, Event, MsgKey, Phase, Scope};
 pub struct Report {
     /// Event stream in append order (deterministic per seed).
     pub events: Vec<Event>,
-    /// Counter / histogram snapshot.
-    pub metrics: MetricsRegistry,
 }
 
 impl Report {
@@ -412,10 +409,7 @@ mod tests {
 
     #[test]
     fn jsonl_emits_one_line_per_event() {
-        let r = Report {
-            events: sample(),
-            metrics: MetricsRegistry::new(),
-        };
+        let r = Report { events: sample() };
         let j = r.to_jsonl();
         assert_eq!(j.lines().count(), 6);
         assert!(j.contains(r#""phase":"eager_tx","src":0,"dst":1,"tag":7,"seq":0,"rail":0"#));
@@ -441,10 +435,7 @@ mod tests {
 
     #[test]
     fn chrome_trace_is_wellformed_enough() {
-        let r = Report {
-            events: sample(),
-            metrics: MetricsRegistry::new(),
-        };
+        let r = Report { events: sample() };
         let c = r.to_chrome_trace();
         assert!(c.starts_with("{\"traceEvents\":["));
         assert!(c.trim_end().ends_with("]}"));

@@ -1,11 +1,11 @@
 //! # obs — structured message-lifecycle observability
 //!
 //! The observability substrate of the stack: typed per-message lifecycle
-//! **spans**, a deterministic **metrics registry** (counters + log2
-//! histograms), and **exporters** (JSONL, Chrome trace-event format, a
-//! per-phase latency breakdown). It replaces the simulator's ad-hoc string
-//! [`Tracer`](../simnet/trace/index.html) entries with typed events that
-//! trace-driven invariant tests can assert on.
+//! **spans** and **exporters** (JSONL, Chrome trace-event format, a
+//! per-phase latency breakdown) — typed events that trace-driven
+//! invariant tests can assert on. Counts live beside them, typed too: each
+//! layer's own counter struct (`NmStats`, the fault and copy counters),
+//! gathered on `RunOutcome`. There is no string-keyed registry.
 //!
 //! ## Span model
 //!
@@ -41,13 +41,9 @@
 //! and therefore speaks raw `u64` nanoseconds rather than `SimTime`.
 
 pub mod export;
-pub mod metrics;
 pub mod span;
-pub mod striped;
 
 pub use export::{trace_hash, PhaseBreakdown, Report};
-pub use metrics::{Histogram, MetricsRegistry, HIST_BUCKETS};
-pub use striped::{stripe_id, AtomicHistogram, StripedCells, STRIPES};
 pub use span::{
     EngineEvent, Event, MsgKey, Phase, RankRec, Recorder, RetryKind, Scope, Side, Validator,
     ENGINE_RANK,
@@ -58,8 +54,6 @@ pub use span::{
 pub struct ObsConfig {
     /// Record per-message lifecycle spans and engine events.
     pub spans: bool,
-    /// Maintain the metrics registry (counters + histograms).
-    pub metrics: bool,
     /// Conformance mode: feed every recorded span event through an
     /// installed validator (see [`Recorder::set_validator`]) that checks
     /// the transition against the protocol state table. Requires `spans`.
@@ -75,22 +69,46 @@ impl ObsConfig {
     pub fn full() -> ObsConfig {
         ObsConfig {
             spans: true,
-            metrics: true,
             conformance: true,
         }
     }
 
-    /// Spans and metrics without conformance validation.
+    /// Spans without conformance validation.
     pub fn recording_only() -> ObsConfig {
         ObsConfig {
             spans: true,
-            metrics: true,
             conformance: false,
         }
     }
 
     /// Is any recording requested at all?
     pub fn enabled(&self) -> bool {
-        self.spans || self.metrics
+        self.spans
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn one_event(cfg: ObsConfig) -> usize {
+        let rec = Recorder::new(cfg);
+        RankRec::new(Some(&rec), 0).engine(1, EngineEvent::PiomRekick);
+        rec.events().len()
+    }
+
+    #[test]
+    fn presets_are_off_spans_and_spans_with_conformance() {
+        let off = ObsConfig::default();
+        assert!(!off.enabled());
+        assert_eq!(one_event(off), 0);
+
+        let rec = ObsConfig::recording_only();
+        assert!(rec.enabled() && rec.spans && !rec.conformance);
+        assert_eq!(one_event(rec), 1);
+
+        let full = ObsConfig::full();
+        assert!(full.spans && full.conformance);
+        assert_eq!(one_event(full), 1);
     }
 }

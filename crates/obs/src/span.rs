@@ -6,7 +6,6 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::export::Report;
-use crate::metrics::MetricsRegistry;
 use crate::ObsConfig;
 
 /// `rank` value used for events recorded by the simulation engine itself
@@ -209,7 +208,6 @@ pub struct Event {
 pub struct Recorder {
     cfg: ObsConfig,
     events: Mutex<Vec<Event>>,
-    metrics: Mutex<MetricsRegistry>,
     /// Conformance mode: every recorded event is fed through this hook,
     /// which checks the transition against the protocol state table. The
     /// recorder cannot depend on the protocol crate, so the validator is
@@ -232,7 +230,6 @@ impl Recorder {
         Arc::new(Recorder {
             cfg,
             events: Mutex::new(Vec::new()),
-            metrics: Mutex::new(MetricsRegistry::new()),
             validator: Mutex::new(None),
             violations: Mutex::new(Vec::new()),
         })
@@ -283,40 +280,15 @@ impl Recorder {
         }
     }
 
-    /// Bump a named counter (no-op unless metrics are on).
-    #[inline]
-    pub fn inc(&self, name: &'static str, by: u64) {
-        if !self.cfg.metrics {
-            return;
-        }
-        self.metrics.lock().inc(name, by);
-    }
-
-    /// Record one observation into a named histogram (no-op unless
-    /// metrics are on).
-    #[inline]
-    pub fn observe(&self, name: &'static str, v: u64) {
-        if !self.cfg.metrics {
-            return;
-        }
-        self.metrics.lock().observe(name, v);
-    }
-
     /// Snapshot of the event stream, in append order.
     pub fn events(&self) -> Vec<Event> {
         self.events.lock().clone()
-    }
-
-    /// Snapshot of the metrics registry.
-    pub fn metrics(&self) -> MetricsRegistry {
-        self.metrics.lock().clone()
     }
 
     /// Freeze everything recorded so far into a [`Report`].
     pub fn report(&self) -> Report {
         Report {
             events: self.events(),
-            metrics: self.metrics(),
         }
     }
 }
@@ -378,20 +350,6 @@ impl RankRec {
         }
     }
 
-    #[inline]
-    pub fn inc(&self, name: &'static str, by: u64) {
-        if let Some(r) = &self.rec {
-            r.inc(name, by);
-        }
-    }
-
-    #[inline]
-    pub fn observe(&self, name: &'static str, v: u64) {
-        if let Some(r) = &self.rec {
-            r.observe(name, v);
-        }
-    }
-
     /// The underlying recorder, if any.
     pub fn recorder(&self) -> Option<&Arc<Recorder>> {
         self.rec.as_ref()
@@ -422,10 +380,7 @@ mod tests {
                 phase: Phase::RecvPosted,
             },
         });
-        rec.inc("x", 1);
-        rec.observe("y", 5);
         assert!(rec.events().is_empty());
-        assert!(rec.metrics().is_empty());
     }
 
     #[test]
@@ -434,7 +389,6 @@ mod tests {
         assert!(!rr.on());
         rr.phase(1, key(), Phase::RecvPosted);
         rr.engine(2, EngineEvent::PiomRekick);
-        rr.inc("x", 1);
     }
 
     #[test]
@@ -451,17 +405,5 @@ mod tests {
         assert_eq!(evs[0].t_ns, 10);
         assert_eq!(evs[1].t_ns, 5);
         assert_eq!(evs[0].rank, 3);
-    }
-
-    #[test]
-    fn metrics_flow_through_handles() {
-        let rec = Recorder::new(ObsConfig::full());
-        let rr = RankRec::new(Some(&rec), 0);
-        rr.inc("pkts", 2);
-        rr.inc("pkts", 3);
-        rr.observe("lat", 100);
-        let m = rec.metrics();
-        assert_eq!(m.counter("pkts"), 5);
-        assert_eq!(m.histogram("lat").unwrap().count(), 1);
     }
 }

@@ -98,13 +98,13 @@ pub struct PiomServer {
     timed: Mutex<TimedPass>,
     /// Timed passes that fired live: ltask passes with no kick behind them.
     rekicks: AtomicU64,
-    /// Observability handle (installed by the stack glue after
-    /// construction; defaults to the inert handle).
-    rec: Mutex<obs::RankRec>,
+    /// Observability handle the server stamps its events with (kicks,
+    /// ltask passes, re-kicks); `RankRec::off()` when untraced.
+    rec: obs::RankRec,
 }
 
 impl PiomServer {
-    pub fn new(cfg: PiomConfig) -> Arc<PiomServer> {
+    pub fn new(cfg: PiomConfig, rec: obs::RankRec) -> Arc<PiomServer> {
         Arc::new(PiomServer {
             cfg,
             ltasks: Mutex::new(Vec::new()),
@@ -114,14 +114,8 @@ impl PiomServer {
             kicks: AtomicU64::new(0),
             timed: Mutex::default(),
             rekicks: AtomicU64::new(0),
-            rec: Mutex::new(obs::RankRec::off()),
+            rec,
         })
-    }
-
-    /// Install the observability handle this server stamps its events with
-    /// (kicks, ltask passes, re-kicks).
-    pub fn set_recorder(&self, rec: obs::RankRec) {
-        *self.rec.lock() = rec;
     }
 
     pub fn config(&self) -> &PiomConfig {
@@ -159,16 +153,12 @@ impl PiomServer {
         }
         // Clone out so ltasks may register further ltasks without deadlock.
         let tasks: Vec<LTask> = self.ltasks.lock().clone();
-        {
-            let rec = self.rec.lock();
-            rec.engine(
-                sched.now().0,
-                obs::EngineEvent::PiomLtaskPass {
-                    tasks: tasks.len() as u32,
-                },
-            );
-            rec.inc("piom.ltask_passes", 1);
-        }
+        self.rec.engine(
+            sched.now().0,
+            obs::EngineEvent::PiomLtaskPass {
+                tasks: tasks.len() as u32,
+            },
+        );
         let deadline = tasks.iter().filter_map(|t| t.run(sched)).min();
         self.arm_pass(sched, deadline);
     }
@@ -214,11 +204,7 @@ impl PiomServer {
                 return;
             }
             server.rekicks.fetch_add(1, Ordering::Relaxed);
-            {
-                let rec = server.rec.lock();
-                rec.engine(s.now().0, obs::EngineEvent::PiomRekick);
-                rec.inc("piom.rekicks", 1);
-            }
+            server.rec.engine(s.now().0, obs::EngineEvent::PiomRekick);
             server.run_ltasks(s);
         });
     }
@@ -227,21 +213,15 @@ impl PiomServer {
     /// network synchronization cost — if an idle core is polling. In
     /// timer-driven mode the event waits for the next tick.
     pub fn kick_net(self: &Arc<Self>, sched: &Scheduler) {
-        {
-            let rec = self.rec.lock();
-            rec.engine(sched.now().0, obs::EngineEvent::PiomKick { net: true });
-            rec.inc("piom.kicks.net", 1);
-        }
+        self.rec
+            .engine(sched.now().0, obs::EngineEvent::PiomKick { net: true });
         self.kick(sched, self.cfg.net_sync);
     }
 
     /// A shared-memory mailbox was raised (Nemesis hook).
     pub fn kick_shm(self: &Arc<Self>, sched: &Scheduler) {
-        {
-            let rec = self.rec.lock();
-            rec.engine(sched.now().0, obs::EngineEvent::PiomKick { net: false });
-            rec.inc("piom.kicks.shm", 1);
-        }
+        self.rec
+            .engine(sched.now().0, obs::EngineEvent::PiomKick { net: false });
         self.kick(sched, self.cfg.shm_sync);
     }
 
@@ -329,7 +309,7 @@ mod tests {
     fn net_kick_reacts_after_sync_cost() {
         let sim = SimBuilder::new().build();
         let sched = sim.scheduler();
-        let server = PiomServer::new(PiomConfig::default());
+        let server = PiomServer::new(PiomConfig::default(), obs::RankRec::off());
         let log = Arc::new(PlMutex::new(Vec::new()));
         server.register_fn("count", counter_task(&log));
         let s2 = Arc::clone(&server);
@@ -343,7 +323,7 @@ mod tests {
     fn shm_kick_uses_cheaper_sync() {
         let sim = SimBuilder::new().build();
         let sched = sim.scheduler();
-        let server = PiomServer::new(PiomConfig::default());
+        let server = PiomServer::new(PiomConfig::default(), obs::RankRec::off());
         let log = Arc::new(PlMutex::new(Vec::new()));
         server.register_fn("count", counter_task(&log));
         let s2 = Arc::clone(&server);
@@ -356,7 +336,7 @@ mod tests {
     fn all_ltasks_run_in_order() {
         let sim = SimBuilder::new().build();
         let sched = sim.scheduler();
-        let server = PiomServer::new(PiomConfig::default());
+        let server = PiomServer::new(PiomConfig::default(), obs::RankRec::off());
         let order = Arc::new(PlMutex::new(Vec::new()));
         for name in ["a", "b", "c"] {
             let order = Arc::clone(&order);
@@ -376,10 +356,13 @@ mod tests {
     fn timer_mode_ignores_kicks_until_tick() {
         let sim = SimBuilder::new().build();
         let sched = sim.scheduler();
-        let server = PiomServer::new(PiomConfig {
-            method: DetectionMethod::TimerDriven(SimDuration::micros(10)),
-            ..Default::default()
-        });
+        let server = PiomServer::new(
+            PiomConfig {
+                method: DetectionMethod::TimerDriven(SimDuration::micros(10)),
+                ..Default::default()
+            },
+            obs::RankRec::off(),
+        );
         let log = Arc::new(PlMutex::new(Vec::new()));
         server.register_fn("count", counter_task(&log));
         server.start(&sched);
@@ -399,7 +382,7 @@ mod tests {
     fn stop_halts_timer_and_kicks() {
         let sim = SimBuilder::new().build();
         let sched = sim.scheduler();
-        let server = PiomServer::new(PiomConfig::default());
+        let server = PiomServer::new(PiomConfig::default(), obs::RankRec::off());
         let log = Arc::new(PlMutex::new(Vec::new()));
         server.register_fn("count", counter_task(&log));
         server.stop();
@@ -413,7 +396,7 @@ mod tests {
     fn a_deadline_gets_exactly_one_timed_pass_at_it() {
         let sim = SimBuilder::new().build();
         let sched = sim.scheduler();
-        let server = PiomServer::new(PiomConfig::default());
+        let server = PiomServer::new(PiomConfig::default(), obs::RankRec::off());
         let log = Arc::new(PlMutex::new(Vec::new()));
         // The kicked pass at 3 us asks for 50 us; nothing kicks again (all
         // packets "lost"), so only the timed pass can run the ltasks.
@@ -428,7 +411,7 @@ mod tests {
     fn a_later_deadline_keeps_the_live_pass_an_earlier_one_supersedes_it() {
         let sim = SimBuilder::new().build();
         let sched = sim.scheduler();
-        let server = PiomServer::new(PiomConfig::default());
+        let server = PiomServer::new(PiomConfig::default(), obs::RankRec::off());
         let log = Arc::new(PlMutex::new(Vec::new()));
         server.register_fn(
             "t",
@@ -456,7 +439,7 @@ mod tests {
     fn no_deadline_arms_nothing_and_kicks_still_coalesce() {
         let sim = SimBuilder::new().build();
         let sched = sim.scheduler();
-        let server = PiomServer::new(PiomConfig::default());
+        let server = PiomServer::new(PiomConfig::default(), obs::RankRec::off());
         let log = Arc::new(PlMutex::new(Vec::new()));
         server.register_fn("count", counter_task(&log));
         server.arm_pass(&sched, None);
@@ -476,7 +459,7 @@ mod tests {
     fn a_stopped_servers_fired_pass_runs_nothing() {
         let sim = SimBuilder::new().build();
         let sched = sim.scheduler();
-        let server = PiomServer::new(PiomConfig::default());
+        let server = PiomServer::new(PiomConfig::default(), obs::RankRec::off());
         let log = Arc::new(PlMutex::new(Vec::new()));
         server.register_fn("count", counter_task(&log));
         server.arm_pass(&sched, Some(SimTime(50_000)));
@@ -491,7 +474,7 @@ mod tests {
     fn ltask_may_register_ltask_without_deadlock() {
         let sim = SimBuilder::new().build();
         let sched = sim.scheduler();
-        let server = PiomServer::new(PiomConfig::default());
+        let server = PiomServer::new(PiomConfig::default(), obs::RankRec::off());
         let s2 = Arc::clone(&server);
         let hit = Arc::new(PlMutex::new(false));
         let h2 = Arc::clone(&hit);

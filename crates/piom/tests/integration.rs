@@ -11,7 +11,7 @@ use simnet::{SimBuilder, SimDuration, SimSemaphore, SimTime};
 #[test]
 fn blocked_rank_wakes_via_ltask() {
     let mut sim = SimBuilder::new().build();
-    let server = PiomServer::new(PiomConfig::default());
+    let server = PiomServer::new(PiomConfig::default(), obs::RankRec::off());
     let sem = SimSemaphore::new("wait");
     let sem2 = sem.clone();
     server.register_fn(
@@ -38,7 +38,7 @@ fn blocked_rank_wakes_via_ltask() {
 #[test]
 fn kicks_fan_out_to_all_ltasks() {
     let sim = SimBuilder::new().build();
-    let server = PiomServer::new(PiomConfig::default());
+    let server = PiomServer::new(PiomConfig::default(), obs::RankRec::off());
     let counts: Arc<Mutex<Vec<u32>>> = Arc::new(Mutex::new(vec![0; 3]));
     let tasks: Vec<LTask> = (0..3)
         .map(|i| {
@@ -72,10 +72,13 @@ fn kicks_fan_out_to_all_ltasks() {
 fn detection_method_controls_reaction_latency() {
     let reaction = |method: DetectionMethod| -> u64 {
         let sim = SimBuilder::new().build();
-        let server = PiomServer::new(PiomConfig {
-            method,
-            ..PiomConfig::default()
-        });
+        let server = PiomServer::new(
+            PiomConfig {
+                method,
+                ..PiomConfig::default()
+            },
+            obs::RankRec::off(),
+        );
         let reacted = Arc::new(Mutex::new(None));
         let r2 = Arc::clone(&reacted);
         server.register_fn(

@@ -59,7 +59,7 @@ pub struct FabricOpts {
     /// Optional fault-injection plan (see [`crate::fault`]).
     pub fault: Option<Arc<FaultPlan>>,
     /// Optional observability recorder: every port emits `nic_tx` engine
-    /// events (and NIC metrics) through it, stamped with the source node.
+    /// events through it, stamped with the source node.
     pub recorder: Option<Arc<obs::Recorder>>,
 }
 

@@ -339,9 +339,6 @@ impl<M: Send + 'static> NicPort<M> {
                 occupancy_ns: occupancy.as_nanos(),
             },
         );
-        self.rec.inc("nic.tx.msgs", 1);
-        self.rec.inc("nic.tx.bytes", xfer.bytes as u64);
-        self.rec.observe("nic.tx.occupancy_ns", occupancy.as_nanos());
         // Sender-side completion + backlog continuation. These fire even
         // for dropped transfers: the NIC *did* read the send buffer — only
         // the wire ate the packet. Express frames never held the transmit

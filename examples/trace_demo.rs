@@ -1,6 +1,6 @@
 //! Observability quickstart: run one traced scenario, print the per-phase
-//! latency breakdown and the metric counters, and write a Chrome
-//! trace-event file.
+//! latency breakdown and a few job-wide NewMadeleine counter totals, and
+//! write a Chrome trace-event file.
 //!
 //! ```text
 //! cargo run --release --example trace_demo
@@ -13,6 +13,7 @@
 
 use std::fs;
 
+use mpich2_nmad_repro::nmad::NmStats;
 use mpich2_nmad_repro::sim_harness::{Scenario, Workload};
 use mpich2_nmad_repro::simnet::FaultSpec;
 
@@ -32,19 +33,20 @@ fn main() {
     println!();
     println!("{}", report.breakdown());
 
-    println!("counters:");
-    for (name, v) in report.metrics.counters() {
+    // The counts are typed: every rank's `NmStats`, folded job-wide.
+    let mut total = NmStats::default();
+    fp.nm_stats.iter().for_each(|s| total.absorb(s));
+    println!("nmad totals over {} ranks:", fp.nm_stats.len());
+    for (name, v) in [
+        ("eager sends", total.eager_sends),
+        ("rendezvous sends", total.rdv_sends),
+        ("packets sent", total.packets_sent),
+        ("data chunks sent", total.data_chunks_sent),
+        ("retransmissions", total.total_retries()),
+        ("rerouted bytes", total.rerouted_bytes),
+        ("protocol errors", total.protocol_errors),
+    ] {
         println!("  {name:<24} {v}");
-    }
-    println!("histograms:");
-    for (name, h) in report.metrics.histograms() {
-        let (lo, hi) = h.quantile_bounds(0.99).unwrap_or((0, 0));
-        println!(
-            "  {name:<24} n={} mean={:.0} max={} p99∈[{lo},{hi}]",
-            h.count(),
-            h.mean().unwrap_or(0.0),
-            h.max().unwrap_or(0),
-        );
     }
 
     fs::create_dir_all("target").expect("create target dir");

@@ -111,7 +111,7 @@ pub mod sim_harness {
         }
 
         /// [`Scenario::run`] with full observability armed: returns the
-        /// fingerprint plus the structured span/metric report. Recording
+        /// fingerprint plus the structured span report. Recording
         /// is a pure side channel — the fingerprint must equal the
         /// untraced run's (the replay tests pin that down).
         pub fn run_traced(&self) -> (Fingerprint, crate::obs::Report) {

@@ -277,125 +277,6 @@ proptest! {
     }
 }
 
-// --- Observability histogram laws ---------------------------------------
-
-use mpich2_nmad_repro::obs::{Histogram, HIST_BUCKETS};
-
-fn hist_of(values: &[u64]) -> Histogram {
-    let mut h = Histogram::new();
-    for &v in values {
-        h.record(v);
-    }
-    h
-}
-
-/// Exact q-quantile of a value set under the same 1-based-rank convention
-/// `Histogram::quantile_bounds` documents.
-fn exact_quantile(values: &mut [u64], q: f64) -> u64 {
-    values.sort_unstable();
-    let rank = ((q * values.len() as f64).ceil() as usize).max(1);
-    values[rank - 1]
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 64, // pure data-structure checks — cheap
-        .. ProptestConfig::default()
-    })]
-
-    /// Bucket edges are monotone and every value lands in the bucket
-    /// whose inclusive edges bound it.
-    #[test]
-    fn histogram_buckets_bound_their_values(values in proptest::collection::vec(any::<u64>(), 1..200)) {
-        for b in 1..HIST_BUCKETS {
-            prop_assert!(Histogram::lower_edge(b) > Histogram::upper_edge(b - 1) ||
-                         Histogram::lower_edge(b) > Histogram::lower_edge(b - 1),
-                         "bucket edges not monotone at {b}");
-        }
-        for &v in &values {
-            let b = Histogram::bucket_of(v);
-            prop_assert!(b < HIST_BUCKETS);
-            prop_assert!(Histogram::lower_edge(b) <= v && v <= Histogram::upper_edge(b),
-                         "{v} outside bucket {b} edges [{}, {}]",
-                         Histogram::lower_edge(b), Histogram::upper_edge(b));
-        }
-    }
-
-    /// Count, sum, min and max are conserved exactly (no sampling, no
-    /// saturation below u128 sums).
-    #[test]
-    fn histogram_conserves_count_and_sum(values in proptest::collection::vec(any::<u64>(), 1..200)) {
-        let h = hist_of(&values);
-        prop_assert_eq!(h.count(), values.len() as u64);
-        prop_assert_eq!(h.sum(), values.iter().map(|&v| v as u128).sum::<u128>());
-        prop_assert_eq!(h.min(), values.iter().copied().min());
-        prop_assert_eq!(h.max(), values.iter().copied().max());
-        prop_assert_eq!(h.buckets().iter().sum::<u64>(), values.len() as u64);
-    }
-
-    /// Merge is commutative, associative, and equal to the histogram of
-    /// the concatenated value sets — the property that makes per-rank
-    /// registries mergeable into a job-wide one without bias.
-    #[test]
-    fn histogram_merge_is_concatenation(
-        a in proptest::collection::vec(any::<u64>(), 0..100),
-        b in proptest::collection::vec(any::<u64>(), 0..100),
-        c in proptest::collection::vec(any::<u64>(), 0..100),
-    ) {
-        let (ha, hb, hc) = (hist_of(&a), hist_of(&b), hist_of(&c));
-        // Commutativity.
-        let mut ab = ha.clone();
-        ab.merge(&hb);
-        let mut ba = hb.clone();
-        ba.merge(&ha);
-        prop_assert_eq!(&ab, &ba);
-        // Associativity.
-        let mut ab_c = ab.clone();
-        ab_c.merge(&hc);
-        let mut bc = hb.clone();
-        bc.merge(&hc);
-        let mut a_bc = ha.clone();
-        a_bc.merge(&bc);
-        prop_assert_eq!(&ab_c, &a_bc);
-        // Concatenation identity.
-        let mut all = a.clone();
-        all.extend_from_slice(&b);
-        all.extend_from_slice(&c);
-        prop_assert_eq!(&ab_c, &hist_of(&all));
-    }
-
-    /// The quantile-bucket bounds always bracket the exact quantile of
-    /// the recorded values.
-    #[test]
-    fn histogram_quantile_bounds_bracket_exact_quantile(
-        mut values in proptest::collection::vec(any::<u64>(), 1..200),
-        q in 0.0f64..1.0,
-    ) {
-        let h = hist_of(&values);
-        let (lo, hi) = h.quantile_bounds(q).expect("non-empty");
-        prop_assert!(lo <= hi);
-        let exact = exact_quantile(&mut values, q);
-        prop_assert!(lo <= exact && exact <= hi,
-                     "q={q}: exact quantile {exact} outside bucket bounds [{lo}, {hi}]");
-        // Degenerate bounds recover the extremes exactly.
-        prop_assert_eq!(h.quantile_bounds(0.0).unwrap().0, Histogram::lower_edge(Histogram::bucket_of(*values.first().unwrap())));
-        prop_assert_eq!(h.quantile_bounds(1.0).unwrap().1, Histogram::upper_edge(Histogram::bucket_of(*values.last().unwrap())));
-    }
-
-    /// An empty histogram reports empty aggregates and no quantiles.
-    #[test]
-    fn empty_histogram_is_empty(q in 0.0f64..1.0) {
-        let h = Histogram::new();
-        prop_assert_eq!(h.count(), 0);
-        prop_assert_eq!(h.sum(), 0);
-        prop_assert_eq!(h.min(), None);
-        prop_assert_eq!(h.max(), None);
-        prop_assert_eq!(h.mean(), None);
-        prop_assert_eq!(h.quantile_bounds(q), None);
-    }
-}
-
-
 // ---------------------------------------------------------------------
 // CH3 matching engine under *wildcard keys*: ANY_SOURCE × ANY_TAG ×
 // arbitrary post/arrival interleavings. Extends the disjointness test

@@ -9,7 +9,7 @@
 //!   order at its VC's consumer;
 //! * credit conservation: every per-gate eager pool is back at capacity
 //!   after the drain;
-//! * the merged striped-counter [`NmStats`] snapshot equals a
+//! * the per-thread [`NmStats`], folded at join, equal a
 //!   single-threaded oracle running the identical per-message logic
 //!   (modulo the schedule-dependent stall counter);
 //! * no CRC drops: every payload crossed the queues intact.
@@ -66,7 +66,7 @@ fn merged_stats_equal_single_threaded_oracle() {
     oracle.fc_credit_stalls = 0;
     assert_eq!(
         threaded, oracle,
-        "merged striped counters diverged from the sequential oracle"
+        "merged per-thread counters diverged from the sequential oracle"
     );
 }
 
