@@ -195,7 +195,7 @@ impl RequestTable {
         self.slots[req.0 as usize].path
     }
 
-    /// First observation of a completion by the rank thread: returns the
+    /// First observation of a completion by the rank's own code: returns the
     /// payload/status exactly once (the caller charges completion costs).
     /// Returns `None` if not done or already claimed.
     pub fn claim(&mut self, req: Req) -> Option<(Option<Bytes>, Option<Status>)> {

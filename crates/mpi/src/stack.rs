@@ -4,7 +4,7 @@
 //! inter-node path, PIOMan or not, calibration constants);
 //! [`run_mpi`] builds the simulated cluster — fabric, shared-memory
 //! domains, NewMadeleine cores, PIOMan servers — wires everything together
-//! the way §3 describes, spawns one rank thread per process, and runs the
+//! the way §3 describes, spawns one simulated rank per process, and runs the
 //! program to completion.
 
 use std::collections::HashMap;

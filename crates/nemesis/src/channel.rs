@@ -559,7 +559,7 @@ mod tests {
     fn backpressure_recycles_cells() {
         // 3 cells per rank but a message needing 5 fragments: the sender
         // stalls until the receiver polls (returning cells) — here delivery
-        // events alone can't finish it, so we poll from a rank thread.
+        // events alone can't finish it, so we poll from a rank.
         let payload: Vec<u8> = vec![7u8; 5 * CELL_PAYLOAD];
         let expect_len = payload.len();
         let mut sim = SimBuilder::new().build();

@@ -124,7 +124,7 @@ impl Phase {
 pub enum EngineEvent {
     /// The simulator dispatched a scheduled callback.
     DispatchCall,
-    /// The simulator woke a rank thread.
+    /// The simulator woke a rank.
     DispatchWake,
     /// A NIC port started a transfer (`rank` = source node).
     NicTx {

@@ -20,7 +20,7 @@
 //!   layer" from "the payload was duplicated".
 //!
 //! Determinism: the simulation is logically single-threaded (a single
-//! execution token is handed between the engine and rank threads), so the
+//! execution token is handed from rank context to rank context), so the
 //! counters are incremented in a deterministic order and same-seed replays
 //! produce bit-identical snapshots — including fault-injected runs, where
 //! retransmissions and duplicate deliveries are themselves deterministic.

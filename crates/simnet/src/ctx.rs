@@ -1,32 +1,42 @@
 //! The handle a rank program uses to interact with the simulation.
 
+use std::marker::PhantomData;
+use std::panic;
 use std::sync::Arc;
 
-use crate::engine::{PollSlot, RankId, Scheduler, SimCore, TornDown, WakeCell};
+use crate::engine::{PollSlot, RankId, Scheduler, SimCore, TornDown};
+use crate::fiber::Context;
 use crate::time::{SimDuration, SimTime};
 
 /// Per-rank simulation context, passed by value to the rank's program
 /// closure. Not `Clone`: the token protocol requires a single blocking
 /// entry point per rank.
+///
+/// Not `Send` either: a rank is a user-level context on the OS thread
+/// running the simulation, and parking it anywhere else would switch
+/// stacks under another thread's feet.
+///
+/// ```compile_fail
+/// fn assert_send<T: Send>() {}
+/// assert_send::<simnet::RankCtx>();
+/// ```
 pub struct RankCtx {
     core: Arc<SimCore>,
     rank: RankId,
-    cell: Arc<WakeCell>,
+    ctx: Arc<Context>,
     poll: PollSlot,
+    /// `!Send` and `!Sync`: the context belongs to the simulation's thread.
+    _thread_bound: PhantomData<*const ()>,
 }
 
 impl RankCtx {
-    pub(crate) fn new(
-        core: Arc<SimCore>,
-        rank: RankId,
-        cell: Arc<WakeCell>,
-        poll: PollSlot,
-    ) -> Self {
+    pub(crate) fn new(core: Arc<SimCore>, rank: RankId, ctx: Arc<Context>, poll: PollSlot) -> Self {
         RankCtx {
             core,
             rank,
-            cell,
+            ctx,
             poll,
+            _thread_bound: PhantomData,
         }
     }
 
@@ -71,11 +81,11 @@ impl RankCtx {
     /// Simulated behaviour is exactly that of the loop
     /// `let mut d = first; loop { self.advance(d); match body(..) { Some(n) => d = n, None => break } }`
     /// — the same events at the same `(time, seq)` — but the ticks run in
-    /// the dispatch loop, on whichever thread holds the token, so the whole
-    /// wait resumes the rank once instead of once per tick. `body` must
-    /// therefore own what it touches (hence `Send + 'static`) and cannot
-    /// block; if it panics, the run fails with [`crate::SimError::RankPanic`]
-    /// naming this rank.
+    /// the dispatch loop, in whichever context holds the token, so the
+    /// whole wait resumes the rank once instead of once per tick. `body`
+    /// must therefore own what it touches (hence `Send + 'static`) and
+    /// cannot block; if it panics, the run fails with
+    /// [`crate::SimError::RankPanic`] naming this rank.
     pub fn poll_until(
         &self,
         first: SimDuration,
@@ -96,22 +106,21 @@ impl RankCtx {
     /// exactly one wake event targeting this rank.
     ///
     /// The rank runs the dispatch loop itself: when the next wake is its
-    /// own it returns without a thread switch, otherwise it hands the token
-    /// on and waits for it to come back.
+    /// own it returns without a switch, otherwise it switches into the
+    /// rank that is due and returns when some context switches back.
     pub(crate) fn park(&self) {
-        if self.core.hand_off(Some(self.rank)) {
-            return;
+        if !self.core.torn_down() {
+            self.core.hand_off(Some(self.rank), &self.ctx);
         }
-        if self.cell.wait_go().is_err() {
-            // `Sim::run` tore the simulation down (deadlock/panic path):
-            // unwind this thread silently.
-            std::panic::panic_any(TornDown);
+        if self.core.torn_down() {
+            // `Sim::run` is tearing the simulation down (deadlock/panic
+            // path): unwind this context silently, past the panic hook.
+            panic::resume_unwind(Box::new(TornDown));
         }
     }
 
-    /// Wait for the initial token grant. Only called once, by the rank
-    /// thread bootstrap.
-    pub(crate) fn wait_go(&self) -> Result<(), ()> {
-        self.cell.wait_go()
+    /// Where this rank is suspended while it does not hold the token.
+    pub(crate) fn context(&self) -> &Arc<Context> {
+        &self.ctx
     }
 }

@@ -1,68 +1,70 @@
-//! The simulation engine: rank threads, execution-token handoff, and the
+//! The simulation engine: rank contexts, execution-token handoff, and the
 //! event dispatch loop.
 //!
 //! ## Token protocol
 //!
-//! The simulation is logically single-threaded. Exactly one thread holds
-//! the execution token at any moment: the caller of [`Sim::run`] until the
-//! first grant, then one rank thread at a time. There is no engine thread.
-//! Whoever holds the token and is about to give it up runs the dispatch
-//! loop (`SimCore::dispatch`) itself:
+//! The simulation is logically single-threaded, and physically too: every
+//! rank runs as a user-level context on its own stack (`simnet::fiber`),
+//! all on the OS thread that called [`Sim::run`]. Exactly one context holds
+//! the execution token at any moment: `Sim::run`'s own until the first
+//! grant, then one rank at a time. There is no engine context. Whoever
+//! holds the token and is about to give it up runs the dispatch loop
+//! (`SimCore::dispatch`) itself:
 //!
 //! * It pops the earliest event. A `Call` event runs inline, on the
-//!   holder's thread. A `Wake(rank)` event resumes `rank`: if that is the
+//!   holder's stack. A `Wake(rank)` event resumes `rank`: if that is the
 //!   rank that just parked, the loop returns and the rank carries on with
-//!   no thread switch; otherwise the holder grants the rank's [`WakeCell`]
-//!   and waits on its own. A wake costs one OS switch when it changes
-//!   thread and none when it does not.
+//!   no switch; otherwise the holder switches straight into the rank's
+//!   context. A wake costs one stack switch when it changes rank and none
+//!   when it does not.
 //! * A rank parked in [`crate::ctx::RankCtx::poll_until`] left a *poll
 //!   body* in its slot. Its `Wake(rank)` ticks are then answered by the
-//!   dispatching thread: it takes the body out of the slot, calls it, and
+//!   dispatching context: it takes the body out of the slot, calls it, and
 //!   on `Some(d)` puts it back and pushes the next `Wake(rank)` at
 //!   `now + d` — the push the rank would have made, at the same
 //!   `(time, seq)`, without resuming it. Only `None` falls through to the
 //!   resume.
 //! * A rank runs its own code only between a grant (or a `Resume`) and its
 //!   next park. Every blocking operation in rank code bottoms out in
-//!   `RankCtx::park`, which dispatches and then either keeps
-//!   the token or hands it on and waits. A rank whose program returns
-//!   marks itself done and dispatches once more to hand the token on.
+//!   `RankCtx::park`, which dispatches and then either keeps the token or
+//!   switches to the granted rank. A rank whose program returns marks
+//!   itself done and dispatches once more to hand the token on.
 //! * The run ends when every rank is done, on deadlock, on the event limit
-//!   or on a panic. The holder that finds the end posts it on the shared
-//!   `ReportCell`, where [`Sim::run`] waits, and `Sim::run` tears the
-//!   rank threads down.
+//!   or on a panic. The holder that finds the end posts it and switches to
+//!   `Sim::run`'s context — unless it *is* that context (a rank-less run,
+//!   or a `Call` that panics before the first grant). `Sim::run` then
+//!   tears the contexts down.
 //!
 //! Because handoffs are synchronous, no two simulation participants ever run
 //! concurrently and the run is fully determined by the event order, which
-//! does not depend on which thread happens to run the loop.
+//! does not depend on which context happens to run the loop.
+//!
+//! ## Teardown
+//!
+//! `Sim::run` resumes every rank context once more before unmapping its
+//! stack, with the core marked torn down: a parked rank unwinds through
+//! `TornDown`, a finished or failed one returns from its last switch, and
+//! one that never ran drops its program unrun. Each then leaves for good, so
+//! no suspended frame keeps anything — an `Arc`, a guard — alive.
 //!
 //! ## Scale
 //!
-//! The handoff primitives are a fixed mutex + condvar pair per rank — no
-//! per-message queue nodes are allocated on the hot path, unlike the mpsc
-//! channels they replaced. Rank threads are spawned with an explicitly
-//! small stack ([`SimBuilder::rank_stack_size`], default 512 KiB) so a
-//! 4096-rank job reserves ~2 GiB of lazily-committed address space instead
-//! of ~32 GiB.
+//! A handoff allocates nothing and enters no kernel. Rank stacks are
+//! explicitly small ([`SimBuilder::rank_stack_size`], default 512 KiB of
+//! lazily-committed address space plus a guard page), so a 4096-rank job
+//! reserves ~2 GiB of address space instead of ~32 GiB.
 
 use std::any::Any;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::ptr;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-
-// Model-checking facade: under `--cfg loom` the handoff primitives become
-// loom scheduling points, so `tests/loom_queue.rs` can prove the WakeCell
-// grant/wait protocol has no lost wakeups. The APIs are call-compatible.
-#[cfg(loom)]
-use loom::sync::{Condvar, Mutex as StdMutex};
-#[cfg(not(loom))]
-use std::sync::{Condvar, Mutex as StdMutex};
 
 use parking_lot::Mutex;
 
 use crate::ctx::RankCtx;
 use crate::event::{EventKind, EventQueue};
+use crate::fiber::{self, Context, Fiber};
 use crate::time::{SimDuration, SimTime};
 
 /// Identifier of a simulated rank (process). Dense, starting at 0, in spawn
@@ -76,8 +78,8 @@ impl std::fmt::Display for RankId {
     }
 }
 
-/// Sentinel payload used to unwind rank threads silently when the simulation
-/// is torn down early (deadlock/error paths).
+/// Sentinel payload used to unwind parked rank contexts silently when the
+/// simulation is torn down early (deadlock/error paths).
 pub(crate) struct TornDown;
 
 /// A rank's poll body (see [`crate::ctx::RankCtx::poll_until`]).
@@ -99,115 +101,18 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
         .unwrap_or_else(|| "<non-string panic payload>".into())
 }
 
-/// What a parked rank sees when it re-checks its wake cell.
-enum GoSignal {
-    /// No grant yet; keep waiting.
-    Pending,
-    /// The previous holder handed this rank the execution token.
-    Go,
-    /// The simulation is being torn down; unwind silently.
-    TornDown,
-}
-
-/// Per-rank wake primitive: one mutex + condvar, reused for every handoff.
-/// Granting never allocates (an mpsc send allocates a queue node per
-/// message, which at thousands of ranks × millions of handoffs was pure
-/// churn). A grant is sticky: it may land before the rank waits, which
-/// direct handoff makes routine (the granted rank can run, dispatch and
-/// grant the granter back before the granter reaches its own wait).
-///
-/// Public so the loom model-check suite (`tests/loom_queue.rs`, built with
-/// `--cfg loom`) can drive the real grant/wait handoff; everything outside
-/// the engine and that suite should treat it as internal.
-pub struct WakeCell {
-    state: StdMutex<GoSignal>,
-    cv: Condvar,
-}
-
-impl WakeCell {
-    pub fn new() -> Arc<WakeCell> {
-        Arc::new(WakeCell {
-            state: StdMutex::new(GoSignal::Pending),
-            cv: Condvar::new(),
-        })
-    }
-
-    /// Block until granted. `Err(())` means the simulation tore down —
-    /// teardown carries no further information, so the unit error stays.
-    #[allow(clippy::result_unit_err)]
-    pub fn wait_go(&self) -> Result<(), ()> {
-        let mut s = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            match *s {
-                GoSignal::Go => {
-                    *s = GoSignal::Pending;
-                    return Ok(());
-                }
-                GoSignal::TornDown => return Err(()),
-                GoSignal::Pending => {
-                    s = self.cv.wait(s).unwrap_or_else(|e| e.into_inner());
-                }
-            }
-        }
-    }
-
-    /// Hand the execution token to the waiting rank.
-    pub fn grant(&self) {
-        *self.state.lock().unwrap_or_else(|e| e.into_inner()) = GoSignal::Go;
-        self.cv.notify_one();
-    }
-
-    /// Wake the rank with a teardown signal (it unwinds silently).
-    pub fn tear_down(&self) {
-        *self.state.lock().unwrap_or_else(|e| e.into_inner()) = GoSignal::TornDown;
-        self.cv.notify_one();
-    }
-}
-
 /// How a run ended: its result, or the payload of a panic in the dispatch
 /// loop, which [`Sim::run`] re-raises on its caller after teardown.
 type End = std::thread::Result<Result<SimOutcome, SimError>>;
 
-/// Where the run's end is posted for [`Sim::run`]. Exactly one end is
-/// posted per run, so a single Option slot does.
-struct ReportCell {
-    slot: StdMutex<Option<End>>,
-    cv: Condvar,
-}
-
-impl ReportCell {
-    fn new() -> ReportCell {
-        ReportCell {
-            slot: StdMutex::new(None),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn send(&self, end: End) {
-        let mut s = self.slot.lock().unwrap_or_else(|e| e.into_inner());
-        debug_assert!(s.is_none(), "a run ended twice");
-        *s = Some(end);
-        self.cv.notify_one();
-    }
-
-    fn recv(&self) -> End {
-        let mut s = self.slot.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if let Some(end) = s.take() {
-                return end;
-            }
-            s = self.cv.wait(s).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-}
-
 /// One rank as the dispatch loop sees it.
 struct RankSlot {
     name: String,
-    cell: Arc<WakeCell>,
+    /// Where the rank is suspended while it does not hold the token.
+    ctx: Arc<Context>,
     /// Holds a body exactly while the rank is parked in `poll_until`.
     poll: PollSlot,
-    /// The rank's program returned, or its thread never spawned.
+    /// The rank's program returned, or its stack was never mapped.
     done: bool,
 }
 
@@ -215,6 +120,8 @@ struct RankSlot {
 /// sits behind a mutex; the token makes that mutex uncontended.
 struct Dispatch {
     ranks: Vec<RankSlot>,
+    /// The rank whose context holds the token; `None` for `Sim::run`'s.
+    running: Option<RankId>,
     done: usize,
     dispatched: u64,
     wakes: u64,
@@ -223,13 +130,13 @@ struct Dispatch {
     max_events: Option<u64>,
 }
 
-/// What [`SimCore::dispatch`] tells the thread that ran it.
+/// What [`SimCore::dispatch`] tells the context that ran it.
 enum Next {
     /// The loop woke the rank that ran it: it keeps the token.
     Resume,
-    /// Another rank is due: grant its cell.
-    Grant(Arc<WakeCell>),
-    /// The run is over: post this on the [`ReportCell`].
+    /// Another rank is due: switch into its context.
+    Grant(Arc<Context>),
+    /// The run is over: post this for [`Sim::run`].
     Finish(End),
 }
 
@@ -244,7 +151,12 @@ pub struct SimCore {
     /// Typed observability sink for the dispatch loop (off by default).
     rec: obs::RankRec,
     dispatch: Mutex<Dispatch>,
-    end: ReportCell,
+    /// Where [`Sim::run`]'s own stack is suspended while a rank runs.
+    main: Context,
+    /// The run's end, posted once by the context that found it.
+    end: Mutex<Option<End>>,
+    /// Set by teardown: a resumed context must leave, not carry on.
+    torn_down: AtomicBool,
 }
 
 impl SimCore {
@@ -254,13 +166,18 @@ impl SimCore {
         SimTime(self.clock_ns.load(Ordering::Acquire))
     }
 
-    /// Run the dispatch loop on the calling thread, which holds the token,
+    /// Run the dispatch loop in the calling context, which holds the token,
     /// until the token must go somewhere: back to `me` (the rank that just
     /// parked, if any), to another rank, or to [`Sim::run`] as the run's
     /// end. A panic anywhere in the loop — a `Call`, or the harness-bug
     /// check below — ends the run with its payload.
     fn dispatch(self: &Arc<Self>, me: Option<RankId>) -> Next {
         let mut d = self.dispatch.lock();
+        // A `RankCtx` smuggled to another rank (through a thread-local,
+        // say) would save the wrong stack into its context.
+        if let Some(me) = me {
+            assert_eq!(d.running, Some(me), "{me} parked in another rank's context");
+        }
         let sched = Scheduler::new(Arc::clone(self));
         panic::catch_unwind(AssertUnwindSafe(|| self.run_events(&mut d, &sched, me)))
             .unwrap_or_else(|payload| Next::Finish(Err(payload)))
@@ -330,7 +247,7 @@ impl SimCore {
                     // Ready: the body is spent, the rank resumes.
                     Ok(None) => {}
                     // The body is the rank's code, so its panic is the
-                    // rank's; teardown unwinds the parked thread.
+                    // rank's; teardown unwinds the parked context.
                     Err(payload) => {
                         let message = panic_message(&*payload);
                         return Next::Finish(Ok(Err(SimError::RankPanic { rank, message })));
@@ -346,7 +263,8 @@ impl SimCore {
                 return Next::Resume;
             }
             d.switches += 1;
-            return Next::Grant(Arc::clone(&slot.cell));
+            d.running = Some(rank);
+            return Next::Grant(Arc::clone(&slot.ctx));
         }
     }
 
@@ -360,16 +278,39 @@ impl SimCore {
         }
     }
 
-    /// Dispatch and pass the token to whoever the loop names. Returns
-    /// `true` when it came back to `me`; otherwise the caller no longer
-    /// holds the token and must wait on its own cell, or exit.
-    pub(crate) fn hand_off(self: &Arc<Self>, me: Option<RankId>) -> bool {
+    /// Dispatch from the running context `from` (rank `me`, or `Sim::run`'s
+    /// own with `None`) and pass the token to whoever the loop names.
+    /// Returns once the token is back in `from`, or once teardown resumes
+    /// it ([`SimCore::torn_down`] then says so).
+    pub(crate) fn hand_off(self: &Arc<Self>, me: Option<RankId>, from: &Context) {
         match self.dispatch(me) {
-            Next::Resume => return true,
-            Next::Grant(cell) => cell.grant(),
-            Next::Finish(end) => self.end.send(end),
+            Next::Resume => {}
+            // SAFETY: single OS thread — every context of this core runs on
+            // `Sim::run`'s thread and `from` is the running one; target
+            // suspended — the loop grants a rank only while it is parked
+            // (never `me`, which got `Resume`), and the core that holds
+            // both contexts outlives the suspension.
+            Next::Grant(to) => unsafe { fiber::switch(from, &to) },
+            Next::Finish(end) => self.finish(end, from),
         }
-        false
+    }
+
+    /// Post the run's end and leave `from` for `Sim::run`'s context, unless
+    /// the run ends on that context already.
+    fn finish(&self, end: End, from: &Context) {
+        let previous = self.end.lock().replace(end);
+        debug_assert!(previous.is_none(), "a run ended twice");
+        if !ptr::eq(from, &self.main) {
+            // SAFETY: single OS thread — `from` is the running rank; target
+            // suspended — `Sim::run`'s context waits in its first grant
+            // until a run's end switches back to it.
+            unsafe { fiber::switch(from, &self.main) };
+        }
+    }
+
+    /// Whether teardown has begun: a context resumed now must leave.
+    pub(crate) fn torn_down(&self) -> bool {
+        self.torn_down.load(Ordering::Relaxed)
     }
 
     /// A rank's program returned: it will never be woken again.
@@ -377,6 +318,28 @@ impl SimCore {
         let mut d = self.dispatch.lock();
         d.ranks[rank.0].done = true;
         d.done += 1;
+    }
+
+    /// Everything a rank's context does, from its first grant to the last
+    /// switch teardown resumes it from. Every local drops before it returns.
+    fn run_rank(self: &Arc<Self>, ctx: RankCtx, f: impl FnOnce(RankCtx)) {
+        if self.torn_down() {
+            return; // never granted: drop the program unrun
+        }
+        let rank = ctx.rank();
+        let me = Arc::clone(ctx.context());
+        match panic::catch_unwind(AssertUnwindSafe(|| f(ctx))) {
+            Ok(()) => {
+                self.retire(rank);
+                self.hand_off(None, &me);
+            }
+            // Silent unwind during teardown; do not report.
+            Err(payload) if payload.is::<TornDown>() => {}
+            Err(payload) => {
+                let message = panic_message(&*payload);
+                self.finish(Ok(Err(SimError::RankPanic { rank, message })), &me);
+            }
+        }
     }
 }
 
@@ -398,7 +361,7 @@ impl Scheduler {
         self.core.now()
     }
 
-    /// Schedule `f` to run at absolute time `t`, on whichever thread holds
+    /// Schedule `f` to run at absolute time `t`, in whichever context holds
     /// the token then.
     ///
     /// # Panics
@@ -441,9 +404,9 @@ impl Scheduler {
     }
 }
 
-/// Default rank-thread stack size. Rank programs are shallow (the MPI stack
-/// is iterative all the way down); 512 KiB leaves generous headroom for
-/// debug builds while letting thousands of rank threads coexist.
+/// Default rank stack size. Rank programs are shallow (the MPI stack is
+/// iterative all the way down); 512 KiB leaves generous headroom for debug
+/// builds while letting thousands of rank stacks coexist.
 pub const DEFAULT_RANK_STACK: usize = 512 * 1024;
 
 /// Builder for a [`Sim`].
@@ -482,8 +445,8 @@ impl SimBuilder {
         self
     }
 
-    /// Stack size for rank threads (default [`DEFAULT_RANK_STACK`]). The
-    /// dispatch loop runs on whichever rank thread holds the token, so
+    /// Stack size for rank contexts (default [`DEFAULT_RANK_STACK`]). The
+    /// dispatch loop runs in whichever rank context holds the token, so
     /// `Call`s and poll bodies run on these stacks too; the debug test
     /// suite runs its whole stack on the 512 KiB default.
     pub fn rank_stack_size(mut self, bytes: usize) -> Self {
@@ -498,6 +461,7 @@ impl SimBuilder {
             rec: obs::RankRec::new(self.recorder.as_ref(), obs::ENGINE_RANK),
             dispatch: Mutex::new(Dispatch {
                 ranks: Vec::new(),
+                running: None,
                 done: 0,
                 dispatched: 0,
                 wakes: 0,
@@ -505,11 +469,13 @@ impl SimBuilder {
                 switches: 0,
                 max_events: self.max_events,
             }),
-            end: ReportCell::new(),
+            main: Context::default(),
+            end: Mutex::new(None),
+            torn_down: AtomicBool::new(false),
         });
         Sim {
             core,
-            joins: Vec::new(),
+            fibers: Vec::new(),
             rank_stack: self.rank_stack,
             spawn_error: None,
         }
@@ -523,19 +489,19 @@ pub struct SimOutcome {
     pub final_time: SimTime,
     /// Total number of events dispatched:
     /// `events == calls + wakes + polls`, where `calls` are the closure
-    /// dispatches, run inline by whichever thread holds the token.
+    /// dispatches, run inline by whichever context holds the token.
     pub events: u64,
     /// Wake events that resumed a rank: the rank's own code ran again.
-    /// Whether that cost a thread switch is counted in `switches`.
+    /// Whether that cost a context switch is counted in `switches`.
     pub wakes: u64,
     /// Wake events answered inline: poll ticks of a rank parked in
     /// [`RankCtx::poll_until`] whose body asked for another tick. They
-    /// cost a closure call on the dispatching thread, not a resume.
+    /// cost a closure call in the dispatching context, not a resume.
     pub polls: u64,
-    /// Grants that moved the token to another thread: the first grant
+    /// Grants that moved the token to another context: the first grant
     /// from [`Sim::run`], and every wake of a rank other than the one that
-    /// parked. Each costs one OS context switch; the other
-    /// `wakes - switches` wakes cost none.
+    /// parked. Each costs one stack switch; the other `wakes - switches`
+    /// wakes cost none.
     pub switches: u64,
 }
 
@@ -550,8 +516,8 @@ pub enum SimError {
     RankPanic { rank: RankId, message: String },
     /// The configured event budget was exhausted.
     EventLimit(u64),
-    /// The OS refused to spawn a rank thread (resource exhaustion at high
-    /// rank counts).
+    /// The OS refused to map a rank's stack (resource exhaustion at high
+    /// rank counts); `reason` is the `mmap` error.
     SpawnFailed { name: String, reason: String },
 }
 
@@ -566,7 +532,7 @@ impl std::fmt::Display for SimError {
             }
             SimError::EventLimit(n) => write!(f, "event budget of {n} exhausted"),
             SimError::SpawnFailed { name, reason } => {
-                write!(f, "failed to spawn rank thread '{name}': {reason}")
+                write!(f, "failed to map the stack of rank '{name}': {reason}")
             }
         }
     }
@@ -574,10 +540,11 @@ impl std::fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// A discrete-event simulation with rank threads.
+/// A discrete-event simulation whose ranks are user-level contexts.
 pub struct Sim {
     core: Arc<SimCore>,
-    joins: Vec<JoinHandle<()>>,
+    /// Every mapped rank stack, in spawn order.
+    fibers: Vec<Fiber>,
     rank_stack: usize,
     /// First spawn failure, surfaced by [`Sim::run`] (see
     /// [`Sim::spawn_rank`]).
@@ -591,10 +558,11 @@ impl Sim {
         Scheduler::new(Arc::clone(&self.core))
     }
 
-    /// Spawn a rank thread running `f`. The rank starts (receives the token
-    /// for the first time) at simulated time zero, in spawn order.
+    /// Spawn a rank running `f` in a context of its own. The rank starts
+    /// (receives the token for the first time) at simulated time zero, in
+    /// spawn order.
     ///
-    /// On OS spawn failure the error is recorded and returned by
+    /// On failure to map its stack the error is recorded and returned by
     /// [`Sim::run`] as [`SimError::SpawnFailed`] (the returned `RankId`
     /// stays dense; the dead slot never wakes). Use
     /// [`Sim::try_spawn_rank`] to handle the failure at the call site.
@@ -618,7 +586,7 @@ impl Sim {
                 let mut d = self.core.dispatch.lock();
                 d.ranks.push(RankSlot {
                     name,
-                    cell: WakeCell::new(),
+                    ctx: Arc::default(),
                     poll: PollSlot::default(),
                     done: true,
                 });
@@ -628,8 +596,8 @@ impl Sim {
         }
     }
 
-    /// Spawn a rank thread, surfacing OS thread-creation failure to the
-    /// caller instead of recording it for [`Sim::run`].
+    /// Spawn a rank, surfacing a failure to map its stack to the caller
+    /// instead of recording it for [`Sim::run`].
     pub fn try_spawn_rank(
         &mut self,
         name: impl Into<String>,
@@ -638,54 +606,29 @@ impl Sim {
         let mut d = self.core.dispatch.lock();
         let id = RankId(d.ranks.len());
         let name = name.into();
-        let cell = WakeCell::new();
+        let ctx = Arc::<Context>::default();
         let poll = PollSlot::default();
-        let ctx = RankCtx::new(
-            Arc::clone(&self.core),
-            id,
-            Arc::clone(&cell),
-            Arc::clone(&poll),
-        );
         let core = Arc::clone(&self.core);
-        let tname = format!("sim-{name}");
-        let join = match std::thread::Builder::new()
-            .name(tname)
-            .stack_size(self.rank_stack)
-            .spawn(move || {
-                // Wait for the first token grant before touching anything.
-                if ctx.wait_go().is_err() {
-                    return; // torn down before start
-                }
-                let rank = ctx.rank();
-                match panic::catch_unwind(AssertUnwindSafe(|| f(ctx))) {
-                    Ok(()) => {
-                        core.retire(rank);
-                        core.hand_off(None);
-                    }
-                    // Silent unwind during teardown; do not report.
-                    Err(payload) if payload.is::<TornDown>() => {}
-                    Err(payload) => {
-                        let message = panic_message(&*payload);
-                        core.end
-                            .send(Ok(Err(SimError::RankPanic { rank, message })));
-                    }
-                }
-            }) {
-            Ok(j) => j,
-            Err(e) => {
-                return Err(SimError::SpawnFailed {
-                    name,
-                    reason: e.to_string(),
-                })
+        let (own, rank_poll) = (Arc::clone(&ctx), Arc::clone(&poll));
+        let body: fiber::Body = Box::new(move || {
+            let rank_ctx = RankCtx::new(Arc::clone(&core), id, own, rank_poll);
+            core.run_rank(rank_ctx, f);
+            // Leave for `Sim::run`'s context, which outlives this stack.
+            &core.main as *const Context
+        });
+        let fiber = Fiber::new(self.rank_stack, Arc::clone(&ctx), body).map_err(|e| {
+            SimError::SpawnFailed {
+                name: name.clone(),
+                reason: e.to_string(),
             }
-        };
+        })?;
         d.ranks.push(RankSlot {
             name,
-            cell,
+            ctx,
             poll,
             done: false,
         });
-        self.joins.push(join);
+        self.fibers.push(fiber);
         // First activation at t=0.
         self.core
             .queue
@@ -697,31 +640,51 @@ impl Sim {
     /// Run the simulation to completion.
     ///
     /// # Panics
-    /// Re-raises, after every rank thread is joined, a panic raised by an
-    /// event callback (whichever thread ran it).
+    /// Re-raises, after every rank context is torn down, a panic raised by
+    /// an event callback (whichever context ran it).
     pub fn run(mut self) -> Result<SimOutcome, SimError> {
         let end = match self.spawn_error.take() {
             Some(e) => Ok(Err(e)),
             None => {
-                self.core.hand_off(None);
-                self.core.end.recv()
+                self.core.hand_off(None, &self.core.main);
+                self.core
+                    .end
+                    .lock()
+                    .take()
+                    .expect("the token comes back to Sim::run only at the run's end")
             }
         };
         self.teardown();
         end.unwrap_or_else(|payload| panic::resume_unwind(payload))
     }
 
-    /// Unblock and join every rank thread, silently unwinding any that are
-    /// still parked (error paths).
+    /// Resume every rank context once more, so that each leaves for good,
+    /// and unmap its stack; then drop what the queue and the poll slots
+    /// still hold.
     fn teardown(&mut self) {
-        // A torn-down wake cell makes a parked rank's wait fail, which
-        // RankCtx turns into a silent TornDown unwind.
-        for slot in &self.core.dispatch.lock().ranks {
-            slot.cell.tear_down();
+        self.core.torn_down.store(true, Ordering::Relaxed);
+        for fiber in self.fibers.drain(..) {
+            // SAFETY: single OS thread — teardown runs in `Sim::run`'s
+            // context (or in `Drop` before any context ran), the running
+            // one; target suspended — every rank context is parked in a
+            // switch or fresh. With `torn_down` set, the resume ends its
+            // body: `park` unwinds through TornDown, `run_rank` returns.
+            unsafe { fiber.close(&self.core.main) };
         }
-        for join in self.joins.drain(..) {
-            let _ = join.join();
-        }
+        // Pending events and armed poll bodies may hold `Scheduler`s, and
+        // with them the core itself.
+        let events = std::mem::take(&mut *self.core.queue.lock());
+        let polls: Vec<_> = (self.core.dispatch.lock().ranks.iter())
+            .filter_map(|r| r.poll.lock().take())
+            .collect();
+        drop((events, polls));
+    }
+}
+
+impl Drop for Sim {
+    /// A `Sim` dropped unrun still owns its rank stacks and programs.
+    fn drop(&mut self) {
+        self.teardown();
     }
 }
 
@@ -1055,8 +1018,8 @@ mod tests {
 
     #[test]
     fn panicking_call_unwinds_on_the_caller_after_teardown() {
-        // At 0 the call runs on `Sim::run`'s thread before the rank starts;
-        // at 1 µs it runs on the parked rank's thread, inside its `advance`.
+        // At 0 the call runs in `Sim::run`'s context before the rank starts;
+        // at 1 µs it runs on the parked rank's stack, inside its `advance`.
         for at in [SimTime::ZERO, SimTime(1_000)] {
             let held = Arc::new(());
             let mut sim = SimBuilder::new().build();
@@ -1074,7 +1037,7 @@ mod tests {
             assert_eq!(
                 Arc::strong_count(&held),
                 1,
-                "a rank thread outlived the run"
+                "a rank context outlived the run"
             );
         }
     }
@@ -1124,7 +1087,7 @@ mod tests {
 
     #[test]
     fn small_stack_threads_run_many_ranks() {
-        // A thousand parked rank threads on 128 KiB stacks: spawn, step,
+        // A thousand parked rank contexts on 128 KiB stacks: spawn, step,
         // finish. Guards the spawn_rank stack-size plumbing.
         let mut sim = SimBuilder::new().rank_stack_size(128 * 1024).build();
         let hits = Arc::new(AtomicUsize::new(0));
@@ -1141,7 +1104,7 @@ mod tests {
 
     #[test]
     fn try_spawn_rank_surfaces_os_failure() {
-        // An absurd stack size makes thread creation fail; the error must
+        // An absurd stack size makes the stack mapping fail; the error must
         // come back as a clean SpawnFailed, not a panic.
         let mut sim = SimBuilder::new().rank_stack_size(usize::MAX / 2).build();
         match sim.try_spawn_rank("huge", |_ctx| {}) {
@@ -1165,5 +1128,145 @@ mod tests {
             Ok(_) => {} // platform clamped the stack; acceptable
             Err(other) => panic!("wrong error {other:?}"),
         }
+    }
+
+    /// Counts its drops.
+    struct DropGuard(Arc<AtomicUsize>);
+
+    impl Drop for DropGuard {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Ending {
+        Finish,
+        Deadlock,
+        RankPanic,
+        CallPanicAt(SimTime),
+        EventLimit,
+    }
+
+    #[test]
+    fn every_rank_frame_drops_and_the_core_is_freed_however_the_run_ends() {
+        const RANKS: usize = 4;
+        for ending in [
+            Ending::Finish,
+            Ending::Deadlock,
+            Ending::RankPanic,
+            Ending::CallPanicAt(SimTime::ZERO),
+            Ending::CallPanicAt(SimTime(1_000)),
+            Ending::EventLimit,
+        ] {
+            let drops = Arc::new(AtomicUsize::new(0));
+            let mut sim = SimBuilder::new().max_events(200).build();
+            let core = Arc::downgrade(&sim.core);
+            if let Ending::CallPanicAt(t) = ending {
+                sim.scheduler()
+                    .schedule_at(t, |_| panic!("the call went wrong"));
+            }
+            let never = SimSemaphore::new("never");
+            for r in 0..RANKS {
+                let guard = DropGuard(Arc::clone(&drops));
+                let never = SimSemaphore::clone(&never);
+                sim.spawn_rank(format!("r{r}"), move |ctx| {
+                    let _guard = guard;
+                    ctx.advance(SimDuration::micros(2));
+                    match (ending, r) {
+                        (Ending::Deadlock, 0) => never.wait(&ctx),
+                        (Ending::RankPanic, 1) => panic!("rank went wrong"),
+                        (Ending::EventLimit, 2) => loop {
+                            ctx.advance(SimDuration::nanos(1));
+                        },
+                        _ => {}
+                    }
+                    // Ranks finish at different instants, so some have
+                    // returned and some are parked when the run ends.
+                    ctx.advance(SimDuration::micros(r as u64));
+                });
+            }
+            let result = panic::catch_unwind(AssertUnwindSafe(|| sim.run()));
+            match (ending, &result) {
+                (Ending::Finish, Ok(Ok(_)))
+                | (Ending::Deadlock, Ok(Err(SimError::Deadlock(_))))
+                | (Ending::RankPanic, Ok(Err(SimError::RankPanic { .. })))
+                | (Ending::CallPanicAt(_), Err(_))
+                | (Ending::EventLimit, Ok(Err(SimError::EventLimit(200)))) => {}
+                _ => panic!("{ending:?} ended as {result:?}"),
+            }
+            assert_eq!(
+                drops.load(Ordering::SeqCst),
+                RANKS,
+                "{ending:?}: a rank frame outlived the run"
+            );
+            assert!(
+                core.upgrade().is_none(),
+                "{ending:?}: something kept the core alive after the run"
+            );
+        }
+    }
+
+    #[test]
+    fn an_unrun_sim_drops_its_rank_programs() {
+        let drops = Arc::new(AtomicUsize::new(0));
+        let mut sim = SimBuilder::new().build();
+        let core = Arc::downgrade(&sim.core);
+        for r in 0..3 {
+            let guard = DropGuard(Arc::clone(&drops));
+            sim.spawn_rank(format!("r{r}"), move |_ctx| drop(guard));
+        }
+        drop(sim);
+        assert_eq!(drops.load(Ordering::SeqCst), 3);
+        assert!(core.upgrade().is_none());
+    }
+
+    #[test]
+    fn a_rank_cannot_park_in_another_ranks_context() {
+        type Stash = std::cell::RefCell<Option<RankCtx>>;
+        thread_local! {
+            static STASH: Stash = const { std::cell::RefCell::new(None) };
+        }
+        let mut sim = SimBuilder::new().build();
+        sim.spawn_rank("lender", |ctx| STASH.with(|s| *s.borrow_mut() = Some(ctx)));
+        sim.spawn_rank("borrower", |_ctx| {
+            STASH.with(|s| s.borrow().as_ref().map(RankCtx::yield_now));
+        });
+        let result = sim.run();
+        STASH.with(|s| s.borrow_mut().take());
+        match result {
+            Err(SimError::RankPanic { rank, message }) => {
+                assert_eq!(rank, RankId(1));
+                assert!(
+                    message.contains("rank0 parked in another rank's context"),
+                    "{message}"
+                );
+            }
+            other => panic!("expected the borrower's panic, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_backtrace_stops_at_the_rank_context_entry() {
+        // Re-run `rank_panic_is_reported` in a child with backtraces on: the
+        // panic hook then walks the rank's whole stack, and the walk must
+        // end at the context's entry frame (return address 0) instead of
+        // running off the top of the mapped stack.
+        let out = std::process::Command::new(std::env::current_exe().unwrap())
+            .args(["--exact", "engine::tests::rank_panic_is_reported"])
+            .args(["--nocapture", "--test-threads=1"])
+            .env("RUST_BACKTRACE", "1")
+            .output()
+            .expect("the test binary re-runs itself");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            out.status.success() && stdout.contains("1 passed"),
+            "{:?}\n{stdout}\n{stderr}",
+            out.status
+        );
+        assert!(stderr.contains("boom"), "{stderr}");
+        assert!(stderr.contains("stack backtrace:"), "{stderr}");
+        assert!(stderr.contains("fiber_main"), "{stderr}");
     }
 }

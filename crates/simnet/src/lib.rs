@@ -13,21 +13,22 @@
 //! queue of events ordered by `(time, sequence)`; ties are broken by insertion
 //! order, so runs are bit-for-bit reproducible.
 //!
-//! Each simulated *rank* (MPI process) runs its program on a dedicated OS
-//! thread, but the simulation is logically single-threaded: a single
-//! *execution token* passes directly from rank thread to rank thread. A rank
-//! thread only executes while it holds the token. When it blocks (on a
-//! [`sem::SimSemaphore`], on [`ctx::RankCtx::advance`], …) it runs the
-//! event dispatch loop itself until the next rank is due, and keeps the
-//! token if that rank is itself. There is no engine thread. Background
-//! machinery (NIC DMA engines, PIOMan ltasks) runs as plain event callbacks
-//! on whichever thread holds the token and never needs a thread of its own.
+//! Each simulated *rank* (MPI process) runs its program as a user-level
+//! context on a stack of its own, all on the OS thread that calls
+//! [`Sim::run`]: a single *execution token* passes directly from rank to
+//! rank, and a rank only executes while it holds the token. When it blocks
+//! (on a [`sem::SimSemaphore`], on [`ctx::RankCtx::advance`], …) it runs the
+//! event dispatch loop itself until the next rank is due, keeps the token
+//! if that rank is itself, and otherwise switches stacks into that rank.
+//! There is no engine thread and no rank thread. Background machinery (NIC
+//! DMA engines, PIOMan ltasks) runs as plain event callbacks in whichever
+//! context holds the token and never needs a context of its own.
 //!
 //! ## Module map
 //!
 //! * [`time`] — simulated clock arithmetic.
 //! * [`event`] — the event queue.
-//! * [`engine`] — the simulator proper: rank threads, token handoff, run loop,
+//! * [`engine`] — the simulator proper: rank contexts, token handoff, run loop,
 //!   deadlock detection.
 //! * [`ctx`] — the handle a rank program uses to interact with the simulation.
 //! * [`sem`] — blocking primitives usable from rank code and completable from
@@ -51,6 +52,7 @@ pub mod engine;
 pub mod event;
 pub mod fabric;
 pub mod fault;
+mod fiber;
 pub mod nic;
 pub mod sem;
 pub mod stats;
@@ -59,7 +61,7 @@ pub mod topology;
 
 pub use copy::{BufOrigin, CopyMeter, CopySnapshot, NmBuf};
 pub use ctx::RankCtx;
-pub use engine::{RankId, Scheduler, Sim, SimBuilder, SimError, SimOutcome, WakeCell};
+pub use engine::{RankId, Scheduler, Sim, SimBuilder, SimError, SimOutcome};
 pub use fabric::{Delivery, Fabric, FabricOpts, RailId, WireMessage};
 pub use fault::{
     FaultCounters, FaultPlan, FaultSpec, LinkFault, LinkWindow, NodeFault, NodeWindow,

@@ -1,7 +1,10 @@
 //! Pure engine token-handoff throughput: K ranks round-robin through
 //! `advance`, so every event is a wake. Reports wakes/sec per rank count —
-//! the floor on what any simulated workload can hit — and the thread
-//! switches those wakes cost (at K = 1 the rank's own wakes cost none).
+//! the floor on what any simulated workload can hit — and the switches
+//! those wakes cost (at K = 1 the rank's own wakes cost none). Ranks are
+//! user-level contexts on one OS thread, so a switch is a stack switch:
+//! a register save/restore, no kernel entry. Pin it (`taskset -c N`) to
+//! read a steady figure.
 //!
 //! `cargo run --release --example handoff_bench [rank-counts]`
 

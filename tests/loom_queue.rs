@@ -22,20 +22,11 @@
 //! * **CreditPool conservation**: concurrent acquires/releases never mint
 //!   or leak a credit, and a pool of capacity 1 admits at most one of two
 //!   racing acquirers.
-//! * **WakeCell handoff**: the grant/wait protocol has no lost wakeup —
-//!   a grant issued before, during, or after the waiter's wait is always
-//!   observed (a lost wakeup would surface as a model deadlock).
-//! * **Direct token handoff**: two threads passing the token back and
-//!   forth through two `WakeCell`s, each granting the other before it
-//!   waits on its own cell, never lose a grant and never both hold the
-//!   token.
 #![cfg(loom)]
 
-use loom::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 use nemesis::cell::CellPool;
 use nemesis::queue::NemQueue;
 use nmad::credit::CreditPool;
-use simnet::WakeCell;
 use std::sync::Arc;
 
 #[test]
@@ -143,69 +134,5 @@ fn credit_pool_conserves_credits_under_concurrent_cycles() {
             2,
             "acquire/release cycles minted or leaked a credit"
         );
-    });
-}
-
-#[test]
-fn wake_cell_grant_is_never_lost() {
-    loom::model(|| {
-        // Granter and waiter race: whichever order the schedule picks, the
-        // waiter must see the grant. A lost wakeup would leave the waiter
-        // blocked forever, which the model reports as a deadlock.
-        let cell = simnet::WakeCell::new();
-        let c2 = Arc::clone(&cell);
-        let waiter = loom::thread::spawn(move || c2.wait_go());
-        cell.grant();
-        assert_eq!(waiter.join().unwrap(), Ok(()));
-    });
-}
-
-/// One side of a direct handoff: thread `me` takes two turns with the
-/// token, granting the other thread's cell and then waiting on its own.
-/// Thread 0 starts with the token; thread 1 ends with it and exits.
-fn pass_token(me: usize, cells: [Arc<WakeCell>; 2], turn: Arc<AtomicUsize>) {
-    if me == 1 {
-        cells[1].wait_go().unwrap();
-    }
-    for round in 0..2 {
-        assert_eq!(
-            turn.fetch_add(1, SeqCst),
-            2 * round + me,
-            "two token holders"
-        );
-        cells[1 - me].grant();
-        if me == 0 || round == 0 {
-            cells[me].wait_go().unwrap();
-        }
-    }
-}
-
-#[test]
-fn wake_cells_pass_the_token_back_and_forth() {
-    loom::model(|| {
-        // Each thread grants the other before it waits on its own cell, so
-        // the granted thread may run and grant back before the granter has
-        // reached its wait (the grant-before-wait race); that grant must
-        // still be seen. `turn` is touched only by the token's holder: a
-        // thread that ran without the token would read the wrong count.
-        let cells = [WakeCell::new(), WakeCell::new()];
-        let turn = Arc::new(AtomicUsize::new(0));
-        let theirs = [Arc::clone(&cells[0]), Arc::clone(&cells[1])];
-        let t2 = Arc::clone(&turn);
-        let t = loom::thread::spawn(move || pass_token(1, theirs, t2));
-        pass_token(0, cells, Arc::clone(&turn));
-        t.join().unwrap();
-        assert_eq!(turn.load(SeqCst), 4);
-    });
-}
-
-#[test]
-fn wake_cell_teardown_unblocks_the_waiter() {
-    loom::model(|| {
-        let cell = simnet::WakeCell::new();
-        let c2 = Arc::clone(&cell);
-        let waiter = loom::thread::spawn(move || c2.wait_go());
-        cell.tear_down();
-        assert_eq!(waiter.join().unwrap(), Err(()));
     });
 }
