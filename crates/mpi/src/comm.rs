@@ -51,12 +51,12 @@
 use std::sync::Arc;
 
 use bytes::Bytes;
-use simnet::NmBuf;
+use simnet::{NmBuf, PollOutcome};
 
 use nmad::keys::{coll_key, instance_of, OP_AGREE, OP_BCAST, OP_JOIN, OP_REDUCE, ROUND_DECIDED};
 
 use crate::api::{MpiHandle, Src};
-use crate::backoff::PollBackoff;
+use crate::backoff;
 use crate::collectives::{allreduce_group_recdbl, barrier_group_ep, bcast_group, next_seq};
 use crate::progress::NetPath;
 use crate::request::Req;
@@ -155,10 +155,12 @@ enum PassRecv {
 /// instance shows up in the unexpected queues, whichever happens first.
 fn wait_recv_or_decided(mpi: &MpiHandle, req: Req, decided_key: u64) -> PassRecv {
     let state = Arc::clone(&mpi.state);
-    let backoff = PollBackoff::new(state.costs.poll_gran);
-    mpi.state.poll(&mpi.ctx, backoff, move |s| {
-        state.progress_cycle(s);
-        state.with_state(|st| st.reqs.is_done(req)) || state.iprobe_key(decided_key).is_some()
+    let schedule = backoff::standard(state.costs.poll_gran);
+    mpi.state.poll(&mpi.ctx, schedule, move |s, _| {
+        let worked = state.progress_cycle(s);
+        let ready = state.with_state(|st| st.reqs.is_done(req))
+            || state.iprobe_key(decided_key).is_some();
+        PollOutcome::of(ready, worked)
     });
     if mpi.state.with_state(|st| st.reqs.is_done(req)) {
         let (d, _) = mpi.state.wait(&mpi.ctx, req);

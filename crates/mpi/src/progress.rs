@@ -25,7 +25,10 @@
 use std::sync::Arc;
 
 use bytes::Bytes;
-use simnet::{CopyMeter, NmBuf, RankCtx, Scheduler, SimDuration, SimSemaphore, SimTime};
+use simnet::{
+    CopyMeter, NmBuf, PollOutcome, PollSchedule, RankCtx, Scheduler, SimDuration, SimSemaphore,
+    SimTime,
+};
 
 use nemesis::ShmModel;
 use nmad::sr::CompletionKind;
@@ -33,7 +36,7 @@ use nmad::NmCore;
 use piom::PiomServer;
 
 use crate::api::{Src, Status};
-use crate::backoff::PollBackoff;
+use crate::backoff;
 use crate::ch3::{Ch3Engine, Ch3Event, Ch3Out, Ch3Pkt};
 use crate::costs::SoftwareCosts;
 use crate::rank::RankState;
@@ -162,15 +165,23 @@ impl ProcState {
         ctx.advance(d);
     }
 
-    /// Park site 2 of 3: busy-wait on `backoff` until `ready` holds.
+    /// Park site 2 of 3: busy-wait on `schedule` until `body` says
+    /// [`PollOutcome::Ready`]: now (as tick 0, on this rank's stack), then
+    /// at each tick, where events are dispatched
+    /// ([`RankCtx::poll_until`]), so `body` owns what it needs. A body
+    /// says `Idle` only when its wait's condition is false and no layer
+    /// had work ([`ProcState::has_work`]): such a tick read state and
+    /// changed nothing.
     pub(crate) fn poll(
         &self,
         ctx: &RankCtx,
-        backoff: PollBackoff,
-        ready: impl FnMut(&Scheduler) -> bool + Send + 'static,
+        schedule: PollSchedule,
+        mut body: impl FnMut(&Scheduler, u32) -> PollOutcome + Send + 'static,
     ) {
         self.about_to_park();
-        backoff.poll(ctx, ready);
+        if body(&ctx.scheduler(), 0) != PollOutcome::Ready {
+            ctx.poll_until(schedule, body);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -350,26 +361,29 @@ impl ProcState {
 
     /// Run one progress cycle. Pure with respect to the caller's clock —
     /// timing costs are charged by waiters (app-polling) or as completion
-    /// delays (PIOMan).
-    pub fn progress_cycle(self: &Arc<Self>, sched: &Scheduler) {
-        self.with_state(|st| self.cycle(st, sched));
+    /// delays (PIOMan). Returns whether any layer had work.
+    pub fn progress_cycle(self: &Arc<Self>, sched: &Scheduler) -> bool {
+        self.with_state(|st| self.cycle(st, sched))
     }
 
     /// One wait tick: is `req` done — now, or after one more cycle?
-    fn done_or_cycle(self: &Arc<Self>, req: Req, sched: &Scheduler) -> bool {
+    fn done_or_cycle(self: &Arc<Self>, req: Req, sched: &Scheduler) -> PollOutcome {
         self.with_state(|st| {
-            st.reqs.is_done(req) || {
-                self.cycle(st, sched);
-                st.reqs.is_done(req)
+            if st.reqs.is_done(req) {
+                return PollOutcome::Ready;
             }
+            let worked = self.cycle(st, sched);
+            PollOutcome::of(st.reqs.is_done(req), worked)
         })
     }
 
-    fn cycle(self: &Arc<Self>, st: &mut RankState, sched: &Scheduler) {
+    /// One progress cycle; `false` when it stopped at once because no
+    /// layer had work, and so changed nothing.
+    fn cycle(self: &Arc<Self>, st: &mut RankState, sched: &Scheduler) -> bool {
         // 0. Most cycles find nothing to do: ask every layer first, and
         // stop here when none has work at this instant.
         if !self.has_work(st) {
-            return;
+            return false;
         }
         // 1. Inter-node.
         match &self.net {
@@ -437,6 +451,7 @@ impl ProcState {
             NetPath::Direct(core) => core.schedule(sched),
             NetPath::None => {}
         }
+        true
     }
 
     /// Would a cycle now do anything? Each layer answers for itself, and
@@ -672,7 +687,7 @@ impl ProcState {
     /// MPI_Wait: block until `req` completes. Returns the payload (for
     /// receives) and the status.
     ///
-    /// App-polling mode spins on a [`PollBackoff`] with the bulk tier;
+    /// App-polling mode spins on a poll schedule with the bulk tier;
     /// PIOMan mode blocks on the wake semaphore (§3.3.2).
     pub fn wait(self: &Arc<Self>, ctx: &RankCtx, req: Req) -> (Option<Bytes>, Option<Status>) {
         let sched = ctx.scheduler();
@@ -686,11 +701,11 @@ impl ProcState {
         match &self.piom {
             None => {
                 let this = Arc::clone(self);
-                let backoff = PollBackoff::with_bulk_tier(self.costs.poll_gran);
-                self.poll(ctx, backoff, move |s| this.done_or_cycle(req, s));
+                let schedule = backoff::with_bulk_tier(self.costs.poll_gran);
+                self.poll(ctx, schedule, move |s, _| this.done_or_cycle(req, s));
             }
             Some(piom) => {
-                while !self.done_or_cycle(req, &sched) {
+                while self.done_or_cycle(req, &sched) != PollOutcome::Ready {
                     // §3.3.2: block on the semaphore until a PIOMan pass
                     // completes something. The cycle above may have armed
                     // retransmission timers no pass has seen: hand PIOMan
@@ -735,26 +750,35 @@ impl ProcState {
     /// internal matching (inter-node on the bypass — the same probe the
     /// §3.2 ANY_SOURCE lists use).
     pub fn iprobe(self: &Arc<Self>, ctx: &RankCtx, src: Src, tag: u32) -> Option<Status> {
-        self.cycle_and_probe(&ctx.scheduler(), src, tag)
+        self.cycle_and_probe(&ctx.scheduler(), src, tag).0
     }
 
-    fn cycle_and_probe(self: &Arc<Self>, sched: &Scheduler, src: Src, tag: u32) -> Option<Status> {
+    /// One cycle, then the probe; also whether the cycle had work.
+    fn cycle_and_probe(
+        self: &Arc<Self>,
+        sched: &Scheduler,
+        src: Src,
+        tag: u32,
+    ) -> (Option<Status>, bool) {
         self.with_state(|st| {
-            self.cycle(st, sched);
-            self.iprobe_inner(st, src, tag)
+            let worked = self.cycle(st, sched);
+            (self.iprobe_inner(st, src, tag), worked)
         })
     }
 
     /// MPI_Probe: block until [`ProcState::iprobe`] succeeds.
     pub fn probe(self: &Arc<Self>, ctx: &RankCtx, src: Src, tag: u32) -> Status {
-        let backoff = match &self.piom {
-            None => PollBackoff::new(self.costs.poll_gran),
+        let schedule = match &self.piom {
+            None => backoff::standard(self.costs.poll_gran),
             // PIOMan raises completions, not unexpected arrivals; probing
             // still needs a poll cadence.
-            Some(_) => PollBackoff::flat(SimDuration::nanos(500)),
+            Some(_) => backoff::flat(SimDuration::nanos(500)),
         };
         let this = Arc::clone(self);
-        self.poll(ctx, backoff, move |s| this.cycle_and_probe(s, src, tag).is_some());
+        self.poll(ctx, schedule, move |s, _| {
+            let (hit, worked) = this.cycle_and_probe(s, src, tag);
+            PollOutcome::of(hit.is_some(), worked)
+        });
         self.with_state(|st| self.iprobe_inner(st, src, tag))
             .expect("the probe poll ends on a matchable message, and only this rank can consume it")
     }
@@ -844,19 +868,19 @@ impl ProcState {
         if self.piom.is_some() || self.with_state(|st| st.crashed) {
             return;
         }
+        /// Ticks of a drain that does not quiesce before it is a livelock.
+        const DRAIN_TICKS: u32 = 5_000_000;
         let this = Arc::clone(self);
-        let mut cycles = 0u32;
-        self.poll(ctx, PollBackoff::late_by_one(self.costs.poll_gran), move |s| {
-            let quiet = this.with_state(|st| {
-                this.cycle(st, s);
-                this.quiescent(st)
-            });
+        self.poll(ctx, backoff::late_by_one(self.costs.poll_gran), move |s, tick| {
+            let (worked, quiet) = this.with_state(|st| (this.cycle(st, s), this.quiescent(st)));
             assert!(
-                quiet || cycles < 5_000_000,
+                quiet || tick < DRAIN_TICKS,
                 "MPI_Finalize drain did not quiesce (protocol leak?)"
             );
-            cycles += 1;
-            quiet
+            // The guard counts every tick, elided ones too. The tick before
+            // it trips is therefore not idle, so that the tick that trips
+            // runs this body.
+            PollOutcome::of(quiet, worked || tick + 1 >= DRAIN_TICKS)
         });
     }
 }

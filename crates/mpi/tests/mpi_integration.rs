@@ -620,6 +620,41 @@ fn pioman_shm_overhead_is_sub_microsecond() {
 }
 
 #[test]
+fn a_receive_nobody_sends_is_a_deadlock() {
+    // An app-polling rank that waits on a receive no rank sends: once its
+    // peer has returned, nothing can change again, so the job must fail as
+    // a deadlock naming it instead of ticking forever. The job runs on a
+    // thread of its own so that a regression fails here instead of
+    // hanging the suite.
+    let (c, p) = pair();
+    let cfg = StackConfig::mpich2_nmad_rail(0, false);
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let run = std::panic::AssertUnwindSafe(|| {
+            run_mpi_collect(&c, &p, &cfg, 2, |mpi| {
+                if mpi.rank() == 0 {
+                    mpi.recv(Src::Rank(1), 9);
+                }
+                None::<()>
+            })
+        });
+        let message = match std::panic::catch_unwind(run) {
+            Ok(_) => "the job completed".to_string(),
+            Err(payload) => (payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "<non-string panic payload>".into()),
+        };
+        tx.send(message).unwrap();
+    });
+    let message = rx
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("a wait on a receive nobody sends never ended");
+    assert!(
+        message.ends_with("simulation deadlock; parked ranks: rank0"),
+        "{message}"
+    );
+}
+
+#[test]
 fn zero_poll_granularity_wait_terminates() {
     // `StackConfig.costs.poll_gran` is public: a 0 ns cadence must still
     // back off, or a wait on a message that lands later re-ticks one

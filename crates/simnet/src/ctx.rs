@@ -4,9 +4,34 @@ use std::marker::PhantomData;
 use std::panic;
 use std::sync::Arc;
 
-use crate::engine::{PollSlot, RankId, Scheduler, SimCore, TornDown};
+use crate::backoff::PollSchedule;
+use crate::engine::{Poller, RankId, Scheduler, SimCore, TornDown};
 use crate::fiber::Context;
 use crate::time::{SimDuration, SimTime};
+
+/// What a poll body found at its tick (see [`RankCtx::poll_until`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PollOutcome {
+    /// The wait is over: the rank resumes at this tick's instant.
+    Ready,
+    /// The body read state and changed nothing, so every later tick would
+    /// say the same until something else runs.
+    Idle,
+    /// The body may have changed state.
+    Worked,
+}
+
+impl PollOutcome {
+    /// `Ready` if `ready`, otherwise `Worked` or `Idle` as `worked` says.
+    #[inline]
+    pub fn of(ready: bool, worked: bool) -> Self {
+        match (ready, worked) {
+            (true, _) => PollOutcome::Ready,
+            (false, true) => PollOutcome::Worked,
+            (false, false) => PollOutcome::Idle,
+        }
+    }
+}
 
 /// Per-rank simulation context, passed by value to the rank's program
 /// closure. Not `Clone`: the token protocol requires a single blocking
@@ -24,18 +49,16 @@ pub struct RankCtx {
     core: Arc<SimCore>,
     rank: RankId,
     ctx: Arc<Context>,
-    poll: PollSlot,
     /// `!Send` and `!Sync`: the context belongs to the simulation's thread.
     _thread_bound: PhantomData<*const ()>,
 }
 
 impl RankCtx {
-    pub(crate) fn new(core: Arc<SimCore>, rank: RankId, ctx: Arc<Context>, poll: PollSlot) -> Self {
+    pub(crate) fn new(core: Arc<SimCore>, rank: RankId, ctx: Arc<Context>) -> Self {
         RankCtx {
             core,
             rank,
             ctx,
-            poll,
             _thread_bound: PhantomData,
         }
     }
@@ -74,26 +97,40 @@ impl RankCtx {
     }
 
     /// Busy-wait without the host paying for it: block this rank and have
-    /// `body` called once per poll tick — first at `now + first` — until it
-    /// returns `None`, which resumes the rank at that tick's instant.
-    /// `Some(d)` asks for the next tick `d` later.
+    /// `body` called at the ticks of `schedule` — the first one
+    /// `schedule.step()` from now — until it says [`PollOutcome::Ready`],
+    /// which resumes the rank at that tick's instant. The body's second
+    /// argument is the tick's number, from 1, in [`PollSchedule::ticks`].
     ///
     /// Simulated behaviour is exactly that of the loop
-    /// `let mut d = first; loop { self.advance(d); match body(..) { Some(n) => d = n, None => break } }`
+    /// `loop { self.advance(s.step()); s.tick(); if body(.., s.ticks()) == Ready { break } }`
     /// — the same events at the same `(time, seq)` — but the ticks run in
     /// the dispatch loop, in whichever context holds the token, so the
-    /// whole wait resumes the rank once instead of once per tick. `body`
-    /// must therefore own what it touches (hence `Send + 'static`) and
-    /// cannot block; if it panics, the run fails with
+    /// whole wait resumes the rank once instead of once per tick.
+    ///
+    /// A body that says [`PollOutcome::Idle`] promises that it changed
+    /// nothing and that it would say so again until the dispatch loop runs
+    /// a `Call`, resumes a rank or runs a body that did not say `Idle`.
+    /// Until then the loop answers this rank's ticks by arithmetic, without
+    /// calling the body: each still takes its instant and sequence number,
+    /// counts in [`crate::SimOutcome::events`] and `polls`, and counts in
+    /// [`crate::SimOutcome::elided`]. Debug builds call the body anyway and
+    /// assert that it says `Idle`. A body whose verdict depends on the tick
+    /// number must therefore say `Worked` on the tick before it would
+    /// change its mind. When nothing but such elided ticks is left, the run
+    /// ends in [`crate::SimError::Deadlock`].
+    ///
+    /// `body` must own what it touches (hence `Send + 'static`) and cannot
+    /// block; if it panics, the run fails with
     /// [`crate::SimError::RankPanic`] naming this rank.
     pub fn poll_until(
         &self,
-        first: SimDuration,
-        body: impl FnMut(&Scheduler) -> Option<SimDuration> + Send + 'static,
+        schedule: PollSchedule,
+        body: impl FnMut(&Scheduler, u32) -> PollOutcome + Send + 'static,
     ) {
-        let armed = self.poll.lock().replace(Box::new(body));
-        debug_assert!(armed.is_none(), "{} is already polling", self.rank);
-        self.advance(first);
+        self.scheduler()
+            .wake_rank_at(self.now() + schedule.step(), self.rank);
+        self.park_with(Some(Poller::new(schedule, body)));
     }
 
     /// Give other same-instant events a chance to run, then resume.
@@ -109,8 +146,13 @@ impl RankCtx {
     /// own it returns without a switch, otherwise it switches into the
     /// rank that is due and returns when some context switches back.
     pub(crate) fn park(&self) {
+        self.park_with(None);
+    }
+
+    /// [`RankCtx::park`], leaving `poller` to answer this rank's ticks.
+    fn park_with(&self, poller: Option<Poller>) {
         if !self.core.torn_down() {
-            self.core.hand_off(Some(self.rank), &self.ctx);
+            self.core.hand_off(Some(self.rank), &self.ctx, poller);
         }
         if self.core.torn_down() {
             // `Sim::run` is tearing the simulation down (deadlock/panic

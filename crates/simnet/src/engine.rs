@@ -17,13 +17,28 @@
 //!   no switch; otherwise the holder switches straight into the rank's
 //!   context. A wake costs one stack switch when it changes rank and none
 //!   when it does not.
-//! * A rank parked in [`crate::ctx::RankCtx::poll_until`] left a *poll
-//!   body* in its slot. Its `Wake(rank)` ticks are then answered by the
-//!   dispatching context: it takes the body out of the slot, calls it, and
-//!   on `Some(d)` puts it back and pushes the next `Wake(rank)` at
-//!   `now + d` — the push the rank would have made, at the same
-//!   `(time, seq)`, without resuming it. Only `None` falls through to the
-//!   resume.
+//! * A rank parked in [`crate::ctx::RankCtx::poll_until`] left a *poller*
+//!   in its slot: its body and its [`PollSchedule`]. Its `Wake(rank)`
+//!   ticks are then answered by the dispatching context: it advances the
+//!   schedule, calls the body and, unless the body says `Ready`, pushes the
+//!   next `Wake(rank)` one step later — the push the rank would have made,
+//!   at the same `(time, seq)`, without resuming it. Only `Ready` falls
+//!   through to the resume.
+//! * **The clean rule.** State changes only while the loop runs a `Call`,
+//!   resumes a rank, or runs a poll body that did not say `Idle`. A poller
+//!   whose last body call said `Idle`, with none of those three since, is
+//!   *clean*: its next tick would say `Idle` again. Its next tick then
+//!   waits in `Dispatch::clean`, keyed by the `(time, seq)` the queue
+//!   would have given it (the seq is drawn from the queue's counter), and
+//!   the loop takes whichever head is earlier, the queue's or that heap's.
+//!   A clean tick is answered by arithmetic: the schedule advances, the
+//!   next key is drawn, and the tick counts as an event, a poll and an
+//!   elided tick, with no queue push or pop and no body call. The first
+//!   `Call`, resume or non-`Idle` tick puts every clean poller back into
+//!   the queue at the key it holds, so every real event keeps its
+//!   `(time, seq)`. Debug builds call an elided tick's body anyway and
+//!   assert that it says `Idle`. With the queue empty and only clean
+//!   ticks left, nothing can change again: the run ends in deadlock.
 //! * A rank runs its own code only between a grant (or a `Resume`) and its
 //!   next park. Every blocking operation in rank code bottoms out in
 //!   `RankCtx::park`, which dispatches and then either keeps the token or
@@ -55,6 +70,8 @@
 //! reserves ~2 GiB of address space instead of ~32 GiB.
 
 use std::any::Any;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::panic::{self, AssertUnwindSafe};
 use std::ptr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -62,7 +79,8 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::ctx::RankCtx;
+use crate::backoff::PollSchedule;
+use crate::ctx::{PollOutcome, RankCtx};
 use crate::event::{EventKind, EventQueue};
 use crate::fiber::{self, Context, Fiber};
 use crate::time::{SimDuration, SimTime};
@@ -83,14 +101,38 @@ impl std::fmt::Display for RankId {
 pub(crate) struct TornDown;
 
 /// A rank's poll body (see [`crate::ctx::RankCtx::poll_until`]).
-pub(crate) type PollFn = Box<dyn FnMut(&Scheduler) -> Option<SimDuration> + Send>;
+type PollFn = Box<dyn FnMut(&Scheduler, u32) -> PollOutcome + Send>;
 
-/// Where a polling rank leaves its body for the dispatch loop. Shared by
-/// the rank's [`RankCtx`] and its slot in `Dispatch`, so the queue keeps
-/// carrying a plain `Wake(rank)` and [`crate::event`]'s entries stay 32
-/// bytes. The lock is never contended: the token protocol lets only one
-/// side run.
-pub(crate) type PollSlot = Arc<Mutex<Option<PollFn>>>;
+/// What a rank parked in `poll_until` leaves in its slot of the dispatch
+/// loop, so the queue keeps carrying a plain `Wake(rank)` and
+/// [`crate::event`]'s entries stay 32 bytes.
+pub(crate) struct Poller {
+    body: PollFn,
+    schedule: PollSchedule,
+}
+
+impl Poller {
+    pub(crate) fn new(
+        schedule: PollSchedule,
+        body: impl FnMut(&Scheduler, u32) -> PollOutcome + Send + 'static,
+    ) -> Self {
+        Poller {
+            body: Box::new(body),
+            schedule,
+        }
+    }
+
+    /// Call the body at the tick the schedule just advanced to. The body
+    /// is the rank's code, so its panic is the rank's; teardown unwinds
+    /// the parked context.
+    fn call(&mut self, sched: &Scheduler, rank: RankId) -> Result<PollOutcome, Next> {
+        let tick = self.schedule.ticks();
+        panic::catch_unwind(AssertUnwindSafe(|| (self.body)(sched, tick))).map_err(|payload| {
+            let message = panic_message(&*payload);
+            Next::Finish(Ok(Err(SimError::RankPanic { rank, message })))
+        })
+    }
+}
 
 /// The message of a caught panic, for [`SimError::RankPanic`].
 fn panic_message(payload: &(dyn Any + Send)) -> String {
@@ -110,8 +152,8 @@ struct RankSlot {
     name: String,
     /// Where the rank is suspended while it does not hold the token.
     ctx: Arc<Context>,
-    /// Holds a body exactly while the rank is parked in `poll_until`.
-    poll: PollSlot,
+    /// Set exactly while the rank is parked in `poll_until`.
+    poll: Option<Poller>,
     /// The rank's program returned, or its stack was never mapped.
     done: bool,
 }
@@ -123,9 +165,13 @@ struct Dispatch {
     /// The rank whose context holds the token; `None` for `Sim::run`'s.
     running: Option<RankId>,
     done: usize,
+    /// The next tick of every clean poller, keyed by the `(time, seq)` it
+    /// would hold in the queue (see the clean rule above).
+    clean: BinaryHeap<Reverse<(SimTime, u64, RankId)>>,
     dispatched: u64,
     wakes: u64,
     polls: u64,
+    elided: u64,
     switches: u64,
     max_events: Option<u64>,
 }
@@ -169,14 +215,20 @@ impl SimCore {
     /// Run the dispatch loop in the calling context, which holds the token,
     /// until the token must go somewhere: back to `me` (the rank that just
     /// parked, if any), to another rank, or to [`Sim::run`] as the run's
-    /// end. A panic anywhere in the loop — a `Call`, or the harness-bug
-    /// check below — ends the run with its payload.
-    fn dispatch(self: &Arc<Self>, me: Option<RankId>) -> Next {
+    /// end. `poller` is what `me` leaves to answer its ticks, if it parked
+    /// in `poll_until`. A panic anywhere in the loop — a `Call`, or the
+    /// harness-bug checks below — ends the run with its payload.
+    fn dispatch(self: &Arc<Self>, me: Option<RankId>, poller: Option<Poller>) -> Next {
         let mut d = self.dispatch.lock();
         // A `RankCtx` smuggled to another rank (through a thread-local,
         // say) would save the wrong stack into its context.
         if let Some(me) = me {
             assert_eq!(d.running, Some(me), "{me} parked in another rank's context");
+        }
+        if let Some(poller) = poller {
+            let me = me.expect("only a rank polls");
+            let armed = d.ranks[me.0].poll.replace(poller);
+            debug_assert!(armed.is_none(), "{me} is already polling");
         }
         let sched = Scheduler::new(Arc::clone(self));
         panic::catch_unwind(AssertUnwindSafe(|| self.run_events(&mut d, &sched, me)))
@@ -191,38 +243,36 @@ impl SimCore {
             if !d.ranks.is_empty() && d.done == d.ranks.len() {
                 return Next::Finish(Ok(Ok(self.outcome(d))));
             }
-            let popped = self.queue.lock().pop();
+            let popped = if d.clean.is_empty() {
+                self.queue.lock().pop()
+            } else {
+                match self.elide_clean_ticks(d, sched) {
+                    Ok(popped) => popped,
+                    Err(end) => return end,
+                }
+            };
             let Some((t, kind)) = popped else {
                 if d.done == d.ranks.len() {
                     return Next::Finish(Ok(Ok(self.outcome(d))));
                 }
-                let stuck = d
-                    .ranks
-                    .iter()
-                    .filter(|r| !r.done)
-                    // Ownership constraint: the deadlock report outlives
-                    // the run, so the stuck ranks' names must be owned.
-                    .map(|r| r.name.clone())
-                    .collect();
-                return Next::Finish(Ok(Err(SimError::Deadlock(stuck))));
+                return Next::Finish(Ok(Err(Self::deadlock(d))));
             };
             d.dispatched += 1;
             debug_assert!(t >= self.now(), "event queue went backwards");
             self.clock_ns.store(t.0, Ordering::Release);
-            if let Some(limit) = d.max_events {
-                if d.dispatched > limit {
-                    return Next::Finish(Ok(Err(SimError::EventLimit(limit))));
-                }
+            if let Some(end) = Self::over_limit(d) {
+                return end;
             }
             let rank = match kind {
                 EventKind::Call(f) => {
                     self.rec.engine(t.0, obs::EngineEvent::DispatchCall);
+                    self.requeue_clean(d);
                     f(sched);
                     continue;
                 }
                 EventKind::Wake(rank) => rank,
             };
-            let slot = &d.ranks[rank.0];
+            let slot = &mut d.ranks[rank.0];
             // A wake raced with rank completion; a completed rank cannot be
             // blocked, so this indicates a harness bug (e.g. double-signal
             // of a semaphore after its waiter returned).
@@ -233,39 +283,115 @@ impl SimCore {
             );
             self.rec.engine(t.0, obs::EngineEvent::DispatchWake);
             // A poll tick: run the rank's body here instead of resuming the
-            // rank to run it. The guard is dropped before the call, so the
-            // slot is free while it runs.
-            let body = slot.poll.lock().take();
-            if let Some(mut body) = body {
-                match panic::catch_unwind(AssertUnwindSafe(|| body(sched))) {
-                    Ok(Some(step)) => {
-                        *slot.poll.lock() = Some(body);
-                        sched.wake_rank_at(t + step, rank);
-                        d.polls += 1;
-                        continue;
+            // rank to run it.
+            if let Some(p) = slot.poll.as_mut() {
+                p.schedule.tick();
+                let outcome = match p.call(sched, rank) {
+                    Ok(outcome) => outcome,
+                    Err(end) => return end,
+                };
+                if outcome == PollOutcome::Ready {
+                    // The body is spent; the rank resumes below.
+                    slot.poll = None;
+                } else {
+                    let next = t + p.schedule.step();
+                    d.polls += 1;
+                    if outcome == PollOutcome::Worked {
+                        self.requeue_clean(d);
+                        self.queue.lock().push(next, EventKind::Wake(rank));
+                    } else {
+                        let seq = self.queue.lock().take_seq();
+                        d.clean.push(Reverse((next, seq, rank)));
                     }
-                    // Ready: the body is spent, the rank resumes.
-                    Ok(None) => {}
-                    // The body is the rank's code, so its panic is the
-                    // rank's; teardown unwinds the parked context.
-                    Err(payload) => {
-                        let message = panic_message(&*payload);
-                        return Next::Finish(Ok(Err(SimError::RankPanic { rank, message })));
-                    }
+                    continue;
                 }
             }
-            debug_assert!(
-                slot.poll.lock().is_none(),
-                "{rank} granted the token with a poll body armed"
-            );
+            self.requeue_clean(d);
             d.wakes += 1;
             if me == Some(rank) {
                 return Next::Resume;
             }
             d.switches += 1;
             d.running = Some(rank);
-            return Next::Grant(Arc::clone(&slot.ctx));
+            return Next::Grant(Arc::clone(&d.ranks[rank.0].ctx));
         }
+    }
+
+    /// Answer by arithmetic every clean tick due before the queue's head,
+    /// then pop that head. Ends the run on the event limit, and in
+    /// deadlock when the queue is empty: clean ticks alone change nothing.
+    fn elide_clean_ticks(
+        &self,
+        d: &mut Dispatch,
+        sched: &Scheduler,
+    ) -> Result<Option<(SimTime, EventKind)>, Next> {
+        let mut q = self.queue.lock();
+        loop {
+            let Reverse((t, seq, rank)) = *d.clean.peek().expect("a clean tick re-arms itself");
+            match q.peek_key() {
+                Some(head) if head < (t, seq) => return Ok(q.pop()),
+                Some(_) => {}
+                None => return Err(Next::Finish(Ok(Err(Self::deadlock(d))))),
+            }
+            d.clean.pop();
+            d.dispatched += 1;
+            self.clock_ns.store(t.0, Ordering::Release);
+            if let Some(end) = Self::over_limit(d) {
+                return Err(end);
+            }
+            self.rec.engine(t.0, obs::EngineEvent::DispatchWake);
+            d.polls += 1;
+            d.elided += 1;
+            let p = (d.ranks[rank.0].poll.as_mut()).expect("a clean rank is polling");
+            p.schedule.tick();
+            if cfg!(debug_assertions) {
+                // Re-prove the clean rule: the body, called anyway, must
+                // find nothing. The queue is free while it runs.
+                drop(q);
+                let outcome = p.call(sched, rank)?;
+                assert_eq!(
+                    outcome,
+                    PollOutcome::Idle,
+                    "{rank}'s poll body broke its idle promise at tick {}",
+                    p.schedule.ticks()
+                );
+                q = self.queue.lock();
+            }
+            let next = t + p.schedule.step();
+            d.clean.push(Reverse((next, q.take_seq(), rank)));
+        }
+    }
+
+    /// Something may have changed: every clean poller's next tick goes
+    /// back into the queue at the `(time, seq)` it holds, to run its body.
+    #[inline]
+    fn requeue_clean(&self, d: &mut Dispatch) {
+        if d.clean.is_empty() {
+            return;
+        }
+        let mut q = self.queue.lock();
+        for Reverse((t, seq, rank)) in d.clean.drain() {
+            q.push_at(t, seq, EventKind::Wake(rank));
+        }
+    }
+
+    /// The run's end once the event budget is spent.
+    fn over_limit(d: &Dispatch) -> Option<Next> {
+        let limit = d.max_events.filter(|&limit| d.dispatched > limit)?;
+        Some(Next::Finish(Ok(Err(SimError::EventLimit(limit)))))
+    }
+
+    /// No event can wake the ranks still parked.
+    fn deadlock(d: &Dispatch) -> SimError {
+        let stuck = d
+            .ranks
+            .iter()
+            .filter(|r| !r.done)
+            // Ownership constraint: the deadlock report outlives the run,
+            // so the stuck ranks' names must be owned.
+            .map(|r| r.name.clone())
+            .collect();
+        SimError::Deadlock(stuck)
     }
 
     fn outcome(&self, d: &Dispatch) -> SimOutcome {
@@ -274,16 +400,23 @@ impl SimCore {
             events: d.dispatched,
             wakes: d.wakes,
             polls: d.polls,
+            elided: d.elided,
             switches: d.switches,
         }
     }
 
     /// Dispatch from the running context `from` (rank `me`, or `Sim::run`'s
-    /// own with `None`) and pass the token to whoever the loop names.
-    /// Returns once the token is back in `from`, or once teardown resumes
-    /// it ([`SimCore::torn_down`] then says so).
-    pub(crate) fn hand_off(self: &Arc<Self>, me: Option<RankId>, from: &Context) {
-        match self.dispatch(me) {
+    /// own with `None`) and pass the token to whoever the loop names;
+    /// `poller`, if any, answers `me`'s ticks meanwhile. Returns once the
+    /// token is back in `from`, or once teardown resumes it
+    /// ([`SimCore::torn_down`] then says so).
+    pub(crate) fn hand_off(
+        self: &Arc<Self>,
+        me: Option<RankId>,
+        from: &Context,
+        poller: Option<Poller>,
+    ) {
+        match self.dispatch(me, poller) {
             Next::Resume => {}
             // SAFETY: single OS thread — every context of this core runs on
             // `Sim::run`'s thread and `from` is the running one; target
@@ -331,7 +464,7 @@ impl SimCore {
         match panic::catch_unwind(AssertUnwindSafe(|| f(ctx))) {
             Ok(()) => {
                 self.retire(rank);
-                self.hand_off(None, &me);
+                self.hand_off(None, &me, None);
             }
             // Silent unwind during teardown; do not report.
             Err(payload) if payload.is::<TornDown>() => {}
@@ -463,9 +596,11 @@ impl SimBuilder {
                 ranks: Vec::new(),
                 running: None,
                 done: 0,
+                clean: BinaryHeap::new(),
                 dispatched: 0,
                 wakes: 0,
                 polls: 0,
+                elided: 0,
                 switches: 0,
                 max_events: self.max_events,
             }),
@@ -495,9 +630,16 @@ pub struct SimOutcome {
     /// Whether that cost a context switch is counted in `switches`.
     pub wakes: u64,
     /// Wake events answered inline: poll ticks of a rank parked in
-    /// [`RankCtx::poll_until`] whose body asked for another tick. They
-    /// cost a closure call in the dispatching context, not a resume.
+    /// [`RankCtx::poll_until`] that did not end its wait. They cost no
+    /// resume: a body call in the dispatching context, or, for the
+    /// `elided` ones, not even that.
     pub polls: u64,
+    /// The `polls` answered by arithmetic, without their body: ticks of a
+    /// clean poller, whose last body call said
+    /// [`crate::PollOutcome::Idle`] with no `Call`, resume or non-idle
+    /// tick since. They take their instant and sequence number, but no
+    /// queue push or pop.
+    pub elided: u64,
     /// Grants that moved the token to another context: the first grant
     /// from [`Sim::run`], and every wake of a rank other than the one that
     /// parked. Each costs one stack switch; the other `wakes - switches`
@@ -587,7 +729,7 @@ impl Sim {
                 d.ranks.push(RankSlot {
                     name,
                     ctx: Arc::default(),
-                    poll: PollSlot::default(),
+                    poll: None,
                     done: true,
                 });
                 d.done += 1;
@@ -607,11 +749,10 @@ impl Sim {
         let id = RankId(d.ranks.len());
         let name = name.into();
         let ctx = Arc::<Context>::default();
-        let poll = PollSlot::default();
         let core = Arc::clone(&self.core);
-        let (own, rank_poll) = (Arc::clone(&ctx), Arc::clone(&poll));
+        let own = Arc::clone(&ctx);
         let body: fiber::Body = Box::new(move || {
-            let rank_ctx = RankCtx::new(Arc::clone(&core), id, own, rank_poll);
+            let rank_ctx = RankCtx::new(Arc::clone(&core), id, own);
             core.run_rank(rank_ctx, f);
             // Leave for `Sim::run`'s context, which outlives this stack.
             &core.main as *const Context
@@ -625,7 +766,7 @@ impl Sim {
         d.ranks.push(RankSlot {
             name,
             ctx,
-            poll,
+            poll: None,
             done: false,
         });
         self.fibers.push(fiber);
@@ -646,7 +787,7 @@ impl Sim {
         let end = match self.spawn_error.take() {
             Some(e) => Ok(Err(e)),
             None => {
-                self.core.hand_off(None, &self.core.main);
+                self.core.hand_off(None, &self.core.main, None);
                 self.core
                     .end
                     .lock()
@@ -659,7 +800,7 @@ impl Sim {
     }
 
     /// Resume every rank context once more, so that each leaves for good,
-    /// and unmap its stack; then drop what the queue and the poll slots
+    /// and unmap its stack; then drop what the queue and the pollers
     /// still hold.
     fn teardown(&mut self) {
         self.core.torn_down.store(true, Ordering::Relaxed);
@@ -674,8 +815,8 @@ impl Sim {
         // Pending events and armed poll bodies may hold `Scheduler`s, and
         // with them the core itself.
         let events = std::mem::take(&mut *self.core.queue.lock());
-        let polls: Vec<_> = (self.core.dispatch.lock().ranks.iter())
-            .filter_map(|r| r.poll.lock().take())
+        let polls: Vec<_> = (self.core.dispatch.lock().ranks.iter_mut())
+            .filter_map(|r| r.poll.take())
             .collect();
         drop((events, polls));
     }
@@ -829,42 +970,55 @@ mod tests {
         }
     }
 
+    /// Everything of an outcome that elision must leave as it is.
+    fn counts(o: &SimOutcome) -> (SimTime, u64, u64, u64, u64) {
+        (o.final_time, o.events, o.wakes, o.polls, o.switches)
+    }
+
+    /// A schedule of `ns`-apart ticks.
+    fn flat(ns: u64) -> PollSchedule {
+        PollSchedule::new(SimDuration::nanos(ns), 0, SimDuration::nanos(ns))
+    }
+
     /// One busy-wait, written both ways: the loop `poll_until` documents
     /// itself to be equivalent to, or `poll_until`.
     fn busy_wait(
         ctx: &RankCtx,
         inline: bool,
-        first: SimDuration,
-        mut body: impl FnMut(&Scheduler) -> Option<SimDuration> + Send + 'static,
+        mut schedule: PollSchedule,
+        mut body: impl FnMut(&Scheduler, u32) -> PollOutcome + Send + 'static,
     ) {
         if inline {
-            return ctx.poll_until(first, body);
+            return ctx.poll_until(schedule, body);
         }
         let sched = ctx.scheduler();
-        let mut d = first;
         loop {
-            ctx.advance(d);
-            match body(&sched) {
-                Some(next) => d = next,
-                None => return,
+            ctx.advance(schedule.step());
+            schedule.tick();
+            if body(&sched, schedule.ticks()) == PollOutcome::Ready {
+                return;
             }
         }
     }
 
     /// Two ranks tick in lockstep (equal instants, so only `seq` orders
-    /// them) over mixed steps including zero; each tick also schedules a
-    /// `Call` for the very instant of the next tick, and a pre-scheduled
-    /// `Call` at a tick instant ends rank 0's first wait. Returns every
-    /// observation in dispatch order: `(time, rank)`, `Call`s as rank 9.
+    /// them) on schedules that grow, and one whose fine ticks are 0 ns
+    /// apart; each tick also schedules a `Call` 50 ns on, the instant of
+    /// the next fine tick, and a pre-scheduled `Call` at a tick instant
+    /// ends rank 0's first wait. Returns every observation in dispatch
+    /// order: `(time, rank)`, `Call`s as rank 9.
     fn lockstep_pollers(inline: bool) -> (Vec<(SimTime, usize)>, SimOutcome) {
-        const STEPS: [u64; 5] = [50, 50, 100, 0, 70];
+        const SCHEDULES: [PollSchedule; 2] = [
+            PollSchedule::new(SimDuration::nanos(50), 3, SimDuration::nanos(200)),
+            PollSchedule::new(SimDuration::ZERO, 2, SimDuration::nanos(70)),
+        ];
         let log = Arc::new(Mutex::new(Vec::new()));
         let stop = Arc::new(AtomicUsize::new(0));
         let mut sim = SimBuilder::new().build();
         {
             let (log, stop) = (Arc::clone(&log), Arc::clone(&stop));
-            // 50 + 50 + 100 + 0 + 70 + 50: the instant of the sixth tick.
-            sim.scheduler().schedule_at(SimTime(320), move |s| {
+            // 50 + 50 + 50 + 75: the instant of the fourth tick.
+            sim.scheduler().schedule_at(SimTime(225), move |s| {
                 log.lock().push((s.now(), 9));
                 stop.store(1, Ordering::SeqCst);
             });
@@ -872,25 +1026,23 @@ mod tests {
         for r in 0..2usize {
             let (log, stop) = (Arc::clone(&log), Arc::clone(&stop));
             sim.spawn_rank(format!("r{r}"), move |ctx| {
-                for round in 0..2usize {
+                for (round, schedule) in SCHEDULES.into_iter().enumerate() {
                     let (tick_log, stop) = (Arc::clone(&log), Arc::clone(&stop));
-                    let mut ticks = 0usize;
-                    busy_wait(&ctx, inline, SimDuration::nanos(50), move |s| {
+                    busy_wait(&ctx, inline, schedule, move |s, tick| {
                         tick_log.lock().push((s.now(), r));
-                        ticks += 1;
                         // Rank 0 waits for the Call first, rank 1 for a count.
                         let ready = if r == round {
                             stop.load(Ordering::SeqCst) == 1
                         } else {
-                            ticks == 4 + 3 * round
+                            tick == 5 + 3 * round as u32
                         };
                         if ready {
-                            return None;
+                            return PollOutcome::Ready;
                         }
-                        let step = SimDuration::nanos(STEPS[ticks % STEPS.len()]);
                         let log = Arc::clone(&tick_log);
-                        s.schedule_in(step, move |s| log.lock().push((s.now(), 9)));
-                        Some(step)
+                        let call = move |s: &Scheduler| log.lock().push((s.now(), 9));
+                        s.schedule_in(SimDuration::nanos(50), call);
+                        PollOutcome::Worked
                     });
                     log.lock().push((ctx.now(), r));
                     ctx.advance(SimDuration::nanos(30));
@@ -920,37 +1072,33 @@ mod tests {
     fn poll_until_edge_steps() {
         let mut sim = SimBuilder::new().build();
         sim.spawn_rank("r0", |ctx| {
-            // Ready on the first tick: resumes at `first`, body spent.
-            ctx.poll_until(SimDuration::nanos(40), |_| None);
+            // Ready on the first tick: resumes at the first step, body spent.
+            ctx.poll_until(flat(40), |_, _| PollOutcome::Ready);
             assert_eq!(ctx.now(), SimTime(40));
             // Zero steps re-arm at the same instant, behind queued events.
             let fired = Arc::new(AtomicUsize::new(0));
             let seen = Arc::clone(&fired);
-            let mut zero_ticks = 0;
-            ctx.poll_until(SimDuration::ZERO, move |s| {
-                zero_ticks += 1;
-                if zero_ticks == 1 {
+            ctx.poll_until(flat(0), move |s, tick| {
+                if tick == 1 {
                     let fired = Arc::clone(&fired);
                     s.schedule_in(SimDuration::ZERO, move |_| {
                         fired.store(1, Ordering::SeqCst);
                     });
                 }
-                (zero_ticks < 3).then_some(SimDuration::ZERO)
+                PollOutcome::of(tick == 3, true)
             });
             assert_eq!(ctx.now(), SimTime(40));
             assert_eq!(seen.load(Ordering::SeqCst), 1);
-            // One body, many re-arms, its state carried across them. The
-            // grant that ends each wait finds the slot empty (the debug
-            // assertion in the dispatch loop), so the next wait can arm it.
-            let mut step = 1u64;
-            ctx.poll_until(SimDuration::nanos(1), move |_| {
-                step *= 2;
-                (step <= 64).then_some(SimDuration::nanos(step))
-            });
-            assert_eq!(ctx.now(), SimTime(40 + 127));
+            // With no fine ticks the step grows from the first tick on:
+            // 1, 2, 3, 4, 6, 9, 13 ns. The grant that ends each wait finds
+            // the slot empty (the debug assertion in `dispatch`), so the
+            // next wait can arm it.
+            let growing = PollSchedule::new(SimDuration::nanos(1), 0, SimDuration::nanos(64));
+            ctx.poll_until(growing, |_, tick| PollOutcome::of(tick == 7, true));
+            assert_eq!(ctx.now(), SimTime(40 + 38));
         });
         let out = sim.run().unwrap();
-        assert_eq!((out.wakes, out.polls), (4, 2 + 6));
+        assert_eq!((out.wakes, out.polls, out.elided), (4, 2 + 6, 0));
         assert_eq!(out.events, out.wakes + out.polls + 1);
     }
 
@@ -958,11 +1106,225 @@ mod tests {
     fn event_limit_trips_inside_a_poll_that_is_never_ready() {
         let mut sim = SimBuilder::new().max_events(10).build();
         sim.spawn_rank("spinner", |ctx| {
-            ctx.poll_until(SimDuration::nanos(1), |_| Some(SimDuration::nanos(1)));
+            ctx.poll_until(flat(1), |_, _| PollOutcome::Worked);
         });
         match sim.run() {
             Err(SimError::EventLimit(10)) => {}
             other => panic!("expected event limit, got {other:?}"),
+        }
+    }
+
+    /// A never-ready poller beside a rank that advances forever: the
+    /// event budget runs out at the same event whether the poller's ticks
+    /// run its body or are elided, so the spinner sees the same instants.
+    #[test]
+    fn elided_ticks_count_against_the_event_limit() {
+        let run = |outcome: PollOutcome| {
+            let mut sim = SimBuilder::new().max_events(500).build();
+            let seen = Arc::new(Mutex::new(Vec::new()));
+            let log = Arc::clone(&seen);
+            sim.spawn_rank("spinner", move |ctx| loop {
+                log.lock().push(ctx.now());
+                ctx.advance(SimDuration::nanos(170));
+            });
+            sim.spawn_rank("poller", move |ctx| {
+                ctx.poll_until(flat(20), move |_, _| outcome);
+            });
+            let result = sim.run();
+            let limited = matches!(result, Err(SimError::EventLimit(500)));
+            assert!(limited, "{result:?}");
+            let seen = std::mem::take(&mut *seen.lock());
+            seen
+        };
+        let worked = run(PollOutcome::Worked);
+        assert!(worked.len() > 50);
+        assert_eq!(run(PollOutcome::Idle), worked);
+    }
+
+    #[test]
+    fn a_poller_with_nothing_left_to_wait_for_is_a_deadlock() {
+        let mut sim = SimBuilder::new().build();
+        sim.spawn_rank("bystander", |ctx| ctx.advance(SimDuration::micros(1)));
+        sim.spawn_rank("stuck-poller", |ctx| {
+            ctx.poll_until(flat(50), |_, _| PollOutcome::Idle);
+        });
+        match sim.run() {
+            Err(SimError::Deadlock(names)) => assert_eq!(names, vec!["stuck-poller"]),
+            other => panic!("expected deadlock, got {other:?}"),
+        }
+    }
+
+    /// MPI_Wait's schedule past its 100 fine ticks and 1,000 capped ones
+    /// into the bulk tier, tick by tick against the loop arithmetic it
+    /// encodes: once with a body that runs at every tick, once with one
+    /// that says `Idle` and is woken at the last tick's instant by a
+    /// `Call` queued before it. The second answers every tick in between
+    /// by arithmetic, and both end at the same instant after the same
+    /// events.
+    #[test]
+    fn elided_ticks_land_on_the_schedule_through_the_bulk_tier() {
+        const LAST: u32 = 1_100;
+        let mut want = Vec::new();
+        let (mut t, mut step) = (0u64, 50u64);
+        for tick in 1..=LAST {
+            t += step;
+            want.push((tick, SimTime(t)));
+            if tick > 100 {
+                step = (step * 3 / 2).min(if tick > 1_000 { 10_000 } else { 2_000 });
+            }
+        }
+        let end = want[LAST as usize - 1].1;
+        let run = |idle: bool| {
+            let mut sim = SimBuilder::new().build();
+            let go = Arc::new(AtomicUsize::new(0));
+            let flip = Arc::clone(&go);
+            sim.scheduler()
+                .schedule_at(end, move |_| flip.store(1, Ordering::SeqCst));
+            let seen = Arc::new(Mutex::new(Vec::new()));
+            let log = Arc::clone(&seen);
+            sim.spawn_rank("waiter", move |ctx| {
+                let wait = PollSchedule::new(SimDuration::nanos(50), 100, SimDuration::micros(2))
+                    .with_bulk_tier(1_000, SimDuration::micros(10));
+                ctx.poll_until(wait, move |s, tick| {
+                    log.lock().push((tick, s.now()));
+                    PollOutcome::of(go.load(Ordering::SeqCst) == 1, !idle)
+                });
+                assert_eq!(ctx.now(), end);
+            });
+            let out = sim.run().unwrap();
+            let seen = std::mem::take(&mut *seen.lock());
+            (seen, out)
+        };
+        let (every, worked) = run(false);
+        assert_eq!(every, want);
+        let (_, idle) = run(true);
+        assert_eq!(worked.elided, 0);
+        assert_eq!(idle.elided, LAST as u64 - 2, "ticks 2..LAST-1 are clean");
+        assert_eq!(counts(&idle), counts(&worked));
+        assert_eq!(idle.events, 1 + (LAST as u64 - 1) + 1 + 1);
+    }
+
+    /// One wait of a generated program.
+    #[derive(Clone, Debug)]
+    struct Wait {
+        /// `(step, fine, cap)`, in ns and ticks.
+        schedule: (u64, u32, u64),
+        /// The rank whose flag the body bumps at its first unready tick,
+        /// saying `Worked`.
+        tick_bump: Option<usize>,
+        /// The rank whose flag this rank bumps when the wait ends.
+        resume_bump: Option<usize>,
+        /// What the rank advances after the wait, in ns.
+        after: u64,
+    }
+
+    /// Rank `r` runs `waits[r]`. Its `k`th wait is ready once rank `r`'s
+    /// flag has been bumped more than `k` times: by a `Call` of `calls`
+    /// `(instant, rank)`, by a body, or by a rank's own code right after
+    /// it resumes. While not ready and with nothing to bump, `idle` bodies
+    /// say `Idle` and the others `Worked`. Returns the readiness
+    /// observations `(rank, instant)` in the order they were made, and the
+    /// outcome.
+    fn flag_pollers(
+        waits: &[Vec<Wait>],
+        calls: &[(u64, usize)],
+        idle: bool,
+    ) -> (Vec<(usize, SimTime)>, SimOutcome) {
+        let flags: Arc<Vec<AtomicUsize>> =
+            Arc::new(waits.iter().map(|_| AtomicUsize::new(0)).collect());
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let mut sim = SimBuilder::new().build();
+        for &(at, r) in calls {
+            let flags = Arc::clone(&flags);
+            sim.scheduler().schedule_at(SimTime(at), move |_| {
+                flags[r].fetch_add(1, Ordering::SeqCst);
+            });
+        }
+        for (r, waits) in waits.iter().enumerate() {
+            let (flags, log, waits) = (Arc::clone(&flags), Arc::clone(&log), waits.clone());
+            sim.spawn_rank(format!("r{r}"), move |ctx| {
+                for (k, wait) in waits.into_iter().enumerate() {
+                    let (step, fine, cap) = wait.schedule;
+                    let (step, cap) = (SimDuration::nanos(step), SimDuration::nanos(cap));
+                    let schedule = PollSchedule::new(step, fine, cap);
+                    let (seen, log) = (Arc::clone(&flags), Arc::clone(&log));
+                    let mut tick_bump = wait.tick_bump;
+                    ctx.poll_until(schedule, move |s, _| {
+                        if seen[r].load(Ordering::SeqCst) > k {
+                            log.lock().push((r, s.now()));
+                            return PollOutcome::Ready;
+                        }
+                        if let Some(j) = tick_bump.take() {
+                            seen[j].fetch_add(1, Ordering::SeqCst);
+                            return PollOutcome::Worked;
+                        }
+                        PollOutcome::of(false, !idle)
+                    });
+                    if let Some(j) = wait.resume_bump {
+                        flags[j].fetch_add(1, Ordering::SeqCst);
+                    }
+                    ctx.advance(SimDuration::nanos(wait.after));
+                }
+            });
+        }
+        let out = sim.run().unwrap();
+        let log = std::mem::take(&mut *log.lock());
+        (log, out)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 48,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// Idle bodies woken by `Call`s on a 25 ns grid — the grid of the
+        /// schedules' fine ticks, several `Call`s to an instant — by other
+        /// bodies and by other ranks' code see what bodies that never say
+        /// `Idle` see, when they see it, and the run counts the same
+        /// events.
+        #[test]
+        fn elided_ticks_change_no_observation(
+            waits in proptest::collection::vec(
+                proptest::collection::vec(
+                    ((0u64..4, 0u32..4, 0u64..4), (0usize..6, 0usize..6), 0u64..4),
+                    1..4,
+                ),
+                1..5,
+            ),
+            bursts in proptest::collection::vec((0u64..40, 0usize..4, 1usize..4), 0..12),
+        ) {
+            let nranks = waits.len();
+            let waits: Vec<Vec<Wait>> = (waits.into_iter())
+                .map(|w| {
+                    (w.into_iter())
+                        .map(|((step, fine, extra), (tick_bump, resume_bump), after)| {
+                            let step = 25 * step;
+                            Wait {
+                                schedule: (step, fine, step.max(25) + 25 * extra),
+                                tick_bump: Some(tick_bump).filter(|&j| j < nranks),
+                                resume_bump: Some(resume_bump).filter(|&j| j < nranks),
+                                after: 25 * after,
+                            }
+                        })
+                        .collect()
+                })
+                .collect();
+            let mut calls: Vec<(u64, usize)> = Vec::new();
+            for (slot, r, n) in bursts {
+                calls.extend(std::iter::repeat_n((25 * slot, r % waits.len()), n));
+            }
+            // Every wait gets its bump, the late ones after every burst.
+            for (r, w) in waits.iter().enumerate() {
+                for k in 0..w.len() {
+                    calls.push((1_000 + 25 * (r + k) as u64, r));
+                }
+            }
+            let (worked_log, worked) = flag_pollers(&waits, &calls, false);
+            let (idle_log, idle) = flag_pollers(&waits, &calls, true);
+            proptest::prop_assert_eq!(&idle_log, &worked_log);
+            proptest::prop_assert_eq!(counts(&idle), counts(&worked));
+            proptest::prop_assert_eq!(worked.elided, 0);
         }
     }
 
@@ -971,11 +1333,9 @@ mod tests {
         let mut sim = SimBuilder::new().build();
         sim.spawn_rank("bystander", |ctx| ctx.advance(SimDuration::micros(1)));
         sim.spawn_rank("poller", |ctx| {
-            let mut ticks = 0;
-            ctx.poll_until(SimDuration::nanos(5), move |_| {
-                ticks += 1;
-                assert!(ticks < 3, "tick {ticks} went wrong");
-                Some(SimDuration::nanos(5))
+            ctx.poll_until(flat(5), move |_, tick| {
+                assert!(tick < 3, "tick {tick} went wrong");
+                PollOutcome::Worked
             });
         });
         match sim.run() {

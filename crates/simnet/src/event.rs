@@ -129,8 +129,25 @@ impl EventQueue {
 
     /// Insert an event at `time`. Returns the sequence number assigned to it.
     pub fn push(&mut self, time: SimTime, kind: EventKind) -> u64 {
+        let seq = self.take_seq();
+        self.push_at(time, seq, kind);
+        seq
+    }
+
+    /// Draw the next sequence number without queueing anything: the
+    /// engine's clean poll ticks (`engine::Dispatch::clean`) hold their
+    /// `(time, seq)` outside the queue.
+    #[inline]
+    pub(crate) fn take_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
+        seq
+    }
+
+    /// Insert an event under a sequence number drawn earlier with
+    /// [`EventQueue::take_seq`], so it dispatches where it would have had
+    /// it been pushed then.
+    pub(crate) fn push_at(&mut self, time: SimTime, seq: u64, kind: EventKind) {
         let e = Entry { time, seq, kind };
         let t = time.0;
         if t < self.horizon_end() {
@@ -147,7 +164,6 @@ impl EventQueue {
         } else {
             self.far.push(e);
         }
-        seq
     }
 
     /// Move `cur` onto the bucket containing `t` without scanning the
@@ -173,23 +189,18 @@ impl EventQueue {
         }
     }
 
-    /// Remove and return the earliest event.
-    pub fn pop(&mut self) -> Option<(SimTime, EventKind)> {
+    /// Move the cursor onto the bucket that holds the earliest event;
+    /// `false` when the queue is empty.
+    fn seek(&mut self) -> bool {
         if self.near_len == 0 && self.far.is_empty() {
-            return None;
+            return false;
         }
-        loop {
-            if let Some(e) = self.near[self.cur].pop() {
-                self.near_len -= 1;
-                self.popped += 1;
-                return Some((e.time, e.kind));
-            }
+        while self.near[self.cur].is_empty() {
             if self.near_len == 0 {
                 // Ring empty: jump straight to the earliest overflow event
                 // instead of crawling the ring one day at a time.
                 let t = self.far.peek().expect("queue non-empty").time.0;
                 self.jump_cursor(t);
-                self.migrate_far();
             } else {
                 // Advance one bucket. The vacated bucket becomes the ring's
                 // newest day slot, so overflow events for that day (and
@@ -197,9 +208,28 @@ impl EventQueue {
                 // exactly once.
                 self.cur = (self.cur + 1) % NBUCKETS;
                 self.cur_day += WIDTH;
-                self.migrate_far();
             }
+            self.migrate_far();
         }
+        true
+    }
+
+    /// Remove and return the earliest event.
+    pub fn pop(&mut self) -> Option<(SimTime, EventKind)> {
+        if !self.seek() {
+            return None;
+        }
+        let e = self.near[self.cur].pop().expect("seek found an event");
+        self.near_len -= 1;
+        self.popped += 1;
+        Some((e.time, e.kind))
+    }
+
+    /// The `(time, seq)` of the earliest event, without removing it.
+    pub(crate) fn peek_key(&mut self) -> Option<(SimTime, u64)> {
+        self.seek()
+            .then(|| self.near[self.cur].peek().map(|e| (e.time, e.seq)))
+            .flatten()
     }
 
     /// The timestamp of the next event without removing it.
@@ -279,7 +309,8 @@ mod tests {
     use super::*;
 
     /// Every queued event is one of these: a poll body rides in the rank's
-    /// slot (`engine::PollSlot`), not in the entry, to keep it this small.
+    /// slot in the dispatch loop (`engine::RankSlot`), not in the entry, to
+    /// keep it this small.
     #[test]
     fn entry_stays_32_bytes() {
         assert_eq!(std::mem::size_of::<Entry>(), 32);

@@ -31,6 +31,7 @@
 //! * [`engine`] — the simulator proper: rank contexts, token handoff, run loop,
 //!   deadlock detection.
 //! * [`ctx`] — the handle a rank program uses to interact with the simulation.
+//! * [`backoff`] — the cadence of a polling wait ([`PollSchedule`]).
 //! * [`sem`] — blocking primitives usable from rank code and completable from
 //!   event callbacks (the paper's "semaphore-like primitives", §3.3.2).
 //! * [`nic`] — NIC performance models and simulated NIC ports.
@@ -46,6 +47,7 @@
 // the borrow checker would let us elide is a real memcpy on the hot path.
 #![warn(clippy::redundant_clone)]
 
+pub mod backoff;
 pub mod copy;
 pub mod ctx;
 pub mod engine;
@@ -59,8 +61,9 @@ pub mod stats;
 pub mod time;
 pub mod topology;
 
+pub use backoff::PollSchedule;
 pub use copy::{BufOrigin, CopyMeter, CopySnapshot, NmBuf};
-pub use ctx::RankCtx;
+pub use ctx::{PollOutcome, RankCtx};
 pub use engine::{RankId, Scheduler, Sim, SimBuilder, SimError, SimOutcome};
 pub use fabric::{Delivery, Fabric, FabricOpts, RailId, WireMessage};
 pub use fault::{
