@@ -473,3 +473,37 @@ impl MpiHandle {
         status
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use crate::stack::{run_mpi_collect, StackConfig};
+    use simnet::{Cluster, Placement};
+
+    /// A drain stuck on a rendezvous nobody answers finds no work at any
+    /// tick. Its livelock guard must still trip exactly at its limit, as
+    /// the body-call counter it replaced did (`cycles < limit`, counted
+    /// from the tick-0 call), not end the run as a deadlock.
+    #[test]
+    fn a_stuck_finalize_drain_trips_its_guard_at_its_limit() {
+        let c = Cluster::xeon_pair();
+        let p = Placement::one_per_node(2, &c);
+        let cfg = StackConfig::mpich2_nmad_rail(0, false);
+        let run = std::panic::AssertUnwindSafe(|| {
+            run_mpi_collect(&c, &p, &cfg, 2, |mpi| {
+                if mpi.rank() == 0 {
+                    // Rank 1 never posts the receive, so no CTS ever comes.
+                    mpi.isend(1, 7, &vec![0u8; 1 << 20]);
+                    mpi.state.drain(&mpi.ctx, 1000);
+                }
+            })
+        });
+        let payload = std::panic::catch_unwind(run).expect_err("the drain never quiesces");
+        let message = payload.downcast_ref::<String>().expect("a formatted panic");
+        assert!(
+            message.ends_with(
+                "rank0 panicked: MPI_Finalize drain did not quiesce (protocol leak?) at tick 1000"
+            ),
+            "{message}"
+        );
+    }
+}

@@ -863,24 +863,35 @@ impl ProcState {
     /// event-driven and keeps running as long as the simulation has
     /// events.
     pub fn finalize(self: &Arc<Self>, ctx: &RankCtx) {
+        // Ticks of a drain that does not quiesce before it is a livelock.
+        self.drain(ctx, 5_000_000);
+    }
+
+    /// The drain of [`ProcState::finalize`], whose livelock guard trips at
+    /// tick `limit` (the tick-0 call on the rank's stack included).
+    pub(crate) fn drain(self: &Arc<Self>, ctx: &RankCtx, limit: u32) {
         // A crashed rank's program ends abruptly; it neither drains nor
         // owes protocol work (its core is halted).
         if self.piom.is_some() || self.with_state(|st| st.crashed) {
             return;
         }
-        /// Ticks of a drain that does not quiesce before it is a livelock.
-        const DRAIN_TICKS: u32 = 5_000_000;
         let this = Arc::clone(self);
         self.poll(ctx, backoff::late_by_one(self.costs.poll_gran), move |s, tick| {
-            let (worked, quiet) = this.with_state(|st| (this.cycle(st, s), this.quiescent(st)));
+            let quiet = this.with_state(|st| {
+                this.cycle(st, s);
+                this.quiescent(st)
+            });
             assert!(
-                quiet || tick < DRAIN_TICKS,
-                "MPI_Finalize drain did not quiesce (protocol leak?)"
+                quiet || tick < limit,
+                "MPI_Finalize drain did not quiesce (protocol leak?) at tick {tick}"
             );
-            // The guard counts every tick, elided ones too. The tick before
-            // it trips is therefore not idle, so that the tick that trips
-            // runs this body.
-            PollOutcome::of(quiet, worked || tick + 1 >= DRAIN_TICKS)
+            // Never `Idle`: the guard turns on the tick count alone, and
+            // the ticks after an `Idle` are answered without this body.
+            if quiet {
+                PollOutcome::Ready
+            } else {
+                PollOutcome::Worked
+            }
         });
     }
 }

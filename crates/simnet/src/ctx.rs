@@ -115,10 +115,10 @@ impl RankCtx {
     /// calling the body: each still takes its instant and sequence number,
     /// counts in [`crate::SimOutcome::events`] and `polls`, and counts in
     /// [`crate::SimOutcome::elided`]. Debug builds call the body anyway and
-    /// assert that it says `Idle`. A body whose verdict depends on the tick
-    /// number must therefore say `Worked` on the tick before it would
-    /// change its mind. When nothing but such elided ticks is left, the run
-    /// ends in [`crate::SimError::Deadlock`].
+    /// assert that it says `Idle`. A body whose verdict could change with
+    /// the tick number alone must never say `Idle`: once it has, the loop
+    /// stops calling it. When nothing but such elided ticks is left, the
+    /// run ends in [`crate::SimError::Deadlock`].
     ///
     /// `body` must own what it touches (hence `Send + 'static`) and cannot
     /// block; if it panics, the run fails with

@@ -3,7 +3,7 @@
 
     scripts/paired_runs.py BASE_REV [--pairs N] [--pairs-for WORKLOAD=N ...]
         [--first-seed S] [--workloads W,W,...] [--claim WORKLOAD:METRIC]
-        [--experiment NAME] [--out BENCH_xx.json] [--base-dir DIR] [--aa]
+        [--experiment NAME] [--out BENCH_xx.json] [--base-dir DIR]
 
 Builds the ledger (`benchmark/`) twice, once in a checkout of BASE_REV and
 once in the working tree, then runs `perf-ledger --workload W --seed S
@@ -18,12 +18,12 @@ read lower; for the `--claim` metric it also prints the claim rule's
 verdict (`claim_verdict`). With `--out`, every run and every statistic is
 written as JSON in the shape of the BENCH_*.json files.
 
-With `--aa`, every workload first gets an A/A batch: as many alternating
-pairs again, with the working tree's build on both sides. The gap between
-those two medians is the session's A/A spread for each metric, the
-difference the same code shows against itself here and now; it is written
-beside the parent/tip statistics, and the claim rule then also requires
-the claimed gap to exceed it.
+Every workload first gets an A/A batch: as many alternating pairs again,
+with the working tree's build on both sides. The gap between those two
+medians is the session's A/A spread for each metric, the difference the
+same code shows against itself here and now; it is written beside the
+parent/tip statistics, and the claim rule requires the claimed gap to
+exceed it.
 
 The base checkout is a `git worktree` made for the run and removed after
 it, unless `--base-dir` names an existing checkout of BASE_REV to use
@@ -82,33 +82,30 @@ def aa_spread(a, b):
     return abs(quartiles(a)[1] - quartiles(b)[1])
 
 
-def claim_verdict(parent, tip, better="lower", aa=None):
+def claim_verdict(parent, tip, aa, better="lower"):
     """The claim rule over paired runs (`parent[i]` and `tip[i]` share a seed).
 
     A gain holds when the tip is better in at least nine of every ten
     pairs, and its median beats the parent's by more than the parent's
-    interquartile range and, when the session's A/A spread `aa` is given,
-    by more than that spread too.
+    interquartile range and by more than the session's A/A spread `aa`.
 
     >>> parent = [30.1, 29.8, 31.0, 30.4, 29.5, 30.9, 30.2, 31.3, 29.9, 30.6]
     >>> tip = [19.6, 19.2, 20.1, 19.4, 29.9, 19.8, 19.3, 20.4, 19.0, 19.7]
-    >>> v = claim_verdict(parent, tip)
+    >>> v = claim_verdict(parent, tip, 0.5)
     >>> (v["wins"], v["pairs"], v["met"])
     (9, 10, True)
-    >>> claim_verdict(parent, [p - 0.1 for p in parent])["met"]
+    >>> claim_verdict(parent, [p - 0.1 for p in parent], 0.0)["met"]
     False
-    >>> claim_verdict([1, 2, 3], [2, 3, 4], better="higher")["wins"]
+    >>> claim_verdict([1, 2, 3], [2, 3, 4], 0.0, better="higher")["wins"]
     3
 
     The same runs, against A/A spreads either side of their 10.65 gap:
 
-    >>> claim_verdict(parent, tip, aa=4.0)["met"]
+    >>> claim_verdict(parent, tip, 4.0)["met"]
     True
-    >>> v = claim_verdict(parent, tip, aa=11.0)
+    >>> v = claim_verdict(parent, tip, 11.0)
     >>> (v["median_gap"] > v["parent_iqr"], v["met"])
     (True, False)
-    >>> "aa_spread" in claim_verdict(parent, tip)
-    False
     """
     assert len(parent) == len(tip) and parent, "one tip run per parent run"
     sign = 1 if better == "lower" else -1
@@ -116,7 +113,7 @@ def claim_verdict(parent, tip, better="lower", aa=None):
     q1, parent_median, q3 = quartiles(parent)
     tip_median = quartiles(tip)[1]
     gap = sign * (parent_median - tip_median)
-    verdict = {
+    return {
         "parent_median": parent_median,
         "tip_median": tip_median,
         "median_change_pct": round(100 * (tip_median - parent_median) / parent_median, 2),
@@ -124,11 +121,9 @@ def claim_verdict(parent, tip, better="lower", aa=None):
         "pairs": len(parent),
         "parent_iqr": q3 - q1,
         "median_gap": gap,
-        "met": 10 * wins >= 9 * len(parent) and gap > q3 - q1 and (aa is None or gap > aa),
+        "aa_spread": aa,
+        "met": 10 * wins >= 9 * len(parent) and gap > q3 - q1 and gap > aa,
     }
-    if aa is not None:
-        verdict["aa_spread"] = aa
-    return verdict
 
 
 def git(*args, cwd=None):
@@ -182,15 +177,17 @@ def quartile_dict(xs):
     return dict(zip(("q1", "median", "q3"), quartiles(xs)))
 
 
-def summarise(runs, metrics, aa_runs=None):
+def summarise(runs, metrics, aa_runs):
     """Per-metric statistics of one workload's paired `runs`, with the A/A
-    spread of `aa_runs` (sides "a" and "b") when there are some."""
+    spread of `aa_runs` (sides "a" and "b")."""
     out = {}
     for m in metrics:
         name, bound = m["name"], m["bound"]
         parent = side_values(runs, "parent", name)
         tip = side_values(runs, "tip", name)
-        v = claim_verdict(parent, tip, m["better"])
+        a, b = side_values(aa_runs, "a", name), side_values(aa_runs, "b", name)
+        spread = aa_spread(a, b)
+        v = claim_verdict(parent, tip, spread, m["better"])
         worse = v["median_change_pct"] if m["better"] == "lower" else -v["median_change_pct"]
         out[name] = {
             "parent": quartile_dict(parent),
@@ -199,12 +196,9 @@ def summarise(runs, metrics, aa_runs=None):
             "tip_lower_in_pairs": sum(1 for p, t in zip(parent, tip) if t < p),
             "bound_pct": round(100 * bound),
             "within_bound": worse <= 100 * bound,
+            "aa": {"a": quartile_dict(a), "b": quartile_dict(b), "spread": spread,
+                   "spread_pct": round(100 * spread / quartiles(a)[1], 2)},
         }
-        if aa_runs:
-            a, b = side_values(aa_runs, "a", name), side_values(aa_runs, "b", name)
-            spread = aa_spread(a, b)
-            out[name]["aa"] = {"a": quartile_dict(a), "b": quartile_dict(b), "spread": spread,
-                               "spread_pct": round(100 * spread / quartiles(a)[1], 2)}
     return out
 
 
@@ -238,7 +232,6 @@ def main():
     ap.add_argument("--experiment", default="paired-runs")
     ap.add_argument("--out")
     ap.add_argument("--base-dir")
-    ap.add_argument("--aa", action="store_true")
     args = ap.parse_args()
 
     tip_root = git("rev-parse", "--show-toplevel")
@@ -271,15 +264,14 @@ def main():
                              f"pairs on N seeds from {args.first_seed}, the parent first on even "
                              "seeds; medians and quartiles by linear interpolation over the pairs; median_change_pct "
                              "is (tip - parent) / parent; tip_lower_in_pairs counts pairs where "
-                             "the tip read lower."
-                             + (" Each workload's A/A batch ran first: as many pairs again, the "
-                                "working tree's build on both sides (a, b); aa.spread is "
-                                "|median(a) - median(b)|." if args.aa else "")),
+                             "the tip read lower. Each workload's A/A batch ran first: as many "
+                             "pairs again, the working tree's build on both sides (a, b); "
+                             "aa.spread is |median(a) - median(b)|."),
                   "workloads": {}}
         sides = {"parent": base_root, "tip": tip_root}
         for w, n in pairs.items():
             seeds = range(args.first_seed, args.first_seed + n)
-            aa_runs = run_pairs({"a": tip_root, "b": tip_root}, w, seeds, metrics) if args.aa else []
+            aa_runs = run_pairs({"a": tip_root, "b": tip_root}, w, seeds, metrics)
             runs = run_pairs(sides, w, seeds, metrics)
             stats = summarise(runs, metrics, aa_runs)
             report["workloads"][w] = {
@@ -290,7 +282,7 @@ def main():
                                   for s in sides},
                 "correct": all(r["correct"] for r in runs),
                 "runs": runs,
-                **({"aa_runs": aa_runs} if aa_runs else {}),
+                "aa_runs": aa_runs,
             }
             print(f"== {w} ({n} pairs)")
             for name, s in stats.items():
@@ -298,7 +290,7 @@ def main():
                 print(f"  {name:<15} parent {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}]  "
                       f"tip {t['median']:.4g} [{t['q1']:.4g}, {t['q3']:.4g}]  "
                       f"{s['median_change_pct']:+.2f} %  tip lower {s['tip_lower_in_pairs']}/{n}"
-                      + (f"  A/A {s['aa']['spread_pct']:.2f} %" if "aa" in s else "")
+                      f"  A/A {s['aa']['spread_pct']:.2f} %"
                       + ("" if s["within_bound"] else "  OUTSIDE BOUND"), flush=True)
         if args.claim:
             w, name = args.claim.split(":")
@@ -306,12 +298,12 @@ def main():
             better = next(m["better"] for m in metrics if m["name"] == name)
             parent = side_values(entry["runs"], "parent", name)
             tip = side_values(entry["runs"], "tip", name)
-            aa = entry["metrics"][name]["aa"]["spread"] if args.aa else None
-            v = claim_verdict(parent, tip, better, aa)
+            aa = entry["metrics"][name]["aa"]["spread"]
+            v = claim_verdict(parent, tip, aa, better)
             report["claim"] = {"workload": w, "metric": name, **v}
             print(f"claim {w} {name}: tip better in {v['wins']}/{v['pairs']} pairs, median gap "
-                  f"{v['median_gap']:.4g} vs parent IQR {v['parent_iqr']:.4g}"
-                  + (f" and A/A spread {aa:.4g}" if aa is not None else "") + ": "
+                  f"{v['median_gap']:.4g} vs parent IQR {v['parent_iqr']:.4g} and A/A spread "
+                  f"{aa:.4g}: "
                   + ("met" if v["met"] else "NOT met"))
         if args.out:
             with open(args.out, "w") as f:
