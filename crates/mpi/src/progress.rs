@@ -868,7 +868,8 @@ impl ProcState {
     }
 
     /// The drain of [`ProcState::finalize`], whose livelock guard trips at
-    /// tick `limit` (the tick-0 call on the rank's stack included).
+    /// tick `limit`, counting the first call, on the rank's stack, as
+    /// tick 0.
     pub(crate) fn drain(self: &Arc<Self>, ctx: &RankCtx, limit: u32) {
         // A crashed rank's program ends abruptly; it neither drains nor
         // owes protocol work (its core is halted).
