@@ -6,6 +6,7 @@
 //! * NewMadeleine's tag-matching engine,
 //! * the strategy decision procedures (aggregation / multirail split),
 //! * the sampling split solver,
+//! * the wire checksum, hot in cache and cold from memory,
 //! * the DES event queue,
 //! * a complete simulated ping-pong (events per second of the whole
 //!   stack).
@@ -20,7 +21,7 @@ use nmad::matching::{GateId, MatchEngine, Unexpected};
 use nmad::pack::{PacketWrapper, PwBody, PwId};
 use nmad::sampling::{split_sizes, LinkProfile};
 use nmad::sr::RecvReqId;
-use nmad::{NmConfig, RailHealth, SendReqId, StrategyKind};
+use nmad::{NmConfig, NmWire, RailHealth, SendReqId, StrategyKind, WirePayload};
 use mpi_ch3::{run_threaded, ThreadedConfig};
 use simnet::event::{EventKind, EventQueue, HeapEventQueue};
 use simnet::{BufOrigin, CopyMeter, NmBuf, SimDuration, SimTime};
@@ -325,6 +326,59 @@ fn full_stack_pingpong(c: &mut Criterion) {
     g.finish();
 }
 
+/// The end-to-end checksum as the stack pays it: every payload byte is
+/// sealed by the sender and verified by the receiver. Small eager
+/// payloads stay in cache; a 4 MiB rendezvous chunk is read from memory,
+/// so the cold case seals chunks walking an 8 MiB pool (what the ledger's
+/// `nmad.wire_crc_ns_per_kib` probe, run hot, does not see).
+fn wire_checksum(c: &mut Criterion) {
+    let mut g = c.benchmark_group("nmad-wire");
+    let noise = |len: usize| -> Vec<u8> {
+        (0..len as u64)
+            .map(|i| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as u8)
+            .collect()
+    };
+    for size in [256usize, 4096] {
+        g.throughput(Throughput::Bytes(size as u64));
+        let data = NmBuf::from(noise(size));
+        g.bench_function(&format!("seal-verify-{size}B-hot"), |b| {
+            b.iter(|| {
+                let w = NmWire::new(
+                    0,
+                    1,
+                    WirePayload::Eager {
+                        tag: 1,
+                        seq: 0,
+                        data: data.share(),
+                    },
+                );
+                std::hint::black_box(&w).crc_ok()
+            });
+        });
+    }
+    const CHUNK: usize = 4 << 20;
+    g.throughput(Throughput::Bytes(CHUNK as u64));
+    g.sample_size(20);
+    let pool = NmBuf::from(noise(2 * CHUNK));
+    g.bench_function("seal-4MiB-data-chunk-cold", |b| {
+        let mut at = 0;
+        b.iter(|| {
+            at = CHUNK - at;
+            let w = NmWire::new(
+                0,
+                1,
+                WirePayload::Data {
+                    rdv_id: 1,
+                    offset: at,
+                    data: pool.slice(at..at + CHUNK),
+                },
+            );
+            std::hint::black_box(w.crc)
+        });
+    });
+    g.finish();
+}
+
 /// The eager-path hand-off chain, measured both ways: the pre-refactor
 /// discipline cloned the payload at every layer boundary (app → CH3
 /// packet → NewMadeleine wrapper → wire), the NmBuf discipline pays one
@@ -409,6 +463,7 @@ criterion_group!(
     matching,
     strategies,
     sampling,
+    wire_checksum,
     event_queue,
     full_stack_pingpong,
     copy_path,

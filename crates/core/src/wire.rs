@@ -162,9 +162,10 @@ pub struct NmWire {
     /// End-to-end checksum over ranks, payload header fields and payload
     /// bytes, computed by [`NmWire::new`] at the sender and verified at
     /// delivery ([`NmWire::crc_ok`]). Its wire cost is part of
-    /// [`WIRE_HEADER_BYTES`]. Despite the name it is a four-lane 64-bit
-    /// FNV-1a fold (`WireCrc`): any single-word change is detected with
-    /// certainty; it is neither a CRC nor a MAC.
+    /// [`WIRE_HEADER_BYTES`]. Despite the name it is an eight-lane 64-bit
+    /// FNV-1a-style fold taking two words per multiply (`WireCrc`): any
+    /// single-word change is detected with certainty; it is neither a CRC
+    /// nor a MAC.
     pub crc: u64,
 }
 
@@ -196,27 +197,43 @@ impl NmWire {
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
-/// Independent FNV-1a chains a long byte run is striped over, one 8-byte
-/// word each per 32-byte block.
-const LANES: usize = 4;
+/// Independent chains a long byte run is striped over, one word pair
+/// each per [`BLOCK`].
+const LANES: usize = 8;
 
-/// Byte runs shorter than this stay on the single chain, where the four
-/// extra lane folds would cost what the striping saves (seal + verify at
-/// 16/64/256/1,024 B: equal at 16 and 64, 53 → 43 ns at 256, 250 → 100 ns
-/// at 1 KiB; DESIGN.md §5, rail health).
-const LANE_MIN_BYTES: usize = 64;
+/// Bytes one lane step consumes: two 8-byte words.
+const PAIR: usize = 16;
 
-/// The end-to-end checksum: a four-lane 64-bit FNV-1a fold over 8-byte
-/// words. Each step `h = (h ^ w) * prime` is a bijection of `h` for a
-/// fixed word and of `w` for a fixed `h` (the prime is odd), so changing
-/// any single word of the input changes the result with certainty. It
-/// is not a CRC (no burst-error guarantee) and not a MAC (anyone can
-/// forge it); the name is historical.
+/// One block feeds every lane one word pair. Runs shorter than a block
+/// fold their word pairs on the running hash alone.
+const BLOCK: usize = LANES * PAIR;
+
+/// One checksum step over the word pair `(a, b)`:
+/// `h' = ((h ^ a) * prime) + b`. For fixed words it is a bijection of
+/// `h`; for a fixed `h` it is a bijection of `a` (xor, then a multiply
+/// by an odd constant) and, separately, of `b` (an add).
+fn step(h: u64, a: u64, b: u64) -> u64 {
+    (h ^ a).wrapping_mul(FNV_PRIME).wrapping_add(b)
+}
+
+fn word_at(b: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(b[at..at + 8].try_into().unwrap())
+}
+
+/// The end-to-end checksum: an FNV-1a-style fold over 8-byte words that
+/// takes two words per multiply ([`step`]). Every step is a bijection of
+/// the running state and of each word it takes, and every later step is
+/// a bijection of the state, so changing any single word of the input
+/// changes the result with certainty. It is not a CRC (no burst-error
+/// guarantee) and not a MAC (anyone can forge it); the name is
+/// historical.
 ///
-/// Runs of at least [`LANE_MIN_BYTES`] are striped over [`LANES`] chains
-/// so the multiplier works at its throughput instead of waiting out its
-/// latency on one chain (payloads reach megabytes: a single chain cost
-/// ~165 ns per KiB, four cost ~45–50).
+/// Runs of at least one [`BLOCK`] (128 B) are striped over [`LANES`]
+/// chains, word pair *k* of every block feeding lane *k*, so eight
+/// multiplies are in flight and the loop keeps up with memory reads
+/// instead of waiting out the multiplier's latency (a 4 MiB run read
+/// from DRAM: ~55 ns per KiB, against ~50 for a plain read-and-add
+/// loop; DESIGN.md §5, rail health).
 struct WireCrc(u64);
 
 impl WireCrc {
@@ -229,33 +246,32 @@ impl WireCrc {
     }
 
     /// Fold the length, then — for a long run — each lane's chain over
-    /// the whole 32-byte blocks, then the remaining words one at a time.
+    /// the whole blocks and the lane states pairwise, then the remaining
+    /// bytes pairwise, the last partial pair zero-padded (the length
+    /// fixes where the padding starts).
     fn bytes(&mut self, b: &[u8]) {
         self.word(b.len() as u64);
-        let mut words = b;
-        if b.len() >= LANE_MIN_BYTES {
+        let mut blocks = b.chunks_exact(BLOCK);
+        if b.len() >= BLOCK {
             let mut lanes = [self.0; LANES];
-            let mut blocks = b.chunks_exact(8 * LANES);
             for block in &mut blocks {
-                for (lane, w) in lanes.iter_mut().zip(block.chunks_exact(8)) {
-                    *lane =
-                        (*lane ^ u64::from_le_bytes(w.try_into().unwrap())).wrapping_mul(FNV_PRIME);
+                for (lane, pair) in lanes.iter_mut().zip(block.chunks_exact(PAIR)) {
+                    *lane = step(*lane, word_at(pair, 0), word_at(pair, 8));
                 }
             }
-            for lane in lanes {
-                self.word(lane);
+            for pair in lanes.chunks_exact(2) {
+                self.0 = step(self.0, pair[0], pair[1]);
             }
-            words = blocks.remainder();
         }
-        let mut chunks = words.chunks_exact(8);
-        for c in &mut chunks {
-            self.word(u64::from_le_bytes(c.try_into().unwrap()));
+        let mut pairs = blocks.remainder().chunks_exact(PAIR);
+        for pair in &mut pairs {
+            self.0 = step(self.0, word_at(pair, 0), word_at(pair, 8));
         }
-        let rem = chunks.remainder();
+        let rem = pairs.remainder();
         if !rem.is_empty() {
-            let mut tail = [0u8; 8];
+            let mut tail = [0u8; PAIR];
             tail[..rem.len()].copy_from_slice(rem);
-            self.word(u64::from_le_bytes(tail));
+            self.0 = step(self.0, word_at(&tail, 0), word_at(&tail, 8));
         }
     }
 }
@@ -449,11 +465,12 @@ mod tests {
     }
 
     /// The detection property the doc comment states: a single changed
-    /// word — here a single changed byte, on either side of the lane
-    /// threshold, in a lane block or in the tail — always breaks the seal.
+    /// word — here a single changed byte, on either side of the block
+    /// threshold, in a lane block or in a whole or padded tail pair —
+    /// always breaks the seal.
     #[test]
     fn any_single_byte_flip_changes_the_seal() {
-        for len in (0..=160).chain([4096 + 13]) {
+        for len in (0..=300).chain([4096 + 13]) {
             let mut data = noise(len);
             let clean = seal(&data);
             for at in 0..len {
@@ -462,6 +479,23 @@ mod tests {
                     assert_ne!(seal(&data), clean, "len {len}, byte {at}, ^{flip:#x}");
                     data[at] ^= flip;
                 }
+            }
+        }
+    }
+
+    /// A whole 8-byte run overwritten with another value, at every offset:
+    /// aligned it is one word (the guarantee), unaligned it straddles two.
+    #[test]
+    fn any_overwritten_word_changes_the_seal() {
+        for len in (8..=300).chain([4096 + 13]) {
+            let mut data = noise(len);
+            let clean = seal(&data);
+            for at in 0..=len - 8 {
+                let old = word_at(&data, at);
+                let new = old ^ (at as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                data[at..at + 8].copy_from_slice(&new.to_le_bytes());
+                assert_ne!(seal(&data), clean, "len {len}, word at {at}");
+                data[at..at + 8].copy_from_slice(&old.to_le_bytes());
             }
         }
     }
@@ -476,23 +510,97 @@ mod tests {
             lo[a..a + width].swap_with_slice(&mut hi[..width]);
             seal(&d)
         };
-        // Byte 8k of a 32-byte block starts lane k's word: lanes 0/1, 1/3
-        // and 0/3 across blocks 0 and 5, then lane 0 of blocks 2 and 125.
-        for (a, b) in [(0, 8), (8, 24), (0, 5 * 32 + 24), (64, 4000)] {
+        // Byte 16k of a 128-byte block starts lane k's word pair. The two
+        // words of one lane step (lanes 0 and 3 of block 0, lane 7 of
+        // block 9); lanes 0/1, 1/3 and 0/3 across blocks 0 and 5; lane 0
+        // of blocks 2 and 31; a lane word and the tail's last whole word.
+        for (a, b) in [
+            (0, 8),
+            (48, 56),
+            (9 * 128 + 112, 9 * 128 + 120),
+            (0, 16),
+            (16, 48),
+            (0, 5 * 128 + 48),
+            (256, 31 * 128),
+            (64, 4000),
+            (8, 4096),
+        ] {
             assert_ne!(swapped(a, b, 8), clean, "words at {a} and {b}");
         }
-        for (a, b) in [(0, 32), (32, 4064), (96, 2048)] {
-            assert_ne!(swapped(a, b, 32), clean, "blocks at {a} and {b}");
+        // Whole word pairs of lanes 0/1 and 2/7; whole blocks.
+        for (a, b) in [(0, 16), (32, 3 * 128 + 112)] {
+            assert_ne!(swapped(a, b, 16), clean, "pairs at {a} and {b}");
+        }
+        for (a, b) in [(0, 128), (128, 3968), (384, 2048)] {
+            assert_ne!(swapped(a, b, 128), clean, "blocks at {a} and {b}");
         }
         // Lanes that are otherwise identical end in each other's state
         // after the swap; the fold is ordered, so the seal still moves.
-        let mut twins = vec![0u8; 256];
-        twins[..8].copy_from_slice(&1u64.to_le_bytes());
-        twins[8..16].copy_from_slice(&2u64.to_le_bytes());
-        let mut swapped_twins = twins.clone();
-        swapped_twins[..8].copy_from_slice(&2u64.to_le_bytes());
-        swapped_twins[8..16].copy_from_slice(&1u64.to_le_bytes());
-        assert_ne!(seal(&twins), seal(&swapped_twins));
+        // So do the two words of one step, each a different operand.
+        let with = |words: [u64; 4]| {
+            let mut d = vec![0u8; 256];
+            for (i, w) in words.iter().enumerate() {
+                d[8 * i..8 * i + 8].copy_from_slice(&w.to_le_bytes());
+            }
+            seal(&d)
+        };
+        assert_ne!(with([1, 2, 3, 4]), with([3, 4, 1, 2]), "twin lanes");
+        assert_ne!(with([1, 2, 0, 0]), with([2, 1, 0, 0]), "one step's words");
+    }
+
+    /// Pins the kernel: a change to what it folds, or in what order, moves
+    /// these and has to be made on purpose.
+    #[test]
+    fn seal_known_answers() {
+        let got: Vec<(usize, u64)> = [0, 7, 128, 1000]
+            .into_iter()
+            .map(|len| (len, seal(&noise(len))))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                (0, 0xaf63_bd4c_8601_b7df),
+                (7, 0xfebb_9031_d85a_c772),
+                (128, 0xb80a_56ec_5b4e_4478),
+                (1000, 0x82b3_e686_3543_bb3e),
+            ]
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig {
+            cases: 256,
+            ..Default::default()
+        })]
+
+        /// Any one aligned word of a run up to 8 KiB — the zero-padded
+        /// partial last word included — overwritten with any other value.
+        #[test]
+        fn a_random_single_word_overwrite_is_detected(
+            len in 1usize..8193,
+            fill in proptest::prelude::any::<u64>(),
+            pick in proptest::prelude::any::<u64>(),
+            change in proptest::prelude::any::<u64>(),
+        ) {
+            let mut x = fill | 1;
+            let mut data: Vec<u8> = (0..len)
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    x as u8
+                })
+                .collect();
+            let clean = seal(&data);
+            let at = 8 * (pick as usize % len.div_ceil(8));
+            let end = (at + 8).min(len);
+            // A mask whose low byte is odd changes even a one-byte tail.
+            let mask = (change | 1).to_le_bytes();
+            for (b, m) in data[at..end].iter_mut().zip(mask) {
+                *b ^= m;
+            }
+            proptest::prop_assert_ne!(seal(&data), clean, "len {}, word at {}", len, at);
+        }
     }
 
     /// The bytes of an aggregate concatenate to the same run either way;
@@ -524,7 +632,7 @@ mod tests {
 
     #[test]
     fn every_variant_verifies_after_share_around_the_lane_boundary() {
-        for len in [63, 64, 65, 95, 96, 97] {
+        for len in [63, 64, 65, 127, 128, 129, 143, 144, 145] {
             let bytes = || NmBuf::from(noise(len));
             let frag = |tag| EagerFrag {
                 tag,

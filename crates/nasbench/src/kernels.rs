@@ -19,6 +19,13 @@
 //!   `nz` planes of *small* messages through the process grid ("LU sends
 //!   only a limited percentage of large messages and most of the traffic
 //!   is composed of small messages", §4.2).
+//!
+//! Payload contents are never read, so every message is a view of one
+//! immutable zero buffer per OS thread ([`zeros`]), the way NPB sends
+//! from arrays allocated once rather than one buffer per message. All
+//! ranks of a job run on the simulator's thread, so they share it.
+
+use std::cell::RefCell;
 
 use bytes::Bytes;
 use mpi_ch3::{MpiHandle, Src};
@@ -77,11 +84,28 @@ pub fn run_iteration(kernel: Kernel, k: &KernelCtx<'_>) {
     }
 }
 
+thread_local! {
+    static ZEROS: RefCell<Bytes> = const { RefCell::new(Bytes::new()) };
+}
+
+/// `n` zero bytes: a view of this thread's shared zero buffer, which is
+/// replaced by a larger one (a power of two) when `n` outgrows it. Views
+/// handed out earlier keep the old buffer alive, so they stay zeros.
+pub fn zeros(n: usize) -> Bytes {
+    ZEROS.with(|z| {
+        let mut z = z.borrow_mut();
+        if z.len() < n {
+            *z = Bytes::from(vec![0u8; n.next_power_of_two()]);
+        }
+        z.slice(..n)
+    })
+}
+
 /// Exchange `bytes`-sized faces with two partners simultaneously
 /// (deadlock-free: receives posted first).
 fn exchange(mpi: &MpiHandle, tag: u32, partners: &[(usize, usize)], bytes: usize) {
     // partners: (send_to, recv_from) pairs.
-    let payload = Bytes::from(vec![0u8; bytes.max(1)]);
+    let payload = zeros(bytes.max(1));
     let mut reqs = Vec::with_capacity(partners.len() * 2);
     for &(_, from) in partners {
         reqs.push(mpi.irecv(Src::Rank(from), tag));
@@ -164,7 +188,7 @@ fn ft_iteration(k: &KernelCtx<'_>) {
     k.mpi.compute(k.compute_fraction(2.0 / 3.0));
     // Round-based personalized all-to-all: bounded memory, same wire
     // traffic as the collective.
-    let payload = Bytes::from(vec![0u8; block.max(1)]);
+    let payload = zeros(block.max(1));
     let rank = k.mpi.rank();
     for i in 1..n {
         let to = (rank + i) % n;
@@ -231,7 +255,7 @@ fn is_iteration(k: &KernelCtx<'_>) {
     let blocks: Vec<Bytes> = (0..n)
         .map(|dst| {
             let skew = 0.5 + ((rank * 7 + dst * 13) % 16) as f64 / 16.0;
-            Bytes::from(vec![0u8; ((avg_block as f64) * skew) as usize])
+            zeros(((avg_block as f64) * skew) as usize)
         })
         .collect();
     let got = k.mpi.alltoallv(blocks);
@@ -304,7 +328,7 @@ fn lu_sweep(
     let recv_w = grid.mesh_neighbor(0, -dir);
     let send_s = grid.mesh_neighbor(dir, 0);
     let send_e = grid.mesh_neighbor(0, dir);
-    let payload = Bytes::from(vec![0u8; plane_bytes.max(1)]);
+    let payload = zeros(plane_bytes.max(1));
     for _plane in 0..nz {
         if let Some(n) = recv_n {
             k.mpi.recv(Src::Rank(n), tag);
