@@ -23,7 +23,7 @@ use nmad::sampling::{split_sizes, LinkProfile};
 use nmad::sr::RecvReqId;
 use nmad::{NmConfig, NmWire, RailHealth, SendReqId, StrategyKind, WirePayload};
 use mpi_ch3::{run_threaded, ThreadedConfig};
-use simnet::event::{EventKind, EventQueue, HeapEventQueue};
+use simnet::event::{EventKind, EventQueue};
 use simnet::{BufOrigin, CopyMeter, NmBuf, SimDuration, SimTime};
 
 fn nem_queue(c: &mut Criterion) {
@@ -231,60 +231,20 @@ fn sampling(c: &mut Criterion) {
 fn event_queue(c: &mut Criterion) {
     let mut g = c.benchmark_group("simnet-events");
     g.throughput(Throughput::Elements(1));
-    g.bench_function("push-pop", |b| {
-        let mut q = EventQueue::new();
-        // Keep a standing population so the queue has realistic depth.
-        for i in 0..1000u64 {
-            q.push(SimTime(i * 10), EventKind::Call(Box::new(|_| {})));
-        }
-        let mut t = 10_000u64;
-        b.iter(|| {
-            q.push(SimTime(t), EventKind::Call(Box::new(|_| {})));
-            t += 7;
-            q.pop()
-        });
-    });
-    // The pre-calendar-queue baseline, same access pattern — the delta is
-    // the scheduler headline in BENCH_7.json.
-    g.bench_function("push-pop-heap-baseline", |b| {
-        let mut q = HeapEventQueue::new();
-        for i in 0..1000u64 {
-            q.push(SimTime(i * 10), EventKind::Call(Box::new(|_| {})));
-        }
-        let mut t = 10_000u64;
-        b.iter(|| {
-            q.push(SimTime(t), EventKind::Call(Box::new(|_| {})));
-            t += 7;
-            q.pop()
-        });
-    });
-    // Deep standing population (4096 events, the 4096-rank shape): where
-    // the bucketed layout pays off over the single binary heap.
-    for (name, deep) in [("push-pop-deep-4096", false), ("push-pop-deep-4096-heap", true)] {
+    // A standing population so the queue has realistic depth: 1000
+    // events, and 4096 (the 4096-rank shape).
+    for (name, population, step) in [("push-pop", 1000u64, 7), ("push-pop-deep-4096", 4096, 11)] {
         g.bench_function(name, |b| {
-            if deep {
-                let mut q = HeapEventQueue::new();
-                for i in 0..4096u64 {
-                    q.push(SimTime(i * 10), EventKind::Call(Box::new(|_| {})));
-                }
-                let mut t = 41_000u64;
-                b.iter(|| {
-                    q.push(SimTime(t), EventKind::Call(Box::new(|_| {})));
-                    t += 11;
-                    q.pop()
-                });
-            } else {
-                let mut q = EventQueue::new();
-                for i in 0..4096u64 {
-                    q.push(SimTime(i * 10), EventKind::Call(Box::new(|_| {})));
-                }
-                let mut t = 41_000u64;
-                b.iter(|| {
-                    q.push(SimTime(t), EventKind::Call(Box::new(|_| {})));
-                    t += 11;
-                    q.pop()
-                });
+            let mut q = EventQueue::new();
+            for i in 0..population {
+                q.push(SimTime(i * 10), EventKind::Call(Box::new(|_| {})));
             }
+            let mut t = population * 10;
+            b.iter(|| {
+                q.push(SimTime(t), EventKind::Call(Box::new(|_| {})));
+                t += step;
+                q.pop()
+            });
         });
     }
     g.finish();

@@ -1,6 +1,5 @@
 //! E19: the scaling curve — collective sweeps at 64 / 256 / 1024 / 4096
-//! ranks, plus a head-to-head of the old single-heap event queue against
-//! the calendar queue.
+//! ranks.
 //!
 //! For each rank count the job runs a barrier, a hierarchical allreduce
 //! and a Bruck alltoall, and reports wall-clock, dispatched events, rank
@@ -16,8 +15,7 @@ use std::time::Instant;
 
 use bytes::Bytes;
 use mpich2_nmad_repro::mpi_ch3::stack::{run_mpi_collect, StackConfig};
-use mpich2_nmad_repro::simnet::event::{EventKind, EventQueue, HeapEventQueue};
-use mpich2_nmad_repro::simnet::{Cluster, NicModel, Placement, SimTime};
+use mpich2_nmad_repro::simnet::{Cluster, NicModel, Placement};
 
 /// Peak resident set size in kilobytes, from /proc/self/status (0 when
 /// unavailable, e.g. non-Linux).
@@ -92,64 +90,12 @@ fn sweep(p: usize) -> SweepPoint {
     }
 }
 
-/// Queue throughput: a standing population of `pop` events, `total`
-/// push+pop pairs, mimicking the dispatch loop's access pattern (mostly
-/// near-future inserts, strictly ordered pops).
-fn queue_bench(total: u64, pop: u64) -> (f64, f64) {
-    fn run<Q>(mut push: impl FnMut(&mut Q, u64), mut popf: impl FnMut(&mut Q) -> u64, q: &mut Q, total: u64, popn: u64) -> f64 {
-        let mut lcg = 0x2545F4914F6CDD1Du64;
-        for i in 0..popn {
-            push(q, i * 37 % 5_000);
-        }
-        let t0 = Instant::now();
-        for _ in 0..total {
-            let now = popf(q);
-            lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            // Mostly near-horizon inserts with an occasional far event —
-            // the shape real runs produce (poll backoffs + retry timers).
-            let dt = if lcg >> 61 == 0 { 3_000_000 } else { lcg >> 50 };
-            push(q, now + dt + 1);
-        }
-        total as f64 / t0.elapsed().as_secs_f64()
-    }
-    let heap_eps = {
-        let mut q = HeapEventQueue::new();
-        run(
-            |q: &mut HeapEventQueue, t| {
-                q.push(SimTime(t), EventKind::Wake(mpich2_nmad_repro::simnet::RankId(0)));
-            },
-            |q: &mut HeapEventQueue| q.pop().map(|(t, _)| t.0).unwrap_or(0),
-            &mut q,
-            total,
-            pop,
-        )
-    };
-    let cal_eps = {
-        let mut q = EventQueue::new();
-        run(
-            |q: &mut EventQueue, t| {
-                q.push(SimTime(t), EventKind::Wake(mpich2_nmad_repro::simnet::RankId(0)));
-            },
-            |q: &mut EventQueue| q.pop().map(|(t, _)| t.0).unwrap_or(0),
-            &mut q,
-            total,
-            pop,
-        )
-    };
-    (heap_eps, cal_eps)
-}
-
 fn main() {
     let out_path = std::env::args().nth(1).unwrap_or_else(|| "BENCH_7.json".into());
     let rank_counts: Vec<usize> = std::env::args()
         .nth(2)
         .map(|s| s.split(',').map(|x| x.parse().unwrap()).collect())
         .unwrap_or_else(|| vec![64, 256, 1024, 4096]);
-
-    eprintln!("== E19 scheduler queue throughput (1M ops, standing population 4096) ==");
-    let (heap_eps, cal_eps) = queue_bench(1_000_000, 4096);
-    eprintln!("  heap     : {:>12.0} events/s", heap_eps);
-    eprintln!("  calendar : {:>12.0} events/s ({:.2}x)", cal_eps, cal_eps / heap_eps);
 
     let mut points = Vec::new();
     for &p in &rank_counts {
@@ -171,13 +117,6 @@ fn main() {
         if cfg!(debug_assertions) { "debug" } else { "release" }
     )
     .unwrap();
-    writeln!(json, "  \"scheduler_queue\": {{").unwrap();
-    writeln!(json, "    \"ops\": 1000000,").unwrap();
-    writeln!(json, "    \"standing_population\": 4096,").unwrap();
-    writeln!(json, "    \"heap_events_per_sec\": {:.0},", heap_eps).unwrap();
-    writeln!(json, "    \"calendar_events_per_sec\": {:.0},", cal_eps).unwrap();
-    writeln!(json, "    \"speedup\": {:.3}", cal_eps / heap_eps).unwrap();
-    writeln!(json, "  }},").unwrap();
     writeln!(json, "  \"collective_sweep\": [").unwrap();
     for (i, pt) in points.iter().enumerate() {
         writeln!(json, "    {{").unwrap();
