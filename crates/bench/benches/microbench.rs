@@ -8,6 +8,7 @@
 //! * the sampling split solver,
 //! * the wire checksum, hot in cache and cold from memory,
 //! * the DES event queue,
+//! * a PIOMan kick and the ltask pass it triggers,
 //! * a complete simulated ping-pong (events per second of the whole
 //!   stack).
 
@@ -250,6 +251,54 @@ fn event_queue(c: &mut Criterion) {
     g.finish();
 }
 
+/// One PIOMan kick and the ltask pass it triggers, over three ltasks, on
+/// the host: the pass's first ltask kicks again until `PASSES` passes have
+/// run, so a sample is a rank-less simulation of nothing but kick → pass
+/// cycles. The printed ns/iter is a whole sample; divide by `PASSES` (or
+/// read elem/s) for one cycle.
+fn piom_pass(c: &mut Criterion) {
+    use piom::{PiomConfig, PiomServer};
+    use simnet::{Scheduler, SimBuilder};
+    use std::sync::atomic::{AtomicU64, Ordering};
+    const PASSES: u64 = 1_000;
+    let mut g = c.benchmark_group("piom-pass");
+    g.throughput(Throughput::Elements(PASSES));
+    g.bench_function("kick-pass-3-ltasks-x1000", |b| {
+        b.iter_batched(
+            || {
+                let sim = SimBuilder::new().build();
+                let sched = sim.scheduler();
+                let server = PiomServer::new(PiomConfig::default(), Default::default(), &sched);
+                let left = AtomicU64::new(PASSES);
+                let weak = Arc::downgrade(&server);
+                server.register_fn(
+                    "rekick",
+                    Arc::new(move |s: &Scheduler| {
+                        if left.fetch_sub(1, Ordering::Relaxed) > 1 {
+                            if let Some(server) = weak.upgrade() {
+                                server.kick_net(s);
+                            }
+                        }
+                        None
+                    }),
+                );
+                for name in ["nemesis", "mpi"] {
+                    server.register_fn(name, Arc::new(|_: &Scheduler| None));
+                }
+                server.kick_net(&sched);
+                (sim, server)
+            },
+            |(sim, server)| {
+                let out = sim.run().expect("a rank-less run ends");
+                assert_eq!(out.events, PASSES);
+                server
+            },
+            BatchSize::SmallInput,
+        );
+    });
+    g.finish();
+}
+
 fn full_stack_pingpong(c: &mut Criterion) {
     use mpi_ch3::stack::{run_mpi, StackConfig};
     use mpi_ch3::{MpiHandle, Src};
@@ -425,6 +474,7 @@ criterion_group!(
     sampling,
     wire_checksum,
     event_queue,
+    piom_pass,
     full_stack_pingpong,
     copy_path,
     threaded_injection

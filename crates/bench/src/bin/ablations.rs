@@ -4,7 +4,7 @@
 //!    `aggreg` strategy (the submission-window idea of §2.2).
 //! 2. **Sampled split ratio** — large-transfer time with the sampled
 //!    equal-finish split vs a naive 50/50 on heterogeneous rails
-//!    (reference [4]'s contribution).
+//!    (reference \[4\]'s contribution).
 //! 3. **Eager/rendezvous threshold** — mid-size message latency across
 //!    threshold settings.
 //! 4. **PIOMan detection method** — rendezvous overlap quality with

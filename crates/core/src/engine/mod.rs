@@ -33,7 +33,7 @@
 //!
 //! (the membership stage fires its hook before its probes). A stage's
 //! packets wait in a staging buffer until the stage closes
-//! ([`Engine::end_stage`]): that puts them behind the stage's own spans
+//! (`Engine::end_stage`): that puts them behind the stage's own spans
 //! — the NIC records its transmit span the moment a packet is submitted —
 //! and it is the moment a control packet without a pinned rail gets one,
 //! from the health table as the stage left it.
@@ -85,6 +85,7 @@ use crate::railhealth::RailHealthTable;
 use crate::sampling::LinkProfile;
 use crate::sr::{CompletionKind, NmCompletion, RecvReqId, SendReqId};
 use crate::stats::NmStats;
+use crate::strategy::RailState;
 use crate::wire::{NmWire, WirePayload};
 
 /// One thing the engine wants done outside itself.
@@ -316,6 +317,10 @@ pub struct Engine {
     /// GC'd — agreement keys are epoch-exempt so the epoch filter can't
     /// cover them, and the set grows by one tiny entry per agreement.
     retired: BTreeSet<u64>,
+    /// The commit stage's rail snapshot, rebuilt in place on every commit
+    /// so the stage allocates nothing once it has run. Working space only:
+    /// no state survives a commit.
+    rails: Vec<RailState>,
     out: Out,
 }
 
@@ -362,6 +367,7 @@ impl Engine {
             revoked_epochs: BTreeSet::new(),
             revoked_events: VecDeque::new(),
             retired: BTreeSet::new(),
+            rails: Vec::with_capacity(profiles.len()),
             out: Out {
                 rec,
                 staged: Vec::new(),

@@ -149,14 +149,14 @@ impl Engine {
             return;
         }
         let health = self.health.as_ref();
-        let mut rails: Vec<RailState> = (self.profiles.iter().enumerate())
-            .map(|(i, &profile)| RailState {
-                idle: rail_idle(i),
-                profile,
-                health: health.map_or(RailHealth::Up, |h| h.state(i)),
-                weight: health.map_or(1.0, |h| h.weight(i, now)),
-            })
-            .collect();
+        let rails = &mut self.rails;
+        rails.clear();
+        rails.extend((self.profiles.iter().enumerate()).map(|(i, &profile)| RailState {
+            idle: rail_idle(i),
+            profile,
+            health: health.map_or(RailHealth::Up, |h| h.state(i)),
+            weight: health.map_or(1.0, |h| h.weight(i, now)),
+        }));
         // The strategies are stateless (boxing a unit struct allocates
         // nothing), so the one the configuration names is resolved here.
         let mut strategy = strategy::make(self.cfg.strategy);
@@ -164,7 +164,7 @@ impl Engine {
             if gate.window.is_empty() {
                 continue;
             }
-            let subs = strategy.try_and_commit(&self.cfg, &mut gate.window, &mut rails);
+            let subs = strategy.try_and_commit(&self.cfg, &mut gate.window, rails);
             for sub in subs {
                 let retry = self.cfg.retry;
                 let packet =

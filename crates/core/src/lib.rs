@@ -2,7 +2,7 @@
 //!
 //! This crate is the paper's primary contribution: a reimplementation of the
 //! NewMadeleine communication library (Aumage, Brunet, Furmento, Namyst —
-//! the paper's reference [3]) as integrated into MPICH2.
+//! the paper's reference \[3\]) as integrated into MPICH2.
 //!
 //! NewMadeleine's defining idea (§2.2): *"it works with the network's
 //! activity. When a network is already fulfilled with communication
@@ -22,7 +22,7 @@
 //! * The multirail split ratio comes from **network sampling** ([`sampling`]):
 //!   each rail's latency/bandwidth profile is measured at startup and chunk
 //!   sizes are solved so all rails finish together (the paper's reference
-//!   [4]).
+//!   \[4\]).
 //! * Tag matching — posted-receive and unexpected queues — lives *inside*
 //!   the library ([`matching`]), which is exactly why the MPICH2 integration
 //!   bypasses CH3's own matching for inter-node traffic (§3.1.3).

@@ -17,7 +17,7 @@
 //! ```
 //!
 //! * **Up** — full scheduling weight (ramped after a recovery, see
-//!   [`RAMP`]).
+//!   `RAMP`, 1 ms).
 //! * **Suspect** — still scheduled (the hysteresis absorbs misattributed
 //!   timeouts: a multi-rail rendezvous cannot always name the guilty rail),
 //!   one more failure streak away from demotion.
@@ -300,7 +300,7 @@ impl RailHealthTable {
 
     /// Scheduling weight of `rail` at `now`: 0 for `Down`/`Probing`, full
     /// for `Suspect` and established `Up`, ramping 0.25 → 1.0 over
-    /// [`RAMP`] after a re-admission.
+    /// `RAMP` (1 ms) after a re-admission.
     pub fn weight(&self, rail: usize, now: SimTime) -> f64 {
         let Some(cell) = self.cells.get(rail) else {
             return 1.0;

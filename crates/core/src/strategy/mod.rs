@@ -30,7 +30,7 @@ use std::collections::VecDeque;
 use crate::config::{NmConfig, StrategyKind};
 use crate::pack::PacketWrapper;
 use crate::railhealth::RailHealth;
-use crate::sampling::{fastest_rail, LinkProfile};
+use crate::sampling::LinkProfile;
 
 /// Momentary state of one rail as the strategy sees it. The strategy marks
 /// rails busy as it assigns packets so a single pass over several gates
@@ -56,41 +56,25 @@ impl RailState {
 }
 
 /// Rails a strategy may split payload across: idle, usable, weighted.
-pub(crate) fn schedulable_rails(rails: &[RailState]) -> Vec<usize> {
-    (0..rails.len()).filter(|&i| rails[i].schedulable()).collect()
+pub(crate) fn schedulable_rails(rails: &[RailState]) -> impl Iterator<Item = usize> + '_ {
+    (0..rails.len()).filter(|&i| rails[i].schedulable())
 }
 
 /// Single-rail choice with a progress guarantee: the fastest idle `Up`
 /// rail, else the fastest idle still-usable (`Suspect`) one, else the
 /// fastest idle rail of any state — with every rail unhealthy the traffic
 /// still goes out (the retry layer owns recovery; stalling here would turn
-/// a degraded fabric into a livelock).
+/// a degraded fabric into a livelock). Ties go to the lowest index.
 pub(crate) fn pick_single_rail(rails: &[RailState], bytes: usize) -> Option<usize> {
-    let idle: Vec<usize> = (0..rails.len()).filter(|&i| rails[i].idle).collect();
-    if idle.is_empty() {
-        return None;
-    }
-    let up: Vec<usize> = idle
-        .iter()
-        .copied()
-        .filter(|&i| rails[i].health == RailHealth::Up && rails[i].weight > 0.0)
-        .collect();
-    let cand = if !up.is_empty() {
-        up
-    } else {
-        let usable: Vec<usize> = idle
-            .iter()
-            .copied()
-            .filter(|&i| rails[i].health.usable())
-            .collect();
-        if !usable.is_empty() {
-            usable
-        } else {
-            idle
-        }
+    let tier = |r: &RailState| match r.health {
+        RailHealth::Up if r.weight > 0.0 => 0,
+        h if h.usable() => 1,
+        _ => 2,
     };
-    let profiles: Vec<LinkProfile> = cand.iter().map(|&i| rails[i].profile).collect();
-    Some(cand[fastest_rail(bytes, &profiles)])
+    // `min_by_key` keeps the first of equal keys.
+    (0..rails.len())
+        .filter(|&i| rails[i].idle)
+        .min_by_key(|&i| (tier(&rails[i]), rails[i].profile.predict(bytes)))
 }
 
 /// Lowest-index schedulable rail, falling back to the lowest-index idle
@@ -228,6 +212,84 @@ pub(crate) mod testutil {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    use crate::sampling::fastest_rail;
+    use proptest::prelude::{any, prop_assert_eq, prop_oneof, proptest, Just};
+    use proptest::strategy::Strategy as _;
+    use simnet::SimDuration;
+
+    /// The rail choice as it was before it stopped collecting: each
+    /// health tier gathered into a `Vec`, then `fastest_rail` over the
+    /// first non-empty one. Kept as the oracle of the fold above.
+    fn pick_single_rail_oracle(rails: &[RailState], bytes: usize) -> Option<usize> {
+        let idle: Vec<usize> = (0..rails.len()).filter(|&i| rails[i].idle).collect();
+        if idle.is_empty() {
+            return None;
+        }
+        let up: Vec<usize> = idle
+            .iter()
+            .copied()
+            .filter(|&i| rails[i].health == RailHealth::Up && rails[i].weight > 0.0)
+            .collect();
+        let cand = if !up.is_empty() {
+            up
+        } else {
+            let usable: Vec<usize> = idle
+                .iter()
+                .copied()
+                .filter(|&i| rails[i].health.usable())
+                .collect();
+            if !usable.is_empty() {
+                usable
+            } else {
+                idle
+            }
+        };
+        let profiles: Vec<LinkProfile> = cand.iter().map(|&i| rails[i].profile).collect();
+        Some(cand[fastest_rail(bytes, &profiles)])
+    }
+
+    /// One rail drawn from a small alphabet of profiles, so that equal
+    /// `predict` times (ties) are common.
+    fn rail_state() -> impl proptest::strategy::Strategy<Value = RailState> {
+        let health = prop_oneof![
+            Just(RailHealth::Up),
+            Just(RailHealth::Suspect),
+            Just(RailHealth::Down),
+            Just(RailHealth::Probing),
+        ];
+        (any::<bool>(), health, 0u8..3, 0u8..3, 0u8..3).prop_map(|(idle, health, w, lat, bw)| {
+            RailState {
+                idle,
+                health,
+                weight: [0.0, 0.5, 1.0][w as usize],
+                profile: LinkProfile {
+                    latency: SimDuration::nanos(1_000 + 500 * lat as u64),
+                    bandwidth_bps: [500.0, 1000.0, 1250.0][bw as usize] * 1024.0 * 1024.0,
+                },
+            }
+        })
+    }
+
+    proptest! {
+        // A case is a handful of comparisons; enough of them that ties
+        // between idle rails of one tier, and zero-weight `Up` rails
+        // faster than every weighted one, both come up.
+        #![proptest_config(proptest::test_runner::ProptestConfig {
+            cases: 2_048,
+            ..proptest::test_runner::ProptestConfig::default()
+        })]
+        #[test]
+        fn pick_single_rail_matches_the_collecting_oracle(
+            rails in proptest::collection::vec(rail_state(), 1..5),
+            bytes in prop_oneof![Just(0usize), 1usize..64, 1usize..(1 << 22)],
+        ) {
+            prop_assert_eq!(
+                pick_single_rail(&rails, bytes),
+                pick_single_rail_oracle(&rails, bytes)
+            );
+        }
+    }
 
     #[test]
     fn factory_builds_each_kind() {

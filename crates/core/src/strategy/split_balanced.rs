@@ -61,9 +61,11 @@ impl Strategy for StratSplitBalanced {
             // Splits go over healthy rails only: Down/Probing rails get
             // zero bytes, a ramping (recently re-admitted) rail gets a
             // weight-shrunk share.
-            let usable = schedulable_rails(rails);
-            if front.can_split() && front.len() >= MULTIRAIL_THRESHOLD && usable.len() > 1 {
-                // Large rendezvous data: split across every usable idle rail.
+            let splittable = front.can_split() && front.len() >= MULTIRAIL_THRESHOLD;
+            if splittable && schedulable_rails(rails).nth(1).is_some() {
+                // Large rendezvous data: split across every usable idle
+                // rail, listed only here, where the chunk plan is built.
+                let usable: Vec<usize> = schedulable_rails(rails).collect();
                 let pw = pending.pop_front().unwrap();
                 let profiles: Vec<LinkProfile> =
                     usable.iter().map(|&i| rails[i].profile).collect();

@@ -46,8 +46,9 @@ impl Strategy for StratSplitEqual {
             };
             // Same survivor filtering as split_balanced so the ablation
             // isolates the ratio choice, not the failover behaviour.
-            let usable = schedulable_rails(rails);
-            if front.can_split() && front.len() >= MULTIRAIL_THRESHOLD && usable.len() > 1 {
+            let splittable = front.can_split() && front.len() >= MULTIRAIL_THRESHOLD;
+            if splittable && schedulable_rails(rails).nth(1).is_some() {
+                let usable: Vec<usize> = schedulable_rails(rails).collect();
                 let pw = pending.pop_front().unwrap();
                 let (rdv_id, base) = match pw.body {
                     PwBody::Data { rdv_id, offset } => (rdv_id, offset),

@@ -213,7 +213,7 @@ pub fn alltoallv(mpi: &MpiHandle, blocks: Vec<Bytes>) -> Vec<Bytes> {
 /// *inconsistent* outcomes — members that heard the poison see the corpse,
 /// members whose exchanges all predated the verdict do not. The verdict is
 /// therefore decided by a fault-tolerant agreement round
-/// ([`crate::comm::agree_group`]) seeded with each member's local
+/// (`comm::agree_group`) seeded with each member's local
 /// observation: **all surviving members return the same result** — `Ok` if
 /// the agreed-dead set is empty, `Err(PeerDead)` naming the lowest agreed
 /// corpse otherwise.

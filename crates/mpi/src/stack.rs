@@ -507,9 +507,9 @@ pub fn run_mpi(
         } else {
             (None, Some(cfg.shm_model))
         };
-        let piom_server = cfg
-            .pioman
-            .map(|p| PiomServer::new(p, obs::RankRec::new(recorder.as_ref(), r as u32)));
+        let piom_server = cfg.pioman.map(|p| {
+            PiomServer::new(p, obs::RankRec::new(recorder.as_ref(), r as u32), &sched)
+        });
         let state = ProcState::new(
             r,
             nranks,

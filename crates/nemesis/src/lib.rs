@@ -1,7 +1,7 @@
 //! # nemesis — intra-node communication subsystem
 //!
 //! A reimplementation of the MPICH2 *Nemesis* communication channel
-//! (Buntinas, Mercier, Gropp — the paper's reference [5]) to the level of
+//! (Buntinas, Mercier, Gropp — the paper's reference \[5\]) to the level of
 //! detail the NewMadeleine integration paper depends on:
 //!
 //! * **Fixed-size message cells** held in a per-node arena ([`cell`]).

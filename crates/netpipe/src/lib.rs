@@ -1,7 +1,7 @@
 //! # netpipe — the measurement harness of §4.1
 //!
 //! A reimplementation of the Netpipe test program (Snell, Mikler,
-//! Gustafson — the paper's reference [14]): for each message size on a
+//! Gustafson — the paper's reference \[14\]): for each message size on a
 //! power-of-two ladder, measure a ping-pong round trip and report one-way
 //! latency and bandwidth.
 //!

@@ -1,7 +1,7 @@
 //! # piom — the PIOMan I/O event manager
 //!
 //! A reimplementation of PIOMan (Trahay, Denis, Aumage, Namyst — the paper's
-//! reference [15]): "an event detection service that guarantees a predefined
+//! reference \[15\]): "an event detection service that guarantees a predefined
 //! level of reactivity … the most appropriate detection method (polling or
 //! interrupt-based blocking call) is called depending on the context".
 //!

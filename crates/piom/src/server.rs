@@ -25,10 +25,10 @@
 //!   fixed-cadence supervisor keeps a timer of its own.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use parking_lot::Mutex;
-use simnet::{Scheduler, SimDuration, SimTime};
+use simnet::{HandlerId, Scheduler, SimDuration, SimTime};
 
 use crate::ltask::{LTask, LTaskFn};
 
@@ -82,7 +82,11 @@ struct TimedPass {
 /// The per-process progress server.
 pub struct PiomServer {
     cfg: PiomConfig,
-    ltasks: Mutex<Vec<LTask>>,
+    /// The registered ltasks, copied on write: [`PiomServer::register`]
+    /// swaps in a longer table, and a pass runs the table it took with one
+    /// refcount, so an ltask may register another mid-pass (it runs from
+    /// the next pass on) and a pass allocates nothing.
+    ltasks: Mutex<Arc<[LTask]>>,
     stopped: AtomicBool,
     timer_running: AtomicBool,
     /// An ltask pass is scheduled but has not run yet (idle-core mode).
@@ -98,23 +102,43 @@ pub struct PiomServer {
     timed: Mutex<TimedPass>,
     /// Timed passes that fired live: ltask passes with no kick behind them.
     rekicks: AtomicU64,
+    /// The idle-core kick pass: a standing handler on the scheduler the
+    /// server was built with, holding the server weakly (the simulator
+    /// keeps it for the whole run and must not keep the server alive).
+    kick_pass: HandlerId,
     /// Observability handle the server stamps its events with (kicks,
     /// ltask passes, re-kicks); `RankRec::off()` when untraced.
     rec: obs::RankRec,
 }
 
 impl PiomServer {
-    pub fn new(cfg: PiomConfig, rec: obs::RankRec) -> Arc<PiomServer> {
-        Arc::new(PiomServer {
-            cfg,
-            ltasks: Mutex::new(Vec::new()),
-            stopped: AtomicBool::new(false),
-            timer_running: AtomicBool::new(false),
-            pass_pending: AtomicBool::new(false),
-            kicks: AtomicU64::new(0),
-            timed: Mutex::default(),
-            rekicks: AtomicU64::new(0),
-            rec,
+    /// A server whose kicks are served on `sched`'s simulation. Build it
+    /// from setup or rank code: it registers its kick pass with
+    /// [`Scheduler::register_handler`].
+    pub fn new(cfg: PiomConfig, rec: obs::RankRec, sched: &Scheduler) -> Arc<PiomServer> {
+        Arc::new_cyclic(|server: &Weak<PiomServer>| {
+            let server = Weak::clone(server);
+            let kick_pass = sched.register_handler(move |s| {
+                if let Some(server) = server.upgrade() {
+                    // Clear before running: kicks raised *by* this pass
+                    // (completions cascading into new submissions) must
+                    // schedule a fresh pass rather than be swallowed.
+                    server.pass_pending.store(false, Ordering::Release);
+                    server.run_ltasks(s);
+                }
+            });
+            PiomServer {
+                cfg,
+                ltasks: Mutex::new(Arc::new([])),
+                stopped: AtomicBool::new(false),
+                timer_running: AtomicBool::new(false),
+                pass_pending: AtomicBool::new(false),
+                kicks: AtomicU64::new(0),
+                timed: Mutex::default(),
+                rekicks: AtomicU64::new(0),
+                kick_pass,
+                rec,
+            }
         })
     }
 
@@ -124,7 +148,8 @@ impl PiomServer {
 
     /// Register a progress task. Tasks run in registration order.
     pub fn register(&self, task: LTask) {
-        self.ltasks.lock().push(task);
+        let mut tasks = self.ltasks.lock();
+        *tasks = tasks.iter().cloned().chain([task]).collect();
     }
 
     /// Convenience: register a closure as an ltask.
@@ -151,8 +176,9 @@ impl PiomServer {
         if self.stopped.load(Ordering::Acquire) {
             return;
         }
-        // Clone out so ltasks may register further ltasks without deadlock.
-        let tasks: Vec<LTask> = self.ltasks.lock().clone();
+        // Take the table out so ltasks may register further ltasks
+        // without deadlock.
+        let tasks = Arc::clone(&self.ltasks.lock());
         self.rec.engine(
             sched.now().0,
             obs::EngineEvent::PiomLtaskPass {
@@ -235,14 +261,7 @@ impl PiomServer {
                 if self.pass_pending.swap(true, Ordering::AcqRel) {
                     return;
                 }
-                let server = Arc::clone(self);
-                sched.schedule_in(sync, move |s| {
-                    // Clear before running: kicks raised *by* this pass
-                    // (completions cascading into new submissions) must
-                    // schedule a fresh pass rather than be swallowed.
-                    server.pass_pending.store(false, Ordering::Release);
-                    server.run_ltasks(s);
-                });
+                sched.schedule_handler_in(sync, self.kick_pass);
             }
             DetectionMethod::TimerDriven(_) => {
                 // The periodic tick will pick the event up.
@@ -309,7 +328,7 @@ mod tests {
     fn net_kick_reacts_after_sync_cost() {
         let sim = SimBuilder::new().build();
         let sched = sim.scheduler();
-        let server = PiomServer::new(PiomConfig::default(), obs::RankRec::off());
+        let server = PiomServer::new(PiomConfig::default(), obs::RankRec::off(), &sched);
         let log = Arc::new(PlMutex::new(Vec::new()));
         server.register_fn("count", counter_task(&log));
         let s2 = Arc::clone(&server);
@@ -323,7 +342,7 @@ mod tests {
     fn shm_kick_uses_cheaper_sync() {
         let sim = SimBuilder::new().build();
         let sched = sim.scheduler();
-        let server = PiomServer::new(PiomConfig::default(), obs::RankRec::off());
+        let server = PiomServer::new(PiomConfig::default(), obs::RankRec::off(), &sched);
         let log = Arc::new(PlMutex::new(Vec::new()));
         server.register_fn("count", counter_task(&log));
         let s2 = Arc::clone(&server);
@@ -336,7 +355,7 @@ mod tests {
     fn all_ltasks_run_in_order() {
         let sim = SimBuilder::new().build();
         let sched = sim.scheduler();
-        let server = PiomServer::new(PiomConfig::default(), obs::RankRec::off());
+        let server = PiomServer::new(PiomConfig::default(), obs::RankRec::off(), &sched);
         let order = Arc::new(PlMutex::new(Vec::new()));
         for name in ["a", "b", "c"] {
             let order = Arc::clone(&order);
@@ -362,6 +381,7 @@ mod tests {
                 ..Default::default()
             },
             obs::RankRec::off(),
+            &sched,
         );
         let log = Arc::new(PlMutex::new(Vec::new()));
         server.register_fn("count", counter_task(&log));
@@ -382,7 +402,7 @@ mod tests {
     fn stop_halts_timer_and_kicks() {
         let sim = SimBuilder::new().build();
         let sched = sim.scheduler();
-        let server = PiomServer::new(PiomConfig::default(), obs::RankRec::off());
+        let server = PiomServer::new(PiomConfig::default(), obs::RankRec::off(), &sched);
         let log = Arc::new(PlMutex::new(Vec::new()));
         server.register_fn("count", counter_task(&log));
         server.stop();
@@ -396,7 +416,7 @@ mod tests {
     fn a_deadline_gets_exactly_one_timed_pass_at_it() {
         let sim = SimBuilder::new().build();
         let sched = sim.scheduler();
-        let server = PiomServer::new(PiomConfig::default(), obs::RankRec::off());
+        let server = PiomServer::new(PiomConfig::default(), obs::RankRec::off(), &sched);
         let log = Arc::new(PlMutex::new(Vec::new()));
         // The kicked pass at 3 us asks for 50 us; nothing kicks again (all
         // packets "lost"), so only the timed pass can run the ltasks.
@@ -411,7 +431,7 @@ mod tests {
     fn a_later_deadline_keeps_the_live_pass_an_earlier_one_supersedes_it() {
         let sim = SimBuilder::new().build();
         let sched = sim.scheduler();
-        let server = PiomServer::new(PiomConfig::default(), obs::RankRec::off());
+        let server = PiomServer::new(PiomConfig::default(), obs::RankRec::off(), &sched);
         let log = Arc::new(PlMutex::new(Vec::new()));
         server.register_fn(
             "t",
@@ -439,7 +459,7 @@ mod tests {
     fn no_deadline_arms_nothing_and_kicks_still_coalesce() {
         let sim = SimBuilder::new().build();
         let sched = sim.scheduler();
-        let server = PiomServer::new(PiomConfig::default(), obs::RankRec::off());
+        let server = PiomServer::new(PiomConfig::default(), obs::RankRec::off(), &sched);
         let log = Arc::new(PlMutex::new(Vec::new()));
         server.register_fn("count", counter_task(&log));
         server.arm_pass(&sched, None);
@@ -459,7 +479,7 @@ mod tests {
     fn a_stopped_servers_fired_pass_runs_nothing() {
         let sim = SimBuilder::new().build();
         let sched = sim.scheduler();
-        let server = PiomServer::new(PiomConfig::default(), obs::RankRec::off());
+        let server = PiomServer::new(PiomConfig::default(), obs::RankRec::off(), &sched);
         let log = Arc::new(PlMutex::new(Vec::new()));
         server.register_fn("count", counter_task(&log));
         server.arm_pass(&sched, Some(SimTime(50_000)));
@@ -474,7 +494,7 @@ mod tests {
     fn ltask_may_register_ltask_without_deadlock() {
         let sim = SimBuilder::new().build();
         let sched = sim.scheduler();
-        let server = PiomServer::new(PiomConfig::default(), obs::RankRec::off());
+        let server = PiomServer::new(PiomConfig::default(), obs::RankRec::off(), &sched);
         let s2 = Arc::clone(&server);
         let hit = Arc::new(PlMutex::new(false));
         let h2 = Arc::clone(&hit);

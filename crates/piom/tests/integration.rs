@@ -11,7 +11,8 @@ use simnet::{SimBuilder, SimDuration, SimSemaphore, SimTime};
 #[test]
 fn blocked_rank_wakes_via_ltask() {
     let mut sim = SimBuilder::new().build();
-    let server = PiomServer::new(PiomConfig::default(), obs::RankRec::off());
+    let sched = sim.scheduler();
+    let server = PiomServer::new(PiomConfig::default(), obs::RankRec::off(), &sched);
     let sem = SimSemaphore::new("wait");
     let sem2 = sem.clone();
     server.register_fn(
@@ -27,7 +28,6 @@ fn blocked_rank_wakes_via_ltask() {
         sem.wait(&ctx);
         *w2.lock() = ctx.now();
     });
-    let sched = sim.scheduler();
     let sv = Arc::clone(&server);
     sched.schedule_at(SimTime(5_000), move |s| sv.kick_net(s));
     sim.run().unwrap();
@@ -38,7 +38,8 @@ fn blocked_rank_wakes_via_ltask() {
 #[test]
 fn kicks_fan_out_to_all_ltasks() {
     let sim = SimBuilder::new().build();
-    let server = PiomServer::new(PiomConfig::default(), obs::RankRec::off());
+    let sched = sim.scheduler();
+    let server = PiomServer::new(PiomConfig::default(), obs::RankRec::off(), &sched);
     let counts: Arc<Mutex<Vec<u32>>> = Arc::new(Mutex::new(vec![0; 3]));
     let tasks: Vec<LTask> = (0..3)
         .map(|i| {
@@ -55,7 +56,6 @@ fn kicks_fan_out_to_all_ltasks() {
     for t in &tasks {
         server.register(t.clone());
     }
-    let sched = sim.scheduler();
     for k in 0..4u64 {
         let sv = Arc::clone(&server);
         sched.schedule_at(SimTime(k * 1_000), move |s| sv.kick_shm(s));
@@ -72,12 +72,14 @@ fn kicks_fan_out_to_all_ltasks() {
 fn detection_method_controls_reaction_latency() {
     let reaction = |method: DetectionMethod| -> u64 {
         let sim = SimBuilder::new().build();
+        let sched = sim.scheduler();
         let server = PiomServer::new(
             PiomConfig {
                 method,
                 ..PiomConfig::default()
             },
             obs::RankRec::off(),
+            &sched,
         );
         let reacted = Arc::new(Mutex::new(None));
         let r2 = Arc::clone(&reacted);
@@ -91,7 +93,6 @@ fn detection_method_controls_reaction_latency() {
                 None
             }),
         );
-        let sched = sim.scheduler();
         server.start(&sched);
         let sv = Arc::clone(&server);
         // The "event" fires at 3µs.

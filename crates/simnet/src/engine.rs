@@ -39,6 +39,13 @@
 //!   `(time, seq)`. Debug builds call an elided tick's body anyway and
 //!   assert that it says `Idle`. With the queue empty and only clean
 //!   ticks left, nothing can change again: the run ends in deadlock.
+//! * **Standing handlers.** A callback that fires again and again (PIOMan's
+//!   kick pass) is registered once with [`Scheduler::register_handler`]
+//!   and kept in the loop's state, like a poll body; scheduling it pushes
+//!   a `Wake` whose id carries `HANDLER_BIT`, so nothing is boxed per
+//!   event and the queue entry stays 32 bytes. It dispatches exactly like
+//!   a `Call`: in `(time, seq)` order, counted as one and recorded as
+//!   `DispatchCall`.
 //! * A rank runs its own code only between a grant (or a `Resume`) and its
 //!   next park. Every blocking operation in rank code bottoms out in
 //!   `RankCtx::park`, which dispatches and then either keeps the token or
@@ -95,6 +102,18 @@ impl std::fmt::Display for RankId {
         write!(f, "rank{}", self.0)
     }
 }
+
+/// Set in a `Wake`'s id when it names a standing handler, not a rank: rank
+/// ids are dense from 0 and never reach it.
+pub(crate) const HANDLER_BIT: usize = 1 << (usize::BITS - 1);
+
+/// A callback registered once with [`Scheduler::register_handler`] and
+/// scheduled by id as often as needed.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct HandlerId(usize);
+
+/// A standing handler's body.
+type HandlerFn = Box<dyn FnMut(&Scheduler) + Send>;
 
 /// Sentinel payload used to unwind parked rank contexts silently when the
 /// simulation is torn down early (deadlock/error paths).
@@ -168,6 +187,8 @@ struct Dispatch {
     /// The next tick of every clean poller, keyed by the `(time, seq)` it
     /// would hold in the queue (see the clean rule above).
     clean: BinaryHeap<Reverse<(SimTime, u64, RankId)>>,
+    /// Standing handlers, indexed by [`HandlerId`].
+    handlers: Vec<HandlerFn>,
     dispatched: u64,
     wakes: u64,
     polls: u64,
@@ -268,6 +289,12 @@ impl SimCore {
                     self.rec.engine(t.0, obs::EngineEvent::DispatchCall);
                     self.requeue_clean(d);
                     f(sched);
+                    continue;
+                }
+                EventKind::Wake(id) if id.0 & HANDLER_BIT != 0 => {
+                    self.rec.engine(t.0, obs::EngineEvent::DispatchCall);
+                    self.requeue_clean(d);
+                    (d.handlers[id.0 & !HANDLER_BIT])(sched);
                     continue;
                 }
                 EventKind::Wake(rank) => rank,
@@ -520,6 +547,32 @@ impl Scheduler {
             .push(t, EventKind::Call(Box::new(f)));
     }
 
+    /// Keep `f` in the dispatch loop for the rest of the run, to be
+    /// scheduled by the returned id with [`Scheduler::schedule_handler_in`]
+    /// as often as needed: one allocation now, none per event. `f` runs
+    /// the way a `Call` does. Register from setup code or rank code.
+    ///
+    /// # Panics
+    /// Panics if called while the dispatch loop runs, i.e. from inside an
+    /// event callback, a standing handler or a poll body.
+    pub fn register_handler(&self, f: impl FnMut(&Scheduler) + Send + 'static) -> HandlerId {
+        let mut d = self.core.dispatch.try_lock().expect(
+            "register_handler called from inside the dispatch loop; \
+             register standing handlers before the run or from rank code",
+        );
+        d.handlers.push(Box::new(f));
+        HandlerId(d.handlers.len() - 1)
+    }
+
+    /// Schedule standing handler `id` to run after `d` has elapsed.
+    pub fn schedule_handler_in(&self, d: SimDuration, id: HandlerId) {
+        let t = self.now() + d;
+        self.core
+            .queue
+            .lock()
+            .push(t, EventKind::Wake(RankId(id.0 | HANDLER_BIT)));
+    }
+
     /// Schedule a token handoff to `rank` at absolute time `t`.
     pub fn wake_rank_at(&self, t: SimTime, rank: RankId) {
         assert!(
@@ -597,6 +650,7 @@ impl SimBuilder {
                 running: None,
                 done: 0,
                 clean: BinaryHeap::new(),
+                handlers: Vec::new(),
                 dispatched: 0,
                 wakes: 0,
                 polls: 0,
@@ -624,7 +678,8 @@ pub struct SimOutcome {
     pub final_time: SimTime,
     /// Total number of events dispatched:
     /// `events == calls + wakes + polls`, where `calls` are the closure
-    /// dispatches, run inline by whichever context holds the token.
+    /// and standing-handler dispatches, run inline by whichever context
+    /// holds the token.
     pub events: u64,
     /// Wake events that resumed a rank: the rank's own code ran again.
     /// Whether that cost a context switch is counted in `switches`.
@@ -800,8 +855,8 @@ impl Sim {
     }
 
     /// Resume every rank context once more, so that each leaves for good,
-    /// and unmap its stack; then drop what the queue and the pollers
-    /// still hold.
+    /// and unmap its stack; then drop what the queue, the pollers and the
+    /// standing handlers still hold.
     fn teardown(&mut self) {
         self.core.torn_down.store(true, Ordering::Relaxed);
         for fiber in self.fibers.drain(..) {
@@ -812,13 +867,14 @@ impl Sim {
             // body: `park` unwinds through TornDown, `run_rank` returns.
             unsafe { fiber.close(&self.core.main) };
         }
-        // Pending events and armed poll bodies may hold `Scheduler`s, and
-        // with them the core itself.
+        // Pending events, armed poll bodies and standing handlers may hold
+        // `Scheduler`s, and with them the core itself.
         let events = std::mem::take(&mut *self.core.queue.lock());
-        let polls: Vec<_> = (self.core.dispatch.lock().ranks.iter_mut())
-            .filter_map(|r| r.poll.take())
-            .collect();
-        drop((events, polls));
+        let mut d = self.core.dispatch.lock();
+        let polls: Vec<_> = (d.ranks.iter_mut()).filter_map(|r| r.poll.take()).collect();
+        let handlers = std::mem::take(&mut d.handlers);
+        drop(d);
+        drop((events, polls, handlers));
     }
 }
 
@@ -1402,6 +1458,113 @@ mod tests {
         }
     }
 
+    type Log = Arc<Mutex<Vec<&'static str>>>;
+
+    /// Two ranks at 0 each schedule, for 1 µs, a `Call` and the standing
+    /// handler `H` (in opposite orders), then park until 1 µs. With
+    /// `handler` false a `Call` logging "H" takes the handler's place.
+    /// Returns the log, the outcome and the `DispatchCall`s recorded.
+    fn same_instant_mix(handler: bool) -> (Vec<&'static str>, SimOutcome, usize) {
+        let rec = obs::Recorder::new(obs::ObsConfig {
+            spans: true,
+            ..Default::default()
+        });
+        let mut sim = SimBuilder::new().with_recorder(&rec).build();
+        let log: Log = Arc::default();
+        let l = Arc::clone(&log);
+        let h = sim
+            .scheduler()
+            .register_handler(move |_| l.lock().push("H"));
+        let at = SimDuration::micros(1);
+        let schedule_h = move |s: &Scheduler, log: &Log| {
+            if handler {
+                s.schedule_handler_in(at, h);
+            } else {
+                let l = Arc::clone(log);
+                s.schedule_in(at, move |_| l.lock().push("H"));
+            }
+        };
+        let call = move |s: &Scheduler, log: &Log, what: &'static str| {
+            let l = Arc::clone(log);
+            s.schedule_in(at, move |_| l.lock().push(what));
+        };
+        let l = Arc::clone(&log);
+        sim.spawn_rank("r0", move |ctx| {
+            call(&ctx.scheduler(), &l, "A");
+            schedule_h(&ctx.scheduler(), &l);
+            ctx.advance(at);
+            l.lock().push("r0");
+        });
+        let l = Arc::clone(&log);
+        sim.spawn_rank("r1", move |ctx| {
+            schedule_h(&ctx.scheduler(), &l);
+            call(&ctx.scheduler(), &l, "B");
+            ctx.advance(at);
+            l.lock().push("r1");
+        });
+        let out = sim.run().unwrap();
+        let calls = (rec.events().iter())
+            .filter(|e| {
+                matches!(
+                    e.scope,
+                    obs::Scope::Engine {
+                        ev: obs::EngineEvent::DispatchCall
+                    }
+                )
+            })
+            .count();
+        let order = log.lock().clone();
+        (order, out, calls)
+    }
+
+    #[test]
+    fn a_standing_handler_dispatches_like_a_call() {
+        let (order, out, calls) = same_instant_mix(true);
+        assert_eq!(order, ["A", "H", "r0", "H", "B", "r1"], "(time, seq) order");
+        let (boxed_order, boxed, boxed_calls) = same_instant_mix(false);
+        assert_eq!(order, boxed_order);
+        assert_eq!(
+            counts(&out),
+            counts(&boxed),
+            "counted in events as a call is"
+        );
+        assert_eq!(calls, boxed_calls);
+        assert_eq!(calls, 4, "A, B and two handler runs are DispatchCalls");
+    }
+
+    #[test]
+    fn a_handler_scheduled_twice_runs_twice() {
+        let mut sim = SimBuilder::new().build();
+        let runs = Arc::new(Mutex::new(Vec::new()));
+        let r = Arc::clone(&runs);
+        sim.spawn_rank("registrar", move |ctx| {
+            let sched = ctx.scheduler();
+            let h = sched.register_handler(move |s| r.lock().push(s.now()));
+            sched.schedule_handler_in(SimDuration::nanos(500), h);
+            sched.schedule_handler_in(SimDuration::nanos(500), h);
+            ctx.advance(SimDuration::micros(1));
+            sched.schedule_handler_in(SimDuration::ZERO, h);
+            ctx.yield_now();
+        });
+        sim.run().unwrap();
+        assert_eq!(*runs.lock(), [SimTime(500), SimTime(500), SimTime(1_000)]);
+    }
+
+    #[test]
+    fn registering_a_handler_inside_the_loop_panics_instead_of_deadlocking() {
+        let sim = SimBuilder::new().build();
+        sim.scheduler().schedule_at(SimTime::ZERO, |s| {
+            s.register_handler(|_| {});
+        });
+        let payload = panic::catch_unwind(AssertUnwindSafe(|| sim.run()))
+            .expect_err("the registration's panic reaches the caller");
+        assert!(
+            panic_message(&*payload).starts_with("register_handler called from inside"),
+            "{}",
+            panic_message(&*payload)
+        );
+    }
+
     #[test]
     fn chained_callbacks_reschedule() {
         let sim = SimBuilder::new().build();
@@ -1522,6 +1685,11 @@ mod tests {
             let drops = Arc::new(AtomicUsize::new(0));
             let mut sim = SimBuilder::new().max_events(200).build();
             let core = Arc::downgrade(&sim.core);
+            // A standing handler that owns a handle on the core.
+            let held = sim.scheduler();
+            sim.scheduler().register_handler(move |_| {
+                let _ = held.now();
+            });
             if let Ending::CallPanicAt(t) = ending {
                 sim.scheduler()
                     .schedule_at(t, |_| panic!("the call went wrong"));

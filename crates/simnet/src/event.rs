@@ -18,7 +18,7 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::engine::{RankId, Scheduler};
+use crate::engine::{RankId, Scheduler, HANDLER_BIT};
 use crate::time::SimTime;
 
 /// A boxed event callback. Callbacks run inline in the dispatch loop, on
@@ -31,7 +31,10 @@ pub type EventFn = Box<dyn FnOnce(&Scheduler) + Send>;
 pub enum EventKind {
     /// Run a callback inline (NIC completions, PIOMan ltasks…).
     Call(EventFn),
-    /// Resume a parked rank (or run its poll body, if it left one).
+    /// Resume a parked rank (or run its poll body, if it left one), or,
+    /// with `engine::HANDLER_BIT` set in the id, run a standing handler
+    /// ([`Scheduler::register_handler`]): a third variant would make every
+    /// entry 40 bytes.
     Wake(RankId),
 }
 
@@ -39,6 +42,9 @@ impl std::fmt::Debug for EventKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             EventKind::Call(_) => write!(f, "Call(..)"),
+            EventKind::Wake(r) if r.0 & HANDLER_BIT != 0 => {
+                write!(f, "Handler({})", r.0 & !HANDLER_BIT)
+            }
             EventKind::Wake(r) => write!(f, "Wake({r:?})"),
         }
     }

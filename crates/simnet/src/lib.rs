@@ -64,7 +64,7 @@ pub mod topology;
 pub use backoff::PollSchedule;
 pub use copy::{BufOrigin, CopyMeter, CopySnapshot, NmBuf};
 pub use ctx::{PollOutcome, RankCtx};
-pub use engine::{RankId, Scheduler, Sim, SimBuilder, SimError, SimOutcome};
+pub use engine::{HandlerId, RankId, Scheduler, Sim, SimBuilder, SimError, SimOutcome};
 pub use fabric::{Delivery, Fabric, FabricOpts, RailId, WireMessage};
 pub use fault::{
     FaultCounters, FaultPlan, FaultSpec, LinkFault, LinkWindow, NodeFault, NodeWindow,
