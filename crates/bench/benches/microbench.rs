@@ -430,6 +430,28 @@ fn copy_path(c: &mut Criterion) {
             });
         });
     }
+    // The boundary copy of a 200 KiB send, above `simnet::RECYCLE_FLOOR`:
+    // dropped before the next copy, its storage is recycled; with the last
+    // 2 × RECYCLE_MAX_ENTRIES results held, every copy needs fresh storage.
+    let p = vec![0xA5u8; 200 * 1024];
+    g.throughput(Throughput::Bytes(p.len() as u64));
+    let copy = |meter: &Arc<CopyMeter>| {
+        NmBuf::copied_from_slice(std::hint::black_box(&p[..]), BufOrigin::App, meter)
+    };
+    g.bench_function("boundary-copy-recycled-200KB", |b| {
+        let meter = CopyMeter::new();
+        b.iter(|| copy(&meter));
+    });
+    g.bench_function("boundary-copy-held-200KB", |b| {
+        let meter = CopyMeter::new();
+        let mut held = VecDeque::new();
+        b.iter(|| {
+            held.push_back(copy(&meter));
+            if held.len() > 2 * simnet::RECYCLE_MAX_ENTRIES {
+                held.pop_front();
+            }
+        });
+    });
     g.finish();
 }
 

@@ -19,16 +19,24 @@
 //!   as a slice-ref — so the counters distinguish "the payload crossed a
 //!   layer" from "the payload was duplicated".
 //!
+//! Storage recycling: a boundary copy above [`RECYCLE_FLOOR`] takes its
+//! storage from a small free list kept per thread ([`NmBuf::copied_from_slice`]),
+//! so a stream of large sends stops allocating, and faulting in, fresh
+//! pages per message. The meter does not see it: it counts the buffers
+//! the modelled data path materialises, not host allocations.
+//!
 //! Determinism: the simulation is logically single-threaded (a single
 //! execution token is handed from rank context to rank context), so the
 //! counters are incremented in a deterministic order and same-seed replays
 //! produce bit-identical snapshots — including fault-injected runs, where
 //! retransmissions and duplicate deliveries are themselves deterministic.
 
+use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 
 /// Which layer first materialized a payload allocation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -105,7 +113,10 @@ impl CopyMeter {
         self.bytes_copied.fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
-    /// Record one fresh payload allocation.
+    /// Record one fresh payload allocation: a buffer the modelled data
+    /// path materialises. Whether the host storage behind it is new or
+    /// recycled (see [`RECYCLE_FLOOR`]) does not change the count; host
+    /// allocation is the ledger's `proc.alloc_kib_per_op`, not this.
     pub fn record_alloc(&self) {
         self.allocations.fetch_add(1, Ordering::Relaxed);
     }
@@ -122,6 +133,78 @@ impl CopyMeter {
             allocations: self.allocations.load(Ordering::Relaxed),
             slice_refs: self.slice_refs.load(Ordering::Relaxed),
         }
+    }
+}
+
+/// Copies longer than this (nmad's default eager threshold, 16 KiB)
+/// recycle their storage; shorter ones keep malloc's fast path, which
+/// reuses small blocks without the kernel.
+pub const RECYCLE_FLOOR: usize = 16 * 1024;
+/// Most buffers one thread's free list holds.
+pub const RECYCLE_MAX_ENTRIES: usize = 8;
+/// Most bytes of storage one thread's free list holds; a longer copy is
+/// never kept.
+pub const RECYCLE_MAX_BYTES: usize = 2 << 20;
+
+/// Storage of recent large boundary copies, oldest first, each with its
+/// capacity. The list keeps one share of every buffer it hands out, so a
+/// buffer is free again exactly when that share is its only handle
+/// ([`Bytes::is_unique`]): until then the application, the retransmit
+/// queue or a receiver's zero-copy view still reads it.
+///
+/// One list per thread: every rank of a simulated job runs on the thread
+/// that called `Sim::run`, so one list serves the whole job without a
+/// lock (DESIGN.md §5, "Copy discipline").
+#[derive(Default)]
+struct FreeList {
+    entries: VecDeque<(usize, Bytes)>,
+    bytes: usize,
+}
+
+thread_local! {
+    static FREE_LIST: RefCell<FreeList> = RefCell::default();
+}
+
+impl FreeList {
+    /// `src` in the smallest free buffer that holds it, else in a fresh
+    /// one; either way the list keeps a share of the result.
+    fn copy(&mut self, src: &[u8]) -> Bytes {
+        let best = self
+            .entries
+            .iter()
+            .enumerate()
+            .filter(|(_, (cap, buf))| *cap >= src.len() && buf.is_unique())
+            .min_by_key(|(_, (cap, _))| *cap)
+            .map(|(i, _)| i);
+        let (cap, mut storage) = match best.and_then(|i| self.entries.remove(i)) {
+            Some((cap, buf)) => {
+                self.bytes -= cap;
+                let mut storage = buf
+                    .try_into_mut()
+                    .expect("a unique entry has no other handle to race with");
+                storage.clear();
+                (cap, storage)
+            }
+            None => (src.len(), BytesMut::with_capacity(src.len())),
+        };
+        storage.extend_from_slice(src);
+        let data = storage.freeze();
+        self.keep(cap, data.clone());
+        data
+    }
+
+    /// Append `buf`, evicting the oldest entries to stay within
+    /// [`RECYCLE_MAX_ENTRIES`] and [`RECYCLE_MAX_BYTES`].
+    fn keep(&mut self, cap: usize, buf: Bytes) {
+        if cap > RECYCLE_MAX_BYTES {
+            return;
+        }
+        while self.entries.len() >= RECYCLE_MAX_ENTRIES || self.bytes + cap > RECYCLE_MAX_BYTES {
+            let (old, _) = self.entries.pop_front().expect("over a bound, so not empty");
+            self.bytes -= old;
+        }
+        self.bytes += cap;
+        self.entries.push_back((cap, buf));
     }
 }
 
@@ -176,12 +259,22 @@ impl NmBuf {
 
     /// Materialize a fresh owned buffer by copying `src` (the unavoidable
     /// user-slice → owned-storage ingress copy, landing-buffer freezes,
-    /// codec output…). Records one allocation and one memcpy.
+    /// codec output…). Records one allocation and one memcpy. A copy
+    /// longer than [`RECYCLE_FLOOR`] lands in storage from this thread's
+    /// free list when an earlier copy's storage is no longer held by
+    /// anyone; shorter ones are plain allocations.
     pub fn copied_from_slice(src: &[u8], origin: BufOrigin, meter: &Arc<CopyMeter>) -> NmBuf {
         meter.record_alloc();
         meter.record_copy(src.len());
+        let data = if src.len() > RECYCLE_FLOOR {
+            FREE_LIST
+                .try_with(|list| list.borrow_mut().copy(src))
+                .unwrap_or_else(|_| Bytes::copy_from_slice(src))
+        } else {
+            Bytes::copy_from_slice(src)
+        };
         NmBuf {
-            data: Bytes::copy_from_slice(src),
+            data,
             origin,
             generation: 0,
             meter: Some(Arc::clone(meter)),
@@ -439,6 +532,147 @@ mod tests {
         assert_eq!(one.bytes().storage_ptr(), whole.bytes().storage_ptr());
         assert!(NmBuf::concat(Vec::new(), 0, &meter).is_empty());
         assert_eq!(meter.snapshot(), CopySnapshot::default(), "nothing joined");
+    }
+
+    /// This thread's free list as `(entries, bytes)`.
+    fn free_list() -> (usize, usize) {
+        FREE_LIST.with(|l| {
+            let l = l.borrow();
+            (l.entries.len(), l.bytes)
+        })
+    }
+
+    /// The storage of every buffer this thread's free list keeps, oldest
+    /// first.
+    fn kept_storage() -> Vec<*const u8> {
+        FREE_LIST.with(|l| {
+            let l = l.borrow();
+            l.entries.iter().map(|(_, b)| b.storage_ptr()).collect()
+        })
+    }
+
+    /// Start a test from an empty free list (the harness may run several
+    /// tests on one thread).
+    fn empty_free_list() {
+        FREE_LIST.with(|l| *l.borrow_mut() = FreeList::default());
+    }
+
+    const BIG: usize = 64 * 1024;
+
+    #[test]
+    fn a_dropped_large_copy_lends_its_storage_to_the_next() {
+        empty_free_list();
+        let meter = CopyMeter::new();
+        let first = NmBuf::copied_from_slice(&[1u8; BIG], BufOrigin::App, &meter);
+        let ptr = first.bytes().storage_ptr();
+        drop(first);
+        let same = NmBuf::copied_from_slice(&[2u8; BIG], BufOrigin::App, &meter);
+        assert_eq!(same.bytes().storage_ptr(), ptr, "equal size reuses");
+        assert!(same.iter().all(|&b| b == 2));
+        drop(same);
+        let smaller = NmBuf::copied_from_slice(&[3u8; BIG / 2], BufOrigin::App, &meter);
+        assert_eq!(smaller.bytes().storage_ptr(), ptr, "a smaller copy reuses");
+        assert_eq!(smaller.len(), BIG / 2);
+        assert!(smaller.iter().all(|&b| b == 3));
+        assert_eq!(free_list(), (1, BIG), "one buffer, counted at capacity");
+
+        // Below the floor nothing enters the list.
+        let small = NmBuf::copied_from_slice(&[4u8; RECYCLE_FLOOR], BufOrigin::App, &meter);
+        assert_eq!(free_list(), (1, BIG));
+        drop(small);
+
+        // Recycled or not, each copy is one allocation and one memcpy of
+        // the modelled data path.
+        let s = meter.snapshot();
+        assert_eq!((s.allocations, s.memcpy_calls), (4, 4));
+        assert_eq!(s.bytes_copied, (2 * BIG + BIG / 2 + RECYCLE_FLOOR) as u64);
+    }
+
+    #[test]
+    fn the_smallest_free_buffer_that_fits_is_chosen() {
+        empty_free_list();
+        let meter = CopyMeter::new();
+        let sizes = [4 * BIG, BIG, 2 * BIG];
+        let bufs: Vec<NmBuf> = sizes
+            .iter()
+            .map(|&n| NmBuf::copied_from_slice(&vec![0u8; n], BufOrigin::App, &meter))
+            .collect();
+        let ptrs: Vec<_> = bufs.iter().map(|b| b.bytes().storage_ptr()).collect();
+        drop(bufs);
+        let fit = NmBuf::copied_from_slice(&[5u8; BIG + 1], BufOrigin::App, &meter);
+        assert_eq!(fit.bytes().storage_ptr(), ptrs[2], "2×BIG is the best fit");
+        let fit = NmBuf::copied_from_slice(&[5u8; BIG - 1], BufOrigin::App, &meter);
+        assert_eq!(fit.bytes().storage_ptr(), ptrs[1], "BIG is the best fit");
+        let s = meter.snapshot();
+        assert_eq!((s.allocations, s.memcpy_calls), (5, 5));
+    }
+
+    #[test]
+    fn storage_still_held_anywhere_is_never_reused() {
+        empty_free_list();
+        let meter = CopyMeter::new();
+        // A share, a slice, and `Bytes` views of the whole and of a part.
+        let holds: [fn(&NmBuf) -> Bytes; 4] = [
+            |b| b.share().into_bytes(),
+            |b| b.slice(BIG / 2..).into_bytes(),
+            |b| b.bytes().clone(),
+            |b| b.bytes().slice(..16),
+        ];
+        for (k, hold) in holds.iter().enumerate() {
+            let fill = k as u8 + 10;
+            let buf = NmBuf::copied_from_slice(&[fill; BIG], BufOrigin::App, &meter);
+            let ptr = buf.bytes().storage_ptr();
+            let held = hold(&buf);
+            drop(buf);
+            let next = NmBuf::copied_from_slice(&[0xEE; BIG], BufOrigin::App, &meter);
+            assert_ne!(next.bytes().storage_ptr(), ptr, "hold {k}: storage reused");
+            assert!(
+                held.iter().all(|&b| b == fill),
+                "hold {k}: held bytes changed"
+            );
+        }
+        let s = meter.snapshot();
+        assert_eq!((s.allocations, s.memcpy_calls), (8, 8));
+    }
+
+    #[test]
+    fn the_free_list_stays_within_its_bounds() {
+        empty_free_list();
+        let meter = CopyMeter::new();
+        let mut held = Vec::new();
+        for n in [BIG; 3 * RECYCLE_MAX_ENTRIES]
+            .into_iter()
+            .chain([RECYCLE_MAX_BYTES / 3; 6])
+            .chain([RECYCLE_MAX_BYTES + 1; 2])
+            .chain([BIG; 4])
+        {
+            held.push(NmBuf::copied_from_slice(&vec![1u8; n], BufOrigin::App, &meter));
+            let (entries, bytes) = free_list();
+            assert!(entries <= RECYCLE_MAX_ENTRIES, "{entries} entries");
+            assert!(bytes <= RECYCLE_MAX_BYTES, "{bytes} bytes");
+        }
+        // A copy over the byte bound was never kept.
+        let kept = kept_storage();
+        assert!(held
+            .iter()
+            .filter(|b| b.len() > RECYCLE_MAX_BYTES)
+            .all(|b| !kept.contains(&b.bytes().storage_ptr())));
+        drop(held);
+        let again = NmBuf::copied_from_slice(&[1u8; BIG], BufOrigin::App, &meter);
+        assert!(free_list().1 <= RECYCLE_MAX_BYTES);
+        drop(again);
+    }
+
+    #[test]
+    fn a_full_free_list_evicts_its_oldest_entry() {
+        empty_free_list();
+        let meter = CopyMeter::new();
+        let held: Vec<NmBuf> = (0..RECYCLE_MAX_ENTRIES + 3)
+            .map(|_| NmBuf::copied_from_slice(&[7u8; BIG], BufOrigin::App, &meter))
+            .collect();
+        let kept = kept_storage();
+        let newest: Vec<_> = held[3..].iter().map(|b| b.bytes().storage_ptr()).collect();
+        assert_eq!(kept, newest);
     }
 
     #[test]

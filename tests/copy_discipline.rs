@@ -7,7 +7,7 @@
 use mpich2_nmad_repro::mpi_ch3::stack::{run_mpi_collect, RunOutcome, StackConfig};
 use mpich2_nmad_repro::mpi_ch3::{MpiHandle, Src};
 use mpich2_nmad_repro::sim_harness::{Scenario, Workload};
-use mpich2_nmad_repro::simnet::{Cluster, CopySnapshot, FaultSpec, Placement};
+use mpich2_nmad_repro::simnet::{Cluster, CopySnapshot, FaultPlan, FaultSpec, Placement};
 
 /// Two ranks on two nodes: rank 0 sends `count` rendezvous-sized messages
 /// to rank 1, which verifies every byte. Returns the job-wide copy totals.
@@ -130,5 +130,63 @@ fn copy_counts_replay_bit_identical() {
                 "drop-heavy schedule triggered no retransmissions (seed {seed})"
             );
         }
+    }
+}
+
+/// Recycled boundary copies never overwrite a payload still in use. Two
+/// ranks exchange 200 KiB sends, each borrowed from one buffer the sender
+/// rewrites every round, over a fabric that drops 1 % and duplicates
+/// 0.5 % of its packets. Each receiver holds the payloads of its last
+/// `HOLD` rounds — zero-copy views of the sender's storage — and checks
+/// every one of them again each round. The views span at most a quarter
+/// as many storages as rounds, so storage really was reused, and only
+/// ever once free: 8 of each rank's when written, against 22 when every
+/// copy takes fresh storage from malloc.
+#[test]
+fn recycled_copies_never_overwrite_a_held_payload() {
+    const LEN: usize = 200 * 1024;
+    const ROUNDS: usize = 40;
+    const HOLD: usize = 3;
+    fn fill(rank: usize, round: usize, buf: &mut [u8]) {
+        for (i, b) in buf.iter_mut().enumerate() {
+            *b = (i.wrapping_mul(7) ^ (round * 31 + rank * 101)) as u8;
+        }
+    }
+    let cluster = Cluster::xeon_pair();
+    let placement = Placement::one_per_node(2, &cluster);
+    let spec = FaultSpec {
+        drop_pct: 0.01,
+        dup_pct: 0.005,
+        ..FaultSpec::default()
+    };
+    let cfg = StackConfig::mpich2_nmad(false).with_faults(FaultPlan::uniform(11, spec));
+    let (outcome, storages) = run_mpi_collect(&cluster, &placement, &cfg, 2, |mpi: &MpiHandle| {
+        let (me, peer) = (mpi.rank(), 1 - mpi.rank());
+        let (mut out, mut want) = (vec![0u8; LEN], vec![0u8; LEN]);
+        let mut held = std::collections::VecDeque::new();
+        let mut storages = std::collections::HashSet::new();
+        for round in 0..ROUNDS {
+            let recv = mpi.irecv(Src::Rank(peer), round as u32);
+            fill(me, round, &mut out);
+            let send = mpi.isend(peer, round as u32, &out);
+            let (data, _) = mpi.wait_data(recv);
+            mpi.wait(send);
+            let data = data.expect("a receive has a payload");
+            storages.insert(data.storage_ptr() as usize);
+            held.push_back((round, data));
+            if held.len() > HOLD {
+                held.pop_front();
+            }
+            for (r, data) in &held {
+                fill(peer, *r, &mut want);
+                assert!(data[..] == want[..], "round {r}'s payload changed by round {round}");
+            }
+        }
+        storages.len()
+    });
+    let faults = outcome.fault_counters.expect("a fault plan was installed");
+    assert!(faults.dropped > 0 && faults.duplicated > 0, "{faults:?}");
+    for (rank, n) in storages.into_iter().enumerate() {
+        assert!(n <= ROUNDS / 4, "rank {rank}: {n} storages for {ROUNDS} rounds");
     }
 }
