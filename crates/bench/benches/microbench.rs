@@ -17,13 +17,13 @@ use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 
+use mpi_ch3::{run_threaded, ThreadedConfig};
 use nemesis::{CellPool, NemQueue};
 use nmad::matching::{GateId, MatchEngine, Unexpected};
 use nmad::pack::{PacketWrapper, PwBody, PwId};
 use nmad::sampling::{split_sizes, LinkProfile};
 use nmad::sr::RecvReqId;
 use nmad::{NmConfig, NmWire, RailHealth, SendReqId, StrategyKind, WirePayload};
-use mpi_ch3::{run_threaded, ThreadedConfig};
 use simnet::event::{EventKind, EventQueue};
 use simnet::{BufOrigin, CopyMeter, NmBuf, SimDuration, SimTime};
 
@@ -475,7 +475,9 @@ fn threaded_injection(c: &mut Criterion) {
             rdv_every: 8,
             eager_credits: 32,
         };
-        g.throughput(Throughput::Elements(cfg.msgs_per_producer * producers as u64));
+        g.throughput(Throughput::Elements(
+            cfg.msgs_per_producer * producers as u64,
+        ));
         let id = format!("{producers}-producers");
         g.bench_function(&id, |b| {
             b.iter(|| {

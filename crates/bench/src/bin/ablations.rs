@@ -52,8 +52,7 @@ fn burst_time(strategy: StrategyKind, count: usize, bytes: usize) -> (f64, f64, 
         Arc::new(move |mpi: MpiHandle| {
             if mpi.rank() == 0 {
                 let payload = vec![7u8; bytes];
-                let reqs: Vec<_> =
-                    (0..count).map(|_| mpi.isend(1, 1, &payload)).collect();
+                let reqs: Vec<_> = (0..count).map(|_| mpi.isend(1, 1, &payload)).collect();
                 mpi.waitall(&reqs);
                 *s2.lock() = mpi.now();
                 mpi.recv(Src::Rank(1), 2);
@@ -185,10 +184,7 @@ fn pioman_detection() {
     println!("{:<28} {:>14}", "method", "sending(us)");
     let cases: Vec<(String, Option<PiomConfig>)> = vec![
         ("app polling (no PIOMan)".into(), None),
-        (
-            "idle-core polling".into(),
-            Some(PiomConfig::default()),
-        ),
+        ("idle-core polling".into(), Some(PiomConfig::default())),
         (
             "timer-driven, 10us".into(),
             Some(PiomConfig {

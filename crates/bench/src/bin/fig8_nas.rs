@@ -57,11 +57,7 @@ fn main() {
             32 => "32/36".to_string(),
             other => other.to_string(),
         };
-        let caption = format!(
-            "Fig. 8: NAS class {} at {} processes",
-            class.name(),
-            label
-        );
+        let caption = format!("Fig. 8: NAS class {} at {} processes", class.name(), label);
         println!("{}", nas_table(&results, &caption));
     }
 }

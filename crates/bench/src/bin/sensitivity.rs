@@ -100,15 +100,31 @@ fn main() {
             piom - base
         };
         println!("seed {seed}:");
-        println!("  latency: MVAPICH2 {mva:.2}us < OpenMPI {omp:.2}us < NMad {nmad:.2}us  [{}]",
-            if mva < omp && omp < nmad { "ordering holds" } else { "ORDERING BROKE" });
+        println!(
+            "  latency: MVAPICH2 {mva:.2}us < OpenMPI {omp:.2}us < NMad {nmad:.2}us  [{}]",
+            if mva < omp && omp < nmad {
+                "ordering holds"
+            } else {
+                "ORDERING BROKE"
+            }
+        );
         println!(
             "  16MB: single-rail {single:.0}us vs multirail {multi:.0}us (speedup {:.2}x)  [{}]",
             single / multi,
-            if multi < single { "multirail wins" } else { "MULTIRAIL LOST" }
+            if multi < single {
+                "multirail wins"
+            } else {
+                "MULTIRAIL LOST"
+            }
         );
-        println!("  PIOMan latency overhead {piom_gap:.2}us  [{}]",
-            if (1.4..3.0).contains(&piom_gap) { "~2us holds" } else { "DRIFTED" });
+        println!(
+            "  PIOMan latency overhead {piom_gap:.2}us  [{}]",
+            if (1.4..3.0).contains(&piom_gap) {
+                "~2us holds"
+            } else {
+                "DRIFTED"
+            }
+        );
     }
     let _ = SimDuration::ZERO;
 }

@@ -67,7 +67,10 @@ fn main() {
     ];
     let stacks: [(&str, StackConfig); 2] = [
         ("MPICH2-NMad bypass (§3.1)", StackConfig::mpich2_nmad(false)),
-        ("NMad netmod tunnel (§2.1.3)", StackConfig::mpich2_nmad_netmod(0)),
+        (
+            "NMad netmod tunnel (§2.1.3)",
+            StackConfig::mpich2_nmad_netmod(0),
+        ),
     ];
 
     println!("E14 — per-message copy breakdown ({COUNT} messages per cell)");
@@ -76,7 +79,10 @@ fn main() {
         "| {:<27} | {:<19} | {:>7} | {:>12} | {:>6} | {:>6} |",
         "stack", "message size", "memcpy", "bytes copied", "allocs", "shares"
     );
-    println!("|{:-<29}|{:-<21}|{:-<9}|{:-<14}|{:-<8}|{:-<8}|", "", "", "", "", "", "");
+    println!(
+        "|{:-<29}|{:-<21}|{:-<9}|{:-<14}|{:-<8}|{:-<8}|",
+        "", "", "", "", "", ""
+    );
     for (stack_name, cfg) in &stacks {
         for (size_name, len) in &sizes {
             let (memcpy, bytes, allocs, shares) = per_message(cfg, COUNT, *len);

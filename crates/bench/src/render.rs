@@ -28,10 +28,7 @@ pub fn overlap_table(points: &[OverlapPoint], caption: &str) -> String {
     for &size in &sizes {
         out.push_str(&format!("{:>10}", simnet::stats::human_bytes(size)));
         for s in &stacks {
-            match points
-                .iter()
-                .find(|p| p.bytes == size && &p.stack == s)
-            {
+            match points.iter().find(|p| p.bytes == size && &p.stack == s) {
                 Some(p) => out.push_str(&format!("  {:>26.1}us", p.sending_time_us)),
                 None => out.push_str(&format!("  {:>28}", "-")),
             }
@@ -83,9 +80,8 @@ pub fn nas_table(results: &[(NasResult, bool)], caption: &str) -> String {
 
 /// Render the Fig. 2 ablation rows.
 pub fn handshake_table(rows: &[HandshakeRow]) -> String {
-    let mut out = String::from(
-        "# E10 (Fig. 2 ablation): one large transfer, bypass vs nested netmod\n",
-    );
+    let mut out =
+        String::from("# E10 (Fig. 2 ablation): one large transfer, bypass vs nested netmod\n");
     out.push_str(&format!(
         "{:>10}  {:>16}  {:>16}  {:>10}\n",
         "size", "bypass (us)", "netmod (us)", "penalty"
@@ -104,8 +100,7 @@ pub fn handshake_table(rows: &[HandshakeRow]) -> String {
 
 /// Render the §4.1.1 latency-breakdown table.
 pub fn breakdown_table(rows: &[BreakdownRow]) -> String {
-    let mut out =
-        String::from("# E11: one-way small-message latency breakdown over IB\n");
+    let mut out = String::from("# E11: one-way small-message latency breakdown over IB\n");
     out.push_str(&format!(
         "{:<40}  {:>10}  {:>12}\n",
         "layer", "paper (us)", "measured (us)"

@@ -89,11 +89,7 @@ pub fn render_bench10_json(points: &[InjectionPoint]) -> String {
         .find(|p| p.producers == 1)
         .copied()
         .unwrap_or(points[0]);
-    let wide = points
-        .iter()
-        .copied()
-        .max_by_key(|p| p.producers)
-        .unwrap();
+    let wide = points.iter().copied().max_by_key(|p| p.producers).unwrap();
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);

@@ -429,7 +429,11 @@ impl NmCore {
     /// True when membership is armed and `peer` has been declared dead.
     pub fn is_peer_dead(&self, peer: usize) -> bool {
         let shell = self.shell.lock();
-        shell.engine.membership.as_ref().is_some_and(|m| m.is_dead(peer))
+        shell
+            .engine
+            .membership
+            .as_ref()
+            .is_some_and(|m| m.is_dead(peer))
     }
 
     /// Drain the queue of freshly-dead peers (each peer appears exactly

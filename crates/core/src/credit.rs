@@ -134,10 +134,7 @@ impl CreditBank {
     /// Drop `gate`'s pool (peer drain), returning the credits that were
     /// still available in it — the caller computes how many were in flight.
     pub fn remove(&self, gate: usize) -> Option<u32> {
-        self.pools
-            .lock()
-            .remove(&gate)
-            .map(|p| p.available())
+        self.pools.lock().remove(&gate).map(|p| p.available())
     }
 
     /// Does `gate` have a materialized pool? (Peer-entry accounting.)

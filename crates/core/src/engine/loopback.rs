@@ -374,11 +374,20 @@ fn a_forged_rts_length_is_a_counted_error_not_an_allocation() {
         }
         w.poll(50);
         assert_eq!(w.stats(0).protocol_errors, 1);
-        assert!(w.engines[0].peers[&1].rdv_in.is_empty(), "no landing buffer");
+        assert!(
+            w.engines[0].peers[&1].rdv_in.is_empty(),
+            "no landing buffer"
+        );
         assert_eq!(w.engines[0].meter.snapshot().allocations, allocs_before);
         // The ack of the envelope may have left; a CTS must not have.
-        assert_eq!((w.stats(0).cts_retries, w.stats(1).data_chunks_sent), (0, 0));
-        assert!(w.completions(0).is_empty(), "the forged receive stays pending");
+        assert_eq!(
+            (w.stats(0).cts_retries, w.stats(1).data_chunks_sent),
+            (0, 0)
+        );
+        assert!(
+            w.completions(0).is_empty(),
+            "the forged receive stays pending"
+        );
         // An eager message and a rendezvous, one each way, still complete.
         w.irecv(1, 7, 7);
         w.irecv(0, 8, 8);
@@ -418,17 +427,42 @@ fn reassemble(chunks: &[Chunk]) -> NmStats {
         w.pump(1);
     };
     let (tag, seq, rdv_id, len) = (5, 0, 1, source.len());
-    deliver(&mut w, WirePayload::Rts { tag, seq, rdv_id, len }, false);
+    deliver(
+        &mut w,
+        WirePayload::Rts {
+            tag,
+            seq,
+            rdv_id,
+            len,
+        },
+        false,
+    );
     for &(start, end, corrupted) in chunks {
         let (offset, data) = (start * K, payload.slice(start * K..end * K));
-        deliver(&mut w, WirePayload::Data { rdv_id, offset, data }, corrupted);
+        deliver(
+            &mut w,
+            WirePayload::Data {
+                rdv_id,
+                offset,
+                data,
+            },
+            corrupted,
+        );
     }
     let done = w.completions(1);
-    let [NmCompletion { kind: CompletionKind::Recv { data, .. }, .. }] = &done[..] else {
+    let [NmCompletion {
+        kind: CompletionKind::Recv { data, .. },
+        ..
+    }] = &done[..]
+    else {
         panic!("not one completed receive: {done:?}");
     };
     assert_eq!(data, &source, "byte-exact");
-    assert_eq!(data.storage_ptr(), source.storage_ptr(), "a view, not a copy");
+    assert_eq!(
+        data.storage_ptr(),
+        source.storage_ptr(),
+        "a view, not a copy"
+    );
     let stats = w.stats(1);
     assert_eq!((stats.copy.allocations, stats.copy.memcpy_calls), (0, 0));
     stats
@@ -444,7 +478,12 @@ fn rendezvous_chunks_reassemble_in_any_order_as_one_view() {
         ("out of order", &[(32, 64, false), (0, 32, false)], 0, 0),
         (
             "duplicated, then a straggler after the FIN",
-            &[(0, 32, false), (0, 32, false), (32, 64, false), (0, 64, false)],
+            &[
+                (0, 32, false),
+                (0, 32, false),
+                (32, 64, false),
+                (0, 64, false),
+            ],
             2,
             0,
         ),
@@ -463,7 +502,11 @@ fn rendezvous_chunks_reassemble_in_any_order_as_one_view() {
     ];
     for (name, chunks, dup_data, crc_drops) in cases {
         let stats = reassemble(chunks);
-        assert_eq!((stats.dup_data, stats.crc_drops), (dup_data, crc_drops), "{name}");
+        assert_eq!(
+            (stats.dup_data, stats.crc_drops),
+            (dup_data, crc_drops),
+            "{name}"
+        );
         assert_eq!(stats.recv_completions, 1, "{name}");
     }
 }
@@ -628,7 +671,12 @@ fn a_cts_timer_covers_its_own_bytes_and_those_queued_ahead() {
     let mut w = Loopback::with_wire(config(true), |wire: &NmWire| wire.dst_rank == 0);
     let rts = |w: &mut Loopback<_>, tag, len| {
         w.irecv(1, tag, tag);
-        let rts = WirePayload::Rts { tag, seq: 0, rdv_id: tag, len };
+        let rts = WirePayload::Rts {
+            tag,
+            seq: 0,
+            rdv_id: tag,
+            len,
+        };
         w.engines[1].accept(w.now, NmWire::new(0, 1, rts), 0, false, IDLE);
         w.pump(1);
     };

@@ -151,12 +151,14 @@ impl Engine {
         let health = self.health.as_ref();
         let rails = &mut self.rails;
         rails.clear();
-        rails.extend((self.profiles.iter().enumerate()).map(|(i, &profile)| RailState {
-            idle: rail_idle(i),
-            profile,
-            health: health.map_or(RailHealth::Up, |h| h.state(i)),
-            weight: health.map_or(1.0, |h| h.weight(i, now)),
-        }));
+        rails.extend(
+            (self.profiles.iter().enumerate()).map(|(i, &profile)| RailState {
+                idle: rail_idle(i),
+                profile,
+                health: health.map_or(RailHealth::Up, |h| h.state(i)),
+                weight: health.map_or(1.0, |h| h.weight(i, now)),
+            }),
+        );
         // The strategies are stateless (boxing a unit struct allocates
         // nothing), so the one the configuration names is resolved here.
         let mut strategy = strategy::make(self.cfg.strategy);

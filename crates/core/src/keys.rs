@@ -133,7 +133,10 @@ mod tests {
         assert!(!is_coll(u));
         assert_eq!(user_tag_of(u), 0xDEAD_BEEF);
         // Even a zero-everything collective key differs in ctx.
-        assert_ne!(u & (0xFFFF << 48), coll_key(0, OP_BARRIER, 0, 0) & (0xFFFF << 48));
+        assert_ne!(
+            u & (0xFFFF << 48),
+            coll_key(0, OP_BARRIER, 0, 0) & (0xFFFF << 48)
+        );
     }
 
     #[test]

@@ -220,7 +220,8 @@ impl MatchEngine {
     /// in the unexpected queue.
     pub fn store_unexpected(&mut self, gate: GateId, tag: u64, msg: Unexpected) {
         let idx = self.unexpected.len();
-        self.unexpected.push(Some(UnexpectedEntry { gate, tag, msg }));
+        self.unexpected
+            .push(Some(UnexpectedEntry { gate, tag, msg }));
         self.by_key.entry((gate, tag)).or_default().push_back(idx);
         self.by_tag.entry(tag).or_default().push_back(idx);
         self.unexpected_live += 1;
@@ -522,7 +523,9 @@ mod tests {
         );
         assert_eq!(m.probe_tag(9), Some(GateId(4)));
         match m.post_recv(GateId(4), 9, RecvReqId(0)) {
-            Some(Unexpected::Rts { rdv_id: 11, len, .. }) => assert_eq!(len, 1 << 20),
+            Some(Unexpected::Rts {
+                rdv_id: 11, len, ..
+            }) => assert_eq!(len, 1 << 20),
             other => panic!("expected RTS, got {other:?}"),
         }
     }

@@ -203,9 +203,7 @@ impl MembershipTable {
                 self.set_state(peer, PeerLiveness::Suspect, now);
                 false
             }
-            PeerLiveness::Suspect
-                if streak >= cfg.dead_after && silence >= cfg.min_silence =>
-            {
+            PeerLiveness::Suspect if streak >= cfg.dead_after && silence >= cfg.min_silence => {
                 self.set_state(peer, PeerLiveness::Dead, now);
                 true
             }
@@ -402,7 +400,11 @@ mod tests {
         for _ in 0..50 {
             assert!(!m.record_timeout(6, t(10), t(30)));
         }
-        assert_eq!(m.state(6), PeerLiveness::Up, "live peer must not be indicted");
+        assert_eq!(
+            m.state(6),
+            PeerLiveness::Up,
+            "live peer must not be indicted"
+        );
         // Windows armed *after* the last arrival charge normally.
         let cfg = MembershipConfig::default();
         for i in 0..cfg.suspect_after as u64 {

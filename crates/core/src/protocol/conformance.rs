@@ -133,12 +133,10 @@ impl TraceChecker {
     ) -> Result<(), String> {
         match step(state, event, ctx) {
             Verdict::Step { actions, next, .. } => {
-                if actions.contains(&Action::CompleteSend) || actions.contains(&Action::AbortSend)
-                {
+                if actions.contains(&Action::CompleteSend) || actions.contains(&Action::AbortSend) {
                     flow.s_done = true;
                 }
-                if actions.contains(&Action::CompleteRecv) || actions.contains(&Action::AbortRecv)
-                {
+                if actions.contains(&Action::CompleteRecv) || actions.contains(&Action::AbortRecv) {
                     flow.r_done = true;
                 }
                 if sender_side {
@@ -181,7 +179,9 @@ impl TraceChecker {
             | Phase::EagerTx { .. }
             | Phase::EagerRx
             | Phase::Reroute { .. }
-            | Phase::Retry { kind: RetryKind::Eager } => Ok(()),
+            | Phase::Retry {
+                kind: RetryKind::Eager,
+            } => Ok(()),
             Phase::RtsRx => {
                 // The receiver's protocol entry happens at match time,
                 // which can precede the CTS's wire transmission (the CTS
@@ -214,26 +214,39 @@ impl TraceChecker {
                     "{key:?}: RtsTx with sender in {s:?} and no announced RTS replay"
                 )),
             },
-            Phase::Retry { kind: RetryKind::Rts } => {
+            Phase::Retry {
+                kind: RetryKind::Rts,
+            } => {
                 let ctx = Self::ctx(retry, flow, false, false);
                 Self::apply(flow, key, flow.sender(), Event::SendTimeout, ctx, true)?;
                 flow.pending_rts_replay += 1;
                 Ok(())
             }
-            Phase::Retry { kind: RetryKind::Data } => {
+            Phase::Retry {
+                kind: RetryKind::Data,
+            } => {
                 // The FIN-wait timer can only be armed after the final
                 // chunk cleared the NIC — infer the invisible
                 // LastChunkSent if the trace hasn't shown it.
                 if flow.sender() == State::SStreaming {
                     let ctx = Self::ctx(retry, flow, false, false);
-                    Self::apply(flow, key, State::SStreaming, Event::LastChunkSent, ctx, true)?;
+                    Self::apply(
+                        flow,
+                        key,
+                        State::SStreaming,
+                        Event::LastChunkSent,
+                        ctx,
+                        true,
+                    )?;
                 }
                 let ctx = Self::ctx(retry, flow, false, false);
                 Self::apply(flow, key, flow.sender(), Event::SendTimeout, ctx, true)?;
                 flow.pending_data_replay += 1;
                 Ok(())
             }
-            Phase::Retry { kind: RetryKind::Cts } => {
+            Phase::Retry {
+                kind: RetryKind::Cts,
+            } => {
                 // A CTS replay is announced both by the receiver's
                 // progress timer and by a duplicate RTS on a live
                 // rendezvous; the trace does not distinguish them, and
@@ -329,7 +342,14 @@ impl TraceChecker {
                 if !retry && flow.sender() == State::SStreaming {
                     // Invisible NIC completion of the last chunk.
                     let ctx = Self::ctx(retry, flow, false, false);
-                    Self::apply(flow, key, State::SStreaming, Event::LastChunkSent, ctx, true)?;
+                    Self::apply(
+                        flow,
+                        key,
+                        State::SStreaming,
+                        Event::LastChunkSent,
+                        ctx,
+                        true,
+                    )?;
                 }
                 if !flow.s_done {
                     return Err(format!(
@@ -450,10 +470,30 @@ mod tests {
             msg(3, Phase::Matched { unexpected: true }),
             msg(4, Phase::CtsTx { rail: 0 }),
             msg(5, Phase::CtsRx),
-            msg(6, Phase::DataChunkTx { rail: 0, offset: 0, len: 32 }),
-            msg(7, Phase::DataChunkTx { rail: 1, offset: 32, len: 32 }),
+            msg(
+                6,
+                Phase::DataChunkTx {
+                    rail: 0,
+                    offset: 0,
+                    len: 32,
+                },
+            ),
+            msg(
+                7,
+                Phase::DataChunkTx {
+                    rail: 1,
+                    offset: 32,
+                    len: 32,
+                },
+            ),
             msg(8, Phase::DataChunkRx { offset: 0, len: 32 }),
-            msg(9, Phase::DataChunkRx { offset: 32, len: 32 }),
+            msg(
+                9,
+                Phase::DataChunkRx {
+                    offset: 32,
+                    len: 32,
+                },
+            ),
             msg(10, Phase::Completed { side: Side::Recv }),
             msg(11, Phase::Completed { side: Side::Send }),
         ];
@@ -464,15 +504,44 @@ mod tests {
     fn retry_trace_with_fin_and_replay_conforms() {
         let events = [
             msg(1, Phase::RtsTx { rail: 0, len: 16 }),
-            msg(2, Phase::Retry { kind: RetryKind::Rts }),
+            msg(
+                2,
+                Phase::Retry {
+                    kind: RetryKind::Rts,
+                },
+            ),
             msg(3, Phase::RtsTx { rail: 0, len: 16 }),
             msg(4, Phase::CtsTx { rail: 0 }),
-            msg(5, Phase::Retry { kind: RetryKind::Cts }),
+            msg(
+                5,
+                Phase::Retry {
+                    kind: RetryKind::Cts,
+                },
+            ),
             msg(6, Phase::CtsTx { rail: 0 }),
             msg(7, Phase::CtsRx),
-            msg(8, Phase::DataChunkTx { rail: 0, offset: 0, len: 16 }),
-            msg(9, Phase::Retry { kind: RetryKind::Data }),
-            msg(10, Phase::DataChunkTx { rail: 0, offset: 0, len: 16 }),
+            msg(
+                8,
+                Phase::DataChunkTx {
+                    rail: 0,
+                    offset: 0,
+                    len: 16,
+                },
+            ),
+            msg(
+                9,
+                Phase::Retry {
+                    kind: RetryKind::Data,
+                },
+            ),
+            msg(
+                10,
+                Phase::DataChunkTx {
+                    rail: 0,
+                    offset: 0,
+                    len: 16,
+                },
+            ),
             msg(11, Phase::DataChunkRx { offset: 0, len: 16 }),
             msg(12, Phase::FinTx),
             msg(13, Phase::Completed { side: Side::Recv }),
@@ -503,7 +572,14 @@ mod tests {
             msg(1, Phase::RtsTx { rail: 0, len: 16 }),
             msg(2, Phase::CtsTx { rail: 0 }),
             msg(3, Phase::CtsRx),
-            msg(4, Phase::DataChunkTx { rail: 0, offset: 0, len: 32 }),
+            msg(
+                4,
+                Phase::DataChunkTx {
+                    rail: 0,
+                    offset: 0,
+                    len: 32,
+                },
+            ),
             msg(5, Phase::DataChunkRx { offset: 0, len: 32 }),
         ];
         let v = check_events(&events, false);
@@ -525,7 +601,14 @@ mod tests {
             msg(2, Phase::RtsRx),
             msg(3, Phase::CtsTx { rail: 0 }),
             msg(4, Phase::CtsRx),
-            msg(5, Phase::DataChunkTx { rail: 0, offset: 0, len: 16 }),
+            msg(
+                5,
+                Phase::DataChunkTx {
+                    rail: 0,
+                    offset: 0,
+                    len: 16,
+                },
+            ),
             // The epoch is revoked with the payload in flight: both sides
             // quiesce — the receiver tombstones (RDone), the sender winds
             // down (Gone).

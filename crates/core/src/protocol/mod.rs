@@ -858,7 +858,10 @@ pub fn validate_table() -> Vec<String> {
     }
     for (i, sat) in ig_sat.iter().enumerate() {
         if !sat {
-            problems.push(format!("unsatisfiable guards on ignore {}", IGNORES[i].name));
+            problems.push(format!(
+                "unsatisfiable guards on ignore {}",
+                IGNORES[i].name
+            ));
         }
     }
     problems
@@ -945,11 +948,17 @@ mod tests {
         assert!(actions.is_empty(), "a tombstone drains without surfacing");
         assert!(matches!(
             step(S::Gone, E::PeerDead, ctx),
-            Verdict::Ignore { defensive: false, .. }
+            Verdict::Ignore {
+                defensive: false,
+                ..
+            }
         ));
         // Without retry there is no membership layer: stepping PeerDead
         // is a caller bug, classified as an error.
-        assert_eq!(step(S::SWaitCts, E::PeerDead, Ctx::default()), Verdict::Error);
+        assert_eq!(
+            step(S::SWaitCts, E::PeerDead, Ctx::default()),
+            Verdict::Error
+        );
     }
 
     #[test]
@@ -979,10 +988,16 @@ mod tests {
         assert_eq!(step(S::RDone, E::Revoked, ctx), Verdict::Error);
         assert!(matches!(
             step(S::Gone, E::Revoked, ctx),
-            Verdict::Ignore { defensive: false, .. }
+            Verdict::Ignore {
+                defensive: false,
+                ..
+            }
         ));
         // Without retry there is no recovery layer.
-        assert_eq!(step(S::SWaitCts, E::Revoked, Ctx::default()), Verdict::Error);
+        assert_eq!(
+            step(S::SWaitCts, E::Revoked, Ctx::default()),
+            Verdict::Error
+        );
     }
 
     #[test]
@@ -1008,11 +1023,17 @@ mod tests {
         };
         assert!(matches!(
             step(S::Gone, E::CtsRx, ctx),
-            Verdict::Ignore { defensive: false, .. }
+            Verdict::Ignore {
+                defensive: false,
+                ..
+            }
         ));
         assert!(matches!(
             step(S::Gone, E::FinRx, ctx),
-            Verdict::Ignore { defensive: false, .. }
+            Verdict::Ignore {
+                defensive: false,
+                ..
+            }
         ));
         assert!(matches!(
             step(S::RDone, E::DataRx, ctx),

@@ -122,7 +122,10 @@ impl RailHealthTable {
     }
 
     pub fn state(&self, rail: usize) -> RailHealth {
-        self.cells.get(rail).map(|c| c.state).unwrap_or(RailHealth::Up)
+        self.cells
+            .get(rail)
+            .map(|c| c.state)
+            .unwrap_or(RailHealth::Up)
     }
 
     /// Total state-machine transitions so far (any edge).

@@ -35,8 +35,7 @@ impl LinkProfile {
         let probe_small = model.transfer_time(0);
         let big = 1 << 20;
         let probe_big = model.transfer_time(big);
-        let slope_ns_per_byte =
-            (probe_big.as_nanos() - probe_small.as_nanos()) as f64 / big as f64;
+        let slope_ns_per_byte = (probe_big.as_nanos() - probe_small.as_nanos()) as f64 / big as f64;
         LinkProfile {
             latency: probe_small,
             bandwidth_bps: if slope_ns_per_byte > 0.0 {
@@ -105,10 +104,7 @@ fn enforce_min_chunk(chunks: &mut [usize], min_chunk: usize) {
         return;
     }
     loop {
-        let Some(small) = chunks
-            .iter()
-            .position(|&c| c > 0 && c < min_chunk)
-        else {
+        let Some(small) = chunks.iter().position(|&c| c > 0 && c < min_chunk) else {
             return;
         };
         let largest = chunks
@@ -173,9 +169,8 @@ fn solve_equal_finish(
                 let c = c.min(size - assigned);
                 chunks[i] = c;
                 assigned += c;
-                if best.is_none_or(|b: usize| {
-                    profiles[i].bandwidth_bps > profiles[b].bandwidth_bps
-                }) {
+                if best.is_none_or(|b: usize| profiles[i].bandwidth_bps > profiles[b].bandwidth_bps)
+                {
                     best = Some(i);
                 }
             }

@@ -31,11 +31,7 @@ pub enum CompletionKind {
     /// The send's payload has fully left this host (buffer reusable).
     Send,
     /// A receive matched and its payload is fully assembled.
-    Recv {
-        data: Bytes,
-        gate: GateId,
-        tag: u64,
-    },
+    Recv { data: Bytes, gate: GateId, tag: u64 },
     /// The send completed *with an error*: `peer` was declared dead
     /// before delivery could be confirmed. Cancellation stays unsupported
     /// (§2.2.1) — the request still completes, the error is the result.

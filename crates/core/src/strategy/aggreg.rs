@@ -66,8 +66,7 @@ mod tests {
     #[test]
     fn aggregates_consecutive_small_sends() {
         let mut s = StratAggreg::new();
-        let mut pending: VecDeque<_> =
-            (0..5).map(|i| eager_pw(i, 100)).collect();
+        let mut pending: VecDeque<_> = (0..5).map(|i| eager_pw(i, 100)).collect();
         let mut rs = rails(1);
         let subs = s.try_and_commit(&cfg(), &mut pending, &mut rs);
         assert_eq!(subs.len(), 1);

@@ -67,11 +67,9 @@ impl Strategy for StratSplitBalanced {
                 // rail, listed only here, where the chunk plan is built.
                 let usable: Vec<usize> = schedulable_rails(rails).collect();
                 let pw = pending.pop_front().unwrap();
-                let profiles: Vec<LinkProfile> =
-                    usable.iter().map(|&i| rails[i].profile).collect();
+                let profiles: Vec<LinkProfile> = usable.iter().map(|&i| rails[i].profile).collect();
                 let weights: Vec<f64> = usable.iter().map(|&i| rails[i].weight).collect();
-                let chunks =
-                    split_sizes_weighted(pw.len(), &profiles, &weights, MIN_SPLIT_CHUNK);
+                let chunks = split_sizes_weighted(pw.len(), &profiles, &weights, MIN_SPLIT_CHUNK);
                 let (rdv_id, base) = match pw.body {
                     PwBody::Data { rdv_id, offset } => (rdv_id, offset),
                     _ => unreachable!("can_split implies Data"),

@@ -95,14 +95,23 @@ impl WirePayload {
                     })
                     .collect(),
             ),
-            WirePayload::Rts { tag, seq, rdv_id, len } => WirePayload::Rts {
+            WirePayload::Rts {
+                tag,
+                seq,
+                rdv_id,
+                len,
+            } => WirePayload::Rts {
                 tag: *tag,
                 seq: *seq,
                 rdv_id: *rdv_id,
                 len: *len,
             },
             WirePayload::Cts { rdv_id } => WirePayload::Cts { rdv_id: *rdv_id },
-            WirePayload::Data { rdv_id, offset, data } => WirePayload::Data {
+            WirePayload::Data {
+                rdv_id,
+                offset,
+                data,
+            } => WirePayload::Data {
                 rdv_id: *rdv_id,
                 offset: *offset,
                 data: data.share(),
@@ -112,9 +121,7 @@ impl WirePayload {
                 next: *next,
                 credits: *credits,
             },
-            WirePayload::Credit { credits } => WirePayload::Credit {
-                credits: *credits,
-            },
+            WirePayload::Credit { credits } => WirePayload::Credit { credits: *credits },
             WirePayload::RdvFin { rdv_id } => WirePayload::RdvFin { rdv_id: *rdv_id },
             WirePayload::Probe { rail, seq } => WirePayload::Probe {
                 rail: *rail,
@@ -296,7 +303,12 @@ fn compute_crc(src_rank: usize, dst_rank: usize, payload: &WirePayload) -> u64 {
                 h.bytes(f.data.as_slice());
             }
         }
-        WirePayload::Rts { tag, seq, rdv_id, len } => {
+        WirePayload::Rts {
+            tag,
+            seq,
+            rdv_id,
+            len,
+        } => {
             h.word(3);
             h.word(*tag);
             h.word(*seq);
@@ -307,7 +319,11 @@ fn compute_crc(src_rank: usize, dst_rank: usize, payload: &WirePayload) -> u64 {
             h.word(4);
             h.word(*rdv_id);
         }
-        WirePayload::Data { rdv_id, offset, data } => {
+        WirePayload::Data {
+            rdv_id,
+            offset,
+            data,
+        } => {
             h.word(5);
             h.word(*rdv_id);
             h.word(*offset as u64);
@@ -439,8 +455,24 @@ mod tests {
         assert_ne!(r1.crc, r2.crc, "epoch field is covered");
         assert!(r1.wire_bytes() <= 64, "revoke rides the express lane");
         // The piggybacked credit count is sealed too.
-        let e = NmWire::new(0, 1, WirePayload::Ack { tag: 1, next: 2, credits: 0 });
-        let f = NmWire::new(0, 1, WirePayload::Ack { tag: 1, next: 2, credits: 3 });
+        let e = NmWire::new(
+            0,
+            1,
+            WirePayload::Ack {
+                tag: 1,
+                next: 2,
+                credits: 0,
+            },
+        );
+        let f = NmWire::new(
+            0,
+            1,
+            WirePayload::Ack {
+                tag: 1,
+                next: 2,
+                credits: 3,
+            },
+        );
         assert_ne!(e.crc, f.crc, "credit field is covered");
         // share() preserves the payload identity, so the CRC still holds.
         let shared = NmWire {

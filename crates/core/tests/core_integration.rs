@@ -6,9 +6,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use parking_lot::Mutex;
-use simnet::{
-    Fabric, NicModel, NodeId, RailId, RankCtx, Sim, SimBuilder, SimDuration,
-};
+use simnet::{Fabric, NicModel, NodeId, RailId, RankCtx, Sim, SimBuilder, SimDuration};
 
 use nmad::{GateId, NmConfig, NmCore, NmNet, NmWire, StrategyKind};
 
@@ -34,10 +32,7 @@ fn fixture(n: usize, rails: Vec<NicModel>, cfg: NmConfig) -> (Sim, Vec<Arc<NmCor
         .collect();
     for (r, c) in cores.iter().enumerate() {
         let core = Arc::clone(c);
-        fabric.set_sink(
-            NodeId(r),
-            Box::new(move |s, d| core.accept(s, d.msg)),
-        );
+        fabric.set_sink(NodeId(r), Box::new(move |s, d| core.accept(s, d.msg)));
     }
     (sim, cores)
 }

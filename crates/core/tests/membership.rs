@@ -22,9 +22,7 @@
 use std::sync::Arc;
 
 use bytes::Bytes;
-use simnet::{
-    Fabric, NicModel, NodeId, RailId, RankCtx, Sim, SimBuilder, SimDuration,
-};
+use simnet::{Fabric, NicModel, NodeId, RailId, RankCtx, Sim, SimBuilder, SimDuration};
 
 use nmad::sr::CompletionKind;
 use nmad::{
@@ -154,7 +152,10 @@ fn organic_death_of_halted_peer() {
         assert_eq!(c0.peer_state(1), PeerLiveness::Dead);
         assert_eq!(c0.peer_entry_count(1), 0, "drain must reclaim every entry");
         assert_eq!(c0.take_dead_peers(), vec![1]);
-        assert!(c0.take_dead_peers().is_empty(), "event consumed exactly once");
+        assert!(
+            c0.take_dead_peers().is_empty(),
+            "event consumed exactly once"
+        );
         assert_eq!(c0.death_log().len(), 1);
         // The eager send completed locally at the NIC before the death —
         // exactly one successful completion, no failure on top of it.
@@ -245,7 +246,11 @@ fn slow_peer_is_never_declared_dead() {
         let CompletionKind::Recv { data, .. } = &recv.kind else {
             panic!("expected successful receive");
         };
-        assert_eq!(&data[..], &payload[..], "payload must survive the suspicion");
+        assert_eq!(
+            &data[..],
+            &payload[..],
+            "payload must survive the suspicion"
+        );
         assert_eq!(c0.stats().membership_dead_peers, 0);
         assert_eq!(c0.stats().membership_aborted_sends, 0);
     });
@@ -282,16 +287,26 @@ fn drain_at_rts_sent_aborts_send() {
         let st = c0.stats();
         assert_eq!(st.membership_aborted_sends, 1);
         assert_eq!(st.membership_dead_peers, 1);
-        assert!(st.membership_drained_entries >= 2, "gate + rendezvous at least");
+        assert!(
+            st.membership_drained_entries >= 2,
+            "gate + rendezvous at least"
+        );
         assert_eq!(c0.peer_entry_count(1), 0);
         // Post-mortem traffic fails fast, one error completion each.
         c0.isend(&ctx.scheduler(), 1, 2, Bytes::from_static(b"late"), 12);
         c0.irecv(&ctx.scheduler(), 1, 4, 13);
         let post: Vec<NmCompletion> = c0.drain_completions();
         assert_eq!(post.len(), 2);
-        assert!(matches!(post[0].kind, CompletionKind::SendFailed { peer: 1 }));
+        assert!(matches!(
+            post[0].kind,
+            CompletionKind::SendFailed { peer: 1 }
+        ));
         assert!(matches!(post[1].kind, CompletionKind::RecvFailed { .. }));
-        assert_eq!(c0.peer_entry_count(1), 0, "fail-fast leaves no state behind");
+        assert_eq!(
+            c0.peer_entry_count(1),
+            0,
+            "fail-fast leaves no state behind"
+        );
     });
     sim.run().unwrap();
 }
@@ -401,7 +416,9 @@ fn drain_mid_stream_at_any_cut_point() {
 }
 
 fn pattern(seed: u8, len: usize) -> Vec<u8> {
-    (0..len).map(|i| seed.wrapping_add((i * 13) as u8)).collect()
+    (0..len)
+        .map(|i| seed.wrapping_add((i * 13) as u8))
+        .collect()
 }
 
 /// The cut sweep again, with a victim whose gate is fully populated at
@@ -440,7 +457,13 @@ fn drain_of_a_fully_populated_gate() {
             // they are in flight across the whole sweep.
             let big = pattern(2, 200 * 1024);
             c2.isend(&sched, 0, 30, Bytes::from(big.clone()), post(2, 300));
-            c2.isend(&sched, 0, 31, Bytes::from_static(b"third rank"), post(2, 301));
+            c2.isend(
+                &sched,
+                0,
+                31,
+                Bytes::from_static(b"third rank"),
+                post(2, 301),
+            );
 
             // Tombstone: a finished inbound rendezvous from the victim.
             c0.irecv(&sched, 1, 23, post(0, 123));
@@ -453,11 +476,18 @@ fn drain_of_a_fully_populated_gate() {
             // Inbound rendezvous: the RTS arrives, the victim dies before
             // the CTS can reach it.
             c1.isend(&sched, 0, 25, Bytes::from(pattern(5, 256 * 1024)), 225);
-            run_until(&ctx, &all, &mut comps, SimDuration::millis(2), "victim traffic", || {
-                c0.stats().recv_completions == 1
-                    && c0.unexpected_eager_bytes() >= 4 * 1024
-                    && c0.probe(GateId(1), 25)
-            });
+            run_until(
+                &ctx,
+                &all,
+                &mut comps,
+                SimDuration::millis(2),
+                "victim traffic",
+                || {
+                    c0.stats().recv_completions == 1
+                        && c0.unexpected_eager_bytes() >= 4 * 1024
+                        && c0.probe(GateId(1), 25)
+                },
+            );
             c0.irecv(&sched, 1, 22, post(0, 122));
             run_for(&ctx, &all, &mut comps, SimDuration::micros(5));
             assert!(c0.stats().fc_credits_withheld >= 1, "no credit withheld");
@@ -466,25 +496,57 @@ fn drain_of_a_fully_populated_gate() {
             c0.irecv(&sched, 1, 25, post(0, 125));
             // Outbound rendezvous and eagers into the void: an RTS nobody
             // answers, envelopes nobody acks.
-            c0.isend(&sched, 1, 24, Bytes::from(pattern(4, 256 * 1024)), post(0, 124));
-            c0.isend(&sched, 1, 21, Bytes::from_static(b"unacked one"), post(0, 121));
-            c0.isend(&sched, 1, 21, Bytes::from_static(b"unacked two"), post(0, 126));
+            c0.isend(
+                &sched,
+                1,
+                24,
+                Bytes::from(pattern(4, 256 * 1024)),
+                post(0, 124),
+            );
+            c0.isend(
+                &sched,
+                1,
+                21,
+                Bytes::from_static(b"unacked one"),
+                post(0, 121),
+            );
+            c0.isend(
+                &sched,
+                1,
+                21,
+                Bytes::from_static(b"unacked two"),
+                post(0, 126),
+            );
             c0.irecv(&sched, 1, 26, post(0, 127));
             // Parked: envelopes 2 and 3 of a flow whose 0 and 1 never came.
             for seq in [2, 3] {
                 let data = NmBuf::from(Bytes::from_static(b"early"));
-                c0.accept(&sched, NmWire::new(1, 0, WirePayload::Eager { tag: 20, seq, data }));
+                c0.accept(
+                    &sched,
+                    NmWire::new(1, 0, WirePayload::Eager { tag: 20, seq, data }),
+                );
             }
             // The eagers leave the node (and complete locally); nothing
             // will ever ack them.
-            run_until(&ctx, &all, &mut comps, SimDuration::millis(1), "eagers on the wire", || {
-                c0.stats().send_completions == 2
-            });
+            run_until(
+                &ctx,
+                &all,
+                &mut comps,
+                SimDuration::millis(1),
+                "eagers on the wire",
+                || c0.stats().send_completions == 2,
+            );
             run_for(&ctx, &all, &mut comps, SimDuration::micros(cut_us));
 
             let held = c0.peer_entry_count(1);
             let organic = c0.is_peer_dead(1);
-            let queues = || (c0.posted_recvs(), c0.unexpected_msgs(), c0.unexpected_eager_bytes());
+            let queues = || {
+                (
+                    c0.posted_recvs(),
+                    c0.unexpected_msgs(),
+                    c0.unexpected_eager_bytes(),
+                )
+            };
             if !organic {
                 // Gate + 7 flows (tags 20–26) + one rendezvous each way +
                 // the tombstone.
@@ -505,9 +567,16 @@ fn drain_of_a_fully_populated_gate() {
             // and its eager, nothing posted.
             assert_eq!(queues(), (0, 2, b"third rank".len()), "cut@{cut_us}µs");
             // A question about the corpse finds nothing and records nothing.
-            assert!(!c0.probe(GateId(1), 22), "cut@{cut_us}µs: drained message still probed");
+            assert!(
+                !c0.probe(GateId(1), 22),
+                "cut@{cut_us}µs: drained message still probed"
+            );
             let st = c0.stats();
-            assert_eq!(c0.peer_entry_count(1), 0, "cut@{cut_us}µs: corpse kept a record");
+            assert_eq!(
+                c0.peer_entry_count(1),
+                0,
+                "cut@{cut_us}µs: corpse kept a record"
+            );
             assert_eq!(
                 st.peer_entries,
                 c0.peer_entry_count(2) as u64,
@@ -518,15 +587,24 @@ fn drain_of_a_fully_populated_gate() {
             // credit earned was withheld) + withheld.
             let (in_flight, owed, withheld) = (2, 0, st.fc_credits_withheld);
             assert_eq!(withheld, 1, "cut@{cut_us}µs");
-            assert_eq!(st.membership_credits_released, in_flight + owed + withheld, "cut@{cut_us}µs");
+            assert_eq!(
+                st.membership_credits_released,
+                in_flight + owed + withheld,
+                "cut@{cut_us}µs"
+            );
             assert_eq!(c0.take_dead_peers(), vec![1]);
 
             // Rank 2's flow finishes byte-exact through the drained core.
             c0.irecv(&sched, 2, 30, post(0, 130));
             c0.irecv(&sched, 2, 31, post(0, 131));
-            run_until(&ctx, &all, &mut comps, SimDuration::millis(5), "rank 2's flow", || {
-                c0.stats().recv_completions == 4 && c2.stats().send_completions == 2
-            });
+            run_until(
+                &ctx,
+                &all,
+                &mut comps,
+                SimDuration::millis(5),
+                "rank 2's flow",
+                || c0.stats().recv_completions == 4 && c2.stats().send_completions == 2,
+            );
             run_for(&ctx, &all, &mut comps, SimDuration::micros(100));
             for c in c0.drain_completions() {
                 comps.push((0, c));
@@ -539,7 +617,9 @@ fn drain_of_a_fully_populated_gate() {
                 assert_eq!(hits.len(), 1, "cut@{cut_us}µs: cookie {cookie}: {hits:?}");
                 match (cookie, &hits[0].1.kind) {
                     (130, CompletionKind::Recv { data, .. }) => assert_eq!(data[..], big[..]),
-                    (131, CompletionKind::Recv { data, .. }) => assert_eq!(&data[..], b"third rank"),
+                    (131, CompletionKind::Recv { data, .. }) => {
+                        assert_eq!(&data[..], b"third rank")
+                    }
                     (122 | 123, CompletionKind::Recv { .. }) => {}
                     (121 | 126 | 300 | 301, CompletionKind::Send) => {}
                     (124, CompletionKind::SendFailed { peer: 1 }) => {}
@@ -566,18 +646,28 @@ fn arrival_order_survives_a_drain_and_a_quiesce() {
         let sched = ctx.scheduler();
         let eager = |src: usize, tag: u64| {
             let data = NmBuf::from(Bytes::from(vec![src as u8; 8]));
-            c0.accept(&sched, NmWire::new(src, 0, WirePayload::Eager { tag, seq: 0, data }));
+            c0.accept(
+                &sched,
+                NmWire::new(src, 0, WirePayload::Eager { tag, seq: 0, data }),
+            );
         };
         let doomed = nmad::keys::coll_key(1, nmad::keys::OP_BARRIER, 0, 0);
         for src in [3, 1, 2] {
             eager(src, 9);
         }
         eager(1, doomed);
-        assert_eq!((c0.unexpected_msgs(), c0.probe_tag(9)), (4, Some(GateId(3))));
+        assert_eq!(
+            (c0.unexpected_msgs(), c0.probe_tag(9)),
+            (4, Some(GateId(3)))
+        );
 
         assert!(c0.declare_peer_dead(&sched, 3));
         assert!(c0.revoke_epoch(&sched, 1));
-        assert_eq!(c0.unexpected_msgs(), 2, "gate 3's message and epoch 1's are gone");
+        assert_eq!(
+            c0.unexpected_msgs(),
+            2,
+            "gate 3's message and epoch 1's are gone"
+        );
         assert!(!c0.probe(GateId(1), doomed));
         for gate in [1, 2] {
             assert_eq!(c0.probe_tag_info(9), Some((GateId(gate), 8)));

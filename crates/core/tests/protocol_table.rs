@@ -23,9 +23,7 @@
 use std::sync::Arc;
 
 use bytes::Bytes;
-use simnet::{
-    Fabric, NicModel, NmBuf, NodeId, RailId, RankCtx, Sim, SimBuilder, SimDuration,
-};
+use simnet::{Fabric, NicModel, NmBuf, NodeId, RailId, RankCtx, Sim, SimBuilder, SimDuration};
 
 use nmad::{GateId, NmConfig, NmCore, NmNet, NmWire, RetryConfig, StrategyKind, WirePayload};
 
@@ -130,7 +128,8 @@ fn stray_frame_case(payload: WirePayload) {
         assert_eq!(c1.stats().protocol_errors, 0);
         inject(&ctx, &c1, payload);
         assert_eq!(
-            c1.stats().protocol_errors, 1,
+            c1.stats().protocol_errors,
+            1,
             "stray frame must be counted exactly once"
         );
         eager_still_works(&ctx, &c0, &c1);
@@ -209,7 +208,11 @@ fn duplicate_rts_without_retry_is_counted_not_fatal() {
             len: 64,
         };
         inject(&ctx, &c1, rts());
-        assert_eq!(c1.stats().protocol_errors, 0, "first RTS opens the rendezvous");
+        assert_eq!(
+            c1.stats().protocol_errors,
+            0,
+            "first RTS opens the rendezvous"
+        );
         inject(&ctx, &c1, rts());
         assert_eq!(c1.stats().protocol_errors, 1, "duplicate RTS is counted");
         // The live rendezvous is untouched: the full payload completes it.
@@ -336,9 +339,19 @@ fn forged_frame_case(retry: bool, forgery: fn(u64) -> WirePayload) {
             u64::from(!retry),
             "counted without retry, a declared ignore with it"
         );
-        assert_eq!(st.data_chunks_sent, 0, "payload streamed to a rank that sent no CTS");
-        assert!(c0.drain_completions().is_empty(), "forgery completed the send");
-        assert_eq!(c1.stats().protocol_errors, 0, "rank 1 saw unsolicited frames");
+        assert_eq!(
+            st.data_chunks_sent, 0,
+            "payload streamed to a rank that sent no CTS"
+        );
+        assert!(
+            c0.drain_completions().is_empty(),
+            "forgery completed the send"
+        );
+        assert_eq!(
+            c1.stats().protocol_errors,
+            0,
+            "rank 1 saw unsolicited frames"
+        );
 
         c1.irecv(&sched, 0, 7, 200);
         drive(&ctx, c0, c1, "the real rendezvous", || {
@@ -350,7 +363,11 @@ fn forged_frame_case(retry: bool, forgery: fn(u64) -> WirePayload) {
         };
         assert_eq!(&data[..], &payload[..]);
         let send = c0.drain_completions().pop().expect("send completion");
-        assert!(matches!(send.kind, nmad::sr::CompletionKind::Send), "{:?}", send.kind);
+        assert!(
+            matches!(send.kind, nmad::sr::CompletionKind::Send),
+            "{:?}",
+            send.kind
+        );
         eager_still_works(&ctx, c0, c1);
         assert_eq!(c0.stats().protocol_errors, u64::from(!retry));
     });
@@ -393,10 +410,19 @@ fn bad_header_case(retry: bool, n: usize, src: usize, dst: usize) {
         };
         c0.accept(&sched, NmWire::new(src, dst, payload));
         let settle = sched.now() + SimDuration::micros(20);
-        drive(&ctx, c0, c1, "bad header to settle", || sched.now() >= settle);
+        drive(&ctx, c0, c1, "bad header to settle", || {
+            sched.now() >= settle
+        });
         assert_eq!(c0.stats().protocol_errors, 1, "counted exactly once");
-        assert_eq!(c0.peer_entry_count(src), records, "the frame opened a record");
-        assert!(c0.drain_completions().is_empty(), "a misrouted frame was delivered");
+        assert_eq!(
+            c0.peer_entry_count(src),
+            records,
+            "the frame opened a record"
+        );
+        assert!(
+            c0.drain_completions().is_empty(),
+            "a misrouted frame was delivered"
+        );
         assert_eq!(c0.stats().acks_sent, 0, "nothing is acknowledged");
         eager_still_works(&ctx, c0, c1);
         assert_eq!(c0.stats().protocol_errors, 1);

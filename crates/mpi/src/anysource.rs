@@ -82,11 +82,15 @@ impl AnySourceLists {
 
     /// Register a newly posted ANY_SOURCE receive.
     pub fn register_any(&mut self, key: u64, req: Req, ch3_flag: ActiveFlag) {
-        self.lists.entry(key).or_default().entries.push_back(Entry::Any {
-            req,
-            ch3_flag,
-            nm_gate: None,
-        });
+        self.lists
+            .entry(key)
+            .or_default()
+            .entries
+            .push_back(Entry::Any {
+                req,
+                ch3_flag,
+                nm_gate: None,
+            });
         self.by_req.insert(req, key);
     }
 
@@ -124,9 +128,7 @@ impl AnySourceLists {
             .iter()
             .filter_map(|(&key, list)| match list.entries.front() {
                 Some(Entry::Any {
-                    req,
-                    nm_gate: None,
-                    ..
+                    req, nm_gate: None, ..
                 }) => Some((key, *req)),
                 _ => None,
             })
@@ -137,7 +139,10 @@ impl AnySourceLists {
     /// twin (the NewMadeleine request cannot be cancelled, so shared
     /// memory must no longer steal this receive).
     pub fn mark_posted(&mut self, key: u64, gate: usize) {
-        let list = self.lists.get_mut(&key).expect("mark_posted on unknown tag");
+        let list = self
+            .lists
+            .get_mut(&key)
+            .expect("mark_posted on unknown tag");
         match list.entries.front_mut() {
             Some(Entry::Any {
                 nm_gate, ch3_flag, ..
@@ -280,7 +285,18 @@ mod tests {
         let released = l.on_complete(ra);
         assert_eq!(
             released,
-            vec![Release { req: r1, src: 4, key: 7 }, Release { req: r2, src: 5, key: 7 }]
+            vec![
+                Release {
+                    req: r1,
+                    src: 4,
+                    key: 7
+                },
+                Release {
+                    req: r2,
+                    src: 5,
+                    key: 7
+                }
+            ]
         );
         assert_eq!(l.tags_in_use(), 0);
         assert!(!l.is_tracked(r1));
@@ -300,11 +316,25 @@ mod tests {
         assert!(l.try_park_specific(7, s2, 5));
         // Completing the head releases s1 but stops at ra2.
         let released = l.on_complete(ra1);
-        assert_eq!(released, vec![Release { req: s1, src: 4, key: 7 }]);
+        assert_eq!(
+            released,
+            vec![Release {
+                req: s1,
+                src: 4,
+                key: 7
+            }]
+        );
         assert_eq!(l.heads_to_probe(), vec![(7, ra2)]);
         // Completing the new head releases s2.
         let released = l.on_complete(ra2);
-        assert_eq!(released, vec![Release { req: s2, src: 5, key: 7 }]);
+        assert_eq!(
+            released,
+            vec![Release {
+                req: s2,
+                src: 5,
+                key: 7
+            }]
+        );
         assert_eq!(l.tags_in_use(), 0);
     }
 
@@ -326,7 +356,14 @@ mod tests {
         assert!(released.is_empty());
         // Head completes: specifics flow.
         let released = l.on_complete(ra1);
-        assert_eq!(released, vec![Release { req: s1, src: 4, key: 7 }]);
+        assert_eq!(
+            released,
+            vec![Release {
+                req: s1,
+                src: 4,
+                key: 7
+            }]
+        );
     }
 
     #[test]
@@ -345,8 +382,16 @@ mod tests {
         assert_eq!(
             purged,
             vec![
-                Release { req: dead1, src: 9, key: 7 },
-                Release { req: dead2, src: 9, key: 7 }
+                Release {
+                    req: dead1,
+                    src: 9,
+                    key: 7
+                },
+                Release {
+                    req: dead2,
+                    src: 9,
+                    key: 7
+                }
             ]
         );
         assert!(!l.is_tracked(dead1) && !l.is_tracked(dead2));
@@ -354,7 +399,14 @@ mod tests {
         assert!(l.is_tracked(live));
         assert_eq!(l.heads_to_probe(), vec![(7, ra)]);
         let released = l.on_complete(ra);
-        assert_eq!(released, vec![Release { req: live, src: 4, key: 7 }]);
+        assert_eq!(
+            released,
+            vec![Release {
+                req: live,
+                src: 4,
+                key: 7
+            }]
+        );
         assert_eq!(l.tags_in_use(), 0);
     }
 

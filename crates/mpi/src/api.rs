@@ -200,9 +200,8 @@ impl MpiHandle {
     /// (exclude the corpse), `Ok` otherwise.
     pub fn wait_ft(&self, req: Req) -> Result<(Option<Bytes>, Option<Status>), FtError> {
         let (data, status) = self.state.wait(&self.ctx, req);
-        let verdict = |st: &mut crate::RankState| {
-            (st.reqs.revoked_epoch(req), st.reqs.failed_peer(req))
-        };
+        let verdict =
+            |st: &mut crate::RankState| (st.reqs.revoked_epoch(req), st.reqs.failed_peer(req));
         match self.state.with_state(verdict) {
             (Some(epoch), _) => Err(FtError::Revoked { epoch }),
             (None, Some(peer)) => Err(FtError::PeerDead { peer }),

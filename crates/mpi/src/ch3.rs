@@ -31,14 +31,29 @@ pub const CH3_HEADER_BYTES: usize = 40;
 /// payload bytes.
 #[derive(Clone, Debug)]
 pub enum Ch3Pkt {
-    Eager { key: u64, data: NmBuf },
-    Rts { key: u64, rdv_id: u64, len: usize },
-    Cts { rdv_id: u64 },
-    Data { rdv_id: u64, offset: usize, data: NmBuf },
+    Eager {
+        key: u64,
+        data: NmBuf,
+    },
+    Rts {
+        key: u64,
+        rdv_id: u64,
+        len: usize,
+    },
+    Cts {
+        rdv_id: u64,
+    },
+    Data {
+        rdv_id: u64,
+        offset: usize,
+        data: NmBuf,
+    },
     /// Per-fragment acknowledgement of an ACK-throttled rendezvous
     /// pipeline (Open MPI 1.2-era openib behaviour: the next fragment only
     /// leaves once the previous one is acknowledged).
-    DataAck { rdv_id: u64 },
+    DataAck {
+        rdv_id: u64,
+    },
 }
 
 impl Ch3Pkt {
@@ -64,9 +79,7 @@ impl Ch3Pkt {
     /// can prove the bypass path skips it.
     pub fn encode(&self) -> NmBuf {
         let meter = match self {
-            Ch3Pkt::Eager { data, .. } | Ch3Pkt::Data { data, .. } => {
-                data.meter().map(Arc::clone)
-            }
+            Ch3Pkt::Eager { data, .. } | Ch3Pkt::Data { data, .. } => data.meter().map(Arc::clone),
             _ => None,
         };
         let mut b = BytesMut::with_capacity(33 + 16);
@@ -364,9 +377,11 @@ impl Ch3Engine {
         } else {
             // Table entry point: the CH3 engine has no credit layer, so
             // the size test alone forces the rendezvous path.
-            let Verdict::Step { actions, next, .. } =
-                protocol::step(State::Gone, protocol::Event::SendRdv, self.pctx(false, false))
-            else {
+            let Verdict::Step { actions, next, .. } = protocol::step(
+                State::Gone,
+                protocol::Event::SendRdv,
+                self.pctx(false, false),
+            ) else {
                 unreachable!("entry/size must be a table row");
             };
             debug_assert!(actions.contains(&Action::SendRts));
@@ -422,7 +437,15 @@ impl Ch3Engine {
     /// can satisfy is a counted protocol error — no buffer, no CTS, the
     /// engine lives on (the matched receive stays pending, like one whose
     /// sender never sends).
-    fn begin_rdv_in(&mut self, req: Req, src: usize, key: u64, was_any: bool, rdv_id: u64, len: usize) {
+    fn begin_rdv_in(
+        &mut self,
+        req: Req,
+        src: usize,
+        key: u64,
+        was_any: bool,
+        rdv_id: u64,
+        len: usize,
+    ) {
         // Table entry point for the receive side; the live entry embodies
         // the `RWaitData` state the table hands back.
         let Verdict::Step { actions, next, .. } = protocol::step(
@@ -471,7 +494,9 @@ impl Ch3Engine {
                     key,
                     was_any: entry.src.is_none(),
                 })),
-                None => self.queues.store_unexpected(UnexMsg::Eager { src, key, data }),
+                None => self
+                    .queues
+                    .store_unexpected(UnexMsg::Eager { src, key, data }),
             },
             Ch3Pkt::Rts { key, rdv_id, len } => match self.queues.match_arrival(src, key) {
                 Some(entry) => {
@@ -731,7 +756,10 @@ mod tests {
         // completion was applied.
         assert!(matches!(
             w.events[..],
-            [(1, Ch3Event::RecvDone { src: 0, .. }), (0, Ch3Event::SendDone { .. })]
+            [
+                (1, Ch3Event::RecvDone { src: 0, .. }),
+                (0, Ch3Event::SendDone { .. })
+            ]
         ));
         assert_eq!(w.engines[0].rdv_in_flight(), 0);
         assert_eq!(w.engines[1].rdv_in_flight(), 0);
@@ -744,7 +772,10 @@ mod tests {
         let payload: Vec<u8> = (0..10_000).map(|i| (i % 256) as u8).collect();
         w.irecv(1, Some(0), 7);
         w.isend(0, 7, NmBuf::from(Bytes::copy_from_slice(&payload)));
-        let data_pkts = w.crossed.iter().filter(|(_, p)| matches!(p, Ch3Pkt::Data { .. }));
+        let data_pkts = w
+            .crossed
+            .iter()
+            .filter(|(_, p)| matches!(p, Ch3Pkt::Data { .. }));
         assert_eq!(data_pkts.count(), 3, "10000 bytes in 4096-byte chunks");
         let got = w.received();
         assert_eq!(&got.first().expect("recv completes").1[..], &payload[..]);
@@ -776,7 +807,10 @@ mod tests {
         assert_eq!(w.sends_done().len(), 1, "exactly one send completion");
         // …and the duplicates were tallied, not fatal: the replayed final
         // DATA at the receiver, the replayed CTS at the sender.
-        assert!(w.engines[1].protocol_errors() >= 1, "dup final DATA counted");
+        assert!(
+            w.engines[1].protocol_errors() >= 1,
+            "dup final DATA counted"
+        );
         assert!(w.engines[0].protocol_errors() >= 1, "dup CTS counted");
         assert_eq!(w.engines[0].rdv_in_flight(), 0);
         assert_eq!(w.engines[1].rdv_in_flight(), 0);

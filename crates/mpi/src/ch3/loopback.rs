@@ -50,7 +50,11 @@ impl Pair {
 
     /// Rank `at` posts a receive (`src` `None` = ANY_SOURCE).
     pub fn irecv(&mut self, at: usize, src: Option<usize>, key: u64) -> (Req, Option<ActiveFlag>) {
-        let kind = if src.is_some() { ReqKind::Recv } else { ReqKind::RecvAnySource };
+        let kind = if src.is_some() {
+            ReqKind::Recv
+        } else {
+            ReqKind::RecvAnySource
+        };
         let req = self.reqs.create(kind, ReqPath::Net);
         let flag = self.engines[at].post_recv(req, src, key);
         self.pump(at);
@@ -137,7 +141,11 @@ fn an_eager_message_posted_first_or_unexpected_first_completes_once() {
 #[test]
 fn rendezvous_in_all_three_dialects() {
     let payload = pattern(10_000);
-    for (chunk, ack, data_pkts, acks) in [(None, false, 1, 0), (Some(4096), false, 3, 0), (Some(4096), true, 3, 2)] {
+    for (chunk, ack, data_pkts, acks) in [
+        (None, false, 1, 0),
+        (Some(4096), false, 3, 0),
+        (Some(4096), true, 3, 2),
+    ] {
         for posted_first in [true, false] {
             let mut w = Pair::new(1024, chunk, ack);
             let mut rreq = None;
@@ -157,8 +165,14 @@ fn rendezvous_in_all_three_dialects() {
             assert_eq!(w.data_packets(), data_pkts, "chunk {chunk:?} ack {ack}");
             let is_ack = |(_, p): &&(usize, Ch3Pkt)| matches!(p, Ch3Pkt::DataAck { .. });
             assert_eq!(w.crossed.iter().filter(is_ack).count(), acks);
-            assert_eq!(w.engines[0].rdv_in_flight() + w.engines[1].rdv_in_flight(), 0);
-            assert_eq!(w.engines[0].protocol_errors() + w.engines[1].protocol_errors(), 0);
+            assert_eq!(
+                w.engines[0].rdv_in_flight() + w.engines[1].rdv_in_flight(),
+                0
+            );
+            assert_eq!(
+                w.engines[0].protocol_errors() + w.engines[1].protocol_errors(),
+                0
+            );
         }
     }
 }
@@ -168,14 +182,26 @@ fn rendezvous_in_all_three_dialects() {
 fn a_duplicated_data_ack_is_counted_and_the_pipeline_stays_in_step() {
     let payload = pattern(10_000);
     let mut w = Pair::new(1024, Some(4096), true);
-    w.copies = Box::new(|p| if matches!(p, Ch3Pkt::DataAck { .. }) { 2 } else { 1 });
+    w.copies = Box::new(|p| {
+        if matches!(p, Ch3Pkt::DataAck { .. }) {
+            2
+        } else {
+            1
+        }
+    });
     let (rreq, _) = w.irecv(1, Some(0), 7);
     let (sreq, _) = w.isend(0, 7, payload.clone());
     assert_eq!(w.sends_done(), [sreq], "completed exactly once");
     let got = w.received();
-    assert_eq!((got.len(), got[0].0, &got[0].1[..]), (1, rreq, &payload[..]));
+    assert_eq!(
+        (got.len(), got[0].0, &got[0].1[..]),
+        (1, rreq, &payload[..])
+    );
     assert_eq!(w.data_packets(), 3, "no fragment was cut twice");
-    assert!(w.engines[0].protocol_errors() >= 1, "the replayed ack is counted");
+    assert!(
+        w.engines[0].protocol_errors() >= 1,
+        "the replayed ack is counted"
+    );
 }
 
 /// A forged RTS (in-job source, well-formed frame) announcing a length no
@@ -215,7 +241,11 @@ fn a_forged_rts_length_is_a_counted_error_not_an_allocation() {
         assert_eq!(got.len(), 2);
         assert_eq!((got[0].0, &got[0].1[..]), (r1, &pattern(5_000)[..]));
         assert_eq!((got[1].0, &got[1].1[..]), (r2, &pattern(10)[..]));
-        assert_eq!(w.engines[1].protocol_errors(), 1, "and nothing else counted");
+        assert_eq!(
+            w.engines[1].protocol_errors(),
+            1,
+            "and nothing else counted"
+        );
     }
 }
 
@@ -228,10 +258,21 @@ fn frame(bytes: &[u8]) -> NmBuf {
 #[test]
 fn decode_refuses_truncated_unknown_and_mislengthed_frames() {
     let samples = [
-        Ch3Pkt::Eager { key: 7, data: NmBuf::from(pattern(5)) },
-        Ch3Pkt::Rts { key: 9, rdv_id: 3, len: 1 << 20 },
+        Ch3Pkt::Eager {
+            key: 7,
+            data: NmBuf::from(pattern(5)),
+        },
+        Ch3Pkt::Rts {
+            key: 9,
+            rdv_id: 3,
+            len: 1 << 20,
+        },
         Ch3Pkt::Cts { rdv_id: 3 },
-        Ch3Pkt::Data { rdv_id: 3, offset: 512, data: NmBuf::from(pattern(7)) },
+        Ch3Pkt::Data {
+            rdv_id: 3,
+            offset: 512,
+            data: NmBuf::from(pattern(7)),
+        },
         Ch3Pkt::DataAck { rdv_id: 3 },
     ];
     for pkt in &samples {
@@ -239,7 +280,10 @@ fn decode_refuses_truncated_unknown_and_mislengthed_frames() {
         assert!(Ch3Pkt::decode(whole.share()).is_some());
         // Every proper prefix is a truncated frame.
         for cut in 0..whole.len() {
-            assert!(Ch3Pkt::decode(frame(&whole[..cut])).is_none(), "{pkt:?} cut at {cut}");
+            assert!(
+                Ch3Pkt::decode(frame(&whole[..cut])).is_none(),
+                "{pkt:?} cut at {cut}"
+            );
         }
     }
     for variant in 5..=255u8 {
@@ -251,6 +295,9 @@ fn decode_refuses_truncated_unknown_and_mislengthed_frames() {
     for pkt in [&samples[0], &samples[3]] {
         let mut long = pkt.encode().to_vec();
         long.push(0xEE);
-        assert!(Ch3Pkt::decode(frame(&long)).is_none(), "payload longer than announced");
+        assert!(
+            Ch3Pkt::decode(frame(&long)).is_none(),
+            "payload longer than announced"
+        );
     }
 }

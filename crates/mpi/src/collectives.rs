@@ -36,13 +36,11 @@
 //! thresholds they return the flat algorithms byte-for-byte, so existing
 //! small-run figures stay bit-identical.
 
-
 use bytes::Bytes;
 use simnet::{NmBuf, TopoMap};
 
 use nmad::keys::{
-    coll_key, OP_ALLGATHER, OP_ALLTOALL, OP_ALLTOALLV, OP_BARRIER, OP_BCAST, OP_REDUCE,
-    OP_TRYBAR,
+    coll_key, OP_ALLGATHER, OP_ALLTOALL, OP_ALLTOALLV, OP_BARRIER, OP_BCAST, OP_REDUCE, OP_TRYBAR,
 };
 
 use crate::api::{MpiHandle, PeerDead, Src};
@@ -332,7 +330,16 @@ pub fn allreduce_sum_group(mpi: &MpiHandle, group: &[usize], contrib: &[f64]) ->
         .expect("caller must be a member of the group");
     let seq = next_seq(mpi);
     let mut acc = contrib.to_vec();
-    allreduce_group_recdbl(mpi, world_epoch(mpi), OP_REDUCE, seq, 2, group, my_pos, &mut acc);
+    allreduce_group_recdbl(
+        mpi,
+        world_epoch(mpi),
+        OP_REDUCE,
+        seq,
+        2,
+        group,
+        my_pos,
+        &mut acc,
+    );
     acc
 }
 
@@ -426,7 +433,9 @@ fn reduce_group(
             }
         } else {
             let parent = group[((vrank & !mask) + root_pos) % gsize];
-            let s = mpi.state.isend_key(&mpi.ctx, parent, key, f64s_to_bytes(acc));
+            let s = mpi
+                .state
+                .isend_key(&mpi.ctx, parent, key, f64s_to_bytes(acc));
             mpi.state.wait(&mpi.ctx, s);
             return false;
         }
@@ -524,9 +533,9 @@ pub(crate) fn allreduce_group_recdbl(
             let (d, _) = mpi.state.wait(&mpi.ctx, r);
             *acc = bytes_to_f64s(&d.expect("unfold data"));
         } else {
-            let s = mpi
-                .state
-                .isend_key(&mpi.ctx, group[my_pos - 1], unfold_key, f64s_to_bytes(acc));
+            let s =
+                mpi.state
+                    .isend_key(&mpi.ctx, group[my_pos - 1], unfold_key, f64s_to_bytes(acc));
             mpi.state.wait(&mpi.ctx, s);
         }
     }
@@ -614,8 +623,14 @@ pub fn allreduce_sum_hier(mpi: &MpiHandle, contrib: &[f64]) -> Vec<f64> {
     let mut acc = contrib.to_vec();
     let node_group = topo.node_ranks(rank);
     let my_li = topo.local_index(rank);
-    let is_leader =
-        reduce_group(mpi, coll_key(ep, OP_REDUCE, 1, seq), node_group, 0, my_li, &mut acc);
+    let is_leader = reduce_group(
+        mpi,
+        coll_key(ep, OP_REDUCE, 1, seq),
+        node_group,
+        0,
+        my_li,
+        &mut acc,
+    );
     if is_leader {
         let lpos = topo.leader_index(rank).expect("leader not indexed");
         allreduce_group_recdbl(mpi, ep, OP_REDUCE, seq, 2, topo.leaders(), lpos, &mut acc);
@@ -788,7 +803,10 @@ fn pairwise_exchange(mpi: &MpiHandle, op: u8, blocks: Vec<Bytes>, window: usize)
         }
         i = end;
     }
-    result.into_iter().map(|b| b.expect("missing block")).collect()
+    result
+        .into_iter()
+        .map(|b| b.expect("missing block"))
+        .collect()
 }
 
 // --- Size/topology-based selection ----------------------------------------

@@ -85,7 +85,10 @@ impl Comm {
 
     /// Build a communicator from an explicit sorted member list.
     pub fn from_members(mpi: &MpiHandle, epoch: u8, members: Vec<usize>) -> Comm {
-        debug_assert!(members.windows(2).all(|w| w[0] < w[1]), "members must be sorted");
+        debug_assert!(
+            members.windows(2).all(|w| w[0] < w[1]),
+            "members must be sorted"
+        );
         let my_pos = members
             .iter()
             .position(|&r| r == mpi.rank())
@@ -158,8 +161,8 @@ fn wait_recv_or_decided(mpi: &MpiHandle, req: Req, decided_key: u64) -> PassRecv
     let schedule = backoff::standard(state.costs.poll_gran);
     mpi.state.poll(&mpi.ctx, schedule, move |s, _| {
         let worked = state.progress_cycle(s);
-        let ready = state.with_state(|st| st.reqs.is_done(req))
-            || state.iprobe_key(decided_key).is_some();
+        let ready =
+            state.with_state(|st| st.reqs.is_done(req)) || state.iprobe_key(decided_key).is_some();
         PollOutcome::of(ready, worked)
     });
     if mpi.state.with_state(|st| st.reqs.is_done(req)) {
@@ -332,10 +335,12 @@ pub(crate) fn agree_group(
                 if i == my_pos || bits[i] {
                     continue;
                 }
-                sends.push(
-                    mpi.state
-                        .isend_key(&mpi.ctx, m, decided_key, NmBuf::from(payload.clone())),
-                );
+                sends.push(mpi.state.isend_key(
+                    &mpi.ctx,
+                    m,
+                    decided_key,
+                    NmBuf::from(payload.clone()),
+                ));
             }
             for s in sends {
                 mpi.state.wait(&mpi.ctx, s);

@@ -145,7 +145,9 @@ impl ProcState {
     /// bugs, and a panic that says so beats the deadlock it would be.
     pub fn with_state<R>(&self, f: impl FnOnce(&mut RankState) -> R) -> R {
         let mut state = self.state.try_lock();
-        f(state.as_mut().expect("rank state re-entered, or held across a park"))
+        f(state
+            .as_mut()
+            .expect("rank state re-entered, or held across a park"))
     }
 
     /// The dead peer `req` failed on, if it completed with that error.
@@ -156,7 +158,10 @@ impl ProcState {
     /// The rank is about to give up the token: the state lock must be
     /// free, or whoever runs next deadlocks on it.
     fn about_to_park(&self) {
-        debug_assert!(self.state.try_lock().is_some(), "rank state locked across a park");
+        debug_assert!(
+            self.state.try_lock().is_some(),
+            "rank state locked across a park"
+        );
     }
 
     /// Park site 1 of 3: charge `d` of software cost to the rank's clock.
@@ -262,7 +267,9 @@ impl ProcState {
             }
             VcPath::Ch3Net => {
                 let req = st.reqs.create(ReqKind::Send, ReqPath::Net);
-                let done = st.engine.send_msg(req, dst, key, data, self.net_eager_limit);
+                let done = st
+                    .engine
+                    .send_msg(req, dst, key, data, self.net_eager_limit);
                 self.route(st, &sched);
                 if done {
                     st.reqs.complete_send(req);
@@ -502,7 +509,11 @@ impl ProcState {
                     st.reqs.complete_send_revoked(req, peer, epoch);
                     self.completed(sched);
                 }
-                CompletionKind::RecvRevoked { gate, tag: _, epoch } => {
+                CompletionKind::RecvRevoked {
+                    gate,
+                    tag: _,
+                    epoch,
+                } => {
                     // Same release discipline as RecvFailed: a revoked
                     // ANY_SOURCE head must not strand its parked specifics.
                     self.release_parked(st, sched, req);
@@ -802,7 +813,10 @@ impl ProcState {
             (NetPath::Direct(core), None) => core.probe_tag_info(key).map(|(g, len)| (g.0, len)),
             _ => None,
         };
-        let hit = ch3.then(in_ch3).flatten().or_else(|| nm.then(in_nm).flatten());
+        let hit = ch3
+            .then(in_ch3)
+            .flatten()
+            .or_else(|| nm.then(in_nm).flatten());
         hit.map(|(source, len)| Status { source, tag, len })
     }
 
@@ -877,22 +891,26 @@ impl ProcState {
             return;
         }
         let this = Arc::clone(self);
-        self.poll(ctx, backoff::late_by_one(self.costs.poll_gran), move |s, tick| {
-            let quiet = this.with_state(|st| {
-                this.cycle(st, s);
-                this.quiescent(st)
-            });
-            assert!(
-                quiet || tick < limit,
-                "MPI_Finalize drain did not quiesce (protocol leak?) at tick {tick}"
-            );
-            // Never `Idle`: the guard turns on the tick count alone, and
-            // the ticks after an `Idle` are answered without this body.
-            if quiet {
-                PollOutcome::Ready
-            } else {
-                PollOutcome::Worked
-            }
-        });
+        self.poll(
+            ctx,
+            backoff::late_by_one(self.costs.poll_gran),
+            move |s, tick| {
+                let quiet = this.with_state(|st| {
+                    this.cycle(st, s);
+                    this.quiescent(st)
+                });
+                assert!(
+                    quiet || tick < limit,
+                    "MPI_Finalize drain did not quiesce (protocol leak?) at tick {tick}"
+                );
+                // Never `Idle`: the guard turns on the tick count alone, and
+                // the ticks after an `Idle` are answered without this body.
+                if quiet {
+                    PollOutcome::Ready
+                } else {
+                    PollOutcome::Worked
+                }
+            },
+        );
     }
 }

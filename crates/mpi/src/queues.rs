@@ -152,9 +152,11 @@ impl Ch3Queues {
     ) -> Result<ActiveFlag, UnexMsg> {
         {
             let mut unexpected = self.unexpected.lock();
-            if let Some(pos) = unexpected.q.iter().position(|m| {
-                key.is_none_or(|k| k == m.key()) && src.is_none_or(|s| s == m.src())
-            }) {
+            if let Some(pos) = unexpected
+                .q
+                .iter()
+                .position(|m| key.is_none_or(|k| k == m.key()) && src.is_none_or(|s| s == m.src()))
+            {
                 return Err(unexpected.take(pos));
             }
         }
@@ -362,10 +364,12 @@ mod tests {
         });
         assert_eq!(q.unexpected_bytes(), 150);
         assert_eq!(q.unexpected_hwm(), 150);
-        q.post(req(&mut t), Some(1), 7).expect_err("consumes 100B eager");
+        q.post(req(&mut t), Some(1), 7)
+            .expect_err("consumes 100B eager");
         assert_eq!(q.unexpected_bytes(), 50);
         assert_eq!(q.unexpected_hwm(), 150, "high-water mark is sticky");
-        q.post(req(&mut t), Some(1), 8).expect_err("consumes the RTS");
+        q.post(req(&mut t), Some(1), 8)
+            .expect_err("consumes the RTS");
         assert_eq!(q.unexpected_bytes(), 50, "RTS consume moves no bytes");
     }
 

@@ -159,7 +159,11 @@ mod tests {
         st.reqs.complete_send(crate::Req(0));
         st.engine.post_recv(r, Some(1), 7);
         let data = NmBuf::from(vec![0u8; 300]);
-        st.engine.queues.store_unexpected(UnexMsg::Eager { src: 2, key: 9, data });
+        st.engine.queues.store_unexpected(UnexMsg::Eager {
+            src: 2,
+            key: 9,
+            data,
+        });
         st.retired.retire(5);
         st.coll_seq = 4;
         let snap = st.snapshot();

@@ -28,10 +28,20 @@ const TAG_RMA_REPLY: u32 = 0x00FF_FF01;
 
 /// An RMA operation on the wire.
 enum Op {
-    Put { offset: usize, data: Bytes },
-    Get { offset: usize, len: usize, get_id: u64 },
+    Put {
+        offset: usize,
+        data: Bytes,
+    },
+    Get {
+        offset: usize,
+        len: usize,
+        get_id: u64,
+    },
     /// Element-wise f64 sum into the window (MPI_Accumulate with MPI_SUM).
-    AccSum { offset: usize, data: Bytes },
+    AccSum {
+        offset: usize,
+        data: Bytes,
+    },
 }
 
 impl Op {
@@ -312,13 +322,26 @@ mod tests {
     #[test]
     fn decode_refuses_truncated_unknown_and_mislengthed_ops() {
         let ops = [
-            Op::Put { offset: 3, data: Bytes::from_static(b"abc") },
-            Op::Get { offset: 1, len: 2, get_id: 9 },
-            Op::AccSum { offset: 8, data: crate::collectives::f64s_to_bytes(&[1.5, 2.5]) },
+            Op::Put {
+                offset: 3,
+                data: Bytes::from_static(b"abc"),
+            },
+            Op::Get {
+                offset: 1,
+                len: 2,
+                get_id: 9,
+            },
+            Op::AccSum {
+                offset: 8,
+                data: crate::collectives::f64s_to_bytes(&[1.5, 2.5]),
+            },
         ];
         for op in &ops {
             let whole = op.encode();
-            assert_eq!(Op::decode(whole.clone()).map(|o| o.encode()), Some(whole.clone()));
+            assert_eq!(
+                Op::decode(whole.clone()).map(|o| o.encode()),
+                Some(whole.clone())
+            );
             // No prefix short of the fixed header decodes.
             let header = if matches!(op, Op::Get { .. }) { 25 } else { 9 };
             for cut in 0..header {

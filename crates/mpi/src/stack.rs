@@ -12,8 +12,8 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use simnet::{
-    Cluster, CopyMeter, CopySnapshot, Fabric, FabricOpts, FaultCounters, FaultPlan,
-    NodeId, Placement, RailId, SimBuilder, SimOutcome, TopoMap,
+    Cluster, CopyMeter, CopySnapshot, Fabric, FabricOpts, FaultCounters, FaultPlan, NodeId,
+    Placement, RailId, SimBuilder, SimOutcome, TopoMap,
 };
 
 use nemesis::{ShmDomain, ShmModel};
@@ -360,8 +360,7 @@ pub fn run_mpi(
                         recorder: recorder.as_ref().map(Arc::clone),
                     },
                 );
-                let rail_ids: Vec<RailId> =
-                    (0..fabric.num_rails()).map(RailId).collect();
+                let rail_ids: Vec<RailId> = (0..fabric.num_rails()).map(RailId).collect();
                 let mut nm_cfg = cfg.nm;
                 nm_cfg.strategy = *strategy;
                 let cores: Vec<Arc<NmCore>> = (0..nranks)
@@ -507,9 +506,9 @@ pub fn run_mpi(
         } else {
             (None, Some(cfg.shm_model))
         };
-        let piom_server = cfg.pioman.map(|p| {
-            PiomServer::new(p, obs::RankRec::new(recorder.as_ref(), r as u32), &sched)
-        });
+        let piom_server = cfg
+            .pioman
+            .map(|p| PiomServer::new(p, obs::RankRec::new(recorder.as_ref(), r as u32), &sched));
         let state = ProcState::new(
             r,
             nranks,
@@ -557,12 +556,11 @@ pub fn run_mpi(
                 .iter()
                 .filter_map(|&peer| piom_servers[peer].as_ref().map(Arc::clone))
                 .collect();
-            let hook: Arc<dyn Fn(&simnet::Scheduler) + Send + Sync> =
-                Arc::new(move |s| {
-                    for sv in &node_servers {
-                        sv.kick_net(s);
-                    }
-                });
+            let hook: Arc<dyn Fn(&simnet::Scheduler) + Send + Sync> = Arc::new(move |s| {
+                for sv in &node_servers {
+                    sv.kick_net(s);
+                }
+            });
             match &state.net {
                 NetPath::Direct(core) => core.set_event_hook(hook),
                 NetPath::Ch3(t) => t.set_event_hook(hook),
@@ -614,11 +612,7 @@ pub fn run_mpi(
             .as_ref()
             .map(|f| f.rail_counters())
             .unwrap_or_default(),
-        piom_rekicks: piom_servers
-            .iter()
-            .flatten()
-            .map(|s| s.rekicks())
-            .sum(),
+        piom_rekicks: piom_servers.iter().flatten().map(|s| s.rekicks()).sum(),
         copy: meter.snapshot(),
         obs: recorder.as_ref().map(|r| r.report()),
     }

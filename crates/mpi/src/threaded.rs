@@ -344,7 +344,9 @@ impl Shared {
                 self.matching.post_recv(gate, tag, req).is_none(),
                 "posted-first receive found a stale unexpected message"
             );
-            let matched = self.matching.arrived(gate, tag, Unexpected::Eager { seq, data });
+            let matched = self
+                .matching
+                .arrived(gate, tag, Unexpected::Eager { seq, data });
             assert_eq!(matched, Some(req), "arrival missed the posted receive");
             state.matched_posted += 1;
         } else {

@@ -421,7 +421,10 @@ impl Ch3Transport for FabricTransport {
     }
 
     fn set_event_hook(&self, hook: EventHook) {
-        assert!(self.inbox.hook.set(hook).is_ok(), "inbox hook installed twice");
+        assert!(
+            self.inbox.hook.set(hook).is_ok(),
+            "inbox hook installed twice"
+        );
     }
 
     fn snapshot(&self) -> TransportSnapshot {
@@ -633,8 +636,7 @@ mod tests {
     #[test]
     fn fabric_transport_defers_until_progress() {
         let mut sim = SimBuilder::new().build();
-        let fabric: Arc<Fabric<Ch3Wire>> =
-            Fabric::new(2, vec![simnet::NicModel::connectx_ib()]);
+        let fabric: Arc<Fabric<Ch3Wire>> = Fabric::new(2, vec![simnet::NicModel::connectx_ib()]);
         let rank_to_node = Arc::new(vec![NodeId(0), NodeId(1)]);
         let inboxes = [Inbox::new(), Inbox::new()];
         for (n, ib) in inboxes.iter().enumerate() {
@@ -720,8 +722,7 @@ mod tests {
              flow[n/a: cell pool is the shm backpressure]"
         );
 
-        let fabric: Arc<Fabric<Ch3Wire>> =
-            Fabric::new(2, vec![simnet::NicModel::connectx_ib()]);
+        let fabric: Arc<Fabric<Ch3Wire>> = Fabric::new(2, vec![simnet::NicModel::connectx_ib()]);
         let rank_to_node = Arc::new(vec![NodeId(0), NodeId(1)]);
         let new_ft = || {
             FabricTransport::new(

@@ -136,29 +136,27 @@ fn any_source_matches_network_and_shm_sources() {
         simnet::NodeId(1),
     ]);
     let cfg = StackConfig::mpich2_nmad(false);
-    let (_, results) = run_mpi_collect(&c, &p, &cfg, 3, |mpi| {
-        match mpi.rank() {
-            0 => {
-                let (d1, s1) = mpi.recv(Src::Any, 5);
-                let (d2, s2) = mpi.recv(Src::Any, 5);
-                let mut got = [(s1.source, d1), (s2.source, d2)];
-                got.sort_by_key(|(s, _)| *s);
-                assert_eq!(got[0].0, 1);
-                assert_eq!(&got[0].1[..], b"from shm");
-                assert_eq!(got[1].0, 2);
-                assert_eq!(&got[1].1[..], b"from net");
-                true
-            }
-            1 => {
-                mpi.send(0, 5, b"from shm");
-                true
-            }
-            2 => {
-                mpi.send(0, 5, b"from net");
-                true
-            }
-            _ => unreachable!(),
+    let (_, results) = run_mpi_collect(&c, &p, &cfg, 3, |mpi| match mpi.rank() {
+        0 => {
+            let (d1, s1) = mpi.recv(Src::Any, 5);
+            let (d2, s2) = mpi.recv(Src::Any, 5);
+            let mut got = [(s1.source, d1), (s2.source, d2)];
+            got.sort_by_key(|(s, _)| *s);
+            assert_eq!(got[0].0, 1);
+            assert_eq!(&got[0].1[..], b"from shm");
+            assert_eq!(got[1].0, 2);
+            assert_eq!(&got[1].1[..], b"from net");
+            true
         }
+        1 => {
+            mpi.send(0, 5, b"from shm");
+            true
+        }
+        2 => {
+            mpi.send(0, 5, b"from net");
+            true
+        }
+        _ => unreachable!(),
     });
     assert!(results.into_iter().all(|b| b));
 }
@@ -526,9 +524,7 @@ fn sendrecv_exchanges_rendezvous_payloads_without_deadlock() {
         let other = 1 - me;
         let mine = vec![me as u8; 300 * 1024]; // rendezvous both ways
         let (theirs, st) = mpi.sendrecv(other, 3, &mine, Src::Rank(other), 3);
-        st.source == other
-            && theirs.len() == 300 * 1024
-            && theirs.iter().all(|&b| b == other as u8)
+        st.source == other && theirs.len() == 300 * 1024 && theirs.iter().all(|&b| b == other as u8)
     });
     assert!(oks.into_iter().all(|b| b));
 }

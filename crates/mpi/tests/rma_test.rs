@@ -14,12 +14,7 @@ mod mpich2_nmad_repro_shim {
 fn put_get_across_network_and_shm() {
     // 4 ranks: 0+1 on node 0, 2+3 on node 1 — puts cross both paths.
     let cluster = Cluster::xeon_pair();
-    let placement = Placement::explicit(vec![
-        NodeId(0),
-        NodeId(0),
-        NodeId(1),
-        NodeId(1),
-    ]);
+    let placement = Placement::explicit(vec![NodeId(0), NodeId(0), NodeId(1), NodeId(1)]);
     for stack in [
         StackConfig::mpich2_nmad(false),
         StackConfig::mpich2_nmad(true),
@@ -37,7 +32,10 @@ fn put_get_across_network_and_shm() {
             win.fence(mpi);
             let local = win.local();
             for src in 0..n {
-                if local[64 * src..64 * (src + 1)].iter().any(|&b| b != src as u8) {
+                if local[64 * src..64 * (src + 1)]
+                    .iter()
+                    .any(|&b| b != src as u8)
+                {
                     return false;
                 }
             }

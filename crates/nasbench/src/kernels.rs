@@ -51,9 +51,7 @@ pub struct KernelCtx<'a> {
 impl KernelCtx<'_> {
     /// One iteration's per-rank compute time.
     fn iter_compute(&self) -> SimDuration {
-        SimDuration::from_secs_f64(
-            self.params.iter_compute_secs(self.nprocs) * self.compute_factor,
-        )
+        SimDuration::from_secs_f64(self.params.iter_compute_secs(self.nprocs) * self.compute_factor)
     }
 
     fn compute_fraction(&self, frac: f64) -> SimDuration {

@@ -56,7 +56,9 @@ pub fn run_nas(
     );
     let placement = Placement::round_robin(nprocs, cluster);
     let params = KernelParams::of(kernel, class);
-    let iters = sim_iters.unwrap_or_else(|| default_sim_iters(kernel)).max(1);
+    let iters = sim_iters
+        .unwrap_or_else(|| default_sim_iters(kernel))
+        .max(1);
     let iters = iters.min(params.niter);
     let compute_factor = stack.compute_factor;
     // LU: simulate a bounded number of wavefront planes and correct with
@@ -223,7 +225,11 @@ mod tests {
         let cluster = small_cluster();
         let stack = StackConfig::mpich2_nmad(false);
         for k in Kernel::ALL {
-            let n = if matches!(k, Kernel::BT | Kernel::SP) { 9 } else { 4 };
+            let n = if matches!(k, Kernel::BT | Kernel::SP) {
+                9
+            } else {
+                4
+            };
             let r = run_nas(&cluster, &stack, k, Class::A, n, Some(1));
             assert!(r.time_s > 0.0, "{} produced no time", k.name());
         }

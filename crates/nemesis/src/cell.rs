@@ -24,8 +24,7 @@ pub(crate) const NIL: usize = usize::MAX;
 /// What a fragment is part of. Messages larger than one cell are split into
 /// a `First` fragment carrying the header, `Middle` fragments, and a `Last`
 /// fragment (a single-cell message is `Only`).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-#[derive(Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum MsgKind {
     #[default]
     Only,
@@ -33,7 +32,6 @@ pub enum MsgKind {
     Middle,
     Last,
 }
-
 
 /// The message header carried by the first cell of every message. Models
 /// the packed 64-byte header of the C implementation; kept as a struct since

@@ -453,9 +453,7 @@ impl ShmDomain {
     /// concurrently a `false` may be stale by the time it returns.
     pub fn has_incoming(&self, local: usize) -> bool {
         let ep = &self.endpoints[local];
-        ep.mailbox.pending() > 0
-            || !ep.recv_queue.is_empty_hint()
-            || !ep.inbox.lock().is_empty()
+        ep.mailbox.pending() > 0 || !ep.recv_queue.is_empty_hint() || !ep.inbox.lock().is_empty()
     }
 
     /// Global rank of a local endpoint.
@@ -718,7 +716,13 @@ mod tests {
         let d2 = Arc::clone(&domain);
         let sched = sim.scheduler();
         sched.schedule_at(SimTime::ZERO, move |s| {
-            d2.send(s, 0, 1, MsgHeader::default(), NmBuf::from(Bytes::from_static(b"x")));
+            d2.send(
+                s,
+                0,
+                1,
+                MsgHeader::default(),
+                NmBuf::from(Bytes::from_static(b"x")),
+            );
         });
         sim.run().unwrap();
         assert_eq!(*hits.lock(), 1);

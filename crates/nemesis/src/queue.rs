@@ -133,8 +133,7 @@ impl NemQueue {
     /// answer is authoritative ("definitely has something"), a `true` answer
     /// can be stale the moment it is returned.
     pub fn is_empty_hint(&self) -> bool {
-        self.shadow_head.load(Ordering::Relaxed) == NIL
-            && self.head.load(Ordering::Acquire) == NIL
+        self.shadow_head.load(Ordering::Relaxed) == NIL && self.head.load(Ordering::Acquire) == NIL
     }
 }
 
@@ -212,8 +211,10 @@ mod tests {
         const PER_PRODUCER: usize = 20_000;
         let (pool, handles) = CellPool::new(2, 64);
         let q = Arc::new(NemQueue::new());
-        let free: Vec<crossbeam::queue::SegQueue<crate::cell::CellHandle>> =
-            vec![crossbeam::queue::SegQueue::new(), crossbeam::queue::SegQueue::new()];
+        let free: Vec<crossbeam::queue::SegQueue<crate::cell::CellHandle>> = vec![
+            crossbeam::queue::SegQueue::new(),
+            crossbeam::queue::SegQueue::new(),
+        ];
         let free = Arc::new(free);
         for (r, hs) in handles.into_iter().enumerate() {
             for h in hs {

@@ -15,10 +15,7 @@ enum Op {
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (0u8..=255).prop_map(Op::Enqueue),
-        Just(Op::Dequeue),
-    ]
+    prop_oneof![(0u8..=255).prop_map(Op::Enqueue), Just(Op::Dequeue),]
 }
 
 proptest! {

@@ -92,7 +92,11 @@ fn main() -> ExitCode {
             b.len()
         );
         let longer = if a.len() > b.len() { &a } else { &b };
-        let name = if a.len() > b.len() { &files[0] } else { &files[1] };
+        let name = if a.len() > b.len() {
+            &files[0]
+        } else {
+            &files[1]
+        };
         eprintln!("--- first extra event in {name}");
         show(common, &longer[common]);
         return ExitCode::from(1);

@@ -141,9 +141,8 @@ fn event_json(out: &mut String, e: &Event) {
                 EngineEvent::Revoke { epoch } | EngineEvent::EpochCommit { epoch } => {
                     let _ = write!(out, r#","epoch":{epoch}"#);
                 }
-                EngineEvent::DispatchCall
-                | EngineEvent::DispatchWake
-                | EngineEvent::PiomRekick => {}
+                EngineEvent::DispatchCall | EngineEvent::DispatchWake | EngineEvent::PiomRekick => {
+                }
             }
         }
     }
@@ -347,7 +346,11 @@ impl fmt::Display for PhaseBreakdown {
             self.end_to_end_ns,
             self.coverage() * 100.0
         )?;
-        writeln!(f, "{:<16} {:>14} {:>10} {:>6}", "phase", "total ns", "ivals", "%")?;
+        writeln!(
+            f,
+            "{:<16} {:>14} {:>10} {:>6}",
+            "phase", "total ns", "ivals", "%"
+        )?;
         for r in &self.phases {
             let pct = if self.end_to_end_ns == 0 {
                 0.0
@@ -429,7 +432,14 @@ mod tests {
         tweaked[0].t_ns += 1;
         assert_ne!(trace_hash(&evs), trace_hash(&tweaked));
         let mut extra = evs.clone();
-        extra.push(msg(2000, 0, key(0), Phase::Retry { kind: RetryKind::Eager }));
+        extra.push(msg(
+            2000,
+            0,
+            key(0),
+            Phase::Retry {
+                kind: RetryKind::Eager,
+            },
+        ));
         assert_ne!(trace_hash(&evs), trace_hash(&extra));
     }
 

@@ -44,34 +44,59 @@ pub enum RetryKind {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Phase {
     /// Sender posted the send (isend admission), payload length attached.
-    SendPosted { len: u64 },
+    SendPosted {
+        len: u64,
+    },
     /// Receiver posted the receive.
     RecvPosted,
     /// Receive matched an arrival (`unexpected`: the message got there
     /// before the receive was posted).
-    Matched { unexpected: bool },
+    Matched {
+        unexpected: bool,
+    },
     /// Eager payload handed to the wire on `rail`.
-    EagerTx { rail: u8 },
+    EagerTx {
+        rail: u8,
+    },
     /// Eager payload delivered to the receiver's core.
     EagerRx,
     /// Rendezvous request-to-send on the wire.
-    RtsTx { rail: u8, len: u64 },
+    RtsTx {
+        rail: u8,
+        len: u64,
+    },
     RtsRx,
     /// Clear-to-send on the wire (recorded at the receiver).
-    CtsTx { rail: u8 },
+    CtsTx {
+        rail: u8,
+    },
     CtsRx,
     /// One rendezvous DATA chunk on the wire.
-    DataChunkTx { rail: u8, offset: u64, len: u64 },
-    DataChunkRx { offset: u64, len: u64 },
+    DataChunkTx {
+        rail: u8,
+        offset: u64,
+        len: u64,
+    },
+    DataChunkRx {
+        offset: u64,
+        len: u64,
+    },
     /// Rendezvous FIN (receiver → sender).
     FinTx,
     FinRx,
     /// The request completed at the MPI level.
-    Completed { side: Side },
+    Completed {
+        side: Side,
+    },
     /// A retransmission sweep re-sent this message's `kind` leg.
-    Retry { kind: RetryKind },
+    Retry {
+        kind: RetryKind,
+    },
     /// Failover moved this message's bytes onto another rail.
-    Reroute { to_rail: u8, bytes: u64 },
+    Reroute {
+        to_rail: u8,
+        bytes: u64,
+    },
     /// Eager admission stalled on an empty credit pool (the send either
     /// waits or degrades to rendezvous).
     CreditStall,
@@ -79,12 +104,16 @@ pub enum Phase {
     /// and the drain protocol aborted it (the no-cancel rule means an
     /// abort IS a completion — exactly one of `Completed`/`Aborted`
     /// closes each side).
-    Aborted { side: Side },
+    Aborted {
+        side: Side,
+    },
     /// The request completed *with an error*: its communicator epoch was
     /// revoked and the quiesce failed it. Distinct from `Aborted` because
     /// the revoke tombstones an in-flight inbound rendezvous (a straggling
     /// DATA chunk still earns a FIN replay) where a peer death drops it.
-    Revoked { side: Side },
+    Revoked {
+        side: Side,
+    },
 }
 
 impl Phase {

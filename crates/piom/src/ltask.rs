@@ -48,8 +48,7 @@ impl LTask {
 
     /// Execute the task; its answer is its next deadline.
     pub fn run(&self, sched: &Scheduler) -> Option<SimTime> {
-        self.runs
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.runs.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         (self.f)(sched)
     }
 }

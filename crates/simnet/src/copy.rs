@@ -200,7 +200,10 @@ impl FreeList {
             return;
         }
         while self.entries.len() >= RECYCLE_MAX_ENTRIES || self.bytes + cap > RECYCLE_MAX_BYTES {
-            let (old, _) = self.entries.pop_front().expect("over a bound, so not empty");
+            let (old, _) = self
+                .entries
+                .pop_front()
+                .expect("over a bound, so not empty");
             self.bytes -= old;
         }
         self.bytes += cap;
@@ -646,7 +649,11 @@ mod tests {
             .chain([RECYCLE_MAX_BYTES + 1; 2])
             .chain([BIG; 4])
         {
-            held.push(NmBuf::copied_from_slice(&vec![1u8; n], BufOrigin::App, &meter));
+            held.push(NmBuf::copied_from_slice(
+                &vec![1u8; n],
+                BufOrigin::App,
+                &meter,
+            ));
             let (entries, bytes) = free_list();
             assert!(entries <= RECYCLE_MAX_ENTRIES, "{entries} entries");
             assert!(bytes <= RECYCLE_MAX_BYTES, "{bytes} bytes");

@@ -532,19 +532,13 @@ impl Scheduler {
             "schedule_at: {t:?} is before current time {:?}",
             self.now()
         );
-        self.core
-            .queue
-            .lock()
-            .push(t, EventKind::Call(Box::new(f)));
+        self.core.queue.lock().push(t, EventKind::Call(Box::new(f)));
     }
 
     /// Schedule `f` to run after `d` has elapsed.
     pub fn schedule_in(&self, d: SimDuration, f: impl FnOnce(&Scheduler) + Send + 'static) {
         let t = self.now() + d;
-        self.core
-            .queue
-            .lock()
-            .push(t, EventKind::Call(Box::new(f)));
+        self.core.queue.lock().push(t, EventKind::Call(Box::new(f)));
     }
 
     /// Keep `f` in the dispatch loop for the rest of the run, to be
@@ -1598,10 +1592,9 @@ mod tests {
             // Schedule a same-time callback, then yield; it must have fired
             // by the time we resume.
             let f = Arc::clone(&f1);
-            ctx.scheduler()
-                .schedule_in(SimDuration::ZERO, move |_| {
-                    f.store(1, Ordering::SeqCst);
-                });
+            ctx.scheduler().schedule_in(SimDuration::ZERO, move |_| {
+                f.store(1, Ordering::SeqCst);
+            });
             ctx.yield_now();
             assert_eq!(f2.load(Ordering::SeqCst), 1);
         });

@@ -192,13 +192,7 @@ mod tests {
         // calendar ring this heap replaced, come back in (time, seq) order.
         let mut q = EventQueue::new();
         let times = [
-            0,
-            2_048,
-            1_048_575,
-            1_048_576,
-            1_048_577,
-            3_145_745,
-            10_485_760,
+            0, 2_048, 1_048_575, 1_048_576, 1_048_577, 3_145_745, 10_485_760,
             10_485_760, // same-time tie
         ];
         for &t in times.iter().rev() {
@@ -234,7 +228,9 @@ mod tests {
         let mut rng: u64 = 0x9E3779B97F4A7C15;
         let mut step = |q: &mut EventQueue, base: u64| {
             for _ in 0..50 {
-                rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                rng = rng
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
                 let t = base + (rng >> 33) % 5_242_880;
                 q.push(SimTime(t), call());
                 expected.push(t);
@@ -254,7 +250,10 @@ mod tests {
         expected.sort_unstable();
         // Every expected time ≥ now must appear, in sorted order, and the
         // whole pop stream must be monotone.
-        assert!(popped.windows(2).all(|w| w[0] <= w[1]), "pop stream not monotone");
+        assert!(
+            popped.windows(2).all(|w| w[0] <= w[1]),
+            "pop stream not monotone"
+        );
         assert_eq!(popped.len(), expected.len());
     }
 

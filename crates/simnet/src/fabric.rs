@@ -410,15 +410,7 @@ mod tests {
         let sim = SimBuilder::new().build();
         let fabric: Arc<Fabric<Msg>> = Fabric::new(2, vec![NicModel::connectx_ib()]);
         let sched = sim.scheduler();
-        fabric.send(
-            &sched,
-            RailId(0),
-            NodeId(0),
-            NodeId(0),
-            0,
-            Msg(0),
-            None,
-        );
+        fabric.send(&sched, RailId(0), NodeId(0), NodeId(0), 0, Msg(0), None);
         let _ = SimDuration::ZERO;
     }
 }

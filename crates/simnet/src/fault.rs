@@ -162,13 +162,11 @@ impl LinkWindow {
 
     /// Brown-out window: bandwidth/latency degradation factors applied to
     /// every transfer submitted in `[from, until)`.
-    pub fn brownout(
-        from: SimTime,
-        until: SimTime,
-        bw_factor: f64,
-        lat_factor: f64,
-    ) -> LinkWindow {
-        assert!(bw_factor >= 1.0 && lat_factor >= 1.0, "factors degrade, not improve");
+    pub fn brownout(from: SimTime, until: SimTime, bw_factor: f64, lat_factor: f64) -> LinkWindow {
+        assert!(
+            bw_factor >= 1.0 && lat_factor >= 1.0,
+            "factors degrade, not improve"
+        );
         LinkWindow {
             from,
             until,
@@ -191,7 +189,10 @@ impl LinkWindow {
         until: SimTime,
         mean_phase: SimDuration,
     ) -> Vec<LinkWindow> {
-        assert!(mean_phase > SimDuration::ZERO, "flapping needs a phase length");
+        assert!(
+            mean_phase > SimDuration::ZERO,
+            "flapping needs a phase length"
+        );
         let mut rng = SmallRng::seed_from_u64(
             seed ^ 0xF1A9_9000_u64.wrapping_mul(0x9E37_79B9_7F4A_7C15)
                 ^ (rail as u64).wrapping_mul(0xD1B5_4A32_D192_ED03),
@@ -510,7 +511,10 @@ impl FaultPlan {
                 st.counters.link_drops += 1;
                 return fault;
             }
-            Some(LinkFault::Brownout { bw_factor, lat_factor }) => {
+            Some(LinkFault::Brownout {
+                bw_factor,
+                lat_factor,
+            }) => {
                 fault.brownout = Some((bw_factor, lat_factor));
                 st.counters.brownouts += 1;
             }
@@ -710,7 +714,10 @@ mod tests {
             assert!(!drop && !dup && delay == 0 && !stall && !corrupt);
         }
         let c = p.counters();
-        assert_eq!(c.dropped + c.duplicated + c.delayed + c.stalls + c.corrupted, 0);
+        assert_eq!(
+            c.dropped + c.duplicated + c.delayed + c.stalls + c.corrupted,
+            0
+        );
         assert_eq!(c.transfers_seen, 200);
         assert!(!p.active());
         assert!(!p.lossy());
@@ -719,10 +726,7 @@ mod tests {
     #[test]
     fn rates_are_roughly_honoured() {
         let p = FaultPlan::uniform(11, FaultSpec::drop_heavy());
-        let drops = schedule(&p, 2_000)
-            .iter()
-            .filter(|(d, ..)| *d)
-            .count();
+        let drops = schedule(&p, 2_000).iter().filter(|(d, ..)| *d).count();
         // 15% ± generous slack.
         assert!((150..=450).contains(&drops), "drops={drops}");
     }
@@ -756,7 +760,10 @@ mod tests {
         let p = FaultPlan::new(5, vec![FaultSpec::drop_heavy(), FaultSpec::NONE]);
         for rail in [2usize, 17, usize::MAX] {
             let f = p.on_transfer(rail, 64, SimTime::ZERO);
-            assert!(!f.drop && !f.corrupt, "rail {rail} must reuse clean last spec");
+            assert!(
+                !f.drop && !f.corrupt,
+                "rail {rail} must reuse clean last spec"
+            );
             assert!(!p.reg_cache_miss(rail));
         }
     }
@@ -886,7 +893,10 @@ mod tests {
             4,
             vec![FaultSpec::NONE],
             Vec::new(),
-            vec![Vec::new(), vec![NodeWindow::crash(SimTime::from_nanos(1_000))]],
+            vec![
+                Vec::new(),
+                vec![NodeWindow::crash(SimTime::from_nanos(1_000))],
+            ],
         );
         assert!(p.active());
         assert!(p.lossy(), "a crashed node loses frames");

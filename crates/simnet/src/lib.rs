@@ -63,7 +63,8 @@ pub mod topology;
 
 pub use backoff::PollSchedule;
 pub use copy::{
-    BufOrigin, CopyMeter, CopySnapshot, NmBuf, RECYCLE_FLOOR, RECYCLE_MAX_BYTES, RECYCLE_MAX_ENTRIES,
+    BufOrigin, CopyMeter, CopySnapshot, NmBuf, RECYCLE_FLOOR, RECYCLE_MAX_BYTES,
+    RECYCLE_MAX_ENTRIES,
 };
 pub use ctx::{PollOutcome, RankCtx};
 pub use engine::{HandlerId, RankId, Scheduler, Sim, SimBuilder, SimError, SimOutcome};

@@ -192,8 +192,7 @@ pub struct NicPort<M: Send + 'static> {
 /// scheduler, source node, destination node, the message and whether the
 /// wire corrupted its payload in flight, arrange delivery to the
 /// destination's sink.
-pub(crate) type DeliverFn<M> =
-    Arc<dyn Fn(&Scheduler, NodeId, NodeId, M, bool) + Send + Sync>;
+pub(crate) type DeliverFn<M> = Arc<dyn Fn(&Scheduler, NodeId, NodeId, M, bool) + Send + Sync>;
 
 /// Message replicator used to materialize duplicate deliveries. Installed
 /// only when the wire-message type is `Clone` (see `Fabric::with_opts`).

@@ -78,7 +78,9 @@ impl PingSeries {
 /// Render several series as a latency table (rows = sizes, columns =
 /// series), matching the paper's figure layout.
 pub fn latency_table(series: &[PingSeries]) -> String {
-    table(series, "Latency (usec)", |p| format!("{:.3}", p.latency_us()))
+    table(series, "Latency (usec)", |p| {
+        format!("{:.3}", p.latency_us())
+    })
 }
 
 /// Render several series as a bandwidth table.

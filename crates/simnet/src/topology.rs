@@ -45,11 +45,7 @@ impl Cluster {
     /// The paper's point-to-point testbed (§4.1): two boxes of two quad-core
     /// 3.16 GHz Xeons, one Myri-10G NIC + one ConnectX IB NIC each.
     pub fn xeon_pair() -> Cluster {
-        Cluster::new(
-            2,
-            8,
-            vec![NicModel::connectx_ib(), NicModel::myri10g_mx()],
-        )
+        Cluster::new(2, 8, vec![NicModel::connectx_ib(), NicModel::myri10g_mx()])
     }
 
     /// The paper's NAS testbed (§4.2): ten Grid'5000 nodes, four dual-core
@@ -237,9 +233,7 @@ impl TopoMap {
     /// Ranks on `node`, rank order (empty if unpopulated).
     #[inline]
     pub fn ranks_on(&self, node: NodeId) -> &[usize] {
-        self.ranks_by_node
-            .get(node.0)
-            .map_or(&[], |v| v.as_slice())
+        self.ranks_by_node.get(node.0).map_or(&[], |v| v.as_slice())
     }
 
     /// Position of `rank` within [`TopoMap::node_ranks`].

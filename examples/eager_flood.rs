@@ -40,12 +40,19 @@ fn main() {
         LEN_RANGE.1,
         plan.total_bytes()
     );
-    println!("unexpected-byte cap: {} B (high water {} B)\n", CAP, CAP / 2);
+    println!(
+        "unexpected-byte cap: {} B (high water {} B)\n",
+        CAP,
+        CAP / 2
+    );
     println!(
         "{:>9} | {:>12} | {:>8} | {:>9} | {:>9} | {:>10}",
         "credits", "peak unex", "eager", "fallback", "withheld", "time"
     );
-    println!("{:-<9}-+-{:-<12}-+-{:-<8}-+-{:-<9}-+-{:-<9}-+-{:-<10}", "", "", "", "", "", "");
+    println!(
+        "{:-<9}-+-{:-<12}-+-{:-<8}-+-{:-<9}-+-{:-<9}-+-{:-<10}",
+        "", "", "", "", "", ""
+    );
     for credits in [0u32, 1, 2, 4, 8, 16] {
         let (label, flow) = if credits == 0 {
             ("off".to_string(), None)

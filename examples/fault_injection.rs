@@ -37,10 +37,12 @@ fn main() {
         faulty.nm_stats.iter().map(|s| s.cts_retries).sum::<u64>(),
         faulty.nm_stats.iter().map(|s| s.data_retries).sum::<u64>(),
     );
+    println!("   every payload byte-exact, exactly once, in order (asserted in-run)");
     println!(
-        "   every payload byte-exact, exactly once, in order (asserted in-run)"
+        "   simulated time {:.1} µs, {} events",
+        faulty.final_time_nanos as f64 / 1e3,
+        faulty.events
     );
-    println!("   simulated time {:.1} µs, {} events", faulty.final_time_nanos as f64 / 1e3, faulty.events);
 
     let replay = sc.run();
     println!("\n-- replay from the same seed ---------------------------------");

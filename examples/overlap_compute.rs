@@ -59,8 +59,7 @@ fn main() {
 
     println!("\n== real threads: a background progress core drains work while");
     println!("   the main thread 'computes' (piom::BackgroundProgress) ==");
-    let queue: Arc<crossbeam::queue::SegQueue<u64>> =
-        Arc::new(crossbeam::queue::SegQueue::new());
+    let queue: Arc<crossbeam::queue::SegQueue<u64>> = Arc::new(crossbeam::queue::SegQueue::new());
     let q2 = Arc::clone(&queue);
     let drained = Arc::new(std::sync::atomic::AtomicU64::new(0));
     let d2 = Arc::clone(&drained);
@@ -86,4 +85,3 @@ fn main() {
         bg.iterations()
     );
 }
-

@@ -42,8 +42,7 @@ fn main() {
                     assert_eq!(&echo[..], b"hello");
                     assert_eq!(status.source, 1);
                 }
-                let one_way =
-                    (mpi.now() - t0).as_micros_f64() / (2.0 * ITERS as f64);
+                let one_way = (mpi.now() - t0).as_micros_f64() / (2.0 * ITERS as f64);
                 *r2.lock() = format!(
                     "ping-pong over simulated InfiniBand: {one_way:.2} us one-way \
                      (paper, Fig. 4a: 2.1 us)"

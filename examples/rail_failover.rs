@@ -22,9 +22,8 @@ const SEED: u64 = 0xFA11_0E55;
 const KILL_AT: SimDuration = SimDuration::micros(700);
 
 fn fill(rank: usize, round: usize) -> Vec<u8> {
-    let mut x = SEED
-        ^ ((rank as u64 + 1) << 32)
-        ^ (round as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    let mut x =
+        SEED ^ ((rank as u64 + 1) << 32) ^ (round as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     (0..LEN)
         .map(|_| {
             x = x
@@ -53,8 +52,7 @@ fn rounds_rank(mpi: &MpiHandle) -> Vec<u64> {
 fn run(stack: &StackConfig) -> (RunOutcome, Vec<u64>) {
     let cluster = Cluster::xeon_pair();
     let placement = Placement::one_per_node(2, &cluster);
-    let (outcome, mut marks) =
-        run_mpi_collect(&cluster, &placement, stack, 2, rounds_rank);
+    let (outcome, mut marks) = run_mpi_collect(&cluster, &placement, stack, 2, rounds_rank);
     (outcome, marks.swap_remove(0))
 }
 

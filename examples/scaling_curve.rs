@@ -91,7 +91,9 @@ fn sweep(p: usize) -> SweepPoint {
 }
 
 fn main() {
-    let out_path = std::env::args().nth(1).unwrap_or_else(|| "BENCH_7.json".into());
+    let out_path = std::env::args()
+        .nth(1)
+        .unwrap_or_else(|| "BENCH_7.json".into());
     let rank_counts: Vec<usize> = std::env::args()
         .nth(2)
         .map(|s| s.split(',').map(|x| x.parse().unwrap()).collect())
@@ -114,7 +116,11 @@ fn main() {
     writeln!(
         json,
         "  \"build\": \"{}\",",
-        if cfg!(debug_assertions) { "debug" } else { "release" }
+        if cfg!(debug_assertions) {
+            "debug"
+        } else {
+            "release"
+        }
     )
     .unwrap();
     writeln!(json, "  \"collective_sweep\": [").unwrap();
@@ -128,7 +134,12 @@ fn main() {
         writeln!(json, "      \"events_per_sec\": {:.0},", pt.events_per_sec).unwrap();
         writeln!(json, "      \"sim_time_us\": {:.1},", pt.sim_time_us).unwrap();
         writeln!(json, "      \"peak_rss_mb\": {:.1}", pt.peak_rss_mb).unwrap();
-        writeln!(json, "    }}{}", if i + 1 < points.len() { "," } else { "" }).unwrap();
+        writeln!(
+            json,
+            "    }}{}",
+            if i + 1 < points.len() { "," } else { "" }
+        )
+        .unwrap();
     }
     writeln!(json, "  ]").unwrap();
     writeln!(json, "}}").unwrap();

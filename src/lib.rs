@@ -5,11 +5,11 @@
 
 pub use baselines;
 pub use mpi_ch3;
-pub use obs;
 pub use nasbench;
 pub use nemesis;
 pub use netpipe;
 pub use nmad;
+pub use obs;
 pub use piom;
 pub use simnet;
 
@@ -295,7 +295,11 @@ pub mod sim_harness {
                 next[s] += 1;
                 let want = anysrc_payload(seed, s, hi);
                 assert_eq!(data.len(), want.len());
-                assert_eq!(&data[..], &want[..], "payload corrupt from rank {s} msg {hi}");
+                assert_eq!(
+                    &data[..],
+                    &want[..],
+                    "payload corrupt from rank {s} msg {hi}"
+                );
                 fnv_bytes(&mut h, &data);
             }
             // Exactly-once: every sender delivered its full quota, no
@@ -340,7 +344,11 @@ pub mod sim_harness {
             let (data, _) = mpi.wait_data(req);
             let data = data.expect("receive carries data");
             let want = payload(msg_seed(seed, peer, 200, round), MULTIRAIL_LEN);
-            assert_eq!(&data[..], &want[..], "multirail payload corrupt round {round}");
+            assert_eq!(
+                &data[..],
+                &want[..],
+                "multirail payload corrupt round {round}"
+            );
             fnv_bytes(&mut h, &data);
         }
         mpi.waitall(&sends);

@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use mpich2_nmad_repro::mpi_ch3::stack::run_mpi_collect;
-use mpich2_nmad_repro::mpi_ch3::{StackConfig, Src};
+use mpich2_nmad_repro::mpi_ch3::{Src, StackConfig};
 use mpich2_nmad_repro::nasbench::kernels::{run_iteration, KernelCtx};
 use mpich2_nmad_repro::nasbench::{Class, Kernel, KernelParams};
 use mpich2_nmad_repro::piom::{PiomConfig, PiomServer};

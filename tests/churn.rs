@@ -113,9 +113,19 @@ fn ring_round(mpi: &MpiHandle, group: &[usize], round: usize, len: usize) -> u64
     let n = group.len();
     let right = group[(pos + 1) % n];
     let left = group[(pos + n - 1) % n];
-    let (data, st) = mpi.sendrecv(right, TAG_RING, &fill(mpi.rank(), round, len), Src::Rank(left), TAG_RING);
+    let (data, st) = mpi.sendrecv(
+        right,
+        TAG_RING,
+        &fill(mpi.rank(), round, len),
+        Src::Rank(left),
+        TAG_RING,
+    );
     assert_eq!(st.source, left);
-    assert_eq!(&data[..], &fill(left, round, len)[..], "ring payload corrupt");
+    assert_eq!(
+        &data[..],
+        &fill(left, round, len)[..],
+        "ring payload corrupt"
+    );
     data.len() as u64
 }
 
@@ -148,7 +158,11 @@ fn churn_rank(mpi: &MpiHandle) -> RankReport {
         // (per-peer state on both sides is created lazily, right now).
         for _ in 0..2 {
             let (data, st) = mpi.recv(Src::Any, TAG_JOIN);
-            assert_eq!(&data[..], &fill(st.source, 0, 1024)[..], "joiner payload corrupt");
+            assert_eq!(
+                &data[..],
+                &fill(st.source, 0, 1024)[..],
+                "joiner payload corrupt"
+            );
             bytes_ok += data.len() as u64;
             mpi.send(st.source, TAG_JOIN, &fill(JOINER, st.source, 512));
         }
@@ -185,7 +199,9 @@ fn churn_rank(mpi: &MpiHandle) -> RankReport {
         let r_any = mpi.irecv(Src::Any, TAG_PARKED);
         let r_spec = mpi.irecv(Src::Rank(DEAD1), TAG_PARKED);
         let s = mpi.isend(DEAD1, TAG_CORPSE, &fill(me, 0, RDV_LEN));
-        let err = mpi.wait_result(s).expect_err("rendezvous at a corpse must fail");
+        let err = mpi
+            .wait_result(s)
+            .expect_err("rendezvous at a corpse must fail");
         assert_eq!(err.peer, DEAD1);
         let (data, st) = mpi.wait_data(r_any);
         let (data, st) = (data.expect("any head matches live sender"), st.unwrap());
@@ -201,7 +217,9 @@ fn churn_rank(mpi: &MpiHandle) -> RankReport {
             mpi.send(0, TAG_PARKED, &fill(1, 9, 400));
         }
         let s = mpi.isend(DEAD1, TAG_CORPSE, &fill(me, 0, RDV_LEN));
-        let err = mpi.wait_result(s).expect_err("rendezvous at a corpse must fail");
+        let err = mpi
+            .wait_result(s)
+            .expect_err("rendezvous at a corpse must fail");
         assert_eq!(err.peer, DEAD1);
     }
     assert!(!mpi.is_alive(DEAD1), "rank {me}: no verdict for corpse 9");
@@ -213,7 +231,10 @@ fn churn_rank(mpi: &MpiHandle) -> RankReport {
     for round in 0..40 {
         bytes_ok += ring_round(mpi, &s2, 100 + round, 256);
     }
-    assert!(mpi.is_alive(SLOW), "rank {me}: slow node falsely declared dead");
+    assert!(
+        mpi.is_alive(SLOW),
+        "rank {me}: slow node falsely declared dead"
+    );
 
     if me == DEAD2 {
         // Dies mid-collective: everyone else enters the barrier at
@@ -234,7 +255,9 @@ fn churn_rank(mpi: &MpiHandle) -> RankReport {
 
     // --- Phase D: rendezvous at corpse #2, then survivor collectives ----
     let s = mpi.isend(DEAD2, TAG_CORPSE, &fill(me, 1, RDV_LEN));
-    let err = mpi.wait_result(s).expect_err("rendezvous at corpse 23 must fail");
+    let err = mpi
+        .wait_result(s)
+        .expect_err("rendezvous at corpse 23 must fail");
     assert_eq!(err.peer, DEAD2);
     assert!(!mpi.is_alive(DEAD2), "rank {me}: no verdict for corpse 23");
 
@@ -249,13 +272,25 @@ fn churn_rank(mpi: &MpiHandle) -> RankReport {
         mpi.send(JOINER, TAG_JOIN, &fill(me, 0, 1024));
         let (data, st) = mpi.recv(Src::Rank(JOINER), TAG_JOIN);
         assert_eq!(st.source, JOINER);
-        assert_eq!(&data[..], &fill(JOINER, me, 512)[..], "joiner reply corrupt");
+        assert_eq!(
+            &data[..],
+            &fill(JOINER, me, 512)[..],
+            "joiner reply corrupt"
+        );
         bytes_ok += data.len() as u64;
     }
 
     // --- Final state: corpses drained, the slow node alive --------------
-    assert_eq!(mpi.peer_entries(DEAD1), 0, "rank {me}: corpse 9 leaked entries");
-    assert_eq!(mpi.peer_entries(DEAD2), 0, "rank {me}: corpse 23 leaked entries");
+    assert_eq!(
+        mpi.peer_entries(DEAD1),
+        0,
+        "rank {me}: corpse 9 leaked entries"
+    );
+    assert_eq!(
+        mpi.peer_entries(DEAD2),
+        0,
+        "rank {me}: corpse 23 leaked entries"
+    );
     assert!(mpi.is_alive(SLOW));
     RankReport {
         death_log: mpi.death_log(),
@@ -338,7 +373,11 @@ fn churn_crash_hang_join_under_live_traffic() {
         .collect();
     let lat1 = latencies(&reports, DEAD1, T_CRASH1);
     let lat2 = latencies(&reports, DEAD2, T_CRASH2);
-    assert_eq!(lat1.len(), survivors.len() + 1, "corpse 9: 61 survivors + rank 23");
+    assert_eq!(
+        lat1.len(),
+        survivors.len() + 1,
+        "corpse 9: 61 survivors + rank 23"
+    );
     assert_eq!(lat2.len(), survivors.len(), "corpse 23: every survivor");
     // Detection is prompt but never hair-triggered: the first verdict
     // lands within the retry/probe horizon, and the histogram never
@@ -350,12 +389,24 @@ fn churn_crash_hang_join_under_live_traffic() {
         min1 / 1_000,
         max2 / 1_000
     );
-    assert!(min1 >= 25_000, "verdict faster than any hysteresis: {min1}ns");
-    assert!(min1 <= 600_000, "first detection of corpse 9 too slow: {min1}ns");
-    assert!(max2 <= 1_500_000, "slowest detection of corpse 23: {max2}ns");
+    assert!(
+        min1 >= 25_000,
+        "verdict faster than any hysteresis: {min1}ns"
+    );
+    assert!(
+        min1 <= 600_000,
+        "first detection of corpse 9 too slow: {min1}ns"
+    );
+    assert!(
+        max2 <= 1_500_000,
+        "slowest detection of corpse 23: {max2}ns"
+    );
     // Nobody ever declared the merely-hung node dead.
     for rep in &reports {
-        assert!(rep.death_log.iter().all(|d| d.peer == DEAD1 || d.peer == DEAD2));
+        assert!(rep
+            .death_log
+            .iter()
+            .all(|d| d.peer == DEAD1 || d.peer == DEAD2));
     }
 
     // The mid-collective death aborted the barrier on at least the six
@@ -365,20 +416,37 @@ fn churn_crash_hang_join_under_live_traffic() {
         .copied()
         .filter(|&r| reports[r].barrier_err.is_some())
         .collect();
-    assert!(aborted.len() >= 6, "only {} barrier aborts: {:?}", aborted.len(), aborted);
+    assert!(
+        aborted.len() >= 6,
+        "only {} barrier aborts: {:?}",
+        aborted.len(),
+        aborted
+    );
     for &r in &aborted {
         assert_eq!(reports[r].barrier_err, Some(DEAD2));
     }
     let coll_aborts: u64 = reports.iter().map(|r| r.coll_aborts).sum();
-    assert!(coll_aborts >= 6, "coll_aborts counter lagging: {coll_aborts}");
+    assert!(
+        coll_aborts >= 6,
+        "coll_aborts counter lagging: {coll_aborts}"
+    );
 
     // Job-wide membership accounting moved in every dimension the drain
     // touches.
     let m = outcome.nm_total();
     println!("nmad totals: {m:?}");
-    assert!(m.membership_dead_peers as usize >= 2 * survivors.len(), "{m:?}");
-    assert!(m.membership_transitions > 0 && m.membership_aborted_sends > 0, "{m:?}");
-    assert!(m.membership_drained_entries > 0, "death verdicts drained nothing: {m:?}");
+    assert!(
+        m.membership_dead_peers as usize >= 2 * survivors.len(),
+        "{m:?}"
+    );
+    assert!(
+        m.membership_transitions > 0 && m.membership_aborted_sends > 0,
+        "{m:?}"
+    );
+    assert!(
+        m.membership_drained_entries > 0,
+        "death verdicts drained nothing: {m:?}"
+    );
     let drops = outcome.fault_counters.expect("fault plan armed").node_drops;
     assert!(drops > 0, "node windows never ate a frame");
 

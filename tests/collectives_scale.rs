@@ -88,7 +88,10 @@ fn all_variants_agree_at_degenerate_sizes() {
                 let want = block(s, me, n);
                 assert_eq!(flat[s], want, "alltoallv flat wrong at P={n} src={s}");
                 assert_eq!(bruck[s], want, "alltoallv bruck wrong at P={n} src={s}");
-                assert_eq!(windowed[s], want, "alltoallv windowed wrong at P={n} src={s}");
+                assert_eq!(
+                    windowed[s], want,
+                    "alltoallv windowed wrong at P={n} src={s}"
+                );
             }
             // equal-size alltoall: pairwise vs bruck.
             let blocks: Vec<Bytes> = (0..n)
@@ -136,9 +139,16 @@ fn hier_matches_flat_at_p1000() {
         collectives::barrier(mpi);
         let root = 777; // non-leader, non-zero root
         let payload: Vec<u8> = (0..256).map(|i| (i % 251) as u8).collect();
-        let flat = collectives::bcast(mpi, root, (me == root).then(|| Bytes::from(payload.clone())));
-        let hier =
-            collectives::bcast_hier(mpi, root, (me == root).then(|| Bytes::from(payload.clone())));
+        let flat = collectives::bcast(
+            mpi,
+            root,
+            (me == root).then(|| Bytes::from(payload.clone())),
+        );
+        let hier = collectives::bcast_hier(
+            mpi,
+            root,
+            (me == root).then(|| Bytes::from(payload.clone())),
+        );
         assert_eq!(flat, hier, "bcast flat≠hier at P={n}");
         let contrib = [me as f64, (me * 2) as f64, 1.0];
         let flat = collectives::allreduce_sum(mpi, &contrib);
@@ -230,10 +240,7 @@ fn idle_ranks_allocate_no_peer_state() {
                 s.peer_entries
             );
         } else {
-            assert_eq!(
-                s.peer_entries, 0,
-                "idle rank {r} allocated per-peer state"
-            );
+            assert_eq!(s.peer_entries, 0, "idle rank {r} allocated per-peer state");
         }
     }
 }

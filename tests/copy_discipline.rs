@@ -72,9 +72,16 @@ fn bypass_large_message_copy_budget() {
     let per_msg = two.since(&one);
     // Chunking shares the source allocation: splitting must show up as
     // refcount bumps, never as extra memcpys of payload bytes.
-    assert!(per_msg.slice_refs > 0, "chunking must take zero-copy slices");
+    assert!(
+        per_msg.slice_refs > 0,
+        "chunking must take zero-copy slices"
+    );
     assert_eq!(
-        (per_msg.memcpy_calls, per_msg.bytes_copied, per_msg.allocations),
+        (
+            per_msg.memcpy_calls,
+            per_msg.bytes_copied,
+            per_msg.allocations
+        ),
         (1, LARGE as u64, 1),
         "one extra large message must cost its copy-in and nothing else, \
          got {per_msg}"
@@ -179,7 +186,10 @@ fn recycled_copies_never_overwrite_a_held_payload() {
             }
             for (r, data) in &held {
                 fill(peer, *r, &mut want);
-                assert!(data[..] == want[..], "round {r}'s payload changed by round {round}");
+                assert!(
+                    data[..] == want[..],
+                    "round {r}'s payload changed by round {round}"
+                );
             }
         }
         storages.len()
@@ -187,6 +197,9 @@ fn recycled_copies_never_overwrite_a_held_payload() {
     let faults = outcome.fault_counters.expect("a fault plan was installed");
     assert!(faults.dropped > 0 && faults.duplicated > 0, "{faults:?}");
     for (rank, n) in storages.into_iter().enumerate() {
-        assert!(n <= ROUNDS / 4, "rank {rank}: {n} storages for {ROUNDS} rounds");
+        assert!(
+            n <= ROUNDS / 4,
+            "rank {rank}: {n} storages for {ROUNDS} rounds"
+        );
     }
 }

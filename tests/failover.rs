@@ -25,9 +25,8 @@ const SEED: u64 = 0xFA11_0E55;
 
 /// Deterministic payload: a cheap LCG keyed by (rank, round).
 fn fill(rank: usize, round: usize) -> Vec<u8> {
-    let mut x = SEED
-        ^ ((rank as u64 + 1) << 32)
-        ^ (round as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    let mut x =
+        SEED ^ ((rank as u64 + 1) << 32) ^ (round as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     (0..LEN)
         .map(|_| {
             x = x
@@ -66,10 +65,9 @@ fn rounds_rank(mpi: &MpiHandle, rounds: usize) -> Vec<u64> {
 fn run_rounds(stack: &StackConfig, rounds: usize) -> (RunOutcome, Vec<u64>) {
     let cluster = Cluster::xeon_pair();
     let placement = Placement::one_per_node(2, &cluster);
-    let (outcome, mut marks) =
-        run_mpi_collect(&cluster, &placement, stack, 2, move |mpi| {
-            rounds_rank(mpi, rounds)
-        });
+    let (outcome, mut marks) = run_mpi_collect(&cluster, &placement, stack, 2, move |mpi| {
+        rounds_rank(mpi, rounds)
+    });
     (outcome, marks.swap_remove(0))
 }
 
@@ -102,10 +100,7 @@ fn kill_rail1(at: SimDuration, duration: SimDuration) -> StackConfig {
     StackConfig::mpich2_nmad(false).with_faults(FaultPlan::with_links(
         SEED,
         vec![FaultSpec::default(), FaultSpec::default()],
-        vec![
-            vec![],
-            vec![LinkWindow::down(SimTime::ZERO + at, duration)],
-        ],
+        vec![vec![], vec![LinkWindow::down(SimTime::ZERO + at, duration)]],
     ))
 }
 

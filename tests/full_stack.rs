@@ -174,10 +174,8 @@ fn collectives_agree_across_stacks() {
             let got = mpi.alltoall(blocks);
             let checksum: f64 = got.iter().map(|b| b[0] as f64).sum();
             // allgather: rank i contributes [i; i+1]; verify shape+content.
-            let gathered = mpi.allgather(bytes::Bytes::from(vec![
-                mpi.rank() as u8;
-                mpi.rank() + 1
-            ]));
+            let gathered =
+                mpi.allgather(bytes::Bytes::from(vec![mpi.rank() as u8; mpi.rank() + 1]));
             let mut gsum = 0.0;
             for (i, b) in gathered.iter().enumerate() {
                 assert_eq!(b.len(), i + 1);

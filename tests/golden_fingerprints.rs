@@ -173,7 +173,11 @@ fn run_for(
 }
 
 fn pattern(seed: u8, len: usize) -> Bytes {
-    Bytes::from((0..len).map(|i| seed.wrapping_add((i * 7) as u8)).collect::<Vec<u8>>())
+    Bytes::from(
+        (0..len)
+            .map(|i| seed.wrapping_add((i * 7) as u8))
+            .collect::<Vec<u8>>(),
+    )
 }
 
 /// Run `body` as the single driver rank of a two-core simulation and
@@ -277,7 +281,10 @@ fn fingerprints_match_the_pinned_values() {
     for (workload, name) in WORKLOADS {
         for seed in 0..4u64 {
             let sc = Scenario::new(7000 + seed, FaultSpec::mixed(), workload, seed % 2 == 1);
-            got.push((format!("{name}/clean/{seed}"), hash_fingerprint(sc.run_clean())));
+            got.push((
+                format!("{name}/clean/{seed}"),
+                hash_fingerprint(sc.run_clean()),
+            ));
             got.push((format!("{name}/faulty/{seed}"), hash_fingerprint(sc.run())));
         }
         let sc = Scenario::new(7100, FaultSpec::drop_heavy(), workload, false);
@@ -293,5 +300,8 @@ fn fingerprints_match_the_pinned_values() {
         .map(|(name, h)| format!("    (\"{name}\", 0x{h:016x}),\n"))
         .collect();
     let want: Vec<(String, u64)> = GOLDEN.iter().map(|&(n, h)| (n.to_string(), h)).collect();
-    assert!(got == want, "fingerprints moved; this build computes:\n{table}");
+    assert!(
+        got == want,
+        "fingerprints moved; this build computes:\n{table}"
+    );
 }

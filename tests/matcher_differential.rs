@@ -76,7 +76,10 @@ impl Owned {
         (orphans, bytes)
     }
 
-    fn purge_keys(&mut self, pred: impl Fn(u64) -> bool) -> (Vec<(RecvReqId, GateId, u64)>, usize, usize) {
+    fn purge_keys(
+        &mut self,
+        pred: impl Fn(u64) -> bool,
+    ) -> (Vec<(RecvReqId, GateId, u64)>, usize, usize) {
         let (mut orphans, mut dropped, mut dropped_bytes) = (Vec::new(), 0, 0);
         for (&gate, queues) in self.gates.iter_mut() {
             let doomed = queues.iter_mut().filter(|(&tag, _)| pred(tag));
@@ -118,12 +121,29 @@ const TAGS: u64 = 4;
 /// One recorded envelope-stream event.
 #[derive(Clone, Debug)]
 enum Op {
-    Post { gate: usize, tag: u64 },
-    Arrive { gate: usize, tag: u64, rdv: bool, len: usize },
-    Probe { gate: usize, tag: u64 },
-    ProbeTag { tag: u64 },
-    PurgeGate { gate: usize },
-    PurgeTagsBelow { below: u64 },
+    Post {
+        gate: usize,
+        tag: u64,
+    },
+    Arrive {
+        gate: usize,
+        tag: u64,
+        rdv: bool,
+        len: usize,
+    },
+    Probe {
+        gate: usize,
+        tag: u64,
+    },
+    ProbeTag {
+        tag: u64,
+    },
+    PurgeGate {
+        gate: usize,
+    },
+    PurgeTagsBelow {
+        below: u64,
+    },
 }
 
 /// Observable fingerprint of an unexpected message (payload identity
@@ -197,8 +217,16 @@ fn replay_differential(seed: u64) {
         macro_rules! same {
             ($what:expr, $oracle:expr, $sharded:expr, $owned:expr) => {{
                 let want = $oracle;
-                assert_eq!(want, $sharded, "sharded {} diverged at step {step} (seed {seed})", $what);
-                assert_eq!(want, $owned, "owned {} diverged at step {step} (seed {seed})", $what);
+                assert_eq!(
+                    want, $sharded,
+                    "sharded {} diverged at step {step} (seed {seed})",
+                    $what
+                );
+                assert_eq!(
+                    want, $owned,
+                    "owned {} diverged at step {step} (seed {seed})",
+                    $what
+                );
             }};
         }
         match op {
@@ -212,7 +240,12 @@ fn replay_differential(seed: u64) {
                     owned.post_recv(gate, tag, req).as_ref().map(fp)
                 );
             }
-            Op::Arrive { gate, tag, rdv, len } => {
+            Op::Arrive {
+                gate,
+                tag,
+                rdv,
+                len,
+            } => {
                 let seq = next_seq.entry((gate, tag)).or_insert(0);
                 let msg = if rdv {
                     next_rdv += 1;
@@ -267,7 +300,12 @@ fn replay_differential(seed: u64) {
                 owned.purge_keys(|t| t < below)
             ),
         }
-        same!("posted_len", oracle.posted_len(), sharded.posted_len(), owned.posted_len());
+        same!(
+            "posted_len",
+            oracle.posted_len(),
+            sharded.posted_len(),
+            owned.posted_len()
+        );
         same!(
             "unexpected_len",
             oracle.unexpected_len(),
@@ -308,8 +346,11 @@ enum POp {
 fn pop_strategy() -> impl Strategy<Value = POp> {
     prop_oneof![
         (0usize..GATES, 0u64..TAGS).prop_map(|(gate, tag)| POp::Post { gate, tag }),
-        (0usize..GATES, 0u64..TAGS, 1usize..512)
-            .prop_map(|(gate, tag, len)| POp::Arrive { gate, tag, len }),
+        (0usize..GATES, 0u64..TAGS, 1usize..512).prop_map(|(gate, tag, len)| POp::Arrive {
+            gate,
+            tag,
+            len
+        }),
         (0usize..GATES).prop_map(|gate| POp::PurgeGate { gate }),
         (0u64..TAGS).prop_map(|tag| POp::PurgeTag { tag }),
     ]

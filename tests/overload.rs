@@ -190,9 +190,17 @@ fn nm_total_equals_the_deleted_folds_on_a_pinned_flood() {
         "flow_totals"
     );
     let peaks = outcome.nm_stats.iter().map(|s| s.fc_peak_unex_bytes);
-    assert_eq!(peaks.max(), Some(93_042), "a maximum across ranks, not a sum");
     assert_eq!(
-        (t.membership_transitions, t.membership_dead_peers, t.revoked_ops),
+        peaks.max(),
+        Some(93_042),
+        "a maximum across ranks, not a sum"
+    );
+    assert_eq!(
+        (
+            t.membership_transitions,
+            t.membership_dead_peers,
+            t.revoked_ops
+        ),
         (0, 0, 0),
         "membership_totals"
     );
@@ -246,7 +254,10 @@ fn same_seed_replays_bit_identical() {
             a.sim.final_time, b.sim.final_time,
             "seed {seed}: final time diverged"
         );
-        assert_eq!(a.sim.events, b.sim.events, "seed {seed}: event count diverged");
+        assert_eq!(
+            a.sim.events, b.sim.events,
+            "seed {seed}: event count diverged"
+        );
         assert_eq!(a.nm_stats, b.nm_stats, "seed {seed}: NM counters diverged");
         assert_eq!(
             a.rail_counters, b.rail_counters,
@@ -269,7 +280,10 @@ fn any_source_survives_the_flood() {
     let seed = seed_base() + 80;
     let (outcome, _) = run_flood(seed, Some(FlowConfig::bounded(CREDITS, CAP)), true);
     let ft = outcome.nm_total();
-    assert!(ft.fc_peak_unex_bytes <= CAP as u64, "cap held under ANY_SOURCE");
+    assert!(
+        ft.fc_peak_unex_bytes <= CAP as u64,
+        "cap held under ANY_SOURCE"
+    );
     assert!(
         ft.fc_fallback_sends > 0,
         "flood too gentle: ANY_SOURCE never saw the degraded path"
@@ -328,7 +342,10 @@ fn ample_credits_match_unarmed_baseline() {
     assert_eq!(ft.fc_credit_stalls, 0, "deep pools must never stall");
     assert_eq!(ft.fc_fallback_sends, 0, "paced flow must stay all-eager");
     assert!(ft.fc_eager_admitted > 0);
-    assert_eq!(ft.fc_credits_withheld, 0, "pre-posted receiver never throttles");
+    assert_eq!(
+        ft.fc_credits_withheld, 0,
+        "pre-posted receiver never throttles"
+    );
     assert_eq!(ha, hu, "same workload, same bytes");
     let (ta, tu) = (
         armed.sim.final_time.as_nanos() as f64,

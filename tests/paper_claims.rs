@@ -110,10 +110,16 @@ fn e6_fig6b_pioman_mx_overhead_and_ordering() {
     let nmad = series[2].latency_at(4).unwrap();
     let piom = series[3].latency_at(4).unwrap();
     // Fig. 6(b) ordering: nmad < PML < BTL < nmad+PIOMan.
-    assert!(nmad < pml && pml < btl && btl < piom,
-        "ordering violated: nmad {nmad}, pml {pml}, btl {btl}, piom {piom}");
+    assert!(
+        nmad < pml && pml < btl && btl < piom,
+        "ordering violated: nmad {nmad}, pml {pml}, btl {btl}, piom {piom}"
+    );
     assert!((nmad - 2.4).abs() < 0.15, "nmad MX {nmad}");
-    assert!((piom - nmad - 2.0).abs() < 0.4, "PIOMan MX overhead {}", piom - nmad);
+    assert!(
+        (piom - nmad - 2.0).abs() < 0.4,
+        "PIOMan MX overhead {}",
+        piom - nmad
+    );
 }
 
 #[test]

@@ -171,8 +171,11 @@ fn qop_strategy() -> impl Strategy<Value = QOp> {
             src: (src > 0).then_some(src),
             key,
         }),
-        (1usize..=3, 0u64..4, 1usize..2048)
-            .prop_map(|(src, key, len)| QOp::Arrive { src, key, len }),
+        (1usize..=3, 0u64..4, 1usize..2048).prop_map(|(src, key, len)| QOp::Arrive {
+            src,
+            key,
+            len
+        }),
         (0usize..8).prop_map(|pick| QOp::Deactivate { pick }),
     ]
 }
@@ -288,7 +291,10 @@ proptest! {
 #[derive(Clone, Debug)]
 enum WOp {
     /// Post a receive: src `None` = MPI_ANY_SOURCE, key `None` = wildcard.
-    Post { src: Option<usize>, key: Option<u64> },
+    Post {
+        src: Option<usize>,
+        key: Option<u64>,
+    },
     /// An envelope arrives from `src` under `key`.
     Arrive { src: usize, key: u64 },
     /// Deactivate the `pick`-th live posted entry (any-source stall).

@@ -142,7 +142,11 @@ fn recovery_rank(mpi: &MpiHandle) -> Report {
     let c0 = Comm::from_members(mpi, 0, initial.clone());
     mpi.comm_barrier(&c0);
     let sum0 = mpi.comm_allreduce_sum(&c0, &[1.0])[0];
-    assert_eq!(sum0, initial.len() as f64, "healthy allreduce wrong on {me}");
+    assert_eq!(
+        sum0,
+        initial.len() as f64,
+        "healthy allreduce wrong on {me}"
+    );
 
     if me == DEAD1 {
         wait_until(mpi, T_CRASH1);
@@ -325,8 +329,14 @@ fn revoke_agree_shrink_join_under_churn() {
         "revocation never flooded: {m:?}"
     );
     assert!(m.revoked_ops > 0, "revoke quiesced nothing: {m:?}");
-    assert!(m.membership_stale_epoch > 0, "no stale cross-epoch frame was counted: {m:?}");
-    assert!(m.membership_dead_peers > 0 && m.membership_drained_entries > 0, "{m:?}");
+    assert!(
+        m.membership_stale_epoch > 0,
+        "no stale cross-epoch frame was counted: {m:?}"
+    );
+    assert!(
+        m.membership_dead_peers > 0 && m.membership_drained_entries > 0,
+        "{m:?}"
+    );
     let drops = outcome.fault_counters.expect("fault plan armed").node_drops;
     assert!(drops > 0, "node windows never ate a frame");
 }
@@ -361,7 +371,11 @@ fn nm_total_equals_the_deleted_folds_on_a_pinned_recovery() {
         (0, 0, 11_218, 62, 178)
     );
     assert_eq!(
-        (t.fc_eager_admitted, t.fc_credits_returned, t.fc_peak_unex_bytes),
+        (
+            t.fc_eager_admitted,
+            t.fc_credits_returned,
+            t.fc_peak_unex_bytes
+        ),
         (0, 0, 488),
         "flow_totals"
     );
@@ -448,8 +462,13 @@ fn try_barrier_verdict_is_uniform_across_survivors() {
         let seed = 0x7B47_0000 ^ seed_base() ^ offset;
         let cluster = Cluster::new(TB_RANKS, 1, vec![NicModel::connectx_ib()]);
         let placement = Placement::one_per_node(TB_RANKS, &cluster);
-        let (_, verdicts) =
-            run_mpi_collect(&cluster, &placement, &tb_stack(seed), TB_RANKS, try_barrier_rank);
+        let (_, verdicts) = run_mpi_collect(
+            &cluster,
+            &placement,
+            &tb_stack(seed),
+            TB_RANKS,
+            try_barrier_rank,
+        );
         let survivor_verdicts: Vec<Option<usize>> = verdicts
             .iter()
             .enumerate()
@@ -484,7 +503,13 @@ fn su_ring(mpi: &MpiHandle, round: usize) {
     let me = mpi.rank();
     let right = (me + 1) % SU_RANKS;
     let left = (me + SU_RANKS - 1) % SU_RANKS;
-    let (data, st) = mpi.sendrecv(right, TAG_SU, &fill(me, round, 256), Src::Rank(left), TAG_SU);
+    let (data, st) = mpi.sendrecv(
+        right,
+        TAG_SU,
+        &fill(me, round, 256),
+        Src::Rank(left),
+        TAG_SU,
+    );
     assert_eq!(st.source, left);
     assert_eq!(&data[..], &fill(left, round, 256)[..]);
 }
@@ -522,7 +547,10 @@ fn suspect_stack(seed: u64, pioman: bool) -> StackConfig {
         ..RetryConfig::default()
     });
     let mut nodes: Vec<Vec<NodeWindow>> = vec![Vec::new(); SU_RANKS];
-    nodes[SU_SLOW] = vec![NodeWindow::hang(micros(SU_HANG_FROM), micros(SU_HANG_UNTIL))];
+    nodes[SU_SLOW] = vec![NodeWindow::hang(
+        micros(SU_HANG_FROM),
+        micros(SU_HANG_UNTIL),
+    )];
     stack
         .with_membership(MembershipConfig {
             suspect_after: 2,
@@ -703,6 +731,9 @@ fn any_source_survives_revoke_and_shrink() {
         }
     }
     let m = outcome.nm_total();
-    assert!(m.membership_aborted_recvs > 0, "parked specific not counted: {m:?}");
+    assert!(
+        m.membership_aborted_recvs > 0,
+        "parked specific not counted: {m:?}"
+    );
     assert!(m.revoked_epochs > 0, "{m:?}");
 }

@@ -16,11 +16,7 @@
 use mpich2_nmad_repro::sim_harness::{Scenario, Workload};
 use mpich2_nmad_repro::simnet::FaultSpec;
 
-const WORKLOADS: [Workload; 3] = [
-    Workload::SendRecv,
-    Workload::AnySource,
-    Workload::Multirail,
-];
+const WORKLOADS: [Workload; 3] = [Workload::SendRecv, Workload::AnySource, Workload::Multirail];
 
 /// Base offset added to every sweep seed. CI's fault-seed matrix sets
 /// `SIM_SEED_BASE` to shift the whole sweep onto a fresh seed range, so
@@ -85,7 +81,10 @@ fn sweep_delay_reorder() {
     });
     assert!(delayed > 100, "delay schedule barely delayed ({delayed})");
     assert!(dups > 0, "duplication never triggered");
-    assert!(retries > 0, "200µs delays never outran the 80µs retry timer");
+    assert!(
+        retries > 0,
+        "200µs delays never outran the 80µs retry timer"
+    );
 }
 
 #[test]

@@ -37,7 +37,10 @@ fn sixteen_producers_four_vcs_flow_controlled() {
     assert_eq!(r.total_msgs, total, "messages were lost or duplicated");
     assert_eq!(r.fifo_violations, 0, "per-sender FIFO violated");
     assert!(r.credit_intact, "eager credits were minted or leaked");
-    assert_eq!(r.stats.crc_drops, 0, "payload corrupted crossing the queues");
+    assert_eq!(
+        r.stats.crc_drops, 0,
+        "payload corrupted crossing the queues"
+    );
     assert_eq!(r.latencies_ns.len(), total as usize);
     assert!(r.p99_ns() >= r.p50_ns());
 

@@ -264,7 +264,10 @@ fn the_netmod_tunnel_under_piom_survives_loss() {
     stack.pioman = Some(PiomConfig::default());
     let (out, _) = run_pair(&stack, 200);
     let retries: u64 = out.nm_stats.iter().map(|s| s.total_retries()).sum();
-    assert!(retries > 0, "a 2 % drop rate over 200 rounds costs a replay");
+    assert!(
+        retries > 0,
+        "a 2 % drop rate over 200 rounds costs a replay"
+    );
 }
 
 #[test]

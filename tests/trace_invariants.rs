@@ -26,8 +26,8 @@ use std::collections::BTreeMap;
 
 use mpich2_nmad_repro::mpi_ch3::stack::{run_mpi_collect, StackConfig};
 use mpich2_nmad_repro::mpi_ch3::{MpiHandle, Src};
-use mpich2_nmad_repro::nmad::{FlowConfig, NmConfig};
 use mpich2_nmad_repro::nmad::protocol::conformance;
+use mpich2_nmad_repro::nmad::{FlowConfig, NmConfig};
 use mpich2_nmad_repro::obs::{
     EngineEvent, MsgKey, ObsConfig, Phase, Report, RetryKind, Scope, Side,
 };
@@ -144,7 +144,9 @@ fn check_credit_balance(report: &Report, initial: u32) {
     let mut balance: BTreeMap<(u32, u32), i64> = BTreeMap::new();
     let mut moves = 0u64;
     for e in &report.events {
-        let Scope::Engine { ev } = e.scope else { continue };
+        let Scope::Engine { ev } = e.scope else {
+            continue;
+        };
         match ev {
             EngineEvent::CreditDebit { peer } => {
                 let b = balance.entry((e.rank, peer)).or_insert(initial as i64);
@@ -207,10 +209,15 @@ fn invariants_hold_across_fault_seed_sweep() {
         // The sweep must actually exercise the fault machinery: mixed
         // schedules retry at least somewhere across the sweep (checked
         // per-run where retries occurred).
-        let retried = report
-            .events
-            .iter()
-            .any(|e| matches!(e.scope, Scope::Msg { phase: Phase::Retry { .. }, .. }));
+        let retried = report.events.iter().any(|e| {
+            matches!(
+                e.scope,
+                Scope::Msg {
+                    phase: Phase::Retry { .. },
+                    ..
+                }
+            )
+        });
         let _ = retried; // presence varies per seed; the sum check is below
     }
 }
@@ -231,14 +238,28 @@ fn fault_sweep_exercises_retry_spans() {
         retries += report
             .events
             .iter()
-            .filter(|e| matches!(e.scope, Scope::Msg { phase: Phase::Retry { .. }, .. }))
+            .filter(|e| {
+                matches!(
+                    e.scope,
+                    Scope::Msg {
+                        phase: Phase::Retry { .. },
+                        ..
+                    }
+                )
+            })
             .count();
         assert_eq!(fp.total_retries(), {
             let spans_retries: u64 = report
                 .events
                 .iter()
                 .filter(|e| {
-                    matches!(e.scope, Scope::Msg { phase: Phase::Retry { .. }, .. })
+                    matches!(
+                        e.scope,
+                        Scope::Msg {
+                            phase: Phase::Retry { .. },
+                            ..
+                        }
+                    )
                 })
                 .count() as u64;
             spans_retries
@@ -275,11 +296,7 @@ fn duplicate_rts_replays_stay_one_to_one_with_retry_spans() {
             Workload::Multirail
         };
         let (fp, report) = Scenario::new(seed, spec, workload, false).run_traced();
-        dup_envelopes += fp
-            .nm_stats
-            .iter()
-            .map(|s| s.dup_envelopes)
-            .sum::<u64>();
+        dup_envelopes += fp.nm_stats.iter().map(|s| s.dup_envelopes).sum::<u64>();
         let violations = conformance::check_events(&report.events, true);
         assert!(violations.is_empty(), "seed {seed}: {violations:?}");
         for (key, evs) in spans(&report) {
@@ -289,8 +306,22 @@ fn duplicate_rts_replays_stay_one_to_one_with_retry_spans() {
                 continue; // eager path
             }
             let cts_tx = count(&|p| matches!(p, Phase::CtsTx { .. }));
-            let retry_rts = count(&|p| matches!(p, Phase::Retry { kind: RetryKind::Rts }));
-            let retry_cts = count(&|p| matches!(p, Phase::Retry { kind: RetryKind::Cts }));
+            let retry_rts = count(&|p| {
+                matches!(
+                    p,
+                    Phase::Retry {
+                        kind: RetryKind::Rts
+                    }
+                )
+            });
+            let retry_cts = count(&|p| {
+                matches!(
+                    p,
+                    Phase::Retry {
+                        kind: RetryKind::Cts
+                    }
+                )
+            });
             assert_eq!(
                 rts_tx,
                 1 + retry_rts,
@@ -394,7 +425,15 @@ fn invariants_hold_under_overload_with_flow_armed() {
         let stall_spans = report
             .events
             .iter()
-            .filter(|e| matches!(e.scope, Scope::Msg { phase: Phase::CreditStall, .. }))
+            .filter(|e| {
+                matches!(
+                    e.scope,
+                    Scope::Msg {
+                        phase: Phase::CreditStall,
+                        ..
+                    }
+                )
+            })
             .count();
         assert!(
             stall_spans > 0,
