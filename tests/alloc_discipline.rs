@@ -41,8 +41,8 @@ fn count_one(size: usize) {
     }
 }
 
-// SAFETY: forwards every call to `System` unchanged; the counter is a
-// const-initialized thread-local `Cell`, which itself never allocates.
+// SAFETY: forwards every call to `System` unchanged; the counters are
+// const-initialized thread-local `Cell`s, which themselves never allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_one(layout.size());
