@@ -25,7 +25,7 @@
 //!   request is dynamically created when a message is received that could
 //!   match") — it completes immediately since the payload already sits in
 //!   NewMadeleine's buffers. The entry's CH3 posted-queue twin is
-//!   deactivated at that moment, because the NewMadeleine request is now
+//!   cancelled at that moment, because the NewMadeleine request is now
 //!   unstoppable.
 //! * If instead an intra-node message matches the ANY_SOURCE receive first
 //!   (through the CH3 queues), "the entry … is simply removed and all
@@ -35,14 +35,12 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use crate::queues::{deactivate, ActiveFlag};
+use crate::queues::Ch3Queues;
 use crate::request::Req;
 
 enum Entry {
     Any {
         req: Req,
-        /// The CH3 posted-queue twin's liveness flag.
-        ch3_flag: ActiveFlag,
         /// Gate the dynamically-created NewMadeleine request targets, once
         /// probed.
         nm_gate: Option<usize>,
@@ -80,17 +78,14 @@ impl AnySourceLists {
         AnySourceLists::default()
     }
 
-    /// Register a newly posted ANY_SOURCE receive.
-    pub fn register_any(&mut self, key: u64, req: Req, ch3_flag: ActiveFlag) {
+    /// Register a newly posted ANY_SOURCE receive; its CH3 twin is posted
+    /// under the same request.
+    pub fn register_any(&mut self, key: u64, req: Req) {
         self.lists
             .entry(key)
             .or_default()
             .entries
-            .push_back(Entry::Any {
-                req,
-                ch3_flag,
-                nm_gate: None,
-            });
+            .push_back(Entry::Any { req, nm_gate: None });
         self.by_req.insert(req, key);
     }
 
@@ -135,21 +130,19 @@ impl AnySourceLists {
     }
 
     /// A probe found a matching message from `gate`: record the
-    /// dynamically created NewMadeleine request and deactivate the CH3
-    /// twin (the NewMadeleine request cannot be cancelled, so shared
+    /// dynamically created NewMadeleine request and cancel its CH3 twin in
+    /// `queues` (the NewMadeleine request cannot be cancelled, so shared
     /// memory must no longer steal this receive).
-    pub fn mark_posted(&mut self, key: u64, gate: usize) {
+    pub fn mark_posted(&mut self, key: u64, gate: usize, queues: &Ch3Queues) {
         let list = self
             .lists
             .get_mut(&key)
             .expect("mark_posted on unknown tag");
         match list.entries.front_mut() {
-            Some(Entry::Any {
-                nm_gate, ch3_flag, ..
-            }) => {
+            Some(Entry::Any { req, nm_gate }) => {
                 debug_assert!(nm_gate.is_none(), "double mark_posted");
                 *nm_gate = Some(gate);
-                deactivate(ch3_flag);
+                queues.cancel(*req);
             }
             _ => panic!("mark_posted: head is not an ANY_SOURCE entry"),
         }
@@ -238,15 +231,7 @@ impl AnySourceLists {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::queues::{is_active, Ch3Queues};
     use crate::request::{ReqKind, ReqPath, RequestTable};
-    use std::sync::Arc;
-
-    /// The flag of a freshly posted CH3 entry, as `irecv` would hand over.
-    fn flag() -> ActiveFlag {
-        let posted = Ch3Queues::new().post(Req(0), None, 0);
-        posted.unwrap_or_else(|_| unreachable!("nothing is unexpected in a new queue pair"))
-    }
 
     fn any_req(t: &mut RequestTable) -> Req {
         t.create(ReqKind::RecvAnySource, ReqPath::Unknown)
@@ -261,12 +246,14 @@ mod tests {
         let mut t = RequestTable::new();
         let mut l = AnySourceLists::new();
         let r = any_req(&mut t);
-        let f = flag();
-        l.register_any(7, r, Arc::clone(&f));
+        let q = Ch3Queues::new();
+        q.post(r, None, 7)
+            .expect("nothing is unexpected in a new queue pair");
+        l.register_any(7, r);
         assert_eq!(l.heads_to_probe(), vec![(7, r)]);
-        l.mark_posted(7, 3);
+        l.mark_posted(7, 3, &q);
         assert!(l.heads_to_probe().is_empty(), "posted head stops probing");
-        assert!(!is_active(&f), "CH3 twin deactivated");
+        assert_eq!(q.posted_len(), 0, "CH3 twin cancelled");
     }
 
     #[test]
@@ -276,7 +263,7 @@ mod tests {
         let ra = any_req(&mut t);
         let r1 = spec_req(&mut t);
         let r2 = spec_req(&mut t);
-        l.register_any(7, ra, flag());
+        l.register_any(7, ra);
         assert!(l.try_park_specific(7, r1, 4));
         assert!(l.try_park_specific(7, r2, 5));
         assert!(l.is_tracked(r1));
@@ -310,9 +297,9 @@ mod tests {
         let s1 = spec_req(&mut t);
         let ra2 = any_req(&mut t);
         let s2 = spec_req(&mut t);
-        l.register_any(7, ra1, flag());
+        l.register_any(7, ra1);
         assert!(l.try_park_specific(7, s1, 4));
-        l.register_any(7, ra2, flag());
+        l.register_any(7, ra2);
         assert!(l.try_park_specific(7, s2, 5));
         // Completing the head releases s1 but stops at ra2.
         let released = l.on_complete(ra1);
@@ -348,10 +335,10 @@ mod tests {
         let ra1 = any_req(&mut t);
         let ra2 = any_req(&mut t);
         let s1 = spec_req(&mut t);
-        l.register_any(7, ra1, flag());
-        l.register_any(7, ra2, flag());
+        l.register_any(7, ra1);
+        l.register_any(7, ra2);
         assert!(l.try_park_specific(7, s1, 4));
-        l.mark_posted(7, 2); // head now bound to gate 2
+        l.mark_posted(7, 2, &Ch3Queues::new()); // head now bound to gate 2
         let released = l.on_complete(ra2);
         assert!(released.is_empty());
         // Head completes: specifics flow.
@@ -374,7 +361,7 @@ mod tests {
         let dead1 = spec_req(&mut t);
         let live = spec_req(&mut t);
         let dead2 = spec_req(&mut t);
-        l.register_any(7, ra, flag());
+        l.register_any(7, ra);
         assert!(l.try_park_specific(7, dead1, 9));
         assert!(l.try_park_specific(7, live, 4));
         assert!(l.try_park_specific(7, dead2, 9));
@@ -423,8 +410,8 @@ mod tests {
         let mut l = AnySourceLists::new();
         let r9 = any_req(&mut t);
         let r3 = any_req(&mut t);
-        l.register_any(9, r9, flag());
-        l.register_any(3, r3, flag());
+        l.register_any(9, r9);
+        l.register_any(3, r3);
         assert_eq!(l.heads_to_probe(), vec![(3, r3), (9, r9)]);
     }
 }

@@ -475,8 +475,9 @@ impl MpiHandle {
 
 #[cfg(test)]
 mod tests {
+    use super::Src;
     use crate::stack::{run_mpi_collect, StackConfig};
-    use simnet::{Cluster, Placement};
+    use simnet::{Cluster, NicModel, Placement};
 
     /// A drain stuck on a rendezvous nobody answers finds no work at any
     /// tick. Its livelock guard must still trip exactly at its limit, as
@@ -504,5 +505,32 @@ mod tests {
             ),
             "{message}"
         );
+    }
+
+    /// ANY_SOURCE receives that only remote peers serve leave nothing in
+    /// the CH3 posted queue: each one's twin is cancelled when the §3.2
+    /// lists hand the receive to NewMadeleine. No CH3 arrival ever comes
+    /// to sweep a twin left behind, so one would stay for the whole run.
+    #[test]
+    fn remote_any_source_receives_leave_no_posted_twin() {
+        const RECVS: usize = 1000;
+        let c = Cluster::new(3, 8, vec![NicModel::connectx_ib()]);
+        let p = Placement::one_per_node(3, &c);
+        let cfg = StackConfig::mpich2_nmad_rail(0, false);
+        assert!(cfg.bypass());
+        let (_, posted) = run_mpi_collect(&c, &p, &cfg, 3, |mpi| {
+            if mpi.rank() == 0 {
+                let reqs: Vec<_> = (0..RECVS).map(|_| mpi.irecv(Src::Any, 7)).collect();
+                mpi.waitall(&reqs);
+                mpi.state.with_state(|st| st.engine.queues.posted_len())
+            } else {
+                let sends: Vec<_> = (0..RECVS / 2)
+                    .map(|i| mpi.isend(0, 7, &i.to_le_bytes()))
+                    .collect();
+                mpi.waitall(&sends);
+                0
+            }
+        });
+        assert_eq!(posted[0], 0, "dead CH3 twins left in rank 0's posted queue");
     }
 }

@@ -20,7 +20,7 @@ use bytes::{Bytes, BytesMut};
 use nmad::protocol::{self, Action, State, Verdict};
 use simnet::{BufOrigin, CopyMeter, NmBuf};
 
-use crate::queues::{ActiveFlag, Ch3Queues, UnexMsg};
+use crate::queues::{Ch3Queues, UnexMsg};
 use crate::request::Req;
 
 /// Modelled CH3 packet-header size on the wire.
@@ -405,11 +405,10 @@ impl Ch3Engine {
 
     /// Post a receive; consumes a matching unexpected message if present
     /// (its completion, or the CTS that starts its rendezvous, goes on the
-    /// out-list). Returns the active flag of the posted entry when the
-    /// receive stays pending.
-    pub fn post_recv(&mut self, req: Req, src: Option<usize>, key: u64) -> Option<ActiveFlag> {
+    /// out-list). Returns whether the receive stays posted.
+    pub fn post_recv(&mut self, req: Req, src: Option<usize>, key: u64) -> bool {
         match self.queues.post(req, src, key) {
-            Ok(flag) => return Some(flag),
+            Ok(()) => return true,
             Err(UnexMsg::Eager {
                 src: s,
                 key: k,
@@ -429,7 +428,7 @@ impl Ch3Engine {
                 len,
             }) => self.begin_rdv_in(req, s, k, src.is_none(), rdv_id, len),
         }
-        None
+        false
     }
 
     /// A receive matched an RTS: allocate the landing buffer and answer
@@ -745,8 +744,8 @@ mod tests {
         let (sreq, done) = w.isend(0, 7, payload.share());
         assert!(!done);
         assert!(w.events.is_empty(), "nothing posted yet: no CTS, no DATA");
-        let (rreq, flag) = w.irecv(1, Some(0), 7);
-        assert!(flag.is_none(), "the waiting RTS matched at once");
+        let (rreq, posted) = w.irecv(1, Some(0), 7);
+        assert!(!posted, "the waiting RTS matched at once");
         // Sender got SendDone, receiver got RecvDone with intact payload.
         assert_eq!(w.sends_done(), [sreq]);
         let got = w.received();
@@ -857,8 +856,8 @@ mod tests {
         );
         assert!(w.crossed.is_empty(), "no CTS before a receive is posted");
         assert_eq!(w.engines[1].queues.unexpected_len(), 1);
-        let (_, flag) = w.irecv(1, None, 7);
-        assert!(flag.is_none(), "matched immediately, no posted entry");
+        let (_, posted) = w.irecv(1, None, 7);
+        assert!(!posted, "matched immediately, no posted entry");
         assert!(w.events.is_empty());
         assert_eq!(w.crossed.len(), 1, "CTS sent on match");
         assert!(matches!(w.crossed[0], (0, Ch3Pkt::Cts { rdv_id: 0 })));

@@ -10,7 +10,6 @@ use bytes::Bytes;
 use simnet::NmBuf;
 
 use super::{Ch3Engine, Ch3Event, Ch3Out, Ch3Pkt};
-use crate::queues::ActiveFlag;
 use crate::request::{Req, ReqKind, ReqPath, RequestTable};
 
 /// Two engines (ranks 0 and 1) and the wire between them.
@@ -48,17 +47,18 @@ impl Pair {
         (req, done)
     }
 
-    /// Rank `at` posts a receive (`src` `None` = ANY_SOURCE).
-    pub fn irecv(&mut self, at: usize, src: Option<usize>, key: u64) -> (Req, Option<ActiveFlag>) {
+    /// Rank `at` posts a receive (`src` `None` = ANY_SOURCE); returns the
+    /// request and whether it stays posted.
+    pub fn irecv(&mut self, at: usize, src: Option<usize>, key: u64) -> (Req, bool) {
         let kind = if src.is_some() {
             ReqKind::Recv
         } else {
             ReqKind::RecvAnySource
         };
         let req = self.reqs.create(kind, ReqPath::Net);
-        let flag = self.engines[at].post_recv(req, src, key);
+        let posted = self.engines[at].post_recv(req, src, key);
         self.pump(at);
-        (req, flag)
+        (req, posted)
     }
 
     /// Feed `pkt` to rank `at` as if from its peer, and execute what that
@@ -118,15 +118,15 @@ fn pattern(len: usize) -> Vec<u8> {
 fn an_eager_message_posted_first_or_unexpected_first_completes_once() {
     let mut w = Pair::new(1024, None, false);
     // Posted first: the arrival matches and completes.
-    let (r1, flag) = w.irecv(1, Some(0), 7);
-    assert!(flag.is_some(), "pending: the posted entry is live");
+    let (r1, posted) = w.irecv(1, Some(0), 7);
+    assert!(posted, "pending: the posted entry is live");
     let (_, done) = w.isend(0, 7, pattern(100));
     assert!(done, "eager sends are buffered");
     // Unexpected first: the message waits in the queue for its receive.
     w.isend(0, 8, pattern(200));
     assert_eq!(w.engines[1].queues.unexpected_len(), 1);
-    let (r2, flag) = w.irecv(1, Some(0), 8);
-    assert!(flag.is_none(), "matched at once, nothing posted");
+    let (r2, posted) = w.irecv(1, Some(0), 8);
+    assert!(!posted, "matched at once, nothing posted");
     assert_eq!(w.engines[1].queues.unexpected_len(), 0);
     let got = w.received();
     assert_eq!(got.len(), 2);

@@ -334,13 +334,11 @@ impl ProcState {
                 let req = st.reqs.create(ReqKind::RecvAnySource, ReqPath::Unknown);
                 // The CH3 queues serve intra-node arrivals (and ALL
                 // arrivals on non-bypass stacks).
-                let flag = self.post_ch3_recv(st, &sched, req, None, key);
-                if let (NetPath::Direct(_), Some(flag)) = (&self.net, flag) {
-                    if self.vcs.has_remote() {
-                        // Bypass stack: inter-node ANY_SOURCE needs the
-                        // §3.2 lists.
-                        st.anysource.register_any(key, req, flag);
-                    }
+                let posted = self.post_ch3_recv(st, &sched, req, None, key);
+                if posted && matches!(self.net, NetPath::Direct(_)) && self.vcs.has_remote() {
+                    // Bypass stack: inter-node ANY_SOURCE needs the §3.2
+                    // lists.
+                    st.anysource.register_any(key, req);
                 }
                 req
             }
@@ -348,7 +346,7 @@ impl ProcState {
     }
 
     /// Post into the CH3 queues, applying any immediate completion.
-    /// Returns the posted entry's active flag if the receive stays pending.
+    /// Returns whether the receive stays posted.
     fn post_ch3_recv(
         self: &Arc<Self>,
         st: &mut RankState,
@@ -356,10 +354,10 @@ impl ProcState {
         req: Req,
         src: Option<usize>,
         key: u64,
-    ) -> Option<crate::queues::ActiveFlag> {
-        let flag = st.engine.post_recv(req, src, key);
+    ) -> bool {
+        let posted = st.engine.post_recv(req, src, key);
         self.route(st, sched);
-        flag
+        posted
     }
 
     // ------------------------------------------------------------------
@@ -438,7 +436,7 @@ impl ProcState {
                     let nm = core.irecv(sched, gate.0, key, req.0 as u64);
                     st.reqs.bind_nmad(req, NmadBinding::Recv(nm));
                     st.reqs.set_path(req, ReqPath::Net);
-                    st.anysource.mark_posted(key, gate.0);
+                    st.anysource.mark_posted(key, gate.0, &st.engine.queues);
                     posted_any = true;
                 }
             }

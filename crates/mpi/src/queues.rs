@@ -7,33 +7,17 @@
 //! On the bypass path, inter-node matching lives inside NewMadeleine and
 //! never touches these queues.
 //!
-//! Posted entries may carry `src: None` (MPI_ANY_SOURCE) and an *active*
-//! flag shared with the §3.2 any-source lists: once the list machinery
-//! hands an any-source request to NewMadeleine, its CH3 entry is
-//! deactivated (lazily skipped) because the NewMadeleine request cannot be
-//! cancelled.
+//! Posted entries may carry `src: None` (MPI_ANY_SOURCE). Once the §3.2
+//! any-source lists hand such a request to NewMadeleine, whose requests
+//! cannot be cancelled, they cancel its CH3 twin here
+//! ([`Ch3Queues::cancel`]), so shared memory can no longer match it.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 
-use parking_lot::Mutex;
 use simnet::NmBuf;
 
 use crate::request::Req;
-
-/// Shared liveness flag of a posted entry (see module docs).
-pub type ActiveFlag = Arc<AtomicBool>;
-
-/// Switch a posted entry off: matching skips (and collects) it from now on.
-pub fn deactivate(flag: &ActiveFlag) {
-    flag.store(false, Ordering::Release);
-}
-
-/// Is the posted entry behind `flag` still matchable?
-pub fn is_active(flag: &ActiveFlag) -> bool {
-    flag.load(Ordering::Acquire)
-}
 
 /// One entry in the posted-receive queue.
 pub struct PostedEntry {
@@ -42,7 +26,6 @@ pub struct PostedEntry {
     pub src: Option<usize>,
     /// `None` = wildcard key (MPI_ANY_TAG over the packed key space).
     pub key: Option<u64>,
-    pub active: ActiveFlag,
 }
 
 /// A message that arrived before its receive was posted. Cloning shares
@@ -109,21 +92,23 @@ impl UnexQueue {
     }
 }
 
-/// The queue pair.
+#[derive(Default)]
+struct Queues {
+    posted: VecDeque<PostedEntry>,
+    unexpected: UnexQueue,
+}
+
+/// The queue pair: a plain field of [`crate::rank::RankState`], owned by
+/// its rank like everything else there.
 ///
-/// The one stated exception to mpi-ch3's one-owner rule (DESIGN.md §5):
-/// everything else a rank's MPI library mutates is a plain field of
-/// [`crate::rank::RankState`] behind `ProcState`'s single lock, but this
-/// type keeps its `&self` API and its two internal locks, because the
-/// perf ledger's `benchmark/src/adapter.rs` calls [`Ch3Queues::new`],
-/// [`Ch3Queues::post`] and [`Ch3Queues::match_arrival`] through `&self`
+/// Its one cell is there only for the `&self` API: the perf ledger's
+/// `benchmark/src/adapter.rs` calls [`Ch3Queues::new`],
+/// [`Ch3Queues::post`] and [`Ch3Queues::match_arrival`] through `&self`,
 /// and `benchmark/` changes only in a `[benchmark]` PR (ROADMAP, "the
-/// benchmark contract"). Inside a rank both locks are only ever taken
-/// with the rank's lock already held, so they never contend.
+/// benchmark contract"). No borrow of it outlives a method call.
 #[derive(Default)]
 pub struct Ch3Queues {
-    posted: Mutex<VecDeque<PostedEntry>>,
-    unexpected: Mutex<UnexQueue>,
+    q: RefCell<Queues>,
 }
 
 impl Ch3Queues {
@@ -133,67 +118,52 @@ impl Ch3Queues {
 
     /// Post a receive. If an unexpected message already matches, it is
     /// consumed and returned instead (the caller completes the receive or
-    /// starts the rendezvous). Returns the entry's active flag otherwise.
-    pub fn post(&self, req: Req, src: Option<usize>, key: u64) -> Result<ActiveFlag, UnexMsg> {
+    /// starts the rendezvous); otherwise the receive stays posted.
+    pub fn post(&self, req: Req, src: Option<usize>, key: u64) -> Result<(), UnexMsg> {
         self.post_filtered(req, src, Some(key))
     }
 
     /// Post a receive whose key is a wildcard (MPI_ANY_TAG over the
     /// packed key space): any key from a matching source satisfies it.
-    pub fn post_any_key(&self, req: Req, src: Option<usize>) -> Result<ActiveFlag, UnexMsg> {
+    pub fn post_any_key(&self, req: Req, src: Option<usize>) -> Result<(), UnexMsg> {
         self.post_filtered(req, src, None)
     }
 
-    fn post_filtered(
-        &self,
-        req: Req,
-        src: Option<usize>,
-        key: Option<u64>,
-    ) -> Result<ActiveFlag, UnexMsg> {
+    fn post_filtered(&self, req: Req, src: Option<usize>, key: Option<u64>) -> Result<(), UnexMsg> {
+        let q = &mut *self.q.borrow_mut();
+        if let Some(pos) = q
+            .unexpected
+            .q
+            .iter()
+            .position(|m| key.is_none_or(|k| k == m.key()) && src.is_none_or(|s| s == m.src()))
         {
-            let mut unexpected = self.unexpected.lock();
-            if let Some(pos) = unexpected
-                .q
-                .iter()
-                .position(|m| key.is_none_or(|k| k == m.key()) && src.is_none_or(|s| s == m.src()))
-            {
-                return Err(unexpected.take(pos));
-            }
+            return Err(q.unexpected.take(pos));
         }
-        let active: ActiveFlag = Arc::new(AtomicBool::new(true));
-        self.posted.lock().push_back(PostedEntry {
-            req,
-            src,
-            key,
-            active: Arc::clone(&active),
-        });
-        Ok(active)
+        q.posted.push_back(PostedEntry { req, src, key });
+        Ok(())
     }
 
     /// An envelope arrived from `src` with `key`: match it against the
-    /// posted queue (in post order, skipping deactivated entries) or return
-    /// `None` after the caller should store it unexpected.
+    /// posted queue (in post order) or return `None` after the caller
+    /// should store it unexpected.
     pub fn match_arrival(&self, src: usize, key: u64) -> Option<PostedEntry> {
-        let mut posted = self.posted.lock();
-        // Garbage-collect deactivated entries as we scan.
-        let mut i = 0;
-        while i < posted.len() {
-            let e = &posted[i];
-            if !is_active(&e.active) {
-                posted.remove(i);
-                continue;
-            }
-            if e.key.is_none_or(|k| k == key) && e.src.is_none_or(|s| s == src) {
-                return posted.remove(i);
-            }
-            i += 1;
-        }
-        None
+        let posted = &mut self.q.borrow_mut().posted;
+        let pos = posted
+            .iter()
+            .position(|e| e.key.is_none_or(|k| k == key) && e.src.is_none_or(|s| s == src))?;
+        posted.remove(pos)
+    }
+
+    /// Withdraw `req`'s posted entry, if it is still posted: the §3.2
+    /// lists handed the receive to NewMadeleine, so no CH3 arrival may
+    /// match it any more.
+    pub fn cancel(&self, req: Req) {
+        self.q.borrow_mut().posted.retain(|e| e.req != req);
     }
 
     /// Store an unmatched arrival.
     pub fn store_unexpected(&self, msg: UnexMsg) {
-        self.unexpected.lock().push(msg);
+        self.q.borrow_mut().unexpected.push(msg);
     }
 
     /// Is any unexpected message with `key` queued (any source)? Returns
@@ -205,8 +175,9 @@ impl Ch3Queues {
     /// MPI_Iprobe over the unexpected queue: the earliest message matching
     /// `(src, key)` (src `None` = ANY_SOURCE), as `(source, payload_len)`.
     pub fn probe(&self, src: Option<usize>, key: u64) -> Option<(usize, usize)> {
-        self.unexpected
-            .lock()
+        self.q
+            .borrow()
+            .unexpected
             .q
             .iter()
             .find(|m| m.key() == key && src.is_none_or(|s| s == m.src()))
@@ -220,27 +191,23 @@ impl Ch3Queues {
     }
 
     pub fn posted_len(&self) -> usize {
-        self.posted
-            .lock()
-            .iter()
-            .filter(|e| is_active(&e.active))
-            .count()
+        self.q.borrow().posted.len()
     }
 
     pub fn unexpected_len(&self) -> usize {
-        self.unexpected.lock().q.len()
+        self.q.borrow().unexpected.q.len()
     }
 
     /// Payload bytes the unexpected queue currently buffers (incremental,
     /// not a scan).
     pub fn unexpected_bytes(&self) -> usize {
-        self.unexpected.lock().bytes
+        self.q.borrow().unexpected.bytes
     }
 
     /// High-water mark of [`Ch3Queues::unexpected_bytes`] over this
     /// queue's lifetime.
     pub fn unexpected_hwm(&self) -> usize {
-        self.unexpected.lock().hwm
+        self.q.borrow().unexpected.hwm
     }
 }
 
@@ -322,16 +289,18 @@ mod tests {
     }
 
     #[test]
-    fn deactivated_entries_are_skipped_and_collected() {
+    fn cancelled_entries_are_never_matched() {
         let mut t = RequestTable::new();
         let q = Ch3Queues::new();
         let r1 = req(&mut t);
         let r2 = req(&mut t);
-        let flag = q.post(r1, None, 7).unwrap();
+        q.post(r1, None, 7).unwrap();
         q.post(r2, Some(4), 7).unwrap();
-        deactivate(&flag);
+        q.cancel(r1);
+        assert_eq!(q.posted_len(), 1, "the cancelled entry is gone at once");
         assert_eq!(q.match_arrival(4, 7).unwrap().req, r2);
-        assert_eq!(q.posted_len(), 0, "dead entry collected");
+        q.cancel(r2);
+        assert_eq!(q.posted_len(), 0, "cancelling a matched entry is a no-op");
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! plain value with `&mut` access and no lock or atomic inside it.
 //! `ProcState` holds it behind its single lock, takes that lock once per
 //! MPI entry point and never across a park; a test holds one directly.
-//! (The one exception, `Ch3Queues`, says why in its own doc comment.)
+//! (`Ch3Queues` keeps one `RefCell` for its `&self` API; its doc comment
+//! says why.)
 //!
 //! [`RankState::snapshot`] is the read side: one typed, comparable value
 //! whose `Display` is the rank's line in a failed run's dump.
@@ -87,7 +88,7 @@ impl RankState {
 /// by. Its `Display` is the only place mpi-ch3 rank state is formatted.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RankSnapshot {
-    /// Live entries of the CH3 posted-receive queue.
+    /// Entries of the CH3 posted-receive queue.
     pub posted: usize,
     /// Messages in the CH3 unexpected queue, and the payload bytes they
     /// buffer (now, and at most so far).

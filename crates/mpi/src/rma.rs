@@ -16,7 +16,6 @@
 //! the paper's hoped-for outcome: the optimizations apply unchanged.
 
 use bytes::{Buf, Bytes, BytesMut};
-use parking_lot::Mutex;
 
 use crate::api::{MpiHandle, Src};
 use crate::ch3::word;
@@ -103,8 +102,9 @@ pub struct GetHandle {
     id: u64,
 }
 
-/// What a window's one lock guards.
-struct Epoch {
+/// An RMA window: every rank exposes `size` bytes. A plain value owned by
+/// the rank program that created it.
+pub struct Window {
     /// The exposed memory.
     local: Vec<u8>,
     /// Ops issued this epoch, per target.
@@ -114,11 +114,6 @@ struct Epoch {
     next_get: u64,
     /// Inbound ops and get replies that did not decode: counted, dropped.
     malformed: u64,
-}
-
-/// An RMA window: every rank exposes `size` bytes.
-pub struct Window {
-    state: Mutex<Epoch>,
     nranks: usize,
     my_rank: usize,
 }
@@ -132,13 +127,11 @@ impl Window {
         local[..init.len()].copy_from_slice(init);
         mpi.barrier(); // window creation is collective
         Window {
-            state: Mutex::new(Epoch {
-                local,
-                outgoing: (0..mpi.size()).map(|_| Vec::new()).collect(),
-                gets: Default::default(),
-                next_get: 0,
-                malformed: 0,
-            }),
+            local,
+            outgoing: (0..mpi.size()).map(|_| Vec::new()).collect(),
+            gets: Default::default(),
+            next_get: 0,
+            malformed: 0,
             nranks: mpi.size(),
             my_rank: mpi.rank(),
         }
@@ -146,21 +139,21 @@ impl Window {
 
     /// Read this rank's exposed memory (outside an access epoch).
     pub fn local(&self) -> Vec<u8> {
-        // Ownership constraint: the snapshot must outlive the window lock
-        // (concurrent Puts keep mutating the exposed memory).
-        self.state.lock().local.clone()
+        // Ownership constraint: the snapshot must outlive the window, whose
+        // exposed memory the next fence mutates.
+        self.local.clone()
     }
 
     /// Inbound ops and get replies dropped because they did not decode.
     pub fn malformed_ops(&self) -> u64 {
-        self.state.lock().malformed
+        self.malformed
     }
 
     /// MPI_Put: write `data` into `target`'s window at `offset` (visible
     /// after the next fence).
-    pub fn put(&self, target: usize, offset: usize, data: &[u8]) {
+    pub fn put(&mut self, target: usize, offset: usize, data: &[u8]) {
         assert!(target < self.nranks);
-        self.state.lock().outgoing[target].push(Op::Put {
+        self.outgoing[target].push(Op::Put {
             offset,
             data: Bytes::copy_from_slice(data),
         });
@@ -169,12 +162,11 @@ impl Window {
     /// MPI_Get: read `len` bytes from `target`'s window at `offset`. The
     /// result is available through [`Window::get_result`] after the next
     /// fence.
-    pub fn get(&self, target: usize, offset: usize, len: usize) -> GetHandle {
-        let st = &mut *self.state.lock();
+    pub fn get(&mut self, target: usize, offset: usize, len: usize) -> GetHandle {
         // Ids are namespaced by origin rank when they travel.
-        let id = st.next_get;
-        st.next_get += 1;
-        st.outgoing[target].push(Op::Get {
+        let id = self.next_get;
+        self.next_get += 1;
+        self.outgoing[target].push(Op::Get {
             offset,
             len,
             get_id: id,
@@ -183,16 +175,16 @@ impl Window {
     }
 
     /// MPI_Accumulate(MPI_SUM) of f64s into `target` at byte `offset`.
-    pub fn accumulate_sum(&self, target: usize, offset: usize, values: &[f64]) {
-        self.state.lock().outgoing[target].push(Op::AccSum {
+    pub fn accumulate_sum(&mut self, target: usize, offset: usize, values: &[f64]) {
+        self.outgoing[target].push(Op::AccSum {
             offset,
             data: crate::collectives::f64s_to_bytes(values),
         });
     }
 
     /// Fetch a completed get (after the fence that closed its epoch).
-    pub fn get_result(&self, h: &GetHandle) -> Bytes {
-        let got = self.state.lock().gets.remove(&h.id);
+    pub fn get_result(&mut self, h: &GetHandle) -> Bytes {
+        let got = self.gets.remove(&h.id);
         got.expect("get not completed — did you fence?")
     }
 
@@ -203,13 +195,13 @@ impl Window {
     /// Ops are shipped with *nonblocking* sends before any receive is
     /// drained — two ranks issuing large (rendezvous) puts at each other
     /// must not deadlock in their blocking sends.
-    pub fn fence(&self, mpi: &MpiHandle) {
+    pub fn fence(&mut self, mpi: &MpiHandle) {
         assert_eq!(mpi.rank(), self.my_rank);
         assert_eq!(mpi.size(), self.nranks);
         let n = self.nranks;
         // 1. Everyone learns how many ops target it: all-to-all of counts.
         let fresh = (0..n).map(|_| Vec::new()).collect();
-        let taken: Vec<Vec<Op>> = std::mem::replace(&mut self.state.lock().outgoing, fresh);
+        let taken: Vec<Vec<Op>> = std::mem::replace(&mut self.outgoing, fresh);
         let counts: Vec<Bytes> = taken
             .iter()
             .map(|ops| Bytes::copy_from_slice(&(ops.len() as u64).to_le_bytes()))
@@ -244,7 +236,7 @@ impl Window {
         for _ in 0..to_receive {
             let (raw, st) = mpi.recv(Src::Any, TAG_RMA_OP);
             let Some(op) = Op::decode(raw) else {
-                self.state.lock().malformed += 1;
+                self.malformed += 1;
                 continue;
             };
             if let Some(reply) = self.apply(&op, st.source) {
@@ -254,12 +246,11 @@ impl Window {
         // 4. Collect replies for our remote gets.
         for _ in 0..remote_gets {
             let (mut raw, _) = mpi.recv(Src::Any, TAG_RMA_REPLY);
-            let st = &mut *self.state.lock();
             if raw.len() < 8 {
-                st.malformed += 1;
+                self.malformed += 1;
                 continue;
             }
-            st.gets.insert(raw.get_u64_le(), raw);
+            self.gets.insert(raw.get_u64_le(), raw);
         }
         mpi.waitall(&send_reqs);
         // 5. Everyone done before anyone proceeds.
@@ -273,17 +264,16 @@ impl Window {
     /// `malformed` and touches nothing; a remote one answers an empty
     /// reply, which its origin counts in turn, so neither side waits on
     /// the other in the fence.
-    fn apply(&self, op: &Op, origin: usize) -> Option<Bytes> {
-        let st = &mut *self.state.lock();
+    fn apply(&mut self, op: &Op, origin: usize) -> Option<Bytes> {
         let (offset, len) = match op {
             Op::Put { offset, data } | Op::AccSum { offset, data } => (*offset, data.len()),
             Op::Get { offset, len, .. } => (*offset, *len),
         };
         let Some(w) = offset
             .checked_add(len)
-            .and_then(|end| st.local.get_mut(offset..end))
+            .and_then(|end| self.local.get_mut(offset..end))
         else {
-            st.malformed += 1;
+            self.malformed += 1;
             let remote_get = matches!(op, Op::Get { .. }) && origin != self.my_rank;
             return remote_get.then(Bytes::new);
         };
@@ -301,7 +291,7 @@ impl Window {
                 None
             }
             Op::Get { get_id, .. } if origin == self.my_rank => {
-                st.gets.insert(*get_id, Bytes::copy_from_slice(w));
+                self.gets.insert(*get_id, Bytes::copy_from_slice(w));
                 None
             }
             Op::Get { get_id, .. } => {

@@ -3,19 +3,13 @@
 
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use mpi_ch3::anysource::AnySourceLists;
 use mpi_ch3::progress::{key_of, tag_of, COLL_CTX, USER_CTX};
-use mpi_ch3::queues::ActiveFlag;
+use mpi_ch3::queues::Ch3Queues;
 use mpi_ch3::request::{Req, ReqKind, ReqPath, RequestTable};
-
-fn flag() -> ActiveFlag {
-    Arc::new(AtomicBool::new(true))
-}
 
 proptest! {
     #![proptest_config(ProptestConfig {
@@ -84,7 +78,8 @@ proptest! {
         let mut table = RequestTable::new();
         let mut lists = AnySourceLists::new();
         let mut model: BTreeMap<u64, VecDeque<MEntry>> = BTreeMap::new();
-        let mut flags: Vec<(Req, ActiveFlag)> = Vec::new();
+        // The CH3 twins of the ANY_SOURCE receives.
+        let twins = Ch3Queues::new();
         let mut retired: Vec<Req> = Vec::new();
 
         for (op, tag_i, src, pick) in ops {
@@ -92,9 +87,8 @@ proptest! {
             match op {
                 0 => {
                     let req = table.create(ReqKind::RecvAnySource, ReqPath::Unknown);
-                    let f = flag();
-                    lists.register_any(key, req, Arc::clone(&f));
-                    flags.push((req, f));
+                    prop_assert!(twins.post(req, None, key).is_ok(), "nothing is unexpected");
+                    lists.register_any(key, req);
                     model
                         .entry(key)
                         .or_default()
@@ -120,17 +114,15 @@ proptest! {
                         Some(MEntry::Any { posted: false, .. })
                     );
                     if applicable {
-                        lists.mark_posted(key, src as usize);
+                        let before = twins.posted_len();
+                        lists.mark_posted(key, src as usize, &twins);
+                        prop_assert_eq!(
+                            twins.posted_len(),
+                            before - 1,
+                            "CH3 twin still posted after nm-post"
+                        );
                         match model.get_mut(&key).unwrap().front_mut() {
-                            Some(MEntry::Any { posted, req }) => {
-                                *posted = true;
-                                let r = *req;
-                                let f = &flags.iter().find(|(q, _)| *q == r).unwrap().1;
-                                prop_assert!(
-                                    !f.load(Ordering::Acquire),
-                                    "CH3 twin still active after nm-post"
-                                );
-                            }
+                            Some(MEntry::Any { posted, .. }) => *posted = true,
                             _ => unreachable!(),
                         }
                     }

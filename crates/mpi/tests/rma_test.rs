@@ -23,7 +23,7 @@ fn put_get_across_network_and_shm() {
         let (_, oks) = run_mpi_collect(&cluster, &placement, &stack, 4, |mpi| {
             let me = mpi.rank();
             let n = mpi.size();
-            let win = Window::create(mpi, 64 * n, &[]);
+            let mut win = Window::create(mpi, 64 * n, &[]);
             // Epoch 1: everyone puts its rank byte into everyone's window
             // at slot 64*me.
             for t in 0..n {
@@ -56,7 +56,7 @@ fn accumulate_sums_from_all_ranks() {
     let placement = Placement::block(4, &cluster);
     let stack = StackConfig::mpich2_nmad(false);
     let (_, oks) = run_mpi_collect(&cluster, &placement, &stack, 4, |mpi| {
-        let win = Window::create(mpi, 8 * 4, &[]);
+        let mut win = Window::create(mpi, 8 * 4, &[]);
         // All ranks accumulate [r, 2r, 3r, 4r] into rank 0's window.
         let r = mpi.rank() as f64;
         win.accumulate_sum(0, 0, &[r, 2.0 * r, 3.0 * r, 4.0 * r]);
@@ -83,7 +83,7 @@ fn large_puts_both_directions_do_not_deadlock() {
     let (_, oks) = run_mpi_collect(&cluster, &placement, &stack, 2, |mpi| {
         let me = mpi.rank();
         let other = 1 - me;
-        let win = Window::create(mpi, 1 << 20, &[]);
+        let mut win = Window::create(mpi, 1 << 20, &[]);
         let payload = vec![me as u8 + 1; 1 << 20];
         win.put(other, 0, &payload);
         win.fence(mpi);
@@ -99,7 +99,7 @@ fn empty_epochs_are_cheap_and_correct() {
     let placement = Placement::one_per_node(2, &cluster);
     let stack = StackConfig::mpich2_nmad(false);
     let (_, oks) = run_mpi_collect(&cluster, &placement, &stack, 2, |mpi| {
-        let win = Window::create(mpi, 16, b"initial contents");
+        let mut win = Window::create(mpi, 16, b"initial contents");
         for _ in 0..5 {
             win.fence(mpi);
         }
@@ -117,7 +117,7 @@ fn put_then_get_ordering_across_epochs() {
     let placement = Placement::one_per_node(2, &cluster);
     let stack = StackConfig::mpich2_nmad(false);
     let (_, oks) = run_mpi_collect(&cluster, &placement, &stack, 2, |mpi| {
-        let win = Window::create(mpi, 8, &[0; 8]);
+        let mut win = Window::create(mpi, 8, &[0; 8]);
         if mpi.rank() == 0 {
             win.put(1, 0, b"epoch-01");
         }
@@ -147,7 +147,7 @@ fn out_of_range_ops_are_counted_and_leave_the_window_untouched() {
     let stack = StackConfig::mpich2_nmad(false);
     let init: Vec<u8> = (0..SIZE as u8).collect();
     let (_, oks) = run_mpi_collect(&cluster, &placement, &stack, 2, move |mpi| {
-        let win = Window::create(mpi, SIZE, &init);
+        let mut win = Window::create(mpi, SIZE, &init);
         if mpi.rank() == 0 {
             win.put(1, usize::MAX, b"wraps");
             let _ = win.get(1, 0, SIZE + 1);

@@ -193,17 +193,19 @@ impl FreeList {
         data
     }
 
-    /// Append `buf`, evicting the oldest entries to stay within
-    /// [`RECYCLE_MAX_ENTRIES`] and [`RECYCLE_MAX_BYTES`].
+    /// Append `buf`, evicting the oldest free entries to stay within
+    /// [`RECYCLE_MAX_ENTRIES`] and [`RECYCLE_MAX_BYTES`]. An entry still in
+    /// use is never evicted: when no free one is left to make room, `buf`
+    /// is not kept, since the entries already held will come back.
     fn keep(&mut self, cap: usize, buf: Bytes) {
         if cap > RECYCLE_MAX_BYTES {
             return;
         }
         while self.entries.len() >= RECYCLE_MAX_ENTRIES || self.bytes + cap > RECYCLE_MAX_BYTES {
-            let (old, _) = self
-                .entries
-                .pop_front()
-                .expect("over a bound, so not empty");
+            let Some(free) = self.entries.iter().position(|(_, b)| b.is_unique()) else {
+                return;
+            };
+            let (old, _) = self.entries.remove(free).expect("position just found");
             self.bytes -= old;
         }
         self.bytes += cap;
@@ -671,15 +673,23 @@ mod tests {
     }
 
     #[test]
-    fn a_full_free_list_evicts_its_oldest_entry() {
+    fn a_full_free_list_evicts_its_oldest_free_entry() {
         empty_free_list();
         let meter = CopyMeter::new();
-        let held: Vec<NmBuf> = (0..RECYCLE_MAX_ENTRIES + 3)
+        let mut held: Vec<NmBuf> = (0..RECYCLE_MAX_ENTRIES + 3)
             .map(|_| NmBuf::copied_from_slice(&[7u8; BIG], BufOrigin::App, &meter))
             .collect();
-        let kept = kept_storage();
-        let newest: Vec<_> = held[3..].iter().map(|b| b.bytes().storage_ptr()).collect();
-        assert_eq!(kept, newest);
+        let ptrs: Vec<_> = held.iter().map(|b| b.bytes().storage_ptr()).collect();
+        // Every entry is in use: the oldest ones stay, the newer copies
+        // are not kept.
+        assert_eq!(kept_storage(), ptrs[..RECYCLE_MAX_ENTRIES]);
+        // One entry comes back free. A copy too large for it evicts it.
+        held.remove(3);
+        let larger = NmBuf::copied_from_slice(&[8u8; 2 * BIG], BufOrigin::App, &meter);
+        let mut want = ptrs[..RECYCLE_MAX_ENTRIES].to_vec();
+        want.remove(3);
+        want.push(larger.bytes().storage_ptr());
+        assert_eq!(kept_storage(), want);
     }
 
     #[test]

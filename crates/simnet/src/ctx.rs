@@ -1,8 +1,7 @@
 //! The handle a rank program uses to interact with the simulation.
 
-use std::marker::PhantomData;
 use std::panic;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use crate::backoff::PollSchedule;
 use crate::engine::{Poller, RankId, Scheduler, SimCore, TornDown};
@@ -46,21 +45,14 @@ impl PollOutcome {
 /// assert_send::<simnet::RankCtx>();
 /// ```
 pub struct RankCtx {
-    core: Arc<SimCore>,
+    core: Rc<SimCore>,
     rank: RankId,
-    ctx: Arc<Context>,
-    /// `!Send` and `!Sync`: the context belongs to the simulation's thread.
-    _thread_bound: PhantomData<*const ()>,
+    ctx: Rc<Context>,
 }
 
 impl RankCtx {
-    pub(crate) fn new(core: Arc<SimCore>, rank: RankId, ctx: Arc<Context>) -> Self {
-        RankCtx {
-            core,
-            rank,
-            ctx,
-            _thread_bound: PhantomData,
-        }
+    pub(crate) fn new(core: Rc<SimCore>, rank: RankId, ctx: Rc<Context>) -> Self {
+        RankCtx { core, rank, ctx }
     }
 
     /// This rank's identifier.
@@ -77,7 +69,7 @@ impl RankCtx {
 
     /// A scheduler handle for posting events from rank code.
     pub fn scheduler(&self) -> Scheduler {
-        Scheduler::new(Arc::clone(&self.core))
+        Scheduler::new(Rc::clone(&self.core))
     }
 
     /// Advance this rank's local time by `d` — models computation (or any
@@ -120,13 +112,13 @@ impl RankCtx {
     /// stops calling it. When nothing but such elided ticks is left, the
     /// run ends in [`crate::SimError::Deadlock`].
     ///
-    /// `body` must own what it touches (hence `Send + 'static`) and cannot
-    /// block; if it panics, the run fails with
-    /// [`crate::SimError::RankPanic`] naming this rank.
+    /// `body` must own what it touches (hence `'static`) and cannot block;
+    /// if it panics, the run fails with [`crate::SimError::RankPanic`]
+    /// naming this rank.
     pub fn poll_until(
         &self,
         schedule: PollSchedule,
-        body: impl FnMut(&Scheduler, u32) -> PollOutcome + Send + 'static,
+        body: impl FnMut(&Scheduler, u32) -> PollOutcome + 'static,
     ) {
         self.scheduler()
             .wake_rank_at(self.now() + schedule.step(), self.rank);
@@ -162,7 +154,7 @@ impl RankCtx {
     }
 
     /// Where this rank is suspended while it does not hold the token.
-    pub(crate) fn context(&self) -> &Arc<Context> {
+    pub(crate) fn context(&self) -> &Rc<Context> {
         &self.ctx
     }
 }

@@ -67,7 +67,7 @@
 //! stack, with the core marked torn down: a parked rank unwinds through
 //! `TornDown`, a finished or failed one returns from its last switch, and
 //! one that never ran drops its program unrun. Each then leaves for good, so
-//! no suspended frame keeps anything — an `Arc`, a guard — alive.
+//! no suspended frame keeps anything — an `Rc`, a borrow — alive.
 //!
 //! ## Scale
 //!
@@ -77,14 +77,13 @@
 //! reserves ~2 GiB of address space instead of ~32 GiB.
 
 use std::any::Any;
+use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::panic::{self, AssertUnwindSafe};
 use std::ptr;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::rc::Rc;
 use std::sync::Arc;
-
-use parking_lot::Mutex;
 
 use crate::backoff::PollSchedule;
 use crate::ctx::{PollOutcome, RankCtx};
@@ -113,14 +112,14 @@ pub(crate) const HANDLER_BIT: usize = 1 << (usize::BITS - 1);
 pub struct HandlerId(usize);
 
 /// A standing handler's body.
-type HandlerFn = Box<dyn FnMut(&Scheduler) + Send>;
+type HandlerFn = Box<dyn FnMut(&Scheduler)>;
 
 /// Sentinel payload used to unwind parked rank contexts silently when the
 /// simulation is torn down early (deadlock/error paths).
 pub(crate) struct TornDown;
 
 /// A rank's poll body (see [`crate::ctx::RankCtx::poll_until`]).
-type PollFn = Box<dyn FnMut(&Scheduler, u32) -> PollOutcome + Send>;
+type PollFn = Box<dyn FnMut(&Scheduler, u32) -> PollOutcome>;
 
 /// What a rank parked in `poll_until` leaves in its slot of the dispatch
 /// loop, so the queue keeps carrying a plain `Wake(rank)` and
@@ -133,7 +132,7 @@ pub(crate) struct Poller {
 impl Poller {
     pub(crate) fn new(
         schedule: PollSchedule,
-        body: impl FnMut(&Scheduler, u32) -> PollOutcome + Send + 'static,
+        body: impl FnMut(&Scheduler, u32) -> PollOutcome + 'static,
     ) -> Self {
         Poller {
             body: Box::new(body),
@@ -170,7 +169,7 @@ type End = std::thread::Result<Result<SimOutcome, SimError>>;
 struct RankSlot {
     name: String,
     /// Where the rank is suspended while it does not hold the token.
-    ctx: Arc<Context>,
+    ctx: Rc<Context>,
     /// Set exactly while the rank is parked in `poll_until`.
     poll: Option<Poller>,
     /// The rank's program returned, or its stack was never mapped.
@@ -178,7 +177,7 @@ struct RankSlot {
 }
 
 /// The dispatch loop's state. Any token holder may run the loop, so it
-/// sits behind a mutex; the token makes that mutex uncontended.
+/// sits in the shared core; the loop borrows it for as long as it runs.
 struct Dispatch {
     ranks: Vec<RankSlot>,
     /// The rank whose context holds the token; `None` for `Sim::run`'s.
@@ -202,35 +201,36 @@ enum Next {
     /// The loop woke the rank that ran it: it keeps the token.
     Resume,
     /// Another rank is due: switch into its context.
-    Grant(Arc<Context>),
+    Grant(Rc<Context>),
     /// The run is over: post this for [`Sim::run`].
     Finish(End),
 }
 
 /// Shared core: the event queue, the clock and the dispatch loop's state,
 /// reachable from rank contexts, from [`Sim`], and from [`Scheduler`]
-/// handles captured in callbacks.
+/// handles captured in callbacks. All of them live on the simulation's
+/// one thread, so the core is shared by `Rc` and its state sits in cells.
 pub struct SimCore {
-    pub(crate) queue: Mutex<EventQueue>,
+    pub(crate) queue: RefCell<EventQueue>,
     /// Current simulated time in ns; written only by the token holder's
-    /// dispatch loop, read from anywhere without locking.
-    clock_ns: AtomicU64,
+    /// dispatch loop.
+    clock_ns: Cell<u64>,
     /// Typed observability sink for the dispatch loop (off by default).
     rec: obs::RankRec,
-    dispatch: Mutex<Dispatch>,
+    dispatch: RefCell<Dispatch>,
     /// Where [`Sim::run`]'s own stack is suspended while a rank runs.
     main: Context,
     /// The run's end, posted once by the context that found it.
-    end: Mutex<Option<End>>,
+    end: Cell<Option<End>>,
     /// Set by teardown: a resumed context must leave, not carry on.
-    torn_down: AtomicBool,
+    torn_down: Cell<bool>,
 }
 
 impl SimCore {
     /// The current simulated time.
     #[inline]
     pub fn now(&self) -> SimTime {
-        SimTime(self.clock_ns.load(Ordering::Acquire))
+        SimTime(self.clock_ns.get())
     }
 
     /// Run the dispatch loop in the calling context, which holds the token,
@@ -239,8 +239,8 @@ impl SimCore {
     /// end. `poller` is what `me` leaves to answer its ticks, if it parked
     /// in `poll_until`. A panic anywhere in the loop — a `Call`, or the
     /// harness-bug checks below — ends the run with its payload.
-    fn dispatch(self: &Arc<Self>, me: Option<RankId>, poller: Option<Poller>) -> Next {
-        let mut d = self.dispatch.lock();
+    fn dispatch(self: &Rc<Self>, me: Option<RankId>, poller: Option<Poller>) -> Next {
+        let mut d = self.dispatch.borrow_mut();
         // A `RankCtx` smuggled to another rank (through a thread-local,
         // say) would save the wrong stack into its context.
         if let Some(me) = me {
@@ -251,7 +251,7 @@ impl SimCore {
             let armed = d.ranks[me.0].poll.replace(poller);
             debug_assert!(armed.is_none(), "{me} is already polling");
         }
-        let sched = Scheduler::new(Arc::clone(self));
+        let sched = Scheduler::new(Rc::clone(self));
         panic::catch_unwind(AssertUnwindSafe(|| self.run_events(&mut d, &sched, me)))
             .unwrap_or_else(|payload| Next::Finish(Err(payload)))
     }
@@ -265,7 +265,7 @@ impl SimCore {
                 return Next::Finish(Ok(Ok(self.outcome(d))));
             }
             let popped = if d.clean.is_empty() {
-                self.queue.lock().pop()
+                self.queue.borrow_mut().pop()
             } else {
                 match self.elide_clean_ticks(d, sched) {
                     Ok(popped) => popped,
@@ -280,7 +280,7 @@ impl SimCore {
             };
             d.dispatched += 1;
             debug_assert!(t >= self.now(), "event queue went backwards");
-            self.clock_ns.store(t.0, Ordering::Release);
+            self.clock_ns.set(t.0);
             if let Some(end) = Self::over_limit(d) {
                 return end;
             }
@@ -325,9 +325,9 @@ impl SimCore {
                     d.polls += 1;
                     if outcome == PollOutcome::Worked {
                         self.requeue_clean(d);
-                        self.queue.lock().push(next, EventKind::Wake(rank));
+                        self.queue.borrow_mut().push(next, EventKind::Wake(rank));
                     } else {
-                        let seq = self.queue.lock().take_seq();
+                        let seq = self.queue.borrow_mut().take_seq();
                         d.clean.push(Reverse((next, seq, rank)));
                     }
                     continue;
@@ -340,7 +340,7 @@ impl SimCore {
             }
             d.switches += 1;
             d.running = Some(rank);
-            return Next::Grant(Arc::clone(&d.ranks[rank.0].ctx));
+            return Next::Grant(Rc::clone(&d.ranks[rank.0].ctx));
         }
     }
 
@@ -352,7 +352,7 @@ impl SimCore {
         d: &mut Dispatch,
         sched: &Scheduler,
     ) -> Result<Option<(SimTime, EventKind)>, Next> {
-        let mut q = self.queue.lock();
+        let mut q = self.queue.borrow_mut();
         loop {
             let Reverse((t, seq, rank)) = *d.clean.peek().expect("a clean tick re-arms itself");
             match q.peek_key() {
@@ -362,7 +362,7 @@ impl SimCore {
             }
             d.clean.pop();
             d.dispatched += 1;
-            self.clock_ns.store(t.0, Ordering::Release);
+            self.clock_ns.set(t.0);
             if let Some(end) = Self::over_limit(d) {
                 return Err(end);
             }
@@ -382,7 +382,7 @@ impl SimCore {
                     "{rank}'s poll body broke its idle promise at tick {}",
                     p.schedule.ticks()
                 );
-                q = self.queue.lock();
+                q = self.queue.borrow_mut();
             }
             let next = t + p.schedule.step();
             d.clean.push(Reverse((next, q.take_seq(), rank)));
@@ -396,7 +396,7 @@ impl SimCore {
         if d.clean.is_empty() {
             return;
         }
-        let mut q = self.queue.lock();
+        let mut q = self.queue.borrow_mut();
         for Reverse((t, seq, rank)) in d.clean.drain() {
             q.push_at(t, seq, EventKind::Wake(rank));
         }
@@ -438,7 +438,7 @@ impl SimCore {
     /// token is back in `from`, or once teardown resumes it
     /// ([`SimCore::torn_down`] then says so).
     pub(crate) fn hand_off(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         me: Option<RankId>,
         from: &Context,
         poller: Option<Poller>,
@@ -458,7 +458,7 @@ impl SimCore {
     /// Post the run's end and leave `from` for `Sim::run`'s context, unless
     /// the run ends on that context already.
     fn finish(&self, end: End, from: &Context) {
-        let previous = self.end.lock().replace(end);
+        let previous = self.end.replace(Some(end));
         debug_assert!(previous.is_none(), "a run ended twice");
         if !ptr::eq(from, &self.main) {
             // SAFETY: single OS thread — `from` is the running rank; target
@@ -470,24 +470,24 @@ impl SimCore {
 
     /// Whether teardown has begun: a context resumed now must leave.
     pub(crate) fn torn_down(&self) -> bool {
-        self.torn_down.load(Ordering::Relaxed)
+        self.torn_down.get()
     }
 
     /// A rank's program returned: it will never be woken again.
     fn retire(&self, rank: RankId) {
-        let mut d = self.dispatch.lock();
+        let mut d = self.dispatch.borrow_mut();
         d.ranks[rank.0].done = true;
         d.done += 1;
     }
 
     /// Everything a rank's context does, from its first grant to the last
     /// switch teardown resumes it from. Every local drops before it returns.
-    fn run_rank(self: &Arc<Self>, ctx: RankCtx, f: impl FnOnce(RankCtx)) {
+    fn run_rank(self: &Rc<Self>, ctx: RankCtx, f: impl FnOnce(RankCtx)) {
         if self.torn_down() {
             return; // never granted: drop the program unrun
         }
         let rank = ctx.rank();
-        let me = Arc::clone(ctx.context());
+        let me = Rc::clone(ctx.context());
         match panic::catch_unwind(AssertUnwindSafe(|| f(ctx))) {
             Ok(()) => {
                 self.retire(rank);
@@ -505,13 +505,21 @@ impl SimCore {
 
 /// Handle for scheduling events and waking ranks; cheap to clone and safe to
 /// capture in event callbacks.
+///
+/// It belongs to the simulation's thread, as everything the simulation
+/// runs does, so it is not `Send`:
+///
+/// ```compile_fail
+/// fn assert_send<T: Send>() {}
+/// assert_send::<simnet::Scheduler>();
+/// ```
 #[derive(Clone)]
 pub struct Scheduler {
-    core: Arc<SimCore>,
+    core: Rc<SimCore>,
 }
 
 impl Scheduler {
-    pub(crate) fn new(core: Arc<SimCore>) -> Self {
+    pub(crate) fn new(core: Rc<SimCore>) -> Self {
         Scheduler { core }
     }
 
@@ -526,19 +534,21 @@ impl Scheduler {
     ///
     /// # Panics
     /// Panics if `t` is in the past; events may not rewrite history.
-    pub fn schedule_at(&self, t: SimTime, f: impl FnOnce(&Scheduler) + Send + 'static) {
+    pub fn schedule_at(&self, t: SimTime, f: impl FnOnce(&Scheduler) + 'static) {
         assert!(
             t >= self.now(),
             "schedule_at: {t:?} is before current time {:?}",
             self.now()
         );
-        self.core.queue.lock().push(t, EventKind::Call(Box::new(f)));
+        let call = EventKind::Call(Box::new(f));
+        self.core.queue.borrow_mut().push(t, call);
     }
 
     /// Schedule `f` to run after `d` has elapsed.
-    pub fn schedule_in(&self, d: SimDuration, f: impl FnOnce(&Scheduler) + Send + 'static) {
+    pub fn schedule_in(&self, d: SimDuration, f: impl FnOnce(&Scheduler) + 'static) {
         let t = self.now() + d;
-        self.core.queue.lock().push(t, EventKind::Call(Box::new(f)));
+        let call = EventKind::Call(Box::new(f));
+        self.core.queue.borrow_mut().push(t, call);
     }
 
     /// Keep `f` in the dispatch loop for the rest of the run, to be
@@ -549,8 +559,8 @@ impl Scheduler {
     /// # Panics
     /// Panics if called while the dispatch loop runs, i.e. from inside an
     /// event callback, a standing handler or a poll body.
-    pub fn register_handler(&self, f: impl FnMut(&Scheduler) + Send + 'static) -> HandlerId {
-        let mut d = self.core.dispatch.try_lock().expect(
+    pub fn register_handler(&self, f: impl FnMut(&Scheduler) + 'static) -> HandlerId {
+        let mut d = self.core.dispatch.try_borrow_mut().expect(
             "register_handler called from inside the dispatch loop; \
              register standing handlers before the run or from rank code",
         );
@@ -563,7 +573,7 @@ impl Scheduler {
         let t = self.now() + d;
         self.core
             .queue
-            .lock()
+            .borrow_mut()
             .push(t, EventKind::Wake(RankId(id.0 | HANDLER_BIT)));
     }
 
@@ -574,7 +584,7 @@ impl Scheduler {
             "wake_rank_at: {t:?} is before current time {:?}",
             self.now()
         );
-        self.core.queue.lock().push(t, EventKind::Wake(rank));
+        self.core.queue.borrow_mut().push(t, EventKind::Wake(rank));
     }
 
     /// Schedule a token handoff to `rank` at the current time (it will run
@@ -635,11 +645,11 @@ impl SimBuilder {
     }
 
     pub fn build(self) -> Sim {
-        let core = Arc::new(SimCore {
-            queue: Mutex::new(EventQueue::new()),
-            clock_ns: AtomicU64::new(0),
+        let core = Rc::new(SimCore {
+            queue: RefCell::new(EventQueue::new()),
+            clock_ns: Cell::new(0),
             rec: obs::RankRec::new(self.recorder.as_ref(), obs::ENGINE_RANK),
-            dispatch: Mutex::new(Dispatch {
+            dispatch: RefCell::new(Dispatch {
                 ranks: Vec::new(),
                 running: None,
                 done: 0,
@@ -653,8 +663,8 @@ impl SimBuilder {
                 max_events: self.max_events,
             }),
             main: Context::default(),
-            end: Mutex::new(None),
-            torn_down: AtomicBool::new(false),
+            end: Cell::new(None),
+            torn_down: Cell::new(false),
         });
         Sim {
             core,
@@ -731,9 +741,15 @@ impl std::fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// A discrete-event simulation whose ranks are user-level contexts.
+/// A discrete-event simulation whose ranks are user-level contexts. It is
+/// built, run and dropped on one thread, so it is not `Send`:
+///
+/// ```compile_fail
+/// fn assert_send<T: Send>() {}
+/// assert_send::<simnet::Sim>();
+/// ```
 pub struct Sim {
-    core: Arc<SimCore>,
+    core: Rc<SimCore>,
     /// Every mapped rank stack, in spawn order.
     fibers: Vec<Fiber>,
     rank_stack: usize,
@@ -746,7 +762,7 @@ impl Sim {
     /// Shared core handle, for constructing [`Scheduler`]s before the run
     /// starts (e.g. to schedule initial background events).
     pub fn scheduler(&self) -> Scheduler {
-        Scheduler::new(Arc::clone(&self.core))
+        Scheduler::new(Rc::clone(&self.core))
     }
 
     /// Spawn a rank running `f` in a context of its own. The rank starts
@@ -760,7 +776,7 @@ impl Sim {
     pub fn spawn_rank(
         &mut self,
         name: impl Into<String>,
-        f: impl FnOnce(RankCtx) + Send + 'static,
+        f: impl FnOnce(RankCtx) + 'static,
     ) -> RankId {
         match self.try_spawn_rank(name, f) {
             Ok(id) => id,
@@ -774,10 +790,10 @@ impl Sim {
                 }
                 // Dense placeholder so later RankIds stay valid; marked done
                 // so the dispatch loop never grants it.
-                let mut d = self.core.dispatch.lock();
+                let mut d = self.core.dispatch.borrow_mut();
                 d.ranks.push(RankSlot {
                     name,
-                    ctx: Arc::default(),
+                    ctx: Rc::default(),
                     poll: None,
                     done: true,
                 });
@@ -792,21 +808,21 @@ impl Sim {
     pub fn try_spawn_rank(
         &mut self,
         name: impl Into<String>,
-        f: impl FnOnce(RankCtx) + Send + 'static,
+        f: impl FnOnce(RankCtx) + 'static,
     ) -> Result<RankId, SimError> {
-        let mut d = self.core.dispatch.lock();
+        let mut d = self.core.dispatch.borrow_mut();
         let id = RankId(d.ranks.len());
         let name = name.into();
-        let ctx = Arc::<Context>::default();
-        let core = Arc::clone(&self.core);
-        let own = Arc::clone(&ctx);
+        let ctx = Rc::<Context>::default();
+        let core = Rc::clone(&self.core);
+        let own = Rc::clone(&ctx);
         let body: fiber::Body = Box::new(move || {
-            let rank_ctx = RankCtx::new(Arc::clone(&core), id, own);
+            let rank_ctx = RankCtx::new(Rc::clone(&core), id, own);
             core.run_rank(rank_ctx, f);
             // Leave for `Sim::run`'s context, which outlives this stack.
             &core.main as *const Context
         });
-        let fiber = Fiber::new(self.rank_stack, Arc::clone(&ctx), body).map_err(|e| {
+        let fiber = Fiber::new(self.rank_stack, Rc::clone(&ctx), body).map_err(|e| {
             SimError::SpawnFailed {
                 name: name.clone(),
                 reason: e.to_string(),
@@ -822,7 +838,7 @@ impl Sim {
         // First activation at t=0.
         self.core
             .queue
-            .lock()
+            .borrow_mut()
             .push(SimTime::ZERO, EventKind::Wake(id));
         Ok(id)
     }
@@ -839,7 +855,6 @@ impl Sim {
                 self.core.hand_off(None, &self.core.main, None);
                 self.core
                     .end
-                    .lock()
                     .take()
                     .expect("the token comes back to Sim::run only at the run's end")
             }
@@ -852,7 +867,7 @@ impl Sim {
     /// and unmap its stack; then drop what the queue, the pollers and the
     /// standing handlers still hold.
     fn teardown(&mut self) {
-        self.core.torn_down.store(true, Ordering::Relaxed);
+        self.core.torn_down.set(true);
         for fiber in self.fibers.drain(..) {
             // SAFETY: single OS thread — teardown runs in `Sim::run`'s
             // context (or in `Drop` before any context ran), the running
@@ -863,8 +878,8 @@ impl Sim {
         }
         // Pending events, armed poll bodies and standing handlers may hold
         // `Scheduler`s, and with them the core itself.
-        let events = std::mem::take(&mut *self.core.queue.lock());
-        let mut d = self.core.dispatch.lock();
+        let events = self.core.queue.take();
+        let mut d = self.core.dispatch.borrow_mut();
         let polls: Vec<_> = (d.ranks.iter_mut()).filter_map(|r| r.poll.take()).collect();
         let handlers = std::mem::take(&mut d.handlers);
         drop(d);
@@ -883,7 +898,8 @@ impl Drop for Sim {
 mod tests {
     use super::*;
     use crate::sem::SimSemaphore;
-    use std::sync::atomic::AtomicUsize;
+    use parking_lot::Mutex;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn empty_sim_completes_at_time_zero() {
@@ -1677,7 +1693,7 @@ mod tests {
         ] {
             let drops = Arc::new(AtomicUsize::new(0));
             let mut sim = SimBuilder::new().max_events(200).build();
-            let core = Arc::downgrade(&sim.core);
+            let core = Rc::downgrade(&sim.core);
             // A standing handler that owns a handle on the core.
             let held = sim.scheduler();
             sim.scheduler().register_handler(move |_| {
@@ -1732,7 +1748,7 @@ mod tests {
     fn an_unrun_sim_drops_its_rank_programs() {
         let drops = Arc::new(AtomicUsize::new(0));
         let mut sim = SimBuilder::new().build();
-        let core = Arc::downgrade(&sim.core);
+        let core = Rc::downgrade(&sim.core);
         for r in 0..3 {
             let guard = DropGuard(Arc::clone(&drops));
             sim.spawn_rank(format!("r{r}"), move |_ctx| drop(guard));

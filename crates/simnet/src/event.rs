@@ -25,7 +25,7 @@ use crate::time::SimTime;
 /// `Sim::run`'s thread (in the rank context that holds the execution
 /// token, or in `Sim::run`'s own before the first grant), and may schedule
 /// further events or wake parked ranks through the [`Scheduler`].
-pub type EventFn = Box<dyn FnOnce(&Scheduler) + Send>;
+pub type EventFn = Box<dyn FnOnce(&Scheduler)>;
 
 /// What an event does when it fires.
 pub enum EventKind {

@@ -13,8 +13,9 @@
 //! Every `unsafe` block here relies on one of two invariants, which the
 //! engine upholds and each block names:
 //! * *single OS thread*: every context of a simulation is created, resumed
-//!   and closed on the thread running that simulation (`RankCtx` is
-//!   `!Send`, so no rank program can carry its context elsewhere);
+//!   and closed on the thread running that simulation (`Sim`, `Scheduler`
+//!   and `RankCtx` hold the engine's core by `Rc` and so are `!Send`: no
+//!   context can be carried to another thread);
 //! * *target suspended*: the context switched into is not running — it is
 //!   parked in [`switch`], or fresh from [`Fiber::new`] — so its saved
 //!   stack pointer names a complete frame.
@@ -22,10 +23,10 @@
 //! Linux only (the `mmap` flag values below are Linux's); x86_64 and
 //! aarch64 each have one switch routine.
 
+use std::cell::Cell;
 use std::io;
 use std::ptr;
-use std::sync::atomic::{AtomicPtr, Ordering};
-use std::sync::Arc;
+use std::rc::Rc;
 
 #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
 compile_error!("simnet's context switch exists for x86_64 and aarch64 only");
@@ -58,13 +59,6 @@ struct Stack {
     base: *mut u8,
     len: usize,
 }
-
-// SAFETY: a `Stack` is plain memory owned by one `Fiber`; nothing runs on
-// it before `Sim::run` starts the simulation's contexts on that call's own
-// thread (single OS thread), and until then it holds only a fresh frame
-// and the `Send` `Body` behind it. So moving an unstarted one between
-// threads — a `Sim` built on one thread and run on another — is sound.
-unsafe impl Send for Stack {}
 
 impl Stack {
     fn map(size: usize) -> io::Result<Stack> {
@@ -117,15 +111,23 @@ impl Drop for Stack {
 // ---------------------------------------------------------------------------
 
 /// A place to suspend an execution context: its saved stack pointer. One
-/// per rank, plus one for [`crate::Sim::run`]'s own stack. Atomic only so
-/// that the engine's shared core stays `Sync`; every access happens on the
-/// simulation's one thread.
-#[derive(Default)]
+/// per rank, plus one for [`crate::Sim::run`]'s own stack. Every access
+/// happens on the simulation's one thread.
 pub(crate) struct Context {
-    sp: AtomicPtr<u8>,
+    sp: Cell<*mut u8>,
     /// ThreadSanitizer's handle on this context (see [`tsan`]).
     #[cfg(simnet_tsan)]
-    fiber: AtomicPtr<u8>,
+    fiber: Cell<*mut u8>,
+}
+
+impl Default for Context {
+    fn default() -> Self {
+        Context {
+            sp: Cell::new(ptr::null_mut()),
+            #[cfg(simnet_tsan)]
+            fiber: Cell::new(ptr::null_mut()),
+        }
+    }
 }
 
 /// Suspend the running context into `from` and resume `to`. Returns when
@@ -144,13 +146,12 @@ pub(crate) unsafe fn switch(from: &Context, to: &Context) {
     // contract: `from.sp` is writable for the routine, and `to.sp` names a
     // complete frame (saved by `switch_stacks` or laid out by
     // `first_frame`) on a stack nothing else runs on.
-    unsafe { switch_stacks(from.sp.as_ptr(), to.sp.load(Ordering::Relaxed)) }
+    unsafe { switch_stacks(from.sp.as_ptr(), to.sp.get()) }
 }
 
 /// What a context runs on its first activation. It returns the context to
-/// leave into for good once everything it owned has dropped. `Send`, so
-/// that an unstarted `Fiber` may move between threads with its `Sim`.
-pub(crate) type Body = Box<dyn FnOnce() -> *const Context + Send>;
+/// leave into for good once everything it owned has dropped.
+pub(crate) type Body = Box<dyn FnOnce() -> *const Context>;
 
 /// What [`fiber_main`] finds through its argument.
 struct Start {
@@ -161,23 +162,23 @@ struct Start {
 /// A rank's stack and the context suspended on it.
 pub(crate) struct Fiber {
     stack: Stack,
-    ctx: Arc<Context>,
+    ctx: Rc<Context>,
 }
 
 impl Fiber {
     /// Map a stack of `size` bytes and lay out a first frame on it, so that
     /// the first [`switch`] into `ctx` runs `body` there. Fails with the
     /// `mmap` error.
-    pub(crate) fn new(size: usize, ctx: Arc<Context>, body: Body) -> io::Result<Fiber> {
+    pub(crate) fn new(size: usize, ctx: Rc<Context>, body: Body) -> io::Result<Fiber> {
         let stack = Stack::map(size)?;
         let start = Box::into_raw(Box::new(Start {
-            ctx: Arc::as_ptr(&ctx),
+            ctx: Rc::as_ptr(&ctx),
             body,
         }));
         // SAFETY: the frame lies in the top bytes of a fresh, writable
         // mapping of at least one page; `top` is 16-aligned.
         let sp = unsafe { first_frame(stack.top(), start.cast()) };
-        ctx.sp.store(sp, Ordering::Relaxed);
+        ctx.sp.set(sp);
         #[cfg(simnet_tsan)]
         tsan::create(&ctx);
         Ok(Fiber { stack, ctx })
@@ -380,7 +381,6 @@ unsafe fn first_frame(top: *mut u8, start: *mut u8) -> *mut u8 {
 #[cfg(simnet_tsan)]
 mod tsan {
     use super::Context;
-    use std::sync::atomic::Ordering::Relaxed;
 
     extern "C" {
         fn __tsan_get_current_fiber() -> *mut u8;
@@ -391,7 +391,7 @@ mod tsan {
 
     pub(super) fn create(ctx: &Context) {
         // SAFETY: TSan's fiber API has no preconditions on creation.
-        ctx.fiber.store(unsafe { __tsan_create_fiber(0) }, Relaxed);
+        ctx.fiber.set(unsafe { __tsan_create_fiber(0) });
     }
 
     /// Called on the running context right before the stack switch. The
@@ -402,13 +402,13 @@ mod tsan {
         // here when `to` last ran (`Sim::run`'s context); flags 0 make
         // the switch a synchronisation point, as the token handoff is.
         unsafe {
-            from.fiber.store(__tsan_get_current_fiber(), Relaxed);
-            __tsan_switch_to_fiber(to.fiber.load(Relaxed), 0);
+            from.fiber.set(__tsan_get_current_fiber());
+            __tsan_switch_to_fiber(to.fiber.get(), 0);
         }
     }
 
     pub(super) fn destroy(ctx: &Context) {
         // SAFETY: the context has left for good; its fiber is not current.
-        unsafe { __tsan_destroy_fiber(ctx.fiber.load(Relaxed)) };
+        unsafe { __tsan_destroy_fiber(ctx.fiber.get()) };
     }
 }

@@ -32,7 +32,7 @@ fn main() {
         &stack,
         RANKS,
         Arc::new(move |mpi: MpiHandle| {
-            let win = Window::create(&mpi, BINS * 8, &[]);
+            let mut win = Window::create(&mpi, BINS * 8, &[]);
             // Each rank bins a deterministic pseudo-sample locally…
             let mut local = [0.0f64; BINS];
             for i in 0..1000 {

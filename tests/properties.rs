@@ -143,8 +143,6 @@ proptest! {
 // CH3 queue-pair invariant: posted ∩ unexpected = ∅
 // ---------------------------------------------------------------------
 
-use std::sync::atomic::Ordering;
-
 use mpich2_nmad_repro::mpi_ch3::queues::{Ch3Queues, UnexMsg};
 use mpich2_nmad_repro::mpi_ch3::request::{ReqKind, ReqPath, RequestTable};
 use mpich2_nmad_repro::simnet::NmBuf;
@@ -157,10 +155,10 @@ enum QOp {
     Post { src: Option<usize>, key: u64 },
     /// An eager envelope arrives from the wire.
     Arrive { src: usize, key: u64, len: usize },
-    /// The any-source list machinery deactivates a posted entry (the
-    /// "stall" transition: the request moved to NewMadeleine and its CH3
-    /// entry must be lazily skipped, never matched).
-    Deactivate { pick: usize },
+    /// The any-source list machinery cancels a posted entry (the "stall"
+    /// transition: the request moved to NewMadeleine and its CH3 entry
+    /// must never be matched).
+    Cancel { pick: usize },
 }
 
 fn qop_strategy() -> impl Strategy<Value = QOp> {
@@ -176,7 +174,7 @@ fn qop_strategy() -> impl Strategy<Value = QOp> {
             key,
             len
         }),
-        (0usize..8).prop_map(|pick| QOp::Deactivate { pick }),
+        (0usize..8).prop_map(|pick| QOp::Cancel { pick }),
     ]
 }
 
@@ -196,9 +194,9 @@ proptest! {
     fn posted_and_unexpected_stay_disjoint(ops in proptest::collection::vec(qop_strategy(), 1..60)) {
         let mut table = RequestTable::new();
         let q = Ch3Queues::new();
-        // Shadow model: live posted entries (with their shared active
-        // flags) and unexpected messages, both in queue order.
-        let mut posted: Vec<(Option<usize>, u64, std::sync::Arc<std::sync::atomic::AtomicBool>)> = Vec::new();
+        // Shadow model: posted entries (with their requests) and
+        // unexpected messages, both in queue order.
+        let mut posted: Vec<(Option<usize>, u64, mpich2_nmad_repro::mpi_ch3::Req)> = Vec::new();
         let mut unex: Vec<(usize, u64, usize)> = Vec::new();
         let mut hwm = 0usize;
         for op in ops {
@@ -218,7 +216,7 @@ proptest! {
                                 UnexMsg::Rts { .. } => prop_assert!(false, "model only feeds eagers"),
                             }
                         }
-                        (Ok(flag), None) => posted.push((src, key, flag)),
+                        (Ok(()), None) => posted.push((src, key, req)),
                         (Err(_), None) => prop_assert!(false, "queue invented an unexpected hit"),
                         (Ok(_), Some(_)) => prop_assert!(false, "queue missed a waiting unexpected"),
                     }
@@ -245,10 +243,12 @@ proptest! {
                         (None, Some(_)) => prop_assert!(false, "queue missed a posted receive"),
                     }
                 }
-                QOp::Deactivate { pick } => {
+                QOp::Cancel { pick } => {
                     if !posted.is_empty() {
-                        let (_, _, flag) = posted.remove(pick % posted.len());
-                        flag.store(false, Ordering::Release);
+                        let (_, _, req) = posted.remove(pick % posted.len());
+                        let before = q.posted_len();
+                        q.cancel(req);
+                        prop_assert_eq!(q.posted_len(), before - 1, "twin still posted");
                     }
                 }
             }
@@ -297,8 +297,8 @@ enum WOp {
     },
     /// An envelope arrives from `src` under `key`.
     Arrive { src: usize, key: u64 },
-    /// Deactivate the `pick`-th live posted entry (any-source stall).
-    Deactivate { pick: usize },
+    /// Cancel the `pick`-th posted entry (any-source stall).
+    Cancel { pick: usize },
 }
 
 fn wop_strategy() -> impl Strategy<Value = WOp> {
@@ -310,7 +310,7 @@ fn wop_strategy() -> impl Strategy<Value = WOp> {
             key: (key < 3).then_some(key),
         }),
         4 => (1usize..=3, 0u64..3).prop_map(|(src, key)| WOp::Arrive { src, key }),
-        1 => (0usize..8).prop_map(|pick| WOp::Deactivate { pick }),
+        1 => (0usize..8).prop_map(|pick| WOp::Cancel { pick }),
     ]
 }
 
@@ -320,12 +320,10 @@ struct WPost {
     req: mpich2_nmad_repro::mpi_ch3::Req,
     src: Option<usize>,
     key: Option<u64>,
-    flag: std::sync::Arc<std::sync::atomic::AtomicBool>,
-    active: bool,
 }
 
 fn wpost_matches(p: &WPost, src: usize, key: u64) -> bool {
-    p.active && p.src.is_none_or(|s| s == src) && p.key.is_none_or(|k| k == key)
+    p.src.is_none_or(|s| s == src) && p.key.is_none_or(|k| k == key)
 }
 
 proptest! {
@@ -335,7 +333,7 @@ proptest! {
     })]
 
     /// Under any interleaving of posts (including ANY_SOURCE and
-    /// wildcard-key), arrivals, and deactivations:
+    /// wildcard-key), arrivals, and cancellations:
     ///
     /// * posted ∩ unexpected = ∅ — no queued unexpected message is
     ///   satisfiable by a live posted entry;
@@ -376,7 +374,7 @@ proptest! {
                                 "post consumed a different message than the oldest satisfiable (FIFO break)");
                             unexq.remove(pos);
                         }
-                        (Ok(flag), None) => posts.push(WPost { req, src, key, flag, active: true }),
+                        (Ok(()), None) => posts.push(WPost { req, src, key }),
                         (Err(_), None) => prop_assert!(false, "queue invented an unexpected hit"),
                         (Ok(_), Some(_)) => prop_assert!(false, "queue missed a waiting unexpected"),
                     }
@@ -404,17 +402,12 @@ proptest! {
                         (None, Some(_)) => prop_assert!(false, "queue missed a posted receive"),
                     }
                 }
-                WOp::Deactivate { pick } => {
-                    let live: Vec<usize> = posts
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, p)| p.active)
-                        .map(|(i, _)| i)
-                        .collect();
-                    if !live.is_empty() {
-                        let i = live[pick % live.len()];
-                        posts[i].active = false;
-                        posts[i].flag.store(false, Ordering::Release);
+                WOp::Cancel { pick } => {
+                    if !posts.is_empty() {
+                        let p = posts.remove(pick % posts.len());
+                        let before = q.posted_len();
+                        q.cancel(p.req);
+                        prop_assert_eq!(q.posted_len(), before - 1, "twin still posted");
                     }
                 }
             }
@@ -428,6 +421,6 @@ proptest! {
         }
         // Mirrors and real queue agree on the survivors.
         prop_assert_eq!(q.unexpected_len(), unexq.len());
-        prop_assert_eq!(q.posted_len(), posts.iter().filter(|p| p.active).count());
+        prop_assert_eq!(q.posted_len(), posts.len());
     }
 }
