@@ -1052,7 +1052,7 @@ mod tests {
         ctx: &RankCtx,
         inline: bool,
         mut schedule: PollSchedule,
-        mut body: impl FnMut(&Scheduler, u32) -> PollOutcome + Send + 'static,
+        mut body: impl FnMut(&Scheduler, u32) -> PollOutcome + 'static,
     ) {
         if inline {
             return ctx.poll_until(schedule, body);
