@@ -335,11 +335,15 @@ fn full_stack_pingpong(c: &mut Criterion) {
     g.finish();
 }
 
-/// The end-to-end checksum as the stack pays it: every payload byte is
-/// sealed by the sender and verified by the receiver. Small eager
-/// payloads stay in cache; a 4 MiB rendezvous chunk is read from memory,
-/// so the cold case seals chunks walking an 8 MiB pool (what the ledger's
-/// `nmad.wire_crc_ns_per_kib` probe, run hot, does not see).
+/// The end-to-end checksum as the stack pays it: the sender seals every
+/// payload byte once (`seal-*`: the payload digest, then the header
+/// seal); the receiver verifies the header words and the kept digest
+/// only (`verify-*`), so its cost does not depend on the payload size.
+/// Small eager payloads stay in cache; a 4 MiB rendezvous chunk is read
+/// from memory, so the cold cases walk an 8 MiB pool (what the ledger's
+/// `nmad.wire_crc_ns_per_kib` probe, run hot, does not see). Benches are
+/// built without debug assertions, so `verify-*` skips the debug-build
+/// cross-check of the digest against the bytes.
 fn wire_checksum(c: &mut Criterion) {
     let mut g = c.benchmark_group("nmad-wire");
     let noise = |len: usize| -> Vec<u8> {
@@ -347,42 +351,56 @@ fn wire_checksum(c: &mut Criterion) {
             .map(|i| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as u8)
             .collect()
     };
+    let eager = |data: &NmBuf| {
+        NmWire::new(
+            0,
+            1,
+            WirePayload::Eager {
+                tag: 1,
+                seq: 0,
+                data: data.share(),
+            },
+        )
+    };
     for size in [256usize, 4096] {
         g.throughput(Throughput::Bytes(size as u64));
         let data = NmBuf::from(noise(size));
-        g.bench_function(&format!("seal-verify-{size}B-hot"), |b| {
-            b.iter(|| {
-                let w = NmWire::new(
-                    0,
-                    1,
-                    WirePayload::Eager {
-                        tag: 1,
-                        seq: 0,
-                        data: data.share(),
-                    },
-                );
-                std::hint::black_box(&w).crc_ok()
-            });
+        g.bench_function(&format!("seal-{size}B-hot"), |b| {
+            b.iter(|| std::hint::black_box(eager(&data)).crc())
+        });
+        let sealed = eager(&data);
+        g.bench_function(&format!("verify-{size}B-hot"), |b| {
+            b.iter(|| std::hint::black_box(&sealed).crc_ok())
         });
     }
     const CHUNK: usize = 4 << 20;
     g.throughput(Throughput::Bytes(CHUNK as u64));
     g.sample_size(20);
     let pool = NmBuf::from(noise(2 * CHUNK));
+    let chunk = |at: usize| {
+        NmWire::new(
+            0,
+            1,
+            WirePayload::Data {
+                rdv_id: 1,
+                offset: at,
+                data: pool.slice(at..at + CHUNK),
+            },
+        )
+    };
     g.bench_function("seal-4MiB-data-chunk-cold", |b| {
         let mut at = 0;
         b.iter(|| {
             at = CHUNK - at;
-            let w = NmWire::new(
-                0,
-                1,
-                WirePayload::Data {
-                    rdv_id: 1,
-                    offset: at,
-                    data: pool.slice(at..at + CHUNK),
-                },
-            );
-            std::hint::black_box(w.crc)
+            std::hint::black_box(chunk(at).crc())
+        });
+    });
+    let sealed = [chunk(0), chunk(CHUNK)];
+    g.bench_function("verify-4MiB-data-chunk-cold", |b| {
+        let mut k = 0;
+        b.iter(|| {
+            k ^= 1;
+            std::hint::black_box(&sealed[k]).crc_ok()
         });
     });
     g.finish();

@@ -208,7 +208,7 @@ impl NmCore {
                 Effect::Packet { wire, rail, sent } => (wire, self.net.rails[rail], sent),
             };
             let fabric = &self.net.fabric;
-            let (src, dst) = (self.net.node, self.net.rank_to_node[wire.dst_rank]);
+            let (src, dst) = (self.net.node, self.net.rank_to_node[wire.dst_rank()]);
             let bytes = wire.wire_bytes();
             let Some(sent) = sent else {
                 // Express lane: acks, handshake replays and probes must not

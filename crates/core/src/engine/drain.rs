@@ -178,7 +178,7 @@ impl Engine {
         // Inbound frames from the peer that arrived before the verdict
         // are dead letters.
         let before = self.inbound.len();
-        self.inbound.retain(|w| w.src_rank != peer);
+        self.inbound.retain(|w| w.src_rank() != peer);
         let strays = (before - self.inbound.len()) as u64;
         self.stats.membership_stray_frames += strays;
         self.stats.membership_drained_entries += entries;

@@ -93,8 +93,8 @@ impl Engine {
         if corrupted {
             // Model bit-rot without touching payload bytes: the sender's
             // retransmit queue shares this very storage, so the damage is
-            // recorded in the (owned) header CRC instead.
-            wire.crc ^= 1;
+            // recorded in the (owned) seal instead.
+            wire.corrupt_seal();
         }
         if self.halted {
             return;
@@ -107,8 +107,8 @@ impl Engine {
         // another rank, from this rank, or from a rank the job doesn't
         // have must not earn liveness credit or open a gate record — and
         // must never come back out as an effect naming an unknown rank.
-        let src = wire.src_rank;
-        if wire.dst_rank != self.rank || src == self.rank || src >= self.nranks {
+        let src = wire.src_rank();
+        if wire.dst_rank() != self.rank || src == self.rank || src >= self.nranks {
             self.protocol_error();
             return;
         }
@@ -156,8 +156,8 @@ impl Engine {
             this.deliver_envelope(now, src, tag, msg);
         };
         while let Some(wire) = self.inbound.pop_front() {
-            let src = wire.src_rank;
-            match wire.payload {
+            let src = wire.src_rank();
+            match wire.into_payload() {
                 WirePayload::Eager { tag, seq, data } => {
                     envelope(self, src, tag, Unexpected::Eager { seq, data });
                 }

@@ -43,7 +43,7 @@ pub struct Lossy {
 
 impl Lossy {
     pub fn loses(&mut self, wire: &NmWire) -> bool {
-        let once = match wire.payload {
+        let once = match wire.payload() {
             WirePayload::Rts { .. } => &mut self.rts_lost,
             WirePayload::RdvFin { .. } => &mut self.fin_lost,
             _ => return false,
@@ -129,7 +129,7 @@ impl<L: FnMut(&NmWire) -> bool> Loopback<L> {
             let Effect::Packet { wire, sent, .. } = effect else {
                 continue;
             };
-            let to = wire.dst_rank;
+            let to = wire.dst_rank();
             self.pumped += 1;
             if !(self.loses)(&wire) {
                 self.now += SimDuration::micros(1);
@@ -420,7 +420,7 @@ fn reassemble(chunks: &[Chunk]) -> NmStats {
     const K: usize = 1024;
     let source = pattern(3, 64 * K);
     let payload = NmBuf::from(source.clone());
-    let mut w = Loopback::with_wire(config(true), |wire: &NmWire| wire.dst_rank == 0);
+    let mut w = Loopback::with_wire(config(true), |wire: &NmWire| wire.dst_rank() == 0);
     w.irecv(1, 5, 5);
     let deliver = |w: &mut Loopback<_>, payload: WirePayload, corrupted: bool| {
         w.engines[1].accept(w.now, NmWire::new(0, 1, payload), 0, corrupted, IDLE);
@@ -517,7 +517,7 @@ fn rendezvous_chunks_reassemble_in_any_order_as_one_view() {
 fn a_lost_rts_and_a_lost_data_chunk_are_replayed() {
     let mut lost = [false; 2];
     let mut w = Loopback::with_wire(config(true), move |wire: &NmWire| {
-        let first = match wire.payload {
+        let first = match wire.payload() {
             WirePayload::Rts { .. } => &mut lost[0],
             WirePayload::Data { .. } => &mut lost[1],
             _ => return false,
@@ -631,7 +631,7 @@ fn deadline_is_the_minimum_across_a_cts_timer_and_an_eager_timer() {
     let rc = RetryConfig::default();
     let mut w = Loopback::new(flow_cfg());
     // Rank 1 answers an RTS with a CTS the wire eats: its `rdv_in` timer.
-    w.loses = Box::new(|wire| matches!(wire.payload, WirePayload::Cts { .. }));
+    w.loses = Box::new(|wire| matches!(wire.payload(), WirePayload::Cts { .. }));
     w.irecv(1, 3, 103);
     w.isend(0, 3, pattern(5, 64 * 1024), 3);
     let rts_committed = w.now;
@@ -668,7 +668,7 @@ fn a_cts_timer_covers_its_own_bytes_and_those_queued_ahead() {
     const MIB: usize = 1024 * 1024;
     let rc = RetryConfig::default();
     // Rank 0 only stands in for the sender: all that rank 1 answers is lost.
-    let mut w = Loopback::with_wire(config(true), |wire: &NmWire| wire.dst_rank == 0);
+    let mut w = Loopback::with_wire(config(true), |wire: &NmWire| wire.dst_rank() == 0);
     let rts = |w: &mut Loopback<_>, tag, len| {
         w.irecv(1, tag, tag);
         let rts = WirePayload::Rts {

@@ -148,15 +148,15 @@ impl Packet {
     /// header fields and the payload bytes.
     fn key(&self) -> u64 {
         let w = &self.wire;
-        hash_of((w.src_rank, w.dst_rank, self.rail, w.crc))
+        hash_of((w.src_rank(), w.dst_rank(), self.rail, w.crc()))
     }
 
     /// The rendezvous a handshake packet belongs to, named by the rank
     /// that sends its payload and the id that rank gave it; `None` for
     /// the packets the wire never duplicates.
     fn rendezvous(&self) -> Option<(usize, u64)> {
-        let (src, dst) = (self.wire.src_rank, self.wire.dst_rank);
-        match self.wire.payload {
+        let (src, dst) = (self.wire.src_rank(), self.wire.dst_rank());
+        match *self.wire.payload() {
             WirePayload::Rts { rdv_id, .. } | WirePayload::Data { rdv_id, .. } => {
                 Some((src, rdv_id))
             }
@@ -354,7 +354,7 @@ impl<'c> World<'c> {
             }
             Move::Deliver(j) => {
                 let Packet { wire, rail } = self.net.swap_remove(j);
-                let to = wire.dst_rank;
+                let to = wire.dst_rank();
                 self.input(to, |e, now| e.accept(now, wire, rail, false, IDLE))?;
             }
             Move::Drop(j) => {
@@ -384,7 +384,7 @@ impl<'c> World<'c> {
             Move::Kill(victim) => {
                 self.dead = Some(victim);
                 self.engines[victim].halt();
-                let touches = |w: &NmWire| w.src_rank == victim || w.dst_rank == victim;
+                let touches = |w: &NmWire| w.src_rank() == victim || w.dst_rank() == victim;
                 self.net.retain(|p| !touches(&p.wire));
                 self.pending.retain(|&(rank, _)| rank != victim);
                 for rank in (0..cfg.ranks).filter(|&r| r != victim) {
@@ -418,7 +418,7 @@ impl<'c> World<'c> {
                 Effect::Packet { wire, rail, sent } => {
                     self.pending.extend(sent.map(|tag| (rank, tag)));
                     // The fabric delivers nothing to a dead node.
-                    if self.alive(wire.dst_rank) {
+                    if self.alive(wire.dst_rank()) {
                         self.net.push(Packet { wire, rail });
                     }
                 }
@@ -481,7 +481,7 @@ impl<'c> World<'c> {
     fn credits_conserved(&self, cap: u32) -> Result<(), String> {
         let snaps: Vec<_> = self.engines.iter().map(Engine::snapshot).collect();
         let peer = |r: usize, of: usize| snaps[r].peers().iter().find(|p| p.rank == of);
-        let returned = |p: &Packet| match p.wire.payload {
+        let returned = |p: &Packet| match *p.wire.payload() {
             WirePayload::Credit { credits } | WirePayload::Ack { credits, .. } => credits,
             _ => 0,
         };
@@ -494,7 +494,7 @@ impl<'c> World<'c> {
             let back = self
                 .net
                 .iter()
-                .filter(|p| p.wire.src_rank == r && p.wire.dst_rank == s);
+                .filter(|p| p.wire.src_rank() == r && p.wire.dst_rank() == s);
             let total = pool + unconsumed.count() as u32 + held + back.map(returned).sum::<u32>();
             if total != cap {
                 return Err(format!("credits {s}->{r}: {total} of {cap} accounted for"));
@@ -832,7 +832,7 @@ mod tests {
         assert!(err.contains("counted 1 protocol errors"), "{err}");
         let mut w = World::new(&cfg);
         w.apply(Move::Start(0)).unwrap();
-        assert!(matches!(w.net[0].wire.payload, WirePayload::Rts { .. }));
+        assert!(matches!(w.net[0].wire.payload(), WirePayload::Rts { .. }));
         w.apply(Move::Dup(0)).unwrap();
         w.apply(Move::Deliver(0)).unwrap();
         let err = w.apply(Move::Deliver(0));

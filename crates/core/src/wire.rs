@@ -159,40 +159,113 @@ impl WirePayload {
 }
 
 /// A packet as it crosses the fabric.
+///
+/// The fields are read-only once sealed: the seal keeps a digest of the
+/// payload bytes, so no code may swap the payload (or a rank) under it.
 #[derive(Clone, Debug)]
 pub struct NmWire {
     /// Sender's global rank (identifies the gate at the receiver).
-    pub src_rank: usize,
+    src_rank: usize,
     /// Receiver's global rank (the node sink demultiplexes on this).
-    pub dst_rank: usize,
-    pub payload: WirePayload,
-    /// End-to-end checksum over ranks, payload header fields and payload
-    /// bytes, computed by [`NmWire::new`] at the sender and verified at
-    /// delivery ([`NmWire::crc_ok`]). Its wire cost is part of
-    /// [`WIRE_HEADER_BYTES`]. Despite the name it is an eight-lane 64-bit
-    /// FNV-1a-style fold taking two words per multiply (`WireCrc`): any
-    /// single-word change is detected with certainty; it is neither a CRC
-    /// nor a MAC.
-    pub crc: u64,
+    dst_rank: usize,
+    payload: WirePayload,
+    /// Digest of the payload bytes ([`payload_digest`]): the one pass over
+    /// the bytes, made by [`NmWire::new`] at the sender and kept with the
+    /// packet, the way a NIC's link-level CRC travels with its frame.
+    /// Control variants carry no bytes and keep the empty digest.
+    digest: u64,
+    /// End-to-end checksum over the ranks, the variant and its header
+    /// fields, each aggregate fragment's length and `digest`, computed by
+    /// [`NmWire::new`] at the sender and verified at delivery
+    /// ([`NmWire::crc_ok`]) without reading the payload bytes again. Its
+    /// wire cost is part of [`WIRE_HEADER_BYTES`]. Despite the name it is
+    /// an eight-lane 64-bit FNV-1a-style fold taking two words per
+    /// multiply (`WireCrc`): any single-word change is detected with
+    /// certainty; it is neither a CRC nor a MAC.
+    crc: u64,
 }
 
 impl NmWire {
-    /// Build a packet and seal it with the end-to-end checksum.
+    /// Build a packet and seal it: one pass over the payload bytes for the
+    /// digest, then the header seal over the header words and the digest.
     pub fn new(src_rank: usize, dst_rank: usize, payload: WirePayload) -> NmWire {
-        let crc = compute_crc(src_rank, dst_rank, &payload);
+        let digest = payload_digest(&payload);
+        let crc = header_seal(src_rank, dst_rank, &payload, digest);
         NmWire {
             src_rank,
             dst_rank,
             payload,
+            digest,
             crc,
         }
     }
 
-    /// Verify the checksum against the packet's current content. `false`
-    /// means the wire corrupted the frame: the receiver must discard it
-    /// exactly like a dropped packet (the retry layer will retransmit).
+    /// Verify the seal against the packet's header and kept digest; the
+    /// cost does not depend on the payload size. `false` means the wire
+    /// corrupted the frame: the receiver must discard it exactly like a
+    /// dropped packet (the retry layer will retransmit).
+    ///
+    /// Debug builds also recompute the digest from the payload bytes and
+    /// panic if it disagrees with the kept one, so every debug run still
+    /// exercises the byte path.
     pub fn crc_ok(&self) -> bool {
-        self.crc == compute_crc(self.src_rank, self.dst_rank, &self.payload)
+        debug_assert_eq!(
+            self.digest,
+            payload_digest(&self.payload),
+            "payload bytes changed under their kept digest"
+        );
+        self.crc == header_seal(self.src_rank, self.dst_rank, &self.payload, self.digest)
+    }
+
+    /// Sender's global rank.
+    pub fn src_rank(&self) -> usize {
+        self.src_rank
+    }
+
+    /// Receiver's global rank.
+    pub fn dst_rank(&self) -> usize {
+        self.dst_rank
+    }
+
+    /// The payload, as sealed.
+    pub fn payload(&self) -> &WirePayload {
+        &self.payload
+    }
+
+    /// Take the payload out of a verified packet.
+    pub fn into_payload(self) -> WirePayload {
+        self.payload
+    }
+
+    /// The end-to-end seal, as sent.
+    pub fn crc(&self) -> u64 {
+        self.crc
+    }
+
+    /// Model bit-rot on the wire: flip a bit of the seal, so the frame
+    /// fails [`NmWire::crc_ok`] without touching payload storage that the
+    /// sender's retransmit queue may share.
+    pub(crate) fn corrupt_seal(&mut self) {
+        self.crc ^= 1;
+    }
+
+    /// A packet carrying `payload` and the ranks given, under `sealed`'s
+    /// digest and seal, as if the header or bytes had been changed after
+    /// sealing.
+    #[cfg(test)]
+    fn under_seal_of(
+        sealed: &NmWire,
+        src_rank: usize,
+        dst_rank: usize,
+        payload: WirePayload,
+    ) -> NmWire {
+        NmWire {
+            src_rank,
+            dst_rank,
+            payload,
+            digest: sealed.digest,
+            crc: sealed.crc,
+        }
     }
 
     /// Total modelled wire size: header + payload bytes.
@@ -283,16 +356,36 @@ impl WireCrc {
     }
 }
 
-fn compute_crc(src_rank: usize, dst_rank: usize, payload: &WirePayload) -> u64 {
+/// The payload digest: [`WireCrc::bytes`] over the packet's byte runs in
+/// order — the Eager or Data run, or every Aggregate fragment's. A
+/// variant without bytes digests to the fresh hash.
+fn payload_digest(payload: &WirePayload) -> u64 {
+    let mut h = WireCrc::new();
+    match payload {
+        WirePayload::Eager { data, .. } | WirePayload::Data { data, .. } => {
+            h.bytes(data.as_slice())
+        }
+        WirePayload::Aggregate(frags) => {
+            for f in frags {
+                h.bytes(f.data.as_slice());
+            }
+        }
+        _ => {}
+    }
+    h.0
+}
+
+/// The header seal: the ranks, the variant tag and its header fields,
+/// each aggregate fragment's length, then the payload `digest`.
+fn header_seal(src_rank: usize, dst_rank: usize, payload: &WirePayload, digest: u64) -> u64 {
     let mut h = WireCrc::new();
     h.word(src_rank as u64);
     h.word(dst_rank as u64);
     match payload {
-        WirePayload::Eager { tag, seq, data } => {
+        WirePayload::Eager { tag, seq, .. } => {
             h.word(1);
             h.word(*tag);
             h.word(*seq);
-            h.bytes(data.as_slice());
         }
         WirePayload::Aggregate(frags) => {
             h.word(2);
@@ -300,7 +393,7 @@ fn compute_crc(src_rank: usize, dst_rank: usize, payload: &WirePayload) -> u64 {
             for f in frags {
                 h.word(f.tag);
                 h.word(f.seq);
-                h.bytes(f.data.as_slice());
+                h.word(f.data.len() as u64);
             }
         }
         WirePayload::Rts {
@@ -319,15 +412,10 @@ fn compute_crc(src_rank: usize, dst_rank: usize, payload: &WirePayload) -> u64 {
             h.word(4);
             h.word(*rdv_id);
         }
-        WirePayload::Data {
-            rdv_id,
-            offset,
-            data,
-        } => {
+        WirePayload::Data { rdv_id, offset, .. } => {
             h.word(5);
             h.word(*rdv_id);
             h.word(*offset as u64);
-            h.bytes(data.as_slice());
         }
         WirePayload::Ack { tag, next, credits } => {
             h.word(6);
@@ -358,6 +446,7 @@ fn compute_crc(src_rank: usize, dst_rank: usize, payload: &WirePayload) -> u64 {
             h.word(*epoch as u64);
         }
     }
+    h.word(digest);
     h.0
 }
 
@@ -712,6 +801,122 @@ mod tests {
                 };
                 assert!(shared.crc_ok(), "len {len}: {:?}", sealed.payload);
             }
+        }
+    }
+
+    /// [`WireCrc::bytes`] over each run in turn, from a fresh hash.
+    fn seal_runs(runs: &[&[u8]]) -> u64 {
+        let mut h = WireCrc::new();
+        for run in runs {
+            h.bytes(run);
+        }
+        h.0
+    }
+
+    #[test]
+    fn the_kept_digest_is_the_byte_seal_of_the_payload_runs() {
+        let runs = [noise(1), noise(129), noise(0), noise(4096 + 13)];
+        let bufs = || runs.iter().map(|r| NmBuf::from(r.clone()));
+        for (run, data) in runs.iter().zip(bufs()) {
+            let eager = NmWire::new(
+                0,
+                1,
+                WirePayload::Eager {
+                    tag: 1,
+                    seq: 2,
+                    data,
+                },
+            );
+            assert_eq!(eager.digest, seal_runs(&[run]), "eager, {} B", run.len());
+        }
+        for (run, data) in runs.iter().zip(bufs()) {
+            let payload = WirePayload::Data {
+                rdv_id: 3,
+                offset: 64,
+                data,
+            };
+            let chunk = NmWire::new(1, 0, payload);
+            assert_eq!(chunk.digest, seal_runs(&[run]), "data, {} B", run.len());
+        }
+        let frags = bufs().map(|data| EagerFrag {
+            tag: 5,
+            seq: 0,
+            data,
+        });
+        let agg = NmWire::new(0, 1, WirePayload::Aggregate(frags.collect()));
+        let all: Vec<&[u8]> = runs.iter().map(Vec::as_slice).collect();
+        assert_eq!(agg.digest, seal_runs(&all), "aggregate fragments in order");
+        let cts = NmWire::new(0, 1, WirePayload::Cts { rdv_id: 3 });
+        assert_eq!(cts.digest, seal_runs(&[]), "no bytes, the fresh hash");
+    }
+
+    /// Debug builds cross-check the kept digest against the bytes, so a
+    /// payload swapped under its seal cannot slip past a test run.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "payload bytes changed under their kept digest")]
+    fn bytes_changed_under_the_kept_digest_panic_in_a_debug_verify() {
+        let eager = |byte: u8| WirePayload::Eager {
+            tag: 7,
+            seq: 3,
+            data: NmBuf::from(vec![byte; 1000]),
+        };
+        let sealed = NmWire::new(0, 1, eager(0xAB));
+        NmWire::under_seal_of(&sealed, 0, 1, eager(0xAC)).crc_ok();
+    }
+
+    /// The verify reads no payload byte, so the header words alone have
+    /// to catch a changed rank, variant, field or fragment layout.
+    #[test]
+    fn a_header_field_changed_under_the_old_seal_fails() {
+        let d = NmBuf::from(noise(300));
+        let eager = |tag, seq| WirePayload::Eager {
+            tag,
+            seq,
+            data: d.share(),
+        };
+        let chunk = |rdv_id, offset| WirePayload::Data {
+            rdv_id,
+            offset,
+            data: d.share(),
+        };
+        let agg = |seq| {
+            let frag = |tag, seq| EagerFrag {
+                tag,
+                seq,
+                data: d.share(),
+            };
+            WirePayload::Aggregate(vec![frag(1, 0), frag(2, seq)])
+        };
+        let rts = |len| WirePayload::Rts {
+            tag: 1,
+            seq: 2,
+            rdv_id: 3,
+            len,
+        };
+        let ack = |credits| WirePayload::Ack {
+            tag: 1,
+            next: 2,
+            credits,
+        };
+        let cases = [
+            (eager(1, 2), eager(2, 2)),
+            (eager(1, 2), eager(1, 3)),
+            (eager(1, 2), chunk(1, 2)),
+            (chunk(3, 4096), chunk(4, 4096)),
+            (chunk(3, 4096), chunk(3, 4097)),
+            (agg(0), agg(1)),
+            (rts(1 << 20), rts((1 << 20) + 1)),
+            (ack(3), ack(4)),
+        ];
+        for (sealed_as, changed) in cases {
+            let sealed = NmWire::new(0, 1, sealed_as);
+            let under = |src, dst, p| NmWire::under_seal_of(&sealed, src, dst, p).crc_ok();
+            let what = format!("{changed:?} under the seal of {:?}", sealed.payload);
+            assert!(under(0, 1, sealed.payload.share()), "{what}");
+            assert!(!under(2, 1, sealed.payload.share()), "src, {what}");
+            assert!(!under(0, 2, sealed.payload.share()), "dst, {what}");
+            assert!(!under(0, 1, changed), "{what}");
         }
     }
 

@@ -181,7 +181,7 @@ fn chunks_from_two_allocations_are_gathered_once() {
     let head = Bytes::from(vec![1u8; HALF]);
     let tail = Bytes::from(vec![2u8; HALF]);
     // Rank 0 only stands in for the RTS; rank 1's CTS is lost.
-    let mut w = Loopback::with_wire(NmConfig::default(), |wire: &NmWire| wire.dst_rank == 0);
+    let mut w = Loopback::with_wire(NmConfig::default(), |wire: &NmWire| wire.dst_rank() == 0);
     w.irecv(1, 4, 4);
     let rdv_id = 7;
     let rts = WirePayload::Rts {

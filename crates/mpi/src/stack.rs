@@ -394,7 +394,7 @@ pub fn run_mpi(
                     fabric.set_sink(
                         NodeId(node),
                         Box::new(move |s, d| {
-                            let dst = d.msg.dst_rank;
+                            let dst = d.msg.dst_rank();
                             let core = node_cores
                                 .get(&dst)
                                 .unwrap_or_else(|| panic!("no core for rank {dst}"));

@@ -212,7 +212,7 @@ impl Shared {
             );
             self.rdv_store.lock().insert(rdv_id, payload);
             cell.header.packet_type = PKT_RTS;
-            cell.header.aux = [self.now_ns(), data_wire.crc];
+            cell.header.aux = [self.now_ns(), data_wire.crc()];
             cell.fill(&[]);
             stats.rdv_sends += 1;
         } else {
@@ -240,7 +240,7 @@ impl Shared {
                 },
             );
             cell.header.packet_type = PKT_EAGER;
-            cell.header.aux = [self.now_ns(), wire.crc];
+            cell.header.aux = [self.now_ns(), wire.crc()];
             cell.fill(payload.as_slice());
             stats.eager_sends += 1;
             // Eager completes at the sender once the bytes are copied out.
@@ -284,7 +284,7 @@ impl Shared {
                         data: data.share(),
                     },
                 );
-                if wire.crc != crc_expect {
+                if wire.crc() != crc_expect {
                     state.stats.crc_drops += 1;
                 } else {
                     self.deliver(src, tag, seq, data, state);
@@ -313,7 +313,7 @@ impl Shared {
                     },
                 );
                 state.stats.data_chunks_sent += 1;
-                if data_wire.crc != crc_expect {
+                if data_wire.crc() != crc_expect {
                     state.stats.crc_drops += 1;
                 } else {
                     self.deliver(src, tag, seq, payload, state);
