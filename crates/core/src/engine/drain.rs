@@ -123,6 +123,7 @@ impl Engine {
         let gate = self.peers.remove(&peer);
         let entries = gate.as_ref().map_or(0, |g| g.records()) as u64;
         let mut gate = *gate.unwrap_or_default();
+        self.queued -= usize::from(!gate.window.is_empty());
         // Emptied while the record is still whole (the walk below moves its
         // fields out one by one); the receives fail in their turn.
         let (orphans, _, dropped_bytes) = gate.purge_flows(|_| true);
@@ -319,6 +320,7 @@ impl Engine {
                 PwBody::Cts { rdv_id } => in_ids.contains(&(peer, rdv_id)),
                 PwBody::Data { rdv_id, .. } => out_ids.contains(&(rdv_id, peer)),
             });
+            self.queued -= usize::from(!gone.is_empty() && gate.window.is_empty());
             failed_eager.extend(gone.iter().filter_map(|pw| match pw.body {
                 PwBody::Eager { send_req, .. } => Some(send_req),
                 _ => None,

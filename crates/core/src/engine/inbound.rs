@@ -465,6 +465,7 @@ impl Engine {
         let rdv = RdvIn::new(req, tag, seq, len, timer);
         let prev = gate.rdv_in.insert(rdv_id, Box::new(rdv));
         debug_assert!(prev.is_none(), "duplicate rendezvous id from rank {src}");
+        self.queued += usize::from(gate.window.is_empty());
         gate.window.push_back(PacketWrapper {
             id: PwId(self.next_pw),
             dst: src,
@@ -504,6 +505,7 @@ impl Engine {
                 // chunk has left the local NIC (`sent/await-fin`).
                 Action::DisarmTimer => rdv.timer.disarm(),
                 Action::QueueData => {
+                    self.queued += usize::from(gate.window.is_empty());
                     gate.window.push_back(PacketWrapper {
                         id: PwId(self.next_pw),
                         dst: src,

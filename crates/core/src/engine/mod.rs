@@ -264,6 +264,11 @@ pub struct Engine {
     /// ([`crate::gate`]). BTreeMap for deterministic iteration; boxed so a
     /// tree node holds eleven pointers, not eleven 200-byte records.
     pub(crate) peers: BTreeMap<usize, Box<Gate>>,
+    /// How many gates hold a non-empty `window`: derived state, kept in
+    /// step at every window mutation so the idle check reads one word
+    /// instead of walking every gate. Outside `fingerprint` and the
+    /// snapshot, which describe the gates themselves.
+    queued: usize,
     /// Arrival clock: each message stored unexpected takes the next
     /// ticket, and the ANY_SOURCE probe picks the lowest across gates.
     next_ticket: u64,
@@ -347,6 +352,7 @@ impl Engine {
             nranks,
             probe_peer,
             peers: BTreeMap::new(),
+            queued: 0,
             next_ticket: 0,
             send_reqs: Vec::new(),
             recv_reqs: Vec::new(),
@@ -426,6 +432,7 @@ impl Engine {
     pub fn halt(&mut self) {
         self.halted = true;
         self.peers.clear();
+        self.queued = 0;
         self.inbound.clear();
         self.completions.clear();
     }
@@ -653,8 +660,10 @@ impl Engine {
 mod tests {
     //! [`Engine::has_work`], one condition at a time.
 
+    use bytes::Bytes;
+
     use super::*;
-    use crate::config::{FlowConfig, RetryConfig};
+    use crate::config::{FlowConfig, MembershipConfig, RetryConfig};
 
     /// Flow control with a 64 KiB cap: high water 32 KiB, low 16 KiB.
     fn flow() -> NmConfig {
@@ -730,5 +739,91 @@ mod tests {
         assert!(!e.has_work());
         e.dead_events.push_back(1);
         assert!(e.has_work(), "a halted engine still has its queues drained");
+    }
+
+    /// Execute what `e` emitted: every committed packet is answered with
+    /// `sent`, until the engine emits nothing more.
+    fn drain(e: &mut Engine) {
+        let mut effects = Vec::new();
+        loop {
+            e.swap_effects(&mut effects);
+            if effects.is_empty() {
+                return;
+            }
+            for effect in effects.drain(..) {
+                if let Effect::Packet {
+                    sent: Some(tag), ..
+                } = effect
+                {
+                    e.sent(SimTime::ZERO, tag, &|_| true);
+                }
+            }
+        }
+    }
+
+    /// The count behind `window_queued` follows one gate's window through
+    /// every site that fills or empties it; the debug cross-check in
+    /// `window_queued` compares it with the gates at each read.
+    #[test]
+    fn window_count_follows_every_mutation() {
+        let now = SimTime::ZERO;
+        let idle: &dyn Fn(usize) -> bool = &|_| true;
+        let big = || NmBuf::from(Bytes::from(vec![0u8; 1 << 20]));
+        // Enqueue, then commit.
+        let mut e = loopback::engine(NmConfig::default(), 0, 2);
+        e.isend(now, 1, 7, NmBuf::default(), 0);
+        assert!(e.has_work(), "an enqueued send is work");
+        e.schedule(now, idle);
+        drain(&mut e);
+        assert_eq!(e.take_completions().len(), 1, "the send left");
+        assert!(!e.has_work(), "committed: the window is empty again");
+        // An RTS that matches a posted receive queues a CTS.
+        let mut e = loopback::engine(NmConfig::default(), 0, 2);
+        e.irecv(now, 1, 7, 0);
+        let rts = WirePayload::Rts {
+            tag: 7,
+            seq: 0,
+            rdv_id: 0,
+            len: 1 << 20,
+        };
+        e.accept(now, NmWire::new(1, 0, rts), 0, false, idle);
+        e.process_inbound(now);
+        assert!(e.window_queued(), "the CTS waits in the window");
+        e.schedule(now, idle);
+        drain(&mut e);
+        assert!(!e.has_work(), "the CTS left");
+        // A CTS for an outbound rendezvous queues its DATA.
+        let mut e = loopback::engine(NmConfig::default(), 0, 2);
+        e.isend(now, 1, 7, big(), 0);
+        e.schedule(now, idle);
+        drain(&mut e);
+        assert!(!e.has_work(), "the RTS left");
+        let cts = WirePayload::Cts { rdv_id: 0 };
+        e.accept(now, NmWire::new(1, 0, cts), 0, false, idle);
+        e.process_inbound(now);
+        assert!(e.window_queued(), "the DATA waits in the window");
+        e.schedule(now, idle);
+        drain(&mut e);
+        assert_eq!(e.take_completions().len(), 1, "every DATA chunk left");
+        assert!(!e.has_work(), "the window is empty again");
+        // An epoch purge takes the queued send of the superseded epoch.
+        let mut e = loopback::engine(NmConfig::default(), 0, 2);
+        let old = keys::coll_key(0, keys::OP_BARRIER, 1, 0);
+        e.isend(now, 1, old, NmBuf::default(), 0);
+        e.advance_epoch(now, 1);
+        assert_eq!(e.take_completions().len(), 1, "the send was revoked");
+        assert!(!e.has_work(), "purged: the window is empty again");
+        // A dead peer's gate leaves with its window. Retry keeps a live
+        // engine busy, so the window count is read directly.
+        let cfg = NmConfig {
+            retry: Some(RetryConfig::default()),
+            membership: Some(MembershipConfig::default()),
+            ..NmConfig::default()
+        };
+        let mut e = loopback::engine(cfg, 0, 2);
+        e.isend(now, 1, 7, NmBuf::default(), 0);
+        assert!(e.window_queued());
+        assert!(e.declare_peer_dead(now, 1));
+        assert!(!e.window_queued(), "the dead peer's window went with it");
     }
 }

@@ -129,6 +129,7 @@ impl Engine {
             };
             (body, NmBuf::default())
         };
+        self.queued += usize::from(gate.window.is_empty());
         gate.window.push_back(PacketWrapper {
             id: pw_id,
             dst,
@@ -167,6 +168,7 @@ impl Engine {
                 continue;
             }
             let subs = strategy.try_and_commit(&self.cfg, &mut gate.window, rails);
+            self.queued -= usize::from(gate.window.is_empty());
             for sub in subs {
                 let retry = self.cfg.retry;
                 let packet =
@@ -178,8 +180,15 @@ impl Engine {
     }
 
     /// Does any gate hold a wrapper the commit stage has yet to submit?
+    /// Reads the count of non-empty windows; debug builds check it
+    /// against every gate.
     pub(super) fn window_queued(&self) -> bool {
-        self.peers.values().any(|gate| !gate.window.is_empty())
+        debug_assert_eq!(
+            self.queued,
+            self.peers.values().filter(|g| !g.window.is_empty()).count(),
+            "queued-window count out of step with the gates"
+        );
+        self.queued != 0
     }
 
     /// The NIC read the buffer of one committed packet: finish its eager

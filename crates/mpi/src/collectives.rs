@@ -661,14 +661,16 @@ pub fn allreduce_sum_hier(mpi: &MpiHandle, contrib: &[f64]) -> Vec<f64> {
 /// ⌈log₂ P⌉ hops. Handles variable block sizes, so it backs both
 /// [`alltoall_auto`] and [`alltoallv_auto`].
 ///
-/// Each rank holds its rotated blocks back to back in one `Vec<u8>` with a
-/// `u32` length per block: a round packs by walking the lengths, then
-/// rebuilds into a second buffer (arrivals from the round message, the
-/// rest from the current buffer) that replaces the first. The result is
-/// one slice per source of that final buffer, which holds output bytes
-/// only. Per rank that is at most 2 × the rank's block bytes + 4·P bytes
-/// of lengths + one round message in flight — no per-block handles until
-/// the result.
+/// Each rank holds its rotated blocks back to back in one `Vec<u8>` in the
+/// round message's own layout, `[u32 len][bytes]` per block, beside a
+/// `u32` offset per block into it. The blocks a round picks are runs of 2ʲ
+/// neighbours, so packing is one copy per run; the rebuild copies each
+/// kept run and each arrived run whole into a second buffer that replaces
+/// the first, walking the arrived prefixes only to record their offsets.
+/// The result is one slice per source of that final buffer, past its
+/// prefix. Per rank that is at most 2 × (the rank's block bytes + 4·P
+/// bytes of prefixes) + a 4·(P+1)-byte offset table + one round message
+/// in flight — no per-block handles until the result.
 pub fn alltoallv_bruck(mpi: &MpiHandle, blocks: Vec<Bytes>) -> Vec<Bytes> {
     let (rank, size) = (mpi.rank(), mpi.size());
     assert_eq!(blocks.len(), size, "need one block per rank");
@@ -677,35 +679,42 @@ pub fn alltoallv_bruck(mpi: &MpiHandle, blocks: Vec<Bytes>) -> Vec<Bytes> {
     }
     let seq = next_seq(mpi);
     let ep = world_epoch(mpi);
-    // Local rotation: rotated index i holds the block destined to rank+i.
-    let mut buf = Vec::with_capacity(blocks.iter().map(Bytes::len).sum());
-    let mut lens = Vec::with_capacity(size);
+    // u32 length prefixes: at thousands of ranks with small blocks the
+    // prefix dominates wire size (a u64 one is 2/3 of the bytes for
+    // 4-byte blocks) and can push the round message past the eager
+    // threshold into rendezvous.
+    let fits = |n: usize| u32::try_from(n).expect("bruck buffer past 4 GiB");
+    // Local rotation: rotated index i holds the block destined to rank+i;
+    // its prefix starts at offs[i], and offs[P] is the buffer's length.
+    let mut buf = Vec::with_capacity(blocks.iter().map(|b| 4 + b.len()).sum());
+    let mut offs = Vec::with_capacity(size + 1);
     for i in 0..size {
         let blk = &blocks[(rank + i) % size];
-        lens.push(u32::try_from(blk.len()).expect("bruck block too large"));
+        offs.push(fits(buf.len()));
+        buf.extend_from_slice(&fits(blk.len()).to_le_bytes());
         buf.extend_from_slice(blk);
     }
+    offs.push(fits(buf.len()));
     drop(blocks);
     for round in 0..size.next_power_of_two().trailing_zeros() {
         let pof = 1usize << round;
         let key = coll_key(ep, OP_ALLTOALLV, round as u16 + 1, seq);
         let to = (rank + pof) % size;
         let from = (rank + size - pof) % size;
-        // u32 length prefixes: at thousands of ranks with small blocks the
-        // prefix dominates wire size (a u64 one is 2/3 of the bytes for
-        // 4-byte blocks) and can push the round message past the eager
-        // threshold into rendezvous.
-        let picked = lens.iter().enumerate().filter(|(i, _)| i & pof != 0);
-        let packed_len: usize = picked.map(|(_, &l)| 4 + l as usize).sum();
+        // The indices in runs of 2ʲ, each `(first, end, picked)`: bit j is
+        // set across the runs that start at odd multiples of 2ʲ.
+        let runs = (0..size)
+            .step_by(pof)
+            .map(|a| (a, (a + pof).min(size), a & pof != 0));
+        let span = |offs: &[u32], a: usize, b: usize| offs[a] as usize..offs[b] as usize;
+        let picked = runs.clone().filter(|r| r.2);
+        let packed_len: usize = picked
+            .clone()
+            .map(|(a, b, _)| span(&offs, a, b).len())
+            .sum();
         let mut packed = Vec::with_capacity(packed_len);
-        let mut off = 0usize;
-        for (i, &len) in lens.iter().enumerate() {
-            let end = off + len as usize;
-            if i & pof != 0 {
-                packed.extend_from_slice(&len.to_le_bytes());
-                packed.extend_from_slice(&buf[off..end]);
-            }
-            off = end;
+        for (a, b, _) in picked {
+            packed.extend_from_slice(&buf[span(&offs, a, b)]);
         }
         let r = mpi.state.irecv_key(&mpi.ctx, Src::Rank(from), key);
         let s = mpi
@@ -714,35 +723,45 @@ pub fn alltoallv_bruck(mpi: &MpiHandle, blocks: Vec<Bytes>) -> Vec<Bytes> {
         let d = mpi.state.wait(&mpi.ctx, r).0.expect("bruck data");
         mpi.state.wait(&mpi.ctx, s);
         // Both round messages carry one prefix per picked block, so this is
-        // the rebuilt buffer's exact size: the final one pins no slack.
-        let mut next = Vec::with_capacity((buf.len() + d.len()).saturating_sub(packed_len));
-        let (mut off, mut rest) = (0usize, &d[..]);
-        for (i, len) in lens.iter_mut().enumerate() {
-            let end = off + *len as usize;
-            if i & pof != 0 {
-                let (blk, tail) = split_block(rest);
-                next.extend_from_slice(blk);
-                *len = blk.len() as u32;
+        // the rebuilt buffer's exact size: the final one pins no slack. It
+        // bounds every offset below, so they are cast unchecked.
+        let next_len = (buf.len() + d.len()).saturating_sub(packed_len);
+        fits(next_len);
+        let mut next = Vec::with_capacity(next_len);
+        let mut rest = &d[..];
+        for (a, b, picked) in runs {
+            let base = next.len() as u32;
+            if picked {
+                let mut run = rest;
+                for off in &mut offs[a..b] {
+                    *off = base + (rest.len() - run.len()) as u32;
+                    run = split_block(run).1;
+                }
+                let (arrived, tail) = rest.split_at(rest.len() - run.len());
+                next.extend_from_slice(arrived);
                 rest = tail;
             } else {
-                next.extend_from_slice(&buf[off..end]);
+                let kept = span(&offs, a, b);
+                next.extend_from_slice(&buf[kept.clone()]);
+                for off in &mut offs[a..b] {
+                    *off = *off - kept.start as u32 + base;
+                }
             }
-            off = end;
         }
         assert!(rest.is_empty(), "bruck payload size mismatch");
+        offs[size] = next.len() as u32;
         buf = next;
     }
     // Inverse rotation: rotated index i now holds the block that originated
-    // at rank−i, so it is result[(rank−i) mod P] — one slice each of the
-    // final buffer.
+    // at rank−i, so source s is index (rank−s) mod P — one slice each of
+    // the final buffer, past the block's prefix.
     let out = Bytes::from(buf);
-    let mut result = vec![Bytes::new(); size];
-    let mut off = 0usize;
-    for (i, &len) in lens.iter().enumerate() {
-        result[(rank + size - i) % size] = out.slice(off..off + len as usize);
-        off += len as usize;
-    }
-    result
+    (0..size)
+        .map(|src| {
+            let i = (rank + size - src) % size;
+            out.slice(offs[i] as usize + 4..offs[i + 1] as usize)
+        })
+        .collect()
 }
 
 /// Splits the first `u32`-prefixed block off a Bruck round message:

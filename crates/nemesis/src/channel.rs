@@ -218,8 +218,8 @@ impl ShmDomain {
     }
 
     /// The PIOMan mailbox of a local endpoint.
-    pub fn mailbox(&self, local: usize) -> Mailbox {
-        Mailbox::clone(&self.endpoints[local].mailbox)
+    pub fn mailbox(&self, local: usize) -> &Mailbox {
+        &self.endpoints[local].mailbox
     }
 
     /// Install the delivery hook for `local` (PIOMan integration).
@@ -632,7 +632,6 @@ mod tests {
     fn mailbox_counts_deliveries() {
         let mut sim = SimBuilder::new().build();
         let domain = ShmDomain::new(&[0, 1], 8, ShmModel::xeon());
-        let mb = domain.mailbox(1);
         let d2 = Arc::clone(&domain);
         let sched = sim.scheduler();
         sched.schedule_at(SimTime::ZERO, move |s| {
@@ -647,11 +646,10 @@ mod tests {
             }
         });
         let d3 = Arc::clone(&domain);
-        let mb2 = Mailbox::clone(&mb);
         sim.spawn_rank("receiver", move |ctx| {
             let sched = ctx.scheduler();
             // Wait until all three cells landed.
-            while mb2.total() < 3 {
+            while d3.mailbox(1).total() < 3 {
                 ctx.advance(SimDuration::nanos(100));
             }
             assert!(d3.has_incoming(1));
@@ -660,7 +658,7 @@ mod tests {
                 n += 1;
             }
             assert_eq!(n, 3);
-            assert_eq!(mb2.pending(), 0);
+            assert_eq!(d3.mailbox(1).pending(), 0);
         });
         sim.run().unwrap();
     }
